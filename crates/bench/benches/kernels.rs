@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the computational substrates: the GEMM block
-//! kernel (which calibration times to derive `w`) and the simplex solver
-//! behind Table 1.
+//! kernel (which calibration times to derive `w`) at the three block
+//! sizes the experiments use, and the simplex solver behind Table 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 use stargemm_core::steady::{bandwidth_centric, table1_lp};
-use stargemm_linalg::gemm::{gemm_naive, gemm_tiled};
+use stargemm_linalg::gemm::block_update;
 use stargemm_linalg::Block;
 use stargemm_platform::presets;
 
@@ -19,29 +19,9 @@ fn bench_gemm(c: &mut Criterion) {
         let a = Block::random(q, &mut rng);
         let b = Block::random(q, &mut rng);
         let mut out = Block::zeros(q);
-        group.bench_with_input(BenchmarkId::new("tiled", q), &q, |bch, &q| {
-            bch.iter(|| {
-                gemm_tiled(
-                    q,
-                    black_box(out.as_mut_slice()),
-                    black_box(a.as_slice()),
-                    black_box(b.as_slice()),
-                )
-            })
+        group.bench_with_input(BenchmarkId::new("block_update", q), &q, |bch, _| {
+            bch.iter(|| block_update(black_box(&mut out), black_box(&a), black_box(&b)))
         });
-        if q == 80 {
-            // The paper's block size: keep a naive reference point.
-            group.bench_with_input(BenchmarkId::new("naive", q), &q, |bch, &q| {
-                bch.iter(|| {
-                    gemm_naive(
-                        q,
-                        black_box(out.as_mut_slice()),
-                        black_box(a.as_slice()),
-                        black_box(b.as_slice()),
-                    )
-                })
-            });
-        }
     }
     group.finish();
 }

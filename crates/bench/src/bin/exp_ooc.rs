@@ -43,7 +43,9 @@ impl Serialize for Row {
 fn main() {
     let cli = Cli::parse();
     let q = 80;
-    let w = 5.12e-4; // 2 GFLOP/s kernel
+    // The paper-era machine, not this repo's kernel: 2·80³ flop in
+    // 5.12e-4 s is 2 GFLOP/s (`presets::BASE_GFLOPS`, a P4 2.4 GHz).
+    let w = 5.12e-4;
     let job = if cli.smoke {
         Job::new(16, 16, 16, q)
     } else {

@@ -1,8 +1,8 @@
 //! Pinned perf trajectory: kernel events/sec, heap high-water,
-//! cancellation counts, sweep per-cell wall times — and the net-engine
-//! leg (`BENCH_net.json`): threaded vs reactor throughput, the
-//! reactor's worker-scaling curve, and the netmodel zero-allocation
-//! steady-state assertion.
+//! cancellation counts, block-kernel GFLOP/s at q = 32 / 80 / 100, sweep
+//! per-cell wall times — and the net-engine leg (`BENCH_net.json`):
+//! threaded vs reactor throughput, the reactor's worker-scaling curve,
+//! and the netmodel zero-allocation steady-state assertion.
 //!
 //! CI runs `exp_perf --smoke --json BENCH_kernel.json --net-baseline
 //! ci/BENCH_net_baseline.json` and uploads both artifacts, so kernel,
@@ -17,8 +17,8 @@ use stargemm_bench::netperf::{
     self, net_report_json, net_trajectory, netmodel_steady_state_bytes, render_net_table,
 };
 use stargemm_bench::perf::{
-    check_kernel_baseline, kernel_trajectory, perf_report_json, render_kernel_table,
-    sweep_cell_times,
+    check_kernel_baseline, gemm_trajectory, kernel_trajectory, perf_report_json, render_gemm_table,
+    render_kernel_table, sweep_cell_times, KERNEL_BASELINE_SCHEMA,
 };
 use stargemm_bench::{write_json, write_results, Cli};
 
@@ -37,7 +37,12 @@ fn main() {
     };
 
     let kernel = kernel_trajectory(pending, events);
-    let table = render_kernel_table(&kernel);
+    let gemm = gemm_trajectory();
+    let table = format!(
+        "{}\n{}",
+        render_kernel_table(&kernel),
+        render_gemm_table(&gemm)
+    );
     print!("{table}");
 
     let cells = sweep_cell_times(&cli);
@@ -61,7 +66,7 @@ fn main() {
     print!("{}", render_net_table(&net));
     let net_json = net_report_json(&net, steady);
 
-    let json = perf_report_json(&kernel, &cells);
+    let json = perf_report_json(&kernel, &gemm, &cells);
     if let Ok(p) = write_results("perf.txt", &table) {
         eprintln!("(written to {})", p.display());
     }
@@ -91,11 +96,8 @@ fn main() {
         }
     }
     if let Some(base_path) = &cli.kernel_baseline {
-        let baseline = read_baseline(
-            base_path,
-            "{\"hold\": <events/sec>, \"cancel_half\": <events/sec>, \"drain\": <events/sec>}",
-        );
-        match check_kernel_baseline(&baseline, &kernel) {
+        let baseline = read_baseline(base_path, KERNEL_BASELINE_SCHEMA);
+        match check_kernel_baseline(&baseline, &kernel, &gemm) {
             Ok(msg) => println!("{msg}"),
             Err(msg) => {
                 eprintln!("error: {msg}");

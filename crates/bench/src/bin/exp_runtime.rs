@@ -14,11 +14,10 @@ use serde::Serialize;
 use stargemm_bench::{write_json, write_results, Cli};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::Job;
+use stargemm_linalg::gemm::bytes_per_flop;
 use stargemm_linalg::verify::{tolerance_for, verify_product};
 use stargemm_linalg::BlockMatrix;
-use stargemm_net::calibrate::{
-    measure_block_update_seconds, measure_gflops, time_scale_for_measured,
-};
+use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds, time_scale_for_measured};
 use stargemm_net::{NetOptions, NetRuntime};
 use stargemm_platform::{Platform, WorkerSpec};
 use stargemm_sim::Simulator;
@@ -30,10 +29,11 @@ fn main() {
     let cli = Cli::parse();
     let q = if cli.smoke { 24 } else { 48 };
     let w = measure_block_update_seconds(q, 10);
-    let gflops = measure_gflops(q, 10);
+    let gflops = gflops_at(q, w);
     let mut out = String::new();
     out.push_str(&format!(
-        "calibration: q={q} block update {w:.2e}s  ({gflops:.2} GFLOP/s)\n"
+        "calibration: q={q} block update {w:.2e}s  ({gflops:.2} GFLOP/s at a computed {:.3} B/flop)\n",
+        bytes_per_flop(q)
     ));
 
     // Heterogeneous platform: links sized so communication and compute

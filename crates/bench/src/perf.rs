@@ -8,12 +8,17 @@
 //! exercising the tombstone-skipping pop), and **drain** (schedule N,
 //! pop all). Each sample records events/sec, the kernel's heap
 //! high-water mark, and the cancellation count, so a future regression
-//! in any of the three shows up as a step in the trajectory file.
+//! in any of the three shows up as a step in the trajectory file. The
+//! **gemm** rows put the block kernel (`linalg::gemm`, the rate behind
+//! every calibrated `w_i`) in the same file: GFLOP/s at the three block
+//! sizes the experiments use.
 
 use std::time::Instant;
 
 use serde::json::Value;
 use serde::Serialize;
+use stargemm_linalg::gemm::bytes_per_flop;
+use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds};
 use stargemm_sim::EventQueue;
 
 use crate::{Cli, Instance};
@@ -125,6 +130,41 @@ pub struct KernelSample {
     pub wall_secs: f64,
 }
 
+/// Block sides of the `gemm` rows: the real-data runs' small size and
+/// the paper's two (`q = 80` or `100` "for BLAS-3 efficiency").
+pub const GEMM_SIZES: [usize; 3] = [32, 80, 100];
+
+/// One `gemm` row of the kernel trajectory.
+#[derive(Clone, Debug, Serialize)]
+pub struct GemmSample {
+    /// Block side.
+    pub q: u64,
+    /// Sustained rate of `gemm::block_update`.
+    pub gflops: f64,
+    /// Computed operand traffic per flop, `12/q`
+    /// ([`stargemm_linalg::gemm::bytes_per_flop`]).
+    pub bytes_per_flop: f64,
+    /// Median seconds per block update (the measured `w`).
+    pub update_secs: f64,
+}
+
+/// The `gemm` rows, through the same measurement calibration uses
+/// ([`measure_block_update_seconds`], median of ten batched samples).
+pub fn gemm_trajectory() -> Vec<GemmSample> {
+    GEMM_SIZES
+        .iter()
+        .map(|&q| {
+            let update_secs = measure_block_update_seconds(q, 10);
+            GemmSample {
+                q: q as u64,
+                gflops: gflops_at(q, update_secs),
+                bytes_per_flop: bytes_per_flop(q),
+                update_secs,
+            }
+        })
+        .collect()
+}
+
 /// One row of the sweep timing trajectory.
 #[derive(Clone, Debug, Serialize)]
 pub struct CellSample {
@@ -179,52 +219,76 @@ pub fn sweep_cell_times(cli: &Cli) -> Vec<CellSample> {
         .collect()
 }
 
+/// The shape of `ci/BENCH_kernel_baseline.json`, for error messages.
+pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
+     \"cancel_half\": <events/sec>, \"drain\": <events/sec>, \"gemm_q32\": <GFLOP/s>, \
+     \"gemm_q80\": <GFLOP/s>, \"gemm_q100\": <GFLOP/s>}";
+
 /// Gates the measured kernel trajectory against a committed baseline
-/// (`ci/BENCH_kernel_baseline.json`): every workload must deliver at
-/// least 80 % of its committed events/sec — symmetric with
+/// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload must
+/// deliver at least 80 % of its committed events/sec and every `gemm`
+/// row 80 % of its committed GFLOP/s — symmetric with
 /// [`crate::netperf::check_net_baseline`]. Returns the gate report on
 /// success and the first violation (or schema problem) on failure.
 pub fn check_kernel_baseline(
     baseline_json: &str,
     samples: &[KernelSample],
+    gemm: &[GemmSample],
 ) -> Result<String, String> {
-    const SCHEMA: &str =
-        "{\"hold\": <events/sec>, \"cancel_half\": <events/sec>, \"drain\": <events/sec>}";
+    // (baseline key, measured rate, unit, printed decimals)
+    let measured: Vec<(String, f64, &str, usize)> = samples
+        .iter()
+        .map(|s| (s.workload.clone(), s.events_per_sec, "events/sec", 0))
+        .chain(gemm.iter().map(|g| (gemm_key(g.q), g.gflops, "GFLOP/s", 2)))
+        .collect();
     // Validate the whole baseline schema up front so a malformed file
     // is reported as such even when the measured samples are short.
     let mut gates = Vec::new();
-    for workload in ["hold", "cancel_half", "drain"] {
-        let base = crate::netperf::scan_json_number(baseline_json, workload)
-            .ok_or_else(|| format!("baseline has no \"{workload}\" field (expected {SCHEMA})"))?;
-        gates.push((workload, base));
+    for key in ["hold", "cancel_half", "drain"]
+        .into_iter()
+        .map(str::to_string)
+        .chain(GEMM_SIZES.into_iter().map(gemm_key))
+    {
+        let base = crate::netperf::scan_json_number(baseline_json, &key).ok_or_else(|| {
+            format!("baseline has no \"{key}\" field (expected {KERNEL_BASELINE_SCHEMA})")
+        })?;
+        gates.push((key, base));
     }
     let mut lines = Vec::new();
-    for (workload, base) in gates {
-        let sample = samples
+    for (key, base) in gates {
+        let &(_, rate, unit, digits) = measured
             .iter()
-            .find(|s| s.workload == workload)
-            .ok_or_else(|| format!("no {workload} sample to gate against"))?;
+            .find(|row| row.0 == key)
+            .ok_or_else(|| format!("no {key} sample to gate against"))?;
         let floor = 0.8 * base;
-        if sample.events_per_sec < floor {
+        if rate < floor {
             return Err(format!(
-                "kernel perf regression: {workload} delivers {:.0} events/sec, \
-                 below 80% of the committed baseline {base:.0} (floor {floor:.0})",
-                sample.events_per_sec
+                "kernel perf regression: {key} delivers {rate:.digits$} {unit}, \
+                 below 80% of the committed baseline {base:.digits$} (floor {floor:.digits$})"
             ));
         }
         lines.push(format!(
-            "kernel baseline gate ok: {workload} {:.0} events/sec >= floor {floor:.0}",
-            sample.events_per_sec
+            "kernel baseline gate ok: {key} {rate:.digits$} {unit} >= floor {floor:.digits$}"
         ));
     }
     Ok(lines.join("\n"))
 }
 
+/// Baseline key of the `gemm` row at block side `q`.
+fn gemm_key(q: impl std::fmt::Display) -> String {
+    format!("gemm_q{q}")
+}
+
 /// Renders the `BENCH_kernel.json` artifact.
-pub fn perf_report_json(kernel: &[KernelSample], cells: &[CellSample]) -> String {
+pub fn perf_report_json(
+    kernel: &[KernelSample],
+    gemm: &[GemmSample],
+    cells: &[CellSample],
+) -> String {
     Value::object([
         ("experiment", "perf".to_value()),
         ("kernel", kernel.to_value()),
+        ("gemm", gemm.to_value()),
         ("sweep_cells", cells.to_value()),
     ])
     .render_pretty()
@@ -240,6 +304,24 @@ pub fn render_kernel_table(samples: &[KernelSample]) -> String {
         out.push_str(&format!(
             "{:<14}{:>10}{:>16.0}{:>12}{:>12}{:>10.3}\n",
             s.workload, s.events, s.events_per_sec, s.heap_high_water, s.cancelled, s.wall_secs
+        ));
+    }
+    out
+}
+
+/// Aligned text table over the `gemm` rows.
+pub fn render_gemm_table(samples: &[GemmSample]) -> String {
+    let mut out = format!(
+        "{:<14}{:>10}{:>16}{:>12}\n",
+        "gemm", "GFLOP/s", "s/update", "B/flop"
+    );
+    for s in samples {
+        out.push_str(&format!(
+            "{:<14}{:>10.2}{:>16.3e}{:>12.3}\n",
+            format!("q={}", s.q),
+            s.gflops,
+            s.update_secs,
+            s.bytes_per_flop
         ));
     }
     out
@@ -265,6 +347,18 @@ mod tests {
         assert_eq!(d.heap_high_water, 1_000);
     }
 
+    fn gemm_rows(gflops: f64) -> Vec<GemmSample> {
+        GEMM_SIZES
+            .iter()
+            .map(|&q| GemmSample {
+                q: q as u64,
+                gflops,
+                bytes_per_flop: bytes_per_flop(q),
+                update_secs: 1.0, // not gated
+            })
+            .collect()
+    }
+
     #[test]
     fn trajectory_json_carries_all_samples() {
         let kernel = kernel_trajectory(64, 500);
@@ -272,14 +366,29 @@ mod tests {
             cell: "t/s=8".into(),
             wall_secs: 0.1,
         }];
-        let json = perf_report_json(&kernel, &cells);
+        let json = perf_report_json(&kernel, &gemm_rows(10.0), &cells);
         assert!(json.contains("\"hold\""));
         assert!(json.contains("\"cancel_half\""));
         assert!(json.contains("\"drain\""));
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"heap_high_water\""));
+        assert!(json.contains("\"gemm\""));
+        assert!(json.contains("\"gflops\""));
+        assert!(json.contains("\"bytes_per_flop\""));
         assert!(json.contains("\"sweep_cells\""));
         assert!(json.contains("t/s=8"));
+    }
+
+    #[test]
+    fn gemm_trajectory_measures_the_three_block_sizes() {
+        let rows = gemm_trajectory();
+        assert_eq!(rows.iter().map(|g| g.q).collect::<Vec<_>>(), [32, 80, 100]);
+        for g in &rows {
+            assert!(g.gflops > 0.0 && g.update_secs > 0.0, "{g:?}");
+            assert_eq!(g.gflops, gflops_at(g.q as usize, g.update_secs));
+        }
+        let table = render_gemm_table(&rows);
+        assert!(table.contains("q=80") && table.contains("0.150"), "{table}");
     }
 
     #[test]
@@ -295,23 +404,38 @@ mod tests {
                 wall_secs: 1.0,
             })
             .collect();
+        let gemm = gemm_rows(10.0);
+        let baseline = |cancel_half: f64, gemm_q80: f64| {
+            format!(
+                r#"{{"hold": 1000.0, "cancel_half": {cancel_half}, "drain": 1000.0,
+                    "gemm_q32": 10.0, "gemm_q80": {gemm_q80}, "gemm_q100": 10.0}}"#
+            )
+        };
         // At the committed level and 20 % below: ok. Below the floor: err.
-        let base = r#"{"hold": 1000.0, "cancel_half": 1000.0, "drain": 1000.0}"#;
-        assert!(check_kernel_baseline(base, &samples).is_ok());
-        let hot = r#"{"hold": 1200.0, "cancel_half": 1200.0, "drain": 1200.0}"#;
-        assert!(check_kernel_baseline(hot, &samples).is_ok());
-        let far = r#"{"hold": 1000.0, "cancel_half": 2000.0, "drain": 1000.0}"#;
-        let err = check_kernel_baseline(far, &samples).unwrap_err();
+        let report = check_kernel_baseline(&baseline(1000.0, 10.0), &samples, &gemm).unwrap();
+        assert!(report.contains("gemm_q100 10.00 GFLOP/s"), "{report}");
+        assert!(check_kernel_baseline(&baseline(1200.0, 12.0), &samples, &gemm).is_ok());
+        let err = check_kernel_baseline(&baseline(2000.0, 10.0), &samples, &gemm).unwrap_err();
         assert!(err.contains("cancel_half"), "{err}");
         assert!(err.contains("80%"), "{err}");
+        let err = check_kernel_baseline(&baseline(1000.0, 20.0), &samples, &gemm).unwrap_err();
+        assert!(err.contains("gemm_q80 delivers 10.00 GFLOP/s"), "{err}");
+        assert!(err.contains("80%"), "{err}");
+        // A measured row missing from the run is an error, not a pass.
+        let err = check_kernel_baseline(&baseline(1000.0, 10.0), &samples, &[]).unwrap_err();
+        assert!(err.contains("no gemm_q32 sample"), "{err}");
     }
 
     #[test]
     fn kernel_baseline_gate_names_the_expected_schema() {
-        let err = check_kernel_baseline(r#"{"hold": 1.0}"#, &[]).unwrap_err();
+        let err = check_kernel_baseline(r#"{"hold": 1.0}"#, &[], &[]).unwrap_err();
         assert!(err.contains("cancel_half"), "{err}");
         assert!(err.contains("expected"), "{err}");
         assert!(err.contains("drain"), "{err}");
+        // The pre-gemm baseline file is a schema error too.
+        let old = r#"{"hold": 1.0, "cancel_half": 1.0, "drain": 1.0}"#;
+        let err = check_kernel_baseline(old, &[], &[]).unwrap_err();
+        assert!(err.contains("no \"gemm_q32\" field (expected"), "{err}");
     }
 
     #[test]

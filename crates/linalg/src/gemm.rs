@@ -1,23 +1,55 @@
 //! Block-update kernels: `C ← C + A · B` on `q × q` tiles.
 //!
-//! Two implementations are provided:
+//! One kernel does every block product in the repo: [`gemm_tiled`], a
+//! register-blocked microkernel. C is cut into `MR × NR` tiles; each tile
+//! is accumulated in an `[[f64; NR]; MR]` array that the compiler keeps
+//! in SIMD registers across the whole `k` loop, reading `NR` entries of
+//! each B row in place, and is added to C once at the end, where a
+//! row-at-a-time `axpy` kernel reloads and re-stores the C row for every
+//! `k`. The columns left over when `NR` does not divide `q` go through
+//! the same code at run-time width (the scalar edge path), the rows left
+//! over when `MR` does not divide `q` through one-row tiles; blocks
+//! smaller than a tile (the `q = 2` stars of the contention experiments)
+//! are all edge.
+//! There is no cache-level tiling and no panel packing: for the paper's
+//! `q = 80..100` the three operands are 150–240 KB and sit in L2, and
+//! packing B into `NR`-wide panels (measured at its best, into a
+//! preallocated scratch) gained ~3 % at `q = 80` and nothing at `q = 32`
+//! — not worth a scratch buffer per caller.
 //!
-//! * [`gemm_naive`] — textbook triple loop, used as the correctness oracle;
-//! * [`gemm_tiled`] — cache-blocked `i-k-j` kernel with a 4-wide unrolled
-//!   inner loop; this is what the `stargemm-net` worker threads run, and
-//!   what the calibration code times to derive the platform parameter
-//!   `w_i` (seconds per block update).
+//! A `q × q` update is `2q³` flops over `24q²` operand bytes, `12/q`
+//! B/flop (0.15 at `q = 80`), so it is compute-bound and this kernel's
+//! rate *is* the platform parameter `w_i`: `stargemm-net` workers run it,
+//! [`crate::verify`]'s oracle runs it, and `net::calibrate` times it.
+//! [`gemm_tiled_sub`] is the same kernel with a subtracting store, for
+//! the LU trailing update.
 //!
-//! Both operate on raw row-major slices so they can run on borrowed buffer
-//! pool memory without copies.
+//! Every entry of the product is summed in increasing `k` from `0.0` and
+//! then added to (or subtracted from) C, whatever tile it falls in, so
+//! the result does not depend on the tile shape — and equals
+//! [`gemm_naive`], the textbook triple loop the tests compare against.
+//! IEEE semantics are kept: a zero in A times an `∞` or `NaN` in B
+//! yields `NaN`.
+//!
+//! The kernels operate on raw row-major slices so they can run on
+//! borrowed buffer pool memory without copies.
 
 use crate::block::Block;
 
-/// Tile edge (in scalar elements) for the cache-blocked kernel. 32×32 f64
-/// tiles (8 KiB per operand) fit comfortably in L1 alongside the C tile.
-const TILE: usize = 32;
+/// Rows of the register tile.
+///
+/// `MR × NR` was chosen by an interleaved min-of-N sweep of 2×8, 3×8,
+/// 4×8, 6×8, 2×12, 2×16, 3×6, 4×4 at `q` = 32, 80 and 100 with the
+/// default target features (SSE2: sixteen 2-lane registers). 2×8 and
+/// 3×8 tie within run-to-run noise and lead 4×8 by ~8 %; 2×8 divides
+/// every even `q`, so the paper's sizes have no row edge.
+const MR: usize = 2;
+/// Columns of the register tile.
+const NR: usize = 8;
 
 /// Reference triple-loop kernel: `c += a * b`, all `q × q` row-major.
+/// The oracle that tests compare [`gemm_tiled`] against; nothing outside
+/// tests calls it.
 ///
 /// # Panics
 /// Panics when the slice lengths are not all `q * q`.
@@ -36,57 +68,93 @@ pub fn gemm_naive(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// Cache-blocked `i-k-j` kernel with an unrolled inner loop.
-///
-/// The `i-k-j` loop order streams rows of `B` and `C` contiguously, which
-/// lets the compiler vectorize the inner `j` loop; tiling bounds the
-/// working set so q=80..100 blocks (the paper's BLAS-3 sweet spot) stay
-/// cache-resident.
+/// The block update `c += a * b`, all `q × q` row-major (see the module
+/// docs for the kernel).
 ///
 /// # Panics
 /// Panics when the slice lengths are not all `q * q`.
 pub fn gemm_tiled(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
+    kernel::<false>(q, c, a, b);
+}
+
+/// `c -= a * b` through the same kernel as [`gemm_tiled`]: the product
+/// is accumulated in registers and subtracted from C in the store step.
+///
+/// # Panics
+/// Panics when the slice lengths are not all `q * q`.
+pub fn gemm_tiled_sub(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
+    kernel::<true>(q, c, a, b);
+}
+
+fn kernel<const SUB: bool>(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(c.len(), q * q);
     assert_eq!(a.len(), q * q);
     assert_eq!(b.len(), q * q);
-    for i0 in (0..q).step_by(TILE) {
-        let imax = (i0 + TILE).min(q);
-        for k0 in (0..q).step_by(TILE) {
-            let kmax = (k0 + TILE).min(q);
-            for j0 in (0..q).step_by(TILE) {
-                let jmax = (j0 + TILE).min(q);
-                for i in i0..imax {
-                    let arow = &a[i * q..(i + 1) * q];
-                    for k in k0..kmax {
-                        let aik = arow[k];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[k * q + j0..k * q + jmax];
-                        let crow = &mut c[i * q + j0..i * q + jmax];
-                        axpy(crow, brow, aik);
-                    }
-                }
-            }
-        }
+    let full_rows = q - q % MR;
+    let full_cols = q - q % NR;
+    for i0 in (0..full_rows).step_by(MR) {
+        row_of_tiles::<MR, SUB>(q, c, a, b, i0, full_cols);
+    }
+    for i in full_rows..q {
+        row_of_tiles::<1, SUB>(q, c, a, b, i, full_cols);
     }
 }
 
-/// `c += alpha * b`, unrolled 4-wide; inner building block of
-/// [`gemm_tiled`].
-#[inline]
-fn axpy(c: &mut [f64], b: &[f64], alpha: f64) {
-    let n = c.len().min(b.len());
-    let chunks = n / 4;
-    for t in 0..chunks {
-        let base = t * 4;
-        c[base] += alpha * b[base];
-        c[base + 1] += alpha * b[base + 1];
-        c[base + 2] += alpha * b[base + 2];
-        c[base + 3] += alpha * b[base + 3];
+/// Rows `i0..i0 + R` of C: the full tiles, then the edge columns.
+#[inline(always)]
+fn row_of_tiles<const R: usize, const SUB: bool>(
+    q: usize,
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    i0: usize,
+    full_cols: usize,
+) {
+    for j0 in (0..full_cols).step_by(NR) {
+        tile::<R, SUB>(q, c, a, b, i0, j0, NR);
     }
-    for idx in chunks * 4..n {
-        c[idx] += alpha * b[idx];
+    if full_cols < q {
+        tile::<R, SUB>(q, c, a, b, i0, full_cols, q - full_cols);
+    }
+}
+
+/// The `R × width` tile of C at `(i0, j0)`, `width ≤ NR`.
+///
+/// Always inlined: at the full-tile call `width` is the constant `NR`,
+/// so each B row is read as a fixed-size `[f64; NR]`, the loops over the
+/// tile unroll into straight-line SIMD code on register-resident
+/// accumulators, and the only bounds checks left are per `k`. The same
+/// code at run-time `width` is the scalar edge path.
+#[inline(always)]
+fn tile<const R: usize, const SUB: bool>(
+    q: usize,
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    i0: usize,
+    j0: usize,
+    width: usize,
+) {
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i0 + r) * q..(i0 + r + 1) * q]);
+    let mut acc = [[0.0f64; NR]; R];
+    for (k, b_row) in b.chunks_exact(q).enumerate() {
+        let b_k = &b_row[j0..j0 + width];
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+            let a_ik = a_row[k];
+            for (x, b_kj) in acc_row[..width].iter_mut().zip(b_k) {
+                *x += a_ik * b_kj;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let at = (i0 + r) * q + j0;
+        for (c_ij, x) in c[at..at + width].iter_mut().zip(&acc_row[..width]) {
+            if SUB {
+                *c_ij -= x;
+            } else {
+                *c_ij += x;
+            }
+        }
     }
 }
 
@@ -99,9 +167,7 @@ pub fn block_update(c: &mut Block, a: &Block, b: &Block) {
     let q = c.q();
     assert_eq!(a.q(), q, "A block side mismatch");
     assert_eq!(b.q(), q, "B block side mismatch");
-    // Split borrows: C is mutated, A and B are read-only.
-    let (aq, bq) = (a.as_slice(), b.as_slice());
-    gemm_tiled(q, c.as_mut_slice(), aq, bq);
+    gemm_tiled(q, c.as_mut_slice(), a.as_slice(), b.as_slice());
 }
 
 /// Floating-point operations per block update (`2 q³`: one multiply and
@@ -110,6 +176,15 @@ pub fn block_update(c: &mut Block, a: &Block, b: &Block) {
 #[inline]
 pub fn flops_per_update(q: usize) -> u64 {
     2 * (q as u64).pow(3)
+}
+
+/// Computed operand traffic of a block update per flop: the A, B and C
+/// tiles are `8q²` bytes each, so `24q² / 2q³ = 12/q` B/flop (cache
+/// misses ignored) — 0.15 at `q = 80`, far below any machine's balance,
+/// which is why the kernel and not memory sets `w`.
+#[inline]
+pub fn bytes_per_flop(q: usize) -> f64 {
+    12.0 / q as f64
 }
 
 #[cfg(test)]
@@ -124,6 +199,14 @@ mod tests {
         (0..n).map(|_| rng.random_range(-1.0..1.0)).collect()
     }
 
+    fn abs(v: &[f64]) -> Vec<f64> {
+        v.iter().map(|x| x.abs()).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn naive_matches_hand_computed_2x2() {
         // A = [1 2; 3 4], B = [5 6; 7 8], C starts at [1 1; 1 1].
@@ -134,52 +217,73 @@ mod tests {
         assert_eq!(c, vec![20.0, 23.0, 44.0, 51.0]);
     }
 
+    /// Every `q` in `1..=100` — every residue of `q mod MR` and
+    /// `q mod NR`, and every `q` below one tile — accumulating into a
+    /// non-zero C, against the oracle.
+    ///
+    /// The bound: each kernel sums `q` products and adds `C₀`, `q + 1`
+    /// roundings of relative size `ε/2` on terms bounded by
+    /// `|A|·|B| + |C₀|`, so each is within `(q + 1)·ε/2` of the exact
+    /// value (to first order) and the two are within `(q + 2)·ε` of each
+    /// other, componentwise.
     #[test]
-    fn tiled_matches_naive_on_exact_tile_multiple() {
-        let q = 64;
-        let a = random_vec(q * q, 1);
-        let b = random_vec(q * q, 2);
-        let mut c1 = random_vec(q * q, 3);
-        let mut c2 = c1.clone();
-        gemm_naive(q, &mut c1, &a, &b);
-        gemm_tiled(q, &mut c2, &a, &b);
-        let max = c1
-            .iter()
-            .zip(&c2)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(max < 1e-10, "max diff {max}");
+    fn kernel_matches_the_oracle_for_every_q_up_to_100() {
+        for q in 1..=100usize {
+            let n = q * q;
+            let a = random_vec(n, 3 * q as u64);
+            let b = random_vec(n, 3 * q as u64 + 1);
+            let c0 = random_vec(n, 3 * q as u64 + 2);
+            let mut scale = abs(&c0);
+            gemm_naive(q, &mut scale, &abs(&a), &abs(&b));
+            let eps = (q + 2) as f64 * f64::EPSILON;
+
+            let (mut add, mut add_ref) = (c0.clone(), c0.clone());
+            gemm_tiled(q, &mut add, &a, &b);
+            gemm_naive(q, &mut add_ref, &a, &b);
+            // C − A·B: the oracle run on −C, negated.
+            let (mut sub, mut sub_ref) = (c0.clone(), c0.iter().map(|x| -x).collect::<Vec<_>>());
+            gemm_tiled_sub(q, &mut sub, &a, &b);
+            gemm_naive(q, &mut sub_ref, &a, &b);
+            for idx in 0..n {
+                let bound = eps * scale[idx];
+                let d_add = (add[idx] - add_ref[idx]).abs();
+                let d_sub = (sub[idx] + sub_ref[idx]).abs();
+                assert!(d_add <= bound, "q={q} [{idx}]: += off by {d_add} > {bound}");
+                assert!(d_sub <= bound, "q={q} [{idx}]: -= off by {d_sub} > {bound}");
+            }
+        }
     }
 
     #[test]
-    fn tiled_matches_naive_on_ragged_size() {
-        // q = 80 is the paper's default and is not a multiple of TILE=32.
-        let q = 80;
-        let a = random_vec(q * q, 4);
-        let b = random_vec(q * q, 5);
-        let mut c1 = random_vec(q * q, 6);
-        let mut c2 = c1.clone();
-        gemm_naive(q, &mut c1, &a, &b);
-        gemm_tiled(q, &mut c2, &a, &b);
-        let max = c1
-            .iter()
-            .zip(&c2)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(max < 1e-10, "max diff {max}");
-    }
+    fn zeros_in_a_follow_ieee_rules() {
+        // q = 11: one full column tile plus three edge columns, five full
+        // row tiles plus one edge row.
+        let q = 11;
+        let a = vec![0.0; q * q];
+        let mut b = random_vec(q * q, 1);
+        let c0 = random_vec(q * q, 2);
 
-    #[test]
-    fn tiled_handles_tiny_blocks() {
-        for q in 1..=5 {
-            let a = random_vec(q * q, 10 + q as u64);
-            let b = random_vec(q * q, 20 + q as u64);
-            let mut c1 = vec![0.0; q * q];
-            let mut c2 = vec![0.0; q * q];
-            gemm_naive(q, &mut c1, &a, &b);
-            gemm_tiled(q, &mut c2, &a, &b);
-            for (x, y) in c1.iter().zip(&c2) {
-                assert!((x - y).abs() < 1e-12);
+        // Finite B: an all-zero A leaves C unchanged to the bit.
+        let mut c = c0.clone();
+        gemm_tiled(q, &mut c, &a, &b);
+        assert_eq!(bits(&c), bits(&c0));
+
+        // 0 · ∞ and 0 · NaN are NaN: the columns of C under a non-finite
+        // entry of B become NaN (no skipping of zero A entries), the
+        // others stay untouched.
+        let (inf_col, nan_col) = (2, 9);
+        b[4 * q + inf_col] = f64::INFINITY;
+        b[7 * q + nan_col] = f64::NAN;
+        let mut c = c0.clone();
+        gemm_tiled(q, &mut c, &a, &b);
+        for i in 0..q {
+            for j in 0..q {
+                let (got, before) = (c[i * q + j], c0[i * q + j]);
+                if j == inf_col || j == nan_col {
+                    assert!(got.is_nan(), "({i},{j}) = {got}, expected NaN");
+                } else {
+                    assert_eq!(got.to_bits(), before.to_bits(), "({i},{j})");
+                }
             }
         }
     }
@@ -224,12 +328,13 @@ mod tests {
     fn flops_formula() {
         assert_eq!(flops_per_update(80), 2 * 80u64.pow(3));
         assert_eq!(flops_per_update(1), 2);
+        assert_eq!(bytes_per_flop(80), 0.15);
     }
 
     #[test]
     #[should_panic]
     fn mismatched_lengths_panic() {
         let mut c = vec![0.0; 4];
-        gemm_naive(2, &mut c, &[0.0; 3], &[0.0; 4]);
+        gemm_tiled(2, &mut c, &[0.0; 3], &[0.0; 4]);
     }
 }

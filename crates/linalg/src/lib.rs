@@ -6,8 +6,8 @@
 //! `100` in the paper). This crate provides:
 //!
 //! * [`Block`] — one owned `q × q` tile of `f64` coefficients,
-//! * [`gemm`] — the block-update kernels (naive reference and a tiled,
-//!   unrolled kernel used by the threaded runtime),
+//! * [`gemm`] — the block-update kernel (one register-blocked microkernel
+//!   behind every block product in the repo) and its naive test oracle,
 //! * [`BlockMatrix`] — a row-major grid of blocks with stripe accessors
 //!   matching the paper's partitioning (Figure 1),
 //! * [`verify`] — reference products and tolerant comparison helpers used
@@ -16,6 +16,10 @@
 //! Everything here is deliberately dependency-light: the scheduling layers
 //! only need the *timing model* of a block update, while the `stargemm-net`
 //! runtime performs these updates for real.
+
+// The workspace lint is only `deny`, which an inner `#[allow]` could
+// override; the kernel stays safe Rust.
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod gemm;

@@ -12,7 +12,7 @@
 //! factorizable matrices — the tests use diagonally dominant ones.
 
 use crate::block::Block;
-use crate::gemm::gemm_tiled;
+use crate::gemm::gemm_tiled_sub;
 use crate::matrix::BlockMatrix;
 
 /// Error raised when a zero (or numerically vanishing) pivot appears.
@@ -35,16 +35,11 @@ impl std::error::Error for SingularPivot {}
 const PIVOT_TOL: f64 = 1e-12;
 
 /// The *trailing-update* task: `C ← C − L·U` for one block, with exactly
-/// the operation order [`lu_factor`] uses (accumulate the product into a
-/// scratch block, then subtract element-wise), so a DAG replay of the
-/// trailing updates is bitwise-identical to the sequential algorithm.
+/// the operation order [`lu_factor`] uses (the kernel accumulates the
+/// product, then subtracts it from C element-wise), so a DAG replay of
+/// the trailing updates is bitwise-identical to the sequential algorithm.
 pub fn lu_update(c: &mut Block, l: &Block, u: &Block) {
-    let q = c.q();
-    let mut neg = vec![0.0; q * q];
-    gemm_tiled(q, &mut neg, l.as_slice(), u.as_slice());
-    for (ci, ni) in c.as_mut_slice().iter_mut().zip(&neg) {
-        *ci -= ni;
-    }
+    gemm_tiled_sub(c.q(), c.as_mut_slice(), l.as_slice(), u.as_slice());
 }
 
 /// In-place scalar LU of one block: `A = L·U` with unit diagonal `L`

@@ -191,11 +191,7 @@ impl BlockMatrix {
         for i in 0..c.block_rows {
             for j in 0..c.block_cols {
                 for k in 0..t {
-                    // Manual split to appease the borrow checker: clone A/B
-                    // block refs are cheap (&Block), only C is mutated.
-                    let a_ik = a.block(i, k).clone();
-                    let b_kj = b.block(k, j).clone();
-                    block_update(c.block_mut(i, j), &a_ik, &b_kj);
+                    block_update(c.block_mut(i, j), a.block(i, k), b.block(k, j));
                 }
             }
         }

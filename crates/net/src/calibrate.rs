@@ -6,6 +6,7 @@
 //! the median. Here the compute half is measured for real (the links are
 //! emulated, so `c` comes from the configured bandwidth).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -15,31 +16,51 @@ use stargemm_linalg::Block;
 use stargemm_platform::units::{blocks_from_megabytes, c_from_bandwidth_mbps};
 use stargemm_platform::{Platform, WorkerSpec};
 
+/// Shortest batch of updates timed as one sample: long enough that the
+/// clock's own cost and resolution (tens of ns) are below a thousandth
+/// of it, whatever `q`.
+const MIN_SAMPLE_SECS: f64 = 200e-6;
+
 /// Median wall-clock time of one `q × q` block update over `reps`
-/// repetitions (the paper uses ten).
+/// samples (the paper uses ten). A sample times a batch of back-to-back
+/// updates at least 200 µs long and divides by its size: one update
+/// takes ~4 µs at `q = 32` and tens of ns at `q = 2`, where a single
+/// timed call would measure the clock.
 pub fn measure_block_update_seconds(q: usize, reps: usize) -> f64 {
     assert!(reps > 0, "need at least one repetition");
     let mut rng = StdRng::seed_from_u64(0xCA11B);
     let a = Block::random(q, &mut rng);
     let b = Block::random(q, &mut rng);
     let mut c = Block::zeros(q);
-    // Warm-up: fault pages and warm the cache.
-    block_update(&mut c, &a, &b);
+    let mut batch_secs = |batch: usize| {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            block_update(&mut c, black_box(&a), black_box(&b));
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    // Doubling up to the batch size is also the warm-up: it faults the
+    // pages in and warms the cache.
+    let mut batch = 1;
+    while batch_secs(batch) < MIN_SAMPLE_SECS {
+        batch *= 2;
+    }
     let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            block_update(&mut c, &a, &b);
-            t0.elapsed().as_secs_f64()
-        })
+        .map(|_| batch_secs(batch) / batch as f64)
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
 
+/// The kernel rate in GFLOP/s that `update_secs` per `q × q` block
+/// update amounts to.
+pub fn gflops_at(q: usize, update_secs: f64) -> f64 {
+    flops_per_update(q) as f64 / update_secs / 1e9
+}
+
 /// Sustained kernel rate in GFLOP/s.
 pub fn measure_gflops(q: usize, reps: usize) -> f64 {
-    let secs = measure_block_update_seconds(q, reps);
-    flops_per_update(q) as f64 / secs / 1e9
+    gflops_at(q, measure_block_update_seconds(q, reps))
 }
 
 /// Smallest `time_scale` at which the reactor's pacing clock dominates
