@@ -1,6 +1,6 @@
 //! Benchmarks of the execution engines themselves: discrete-event
 //! simulation throughput, the eight-variant Het decision procedure, and
-//! the threaded messaging runtime end-to-end.
+//! the net messaging runtime end-to-end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -83,7 +83,7 @@ fn bench_net_runtime(c: &mut Criterion) {
     let a = BlockMatrix::random(job.r, job.t, job.q, &mut rng);
     let b = BlockMatrix::random(job.t, job.s, job.q, &mut rng);
     let c0 = BlockMatrix::zeros(job.r, job.s, job.q);
-    group.bench_function("oddoml_real_threads", |bch| {
+    group.bench_function("oddoml_real_data", |bch| {
         bch.iter(|| {
             let mut policy = build_policy(&platform, &job, Algorithm::Oddoml).unwrap();
             let rt = NetRuntime::new(platform.clone()).with_options(NetOptions {

@@ -13,8 +13,8 @@
 //!   per-port + backbone capacity rows instead of `Σ τ_i ≤ 1`). No cell
 //!   may beat its bound (asserted);
 //! * **cross-engine leg**: one shared small scenario runs all three
-//!   models through *both* engines — the simulator and the threaded
-//!   runtime (whose `Backbone` throttles real links to the same shares)
+//!   models through *both* engines — the simulator and the net runtime
+//!   (whose reactor lane table throttles real links to the same shares)
 //!   — and records that they realize the identical per-worker schedule.
 //!
 //! Backbone ratios are relative to the platform's *fastest* nominal link
@@ -278,7 +278,7 @@ fn render(rows: &[Row], cross: &[CrossRow]) -> String {
             r.platform, r.model, mk, r.bound, ratio, vs
         ));
     }
-    out.push_str("\ncross-engine (shared scenario, sim vs threaded runtime):\n");
+    out.push_str("\ncross-engine (shared scenario, sim vs net runtime):\n");
     for c in cross {
         out.push_str(&format!(
             "  {:<22} sim makespan {:>10.4}  schedule agrees: {}\n",

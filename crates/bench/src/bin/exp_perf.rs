@@ -1,8 +1,8 @@
 //! Pinned perf trajectory: kernel events/sec, heap high-water,
 //! cancellation counts, block-kernel GFLOP/s at q = 32 / 80 / 100, sweep
 //! per-cell wall times — and the net-engine leg (`BENCH_net.json`):
-//! threaded vs reactor throughput, the reactor's worker-scaling curve,
-//! and the netmodel zero-allocation steady-state assertion.
+//! the reactor's worker-scaling curve and the netmodel zero-allocation
+//! steady-state assertion.
 //!
 //! CI runs `exp_perf --smoke --json BENCH_kernel.json --net-baseline
 //! ci/BENCH_net_baseline.json` and uploads both artifacts, so kernel,
@@ -15,6 +15,7 @@
 
 use stargemm_bench::netperf::{
     self, net_report_json, net_trajectory, netmodel_steady_state_bytes, render_net_table,
+    NET_BASELINE_SCHEMA,
 };
 use stargemm_bench::perf::{
     check_kernel_baseline, gemm_trajectory, kernel_trajectory, perf_report_json, render_gemm_table,
@@ -51,17 +52,13 @@ fn main() {
         println!("{:<28}{:>10.3}s", c.cell, c.wall_secs);
     }
 
-    // The net-engine leg. The head-to-head width keeps the threaded
-    // engine honest (it spawns ~2 OS threads per worker); the scaling
-    // curve is reactor-only — the whole point is reaching star widths
-    // the thread-per-worker model cannot.
-    let (head_to_head, curve): (usize, &[usize]) = (256, &[512, 1024, 2048]);
+    // The net-engine leg.
     let steady = netmodel_steady_state_bytes(256, 1_000);
     assert_eq!(
         steady, 0,
         "netmodel re-share steady state allocated {steady} bytes"
     );
-    let net = net_trajectory(head_to_head, curve);
+    let net = net_trajectory();
     println!("\nnet engine (netmodel steady-state alloc: {steady} B):");
     print!("{}", render_net_table(&net));
     let net_json = net_report_json(&net, steady);
@@ -83,10 +80,7 @@ fn main() {
         stargemm_bench::obs::emit_default_attr(path);
     }
     if let Some(base_path) = &cli.net_baseline {
-        let baseline = read_baseline(
-            base_path,
-            "{\"workers\": <n>, \"events_per_sec\": <events/sec>}",
-        );
+        let baseline = read_baseline(base_path, NET_BASELINE_SCHEMA);
         match netperf::check_net_baseline(&baseline, &net) {
             Ok(msg) => println!("{msg}"),
             Err(msg) => {

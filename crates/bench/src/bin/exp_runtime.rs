@@ -1,4 +1,4 @@
-//! EXP-RT — model validation: the threaded runtime vs the simulator.
+//! EXP-RT — model validation: the net runtime vs the simulator.
 //!
 //! Calibrates this machine's kernel (the paper's benchmark phase), builds
 //! a small heterogeneous platform whose `w` is the measured value, runs
@@ -98,7 +98,7 @@ fn main() {
     }
     out.push_str(
         "ratio ~ 1 validates the one-port linear-cost model; >1 reflects\n\
-         thread scheduling and kernel-time variance on this machine.\n",
+         sleep granularity and kernel-time variance on this machine.\n",
     );
     print!("{out}");
     if let Ok(p) = write_results("exp_runtime.txt", &out) {

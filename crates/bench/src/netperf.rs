@@ -5,10 +5,8 @@
 //! same code. Three things are pinned here:
 //!
 //! * **engine throughput** — policy-visible events per wall second on a
-//!   uniform star, threaded vs reactor at 256 workers and the reactor's
-//!   scaling curve up to 2048 workers (a scale the thread-per-worker
-//!   engine cannot reasonably reach: 256 workers already cost ~512 OS
-//!   threads with the wire helpers);
+//!   uniform star, up the reactor's scaling curve from 256 to 2048
+//!   workers;
 //! * **heap high-water** — peak live bytes during each run, via the
 //!   [`CountingAlloc`] the `exp_perf` binary installs as its global
 //!   allocator;
@@ -25,14 +23,14 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::json::Value;
+use serde::json::{self, Value};
 use serde::Serialize;
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::geometry::ChunkGeom;
 use stargemm_core::stream::GeometryAccess;
 use stargemm_core::Job;
 use stargemm_linalg::BlockMatrix;
-use stargemm_net::{NetEngine, NetOptions, NetRuntime};
+use stargemm_net::{NetOptions, NetRuntime};
 use stargemm_netmodel::{maxmin_shares_into, ShareScratch, TransferLane};
 use stargemm_platform::{Platform, WorkerSpec};
 use stargemm_sim::{Action, ChunkId, MasterPolicy, SimCtx, SimEvent};
@@ -113,8 +111,8 @@ pub fn high_water() -> usize {
 
 /// A transparent policy wrapper counting the engine conversation: how
 /// many non-`Wait` actions the policy issued and how many events the
-/// engine delivered back. Both engines speak the same protocol, so the
-/// counts make threaded and reactor runs directly comparable.
+/// engine delivered back. The simulator and the net runtime speak the
+/// same protocol, so the counts are comparable across them.
 pub struct CountingPolicy<P> {
     inner: P,
     /// Non-`Wait` actions issued (sends + retrieves + completions).
@@ -180,8 +178,6 @@ pub fn net_scenario(workers: usize) -> (Platform, Job) {
 /// One row of the net trajectory.
 #[derive(Clone, Debug, Serialize)]
 pub struct NetPerfSample {
-    /// `threaded` or `reactor`.
-    pub engine: String,
     /// Star width.
     pub workers: usize,
     /// Chunks processed by the run.
@@ -197,8 +193,8 @@ pub struct NetPerfSample {
     pub heap_high_water: u64,
 }
 
-/// Runs the scaling scenario on one engine and samples it.
-pub fn run_net_sample(engine: NetEngine, workers: usize) -> NetPerfSample {
+/// Runs the scaling scenario at one star width and samples it.
+pub fn run_net_sample(workers: usize) -> NetPerfSample {
     let (platform, job) = net_scenario(workers);
     let mut policy = CountingPolicy::new(build_policy(&platform, &job, Algorithm::Oddoml).unwrap());
     let mut rng = StdRng::seed_from_u64(0xBE7);
@@ -208,7 +204,6 @@ pub fn run_net_sample(engine: NetEngine, workers: usize) -> NetPerfSample {
     let rt = NetRuntime::new(platform).with_options(NetOptions {
         time_scale: 1e-7,
         idle_timeout: Duration::from_secs(120),
-        engine,
         ..Default::default()
     });
     reset_high_water();
@@ -216,10 +211,6 @@ pub fn run_net_sample(engine: NetEngine, workers: usize) -> NetPerfSample {
     let stats = rt.run(&mut policy, &a, &b, &mut c).expect("net sample run");
     let wall_secs = t0.elapsed().as_secs_f64();
     NetPerfSample {
-        engine: match engine {
-            NetEngine::Reactor => "reactor".to_string(),
-            NetEngine::Threaded => "threaded".to_string(),
-        },
         workers,
         chunks: stats.chunks,
         events: policy.events,
@@ -233,17 +224,9 @@ pub fn run_net_sample(engine: NetEngine, workers: usize) -> NetPerfSample {
     }
 }
 
-/// The `BENCH_net.json` sample set: threaded vs reactor head-to-head at
-/// the comparison width, then the reactor alone up the scaling curve.
-pub fn net_trajectory(head_to_head: usize, curve: &[usize]) -> Vec<NetPerfSample> {
-    let mut samples = vec![
-        run_net_sample(NetEngine::Threaded, head_to_head),
-        run_net_sample(NetEngine::Reactor, head_to_head),
-    ];
-    for &w in curve {
-        samples.push(run_net_sample(NetEngine::Reactor, w));
-    }
-    samples
+/// The `BENCH_net.json` sample set: the reactor's scaling curve.
+pub fn net_trajectory() -> Vec<NetPerfSample> {
+    [256, 512, 1024, 2048].map(run_net_sample).into()
 }
 
 /// Bytes allocated by the netmodel re-share hot path *after* warm-up:
@@ -285,55 +268,50 @@ pub fn net_report_json(samples: &[NetPerfSample], netmodel_steady_bytes: u64) ->
 /// Aligned text table over the net samples.
 pub fn render_net_table(samples: &[NetPerfSample]) -> String {
     let mut out = format!(
-        "{:<10}{:>9}{:>9}{:>9}{:>14}{:>10}{:>14}\n",
-        "engine", "workers", "chunks", "events", "events/sec", "wall s", "heap hw"
+        "{:<9}{:>9}{:>9}{:>14}{:>10}{:>14}\n",
+        "workers", "chunks", "events", "events/sec", "wall s", "heap hw"
     );
     for s in samples {
         out.push_str(&format!(
-            "{:<10}{:>9}{:>9}{:>9}{:>14.0}{:>10.3}{:>14}\n",
-            s.engine,
-            s.workers,
-            s.chunks,
-            s.events,
-            s.events_per_sec,
-            s.wall_secs,
-            s.heap_high_water
+            "{:<9}{:>9}{:>9}{:>14.0}{:>10.3}{:>14}\n",
+            s.workers, s.chunks, s.events, s.events_per_sec, s.wall_secs, s.heap_high_water
         ));
     }
     out
 }
 
-/// Scans a raw JSON string for `"key": <number>` — the committed
-/// baseline is read with a dumb string scan on purpose (the vendored
-/// serde shim has no general deserializer).
-pub fn scan_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Parses a committed baseline document (`ci/BENCH_*_baseline.json`);
+/// `schema` is quoted in the error so a malformed file explains itself.
+pub(crate) fn parse_baseline(baseline_json: &str, schema: &str) -> Result<Value, String> {
+    json::from_str(baseline_json)
+        .map_err(|e| format!("baseline is not valid JSON: {e} (expected {schema})"))
 }
 
-/// The CI regression gate: the reactor sample at the baseline's worker
-/// count must reach at least 80 % of the committed events/sec. Returns
-/// a human-readable error when it does not (or when the baseline or the
+/// A top-level numeric field of a parsed baseline document.
+pub(crate) fn baseline_number(doc: &Value, key: &str, schema: &str) -> Result<f64, String> {
+    doc.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("baseline has no \"{key}\" field (expected {schema})"))
+}
+
+/// The shape of `ci/BENCH_net_baseline.json`, for error messages.
+pub const NET_BASELINE_SCHEMA: &str = "{\"workers\": <n>, \"events_per_sec\": <events/sec>}";
+
+/// The CI regression gate: the sample at the baseline's worker count
+/// must reach at least 80 % of the committed events/sec. Returns a
+/// human-readable error when it does not (or when the baseline or the
 /// matching sample is missing — a silently green gate is no gate).
 pub fn check_net_baseline(
     baseline_json: &str,
     samples: &[NetPerfSample],
 ) -> Result<String, String> {
-    const SCHEMA: &str = "{\"workers\": <n>, \"events_per_sec\": <events/sec>}";
-    let workers = scan_json_number(baseline_json, "workers")
-        .ok_or_else(|| format!("baseline has no \"workers\" field (expected {SCHEMA})"))?
-        as usize;
-    let base = scan_json_number(baseline_json, "events_per_sec")
-        .ok_or_else(|| format!("baseline has no \"events_per_sec\" field (expected {SCHEMA})"))?;
+    let doc = parse_baseline(baseline_json, NET_BASELINE_SCHEMA)?;
+    let workers = baseline_number(&doc, "workers", NET_BASELINE_SCHEMA)? as usize;
+    let base = baseline_number(&doc, "events_per_sec", NET_BASELINE_SCHEMA)?;
     let sample = samples
         .iter()
-        .find(|s| s.engine == "reactor" && s.workers == workers)
-        .ok_or_else(|| format!("no reactor sample at {workers} workers to gate against"))?;
+        .find(|s| s.workers == workers)
+        .ok_or_else(|| format!("no sample at {workers} workers to gate against"))?;
     let floor = 0.8 * base;
     if sample.events_per_sec < floor {
         return Err(format!(
@@ -353,13 +331,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_engines_complete_the_scenario_and_count_events() {
-        for engine in [NetEngine::Threaded, NetEngine::Reactor] {
-            let s = run_net_sample(engine, 8);
-            assert!(s.chunks > 0, "{engine:?} processed no chunks");
-            assert!(s.events > 0, "{engine:?} delivered no events");
-            assert!(s.events_per_sec > 0.0);
-        }
+    fn the_scenario_completes_and_counts_events() {
+        let s = run_net_sample(8);
+        assert!(s.chunks > 0, "processed no chunks");
+        assert!(s.events > 0, "delivered no events");
+        assert!(s.events_per_sec > 0.0);
     }
 
     #[test]
@@ -371,25 +347,20 @@ mod tests {
         assert_eq!(netmodel_steady_state_bytes(64, 100), 0);
     }
 
-    #[test]
-    fn json_scan_reads_numbers_and_rejects_absences() {
-        let json = "{\n  \"workers\": 256,\n  \"events_per_sec\": 1234.5\n}";
-        assert_eq!(scan_json_number(json, "workers"), Some(256.0));
-        assert_eq!(scan_json_number(json, "events_per_sec"), Some(1234.5));
-        assert_eq!(scan_json_number(json, "missing"), None);
+    fn sample(workers: usize, events_per_sec: f64) -> NetPerfSample {
+        NetPerfSample {
+            workers,
+            chunks: 10,
+            events: 100,
+            events_per_sec,
+            wall_secs: 0.1,
+            heap_high_water: 0,
+        }
     }
 
     #[test]
     fn baseline_gate_trips_on_a_regression_and_passes_at_par() {
-        let sample = NetPerfSample {
-            engine: "reactor".into(),
-            workers: 256,
-            chunks: 10,
-            events: 100,
-            events_per_sec: 1000.0,
-            wall_secs: 0.1,
-            heap_high_water: 0,
-        };
+        let sample = sample(256, 1000.0);
         let base = "{ \"workers\": 256, \"events_per_sec\": 1000.0 }";
         assert!(check_net_baseline(base, std::slice::from_ref(&sample)).is_ok());
         let hot = "{ \"workers\": 256, \"events_per_sec\": 1200.0 }";
@@ -400,9 +371,25 @@ mod tests {
             check_net_baseline(base, &[]).is_err(),
             "missing sample must fail"
         );
-        assert!(
-            check_net_baseline("{}", &[sample]).is_err(),
-            "empty baseline must fail"
-        );
+        let err = check_net_baseline("{}", std::slice::from_ref(&sample)).unwrap_err();
+        assert!(err.contains("no \"workers\" field (expected"), "{err}");
+        let err = check_net_baseline("{ \"workers\": 256,", &[sample]).unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
+    }
+
+    /// The baseline is read as JSON, not scanned as text: an upper-case
+    /// exponent is part of the number, and only top-level keys count.
+    #[test]
+    fn baseline_reader_takes_exponents_and_ignores_nested_decoys() {
+        let base = r#"{
+            "history": { "workers": 8, "events_per_sec": 1.0 },
+            "workers": 256,
+            "events_per_sec": 2E6
+        }"#;
+        // A healthy 8-worker sample must not stand in for the slow
+        // 256-worker one, and the floor is 1.6M events/sec, not 1.6.
+        let err = check_net_baseline(base, &[sample(8, 1e9), sample(256, 1000.0)]).unwrap_err();
+        assert!(err.contains("reactor@256"), "{err}");
+        assert!(err.contains("floor 1600000"), "{err}");
     }
 }

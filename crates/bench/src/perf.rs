@@ -21,6 +21,7 @@ use stargemm_linalg::gemm::bytes_per_flop;
 use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds};
 use stargemm_sim::EventQueue;
 
+use crate::netperf::{baseline_number, parse_baseline};
 use crate::{Cli, Instance};
 
 /// Deterministic pseudo-random delays (xorshift — no rand dependency in
@@ -243,15 +244,14 @@ pub fn check_kernel_baseline(
         .collect();
     // Validate the whole baseline schema up front so a malformed file
     // is reported as such even when the measured samples are short.
+    let doc = parse_baseline(baseline_json, KERNEL_BASELINE_SCHEMA)?;
     let mut gates = Vec::new();
     for key in ["hold", "cancel_half", "drain"]
         .into_iter()
         .map(str::to_string)
         .chain(GEMM_SIZES.into_iter().map(gemm_key))
     {
-        let base = crate::netperf::scan_json_number(baseline_json, &key).ok_or_else(|| {
-            format!("baseline has no \"{key}\" field (expected {KERNEL_BASELINE_SCHEMA})")
-        })?;
+        let base = baseline_number(&doc, &key, KERNEL_BASELINE_SCHEMA)?;
         gates.push((key, base));
     }
     let mut lines = Vec::new();
@@ -421,6 +421,13 @@ mod tests {
         let err = check_kernel_baseline(&baseline(1000.0, 20.0), &samples, &gemm).unwrap_err();
         assert!(err.contains("gemm_q80 delivers 10.00 GFLOP/s"), "{err}");
         assert!(err.contains("80%"), "{err}");
+        // An upper-case exponent is still the whole number (2E6, not 2).
+        let big = baseline(1000.0, 10.0).replace("\"hold\": 1000.0", "\"hold\": 2E6");
+        let err = check_kernel_baseline(&big, &samples, &gemm).unwrap_err();
+        assert!(
+            err.contains("hold") && err.contains("floor 1600000"),
+            "{err}"
+        );
         // A measured row missing from the run is an error, not a pass.
         let err = check_kernel_baseline(&baseline(1000.0, 10.0), &samples, &[]).unwrap_err();
         assert!(err.contains("no gemm_q32 sample"), "{err}");

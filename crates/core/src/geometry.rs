@@ -4,7 +4,7 @@
 //! column-strip ("we decide to assign only full matrix column blocks").
 //! A [`ChunkGeom`] records which rectangle of C a chunk covers and how
 //! deep each update step reaches into the inner dimension; this is what
-//! the threaded runtime uses to slice real matrices, and what the
+//! the net runtime uses to slice real matrices, and what the
 //! coverage validator checks.
 
 use serde::{Deserialize, Serialize};

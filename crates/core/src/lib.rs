@@ -17,7 +17,7 @@
 //! All algorithms are expressed as [`stream::StreamingMaster`] policies —
 //! per-worker chunk queues plus a fragment-serving discipline — executed
 //! by either the `stargemm-sim` discrete-event engine or the
-//! `stargemm-net` threaded runtime.
+//! `stargemm-net` runtime.
 
 pub mod algorithms;
 pub mod assign;

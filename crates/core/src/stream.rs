@@ -21,7 +21,7 @@ use crate::geometry::{carve_strip, ChunkGeom, PlannedChunk};
 use crate::job::Job;
 
 /// Access to chunk geometry, needed by drivers that move real data (the
-/// threaded runtime slices actual matrices by the regions the policy
+/// net runtime slices actual matrices by the regions the policy
 /// planned).
 pub trait GeometryAccess {
     /// Geometry of a planned chunk, if known.

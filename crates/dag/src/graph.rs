@@ -6,8 +6,8 @@
 //! honest GEMM: every task is a `1 × width` chunk on its own disjoint
 //! column range, and precedence is purely a scheduling constraint the
 //! dispatcher enforces. Both execution engines therefore run DAG jobs
-//! unchanged — the threaded runtime even moves (and verifies) real
-//! matrix data.
+//! unchanged — the net runtime even moves (and verifies) real matrix
+//! data.
 //!
 //! Construction validates the relation (no cycles, no dangling
 //! references, positive widths) and precomputes a topological order, so

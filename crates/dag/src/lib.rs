@@ -8,8 +8,8 @@
 //!   with widths and a precedence relation, checked for cycles and
 //!   dangling references at construction. A DAG job *is* an honest GEMM
 //!   (each task a `1 × width` chunk of a virtual `1 × S` result on its
-//!   own column range), so both engines — and the threaded runtime's
-//!   real data movement — work unchanged.
+//!   own column range), so both engines — and the net runtime's real
+//!   data movement — work unchanged.
 //! * [`parse`] — a text format for DAG specs with typed, line-numbered
 //!   [`ParseError`]s, the DAG analog of the `@`-directive platform
 //!   parser.

@@ -25,7 +25,7 @@
 //! Both execution engines honour the same scenario: `sim::Simulator`
 //! integrates durations over the traces and aborts chunks on scheduled
 //! crashes (`Simulator::new_dyn`), and `net::NetRuntime` throttles its
-//! real links and fails/recovers its worker threads from the shared
+//! real links and fails/recovers its worker machines from the shared
 //! profile (`NetOptions::profile`).
 
 pub mod adaptive;

@@ -1,4 +1,4 @@
-//! Verification helpers used by the integration tests and the threaded
+//! Verification helpers used by the integration tests and the net
 //! runtime to check that a distributed execution produced the same `C` as
 //! the sequential oracle.
 

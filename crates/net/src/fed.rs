@@ -10,9 +10,9 @@
 //! columns it owns) over that star's uplink — all uplinks contending
 //! under the federation's contention model, integrated in closed form by
 //! [`stargemm_netmodel::drain_times`] — and each star then executes its
-//! shard job on its own [`NetRuntime`] (real worker threads, its own
-//! `@netmodel` and dynamic profile, the reactor's single lane table
-//! driving all of that star's worker state machines). The federated
+//! shard job on its own [`NetRuntime`] (real data, its own `@netmodel`
+//! and dynamic profile, the reactor's single lane table driving all of
+//! that star's worker state machines). The federated
 //! makespan is `max_s(arrival_s + makespan_s)` in model seconds.
 //!
 //! With `k = 1` the root and the regional master coincide: nothing
@@ -78,7 +78,7 @@ impl FedNetRuntime {
         }
     }
 
-    /// Base tuning (time scale, idle timeout, engine). Per-star
+    /// Base tuning (time scale, idle timeout). Per-star
     /// `netmodel` and `profile` always come from each star's own
     /// [`stargemm_platform::DynPlatform`] — see
     /// [`FedNetRuntime::star_options`].

@@ -8,14 +8,15 @@
 //! * [`wire`] — a binary message format (tag + header + raw `f64` block
 //!   payloads) with explicit encode/decode, exactly what would cross a
 //!   socket;
-//! * [`link`] — per-worker links sharing the master's wire under a
-//!   pluggable contention model (`stargemm-netmodel`): the paper's
-//!   one-port (a mutex), bounded multi-port, or a fair-share backbone —
-//!   with bandwidth throttling so a `WorkerSpec`'s `c_i` (and the
-//!   model's share) is honoured in wall-clock time;
-//! * [`worker`] — real worker threads holding block buffers and running
-//!   the actual GEMM kernel on received fragments;
-//! * [`runtime`] — the master driver that executes any
+//! * `reactor` — the one engine: a single-threaded event loop over
+//!   per-worker state machines and a lane table that shares the
+//!   master's wire under a pluggable contention model
+//!   (`stargemm-netmodel`: the paper's one-port, bounded multi-port, or
+//!   a fair-share backbone), pacing the wall clock so a `WorkerSpec`'s
+//!   `c_i` (and the model's share) is honoured in real time;
+//! * `worker` — the worker dataflow machine holding block buffers and
+//!   running the actual GEMM kernel on received fragments;
+//! * [`runtime`] — the public facade: [`NetRuntime`] executes any
 //!   `stargemm-core` policy over real matrices and returns the computed
 //!   `C` (verified against the sequential oracle in the tests) together
 //!   with wall-clock [`stargemm_sim::RunStats`];
@@ -30,12 +31,10 @@
 
 pub mod calibrate;
 pub mod fed;
-pub mod link;
 pub(crate) mod reactor;
 pub mod runtime;
 pub mod wire;
-pub mod worker;
+pub(crate) mod worker;
 
 pub use fed::{FedNetRun, FedNetRuntime};
-pub use link::StarEvent;
-pub use runtime::{NetEngine, NetError, NetOptions, NetRuntime};
+pub use runtime::{NetError, NetOptions, NetRuntime};

@@ -1,45 +1,21 @@
-//! The master driver: executes a scheduling policy over real matrices
-//! through the hand-rolled messaging layer.
+//! The public facade of the net runtime: options, errors, and the
+//! [`NetRuntime`] entry point.
 //!
-//! This is the same control loop as the discrete-event engine, but time
-//! is wall-clock: transfers really occupy the one-port for
-//! `blocks · c_i · time_scale` seconds, and compute steps really run the
-//! GEMM kernel on worker threads. Any `stargemm-core` policy runs
-//! unchanged.
+//! A run is the same control loop as the discrete-event engine — any
+//! `stargemm-core` policy runs unchanged — but the data is real:
+//! fragments are sliced out of actual matrices, cross the wire format,
+//! and are multiplied by the GEMM kernel. `run_observed` validates its
+//! inputs and hands the star to the one engine, `crate::reactor`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use stargemm_core::stream::GeometryAccess;
 use stargemm_linalg::BlockMatrix;
 use stargemm_netmodel::NetModelSpec;
-use stargemm_obs::Dir;
-use stargemm_platform::dynamic::{DynProfile, LifecycleEvent};
+use stargemm_platform::dynamic::DynProfile;
 use stargemm_platform::Platform;
-use stargemm_sim::{
-    Action, ChunkDescr, ChunkId, CtxMirror, Fragment, MasterPolicy, MatKind, ObsEvent, ObsSink,
-    PortAccounting, RunStats, SimEvent,
-};
-
-use crate::link::{build_star_dyn, LinkDynamics, MasterLink, StarEvent};
-use crate::wire::{ToMaster, ToWorker};
-
-/// Which execution engine drives the star.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NetEngine {
-    /// The event-driven reactor (default): one thread, per-worker
-    /// in-process state machines, a wall-clock lane table for wire
-    /// contention, and timers for trace segments and lifecycle
-    /// boundaries. Scales to thousands of workers per star.
-    #[default]
-    Reactor,
-    /// The legacy thread-per-worker runtime (plus helper wire threads
-    /// under concurrent contention models). Kept as the reactor's
-    /// baseline: `BENCH_net.json` races the two.
-    Threaded,
-}
+use stargemm_sim::{ChunkId, MasterPolicy, ObsSink, RunStats};
 
 /// Runtime tuning knobs.
 #[derive(Clone, Debug)]
@@ -47,26 +23,19 @@ pub struct NetOptions {
     /// Multiplier on link transfer times (tests shrink it; 1.0 = honour
     /// the platform's `c_i` in real seconds).
     pub time_scale: f64,
-    /// Give up if no worker event arrives for this long.
+    /// Give up if the next projected event is further away than this.
     pub idle_timeout: Duration,
-    /// Fault injection: `(worker, n)` makes that worker die after
-    /// processing `n` messages (a panic on the threaded engine, a dead
-    /// state machine on the reactor). Testing-only.
+    /// Fault injection: `(worker, n)` makes that worker's state machine
+    /// die after processing `n` messages. Testing-only.
     pub inject_fault: Option<(usize, usize)>,
     /// Dynamic scenario shared with the links and workers: cost traces
     /// throttle the wire, scheduled crashes wipe workers mid-run.
     /// Lifecycle times are in *model* seconds (wall = model ×
     /// `time_scale`). `None` = the static platform of the paper.
     pub profile: Option<DynProfile>,
-    /// Network-contention model of the star. The reactor serves every
-    /// model through its single-threaded lane table; on the threaded
-    /// engine one-port serves transfers synchronously on the master
-    /// thread and concurrent models (`multiport`, `fairshare`) run each
-    /// wire transfer on a helper thread throttled by the shared
-    /// `link::Backbone` to the same shares the simulator computes.
+    /// Network-contention model of the star, served by the reactor's
+    /// lane table with the same shares the simulator computes.
     pub netmodel: NetModelSpec,
-    /// Execution engine (defaults to the reactor).
-    pub engine: NetEngine,
 }
 
 impl Default for NetOptions {
@@ -77,7 +46,6 @@ impl Default for NetOptions {
             inject_fault: None,
             profile: None,
             netmodel: NetModelSpec::OnePort,
-            engine: NetEngine::Reactor,
         }
     }
 }
@@ -97,104 +65,6 @@ impl NetOptions {
     }
 }
 
-/// Master-side dynamic-scenario bookkeeping.
-pub(crate) struct DynState {
-    /// Lifecycle boundaries not yet applied, in time order (model s).
-    pub(crate) pending: VecDeque<LifecycleEvent>,
-    /// Chunks destroyed by crashes.
-    pub(crate) lost: HashSet<ChunkId>,
-    /// Per-worker down flags, mirroring what the workers were told.
-    pub(crate) down: Vec<bool>,
-}
-
-impl DynState {
-    pub(crate) fn new(profile: Option<&DynProfile>, p: usize) -> Self {
-        DynState {
-            pending: profile
-                .map(|pr| pr.lifecycle_events().into())
-                .unwrap_or_default(),
-            lost: HashSet::new(),
-            down: (0..p)
-                .map(|w| profile.is_some_and(|pr| !pr.is_up(w, 0.0)))
-                .collect(),
-        }
-    }
-
-    pub(crate) fn due(&self, model_now: f64) -> bool {
-        self.pending.front().is_some_and(|e| e.time <= model_now)
-    }
-
-    /// Applies every lifecycle boundary that `model_now` has passed:
-    /// tells the worker, fixes the mirror, and notifies the policy
-    /// (`WorkerDown` + one `ChunkLost` per destroyed chunk, or
-    /// `WorkerUp`).
-    #[allow(clippy::too_many_arguments)]
-    fn pump<P: MasterPolicy>(
-        &mut self,
-        model_now: f64,
-        wall_now: f64,
-        masters: &[MasterLink],
-        descrs: &HashMap<ChunkId, (usize, ChunkDescr)>,
-        retrieved: &HashSet<ChunkId>,
-        mirror: &mut CtxMirror,
-        policy: &mut P,
-        obs: &ObsSink,
-    ) -> Result<(), NetError> {
-        while self.due(model_now) {
-            let ev = self.pending.pop_front().expect("checked by due()");
-            let link_down = |_| NetError::WorkerFailure(format!("worker {} link down", ev.worker));
-            mirror.set_now(wall_now);
-            if ev.up {
-                masters[ev.worker]
-                    .send_control(ToWorker::Recover)
-                    .map_err(link_down)?;
-                self.down[ev.worker] = false;
-                mirror.on_rejoin(ev.worker);
-                obs.emit(|| ObsEvent::WorkerUp {
-                    time: model_now,
-                    worker: ev.worker,
-                });
-                policy.on_event(&SimEvent::WorkerUp { worker: ev.worker }, &mirror.ctx());
-            } else {
-                masters[ev.worker]
-                    .send_control(ToWorker::Fail)
-                    .map_err(link_down)?;
-                self.down[ev.worker] = true;
-                mirror.on_crash(ev.worker);
-                obs.emit(|| ObsEvent::WorkerDown {
-                    time: model_now,
-                    worker: ev.worker,
-                });
-                policy.on_event(&SimEvent::WorkerDown { worker: ev.worker }, &mirror.ctx());
-                let mut doomed: Vec<ChunkId> = descrs
-                    .iter()
-                    .filter(|(id, (w, _))| {
-                        *w == ev.worker && !retrieved.contains(*id) && !self.lost.contains(*id)
-                    })
-                    .map(|(&id, _)| id)
-                    .collect();
-                doomed.sort_unstable();
-                for chunk in doomed {
-                    self.lost.insert(chunk);
-                    obs.emit(|| ObsEvent::ChunkLost {
-                        time: model_now,
-                        worker: ev.worker,
-                        chunk,
-                    });
-                    policy.on_event(
-                        &SimEvent::ChunkLost {
-                            worker: ev.worker,
-                            chunk,
-                        },
-                        &mirror.ctx(),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Runtime failures.
 #[derive(Debug)]
 pub enum NetError {
@@ -208,9 +78,9 @@ pub enum NetError {
     UnknownChunk(ChunkId),
     /// The policy finished with chunks unretrieved, or similar misuse.
     Protocol(String),
-    /// No worker event within the idle timeout (deadlock).
+    /// No event can arrive within the idle timeout (deadlock).
     Timeout,
-    /// A worker thread panicked.
+    /// A worker died (injected fault).
     WorkerFailure(String),
     /// Matrix dimensions disagree with the policy's job.
     DimensionMismatch(String),
@@ -230,7 +100,7 @@ impl fmt::Display for NetError {
             NetError::UnknownChunk(id) => write!(f, "no geometry for chunk {id}"),
             NetError::Protocol(m) => write!(f, "protocol violation: {m}"),
             NetError::Timeout => write!(f, "runtime idle timeout (deadlock?)"),
-            NetError::WorkerFailure(m) => write!(f, "worker thread failed: {m}"),
+            NetError::WorkerFailure(m) => write!(f, "worker failed: {m}"),
             NetError::DimensionMismatch(m) => write!(f, "dimension mismatch: {m}"),
         }
     }
@@ -238,176 +108,7 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Applies one worker control event to the mirror and the policy.
-/// Events referencing chunks lost to a crash are dropped silently (the
-/// worker emitted them before it learned of its own death).
-pub(crate) fn apply_worker_event<P: MasterPolicy>(
-    descrs: &HashMap<ChunkId, (usize, ChunkDescr)>,
-    lost: &HashSet<ChunkId>,
-    msg: &ToMaster,
-    wid: usize,
-    mirror: &mut CtxMirror,
-    policy: &mut P,
-    now: f64,
-) -> Result<(), NetError> {
-    mirror.set_now(now);
-    match msg {
-        ToMaster::StepDone { chunk, step } => {
-            if lost.contains(chunk) {
-                return Ok(());
-            }
-            let (_, d) = descrs.get(chunk).ok_or(NetError::UnknownChunk(*chunk))?;
-            mirror.on_step(wid, d.a_for(*step) + d.b_for(*step), d.updates_for(*step));
-            let ev = SimEvent::StepDone {
-                worker: wid,
-                chunk: *chunk,
-                step: *step,
-            };
-            policy.on_event(&ev, &mirror.ctx());
-        }
-        ToMaster::ChunkComputed { chunk } => {
-            if lost.contains(chunk) {
-                return Ok(());
-            }
-            let ev = SimEvent::ChunkComputed {
-                worker: wid,
-                chunk: *chunk,
-            };
-            policy.on_event(&ev, &mirror.ctx());
-        }
-        ToMaster::Result { chunk, .. } => {
-            if lost.contains(chunk) {
-                return Ok(());
-            }
-            return Err(NetError::Protocol(format!(
-                "unsolicited result for chunk {chunk}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Closes out a run shared by both drivers: every live chunk must have
-/// been retrieved, and the per-worker mirror is folded into [`RunStats`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_stats(
-    mirror: &CtxMirror,
-    start: &Instant,
-    port_busy: f64,
-    port_acct: &PortAccounting,
-    chunks_retrieved: u64,
-    descrs: &HashMap<ChunkId, (usize, ChunkDescr)>,
-    lost: &HashSet<ChunkId>,
-    policy_name: &str,
-) -> Result<RunStats, NetError> {
-    let live_chunks = descrs.keys().filter(|id| !lost.contains(id)).count() as u64;
-    if chunks_retrieved != live_chunks {
-        return Err(NetError::Protocol(format!(
-            "finished with {chunks_retrieved} of {live_chunks} live chunks retrieved"
-        )));
-    }
-    let per_worker = mirror.stats();
-    Ok(RunStats {
-        makespan: start.elapsed().as_secs_f64(),
-        port_busy,
-        port: port_acct.stats(),
-        blocks_to_workers: per_worker.iter().map(|w| w.blocks_rx).sum(),
-        blocks_to_master: per_worker.iter().map(|w| w.blocks_tx).sum(),
-        total_updates: per_worker.iter().map(|w| w.updates).sum(),
-        chunks: chunks_retrieved,
-        per_worker,
-        jobs: Vec::new(),
-        policy: policy_name.to_string(),
-    })
-}
-
-/// Shared `Action::Send` guards of both drivers: the target worker
-/// exists and is up, the chunk is alive, and the blocks fit the
-/// worker's memory. `reserved_in_flight` covers blocks still on the
-/// wire (0 for the synchronous driver, whose deliveries are accounted
-/// immediately).
-pub(crate) fn validate_send(
-    platform: &Platform,
-    workers: usize,
-    dyn_state: &DynState,
-    mirror: &CtxMirror,
-    worker: usize,
-    fragment: &Fragment,
-    reserved_in_flight: u64,
-) -> Result<(), NetError> {
-    if worker >= workers {
-        return Err(NetError::Protocol(format!("unknown worker {worker}")));
-    }
-    if dyn_state.down[worker] {
-        return Err(NetError::Protocol(format!(
-            "send to downed worker {worker}"
-        )));
-    }
-    if dyn_state.lost.contains(&fragment.chunk) {
-        return Err(NetError::Protocol(format!(
-            "fragment for chunk {}, lost in a worker crash",
-            fragment.chunk
-        )));
-    }
-    let capacity = platform.worker(worker).m as u64;
-    let attempted = mirror.occupancy(worker) + reserved_in_flight + fragment.blocks;
-    if attempted > capacity {
-        return Err(NetError::MemoryViolation {
-            worker,
-            attempted,
-            capacity,
-        });
-    }
-    Ok(())
-}
-
-/// Obs tag of a fragment's matrix kind.
-pub(crate) fn mat_tag(kind: MatKind) -> stargemm_obs::MatTag {
-    match kind {
-        MatKind::A => stargemm_obs::MatTag::A,
-        MatKind::B => stargemm_obs::MatTag::B,
-        MatKind::C => stargemm_obs::MatTag::C,
-    }
-}
-
-/// Claims the lowest free contention lane (growing the set on demand).
-pub(crate) fn claim_lane(lane_used: &mut Vec<bool>) -> usize {
-    match lane_used.iter().position(|&u| !u) {
-        Some(lane) => {
-            lane_used[lane] = true;
-            lane
-        }
-        None => {
-            lane_used.push(true);
-            lane_used.len() - 1
-        }
-    }
-}
-
-/// Shared `Action::Retrieve` guards of both drivers.
-pub(crate) fn validate_retrieve(
-    workers: usize,
-    dyn_state: &DynState,
-    worker: usize,
-    chunk: ChunkId,
-) -> Result<(), NetError> {
-    if worker >= workers {
-        return Err(NetError::Protocol(format!("unknown worker {worker}")));
-    }
-    if dyn_state.down[worker] {
-        return Err(NetError::Protocol(format!(
-            "retrieve from downed worker {worker}"
-        )));
-    }
-    if dyn_state.lost.contains(&chunk) {
-        return Err(NetError::Protocol(format!(
-            "retrieve of chunk {chunk}, lost in a worker crash"
-        )));
-    }
-    Ok(())
-}
-
-/// The threaded runtime for one platform.
+/// The net runtime for one platform.
 pub struct NetRuntime {
     platform: Platform,
     opts: NetOptions,
@@ -442,11 +143,11 @@ impl NetRuntime {
 
     /// [`NetRuntime::run`] with a structured-event recorder attached.
     ///
-    /// The runtime records from the master thread only: port lane
-    /// acquire/release around each transfer, dispatches, and lifecycle
-    /// transitions. Event timestamps are in *model* seconds (wall time ÷
-    /// `time_scale`), the clock the platform's `c_i`/`w_i` are written
-    /// in, so traces are comparable with the discrete-event engine's.
+    /// The reactor records port lane acquire/release around each
+    /// transfer, dispatches, and lifecycle transitions. Event timestamps
+    /// are in *model* seconds, the clock the platform's `c_i`/`w_i` are
+    /// written in, so traces are comparable with the discrete-event
+    /// engine's.
     pub fn run_observed<P: MasterPolicy + GeometryAccess>(
         &self,
         policy: &mut P,
@@ -488,798 +189,8 @@ impl NetRuntime {
             return Err(NetError::Protocol(format!("invalid net model: {e}")));
         }
 
-        if self.opts.engine == NetEngine::Reactor {
-            return crate::reactor::run_reactor(&self.platform, &self.opts, policy, a, b, c, &obs);
-        }
-
-        let cs: Vec<f64> = self.platform.workers().iter().map(|s| s.c).collect();
-        let epoch = Instant::now();
-        let dynamics = self.opts.profile.as_ref().map(|p| LinkDynamics {
-            profile: Arc::new(p.clone()),
-            epoch,
-        });
-        let (masters, worker_links, events, evt_tx) =
-            build_star_dyn(&cs, self.opts.time_scale, dynamics, &self.opts.netmodel);
-        let handles: Vec<_> = worker_links
-            .into_iter()
-            .map(|wl| {
-                let fault = match self.opts.inject_fault {
-                    Some((w, n)) if w == wl.id => Some(n),
-                    _ => None,
-                };
-                std::thread::Builder::new()
-                    .name(format!("stargemm-worker-{}", wl.id))
-                    .spawn(move || crate::worker::worker_main_with_fault(wl, fault))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let result = if self.opts.netmodel.capacity() > 1 {
-            self.drive_concurrent(policy, a, b, c, &masters, &events, &evt_tx, epoch, &obs)
-        } else {
-            // Drop the master-side sender so the channel disconnects as
-            // soon as every worker thread is gone — the synchronous
-            // driver relies on that for its fast dead-star detection.
-            drop(evt_tx);
-            self.drive(policy, a, b, c, &masters, &events, epoch, &obs)
-        };
-
-        // Tear down regardless of outcome.
-        for m in &masters {
-            let _ = m.send_control(ToWorker::Shutdown);
-        }
-        let mut join_err = None;
-        for h in handles {
-            if let Err(e) = h.join() {
-                let msg = e
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "unknown panic".into());
-                join_err = Some(NetError::WorkerFailure(msg));
-            }
-        }
-        match (result, join_err) {
-            (Ok(stats), None) => Ok(stats),
-            (Err(e), _) => Err(e),
-            (_, Some(e)) => Err(e),
-        }
+        crate::reactor::run_reactor(&self.platform, &self.opts, policy, a, b, c, &obs)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn drive<P: MasterPolicy + GeometryAccess>(
-        &self,
-        policy: &mut P,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        c: &mut BlockMatrix,
-        masters: &[MasterLink],
-        events: &crossbeam::channel::Receiver<(usize, StarEvent)>,
-        start: Instant,
-        obs: &ObsSink,
-    ) -> Result<RunStats, NetError> {
-        let mut mirror = CtxMirror::new(&self.platform);
-        if let Some(p) = &self.opts.profile {
-            for w in 0..self.platform.len() {
-                if !p.is_up(w, 0.0) {
-                    mirror.on_crash(w);
-                }
-            }
-        }
-        let mut descrs: HashMap<ChunkId, (usize, ChunkDescr)> = HashMap::new();
-        let mut retrieved: HashSet<ChunkId> = HashSet::new();
-        let mut dyn_state = DynState::new(self.opts.profile.as_ref(), self.platform.len());
-        let mut port_busy = 0.0f64;
-        let mut port_acct = PortAccounting::default();
-        let mut chunks_retrieved = 0u64;
-        // Model time (the clock lifecycle schedules are written in).
-        let model_now = |start: &Instant| start.elapsed().as_secs_f64() / self.opts.time_scale;
-
-        loop {
-            let wall = start.elapsed().as_secs_f64();
-            dyn_state.pump(
-                model_now(&start),
-                wall,
-                masters,
-                &descrs,
-                &retrieved,
-                &mut mirror,
-                policy,
-                obs,
-            )?;
-            mirror.set_now(start.elapsed().as_secs_f64());
-            let action = policy.next_action(&mirror.ctx());
-            match action {
-                Action::Send {
-                    worker,
-                    fragment,
-                    new_chunk,
-                } => {
-                    validate_send(
-                        &self.platform,
-                        masters.len(),
-                        &dyn_state,
-                        &mirror,
-                        worker,
-                        &fragment,
-                        0,
-                    )?;
-                    if let Some(d) = new_chunk {
-                        descrs.insert(d.id, (worker, d));
-                        mirror.on_chunk_assigned(worker);
-                    }
-                    let msg = materialize(policy, &fragment, new_chunk, a, b, c)?;
-                    // Round-trip through the wire format: the payload that
-                    // reaches the worker is exactly what a socket would
-                    // carry.
-                    let msg = ToWorker::decode(msg.encode());
-                    let nominal =
-                        fragment.blocks as f64 * masters[worker].c * masters[worker].time_scale;
-                    port_busy += nominal;
-                    port_acct.on_acquire(start.elapsed().as_secs_f64(), 1);
-                    obs.emit(|| ObsEvent::Dispatch {
-                        time: model_now(&start),
-                        worker,
-                        chunk: fragment.chunk,
-                        step: fragment.step,
-                        mat: mat_tag(fragment.kind),
-                        blocks: fragment.blocks,
-                    });
-                    obs.emit(|| ObsEvent::PortAcquire {
-                        time: model_now(&start),
-                        lane: 0,
-                        worker,
-                        dir: Dir::ToWorker,
-                        chunk: fragment.chunk,
-                        blocks: fragment.blocks,
-                    });
-                    masters[worker].send_data(msg).map_err(|_| {
-                        NetError::WorkerFailure(format!("worker {worker} link down"))
-                    })?;
-                    port_acct.on_release(start.elapsed().as_secs_f64(), 0, nominal, 0);
-                    obs.emit(|| ObsEvent::PortRelease {
-                        time: model_now(&start),
-                        lane: 0,
-                        worker,
-                        dir: Dir::ToWorker,
-                        chunk: fragment.chunk,
-                        blocks: fragment.blocks,
-                    });
-                    mirror.on_delivered(worker, fragment.blocks);
-                    let ev = SimEvent::SendDone { worker, fragment };
-                    mirror.set_now(start.elapsed().as_secs_f64());
-                    policy.on_event(&ev, &mirror.ctx());
-                }
-                Action::Retrieve { worker, chunk } => {
-                    validate_retrieve(masters.len(), &dyn_state, worker, chunk)?;
-                    masters[worker]
-                        .send_control(ToWorker::Retrieve { chunk })
-                        .map_err(|_| {
-                            NetError::WorkerFailure(format!("worker {worker} link down"))
-                        })?;
-                    // Blocking receive: drain events until our result.
-                    // (Lifecycle boundaries falling due meanwhile are
-                    // applied after the retrieval completes — the
-                    // blocking receive models the master's busy port.)
-                    loop {
-                        let (wid, ev) = events
-                            .recv_timeout(self.opts.idle_timeout)
-                            .map_err(|_| NetError::Timeout)?;
-                        let StarEvent::Worker(msg) = ev else {
-                            unreachable!("wire events on the synchronous one-port path");
-                        };
-                        if let ToMaster::Result { chunk: got, blocks } = msg {
-                            if dyn_state.lost.contains(&got) {
-                                continue; // stale result of a dead chunk
-                            }
-                            if wid != worker || got != chunk {
-                                return Err(NetError::Protocol(format!(
-                                    "result for chunk {got} from worker {wid}, \
-                                     expected chunk {chunk} from {worker}"
-                                )));
-                            }
-                            // Charge the port for the inbound transfer.
-                            let nominal = blocks.len() as f64
-                                * masters[worker].c
-                                * masters[worker].time_scale;
-                            port_acct.on_acquire(start.elapsed().as_secs_f64(), 1);
-                            obs.emit(|| ObsEvent::PortAcquire {
-                                time: model_now(&start),
-                                lane: 0,
-                                worker,
-                                dir: Dir::ToMaster,
-                                chunk,
-                                blocks: blocks.len() as u64,
-                            });
-                            masters[worker].charge_inbound(blocks.len() as u64);
-                            port_busy += nominal;
-                            port_acct.on_release(start.elapsed().as_secs_f64(), 0, nominal, 0);
-                            obs.emit(|| ObsEvent::PortRelease {
-                                time: model_now(&start),
-                                lane: 0,
-                                worker,
-                                dir: Dir::ToMaster,
-                                chunk,
-                                blocks: blocks.len() as u64,
-                            });
-                            let geom = policy
-                                .chunk_geom(chunk)
-                                .ok_or(NetError::UnknownChunk(chunk))?;
-                            c.store_chunk(geom.i0, geom.j0, geom.h, geom.w, blocks);
-                            mirror.set_now(start.elapsed().as_secs_f64());
-                            mirror.on_retrieved(worker, (geom.h * geom.w) as u64);
-                            chunks_retrieved += 1;
-                            retrieved.insert(chunk);
-                            let ev = SimEvent::RetrieveDone { worker, chunk };
-                            policy.on_event(&ev, &mirror.ctx());
-                            break;
-                        }
-                        apply_worker_event(
-                            &descrs,
-                            &dyn_state.lost,
-                            &msg,
-                            wid,
-                            &mut mirror,
-                            policy,
-                            start.elapsed().as_secs_f64(),
-                        )?;
-                    }
-                }
-                Action::Wait => {
-                    // Wait for the next worker event, but wake up for
-                    // lifecycle boundaries (crash/join) falling due —
-                    // they may be the very thing the policy is blocked
-                    // on. The idle budget only counts time with neither.
-                    let idle_start = Instant::now();
-                    loop {
-                        if dyn_state.due(model_now(&start)) {
-                            break; // pumped at the top of the outer loop
-                        }
-                        let Some(mut budget) = self
-                            .opts
-                            .idle_timeout
-                            .checked_sub(idle_start.elapsed())
-                            .filter(|d| !d.is_zero())
-                        else {
-                            return Err(NetError::Timeout);
-                        };
-                        if let Some(next) = dyn_state.pending.front() {
-                            let wall_until = (next.time - model_now(&start)).max(0.0)
-                                * self.opts.time_scale
-                                + 1e-3;
-                            budget = budget.min(Duration::from_secs_f64(wall_until));
-                        }
-                        use crossbeam::channel::RecvTimeoutError;
-                        match events.recv_timeout(budget) {
-                            Ok((wid, ev)) => {
-                                let StarEvent::Worker(msg) = ev else {
-                                    unreachable!("wire events on the synchronous one-port path");
-                                };
-                                apply_worker_event(
-                                    &descrs,
-                                    &dyn_state.lost,
-                                    &msg,
-                                    wid,
-                                    &mut mirror,
-                                    policy,
-                                    start.elapsed().as_secs_f64(),
-                                )?;
-                                break;
-                            }
-                            // Re-check lifecycle/budget and keep waiting.
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            // Every worker thread is gone: no event can
-                            // ever arrive — fail now instead of spinning
-                            // out the idle budget.
-                            Err(RecvTimeoutError::Disconnected) => {
-                                return Err(NetError::WorkerFailure(
-                                    "all worker threads gone while waiting".into(),
-                                ));
-                            }
-                        }
-                    }
-                }
-                Action::CompleteJob { job } => {
-                    // Multi-job streams are a simulator-side feature for
-                    // now; the threaded runtime refuses them loudly
-                    // instead of silently dropping the bookkeeping.
-                    return Err(NetError::Protocol(format!(
-                        "job streams are not supported by the threaded runtime \
-                         (CompleteJob for job {job})"
-                    )));
-                }
-                Action::Finished => break,
-            }
-        }
-
-        finish_stats(
-            &mirror,
-            &start,
-            port_busy,
-            &port_acct,
-            chunks_retrieved,
-            &descrs,
-            &dyn_state.lost,
-            policy.name(),
-        )
-    }
-
-    /// The concurrent-wire driver for multi-port / fair-share contention
-    /// models: up to `capacity` transfers are in flight at once, each
-    /// served by a helper thread sleeping inside the shared
-    /// `link::Backbone` (which throttles it to the same share
-    /// the simulator computes), so the master keeps issuing work while
-    /// data moves — mirroring the simulator's admission protocol.
-    ///
-    /// Delivery-side bookkeeping happens when a wire completion
-    /// ([`StarEvent::WireDone`]/[`StarEvent::InboundDone`]) arrives, not
-    /// at issue: memory occupancy counts in-flight blocks as reserved
-    /// exactly like the simulator's admission control.
-    ///
-    /// Unlike the synchronous driver, this one cannot detect a dead star
-    /// through channel disconnection (the master and its wire helpers
-    /// necessarily hold sender handles), so a fully-dead worker set
-    /// degrades to the idle timeout instead of an immediate
-    /// `WorkerFailure`.
-    ///
-    /// Each transfer occupies one short-lived helper thread for its wire
-    /// time. For bounded models the count is capped at any instant by
-    /// `k`; under fair-share (unlimited admission) it is bounded only by
-    /// what per-worker memory admission lets the policy put in flight —
-    /// small on this runtime's platforms, but a deliberately permissive
-    /// policy on huge-memory workers could spawn hundreds. A failed run
-    /// may leave in-flight helpers sleeping out their projected wire
-    /// time after `run` returns; they hold only channel handles and the
-    /// backbone `Arc`, and their sends are ignored once the receiver is
-    /// gone.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_concurrent<P: MasterPolicy + GeometryAccess>(
-        &self,
-        policy: &mut P,
-        a: &BlockMatrix,
-        b: &BlockMatrix,
-        c: &mut BlockMatrix,
-        masters: &[MasterLink],
-        events: &crossbeam::channel::Receiver<(usize, StarEvent)>,
-        evt_tx: &crossbeam::channel::Sender<(usize, StarEvent)>,
-        start: Instant,
-        obs: &ObsSink,
-    ) -> Result<RunStats, NetError> {
-        let capacity = self.opts.netmodel.capacity();
-        let mut mirror = CtxMirror::new(&self.platform);
-        if let Some(p) = &self.opts.profile {
-            for w in 0..self.platform.len() {
-                if !p.is_up(w, 0.0) {
-                    mirror.on_crash(w);
-                }
-            }
-        }
-        let mut descrs: HashMap<ChunkId, (usize, ChunkDescr)> = HashMap::new();
-        let mut retrieved: HashSet<ChunkId> = HashSet::new();
-        let mut dyn_state = DynState::new(self.opts.profile.as_ref(), self.platform.len());
-        let mut port_busy = 0.0f64;
-        let mut port_acct = PortAccounting::default();
-        // Lowest-free-index lane of each in-flight transfer, mirroring
-        // the simulator's admission: sends are keyed by (worker, chunk,
-        // step, kind), inbound retrievals by chunk.
-        let mut lane_used: Vec<bool> = Vec::new();
-        let mut send_lane: HashMap<(usize, ChunkId, u32, u8), usize> = HashMap::new();
-        let mut inbound_lane: HashMap<ChunkId, usize> = HashMap::new();
-        let mut chunks_retrieved = 0u64;
-        // Wire lanes in use: outbound sends plus inbound retrievals
-        // whose wire transfer has started.
-        let mut in_flight = 0usize;
-        // Blocks reserved by in-flight sends, per worker (admission).
-        let mut inflight_blocks: Vec<u64> = vec![0; self.platform.len()];
-        // Retrievals awaiting their result / inbound wire time:
-        // chunk → (worker, wire thread already spawned).
-        let mut pending_retrievals: HashMap<ChunkId, (usize, bool)> = HashMap::new();
-        // The simulator's BlockedRetrieve: a retrieval was issued and its
-        // result has not arrived yet, so the master only consumes events
-        // (in-flight transfers keep completing meanwhile).
-        let mut blocked_retrieve: Option<ChunkId> = None;
-        let model_now = |start: &Instant| start.elapsed().as_secs_f64() / self.opts.time_scale;
-
-        let spawn_wire = |name: String, body: Box<dyn FnOnce() + Send>| {
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(body)
-                .expect("spawn wire thread");
-        };
-
-        'outer: loop {
-            let wall = start.elapsed().as_secs_f64();
-            dyn_state.pump(
-                model_now(&start),
-                wall,
-                masters,
-                &descrs,
-                &retrieved,
-                &mut mirror,
-                policy,
-                obs,
-            )?;
-            // Drop retrievals whose chunk a crash just destroyed before
-            // the worker could reply (no Result will ever arrive; they
-            // never held a lane — retrievals already on the wire complete
-            // via InboundDone and release their lane there) and release
-            // the master if it was parked on one of them.
-            pending_retrievals.retain(|chunk, &mut (_, wire_started)| {
-                wire_started || !dyn_state.lost.contains(chunk)
-            });
-            if blocked_retrieve.is_some_and(|chunk| dyn_state.lost.contains(&chunk)) {
-                blocked_retrieve = None;
-            }
-            // The master acts only when it is not parked on a pending
-            // retrieval (the simulator's BlockedRetrieve) and the wire
-            // has a free lane.
-            let action = if blocked_retrieve.is_some() || in_flight >= capacity {
-                Action::Wait
-            } else {
-                mirror.set_now(start.elapsed().as_secs_f64());
-                policy.next_action(&mirror.ctx())
-            };
-            match action {
-                Action::Send {
-                    worker,
-                    fragment,
-                    new_chunk,
-                } => {
-                    validate_send(
-                        &self.platform,
-                        masters.len(),
-                        &dyn_state,
-                        &mirror,
-                        worker,
-                        &fragment,
-                        inflight_blocks[worker],
-                    )?;
-                    if let Some(d) = new_chunk {
-                        descrs.insert(d.id, (worker, d));
-                        mirror.on_chunk_assigned(worker);
-                    }
-                    let msg = materialize(policy, &fragment, new_chunk, a, b, c)?;
-                    let msg = ToWorker::decode(msg.encode());
-                    in_flight += 1;
-                    inflight_blocks[worker] += fragment.blocks;
-                    let lane = claim_lane(&mut lane_used);
-                    send_lane.insert(
-                        (worker, fragment.chunk, fragment.step, fragment.kind as u8),
-                        lane,
-                    );
-                    port_acct.on_acquire(start.elapsed().as_secs_f64(), in_flight);
-                    obs.emit(|| ObsEvent::Dispatch {
-                        time: model_now(&start),
-                        worker,
-                        chunk: fragment.chunk,
-                        step: fragment.step,
-                        mat: mat_tag(fragment.kind),
-                        blocks: fragment.blocks,
-                    });
-                    obs.emit(|| ObsEvent::PortAcquire {
-                        time: model_now(&start),
-                        lane,
-                        worker,
-                        dir: Dir::ToWorker,
-                        chunk: fragment.chunk,
-                        blocks: fragment.blocks,
-                    });
-                    let (backbone, tx) = masters[worker].wire_parts();
-                    let nominal = fragment.blocks as f64 * masters[worker].c;
-                    let evt = evt_tx.clone();
-                    spawn_wire(
-                        format!("stargemm-wire-{worker}"),
-                        Box::new(move || {
-                            let wire_secs = backbone.transfer(worker, nominal);
-                            // Enqueue the completion *before* handing the
-                            // payload over, so the master's SendDone
-                            // bookkeeping always precedes any worker
-                            // event the payload triggers (the simulator's
-                            // ordering).
-                            let _ = evt.send((
-                                worker,
-                                StarEvent::WireDone {
-                                    fragment,
-                                    wire_secs,
-                                },
-                            ));
-                            let _ = tx.send(msg);
-                        }),
-                    );
-                }
-                Action::Retrieve { worker, chunk } => {
-                    validate_retrieve(masters.len(), &dyn_state, worker, chunk)?;
-                    if retrieved.contains(&chunk) || pending_retrievals.contains_key(&chunk) {
-                        return Err(NetError::Protocol(format!("chunk {chunk} retrieved twice")));
-                    }
-                    masters[worker]
-                        .send_control(ToWorker::Retrieve { chunk })
-                        .map_err(|_| {
-                            NetError::WorkerFailure(format!("worker {worker} link down"))
-                        })?;
-                    // Park like the simulator's BlockedRetrieve; the lane
-                    // is occupied only once the result starts its wire
-                    // transfer (a computed chunk replies immediately, so
-                    // the parked window then matches the simulator's
-                    // instant retrieval start).
-                    pending_retrievals.insert(chunk, (worker, false));
-                    blocked_retrieve = Some(chunk);
-                }
-                Action::Wait => {
-                    // Receive one event, waking for lifecycle boundaries.
-                    let idle_start = Instant::now();
-                    loop {
-                        if dyn_state.due(model_now(&start)) {
-                            continue 'outer; // pumped at the top
-                        }
-                        let Some(mut budget) = self
-                            .opts
-                            .idle_timeout
-                            .checked_sub(idle_start.elapsed())
-                            .filter(|d| !d.is_zero())
-                        else {
-                            return Err(NetError::Timeout);
-                        };
-                        if let Some(next) = dyn_state.pending.front() {
-                            let wall_until = (next.time - model_now(&start)).max(0.0)
-                                * self.opts.time_scale
-                                + 1e-3;
-                            budget = budget.min(Duration::from_secs_f64(wall_until));
-                        }
-                        use crossbeam::channel::RecvTimeoutError;
-                        let (wid, ev) = match events.recv_timeout(budget) {
-                            Ok(pair) => pair,
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => {
-                                return Err(NetError::WorkerFailure(
-                                    "all worker threads gone while waiting".into(),
-                                ));
-                            }
-                        };
-                        match ev {
-                            StarEvent::Worker(ToMaster::Result { chunk, blocks }) => {
-                                if dyn_state.lost.contains(&chunk) {
-                                    // Stale result of a dead chunk: no
-                                    // lane was occupied yet, just forget
-                                    // the request (and unpark the master
-                                    // if it was waiting on it).
-                                    pending_retrievals.remove(&chunk);
-                                    if blocked_retrieve == Some(chunk) {
-                                        blocked_retrieve = None;
-                                    }
-                                    continue;
-                                }
-                                let Some(&(worker, _)) = pending_retrievals.get(&chunk) else {
-                                    return Err(NetError::Protocol(format!(
-                                        "unsolicited result for chunk {chunk}"
-                                    )));
-                                };
-                                if wid != worker {
-                                    return Err(NetError::Protocol(format!(
-                                        "result for chunk {chunk} from worker {wid}, \
-                                         expected worker {worker}"
-                                    )));
-                                }
-                                // The inbound transfer occupies a lane
-                                // from here; the master unparks.
-                                pending_retrievals.insert(chunk, (worker, true));
-                                in_flight += 1;
-                                let lane = claim_lane(&mut lane_used);
-                                inbound_lane.insert(chunk, lane);
-                                port_acct.on_acquire(start.elapsed().as_secs_f64(), in_flight);
-                                obs.emit(|| ObsEvent::PortAcquire {
-                                    time: model_now(&start),
-                                    lane,
-                                    worker,
-                                    dir: Dir::ToMaster,
-                                    chunk,
-                                    blocks: blocks.len() as u64,
-                                });
-                                if blocked_retrieve == Some(chunk) {
-                                    blocked_retrieve = None;
-                                }
-                                // Inbound wire time on a helper thread;
-                                // the payload lands with InboundDone.
-                                let (backbone, _) = masters[worker].wire_parts();
-                                let nominal = blocks.len() as f64 * masters[worker].c;
-                                let evt = evt_tx.clone();
-                                spawn_wire(
-                                    format!("stargemm-wire-in-{worker}"),
-                                    Box::new(move || {
-                                        let wire_secs = backbone.transfer(worker, nominal);
-                                        let _ = evt.send((
-                                            worker,
-                                            StarEvent::InboundDone {
-                                                chunk,
-                                                blocks,
-                                                wire_secs,
-                                            },
-                                        ));
-                                    }),
-                                );
-                            }
-                            StarEvent::Worker(msg) => {
-                                apply_worker_event(
-                                    &descrs,
-                                    &dyn_state.lost,
-                                    &msg,
-                                    wid,
-                                    &mut mirror,
-                                    policy,
-                                    start.elapsed().as_secs_f64(),
-                                )?;
-                            }
-                            StarEvent::WireDone {
-                                fragment,
-                                wire_secs,
-                            } => {
-                                in_flight -= 1;
-                                inflight_blocks[wid] -= fragment.blocks;
-                                // Actual shared-wire occupancy (≥ the
-                                // nominal under contention) — the same
-                                // accounting the simulator reports.
-                                port_busy += wire_secs * self.opts.time_scale;
-                                if let Some(lane) = send_lane.remove(&(
-                                    wid,
-                                    fragment.chunk,
-                                    fragment.step,
-                                    fragment.kind as u8,
-                                )) {
-                                    lane_used[lane] = false;
-                                    port_acct.on_release(
-                                        start.elapsed().as_secs_f64(),
-                                        lane,
-                                        wire_secs * self.opts.time_scale,
-                                        in_flight,
-                                    );
-                                    obs.emit(|| ObsEvent::PortRelease {
-                                        time: model_now(&start),
-                                        lane,
-                                        worker: wid,
-                                        dir: Dir::ToWorker,
-                                        chunk: fragment.chunk,
-                                        blocks: fragment.blocks,
-                                    });
-                                }
-                                // Blocks landing on a downed worker (or a
-                                // dead chunk) are dropped by the worker;
-                                // mirror occupancy follows the simulator.
-                                if !dyn_state.down[wid] && !dyn_state.lost.contains(&fragment.chunk)
-                                {
-                                    mirror.on_delivered(wid, fragment.blocks);
-                                }
-                                mirror.set_now(start.elapsed().as_secs_f64());
-                                policy.on_event(
-                                    &SimEvent::SendDone {
-                                        worker: wid,
-                                        fragment,
-                                    },
-                                    &mirror.ctx(),
-                                );
-                            }
-                            StarEvent::InboundDone {
-                                chunk,
-                                blocks,
-                                wire_secs,
-                            } => {
-                                in_flight -= 1;
-                                pending_retrievals.remove(&chunk);
-                                port_busy += wire_secs * self.opts.time_scale;
-                                if let Some(lane) = inbound_lane.remove(&chunk) {
-                                    lane_used[lane] = false;
-                                    port_acct.on_release(
-                                        start.elapsed().as_secs_f64(),
-                                        lane,
-                                        wire_secs * self.opts.time_scale,
-                                        in_flight,
-                                    );
-                                    obs.emit(|| ObsEvent::PortRelease {
-                                        time: model_now(&start),
-                                        lane,
-                                        worker: wid,
-                                        dir: Dir::ToMaster,
-                                        chunk,
-                                        blocks: blocks.len() as u64,
-                                    });
-                                }
-                                if dyn_state.lost.contains(&chunk) {
-                                    continue; // crashed mid-wire
-                                }
-                                let geom = policy
-                                    .chunk_geom(chunk)
-                                    .ok_or(NetError::UnknownChunk(chunk))?;
-                                c.store_chunk(geom.i0, geom.j0, geom.h, geom.w, blocks);
-                                mirror.set_now(start.elapsed().as_secs_f64());
-                                mirror.on_retrieved(wid, (geom.h * geom.w) as u64);
-                                chunks_retrieved += 1;
-                                retrieved.insert(chunk);
-                                policy.on_event(
-                                    &SimEvent::RetrieveDone { worker: wid, chunk },
-                                    &mirror.ctx(),
-                                );
-                            }
-                        }
-                        break;
-                    }
-                }
-                Action::CompleteJob { job } => {
-                    return Err(NetError::Protocol(format!(
-                        "job streams are not supported by the threaded runtime \
-                         (CompleteJob for job {job})"
-                    )));
-                }
-                Action::Finished => break,
-            }
-        }
-
-        finish_stats(
-            &mirror,
-            &start,
-            port_busy,
-            &port_acct,
-            chunks_retrieved,
-            &descrs,
-            &dyn_state.lost,
-            policy.name(),
-        )
-    }
-}
-
-/// Slices the real matrices into the fragment's payload.
-pub(crate) fn materialize<P: GeometryAccess>(
-    policy: &P,
-    fragment: &Fragment,
-    new_chunk: Option<ChunkDescr>,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    c: &BlockMatrix,
-) -> Result<ToWorker, NetError> {
-    let job = policy.job_dims();
-    let geom = policy
-        .chunk_geom(fragment.chunk)
-        .ok_or(NetError::UnknownChunk(fragment.chunk))?;
-    Ok(match fragment.kind {
-        MatKind::C => {
-            let descr = new_chunk
-                .ok_or_else(|| NetError::Protocol("C load without chunk descriptor".into()))?;
-            ToWorker::LoadC {
-                descr,
-                h: geom.h as u32,
-                w: geom.w as u32,
-                blocks: c.chunk(geom.i0, geom.j0, geom.h, geom.w),
-            }
-        }
-        MatKind::A => {
-            let (klo, khi) = geom.k_range(fragment.step, job.t);
-            let mut blocks = Vec::with_capacity(geom.h * (khi - klo));
-            for i in geom.i0..geom.i0 + geom.h {
-                for kk in klo..khi {
-                    blocks.push(a.block(i, kk).clone());
-                }
-            }
-            debug_assert_eq!(blocks.len() as u64, fragment.blocks);
-            ToWorker::FragA {
-                chunk: fragment.chunk,
-                step: fragment.step,
-                blocks,
-            }
-        }
-        MatKind::B => {
-            let (klo, khi) = geom.k_range(fragment.step, job.t);
-            let mut blocks = Vec::with_capacity((khi - klo) * geom.w);
-            for kk in klo..khi {
-                for j in geom.j0..geom.j0 + geom.w {
-                    blocks.push(b.block(kk, j).clone());
-                }
-            }
-            debug_assert_eq!(blocks.len() as u64, fragment.blocks);
-            ToWorker::FragB {
-                chunk: fragment.chunk,
-                step: fragment.step,
-                blocks,
-            }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1288,9 +199,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use stargemm_core::algorithms::{build_policy, Algorithm};
+    use stargemm_core::geometry::ChunkGeom;
     use stargemm_core::Job;
     use stargemm_linalg::verify::{tolerance_for, verify_product};
     use stargemm_platform::WorkerSpec;
+    use stargemm_sim::{Action, ChunkDescr, Fragment, SimCtx, Simulator};
 
     fn fast_opts() -> NetOptions {
         NetOptions {
@@ -1329,29 +242,6 @@ mod tests {
         run_and_verify(Algorithm::Oddoml, small_platform(), Job::new(6, 5, 8, 4));
     }
 
-    /// The legacy thread-per-worker engine stays covered even though the
-    /// reactor is the default (it is the baseline `BENCH_net.json` races).
-    #[test]
-    fn threaded_engine_still_produces_the_exact_product() {
-        let job = Job::new(6, 5, 8, 4);
-        let platform = small_platform();
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = BlockMatrix::random(job.r, job.t, job.q, &mut rng);
-        let b = BlockMatrix::random(job.t, job.s, job.q, &mut rng);
-        let c0 = BlockMatrix::random(job.r, job.s, job.q, &mut rng);
-        let mut c = c0.clone();
-        let mut policy = build_policy(&platform, &job, Algorithm::Oddoml).unwrap();
-        let opts = NetOptions {
-            engine: NetEngine::Threaded,
-            ..fast_opts()
-        };
-        let rt = NetRuntime::new(platform).with_options(opts);
-        let stats = rt.run(&mut policy, &a, &b, &mut c).unwrap();
-        assert_eq!(stats.total_updates, job.total_updates());
-        let report = verify_product(&c, &c0, &a, &b, tolerance_for(job.t * job.q));
-        assert!(report.passed(), "threaded: {report:?}");
-    }
-
     #[test]
     fn het_produces_the_exact_product() {
         run_and_verify(Algorithm::Het, small_platform(), Job::new(6, 5, 8, 4));
@@ -1383,10 +273,9 @@ mod tests {
             ..fast_opts()
         });
         let err = rt.run(&mut policy, &a, &b, &mut c).unwrap_err();
-        // Either the broken link is observed mid-send, the run stalls
-        // waiting for the dead worker, or the panic is caught at join —
-        // all must surface as a runtime error, never a hang or a wrong
-        // result.
+        // Either the broken link is observed mid-send or the run stalls
+        // waiting for the dead worker — both must surface as a runtime
+        // error, never a hang or a wrong result.
         assert!(
             matches!(err, NetError::WorkerFailure(_) | NetError::Timeout),
             "{err}"
@@ -1430,8 +319,7 @@ mod tests {
 
     #[test]
     fn multiport_runtime_produces_the_exact_product() {
-        // The concurrent-wire driver (k = 2) computes the same product,
-        // moving every block through the shared backbone.
+        // Two concurrent lanes (k = 2) compute the same product.
         let job = Job::new(6, 5, 8, 4);
         let platform = small_platform();
         let mut rng = StdRng::seed_from_u64(11);
@@ -1473,6 +361,119 @@ mod tests {
         assert_eq!(stats.total_updates, job.total_updates());
         let report = verify_product(&c, &c0, &a, &b, tolerance_for(job.t * job.q));
         assert!(report.passed(), "{report:?}");
+    }
+
+    /// Replays a fixed action list, then `Finished`; every chunk is the
+    /// single C block of a 1 × 2 × 1 job.
+    struct Script(std::vec::IntoIter<Action>);
+
+    impl MasterPolicy for Script {
+        fn next_action(&mut self, _ctx: &SimCtx) -> Action {
+            self.0.next().unwrap_or(Action::Finished)
+        }
+
+        fn name(&self) -> &'static str {
+            "script"
+        }
+    }
+
+    impl GeometryAccess for Script {
+        fn chunk_geom(&self, id: ChunkId) -> Option<ChunkGeom> {
+            Some(ChunkGeom {
+                id,
+                worker: 0,
+                i0: 0,
+                j0: 0,
+                h: 1,
+                w: 1,
+                k_depth: 1,
+            })
+        }
+
+        fn job_dims(&self) -> Job {
+            Job::new(1, 2, 1, 2)
+        }
+    }
+
+    /// A buggy policy gets the same verdict from both engines: the
+    /// simulator's typed protocol errors are typed errors here too, not
+    /// worker-side panics.
+    #[test]
+    fn bad_policies_are_errors_in_the_simulator_and_the_runtime_alike() {
+        let d = ChunkDescr {
+            id: 0,
+            c_blocks: 1,
+            steps: 2,
+            a_blocks_per_step: 1,
+            b_blocks_per_step: 1,
+            updates_per_step: 1,
+            tail: None,
+        };
+        let send = |worker, fragment, new_chunk| Action::Send {
+            worker,
+            fragment,
+            new_chunk,
+        };
+        let open = send(0, Fragment::c_load(&d), Some(d));
+        let a0 = send(0, Fragment::a_step(&d, 0), None);
+        let fat_a0 = Fragment {
+            blocks: 2,
+            ..Fragment::a_step(&d, 0)
+        };
+        let rest = [
+            send(0, Fragment::b_step(&d, 0), None),
+            send(0, Fragment::a_step(&d, 1), None),
+            send(0, Fragment::b_step(&d, 1), None),
+            Action::Retrieve {
+                worker: 0,
+                chunk: 0,
+            },
+        ];
+        let table: [(&str, Vec<Action>, bool); 6] = [
+            (
+                "well-formed",
+                [vec![open, a0], rest.to_vec()].concat(),
+                true,
+            ),
+            ("duplicate chunk id", vec![open, open], false),
+            (
+                "second C load",
+                vec![open, send(0, Fragment::c_load(&d), None)],
+                false,
+            ),
+            (
+                "fragment to the wrong worker",
+                vec![open, send(1, Fragment::b_step(&d, 0), None)],
+                false,
+            ),
+            ("duplicate fragment", vec![open, a0, a0], false),
+            (
+                "over-delivered fragment",
+                vec![open, send(0, fat_a0, None)],
+                false,
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = BlockMatrix::random(1, 2, 2, &mut rng);
+        let b = BlockMatrix::random(2, 1, 2, &mut rng);
+        for (case, actions, ok) in table {
+            let sim = Simulator::new(small_platform())
+                .run(&mut Script(actions.clone().into_iter()))
+                .map_err(|e| e.to_string());
+            let mut c = BlockMatrix::zeros(1, 1, 2);
+            let net = NetRuntime::new(small_platform())
+                .with_options(fast_opts())
+                .run(&mut Script(actions.into_iter()), &a, &b, &mut c)
+                .map_err(|e| e.to_string());
+            assert_eq!(sim.is_ok(), ok, "{case}: simulator said {sim:?}");
+            assert_eq!(net.is_ok(), ok, "{case}: runtime said {net:?}");
+            if !ok {
+                assert!(
+                    net.as_ref().is_err_and(|e| e.starts_with("protocol")),
+                    "{case}: {net:?}"
+                );
+            }
+        }
     }
 
     #[test]

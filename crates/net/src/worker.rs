@@ -1,4 +1,4 @@
-//! Worker threads: receive fragments, run the real GEMM kernel, return
+//! Workers: receive fragments, run the real GEMM kernel, return
 //! results.
 //!
 //! A worker is a dataflow executor identical in semantics to the
@@ -14,7 +14,6 @@ use stargemm_linalg::gemm::block_update;
 use stargemm_linalg::Block;
 use stargemm_sim::{ChunkDescr, ChunkId, StepId};
 
-use crate::link::WorkerLink;
 use crate::wire::{ToMaster, ToWorker};
 
 /// State of one chunk resident on a worker.
@@ -82,11 +81,9 @@ impl WorkerChunk {
 /// The transport-free worker dataflow machine: chunk residency, step
 /// firing and retrieve bookkeeping, with no channel or clock attached.
 ///
-/// The threaded runtime wraps it in a blocking receive loop
-/// ([`worker_main`]); the reactor drives one per worker inline, feeding
-/// it decoded wire messages and collecting its replies. Both paths share
-/// every semantic — including the reply ordering (step events before
-/// `ChunkComputed` before a deferred `Result`).
+/// The reactor drives one per worker inline, feeding it decoded wire
+/// messages and collecting its replies, ordered step events before
+/// `ChunkComputed` before a deferred `Result`.
 pub(crate) struct WorkerCore {
     chunks: HashMap<ChunkId, WorkerChunk>,
     /// Fragments that overtook their chunk's C load on the wire:
@@ -110,23 +107,21 @@ impl WorkerCore {
         }
     }
 
-    /// Processes one message, appending any replies to `out`; returns
-    /// `true` on `Shutdown`.
-    pub(crate) fn ingest(&mut self, msg: ToWorker, out: &mut Vec<ToMaster>) -> bool {
+    /// Processes one message, appending any replies to `out`.
+    pub(crate) fn ingest(&mut self, msg: ToWorker, out: &mut Vec<ToMaster>) {
         match msg {
             ToWorker::Fail => {
                 self.chunks.clear();
                 self.early.clear();
                 self.down = true;
-                return false;
+                return;
             }
             ToWorker::Recover => {
                 self.down = false;
-                return false;
+                return;
             }
-            ToWorker::Shutdown => return true,
             // While down, every other message falls on dead hardware.
-            _ if self.down => return false,
+            _ if self.down => return,
             ToWorker::LoadC {
                 descr,
                 h,
@@ -165,7 +160,7 @@ impl WorkerCore {
                         step,
                         blocks,
                     });
-                    return false;
+                    return;
                 };
                 let prev = ch.pend_a.insert(step, blocks);
                 assert!(prev.is_none(), "duplicate A fragment");
@@ -182,7 +177,7 @@ impl WorkerCore {
                         step,
                         blocks,
                     });
-                    return false;
+                    return;
                 };
                 let prev = ch.pend_b.insert(step, blocks);
                 assert!(prev.is_none(), "duplicate B fragment");
@@ -197,9 +192,7 @@ impl WorkerCore {
                 if ch.steps_done == ch.descr.steps {
                     self.reply_result(chunk, out);
                 }
-                // Otherwise the reply happens when the last step fires —
-                // the master is blocked on its port meanwhile (one-port
-                // blocking receive).
+                // Otherwise the reply happens when the last step fires.
             }
         }
         // A completed chunk with a pending retrieval replies immediately.
@@ -212,7 +205,6 @@ impl WorkerCore {
         for id in due {
             self.reply_result(id, out);
         }
-        false
     }
 
     fn reply_result(&mut self, id: ChunkId, out: &mut Vec<ToMaster>) {
@@ -230,58 +222,15 @@ impl Default for WorkerCore {
     }
 }
 
-/// The worker main loop. Runs until `Shutdown`.
-pub fn worker_main(link: WorkerLink) {
-    worker_main_with_fault(link, None)
-}
-
-/// Worker loop with optional fault injection: panics after processing
-/// `fault_after` messages — used to test that the runtime surfaces
-/// worker crashes instead of hanging.
-pub fn worker_main_with_fault(link: WorkerLink, fault_after: Option<usize>) {
-    let mut core = WorkerCore::new();
-    let mut processed = 0usize;
-    let mut out = Vec::new();
-    loop {
-        let msg = link.recv();
-        processed += 1;
-        if fault_after.is_some_and(|n| processed > n) {
-            panic!(
-                "injected fault on worker {} after {n} messages",
-                link.id,
-                n = processed - 1
-            );
-        }
-        out.clear();
-        let shutdown = core.ingest(msg, &mut out);
-        for ev in out.drain(..) {
-            link.send(ev);
-        }
-        if shutdown {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{build_star, StarEvent};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use stargemm_linalg::gemm::gemm_naive;
 
     fn blocks(n: usize, q: usize, rng: &mut StdRng) -> Vec<Block> {
         (0..n).map(|_| Block::random(q, rng)).collect()
-    }
-
-    /// Unwraps the worker message of a star event (the tests drive the
-    /// links directly, so no wire events occur).
-    fn worker_msg(ev: StarEvent) -> ToMaster {
-        match ev {
-            StarEvent::Worker(msg) => msg,
-            other => panic!("unexpected wire event {other:?}"),
-        }
     }
 
     /// Drives a lone worker through a 2×2-chunk, 3-step job and checks
@@ -304,59 +253,54 @@ mod tests {
         let a_frags: Vec<Vec<Block>> = (0..steps).map(|_| blocks(h, q, &mut rng)).collect();
         let b_frags: Vec<Vec<Block>> = (0..steps).map(|_| blocks(w, q, &mut rng)).collect();
 
-        let (masters, mut workers, evt, _tx) = build_star(&[1e-9], 1.0);
-        let wl = workers.remove(0);
-        let handle = std::thread::spawn(move || worker_main(wl));
-
-        masters[0]
-            .send_data(ToWorker::LoadC {
+        let mut core = WorkerCore::new();
+        let mut out = Vec::new();
+        core.ingest(
+            ToWorker::LoadC {
                 descr,
                 h: h as u32,
                 w: w as u32,
                 blocks: c0.clone(),
-            })
-            .unwrap();
+            },
+            &mut out,
+        );
         // Send steps out of order to exercise commutativity.
         for &k in &[1u32, 0, 2] {
-            masters[0]
-                .send_data(ToWorker::FragB {
+            core.ingest(
+                ToWorker::FragB {
                     chunk: 0,
                     step: k,
                     blocks: b_frags[k as usize].clone(),
-                })
-                .unwrap();
-            masters[0]
-                .send_data(ToWorker::FragA {
+                },
+                &mut out,
+            );
+            core.ingest(
+                ToWorker::FragA {
                     chunk: 0,
                     step: k,
                     blocks: a_frags[k as usize].clone(),
-                })
-                .unwrap();
+                },
+                &mut out,
+            );
         }
-        masters[0]
-            .send_control(ToWorker::Retrieve { chunk: 0 })
-            .unwrap();
+        core.ingest(ToWorker::Retrieve { chunk: 0 }, &mut out);
 
-        let mut result = None;
-        let mut step_dones = 0;
-        let mut computed = 0;
-        for _ in 0..(steps as usize + 1 + 1) {
-            match worker_msg(evt.recv().unwrap().1) {
-                ToMaster::StepDone { .. } => step_dones += 1,
-                ToMaster::ChunkComputed { .. } => computed += 1,
-                ToMaster::Result { blocks, .. } => {
-                    result = Some(blocks);
-                    break;
-                }
-            }
+        // One StepDone per step (in arrival order), ChunkComputed, then
+        // the result.
+        assert_eq!(out.len(), steps as usize + 2);
+        for (reply, &k) in out.iter().zip(&[1u32, 0, 2]) {
+            assert_eq!(*reply, ToMaster::StepDone { chunk: 0, step: k });
         }
-        masters[0].send_control(ToWorker::Shutdown).unwrap();
-        handle.join().unwrap();
-        assert_eq!(step_dones, steps as usize);
-        assert_eq!(computed, 1);
+        assert_eq!(out[3], ToMaster::ChunkComputed { chunk: 0 });
+        let Some(ToMaster::Result {
+            chunk: 0,
+            blocks: got,
+        }) = out.pop()
+        else {
+            panic!("no result for chunk 0");
+        };
 
         // Reference: C[i][j] = C0[i][j] + Σ_k A_k[i]·B_k[j].
-        let got = result.expect("result received");
         for i in 0..h {
             for j in 0..w {
                 let mut expect = c0[i * w + j].clone();
@@ -390,47 +334,49 @@ mod tests {
             tail: None,
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let (masters, mut workers, evt, _tx) = build_star(&[1e-9], 1.0);
-        let wl = workers.remove(0);
-        let handle = std::thread::spawn(move || worker_main(wl));
-
-        masters[0]
-            .send_data(ToWorker::LoadC {
+        let mut core = WorkerCore::new();
+        let mut out = Vec::new();
+        core.ingest(
+            ToWorker::LoadC {
                 descr,
                 h: 1,
                 w: 1,
                 blocks: blocks(1, q, &mut rng),
-            })
-            .unwrap();
-        // Retrieve first, then the operands.
-        masters[0]
-            .send_control(ToWorker::Retrieve { chunk: 3 })
-            .unwrap();
-        masters[0]
-            .send_data(ToWorker::FragB {
+            },
+            &mut out,
+        );
+        // Retrieve first, then the operands: nothing may come back until
+        // the last one lands.
+        core.ingest(ToWorker::Retrieve { chunk: 3 }, &mut out);
+        core.ingest(
+            ToWorker::FragB {
                 chunk: 3,
                 step: 0,
                 blocks: blocks(1, q, &mut rng),
-            })
-            .unwrap();
-        masters[0]
-            .send_data(ToWorker::FragA {
+            },
+            &mut out,
+        );
+        assert!(out.is_empty(), "{out:?}");
+        core.ingest(
+            ToWorker::FragA {
                 chunk: 3,
                 step: 0,
                 blocks: blocks(1, q, &mut rng),
-            })
-            .unwrap();
+            },
+            &mut out,
+        );
 
-        // Expect StepDone, ChunkComputed, then the deferred Result.
-        let kinds: Vec<u8> = (0..3)
-            .map(|_| match worker_msg(evt.recv().unwrap().1) {
-                ToMaster::StepDone { .. } => 0,
-                ToMaster::ChunkComputed { .. } => 1,
-                ToMaster::Result { .. } => 2,
-            })
-            .collect();
-        assert_eq!(kinds, vec![0, 1, 2]);
-        masters[0].send_control(ToWorker::Shutdown).unwrap();
-        handle.join().unwrap();
+        // StepDone, ChunkComputed, then the deferred Result.
+        assert!(
+            matches!(
+                out[..],
+                [
+                    ToMaster::StepDone { chunk: 3, step: 0 },
+                    ToMaster::ChunkComputed { chunk: 3 },
+                    ToMaster::Result { chunk: 3, .. }
+                ]
+            ),
+            "{out:?}"
+        );
     }
 }

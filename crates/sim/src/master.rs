@@ -4,7 +4,7 @@
 //! the port is free, park while a transfer is in flight, block on a
 //! retrieval of a chunk still being computed, and re-ask after every
 //! event. That automaton used to live twice — inlined in `sim::engine`'s
-//! event loop and re-implemented ad hoc in the threaded `net` runtime —
+//! event loop and re-implemented ad hoc in the `net` runtime —
 //! which is exactly the class of sim-vs-net drift the cross-validation
 //! suite exists to catch. It now lives once, here: [`MasterSm`] owns the
 //! [`MasterState`] transitions, and each engine plugs in a

@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use stargemm_netmodel::{ContentionModel, NetModelSpec, ShareScratch, TransferLane};
-use stargemm_obs::{Dir, MatTag, ObsEvent, ObsSink};
+use stargemm_obs::{Dir, ObsEvent, ObsSink};
 use stargemm_platform::dynamic::{
     compute_end_opt, transfer_end_opt, transfer_nominal_between_opt, DynProfile,
 };
@@ -45,15 +45,6 @@ pub(crate) const MASTER_PORT: ComponentId = 0;
 /// Component id of worker `w`.
 pub(crate) fn worker_component(w: WorkerId) -> ComponentId {
     w + 1
-}
-
-/// The obs-schema operand tag of a fragment kind.
-fn mat_tag(kind: MatKind) -> MatTag {
-    match kind {
-        MatKind::A => MatTag::A,
-        MatKind::B => MatTag::B,
-        MatKind::C => MatTag::C,
-    }
 }
 
 /// Runtime state of one worker (crate-visible so [`crate::policy::SimCtx`]
@@ -217,7 +208,7 @@ struct ActiveTransfer {
 }
 
 /// Always-on port-lane accounting behind [`PortStats`] — shared with
-/// the threaded runtime, which keys it off wall-clock timestamps.
+/// the net runtime, which keys it off wall-clock timestamps.
 #[derive(Clone, Debug, Default)]
 pub struct PortAccounting {
     lane_busy: Vec<f64>,
@@ -779,7 +770,7 @@ impl StarModel {
             worker,
             chunk: fragment.chunk,
             step: fragment.step,
-            mat: mat_tag(fragment.kind),
+            mat: fragment.kind.into(),
             blocks: fragment.blocks,
         });
         self.begin_transfer(worker, base, EvKind::SendDone { worker, fragment });

@@ -1,5 +1,5 @@
 //! Message and chunk descriptors exchanged between master policies and
-//! the execution engines (simulated and threaded alike).
+//! the execution engines (the simulator and the net runtime alike).
 
 use serde::{Deserialize, Serialize};
 
@@ -26,6 +26,17 @@ pub enum MatKind {
     B,
     /// Result blocks `C_{i,j}`.
     C,
+}
+
+/// The observability tag of a matrix kind.
+impl From<MatKind> for stargemm_obs::MatTag {
+    fn from(kind: MatKind) -> Self {
+        match kind {
+            MatKind::A => Self::A,
+            MatKind::B => Self::B,
+            MatKind::C => Self::C,
+        }
+    }
 }
 
 /// Per-step operand and work counts (used for tail steps that differ

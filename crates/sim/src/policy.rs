@@ -7,7 +7,7 @@
 //! policies (demand-driven, min-min) can react.
 //!
 //! The same trait drives both the discrete-event simulator and the
-//! threaded `stargemm-net` runtime — algorithms are written once.
+//! `stargemm-net` runtime — algorithms are written once.
 
 use crate::msg::{ChunkDescr, ChunkId, Fragment, JobId};
 use stargemm_platform::WorkerId;
@@ -139,8 +139,8 @@ impl SimCtx<'_> {
 }
 
 /// Owning per-worker state mirror for drivers *outside* the
-/// discrete-event engine — the threaded `stargemm-net` runtime keeps one
-/// so it can hand policies a valid [`SimCtx`]. Occupancy tracking mirrors
+/// discrete-event engine — the `stargemm-net` runtime keeps one so it
+/// can hand policies a valid [`SimCtx`]. Occupancy tracking mirrors
 /// the engine's: blocks become resident when a send completes and are
 /// freed by step completions and retrievals.
 pub struct CtxMirror {

@@ -13,7 +13,8 @@
 //! * [`core`] — the paper's scheduling algorithms and baselines,
 //! * [`dag`] — DAG-structured jobs (tiled LU task graphs) with
 //!   critical-path-aware ready-frontier dispatch on the star,
-//! * [`net`] — a hand-rolled threaded messaging runtime (MPI substitute),
+//! * [`net`] — a hand-rolled event-driven messaging runtime (MPI
+//!   substitute),
 //! * [`dynamic`] — time-varying platforms (cost traces, worker churn)
 //!   and the adaptive online scheduler built on top of them,
 //! * [`stream`] — multi-tenant job streams: seeded arrival generators,

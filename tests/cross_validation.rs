@@ -1,5 +1,5 @@
 //! Cross-validation of the two execution engines: the `sim`
-//! discrete-event simulator and the `net` threaded runtime must realize
+//! discrete-event simulator and the `net` reactor runtime must realize
 //! the *same schedule* for a static policy on a fixed job, and — in the
 //! communication-dominated limit where the model's compute term vanishes
 //! — the same makespan in wall-clock time.
@@ -105,8 +105,8 @@ fn repeated_runs_are_schedule_deterministic() {
 /// The contention-model subsystem's cross-engine pin: under a bounded
 /// multi-port model (k = 2 with a binding backbone), the static `Het`
 /// plan realizes the *identical* per-worker schedule in the simulator
-/// and in the threaded runtime (whose `Backbone` throttles real links
-/// to the same shares), and the threaded product is numerically exact.
+/// and in the net runtime (whose lane table throttles real links to
+/// the same shares), and the net product is numerically exact.
 #[test]
 fn static_multiport_schedule_is_identical_across_engines() {
     let (platform, job) = (fixed_platform(), fixed_job());
@@ -155,7 +155,7 @@ fn makespans_agree_in_the_communication_dominated_limit() {
     // Model compute is negligible (w = 1e-7 s/update) next to transfer
     // costs (c ≈ 1–2 ms/block), and the real q=4 GEMM is likewise
     // instant, so both engines' makespans are dominated by the same
-    // one-port transfer schedule. The threaded runtime sleeps for every
+    // one-port transfer schedule. The net runtime sleeps for every
     // data transfer; scheduling overhead only adds time — so its
     // wall-clock makespan must bracket the simulated one from above,
     // tightly.
@@ -210,7 +210,7 @@ fn adaptive_het_static_limit_matches_het_in_both_engines() {
     assert_eq!(het_sim.chunks, ad_sim.chunks);
     assert_eq!(het_sim.blocks_to_workers, ad_sim.blocks_to_workers);
 
-    // Threaded engine: same schedule shape as the net Het run, and the
+    // Net engine: same schedule shape as the net Het run, and the
     // numerically exact product. (At this time scale every observation
     // is below the estimator's noise floor, so adaptation stays off —
     // by design, not by luck.)
@@ -246,7 +246,7 @@ fn adaptive_het_static_limit_matches_het_in_both_engines() {
     assert!(report.passed(), "{report:?}");
 }
 
-/// Worker churn in the threaded runtime: a worker crashes mid-run, its
+/// Worker churn in the net runtime: a worker crashes mid-run, its
 /// chunks are re-planned, and the distributed product is still exact —
 /// real data was lost and really recomputed.
 #[test]
@@ -294,8 +294,8 @@ fn adaptive_net_run_survives_a_crash_with_an_exact_product() {
 
 /// The DAG subsystem's cross-engine pin: a tiled-LU task graph
 /// dispatched by the critical-path-aware `DagMaster` realizes the
-/// *identical* per-worker schedule in the simulator and in the threaded
-/// runtime, and the threaded run's virtual GEMM (each task one `1 × w`
+/// *identical* per-worker schedule in the simulator and in the net
+/// runtime, and the net run's virtual GEMM (each task one `1 × w`
 /// strip of C) is numerically exact. Ready-frontier dispatch reacts to
 /// `RetrieveDone` events, so this also pins that both engines deliver
 /// retrievals in the same one-port order.
@@ -342,7 +342,7 @@ fn dag_schedule_is_identical_across_engines() {
     assert!(report.passed(), "{report:?}");
 }
 
-/// Crash during the trailing updates of a threaded DAG run: a worker
+/// Crash during the trailing updates of a net DAG run: a worker
 /// dies mid-graph, its in-flight tasks return to the ready frontier with
 /// fresh chunk ids, and the finished virtual GEMM is still exact — the
 /// lost strips of C were really recomputed elsewhere.
@@ -393,11 +393,11 @@ fn dag_net_run_survives_a_crash_with_an_exact_product() {
     assert!(stats.total_updates >= dag.total_updates());
 }
 
-/// The reactor's scale pin: on a 512-worker star — far past what the
-/// thread-per-worker engine is meant for, and exactly what the reactor
-/// exists for — the static `Het` plan realizes the *identical*
-/// per-worker schedule in the simulator and in the (default, reactor)
-/// net engine, and the product is exact. The reactor's virtual clock
+/// The reactor's scale pin: on a 512-worker star — far past what a
+/// thread per worker could serve, and exactly what the reactor exists
+/// for — the static `Het` plan realizes the *identical* per-worker
+/// schedule in the simulator and in the net engine, and the product is
+/// exact. The reactor's virtual clock
 /// makes this deterministic: the schedule is a pure function of the
 /// projected transfer timeline, never of host load.
 #[test]
@@ -449,9 +449,8 @@ fn wide_star_schedule_is_identical_across_engines() {
 /// Churn under a concurrent contention model on the reactor: a worker
 /// crashes mid-run while transfers share the star through a bounded
 /// multi-port (k = 2) model, the lost chunks are re-planned, and the
-/// finished product is exact. This is the combination the threaded
-/// engine never supported well (helper wire threads + crashes + shared
-/// backbone); on the reactor it is one state machine.
+/// finished product is exact: concurrent lanes, crashes and a shared
+/// backbone are one state machine on the reactor.
 #[test]
 fn adaptive_multiport_reactor_run_survives_a_crash_with_an_exact_product() {
     let job = Job::new(6, 5, 9, 4);
@@ -498,7 +497,7 @@ fn adaptive_multiport_reactor_run_survives_a_crash_with_an_exact_product() {
 
 #[test]
 fn cross_validated_run_still_computes_the_right_product() {
-    // The schedule comparison is only meaningful if the threaded run is
+    // The schedule comparison is only meaningful if the net run is
     // actually doing the arithmetic it claims: re-run with the fixed
     // seed and verify C against the sequential oracle.
     let (platform, job) = (fixed_platform(), fixed_job());

@@ -2,7 +2,7 @@
 //! platform preset, executes to completion with the invariants the
 //! paper's model promises — exact coverage of C, strict memory
 //! discipline, one-port serialization, and consistency between the
-//! discrete-event simulator and the threaded runtime.
+//! discrete-event simulator and the net runtime.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
