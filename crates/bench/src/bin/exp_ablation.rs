@@ -19,8 +19,8 @@ use stargemm_core::layout::{mu_with_window, rect_sides};
 use stargemm_core::select_het::{het_policy, SelectionVariant};
 use stargemm_core::stream::{Serving, StreamingMaster};
 use stargemm_core::Job;
+use stargemm_obs::analyze;
 use stargemm_platform::{presets, Platform};
-use stargemm_sim::analysis::analyze;
 use stargemm_sim::Simulator;
 
 /// Round-robin rectangular static queues over all fitting workers.
@@ -53,9 +53,11 @@ fn rect_queues(
 }
 
 fn simulate(platform: &Platform, policy: &mut StreamingMaster) -> (f64, f64, f64) {
-    let sim = Simulator::new(platform.clone()).with_trace(true);
-    let (stats, trace) = sim.run_traced(policy).unwrap();
-    let a = analyze(&trace, platform.len());
+    let (stats, events) = stargemm_bench::obs::record_with(|obs| {
+        Simulator::new(platform.clone()).run_observed(policy, obs)
+    });
+    let stats = stats.unwrap();
+    let a = analyze(&events, platform.len());
     (stats.makespan, stats.ccr(), a.overlap_fraction)
 }
 
@@ -154,21 +156,8 @@ fn main() {
         .render_pretty();
         write_json(path, &json);
     }
-    if let Some(path) = &cli.trace_out {
-        // The ablation baseline cell: Het on the memory-het platform.
-        stargemm_bench::obs::emit_gemm_trace(
-            path,
-            &platform,
-            &job,
-            stargemm_core::algorithms::Algorithm::Het,
-        );
-    }
-    if let Some(path) = &cli.attr_out {
-        stargemm_bench::obs::emit_gemm_attr(
-            path,
-            &platform,
-            &job,
-            stargemm_core::algorithms::Algorithm::Het,
-        );
-    }
+    // The ablation baseline cell: Het on the memory-het platform.
+    stargemm_bench::obs::emit_artifacts(&cli, || {
+        stargemm_bench::obs::gemm_cell(&platform, &job, stargemm_core::algorithms::Algorithm::Het)
+    });
 }

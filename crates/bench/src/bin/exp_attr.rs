@@ -175,13 +175,13 @@ fn battery(smoke: bool) -> Vec<Scenario> {
 fn run_cell(s: &Scenario) -> Row {
     let attribution = match s {
         Scenario::Gemm { platform, job } => {
-            let (stats, events, _) =
+            let (stats, events) =
                 stargemm_bench::obs::record_algorithm(platform, job, Algorithm::Het)
                     .expect("gemm scenario runs");
             Attribution::from_events(&events, stats.makespan)
         }
         Scenario::Stream { platform, requests } => {
-            let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
+            let (res, events) = stargemm_bench::obs::record_with(|obs| {
                 let mut policy = MultiJobMaster::new(platform, requests, StreamConfig::default())
                     .expect("stream policy builds")
                     .with_obs(obs.clone());
@@ -197,7 +197,7 @@ fn run_cell(s: &Scenario) -> Row {
             requests,
             dags,
         } => {
-            let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
+            let (res, events) = stargemm_bench::obs::record_with(|obs| {
                 let mut policy = MultiJobMaster::with_dags(
                     platform,
                     requests,
@@ -424,17 +424,12 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &outcome.to_json());
     }
-    if let Some(path) = &cli.trace_out {
-        stargemm_bench::obs::emit_default_trace(path);
-    }
-    if let Some(path) = &cli.attr_out {
-        // The folded stacks of the first battery scenario (the static
-        // GEMM): its port/compute frames carry worker and chunk labels.
-        let row = &rows[0];
-        if let Err(e) = std::fs::write(path, row.attribution.folded_stacks()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
+    // The first battery scenario (the static GEMM): its port/compute
+    // frames carry worker and chunk labels.
+    stargemm_bench::obs::emit_artifacts(&cli, || match &cells[0] {
+        Scenario::Gemm { platform, job } => {
+            stargemm_bench::obs::gemm_cell(platform, job, Algorithm::Het)
         }
-        println!("folded attribution stacks written to {}", path.display());
-    }
+        _ => unreachable!("the battery opens with the static GEMM"),
+    });
 }

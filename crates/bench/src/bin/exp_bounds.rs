@@ -90,10 +90,5 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &outcome.to_json());
     }
-    if let Some(path) = &cli.trace_out {
-        stargemm_bench::obs::emit_default_trace(path);
-    }
-    if let Some(path) = &cli.attr_out {
-        stargemm_bench::obs::emit_default_attr(path);
-    }
+    stargemm_bench::obs::emit_artifacts(&cli, stargemm_bench::obs::default_cell);
 }

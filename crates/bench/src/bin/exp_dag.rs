@@ -30,9 +30,9 @@ use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::cpath::dag_makespan_lower_bound;
 use stargemm_core::Job;
 use stargemm_dag::{lu_dag, DagJob};
-use stargemm_obs::Attribution;
+use stargemm_obs::{Attribution, ObsEvent};
 use stargemm_platform::{Platform, WorkerSpec};
-use stargemm_sim::Simulator;
+use stargemm_sim::{RunStats, Simulator};
 use stargemm_stream::{
     aggregate_throughput_bound, stream_report, JobRequest, MultiJobMaster, StreamConfig,
     StreamReport,
@@ -197,13 +197,10 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs one sweep cell (executed on a pool worker). The cell runs under
-/// a recorder so the row can carry its makespan attribution; recording
-/// is observation-only, so the report is identical to an unrecorded run.
-fn run_cell(cell: &Cell) -> Row {
-    let dag_jobs = cell.dags.len();
-    let gemm_jobs = cell.requests.len() - dag_jobs;
-    let (outcome, events, _) = stargemm_bench::obs::record_with(|obs| {
+/// Runs one cell's mixed stream under a recorder: the stats (or the
+/// failure) and the event log.
+fn record_cell(cell: &Cell) -> (Result<RunStats, String>, Vec<ObsEvent>) {
+    stargemm_bench::obs::record_with(|obs| {
         MultiJobMaster::with_dags(
             &cell.platform,
             &cell.requests,
@@ -225,9 +222,20 @@ fn run_cell(cell: &Cell) -> Row {
                     "job {id}: completion order violates the DAG"
                 );
             }
-            Ok((stream_report(&cell.platform, &cell.requests, &stats), stats))
+            Ok(stats)
         })
-    });
+    })
+}
+
+/// Runs one sweep cell (executed on a pool worker). The cell runs under
+/// a recorder so the row can carry its makespan attribution; recording
+/// is observation-only, so the report is identical to an unrecorded run.
+fn run_cell(cell: &Cell) -> Row {
+    let dag_jobs = cell.dags.len();
+    let gemm_jobs = cell.requests.len() - dag_jobs;
+    let (outcome, events) = record_cell(cell);
+    let outcome =
+        outcome.map(|stats| (stream_report(&cell.platform, &cell.requests, &stats), stats));
     let (report, attribution, error) = match outcome {
         Ok((r, stats)) => {
             let attr = Attribution::from_events(&events, stats.makespan);
@@ -316,7 +324,7 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &outcome.to_json());
     }
-    if cli.trace_out.is_some() || cli.attr_out.is_some() {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // The representative mixed cell: the first grid cell that has
         // DAG jobs, re-run serially under the recorder so the trace
         // carries frontier promotions next to the port and worker
@@ -325,25 +333,8 @@ fn main() {
             .iter()
             .find(|c| !c.dags.is_empty())
             .unwrap_or(&cells[0]);
-        let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
-            let mut policy = MultiJobMaster::with_dags(
-                &cell.platform,
-                &cell.requests,
-                cell.dags.clone(),
-                StreamConfig::default(),
-            )
-            .expect("dag policy builds")
-            .with_obs(obs.clone());
-            Simulator::new(cell.platform.clone())
-                .with_arrivals(MultiJobMaster::arrival_plan(&cell.requests))
-                .run_observed(&mut policy, obs)
-        });
+        let (res, events) = record_cell(cell);
         let stats = res.expect("trace cell completes");
-        if let Some(path) = &cli.trace_out {
-            stargemm_bench::obs::write_perfetto(path, &events);
-        }
-        if let Some(path) = &cli.attr_out {
-            stargemm_bench::obs::write_folded_stacks(path, &events, stats.makespan);
-        }
-    }
+        Some((events, stats.makespan))
+    });
 }

@@ -268,7 +268,7 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &outcome.to_json());
     }
-    if cli.trace_out.is_some() || cli.attr_out.is_some() {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // The representative dynamic cell: AdaptiveHet through the
         // crash-top scenario (a top worker dies mid-run), so the trace
         // shows crash, chunk reassignment, and recovery events.
@@ -278,15 +278,10 @@ fn main() {
             .map(|(_, dp, _)| dp)
             .expect("crash-top is always in the grid");
         let mut policy = AdaptiveMaster::adaptive_het(&base, &job).expect("layout fits");
-        let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
+        let (res, events) = stargemm_bench::obs::record_with(|obs| {
             Simulator::new_dyn(dp).run_observed(&mut policy, obs)
         });
         let stats = res.expect("crash-top run succeeds");
-        if let Some(path) = &cli.trace_out {
-            stargemm_bench::obs::write_perfetto(path, &events);
-        }
-        if let Some(path) = &cli.attr_out {
-            stargemm_bench::obs::write_folded_stacks(path, &events, stats.makespan);
-        }
-    }
+        Some((events, stats.makespan))
+    });
 }

@@ -303,7 +303,7 @@ fn main() {
         .render_pretty();
         write_json(path, &json);
     }
-    if cli.trace_out.is_some() || cli.attr_out.is_some() {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // Representative trace: one regional star's MultiJobMaster under
         // the even mix (the federated run is k such timelines plus the
         // uplink drain offsets).
@@ -317,7 +317,7 @@ fn main() {
             seed: 2008,
         }
         .generate();
-        let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
+        let (res, events) = stargemm_bench::obs::record_with(|obs| {
             let mut policy = MultiJobMaster::new(&star, &requests, StreamConfig::default())
                 .expect("trace stream is feasible")
                 .with_obs(obs.clone());
@@ -326,11 +326,6 @@ fn main() {
                 .run_observed(&mut policy, obs)
         });
         let stats = res.expect("trace cell completes");
-        if let Some(path) = &cli.trace_out {
-            stargemm_bench::obs::write_perfetto(path, &events);
-        }
-        if let Some(path) = &cli.attr_out {
-            stargemm_bench::obs::write_folded_stacks(path, &events, stats.makespan);
-        }
-    }
+        Some((events, stats.makespan))
+    });
 }

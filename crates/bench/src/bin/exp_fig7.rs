@@ -28,14 +28,8 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &instances_to_json("fig7", &instances));
     }
-    if let Some(path) = &cli.trace_out {
-        let (p, j) = &grid[0];
-        obs::emit_gemm_trace(path, p, j, Algorithm::Het);
-    }
-    if let Some(path) = &cli.attr_out {
-        let (p, j) = &grid[0];
-        obs::emit_gemm_attr(path, p, j, Algorithm::Het);
-    }
+    let (p, j) = &grid[0];
+    obs::emit_artifacts(&cli, || obs::gemm_cell(p, j, Algorithm::Het));
 
     // Satellite view: where the one-port actually spent its time under
     // the best algorithm (Het) on every platform.

@@ -34,12 +34,8 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &instances_to_json("fig8", &instances));
     }
-    if let Some(path) = &cli.trace_out {
-        let (p, j) = &grid[0];
-        obs::emit_gemm_trace(path, p, j, stargemm_core::algorithms::Algorithm::Het);
-    }
-    if let Some(path) = &cli.attr_out {
-        let (p, j) = &grid[0];
-        obs::emit_gemm_attr(path, p, j, stargemm_core::algorithms::Algorithm::Het);
-    }
+    let (p, j) = &grid[0];
+    obs::emit_artifacts(&cli, || {
+        obs::gemm_cell(p, j, stargemm_core::algorithms::Algorithm::Het)
+    });
 }

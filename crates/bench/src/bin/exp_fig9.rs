@@ -137,12 +137,8 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &instances_to_json("fig9", &all));
     }
-    if let Some(path) = &cli.trace_out {
-        let (p, j) = &grid7[0];
-        stargemm_bench::obs::emit_gemm_trace(path, p, j, Algorithm::Het);
-    }
-    if let Some(path) = &cli.attr_out {
-        let (p, j) = &grid7[0];
-        stargemm_bench::obs::emit_gemm_attr(path, p, j, Algorithm::Het);
-    }
+    let (p, j) = &grid7[0];
+    stargemm_bench::obs::emit_artifacts(&cli, || {
+        stargemm_bench::obs::gemm_cell(p, j, Algorithm::Het)
+    });
 }

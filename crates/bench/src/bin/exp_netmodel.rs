@@ -361,13 +361,13 @@ fn main() {
         .render_pretty();
         write_json(path, &json);
     }
-    if cli.trace_out.is_some() || cli.attr_out.is_some() {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // The representative cell: Het under bounded multi-port k=2 on
         // the ratio-2 preset — the trace shows two concurrent port lanes.
         let platform = stargemm_platform::presets::fully_het(2.0);
         let job = Job::paper(16_000);
         let mut policy = build_policy(&platform, &job, Algorithm::Het).expect("layout fits");
-        let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
+        let (res, events) = stargemm_bench::obs::record_with(|obs| {
             Simulator::new(platform.clone())
                 .with_netmodel(NetModelSpec::BoundedMultiPort {
                     k: 2,
@@ -376,11 +376,6 @@ fn main() {
                 .run_observed(&mut policy, obs)
         });
         let stats = res.expect("trace cell completes");
-        if let Some(path) = &cli.trace_out {
-            stargemm_bench::obs::write_perfetto(path, &events);
-        }
-        if let Some(path) = &cli.attr_out {
-            stargemm_bench::obs::write_folded_stacks(path, &events, stats.makespan);
-        }
-    }
+        Some((events, stats.makespan))
+    });
 }

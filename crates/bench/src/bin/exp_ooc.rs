@@ -106,15 +106,10 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &outcome.to_json());
     }
-    if let Some(path) = &cli.trace_out {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // The representative out-of-core cell: 1200 RAM blocks, 200 MB/s.
         let c = (q * q * 8) as f64 / (200.0 * 1e6);
         let platform = Platform::new("ooc", vec![WorkerSpec::new(c, w, 1_200)]);
-        stargemm_bench::obs::emit_gemm_trace(path, &platform, &job, Algorithm::Bmm);
-    }
-    if let Some(path) = &cli.attr_out {
-        let c = (q * q * 8) as f64 / (200.0 * 1e6);
-        let platform = Platform::new("ooc", vec![WorkerSpec::new(c, w, 1_200)]);
-        stargemm_bench::obs::emit_gemm_attr(path, &platform, &job, Algorithm::Bmm);
-    }
+        stargemm_bench::obs::gemm_cell(&platform, &job, Algorithm::Bmm)
+    });
 }

@@ -73,12 +73,7 @@ fn main() {
         let net_path = path.with_file_name("BENCH_net.json");
         write_json(&net_path, &net_json);
     }
-    if let Some(path) = &cli.trace_out {
-        stargemm_bench::obs::emit_default_trace(path);
-    }
-    if let Some(path) = &cli.attr_out {
-        stargemm_bench::obs::emit_default_attr(path);
-    }
+    stargemm_bench::obs::emit_artifacts(&cli, stargemm_bench::obs::default_cell);
     if let Some(base_path) = &cli.net_baseline {
         let baseline = read_baseline(base_path, NET_BASELINE_SCHEMA);
         match netperf::check_net_baseline(&baseline, &net) {

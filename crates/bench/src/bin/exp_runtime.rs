@@ -112,7 +112,7 @@ fn main() {
         .render_pretty();
         write_json(path, &json);
     }
-    if cli.trace_out.is_some() || cli.attr_out.is_some() {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // Trace the *net* engine (not the simulator): the Perfetto
         // timeline shows reactor-paced transfers, in model seconds.
         let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
@@ -121,15 +121,10 @@ fn main() {
             time_scale,
             ..Default::default()
         });
-        let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
+        let (res, events) = stargemm_bench::obs::record_with(|obs| {
             rt.run_observed(&mut policy, &a, &b, &mut c, obs)
         });
         let stats = res.unwrap();
-        if let Some(path) = &cli.trace_out {
-            stargemm_bench::obs::write_perfetto(path, &events);
-        }
-        if let Some(path) = &cli.attr_out {
-            stargemm_bench::obs::write_folded_stacks(path, &events, stats.makespan);
-        }
-    }
+        Some((events, stats.makespan))
+    });
 }

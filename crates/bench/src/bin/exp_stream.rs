@@ -24,10 +24,10 @@ use serde::json::Value;
 use serde::Serialize;
 use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::Job;
-use stargemm_obs::Attribution;
+use stargemm_obs::{Attribution, ObsEvent};
 use stargemm_platform::dynamic::{DynPlatform, DynProfile, Trace, WorkerDyn};
 use stargemm_platform::{Platform, WorkerSpec};
-use stargemm_sim::Simulator;
+use stargemm_sim::{RunStats, Simulator};
 use stargemm_stream::{
     aggregate_throughput_bound, stream_report, ArrivalProcess, JobRequest, MultiJobMaster,
     StreamConfig, StreamReport, TenantSpec, WorkloadSpec,
@@ -175,11 +175,10 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs one sweep cell (executed on a pool worker). The cell runs under
-/// a recorder so the row can carry its makespan attribution; recording
-/// is observation-only, so the report is identical to an unrecorded run.
-fn run_cell(cell: &Cell) -> Row {
-    let (outcome, events, _) = stargemm_bench::obs::record_with(|obs| {
+/// Runs one cell's stream under a recorder: the stats (or the failure)
+/// and the event log.
+fn record_cell(cell: &Cell) -> (Result<RunStats, String>, Vec<ObsEvent>) {
+    stargemm_bench::obs::record_with(|obs| {
         MultiJobMaster::new(&cell.dp.base, &cell.requests, StreamConfig::default())
             .map_err(|e| e.to_string())
             .and_then(|policy| {
@@ -189,8 +188,16 @@ fn run_cell(cell: &Cell) -> Row {
                     .run_observed(&mut policy, obs)
                     .map_err(|e| e.to_string())
             })
-            .map(|stats| (stream_report(&cell.dp.base, &cell.requests, &stats), stats))
-    });
+    })
+}
+
+/// Runs one sweep cell (executed on a pool worker). The cell runs under
+/// a recorder so the row can carry its makespan attribution; recording
+/// is observation-only, so the report is identical to an unrecorded run.
+fn run_cell(cell: &Cell) -> Row {
+    let (outcome, events) = record_cell(cell);
+    let outcome =
+        outcome.map(|stats| (stream_report(&cell.dp.base, &cell.requests, &stats), stats));
     let (report, attribution, error) = match outcome {
         Ok((r, stats)) => {
             let attr = Attribution::from_events(&events, stats.makespan);
@@ -315,27 +322,13 @@ fn main() {
     if let Some(path) = &cli.json {
         write_json(path, &outcome.to_json());
     }
-    if cli.trace_out.is_some() || cli.attr_out.is_some() {
+    stargemm_bench::obs::emit_artifacts(&cli, || {
         // The representative stream cell: the first grid cell (static
         // platform, uniform mix, lightest load), re-run serially under
         // the recorder — the trace gets job admission/completion, LP
         // re-solves, and deficit credits on the master track.
-        let cell = &cells[0];
-        let (res, events, _) = stargemm_bench::obs::record_with(|obs| {
-            let mut policy =
-                MultiJobMaster::new(&cell.dp.base, &cell.requests, StreamConfig::default())
-                    .expect("stream policy builds")
-                    .with_obs(obs.clone());
-            Simulator::new_dyn(cell.dp.clone())
-                .with_arrivals(MultiJobMaster::arrival_plan(&cell.requests))
-                .run_observed(&mut policy, obs)
-        });
+        let (res, events) = record_cell(&cells[0]);
         let stats = res.expect("trace cell completes");
-        if let Some(path) = &cli.trace_out {
-            stargemm_bench::obs::write_perfetto(path, &events);
-        }
-        if let Some(path) = &cli.attr_out {
-            stargemm_bench::obs::write_folded_stacks(path, &events, stats.makespan);
-        }
-    }
+        Some((events, stats.makespan))
+    });
 }

@@ -126,11 +126,8 @@ fn main() {
         .render_pretty();
         write_json(path, &json);
     }
-    if let Some(path) = &cli.trace_out {
-        // The starvation cell the table is about: x = 8.
-        stargemm_bench::obs::emit_gemm_trace(path, &table2_platform(8.0), &job, Algorithm::Het);
-    }
-    if let Some(path) = &cli.attr_out {
-        stargemm_bench::obs::emit_gemm_attr(path, &table2_platform(8.0), &job, Algorithm::Het);
-    }
+    // The starvation cell the table is about: x = 8.
+    stargemm_bench::obs::emit_artifacts(&cli, || {
+        stargemm_bench::obs::gemm_cell(&table2_platform(8.0), &job, Algorithm::Het)
+    });
 }

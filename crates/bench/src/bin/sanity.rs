@@ -49,10 +49,5 @@ fn main() {
         .render_pretty();
         write_json(path, &json);
     }
-    if let Some(path) = &cli.trace_out {
-        stargemm_bench::obs::emit_default_trace(path);
-    }
-    if let Some(path) = &cli.attr_out {
-        stargemm_bench::obs::emit_default_attr(path);
-    }
+    stargemm_bench::obs::emit_artifacts(&cli, stargemm_bench::obs::default_cell);
 }

@@ -59,6 +59,25 @@ impl Opts {
             .and_then(|i| self.0.get(i + 1))
             .map(String::as_str)
     }
+
+    /// A count option: `default` when absent, an error naming the flag
+    /// and the offending value when present but not a positive integer
+    /// (every count the CLI takes sizes a matrix, and none may be empty).
+    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => match v.parse() {
+                Ok(n) if n > 0 => Ok(n),
+                _ => Err(format!("{key} needs a positive integer, got {v:?}")),
+            },
+        }
+    }
+}
+
+/// Reports a bad option value, then the usage; exit code 2.
+fn bad_option(message: String) -> ExitCode {
+    eprintln!("error: {message}");
+    usage()
 }
 
 fn usage() -> ExitCode {
@@ -109,10 +128,14 @@ fn main() -> ExitCode {
             }
         }
     };
-    let nb: usize = opts
-        .get("--nb")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(80_000);
+    let nb = match opts.positive("--nb", 80_000) {
+        // `Job::paper` cuts B into q = 80 blocks and asserts it can.
+        Ok(nb) if nb % 80 != 0 => {
+            return bad_option(format!("--nb must be a multiple of q = 80, got {nb}"));
+        }
+        Ok(nb) => nb,
+        Err(e) => return bad_option(e),
+    };
     let job = Job::paper(nb);
 
     match cmd.as_str() {
@@ -164,7 +187,10 @@ fn main() -> ExitCode {
             }
         }
         "bounds" => {
-            let t: usize = opts.get("--t").and_then(|s| s.parse().ok()).unwrap_or(100);
+            let t = match opts.positive("--t", 100) {
+                Ok(t) => t,
+                Err(e) => return bad_option(e),
+            };
             println!(
                 "{:>8} {:>12} {:>12} {:>12}",
                 "m", "bound", "maxreuse", "Toledo"
@@ -216,7 +242,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "lu" => {
-            let n: usize = opts.get("--n").and_then(|s| s.parse().ok()).unwrap_or(20);
+            let n = match opts.positive("--n", 20) {
+                Ok(n) => n,
+                Err(e) => return bad_option(e),
+            };
             let alg = opts
                 .get("--alg")
                 .and_then(parse_alg)

@@ -72,7 +72,7 @@ impl Instance {
         let results = Algorithm::all()
             .into_iter()
             .map(|alg| match obs::record_algorithm(platform, job, alg) {
-                Ok((stats, events, _)) => {
+                Ok((stats, events)) => {
                     let metrics = obs::gemm_run_metrics(platform, job, &stats);
                     let attribution = Attribution::from_events(&events, stats.makespan);
                     AlgResult {
@@ -359,15 +359,9 @@ pub fn emit_size_figure(id: &str, title: &str, platform: &Platform, cli: &Cli) {
     if let Some(path) = &cli.json {
         write_json(path, &instances_to_json(id, &instances));
     }
-    if let Some(path) = &cli.trace_out {
-        // The representative cell: Het on the largest size kept.
-        let (p, j) = grid.last().expect("size grid is never empty");
-        obs::emit_gemm_trace(path, p, j, Algorithm::Het);
-    }
-    if let Some(path) = &cli.attr_out {
-        let (p, j) = grid.last().expect("size grid is never empty");
-        obs::emit_gemm_attr(path, p, j, Algorithm::Het);
-    }
+    // The representative cell: Het on the largest size kept.
+    let (p, j) = grid.last().expect("size grid is never empty");
+    obs::emit_artifacts(cli, || obs::gemm_cell(p, j, Algorithm::Het));
 }
 
 /// Standard output for a figure: render both panels, print, and persist

@@ -1,114 +1,101 @@
 //! Observability plumbing shared by the `exp_*` binaries: recording a
-//! representative run under a [`RunRecorder`], exporting Perfetto
-//! traces for `--trace-out`, and deriving the [`RunMetrics`] bound-gap
-//! block embedded in `--json` artifacts.
+//! representative run under a [`RunRecorder`], the one
+//! `--trace-out`/`--attr-out` artifact hook ([`emit_artifacts`]), and
+//! deriving the [`RunMetrics`] bound-gap block embedded in `--json`
+//! artifacts.
 //!
-//! Trace export deliberately *re-runs* one cell serially under the
-//! recorder instead of recording the whole sweep: the artifact is then
-//! independent of `--threads`, and the recorder-off sweep results stay
-//! byte-identical to a sweep that never asked for a trace (the on/off
-//! invariant `tests/obs_props.rs` pins).
+//! The artifact hook deliberately *re-runs* one cell serially under the
+//! recorder instead of recording the whole sweep: the artifacts are
+//! then independent of `--threads`, and the recorder-off sweep results
+//! stay byte-identical to a sweep that never asked for a trace (the
+//! on/off invariant `tests/obs_props.rs` pins).
 
-use std::path::Path;
 use std::rc::Rc;
 
 use stargemm_core::algorithms::{run_algorithm_observed, Algorithm};
 use stargemm_core::steady::lp_throughput;
 use stargemm_core::Job;
-use stargemm_obs::{perfetto_trace, Attribution, MetricsRegistry, ObsEvent, RunMetrics};
+use stargemm_obs::{perfetto_trace, Attribution, ObsEvent, RunMetrics};
 use stargemm_platform::Platform;
 use stargemm_sim::{ObsSink, RunRecorder, RunStats, SimError};
 
-use crate::write_json;
+use crate::{write_json, Cli};
 
 /// Runs `run` with a fresh recorder attached and returns its result
-/// alongside the captured event log and metrics registry. `run`
-/// receives the [`ObsSink`] to thread into whichever engine it drives.
-pub fn record_with<T>(run: impl FnOnce(ObsSink) -> T) -> (T, Vec<ObsEvent>, MetricsRegistry) {
+/// alongside the captured event log. `run` receives the [`ObsSink`] to
+/// thread into whichever engine it drives.
+pub fn record_with<T>(run: impl FnOnce(ObsSink) -> T) -> (T, Vec<ObsEvent>) {
     let rec = RunRecorder::shared();
     let out = run(ObsSink::to(rec.clone()));
     let Ok(rec) = Rc::try_unwrap(rec) else {
         unreachable!("recorder has one owner after the run")
     };
-    let (events, metrics) = rec.into_inner().into_parts();
-    (out, events, metrics)
+    (out, rec.into_inner().into_parts().0)
 }
 
 /// Runs `alg` on `platform`/`job` with a recorder attached and returns
-/// the stats alongside the captured event log and derived metrics.
+/// the stats alongside the captured event log.
 pub fn record_algorithm(
     platform: &Platform,
     job: &Job,
     alg: Algorithm,
-) -> Result<(RunStats, Vec<ObsEvent>, MetricsRegistry), SimError> {
-    let (stats, events, metrics) =
-        record_with(|obs| run_algorithm_observed(platform, job, alg, obs));
-    Ok((stats?, events, metrics))
+) -> Result<(RunStats, Vec<ObsEvent>), SimError> {
+    let (stats, events) = record_with(|obs| run_algorithm_observed(platform, job, alg, obs));
+    Ok((stats?, events))
 }
 
-/// Writes `events` as a Perfetto/Chrome `trace_event` JSON file
-/// (open it at <https://ui.perfetto.dev>).
-pub fn write_perfetto(path: &Path, events: &[ObsEvent]) {
-    write_json(path, &perfetto_trace(events).render_pretty());
+/// Honours `--trace-out` and `--attr-out`, the one artifact hook of
+/// every `exp_*` binary. `cell` records the binary's representative
+/// cell and returns its event log and makespan; it runs only when a
+/// flag is set, once, and both files are written from that one run:
+/// the Perfetto/Chrome `trace_event` JSON (open it at
+/// <https://ui.perfetto.dev>) and the folded flamegraph stacks of the
+/// makespan attribution (one `category;frame;... <µs>` line per stack;
+/// feed to `flamegraph.pl` or inferno).
+pub fn emit_artifacts(cli: &Cli, cell: impl FnOnce() -> Option<(Vec<ObsEvent>, f64)>) {
+    if cli.trace_out.is_none() && cli.attr_out.is_none() {
+        return;
+    }
+    let Some((events, makespan)) = cell() else {
+        return;
+    };
+    if let Some(path) = &cli.trace_out {
+        write_json(path, &perfetto_trace(&events).render_pretty());
+    }
+    if let Some(path) = &cli.attr_out {
+        let attr = Attribution::from_events(&events, makespan);
+        if let Err(e) = std::fs::write(path, attr.folded_stacks()) {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        println!("folded attribution stacks written to {}", path.display());
+    }
 }
 
-/// Honours `--trace-out` for a binary whose representative cell is a
-/// plain single-GEMM run: records `alg` on the cell serially and writes
-/// the Perfetto export. A failing cell reports instead of panicking —
-/// the experiment's own tables already show the error.
-pub fn emit_gemm_trace(path: &Path, platform: &Platform, job: &Job, alg: Algorithm) {
+/// The representative cell of a binary whose cells are plain
+/// single-GEMM runs, for [`emit_artifacts`]: records `alg` serially. A
+/// failing cell reports instead of panicking — the experiment's own
+/// tables already show the error.
+pub fn gemm_cell(platform: &Platform, job: &Job, alg: Algorithm) -> Option<(Vec<ObsEvent>, f64)> {
     match record_algorithm(platform, job, alg) {
-        Ok((_, events, _)) => write_perfetto(path, &events),
-        Err(e) => eprintln!(
-            "(no trace: {} on {} failed: {e})",
-            alg.name(),
-            platform.name
-        ),
+        Ok((stats, events)) => Some((events, stats.makespan)),
+        Err(e) => {
+            eprintln!(
+                "(no trace or attribution: {} on {} failed: {e})",
+                alg.name(),
+                platform.name
+            );
+            None
+        }
     }
 }
 
-/// Honours `--trace-out` for binaries whose own cells are not engine
-/// runs (the LP table, the analytic bounds sweep): traces Het on the
-/// ratio-2 preset so the flag always yields a real schedule to look at.
-pub fn emit_default_trace(path: &Path) {
+/// The cell for binaries whose own cells are not engine runs (the LP
+/// table, the analytic bounds sweep): Het on the ratio-2 preset, so the
+/// flags always yield a real schedule to look at.
+pub fn default_cell() -> Option<(Vec<ObsEvent>, f64)> {
     let platform = stargemm_platform::presets::fully_het(2.0);
-    let job = Job::paper(16_000);
-    emit_gemm_trace(path, &platform, &job, Algorithm::Het);
-}
-
-/// Writes the folded flamegraph stacks of `events`' makespan
-/// attribution (one `category;frame;... <µs>` line per stack; feed to
-/// `flamegraph.pl` or inferno).
-pub fn write_folded_stacks(path: &Path, events: &[ObsEvent], makespan: f64) {
-    let attr = Attribution::from_events(events, makespan);
-    if let Err(e) = std::fs::write(path, attr.folded_stacks()) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("folded attribution stacks written to {}", path.display());
-}
-
-/// Honours `--attr-out` for a binary whose representative cell is a
-/// plain single-GEMM run: records `alg` serially and writes the folded
-/// attribution stacks (mirrors [`emit_gemm_trace`]).
-pub fn emit_gemm_attr(path: &Path, platform: &Platform, job: &Job, alg: Algorithm) {
-    match record_algorithm(platform, job, alg) {
-        Ok((stats, events, _)) => write_folded_stacks(path, &events, stats.makespan),
-        Err(e) => eprintln!(
-            "(no attribution: {} on {} failed: {e})",
-            alg.name(),
-            platform.name
-        ),
-    }
-}
-
-/// Honours `--attr-out` for binaries whose own cells are not engine
-/// runs: attributes Het on the ratio-2 preset (mirrors
-/// [`emit_default_trace`]).
-pub fn emit_default_attr(path: &Path) {
-    let platform = stargemm_platform::presets::fully_het(2.0);
-    let job = Job::paper(16_000);
-    emit_gemm_attr(path, &platform, &job, Algorithm::Het);
+    gemm_cell(&platform, &Job::paper(16_000), Algorithm::Het)
 }
 
 /// The [`RunMetrics`] bound-gap block of a single-GEMM run: port
@@ -191,10 +178,9 @@ mod tests {
     fn recording_does_not_change_the_stats() {
         let (p, j) = tiny();
         let plain = stargemm_core::run_algorithm(&p, &j, Algorithm::Oddoml).unwrap();
-        let (observed, events, metrics) = record_algorithm(&p, &j, Algorithm::Oddoml).unwrap();
+        let (observed, events) = record_algorithm(&p, &j, Algorithm::Oddoml).unwrap();
         assert_eq!(plain, observed);
         assert!(!events.is_empty());
-        assert!(metrics.counter("events.port_acquire") > 0);
     }
 
     #[test]
@@ -221,8 +207,8 @@ mod tests {
                 .map(|s| WorkerSpec::new(2.0 * s.c, s.w, s.m))
                 .collect(),
         );
-        let (st_a, ev_a, _) = record_algorithm(&fast, &job, Algorithm::Het).unwrap();
-        let (st_b, ev_b, _) = record_algorithm(&slow, &job, Algorithm::Het).unwrap();
+        let (st_a, ev_a) = record_algorithm(&fast, &job, Algorithm::Het).unwrap();
+        let (st_b, ev_b) = record_algorithm(&slow, &job, Algorithm::Het).unwrap();
         let a = Attribution::from_events(&ev_a, st_a.makespan);
         let b = Attribution::from_events(&ev_b, st_b.makespan);
         assert!(

@@ -5,9 +5,10 @@
 //! sits from its steady-state LP bound; this module *explains* the gap.
 //! From a recorded [`ObsEvent`] log it
 //!
-//! 1. rebuilds the run's resource intervals (port transfers, compute
-//!    steps, federated uplink shipments, memory stalls, worker
-//!    downtime, job presence),
+//! 1. takes the run's resource intervals from [`spans`] (port
+//!    transfers, compute steps, federated uplink shipments, memory
+//!    stalls, worker downtime, job presence) and clamps them into
+//!    `[0, makespan]`,
 //! 2. sweeps the model-time axis once, classifying every instant into
 //!    exactly one of eight categories by resource priority, and
 //! 3. walks the wait-for chain backwards from the last-finishing
@@ -52,6 +53,7 @@ use serde::json::Value;
 use serde::Serialize;
 
 use crate::event::ObsEvent;
+use crate::span::{spans, Span, Track};
 
 /// Number of attribution categories.
 pub const CATEGORY_COUNT: usize = 8;
@@ -241,26 +243,14 @@ impl Attribution {
             };
         }
 
-        let intervals = build_intervals(events, makespan);
-        let stalls = build_spans(events, makespan, |ev| match ev {
-            ObsEvent::MemoryStallBegin { time, job } => Some((*job, *time, true)),
-            ObsEvent::MemoryStallEnd { time, job } => Some((*job, *time, false)),
-            _ => None,
-        });
-        let downs = build_spans(events, makespan, |ev| match ev {
-            ObsEvent::WorkerDown { time, worker } => Some((*worker as u32, *time, true)),
-            ObsEvent::WorkerUp { time, worker } => Some((*worker as u32, *time, false)),
-            _ => None,
-        });
-        let mut jobs = build_spans(events, makespan, |ev| match ev {
-            ObsEvent::JobArrived { time, job } => Some((*job, *time, true)),
-            ObsEvent::JobCompleted { time, job } => Some((*job, *time, false)),
-            _ => None,
-        });
-        if !events
-            .iter()
-            .any(|ev| matches!(ev, ObsEvent::JobArrived { .. }))
-        {
+        let Tracks {
+            intervals,
+            stalls,
+            downs,
+            mut jobs,
+            saw_job,
+        } = classify(&spans(events), events, makespan);
+        if !saw_job {
             // Static (non-stream) runs carry no arrival events: the one
             // job occupies the whole run.
             jobs = vec![(0.0, makespan)];
@@ -402,21 +392,25 @@ fn next_down(x: f64) -> f64 {
     }
 }
 
-/// Rebuilds port / compute / uplink intervals from the event log,
-/// clamped to `[0, makespan]`, with crash-rework marking.
-fn build_intervals(events: &[ObsEvent], makespan: f64) -> Vec<Interval> {
-    let mut out: Vec<Interval> = Vec::new();
-    // Open-interval stacks keyed by track identity (mirrors the
-    // Perfetto exporter's pairing rules).
-    let mut open_port: Vec<(usize, f64, usize, u32)> = Vec::new(); // lane, start, worker, chunk
-    let mut open_steps: Vec<((usize, u32, u32), f64)> = Vec::new();
-    let mut open_uplinks: Vec<((usize, u32), f64)> = Vec::new();
+/// The spans of a run as the sweep and the path walk consume them.
+struct Tracks {
+    intervals: Vec<Interval>,
+    stalls: Vec<(f64, f64)>,
+    downs: Vec<(f64, f64)>,
+    jobs: Vec<(f64, f64)>,
+    /// The log carries job arrivals (a stream run).
+    saw_job: bool,
+}
+
+/// Clamps every span into `[0, makespan]` and sorts it into its role:
+/// port / compute / uplink intervals with crash-rework marking, and
+/// stall / downtime / job-presence markers.
+fn classify(spans: &[Span], events: &[ObsEvent], makespan: f64) -> Tracks {
     // (chunk, loss time): work on `chunk` ending at or before the loss
     // was thrown away by the crash.
     let mut losses: Vec<(u32, f64)> = Vec::new();
     // Per-worker crash times, to clamp intervals the crash cancelled.
     let mut crashes: Vec<(usize, f64)> = Vec::new();
-
     for ev in events {
         match ev {
             ObsEvent::WorkerDown { time, worker } => crashes.push((*worker, *time)),
@@ -424,156 +418,86 @@ fn build_intervals(events: &[ObsEvent], makespan: f64) -> Vec<Interval> {
             _ => {}
         }
     }
-
-    let mut push =
-        |start: f64, end: f64, kind: Kind, id: u32, place: usize, losses: &[(u32, f64)]| {
-            let s = start.clamp(0.0, makespan);
-            let e = end.clamp(0.0, makespan);
-            if e <= s {
-                return;
-            }
-            let rework = kind != Kind::Uplink && losses.iter().any(|&(c, t)| c == id && e <= t);
-            out.push(Interval {
-                start: s,
-                end: e,
-                kind,
-                id,
-                place,
-                rework,
-            });
-        };
-
-    for ev in events {
-        match ev {
-            ObsEvent::PortAcquire {
-                time,
-                lane,
-                worker,
-                chunk,
-                ..
-            } => {
-                open_port.retain(|(l, ..)| l != lane);
-                open_port.push((*lane, *time, *worker, *chunk));
-            }
-            ObsEvent::PortRelease { time, lane, .. } => {
-                if let Some(pos) = open_port.iter().position(|(l, ..)| l == lane) {
-                    let (_, start, worker, chunk) = open_port.swap_remove(pos);
-                    push(start, *time, Kind::Port, chunk, worker, &losses);
-                }
-            }
-            ObsEvent::ComputeStart {
-                time,
-                worker,
-                chunk,
-                step,
-                ..
-            } => {
-                let key = (*worker, *chunk, *step);
-                open_steps.retain(|(k, _)| *k != key);
-                open_steps.push((key, *time));
-            }
-            ObsEvent::ComputeEnd {
-                time,
-                worker,
-                chunk,
-                step,
-            } => {
-                let key = (*worker, *chunk, *step);
-                if let Some(pos) = open_steps.iter().position(|(k, _)| *k == key) {
-                    let (_, start) = open_steps.swap_remove(pos);
-                    push(start, *time, Kind::Compute, *chunk, *worker, &losses);
-                }
-            }
-            ObsEvent::UplinkAcquire {
-                time, star, job, ..
-            } => {
-                let key = (*star, *job);
-                open_uplinks.retain(|(k, _)| *k != key);
-                open_uplinks.push((key, *time));
-            }
-            ObsEvent::UplinkRelease {
-                time, star, job, ..
-            } => {
-                let key = (*star, *job);
-                if let Some(pos) = open_uplinks.iter().position(|(k, _)| *k == key) {
-                    let (_, start) = open_uplinks.swap_remove(pos);
-                    push(start, *time, Kind::Uplink, *job, *star, &losses);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // A step (or transfer) left open was cancelled in flight: the crash
-    // that cancelled it bounds the time it really occupied the
-    // resource. Everything spent on it is rework.
-    for ((worker, chunk, _), start) in open_steps {
-        let end = crashes
+    let crash_after = |worker: usize, start: f64| {
+        crashes
             .iter()
             .filter(|&&(w, t)| w == worker && t > start)
             .map(|&(_, t)| t)
-            .fold(f64::INFINITY, f64::min);
-        let end = end.min(makespan);
-        if end > start {
-            out.push(Interval {
-                start: start.clamp(0.0, makespan),
-                end,
-                kind: Kind::Compute,
-                id: chunk,
-                place: worker,
-                rework: true,
-            });
-        }
-    }
-    for (_, start, worker, chunk) in open_port {
-        let end = crashes
-            .iter()
-            .filter(|&&(w, t)| w == worker && t > start)
-            .map(|&(_, t)| t)
-            .fold(f64::INFINITY, f64::min);
-        if end.is_finite() && end > start {
-            out.push(Interval {
-                start: start.clamp(0.0, makespan),
-                end: end.min(makespan),
-                kind: Kind::Port,
-                id: chunk,
-                place: worker,
-                rework: true,
-            });
-        }
-    }
-    out
-}
+            .fold(f64::INFINITY, f64::min)
+    };
 
-/// Pairs begin/end marker events (keyed by an id) into clamped spans.
-/// Unclosed begins extend to the makespan.
-fn build_spans(
-    events: &[ObsEvent],
-    makespan: f64,
-    classify: impl Fn(&ObsEvent) -> Option<(u32, f64, bool)>,
-) -> Vec<(f64, f64)> {
-    let mut open: Vec<(u32, f64)> = Vec::new();
-    let mut out: Vec<(f64, f64)> = Vec::new();
-    for ev in events {
-        let Some((id, time, begins)) = classify(ev) else {
-            continue;
-        };
-        if begins {
-            open.retain(|(k, _)| *k != id);
-            open.push((id, time));
-        } else if let Some(pos) = open.iter().position(|(k, _)| *k == id) {
-            let (_, start) = open.swap_remove(pos);
-            let (s, e) = (start.clamp(0.0, makespan), time.clamp(0.0, makespan));
-            if e > s {
-                out.push((s, e));
+    let mut out = Tracks {
+        intervals: Vec::new(),
+        stalls: Vec::new(),
+        downs: Vec::new(),
+        jobs: Vec::new(),
+        saw_job: false,
+    };
+    // Stall / downtime / presence markers; unclosed ones extend to the
+    // makespan.
+    let mark = |marks: &mut Vec<(f64, f64)>, span: &Span| {
+        let s = span.start.clamp(0.0, makespan);
+        let e = span.end.map_or(makespan, |e| e.clamp(0.0, makespan));
+        if e > s {
+            marks.push((s, e));
+        }
+    };
+    for span in spans {
+        let (kind, id, place) = match span.track {
+            Track::Port { worker, chunk, .. } => (Kind::Port, chunk, worker),
+            Track::Compute { worker, chunk, .. } => (Kind::Compute, chunk, worker),
+            Track::Uplink { star, job, .. } => (Kind::Uplink, job, star),
+            Track::MemoryStall { .. } => {
+                mark(&mut out.stalls, span);
+                continue;
             }
-        }
-    }
-    for (_, start) in open {
-        let s = start.clamp(0.0, makespan);
-        if makespan > s {
-            out.push((s, makespan));
-        }
+            Track::Down { .. } => {
+                mark(&mut out.downs, span);
+                continue;
+            }
+            Track::Job { .. } => {
+                out.saw_job = true;
+                mark(&mut out.jobs, span);
+                continue;
+            }
+        };
+        let start = span.start.clamp(0.0, makespan);
+        let (end, rework) = match span.end {
+            Some(end) => {
+                let e = end.clamp(0.0, makespan);
+                if e <= start {
+                    continue;
+                }
+                let lost = kind != Kind::Uplink && losses.iter().any(|&(c, t)| c == id && e <= t);
+                (e, lost)
+            }
+            None if kind == Kind::Uplink => continue,
+            // A step (or transfer) left open was cancelled in flight:
+            // the crash that cancelled it bounds the time it really
+            // occupied the resource, and everything spent on it is
+            // rework. A step no crash explains ran to the end of the
+            // run; a transfer no crash explains is dropped.
+            None => {
+                let crash = crash_after(place, span.start);
+                let bound = if kind == Kind::Compute {
+                    crash.min(makespan)
+                } else {
+                    crash
+                };
+                if !(bound.is_finite() && bound > span.start) {
+                    continue;
+                }
+                (bound.min(makespan), true)
+            }
+        };
+        out.intervals.push(Interval {
+            start,
+            end,
+            kind,
+            id,
+            place,
+            rework,
+        });
     }
     out
 }
@@ -834,46 +758,7 @@ fn walk_critical_path(intervals: &[Interval], makespan: f64) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Dir;
-
-    fn port(t0: f64, t1: f64, lane: usize, worker: usize, chunk: u32) -> [ObsEvent; 2] {
-        [
-            ObsEvent::PortAcquire {
-                time: t0,
-                lane,
-                worker,
-                dir: Dir::ToWorker,
-                chunk,
-                blocks: 1,
-            },
-            ObsEvent::PortRelease {
-                time: t1,
-                lane,
-                worker,
-                dir: Dir::ToWorker,
-                chunk,
-                blocks: 1,
-            },
-        ]
-    }
-
-    fn compute(t0: f64, t1: f64, worker: usize, chunk: u32) -> [ObsEvent; 2] {
-        [
-            ObsEvent::ComputeStart {
-                time: t0,
-                worker,
-                chunk,
-                step: 0,
-                updates: 1,
-            },
-            ObsEvent::ComputeEnd {
-                time: t1,
-                worker,
-                chunk,
-                step: 0,
-            },
-        ]
-    }
+    use crate::span::testlog::{compute, port};
 
     #[test]
     fn empty_run_attributes_nothing() {

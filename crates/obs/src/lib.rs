@@ -21,11 +21,15 @@
 //! recorder-off runs produce byte-identical schedules and stats (pinned
 //! by workspace proptests).
 //!
-//! Downstream of the event stream:
+//! The event log is the one record of a run. [`spans`] pairs its
+//! begin/end events into intervals once — a single definition of what
+//! an interval is, and of what happens to one that never closes — and
+//! every view below reads those spans, so each works on a run of either
+//! engine:
 //!
 //! * [`MetricsRegistry`] — counters, gauges and log-bucketed
 //!   [`Histogram`]s (quantiles oracle-tested against exact sorted
-//!   vectors);
+//!   vectors), derived from the log by [`RunRecorder::into_parts`];
 //! * [`RunMetrics`] — headline *bound-gap* block (port utilization vs
 //!   the LP ceiling, per-worker busy fraction vs plan share, achieved
 //!   vs LP throughput, DAG frontier width) embedded in `--json`
@@ -33,6 +37,10 @@
 //! * [`perfetto_trace`] — Chrome/Perfetto `trace_event` JSON with one
 //!   track per port lane, per worker comm/compute lane, and per job
 //!   (written by every `exp_*` binary's `--trace-out` flag);
+//! * [`render_gantt`] — the ASCII Gantt chart of the schedule, one row
+//!   per port lane and two per worker;
+//! * [`analyze`] — port utilization, per-worker busy time and the
+//!   communication/computation overlap fraction;
 //! * [`Attribution`] — post-run critical-path attribution: a conserved
 //!   decomposition of the makespan into eight wait/work categories
 //!   (summing *bit-exactly* to the makespan), a critical-path summary,
@@ -47,16 +55,22 @@
 //!
 //! [`RunStats`]: ../stargemm_sim/stats/struct.RunStats.html
 
+mod analysis;
 mod attr;
 mod event;
+mod gantt;
 mod metrics;
 mod perfetto;
 mod recorder;
 mod runmetrics;
+mod span;
 
+pub use analysis::{analyze, TraceAnalysis, WorkerBreakdown};
 pub use attr::{Attribution, Categories, CriticalPath, CATEGORY_COUNT, CATEGORY_NAMES};
 pub use event::{Dir, MatTag, ObsEvent};
+pub use gantt::render_gantt;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use perfetto::perfetto_trace;
 pub use recorder::{ObsSink, Recorder, RunRecorder};
 pub use runmetrics::{BoundGap, RunMetrics, TenantGap, WorkerGap};
+pub use span::{spans, Span, Track};

@@ -18,12 +18,13 @@
 //! Times are model seconds scaled to microseconds (`ts`/`dur`).
 //! Intervals left open at the end of the log (e.g. a compute step
 //! cancelled by a crash) are dropped, mirroring engine cancellation
-//! semantics.
+//! semantics; pairing itself is [`spans`]' job.
 
 use serde::json::Value;
 use serde::Serialize;
 
 use crate::event::{Dir, ObsEvent};
+use crate::span::{spans, Track};
 
 const PORT_PID: u64 = 1;
 const WORKER_PID: u64 = 2;
@@ -95,319 +96,137 @@ fn worker_tid(worker: usize, dir: Option<Dir>) -> u64 {
 }
 
 /// Converts a recorded event log into a Perfetto/Chrome `trace_event`
-/// JSON document.
+/// JSON document: duration events from [`spans`], track names and
+/// instants from the events themselves.
 pub fn perfetto_trace(events: &[ObsEvent]) -> Value {
-    let mut out: Vec<Value> = Vec::new();
     let mut metas: Vec<Value> = vec![
         meta(PORT_PID, None, "port"),
         meta(WORKER_PID, None, "workers"),
         meta(MASTER_PID, None, "master"),
         meta(MASTER_PID, Some(1), "decisions"),
     ];
-    let mut seen_lane: Vec<usize> = Vec::new();
-    let mut seen_worker: Vec<usize> = Vec::new();
-    let mut seen_job: Vec<u32> = Vec::new();
-    let mut job_pid_named = false;
+    let mut out: Vec<Value> = Vec::new();
 
-    // Open-interval bookkeeping, keyed by track identity.
-    let mut open_port: Vec<(usize, f64)> = Vec::new();
-    let mut open_steps: Vec<((usize, u32, u32), f64)> = Vec::new();
-    let mut open_jobs: Vec<(u32, f64)> = Vec::new();
-    let mut open_uplinks: Vec<((usize, u32), f64)> = Vec::new();
-    let mut seen_star: Vec<usize> = Vec::new();
-    let mut uplink_pid_named = false;
-
-    let note_lane = |lane: usize, metas: &mut Vec<Value>, seen: &mut Vec<usize>| {
-        if !seen.contains(&lane) {
-            seen.push(lane);
-            metas.push(meta(
-                PORT_PID,
-                Some(lane as u64 + 1),
-                &format!("lane {lane}"),
-            ));
-        }
-    };
-    let note_worker = |w: usize, metas: &mut Vec<Value>, seen: &mut Vec<usize>| {
-        if !seen.contains(&w) {
-            seen.push(w);
-            metas.push(meta(
-                WORKER_PID,
-                Some(worker_tid(w, Some(Dir::ToWorker))),
-                &format!("w{w} send"),
-            ));
-            metas.push(meta(
-                WORKER_PID,
-                Some(worker_tid(w, Some(Dir::ToMaster))),
-                &format!("w{w} recv"),
-            ));
-            metas.push(meta(
-                WORKER_PID,
-                Some(worker_tid(w, None)),
-                &format!("w{w} cpu"),
-            ));
-        }
-    };
-
-    for ev in events {
-        match ev {
-            ObsEvent::PortAcquire {
-                time, lane, worker, ..
-            } => {
-                note_lane(*lane, &mut metas, &mut seen_lane);
-                note_worker(*worker, &mut metas, &mut seen_worker);
-                open_port.retain(|(l, _)| l != lane);
-                open_port.push((*lane, *time));
-            }
-            ObsEvent::PortRelease {
-                time,
+    for s in spans(events) {
+        let Some(end) = s.end else { continue };
+        match s.track {
+            Track::Port {
                 lane,
                 worker,
                 dir,
                 chunk,
                 blocks,
+                ..
             } => {
-                note_worker(*worker, &mut metas, &mut seen_worker);
-                if let Some(pos) = open_port.iter().position(|(l, _)| l == lane) {
-                    let (_, start) = open_port.swap_remove(pos);
-                    let args = Value::object([
-                        ("worker", worker.to_value()),
-                        ("chunk", chunk.to_value()),
-                        ("blocks", blocks.to_value()),
-                    ]);
-                    let name = format!("{} w{worker} c{chunk}", dir.label());
-                    // Same interval on the port-lane track and on the
-                    // worker's directional comm track.
-                    out.push(span(
-                        PORT_PID,
-                        *lane as u64 + 1,
-                        name.clone(),
-                        start,
-                        *time,
-                        args.clone(),
-                    ));
-                    out.push(span(
-                        WORKER_PID,
-                        worker_tid(*worker, Some(*dir)),
-                        name,
-                        start,
-                        *time,
-                        args,
-                    ));
-                }
+                let args = Value::object([
+                    ("worker", worker.to_value()),
+                    ("chunk", chunk.to_value()),
+                    ("blocks", blocks.to_value()),
+                ]);
+                let name = format!("{} w{worker} c{chunk}", dir.label());
+                // Same interval on the port-lane track and on the
+                // worker's directional comm track.
+                out.push(span(
+                    PORT_PID,
+                    lane as u64 + 1,
+                    name.clone(),
+                    s.start,
+                    end,
+                    args.clone(),
+                ));
+                out.push(span(
+                    WORKER_PID,
+                    worker_tid(worker, Some(dir)),
+                    name,
+                    s.start,
+                    end,
+                    args,
+                ));
             }
-            ObsEvent::ComputeStart {
-                time,
+            Track::Compute {
                 worker,
                 chunk,
                 step,
                 ..
-            } => {
-                note_worker(*worker, &mut metas, &mut seen_worker);
-                let key = (*worker, *chunk, *step);
-                open_steps.retain(|(k, _)| *k != key);
-                open_steps.push((key, *time));
+            } => out.push(span(
+                WORKER_PID,
+                worker_tid(worker, None),
+                format!("c{chunk} s{step}"),
+                s.start,
+                end,
+                Value::object([("chunk", chunk.to_value()), ("step", step.to_value())]),
+            )),
+            Track::Uplink { star, job, blocks } => out.push(span(
+                UPLINK_PID,
+                star as u64 + 1,
+                format!("feed j{job}"),
+                s.start,
+                end,
+                Value::object([("job", job.to_value()), ("blocks", blocks.to_value())]),
+            )),
+            Track::Job { job } => out.push(span(
+                JOB_PID,
+                job as u64 + 1,
+                format!("job {job}"),
+                s.start,
+                end,
+                Value::object([("job", job.to_value())]),
+            )),
+            // Stalls and downtime are exported as their begin/end
+            // instants only.
+            Track::MemoryStall { .. } | Track::Down { .. } => {}
+        }
+    }
+
+    let mut seen_lane: Vec<usize> = Vec::new();
+    let mut seen_worker: Vec<usize> = Vec::new();
+    let mut seen_job: Vec<u32> = Vec::new();
+    let mut seen_star: Vec<usize> = Vec::new();
+    let mut note_worker = |w: usize, metas: &mut Vec<Value>| {
+        if !seen_worker.contains(&w) {
+            seen_worker.push(w);
+            for (dir, label) in [
+                (Some(Dir::ToWorker), "send"),
+                (Some(Dir::ToMaster), "recv"),
+                (None, "cpu"),
+            ] {
+                let tid = worker_tid(w, dir);
+                metas.push(meta(WORKER_PID, Some(tid), &format!("w{w} {label}")));
             }
-            ObsEvent::ComputeEnd {
-                time,
-                worker,
-                chunk,
-                step,
-            } => {
-                let key = (*worker, *chunk, *step);
-                if let Some(pos) = open_steps.iter().position(|(k, _)| *k == key) {
-                    let (_, start) = open_steps.swap_remove(pos);
-                    out.push(span(
-                        WORKER_PID,
-                        worker_tid(*worker, None),
-                        format!("c{chunk} s{step}"),
-                        start,
-                        *time,
-                        Value::object([("chunk", chunk.to_value()), ("step", step.to_value())]),
-                    ));
+        }
+    };
+    for ev in events {
+        match ev {
+            ObsEvent::PortAcquire { lane, worker, .. } => {
+                if !seen_lane.contains(lane) {
+                    seen_lane.push(*lane);
+                    let tid = *lane as u64 + 1;
+                    metas.push(meta(PORT_PID, Some(tid), &format!("lane {lane}")));
                 }
+                note_worker(*worker, &mut metas);
             }
-            ObsEvent::JobArrived { time, job } => {
-                if !job_pid_named {
-                    job_pid_named = true;
+            ObsEvent::PortRelease { worker, .. } | ObsEvent::ComputeStart { worker, .. } => {
+                note_worker(*worker, &mut metas);
+            }
+            ObsEvent::JobArrived { job, .. } if !seen_job.contains(job) => {
+                if seen_job.is_empty() {
                     metas.push(meta(JOB_PID, None, "jobs"));
                 }
-                if !seen_job.contains(job) {
-                    seen_job.push(*job);
-                    metas.push(meta(JOB_PID, Some(*job as u64 + 1), &format!("job {job}")));
-                }
-                open_jobs.retain(|(j, _)| j != job);
-                open_jobs.push((*job, *time));
+                seen_job.push(*job);
+                metas.push(meta(JOB_PID, Some(*job as u64 + 1), &format!("job {job}")));
             }
-            ObsEvent::JobCompleted { time, job } => {
-                if let Some(pos) = open_jobs.iter().position(|(j, _)| j == job) {
-                    let (_, start) = open_jobs.swap_remove(pos);
-                    out.push(span(
-                        JOB_PID,
-                        *job as u64 + 1,
-                        format!("job {job}"),
-                        start,
-                        *time,
-                        Value::object([("job", job.to_value())]),
-                    ));
-                }
-                out.push(instant(
-                    "job_completed".to_string(),
-                    ev.time(),
-                    Value::object([("job", job.to_value())]),
-                ));
-            }
-            ObsEvent::Dispatch {
-                time,
-                worker,
-                chunk,
-                step,
-                mat,
-                blocks,
-            } => {
-                out.push(instant(
-                    format!("dispatch {} w{worker}", mat.label()),
-                    *time,
-                    Value::object([
-                        ("worker", worker.to_value()),
-                        ("chunk", chunk.to_value()),
-                        ("step", step.to_value()),
-                        ("mat", mat.label().to_value()),
-                        ("blocks", blocks.to_value()),
-                    ]),
-                ));
-            }
-            ObsEvent::LpResolve { time, jobs, shares } => {
-                out.push(instant(
-                    "lp_resolve".to_string(),
-                    *time,
-                    Value::object([
-                        (
-                            "jobs",
-                            Value::Array(jobs.iter().map(|j| j.to_value()).collect()),
-                        ),
-                        (
-                            "shares",
-                            Value::Array(shares.iter().map(|s| s.to_value()).collect()),
-                        ),
-                    ]),
-                ));
-            }
-            ObsEvent::DeficitCredit {
-                time,
-                job,
-                port_seconds,
-            } => {
-                out.push(instant(
-                    "deficit_credit".to_string(),
-                    *time,
-                    Value::object([
-                        ("job", job.to_value()),
-                        ("port_seconds", port_seconds.to_value()),
-                    ]),
-                ));
-            }
-            ObsEvent::FrontierPromote {
-                time,
-                job,
-                task,
-                worker,
-                frontier_width,
-            } => {
-                out.push(instant(
-                    format!("promote j{job} t{task}"),
-                    *time,
-                    Value::object([
-                        ("job", job.to_value()),
-                        ("task", task.to_value()),
-                        ("worker", worker.to_value()),
-                        ("frontier_width", frontier_width.to_value()),
-                    ]),
-                ));
-            }
-            ObsEvent::WorkerDown { time, worker } => {
-                out.push(instant(
-                    format!("worker_down w{worker}"),
-                    *time,
-                    Value::object([("worker", worker.to_value())]),
-                ));
-            }
-            ObsEvent::WorkerUp { time, worker } => {
-                out.push(instant(
-                    format!("worker_up w{worker}"),
-                    *time,
-                    Value::object([("worker", worker.to_value())]),
-                ));
-            }
-            ObsEvent::ChunkLost {
-                time,
-                worker,
-                chunk,
-            } => {
-                out.push(instant(
-                    format!("chunk_lost c{chunk}"),
-                    *time,
-                    Value::object([("worker", worker.to_value()), ("chunk", chunk.to_value())]),
-                ));
-            }
-            ObsEvent::UplinkAcquire {
-                time, star, job, ..
-            } => {
-                if !uplink_pid_named {
-                    uplink_pid_named = true;
+            ObsEvent::UplinkAcquire { star, .. } if !seen_star.contains(star) => {
+                if seen_star.is_empty() {
                     metas.push(meta(UPLINK_PID, None, "uplinks"));
                 }
-                if !seen_star.contains(star) {
-                    seen_star.push(*star);
-                    metas.push(meta(
-                        UPLINK_PID,
-                        Some(*star as u64 + 1),
-                        &format!("star {star}"),
-                    ));
-                }
-                let key = (*star, *job);
-                open_uplinks.retain(|(k, _)| *k != key);
-                open_uplinks.push((key, *time));
+                seen_star.push(*star);
+                let tid = *star as u64 + 1;
+                metas.push(meta(UPLINK_PID, Some(tid), &format!("star {star}")));
             }
-            ObsEvent::UplinkRelease {
-                time,
-                star,
-                job,
-                blocks,
-            } => {
-                let key = (*star, *job);
-                if let Some(pos) = open_uplinks.iter().position(|(k, _)| *k == key) {
-                    let (_, start) = open_uplinks.swap_remove(pos);
-                    out.push(span(
-                        UPLINK_PID,
-                        *star as u64 + 1,
-                        format!("feed j{job}"),
-                        start,
-                        *time,
-                        Value::object([("job", job.to_value()), ("blocks", blocks.to_value())]),
-                    ));
-                }
-            }
-            ObsEvent::MemoryStallBegin { time, job } => {
-                out.push(instant(
-                    format!("memory_stall_begin j{job}"),
-                    *time,
-                    Value::object([("job", job.to_value())]),
-                ));
-            }
-            ObsEvent::MemoryStallEnd { time, job } => {
-                out.push(instant(
-                    format!("memory_stall_end j{job}"),
-                    *time,
-                    Value::object([("job", job.to_value())]),
-                ));
-            }
-            ObsEvent::JobAdmitted { time, job } => {
-                out.push(instant(
-                    "job_admitted".to_string(),
-                    *time,
-                    Value::object([("job", job.to_value())]),
-                ));
-            }
+            _ => {}
+        }
+        if let Some((name, args)) = decision(ev) {
+            out.push(instant(name, ev.time(), args));
         }
     }
 
@@ -416,6 +235,90 @@ pub fn perfetto_trace(events: &[ObsEvent]) -> Value {
         ("traceEvents", Value::Array(metas)),
         ("displayTimeUnit", "ms".to_value()),
     ])
+}
+
+/// Name and args of the instant an event puts on the master decisions
+/// track; `None` for the events that only open or close an interval.
+fn decision(ev: &ObsEvent) -> Option<(String, Value)> {
+    let job_args = |job: &u32| Value::object([("job", job.to_value())]);
+    let worker_args = |worker: &usize| Value::object([("worker", worker.to_value())]);
+    Some(match ev {
+        ObsEvent::Dispatch {
+            worker,
+            chunk,
+            step,
+            mat,
+            blocks,
+            ..
+        } => (
+            format!("dispatch {} w{worker}", mat.label()),
+            Value::object([
+                ("worker", worker.to_value()),
+                ("chunk", chunk.to_value()),
+                ("step", step.to_value()),
+                ("mat", mat.label().to_value()),
+                ("blocks", blocks.to_value()),
+            ]),
+        ),
+        ObsEvent::LpResolve { jobs, shares, .. } => (
+            "lp_resolve".to_string(),
+            Value::object([
+                (
+                    "jobs",
+                    Value::Array(jobs.iter().map(|j| j.to_value()).collect()),
+                ),
+                (
+                    "shares",
+                    Value::Array(shares.iter().map(|s| s.to_value()).collect()),
+                ),
+            ]),
+        ),
+        ObsEvent::DeficitCredit {
+            job, port_seconds, ..
+        } => (
+            "deficit_credit".to_string(),
+            Value::object([
+                ("job", job.to_value()),
+                ("port_seconds", port_seconds.to_value()),
+            ]),
+        ),
+        ObsEvent::FrontierPromote {
+            job,
+            task,
+            worker,
+            frontier_width,
+            ..
+        } => (
+            format!("promote j{job} t{task}"),
+            Value::object([
+                ("job", job.to_value()),
+                ("task", task.to_value()),
+                ("worker", worker.to_value()),
+                ("frontier_width", frontier_width.to_value()),
+            ]),
+        ),
+        ObsEvent::WorkerDown { worker, .. } => {
+            (format!("worker_down w{worker}"), worker_args(worker))
+        }
+        ObsEvent::WorkerUp { worker, .. } => (format!("worker_up w{worker}"), worker_args(worker)),
+        ObsEvent::ChunkLost { worker, chunk, .. } => (
+            format!("chunk_lost c{chunk}"),
+            Value::object([("worker", worker.to_value()), ("chunk", chunk.to_value())]),
+        ),
+        ObsEvent::MemoryStallBegin { job, .. } => {
+            (format!("memory_stall_begin j{job}"), job_args(job))
+        }
+        ObsEvent::MemoryStallEnd { job, .. } => (format!("memory_stall_end j{job}"), job_args(job)),
+        ObsEvent::JobAdmitted { job, .. } => ("job_admitted".to_string(), job_args(job)),
+        ObsEvent::JobCompleted { job, .. } => ("job_completed".to_string(), job_args(job)),
+        ObsEvent::PortAcquire { .. }
+        | ObsEvent::PortRelease { .. }
+        | ObsEvent::ComputeStart { .. }
+        | ObsEvent::ComputeEnd { .. }
+        | ObsEvent::UplinkAcquire { .. }
+        | ObsEvent::UplinkRelease { .. }
+        | ObsEvent::JobArrived { .. } => return None,
+    })
 }
 
 #[cfg(test)]

@@ -5,14 +5,15 @@
 //! through it is one `Option` branch and the event-constructing closure
 //! never runs. An attached recorder can only *observe* — nothing in the
 //! engines reads recorder state — so attaching one cannot perturb a
-//! schedule (pinned by workspace proptests comparing serialized
-//! `RunStats` and traces recorder-on vs recorder-off).
+//! schedule (pinned by workspace proptests comparing `RunStats` and
+//! the policy-visible callback log recorder-on vs recorder-off).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::event::ObsEvent;
 use crate::metrics::MetricsRegistry;
+use crate::span::{spans, Track};
 
 /// A consumer of structured observability events.
 pub trait Recorder {
@@ -68,10 +69,10 @@ impl std::fmt::Debug for ObsSink {
     }
 }
 
-/// The standard in-memory recorder: keeps the full event log and feeds
-/// a [`MetricsRegistry`] as events stream in.
+/// The standard in-memory recorder: keeps the full event log.
 ///
-/// Derived registry entries:
+/// Recording is a push; the [`MetricsRegistry`] is derived from the log
+/// once, by [`RunRecorder::into_parts`]:
 ///
 /// * `events.<kind>` counters for every event kind;
 /// * `port.transfer_secs` histogram of lane occupancy intervals;
@@ -81,12 +82,6 @@ impl std::fmt::Debug for ObsSink {
 #[derive(Default)]
 pub struct RunRecorder {
     events: Vec<ObsEvent>,
-    metrics: MetricsRegistry,
-    /// Lane → acquire time, for occupancy histograms.
-    open_lanes: Vec<(usize, f64)>,
-    /// (worker, chunk, step) → start time, for step histograms.
-    open_steps: Vec<((usize, u32, u32), f64)>,
-    active_jobs: i64,
 }
 
 impl RunRecorder {
@@ -106,68 +101,51 @@ impl RunRecorder {
         &self.events
     }
 
-    /// The metrics derived while recording.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Consumes the recorder, returning `(events, metrics)`.
     pub fn into_parts(self) -> (Vec<ObsEvent>, MetricsRegistry) {
-        (self.events, self.metrics)
+        let mut metrics = MetricsRegistry::new();
+        let mut active_jobs = 0i64;
+        let mut kinds: Vec<(&'static str, u64)> = Vec::new();
+        for ev in &self.events {
+            let kind = ev.kind();
+            match kinds.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => kinds.push((kind, 1)),
+            }
+            match ev {
+                ObsEvent::FrontierPromote { frontier_width, .. } => {
+                    metrics.observe("dag.frontier_width", *frontier_width as f64);
+                }
+                ObsEvent::JobAdmitted { .. } | ObsEvent::JobCompleted { .. } => {
+                    active_jobs += if matches!(ev, ObsEvent::JobAdmitted { .. }) {
+                        1
+                    } else {
+                        -1
+                    };
+                    metrics.set("jobs.active", active_jobs as f64);
+                }
+                _ => {}
+            }
+        }
+        for (kind, n) in kinds {
+            metrics.add(&format!("events.{kind}"), n);
+        }
+        for span in spans(&self.events) {
+            let name = match span.track {
+                Track::Port { .. } => "port.transfer_secs",
+                Track::Compute { .. } => "compute.step_secs",
+                _ => continue,
+            };
+            if let Some(end) = span.end {
+                metrics.observe(name, end - span.start);
+            }
+        }
+        (self.events, metrics)
     }
 }
 
 impl Recorder for RunRecorder {
     fn record(&mut self, ev: ObsEvent) {
-        self.metrics.inc(&format!("events.{}", ev.kind()));
-        match ev {
-            ObsEvent::PortAcquire { time, lane, .. } => {
-                self.open_lanes.retain(|(l, _)| *l != lane);
-                self.open_lanes.push((lane, time));
-            }
-            ObsEvent::PortRelease { time, lane, .. } => {
-                if let Some(pos) = self.open_lanes.iter().position(|(l, _)| *l == lane) {
-                    let (_, since) = self.open_lanes.swap_remove(pos);
-                    self.metrics.observe("port.transfer_secs", time - since);
-                }
-            }
-            ObsEvent::ComputeStart {
-                time,
-                worker,
-                chunk,
-                step,
-                ..
-            } => {
-                let key = (worker, chunk, step);
-                self.open_steps.retain(|(k, _)| *k != key);
-                self.open_steps.push((key, time));
-            }
-            ObsEvent::ComputeEnd {
-                time,
-                worker,
-                chunk,
-                step,
-            } => {
-                let key = (worker, chunk, step);
-                if let Some(pos) = self.open_steps.iter().position(|(k, _)| *k == key) {
-                    let (_, since) = self.open_steps.swap_remove(pos);
-                    self.metrics.observe("compute.step_secs", time - since);
-                }
-            }
-            ObsEvent::FrontierPromote { frontier_width, .. } => {
-                self.metrics
-                    .observe("dag.frontier_width", frontier_width as f64);
-            }
-            ObsEvent::JobAdmitted { .. } => {
-                self.active_jobs += 1;
-                self.metrics.set("jobs.active", self.active_jobs as f64);
-            }
-            ObsEvent::JobCompleted { .. } => {
-                self.active_jobs -= 1;
-                self.metrics.set("jobs.active", self.active_jobs as f64);
-            }
-            _ => {}
-        }
         self.events.push(ev);
     }
 }
@@ -221,7 +199,7 @@ mod tests {
         drop(sink);
         let rec = Rc::try_unwrap(rec).ok().expect("sole owner").into_inner();
         assert_eq!(rec.events().len(), 4);
-        let m = rec.metrics();
+        let (_, m) = rec.into_parts();
         assert_eq!(m.counter("events.port_acquire"), 1);
         let h = m.histogram("port.transfer_secs").unwrap();
         assert_eq!(h.count(), 1);
@@ -238,6 +216,12 @@ mod tests {
         a.emit(|| ObsEvent::JobArrived { time: 0.0, job: 1 });
         b.emit(|| ObsEvent::JobAdmitted { time: 0.0, job: 1 });
         assert_eq!(rec.borrow().events().len(), 2);
-        assert_eq!(rec.borrow().metrics().gauge("jobs.active"), Some(1.0));
+        drop((a, b));
+        let (_, m) = Rc::try_unwrap(rec)
+            .ok()
+            .expect("sole owner")
+            .into_inner()
+            .into_parts();
+        assert_eq!(m.gauge("jobs.active"), Some(1.0));
     }
 }

@@ -29,7 +29,6 @@ use crate::model::{EvKind, StarModel};
 use crate::msg::{ChunkId, JobId};
 use crate::policy::{Action, MasterPolicy, SimCtx};
 use crate::stats::RunStats;
-use crate::trace::TraceEntry;
 
 /// The simulator: owns the platform description and run options.
 #[derive(Clone, Debug)]
@@ -42,7 +41,6 @@ pub struct Simulator {
     /// Multi-job stream: `(arrival time, job id)` pairs delivered to the
     /// policy as [`crate::policy::SimEvent::JobArrived`] events.
     arrivals: Vec<(f64, JobId)>,
-    record_trace: bool,
     /// Defensive cap on processed events (a correct policy on the paper's
     /// largest instance needs ~10⁶).
     max_events: u64,
@@ -57,14 +55,13 @@ const _: () = {
 };
 
 impl Simulator {
-    /// A simulator for `platform` with tracing disabled.
+    /// A simulator for the static one-port `platform`.
     pub fn new(platform: Platform) -> Self {
         Simulator {
             platform,
             profile: None,
             netmodel: NetModelSpec::OnePort,
             arrivals: Vec::new(),
-            record_trace: false,
             max_events: 200_000_000,
         }
     }
@@ -129,12 +126,6 @@ impl Simulator {
         self
     }
 
-    /// Enables per-interval trace recording (needed for Gantt rendering).
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
-        self
-    }
-
     /// Overrides the defensive event cap.
     pub fn with_max_events(mut self, cap: u64) -> Self {
         self.max_events = cap;
@@ -148,43 +139,25 @@ impl Simulator {
 
     /// Runs `policy` to completion and returns aggregate statistics.
     pub fn run(&self, policy: &mut dyn MasterPolicy) -> Result<RunStats, SimError> {
-        self.run_traced(policy).map(|(stats, _)| stats)
+        self.run_observed(policy, ObsSink::off())
     }
 
-    /// Runs `policy` and also returns the recorded trace (empty unless
-    /// [`Self::with_trace`] was enabled).
-    pub fn run_traced(
-        &self,
-        policy: &mut dyn MasterPolicy,
-    ) -> Result<(RunStats, Vec<TraceEntry>), SimError> {
-        self.run_traced_observed(policy, ObsSink::off())
-    }
-
-    /// [`Self::run`] with a structured-event recorder attached.
+    /// [`Self::run`] with a structured-event recorder attached; the
+    /// recorded log is the run's schedule (`stargemm_obs::spans` pairs
+    /// it into intervals for the Gantt, Perfetto and attribution views).
     ///
     /// The sink is a *run parameter* — never stored on the simulator —
     /// so `Simulator` stays `Send + Sync + Clone` while the (`Rc`-based,
     /// deliberately `!Send`) sink lives only for the run. A recorder can
-    /// only observe: attaching one cannot change the schedule, the
-    /// stats, or the trace.
+    /// only observe: attaching one cannot change the schedule or the
+    /// stats.
     pub fn run_observed(
         &self,
         policy: &mut dyn MasterPolicy,
         obs: ObsSink,
     ) -> Result<RunStats, SimError> {
-        self.run_traced_observed(policy, obs)
-            .map(|(stats, _)| stats)
-    }
-
-    /// [`Self::run_traced`] with a structured-event recorder attached.
-    pub fn run_traced_observed(
-        &self,
-        policy: &mut dyn MasterPolicy,
-        obs: ObsSink,
-    ) -> Result<(RunStats, Vec<TraceEntry>), SimError> {
         let mut st = StarModel::new(
             &self.platform,
-            self.record_trace,
             self.profile.clone(),
             &self.netmodel,
             &self.arrivals,
@@ -201,9 +174,7 @@ impl Simulator {
             })?;
 
             if sm.is_done() && !st.has_work_events() {
-                let stats = st.collect_stats(policy.name());
-                let trace = st.trace.take().unwrap_or_default();
-                return Ok((stats, trace));
+                return Ok(st.collect_stats(policy.name()));
             }
 
             let Some(ev) = st.next_event()? else {
@@ -286,6 +257,7 @@ mod tests {
     use super::*;
     use crate::msg::{ChunkDescr, Fragment};
     use crate::policy::{Action, SimEvent};
+    use stargemm_obs::{analyze, spans, MatTag, ObsEvent, RunRecorder, Track};
     use stargemm_platform::{WorkerId, WorkerSpec};
 
     /// Replays a fixed list of actions in order, emitting `Wait` when the
@@ -360,6 +332,29 @@ mod tests {
         Platform::new("tiny", vec![WorkerSpec::new(c, w, m)])
     }
 
+    /// Runs `policy` under a recorder; returns the stats and the log.
+    fn record(sim: &Simulator, policy: &mut dyn MasterPolicy) -> (RunStats, Vec<ObsEvent>) {
+        let rec = RunRecorder::shared();
+        let stats = sim.run_observed(policy, ObsSink::to(rec.clone())).unwrap();
+        let events = rec.borrow().events().to_vec();
+        (stats, events)
+    }
+
+    /// The interval of the `mat` fragment dispatched for `(chunk, step)`.
+    fn send_of(events: &[ObsEvent], mat: MatTag, chunk: ChunkId, step: u32) -> (f64, f64) {
+        spans(events)
+            .iter()
+            .find_map(|s| match s.track {
+                Track::Port {
+                    chunk: c,
+                    dispatch: Some(d),
+                    ..
+                } if c == chunk && d == (mat, step) => Some((s.start, s.end.unwrap())),
+                _ => None,
+            })
+            .unwrap()
+    }
+
     #[test]
     fn one_chunk_timing_is_exact() {
         // c = w = 1 per block. Transfers: C 0→4, B0 4→6, A0 6→8,
@@ -395,24 +390,47 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_all_intervals() {
-        use crate::trace::TraceKind;
-        let sim = Simulator::new(one_worker(1.0, 1.0, 100)).with_trace(true);
+    fn recorded_spans_are_the_exact_schedule() {
+        // The intervals of `one_chunk_timing_is_exact`, spelled out.
+        let sim = Simulator::new(one_worker(1.0, 1.0, 100));
         let mut p = Script::new(full_script(demo_descr(), 0));
-        let (_, trace) = sim.run_traced(&mut p).unwrap();
-        // 5 sends + 2 computes + 1 retrieval.
-        assert_eq!(trace.len(), 8);
-        assert!(trace.iter().all(|t| t.end >= t.start));
-        // One-port check: transfer intervals must not overlap.
-        let mut transfers: Vec<(f64, f64)> = trace
+        let (stats, events) = record(&sim, &mut p);
+        let mut got: Vec<(f64, f64, String)> = spans(&events)
             .iter()
-            .filter(|t| !matches!(t.kind, TraceKind::Compute { .. }))
-            .map(|t| (t.start, t.end))
+            .map(|s| {
+                let what = match s.track {
+                    Track::Port {
+                        dispatch: Some((mat, step)),
+                        ..
+                    } => format!("{}{step}", mat.label()),
+                    Track::Port { dir, .. } => dir.label().to_string(),
+                    Track::Compute { step, .. } => format!("step{step}"),
+                    other => panic!("unexpected track {other:?}"),
+                };
+                (s.start, s.end.unwrap(), what)
+            })
             .collect();
-        transfers.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for pair in transfers.windows(2) {
-            assert!(pair[0].1 <= pair[1].0 + 1e-12, "port overlap: {pair:?}");
-        }
+        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let want = [
+            (0.0, 4.0, "C0"),
+            (4.0, 6.0, "B0"),
+            (6.0, 8.0, "A0"),
+            (8.0, 10.0, "B1"),
+            (8.0, 12.0, "step0"),
+            (10.0, 12.0, "A1"),
+            (12.0, 16.0, "step1"),
+            (16.0, 20.0, "recv"),
+        ];
+        assert_eq!(got, want.map(|(s, e, what)| (s, e, what.to_string())));
+
+        // The analysis of the same log agrees with the engine's stats.
+        let a = analyze(&events, 1);
+        assert_eq!(a.horizon, stats.makespan);
+        assert!((a.port_busy - stats.port_busy).abs() < 1e-9);
+        assert!((a.workers[0].compute - stats.per_worker[0].busy_time).abs() < 1e-9);
+        // B1/A1 land on [8, 12] while step 0 computes: 4 of the 16
+        // port-busy seconds overlap computation.
+        assert!((a.overlap_fraction - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -643,14 +661,10 @@ mod tests {
 
     #[test]
     fn simulator_clones_run_identically() {
-        let sim = Simulator::new(one_worker(1.0, 1.0, 100)).with_trace(true);
+        let sim = Simulator::new(one_worker(1.0, 1.0, 100));
         let twin = sim.clone();
-        let (s1, t1) = sim
-            .run_traced(&mut Script::new(full_script(demo_descr(), 0)))
-            .unwrap();
-        let (s2, t2) = twin
-            .run_traced(&mut Script::new(full_script(demo_descr(), 0)))
-            .unwrap();
+        let (s1, t1) = record(&sim, &mut Script::new(full_script(demo_descr(), 0)));
+        let (s2, t2) = record(&twin, &mut Script::new(full_script(demo_descr(), 0)));
         assert_eq!(s1, s2);
         assert_eq!(t1, t2);
     }
@@ -704,7 +718,6 @@ mod tests {
 
     #[test]
     fn trace_scaled_transfer_times_are_integrated_exactly() {
-        use crate::trace::TraceKind;
         // Link cost doubles at t = 2: the 4-block C load (4 nominal
         // seconds from t = 0) runs 2 s at ×1 then 2 nominal seconds at
         // ×2 → finishes at 6, not 4.
@@ -714,16 +727,12 @@ mod tests {
             vec![],
         )]);
         let descr = demo_descr();
-        let sim = Simulator::new(one_worker(1.0, 1e-9, 100))
-            .with_profile(profile)
-            .with_trace(true);
+        let sim = Simulator::new(one_worker(1.0, 1e-9, 100)).with_profile(profile);
         let mut p = Script::new(full_script(descr, 0));
-        let (_, trace) = sim.run_traced(&mut p).unwrap();
-        let first = trace
-            .iter()
-            .find(|t| matches!(t.kind, TraceKind::SendToWorker { .. }))
-            .unwrap();
-        assert!((first.end - 6.0).abs() < 1e-9, "{}", first.end);
+        let (_, events) = record(&sim, &mut p);
+        let (start, end) = send_of(&events, MatTag::C, 0, 0);
+        assert_eq!(start, 0.0);
+        assert!((end - 6.0).abs() < 1e-9, "{end}");
     }
 
     #[test]
@@ -1027,23 +1036,6 @@ mod tests {
         (platform, script)
     }
 
-    /// The C-load trace entries, in issue order.
-    fn c_loads(trace: &[crate::trace::TraceEntry]) -> Vec<&crate::trace::TraceEntry> {
-        use crate::trace::TraceKind;
-        trace
-            .iter()
-            .filter(|t| {
-                matches!(
-                    t.kind,
-                    TraceKind::SendToWorker {
-                        kind: crate::msg::MatKind::C,
-                        ..
-                    }
-                )
-            })
-            .collect()
-    }
-
     #[test]
     fn multiport_overlaps_transfers_and_beats_oneport() {
         let (platform, script) = two_worker_script(0);
@@ -1079,16 +1071,12 @@ mod tests {
         // share 0.5, so both finish at t = 8 exactly. The two pauses
         // keep the operand fragments off the wire until then.
         let (platform, script) = two_worker_script(2);
-        let (_, trace) = Simulator::new(platform)
-            .with_netmodel(NetModelSpec::FairShare { backbone: 1.0 })
-            .with_trace(true)
-            .run_traced(&mut Patient::new(script))
-            .unwrap();
-        let loads = c_loads(&trace);
-        assert_eq!(loads.len(), 2);
-        for t in loads {
-            assert_eq!(t.start, 0.0, "{t:?}");
-            assert!((t.end - 8.0).abs() < 1e-9, "{t:?}");
+        let sim = Simulator::new(platform).with_netmodel(NetModelSpec::FairShare { backbone: 1.0 });
+        let (_, events) = record(&sim, &mut Patient::new(script));
+        for chunk in [0, 1] {
+            let (start, end) = send_of(&events, MatTag::C, chunk, 0);
+            assert_eq!(start, 0.0, "chunk {chunk}");
+            assert!((end - 8.0).abs() < 1e-9, "chunk {chunk}: {end}");
         }
     }
 
@@ -1153,33 +1141,27 @@ mod tests {
             worker: 1,
             chunk: 1,
         });
-        let (_, trace) = Simulator::new(platform)
-            .with_netmodel(NetModelSpec::FairShare { backbone: 1.0 })
-            .with_trace(true)
-            .run_traced(&mut Patient::new(script))
-            .unwrap();
-        let loads = c_loads(&trace);
-        assert!((loads[0].end - 6.0).abs() < 1e-9, "{loads:?}");
-        assert!((loads[1].end - 4.0).abs() < 1e-9, "{loads:?}");
+        let sim = Simulator::new(platform).with_netmodel(NetModelSpec::FairShare { backbone: 1.0 });
+        let (_, events) = record(&sim, &mut Patient::new(script));
+        assert_eq!(send_of(&events, MatTag::C, 0, 0), (0.0, 6.0));
+        assert_eq!(send_of(&events, MatTag::C, 1, 0), (0.0, 4.0));
     }
 
     #[test]
     fn multiport_k1_is_bitwise_oneport() {
         let (platform, script) = two_worker_script(0);
-        let op = Simulator::new(platform.clone())
-            .with_trace(true)
-            .run_traced(&mut Patient::new(script.clone()))
-            .unwrap();
-        let k1 = Simulator::new(platform)
-            .with_netmodel(NetModelSpec::BoundedMultiPort {
+        let op = record(
+            &Simulator::new(platform.clone()),
+            &mut Patient::new(script.clone()),
+        );
+        let k1 = record(
+            &Simulator::new(platform).with_netmodel(NetModelSpec::BoundedMultiPort {
                 k: 1,
                 backbone: None,
-            })
-            .with_trace(true)
-            .run_traced(&mut Patient::new(script))
-            .unwrap();
-        assert_eq!(op.0, k1.0);
-        assert_eq!(op.1, k1.1);
+            }),
+            &mut Patient::new(script),
+        );
+        assert_eq!(op, k1);
     }
 
     #[test]
@@ -1222,13 +1204,11 @@ mod tests {
             worker: 0,
             chunk: 0,
         });
-        let (_, trace) = Simulator::new(one_worker(1.0, 1e-9, 100))
-            .with_netmodel(NetModelSpec::FairShare { backbone: 100.0 })
-            .with_trace(true)
-            .run_traced(&mut Patient::new(script))
-            .unwrap();
-        assert!((trace[0].end - 6.0).abs() < 1e-9, "{:?}", &trace[..2]);
-        assert!((trace[1].end - 4.0).abs() < 1e-9, "{:?}", &trace[..2]);
+        let sim = Simulator::new(one_worker(1.0, 1e-9, 100))
+            .with_netmodel(NetModelSpec::FairShare { backbone: 100.0 });
+        let (_, events) = record(&sim, &mut Patient::new(script));
+        assert_eq!(send_of(&events, MatTag::C, 0, 0), (0.0, 6.0));
+        assert_eq!(send_of(&events, MatTag::B, 0, 0), (0.0, 4.0));
     }
 
     #[test]
@@ -1268,13 +1248,11 @@ mod tests {
             worker: 0,
             chunk: 0,
         });
-        let (_, trace) = Simulator::new(one_worker(1.0, 1e-9, 100))
+        let sim = Simulator::new(one_worker(1.0, 1e-9, 100))
             .with_profile(profile)
-            .with_netmodel(NetModelSpec::FairShare { backbone: 0.5 })
-            .with_trace(true)
-            .run_traced(&mut Patient::new(script))
-            .unwrap();
-        assert!((trace[0].end - 12.0).abs() < 1e-9, "{:?}", trace[0]);
+            .with_netmodel(NetModelSpec::FairShare { backbone: 0.5 });
+        let (_, events) = record(&sim, &mut Patient::new(script));
+        assert_eq!(send_of(&events, MatTag::C, 0, 0), (0.0, 12.0));
     }
 
     // ------------------------------------------------------------------

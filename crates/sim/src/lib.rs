@@ -22,7 +22,10 @@
 //! executes the generic dataflow worker semantics, enforces the memory
 //! capacity **strictly** (an algorithm that overflows a worker's buffers
 //! fails the run — this is how the paper's Table 2 infeasibility argument
-//! is demonstrated), and reports [`stats::RunStats`].
+//! is demonstrated), and reports [`stats::RunStats`]. The schedule
+//! itself is recorded once, as the `stargemm-obs` event log of
+//! [`Simulator::run_observed`]; Gantt charts, overlap analysis, Perfetto
+//! traces and attribution are all read off that log there.
 //!
 //! Granularity: one *fragment* (a batch of blocks bound to a `(chunk,
 //! step)` pair) per message and one compute *step* (all updates enabled by
@@ -30,7 +33,6 @@
 //! of the paper's own cost analysis (`2μ c_i` communication then
 //! `μ² w_i` computation per step).
 
-pub mod analysis;
 pub mod engine;
 pub mod error;
 pub mod fed;
@@ -40,7 +42,6 @@ pub mod model;
 pub mod msg;
 pub mod policy;
 pub mod stats;
-pub mod trace;
 
 pub use engine::Simulator;
 pub use error::SimError;

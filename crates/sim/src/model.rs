@@ -6,7 +6,7 @@
 //! component `w + 1` is worker `w` (compute-step completions and
 //! lifecycle transitions). The model owns all star-GEMM state — worker
 //! runtimes, chunk dataflow, memory admission control, statistics and
-//! trace recording — while event ordering, cancellation and the event
+//! observability events — while event ordering, cancellation and the event
 //! cap are the kernel's job.
 //!
 //! Worker semantics are *dataflow*: a compute step fires as soon as the
@@ -37,7 +37,6 @@ use crate::kernel::{ComponentId, Event, EventId, EventQueue, KernelError};
 use crate::msg::{ChunkDescr, ChunkId, Fragment, JobId, MatKind, StepId};
 use crate::policy::{Action, MasterPolicy, SimEvent};
 use crate::stats::{JobStats, PortStats, RunStats, WorkerStats};
-use crate::trace::{TraceEntry, TraceKind};
 
 /// Component id of the master's port.
 pub(crate) const MASTER_PORT: ComponentId = 0;
@@ -204,7 +203,6 @@ struct ActiveTransfer {
     lane: usize,
     event: Option<EventId>,
     completion: EvKind,
-    trace_idx: Option<usize>,
 }
 
 /// Always-on port-lane accounting behind [`PortStats`] — shared with
@@ -290,7 +288,6 @@ pub(crate) struct StarModel {
     obs: ObsSink,
     retrieved_count: u64,
     last_retrieve_done: f64,
-    pub(crate) trace: Option<Vec<TraceEntry>>,
     profile: Option<DynProfile>,
     /// Per-job lifecycle records of a multi-job stream, keyed by job id
     /// (inserted when the arrival event delivers).
@@ -309,7 +306,6 @@ struct JobRecord {
 impl StarModel {
     pub(crate) fn new(
         platform: &Platform,
-        record_trace: bool,
         profile: Option<DynProfile>,
         netmodel: &NetModelSpec,
         arrivals: &[(f64, JobId)],
@@ -345,7 +341,6 @@ impl StarModel {
             obs,
             retrieved_count: 0,
             last_retrieve_done: 0.0,
-            trace: record_trace.then(Vec::new),
             profile,
             jobs: BTreeMap::new(),
             work_events: 0,
@@ -425,7 +420,6 @@ impl StarModel {
             lane,
             event: None,
             completion,
-            trace_idx: self.trace.as_ref().map(|t| t.len().saturating_sub(1)),
         });
         self.port_acct.on_acquire(start, self.active.len());
         self.obs.emit(|| {
@@ -457,7 +451,7 @@ impl StarModel {
     }
 
     /// Removes the completed transfer matching `completion`, charges the
-    /// port time, finalizes its trace interval, and re-shares the rest.
+    /// port time, and re-shares the rest.
     fn finish_transfer(&mut self, completion: EvKind) {
         let idx = self
             .active
@@ -468,11 +462,6 @@ impl StarModel {
         self.port_busy += self.now - t.started;
         self.port_acct
             .on_release(self.now, t.lane, self.now - t.started, self.active.len());
-        if let Some(trace) = self.trace.as_mut() {
-            if let Some(ti) = t.trace_idx {
-                trace[ti].end = self.now;
-            }
-        }
         let now = self.now;
         self.obs.emit(|| {
             let (dir, chunk, blocks) = self.transfer_descr(&t.completion);
@@ -573,12 +562,6 @@ impl StarModel {
         if let Some(kind) = self.queue.cancel(id) {
             debug_assert!(kind.is_work());
             self.work_events -= 1;
-        }
-    }
-
-    fn record(&mut self, entry: TraceEntry) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(entry);
         }
     }
 
@@ -754,17 +737,6 @@ impl StarModel {
 
         let base = fragment.blocks as f64 * w.c;
         let start = self.now;
-        self.record(TraceEntry {
-            kind: TraceKind::SendToWorker {
-                kind: fragment.kind,
-                chunk: fragment.chunk,
-                step: fragment.step,
-                blocks: fragment.blocks,
-            },
-            worker,
-            start,
-            end: start, // finalized when the transfer completes
-        });
         self.obs.emit(|| ObsEvent::Dispatch {
             time: start,
             worker,
@@ -780,13 +752,6 @@ impl StarModel {
     pub(crate) fn start_retrieval(&mut self, worker: WorkerId, chunk: ChunkId) {
         let blocks = self.chunks[&chunk].descr.c_blocks;
         let base = blocks as f64 * self.workers[worker].c;
-        let start = self.now;
-        self.record(TraceEntry {
-            kind: TraceKind::RetrieveFromWorker { chunk, blocks },
-            worker,
-            start,
-            end: start, // finalized when the transfer completes
-        });
         self.begin_transfer(worker, base, EvKind::RetrieveDone { worker, chunk });
     }
 
@@ -999,16 +964,6 @@ impl StarModel {
         let w = &mut self.workers[worker];
         w.compute_free_at = end;
         w.stats.busy_time += end - start;
-        self.record(TraceEntry {
-            kind: TraceKind::Compute {
-                chunk,
-                step,
-                updates,
-            },
-            worker,
-            start,
-            end,
-        });
         self.obs.emit(|| ObsEvent::ComputeStart {
             time: start,
             worker,

@@ -5,7 +5,8 @@
 //! dependence on hashing, allocation, or thread interleaving, so:
 //!
 //! * running the same (platform, trace, policy, seed) scenario twice
-//!   yields **byte-identical** event traces and statistics;
+//!   yields **byte-identical** statistics and policy-visible callback
+//!   logs (every decision and every notification, with its instant);
 //! * a parallel sweep returns its results in grid order, so the
 //!   aggregated JSON artifact is byte-identical whatever `--threads`
 //!   says.
@@ -16,9 +17,12 @@ use stargemm::core::Job;
 use stargemm::dynamic::model::DynPlatform;
 use stargemm::dynamic::{random_scenario, AdaptiveMaster, ScenarioConfig};
 use stargemm::platform::{Platform, WorkerSpec};
-use stargemm::sim::Simulator;
+use stargemm::sim::{MasterPolicy, Simulator};
 use stargemm_bench::sweep::SweepSpec;
 use stargemm_bench::{parallel_map, Instance};
+
+mod common;
+use common::Logged;
 
 fn arb_spec() -> impl Strategy<Value = WorkerSpec> {
     (0.05f64..4.0, 0.05f64..4.0, 16usize..400).prop_map(|(c, w, m)| WorkerSpec::new(c, w, m))
@@ -64,17 +68,14 @@ fn arb_scenario() -> impl Strategy<Value = (DynPlatform, Job)> {
     })
 }
 
-/// Byte form of a run: the `Debug` rendering of stats plus every trace
-/// entry (floats via `{:?}` are shortest-round-trip, so equal strings
-/// mean bit-equal values).
-fn run_bytes(
-    sim: &Simulator,
-    policy_of: impl Fn() -> Box<dyn stargemm::sim::MasterPolicy>,
-) -> String {
-    let mut policy = policy_of();
-    match sim.clone().with_trace(true).run_traced(policy.as_mut()) {
-        Ok((stats, trace)) => format!("{stats:?}\n{trace:?}"),
-        Err(e) => format!("error: {e:?}"),
+/// Byte form of a run: the `Debug` rendering of the stats plus the
+/// policy's full callback log (floats via `{:?}` are
+/// shortest-round-trip, so equal strings mean bit-equal values).
+fn run_bytes(sim: &Simulator, policy: impl MasterPolicy) -> String {
+    let mut policy = Logged::new(policy);
+    match sim.run(&mut policy) {
+        Ok(stats) => format!("{stats:?}\n{:?}", policy.log),
+        Err(e) => format!("error: {e:?}\n{:?}", policy.log),
     }
 }
 
@@ -88,21 +89,20 @@ proptest! {
         let alg = Algorithm::all()[ai];
         prop_assume!(build_policy(&platform, &job, alg).is_ok());
         let sim = Simulator::new(platform.clone());
-        let bytes = |_| {
-            run_bytes(&sim, || Box::new(build_policy(&platform, &job, alg).unwrap()))
-        };
+        let bytes = |_| run_bytes(&sim, build_policy(&platform, &job, alg).unwrap());
         prop_assert_eq!(bytes(0), bytes(1));
     }
 
     /// Dynamic platforms (cost traces + churn): same scenario, same seed
-    /// → byte-identical trace and stats, run-to-run and across clones.
+    /// → byte-identical callback log and stats, run-to-run and across
+    /// clones.
     #[test]
     fn dynamic_runs_are_byte_identical(scenario in arb_scenario()) {
         let (dp, job) = scenario;
         prop_assume!(AdaptiveMaster::adaptive_het(&dp.base, &job).is_ok());
         let sim = Simulator::new_dyn(dp.clone());
         let bytes = |s: &Simulator| {
-            run_bytes(s, || Box::new(AdaptiveMaster::adaptive_het(&dp.base, &job).unwrap()))
+            run_bytes(s, AdaptiveMaster::adaptive_het(&dp.base, &job).unwrap())
         };
         let twin = sim.clone();
         prop_assert_eq!(bytes(&sim), bytes(&sim));
@@ -127,14 +127,10 @@ proptest! {
 }
 
 fn run_scenario(dp: &DynPlatform, job: &Job) -> String {
-    let mut policy = AdaptiveMaster::adaptive_het(&dp.base, job).unwrap();
-    match Simulator::new_dyn(dp.clone())
-        .with_trace(true)
-        .run_traced(&mut policy)
-    {
-        Ok((stats, trace)) => format!("{stats:?}\n{trace:?}"),
-        Err(e) => format!("error: {e:?}"),
-    }
+    run_bytes(
+        &Simulator::new_dyn(dp.clone()),
+        AdaptiveMaster::adaptive_het(&dp.base, job).unwrap(),
+    )
 }
 
 /// The aggregated JSON of a whole sweep is byte-identical across thread

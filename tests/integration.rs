@@ -13,9 +13,28 @@ use stargemm::core::Job;
 use stargemm::linalg::verify::{tolerance_for, verify_product};
 use stargemm::linalg::BlockMatrix;
 use stargemm::net::{NetOptions, NetRuntime};
+use stargemm::obs::{analyze, render_gantt, spans, ObsEvent, Track};
 use stargemm::platform::{presets, Platform, WorkerSpec};
-use stargemm::sim::trace::TraceKind;
-use stargemm::sim::Simulator;
+use stargemm::sim::{MasterPolicy, RunStats, Simulator};
+use stargemm_bench::obs::record_with;
+
+/// Runs `policy` under a recorder; returns the stats and the event log.
+fn recorded(sim: &Simulator, policy: &mut dyn MasterPolicy) -> (RunStats, Vec<ObsEvent>) {
+    let (stats, events) = record_with(|obs| sim.run_observed(policy, obs));
+    (stats.unwrap(), events)
+}
+
+/// The closed `(start, end)` intervals of `events` on the tracks `pick`
+/// selects.
+fn intervals(events: &[ObsEvent], pick: impl Fn(&Track) -> bool) -> Vec<(f64, f64)> {
+    let mut out: Vec<(f64, f64)> = spans(events)
+        .iter()
+        .filter(|s| pick(&s.track))
+        .map(|s| (s.start, s.end.expect("a static run closes every span")))
+        .collect();
+    out.sort_by(|a, b| a.0.total_cmp(&b.0));
+    out
+}
 
 /// A scaled-down cousin of every paper platform (memory shrunk so small
 /// jobs still exercise multi-chunk schedules).
@@ -99,14 +118,9 @@ fn one_port_never_overlaps_transfers() {
             Algorithm::Orroml,
         ] {
             let mut policy = build_policy(&platform, &job, alg).unwrap();
-            let sim = Simulator::new(platform.clone()).with_trace(true);
-            let (_, trace) = sim.run_traced(&mut policy).unwrap();
-            let mut transfers: Vec<(f64, f64)> = trace
-                .iter()
-                .filter(|t| !matches!(t.kind, TraceKind::Compute { .. }))
-                .map(|t| (t.start, t.end))
-                .collect();
-            transfers.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (_, events) = recorded(&Simulator::new(platform.clone()), &mut policy);
+            let transfers = intervals(&events, |t| matches!(t, Track::Port { .. }));
+            assert!(!transfers.is_empty());
             for w in transfers.windows(2) {
                 assert!(
                     w[0].1 <= w[1].0 + 1e-9,
@@ -131,25 +145,21 @@ fn workers_compute_serially_but_overlap_the_port() {
         vec![WorkerSpec::new(0.4, 0.5, 40), WorkerSpec::new(0.4, 0.5, 40)],
     );
     let mut policy = build_policy(&platform, &job, Algorithm::Oddoml).unwrap();
-    let sim = Simulator::new(platform).with_trace(true);
-    let (_, trace) = sim.run_traced(&mut policy).unwrap();
+    let (_, events) = recorded(&Simulator::new(platform), &mut policy);
     for w in 0..2usize {
-        let mut computes: Vec<(f64, f64)> = trace
-            .iter()
-            .filter(|t| t.worker == w && matches!(t.kind, TraceKind::Compute { .. }))
-            .map(|t| (t.start, t.end))
-            .collect();
-        computes.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let computes = intervals(
+            &events,
+            |t| matches!(t, Track::Compute { worker, .. } if *worker == w),
+        );
+        assert!(!computes.is_empty(), "worker {w} never computed");
         for pair in computes.windows(2) {
             assert!(pair[0].1 <= pair[1].0 + 1e-9, "worker {w} computes overlap");
         }
     }
-    let overlap_exists = trace.iter().any(|c| {
-        matches!(c.kind, TraceKind::Compute { .. })
-            && trace.iter().any(|t| {
-                !matches!(t.kind, TraceKind::Compute { .. }) && t.start < c.end && c.start < t.end
-            })
-    });
+    let transfers = intervals(&events, |t| matches!(t, Track::Port { .. }));
+    let overlap_exists = intervals(&events, |t| matches!(t, Track::Compute { .. }))
+        .iter()
+        .any(|c| transfers.iter().any(|t| t.0 < c.1 && c.0 < t.1));
     assert!(overlap_exists, "no comm/compute overlap found at all");
 }
 
@@ -240,7 +250,6 @@ fn het_decision_procedure_is_reproducible() {
 
 #[test]
 fn double_buffered_algorithms_overlap_comm_and_compute() {
-    use stargemm::sim::analysis::analyze;
     let job = Job::new(10, 8, 14, 4);
     let platform = Platform::new(
         "balance",
@@ -248,9 +257,8 @@ fn double_buffered_algorithms_overlap_comm_and_compute() {
     );
     for alg in [Algorithm::Het, Algorithm::Oddoml, Algorithm::Orroml] {
         let mut policy = build_policy(&platform, &job, alg).unwrap();
-        let sim = Simulator::new(platform.clone()).with_trace(true);
-        let (stats, trace) = sim.run_traced(&mut policy).unwrap();
-        let a = analyze(&trace, platform.len());
+        let (stats, events) = recorded(&Simulator::new(platform.clone()), &mut policy);
+        let a = analyze(&events, platform.len());
         assert!((a.horizon - stats.makespan).abs() < 1e-9);
         assert!(
             a.overlap_fraction > 0.2,
@@ -294,4 +302,64 @@ fn makespan_scales_with_matrix_size() {
             large.makespan
         );
     }
+}
+
+/// A reactor run gets the Gantt and the analysis from the same recorded
+/// log a simulator run does. On the cross-validated static Het scenario
+/// the two engines move the same blocks over the same links, so their
+/// per-worker wire seconds agree; the reactor computes inline, in zero
+/// model time, so its log carries no compute intervals to compare.
+#[test]
+fn reactor_run_renders_and_analyzes_like_a_simulator_run() {
+    let job = Job::new(6, 5, 9, 4);
+    let platform = Platform::new(
+        "cross-val",
+        vec![
+            WorkerSpec::new(1e-5, 1e-5, 40),
+            WorkerSpec::new(2e-5, 2e-5, 24),
+            WorkerSpec::new(1e-5, 3e-5, 18),
+        ],
+    );
+    let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
+    let (sim_stats, sim_events) = recorded(&Simulator::new(platform.clone()), &mut policy);
+
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let a = BlockMatrix::random(job.r, job.t, job.q, &mut rng);
+    let b = BlockMatrix::random(job.t, job.s, job.q, &mut rng);
+    let mut c = BlockMatrix::zeros(job.r, job.s, job.q);
+    let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
+    let rt = NetRuntime::new(platform.clone()).with_options(NetOptions {
+        time_scale: 1e-6,
+        ..Default::default()
+    });
+    let (net_stats, net_events) =
+        record_with(|obs| rt.run_observed(&mut policy, &a, &b, &mut c, obs));
+    let net_stats = net_stats.unwrap();
+
+    let gantt = render_gantt(&net_events, platform.len(), 100);
+    for row in ["port L0", "w0 comm", "w2 comm"] {
+        let line = gantt.lines().find(|l| l.starts_with(row)).unwrap();
+        assert!(line.contains('<'), "{row} shows no retrieval:\n{gantt}");
+    }
+    assert!(gantt.contains('C') && gantt.contains('b') && gantt.contains('a'));
+
+    let sim_a = analyze(&sim_events, platform.len());
+    let net_a = analyze(&net_events, platform.len());
+    let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs());
+    assert!(close(net_a.port_busy, sim_a.port_busy));
+    assert!(close(sim_a.port_busy, sim_stats.port_busy));
+    // The reactor's own `port_busy` is wall seconds: model × time_scale.
+    assert!(close(net_a.port_busy * 1e-6, net_stats.port_busy));
+    for (w, (n, s)) in net_a.workers.iter().zip(&sim_a.workers).enumerate() {
+        assert!(
+            close(n.transfer, s.transfer),
+            "worker {w}: reactor {} vs simulator {} wire seconds",
+            n.transfer,
+            s.transfer
+        );
+        assert!(close(s.compute, sim_stats.per_worker[w].busy_time));
+        assert_eq!(n.compute, 0.0, "the reactor models no compute time");
+    }
+    assert_eq!(net_a.overlap_fraction, 0.0);
+    assert!(sim_a.overlap_fraction > 0.5);
 }

@@ -5,7 +5,7 @@
 //! 1. **The refactor is behavior-preserving**: routing the paper's
 //!    one-port model through the `ContentionModel` trait (explicitly, or
 //!    as `BoundedMultiPort { k: 1 }`) reproduces the default engine's
-//!    run statistics *and* event trace byte for byte — on static and on
+//!    run statistics *and* recorded intervals byte for byte — on static and on
 //!    dynamic (jittery) platforms alike. The `exp_fig7`/`exp_dynamic`
 //!    golden snapshots (`crates/bench/tests/golden.rs`) pin the same
 //!    fact end-to-end against the pre-refactor artifacts.
@@ -23,9 +23,18 @@ use stargemm::core::algorithms::{build_policy, Algorithm};
 use stargemm::core::steady::{model_makespan_lower_bound, model_throughput};
 use stargemm::core::Job;
 use stargemm::netmodel::NetModelSpec;
+use stargemm::obs::{spans, Span};
 use stargemm::platform::dynamic::{DynProfile, Trace, WorkerDyn};
 use stargemm::platform::{Platform, WorkerSpec};
-use stargemm::sim::Simulator;
+use stargemm::sim::{MasterPolicy, RunStats, Simulator};
+use stargemm_bench::obs::record_with;
+
+/// Runs `policy` under a recorder; returns the stats and the run's
+/// paired intervals.
+fn recorded_spans(sim: &Simulator, policy: &mut dyn MasterPolicy) -> (RunStats, Vec<Span>) {
+    let (stats, events) = record_with(|obs| sim.run_observed(policy, obs));
+    (stats.expect("run completes"), spans(&events))
+}
 
 fn arb_platform() -> impl Strategy<Value = Platform> {
     prop::collection::vec(
@@ -91,13 +100,13 @@ proptest! {
         job in arb_job(),
     ) {
         let run = |spec: Option<NetModelSpec>| {
-            let mut sim = Simulator::new(platform.clone()).with_trace(true);
+            let mut sim = Simulator::new(platform.clone());
             if let Some(spec) = spec {
                 sim = sim.with_netmodel(spec);
             }
             build_policy(&platform, &job, Algorithm::Het)
                 .ok()
-                .map(|mut p| sim.run_traced(&mut p).expect("run completes"))
+                .map(|mut p| recorded_spans(&sim, &mut p))
         };
         let default = run(None);
         let explicit = run(Some(NetModelSpec::OnePort));
@@ -116,15 +125,13 @@ proptest! {
     ) {
         let profile = jitter_profile(&platform, seed);
         let run = |spec: Option<NetModelSpec>| {
-            let mut sim = Simulator::new(platform.clone())
-                .with_profile(profile.clone())
-                .with_trace(true);
+            let mut sim = Simulator::new(platform.clone()).with_profile(profile.clone());
             if let Some(spec) = spec {
                 sim = sim.with_netmodel(spec);
             }
             build_policy(&platform, &job, Algorithm::Het)
                 .ok()
-                .map(|mut p| sim.run_traced(&mut p).expect("run completes"))
+                .map(|mut p| recorded_spans(&sim, &mut p))
         };
         prop_assert_eq!(run(None), run(Some(NetModelSpec::OnePort)));
     }

@@ -5,8 +5,11 @@
 //! live recorder produces byte-identical `RunStats` and schedules to the
 //! same run with the sink off, across every engine regime (static
 //! platforms, cost-jittery platforms, worker churn, multi-tenant
-//! streams). Byte comparison goes through `{:?}` — floats render
-//! shortest-round-trip, so equal strings mean bit-equal values.
+//! streams). The schedule is compared as the policy lived it: the log
+//! of every `MasterPolicy` callback with its instant ([`Logged`]),
+//! which exists whether or not a recorder is attached. Byte comparison
+//! goes through `{:?}` — floats render shortest-round-trip, so equal
+//! strings mean bit-equal values.
 //!
 //! The histogram quantile estimator is additionally pinned against an
 //! exact nearest-rank oracle over arbitrary sample sets.
@@ -20,10 +23,13 @@ use stargemm::dynamic::model::DynPlatform;
 use stargemm::dynamic::{random_scenario, AdaptiveMaster, ScenarioConfig};
 use stargemm::obs::{Attribution, Histogram, ObsEvent, ObsSink, RunRecorder};
 use stargemm::platform::{Platform, WorkerSpec};
-use stargemm::sim::Simulator;
+use stargemm::sim::{MasterPolicy, Simulator};
 use stargemm::stream::{
     ArrivalProcess, JobRequest, MultiJobMaster, StreamConfig, TenantSpec, WorkloadSpec,
 };
+
+mod common;
+use common::Logged;
 
 fn arb_spec() -> impl Strategy<Value = WorkerSpec> {
     (0.05f64..4.0, 0.05f64..4.0, 16usize..400).prop_map(|(c, w, m)| WorkerSpec::new(c, w, m))
@@ -71,12 +77,13 @@ fn arb_scenario() -> impl Strategy<Value = (DynPlatform, Job)> {
     })
 }
 
-/// Byte form of one run: stats plus the full interval schedule,
-/// optionally with a live recorder attached. Returns the byte string
-/// and the number of events the recorder captured.
-fn run_bytes(
+/// Byte form of one run: stats plus the policy's callback log,
+/// optionally with a live recorder attached. `policy` receives the
+/// run's sink, for the masters that emit decisions of their own.
+/// Returns the byte string and the number of events captured.
+fn run_bytes<P: MasterPolicy>(
     sim: &Simulator,
-    policy: &mut dyn stargemm::sim::MasterPolicy,
+    policy: impl FnOnce(ObsSink) -> P,
     on: bool,
 ) -> (String, usize) {
     let rec = RunRecorder::shared();
@@ -85,19 +92,13 @@ fn run_bytes(
     } else {
         ObsSink::off()
     };
-    let out = match sim
-        .clone()
-        .with_trace(true)
-        .run_traced_observed(policy, sink)
-    {
-        Ok((stats, trace)) => format!("{stats:?}\n{trace:?}"),
-        Err(e) => format!("error: {e:?}"),
+    let mut policy = Logged::new(policy(sink.clone()));
+    let out = match sim.run_observed(&mut policy, sink) {
+        Ok(stats) => format!("{stats:?}\n{:?}", policy.log),
+        Err(e) => format!("error: {e:?}\n{:?}", policy.log),
     };
-    let Ok(rec) = Rc::try_unwrap(rec) else {
-        unreachable!("recorder has one owner after the run")
-    };
-    let (events, _) = rec.into_inner().into_parts();
-    (out, events.len())
+    drop(policy); // releases the policy's clone of the sink
+    (out, drain(rec).len())
 }
 
 /// Drains a recorder back to its captured event log (the recorder must
@@ -112,18 +113,17 @@ fn drain(rec: Rc<std::cell::RefCell<RunRecorder>>) -> Vec<ObsEvent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Static platforms: the recorder is invisible to stats and trace,
-    /// and a successful run always emits events.
+    /// Static platforms: the recorder is invisible to stats and
+    /// schedule, and a successful run always emits events.
     #[test]
     fn static_recorder_on_off_byte_identical(platform in arb_platform(), job in arb_job(),
                                              ai in 0usize..7) {
         let alg = stargemm::core::algorithms::Algorithm::all()[ai];
         prop_assume!(build_policy(&platform, &job, alg).is_ok());
         let sim = Simulator::new(platform.clone());
-        let mut p_off = build_policy(&platform, &job, alg).unwrap();
-        let mut p_on = build_policy(&platform, &job, alg).unwrap();
-        let (off, n_off) = run_bytes(&sim, &mut p_off, false);
-        let (on, n_on) = run_bytes(&sim, &mut p_on, true);
+        let policy = |_| build_policy(&platform, &job, alg).unwrap();
+        let (off, n_off) = run_bytes(&sim, policy, false);
+        let (on, n_on) = run_bytes(&sim, policy, true);
         prop_assert_eq!(off, on);
         prop_assert_eq!(n_off, 0, "an off sink must record nothing");
         prop_assert!(n_on > 0, "a live sink on a completed run must record events");
@@ -136,10 +136,9 @@ proptest! {
         let (dp, job) = scenario;
         prop_assume!(AdaptiveMaster::adaptive_het(&dp.base, &job).is_ok());
         let sim = Simulator::new_dyn(dp.clone());
-        let mut p_off = AdaptiveMaster::adaptive_het(&dp.base, &job).unwrap();
-        let mut p_on = AdaptiveMaster::adaptive_het(&dp.base, &job).unwrap();
-        let (off, _) = run_bytes(&sim, &mut p_off, false);
-        let (on, _) = run_bytes(&sim, &mut p_on, true);
+        let policy = |_| AdaptiveMaster::adaptive_het(&dp.base, &job).unwrap();
+        let (off, _) = run_bytes(&sim, policy, false);
+        let (on, _) = run_bytes(&sim, policy, true);
         prop_assert_eq!(off, on);
     }
 
@@ -168,29 +167,15 @@ proptest! {
         .generate();
         prop_assume!(MultiJobMaster::new(&platform, &requests, StreamConfig::default()).is_ok());
 
-        let run = |on: bool| {
-            let rec = RunRecorder::shared();
-            let sink = if on { ObsSink::to(rec.clone()) } else { ObsSink::off() };
-            let mut policy = MultiJobMaster::new(&platform, &requests, StreamConfig::default())
+        let sim = Simulator::new(platform.clone())
+            .with_arrivals(MultiJobMaster::arrival_plan(&requests));
+        let policy = |sink| {
+            MultiJobMaster::new(&platform, &requests, StreamConfig::default())
                 .unwrap()
-                .with_obs(sink.clone());
-            let out = match Simulator::new(platform.clone())
-                .with_trace(true)
-                .with_arrivals(MultiJobMaster::arrival_plan(&requests))
-                .run_traced_observed(&mut policy, sink)
-            {
-                Ok((stats, trace)) => format!("{stats:?}\n{trace:?}"),
-                Err(e) => format!("error: {e:?}"),
-            };
-            drop(policy); // releases the policy's clone of the sink
-            let Ok(rec) = Rc::try_unwrap(rec) else {
-                unreachable!("recorder has one owner after the run")
-            };
-            let (events, _) = rec.into_inner().into_parts();
-            (out, events.len())
+                .with_obs(sink)
         };
-        let (off, n_off) = run(false);
-        let (on, _) = run(true);
+        let (off, n_off) = run_bytes(&sim, policy, false);
+        let (on, _) = run_bytes(&sim, policy, true);
         prop_assert_eq!(off, on);
         prop_assert_eq!(n_off, 0);
     }
@@ -198,7 +183,8 @@ proptest! {
     /// The reactor runtime joins the zero-perturbation contract: a live
     /// recorder must not change one schedule counter or result byte.
     /// The reactor's virtual clock makes its schedule deterministic, so
-    /// the comparison covers every deterministic field (wall-clock
+    /// the comparison covers every deterministic field and the
+    /// policy's callback log, stamped by that virtual clock (wall-clock
     /// durations are real time, not schedule, and are excluded).
     #[test]
     fn reactor_recorder_on_off_schedule_identical(platform in arb_platform(), job in arb_job(),
@@ -215,7 +201,7 @@ proptest! {
             let a = stargemm::linalg::BlockMatrix::random(job.r, job.t, job.q, &mut rng);
             let b = stargemm::linalg::BlockMatrix::random(job.t, job.s, job.q, &mut rng);
             let mut c = stargemm::linalg::BlockMatrix::zeros(job.r, job.s, job.q);
-            let mut policy = build_policy(&platform, &job, alg).unwrap();
+            let mut policy = Logged::new(build_policy(&platform, &job, alg).unwrap());
             let rt = NetRuntime::new(platform.clone()).with_options(NetOptions {
                 time_scale: 1e-7,
                 ..Default::default()
@@ -228,22 +214,19 @@ proptest! {
                         .map(|w| (w.chunks_assigned, w.updates, w.blocks_rx, w.blocks_tx))
                         .collect();
                     format!(
-                        "{} {} {} {} {:?}\n{:?}",
+                        "{} {} {} {} {:?}\n{:?}\n{:?}",
                         stats.chunks,
                         stats.total_updates,
                         stats.blocks_to_workers,
                         stats.blocks_to_master,
                         per_worker,
+                        policy.log,
                         c
                     )
                 }
                 Err(e) => format!("error: {e:?}"),
             };
-            let Ok(rec) = Rc::try_unwrap(rec) else {
-                unreachable!("recorder has one owner after the run")
-            };
-            let (events, _) = rec.into_inner().into_parts();
-            (out, events.len())
+            (out, drain(rec).len())
         };
         let (off, n_off) = run(false);
         let (on, n_on) = run(true);

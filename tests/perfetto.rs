@@ -2,17 +2,16 @@
 //! the Perfetto UI, so the exported JSON is parsed back with the
 //! in-tree parser and checked structurally — legal `trace_event`
 //! phases, spans that never overlap within one track, and intervals
-//! that agree exactly with the legacy `TraceEntry` schedule on a
-//! pinned scenario.
+//! that agree with a hand-derived schedule for the first chunk of a
+//! pinned scenario and with `spans()` for all of it.
 
 use std::rc::Rc;
 
 use serde::json::{from_str, Value};
 use stargemm::core::algorithms::{build_policy, Algorithm};
 use stargemm::core::Job;
-use stargemm::obs::{perfetto_trace, ObsEvent, ObsSink, RunRecorder};
+use stargemm::obs::{perfetto_trace, ObsEvent, ObsSink, RunRecorder, Track};
 use stargemm::platform::{Platform, WorkerSpec};
-use stargemm::sim::trace::{TraceEntry, TraceKind};
 use stargemm::sim::Simulator;
 use stargemm::stream::{JobRequest, MultiJobMaster, StreamConfig};
 
@@ -27,21 +26,18 @@ fn pinned_gemm() -> (Platform, Job) {
     (platform, Job::new(4, 8, 8, 80))
 }
 
-/// Runs the pinned scenario under both recorders at once: the legacy
-/// interval trace and the structured event log.
-fn pinned_run() -> (Vec<TraceEntry>, Vec<ObsEvent>) {
+/// Runs the pinned scenario under the recorder.
+fn pinned_run() -> Vec<ObsEvent> {
     let (platform, job) = pinned_gemm();
     let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
     let rec = RunRecorder::shared();
-    let (_, trace) = Simulator::new(platform)
-        .with_trace(true)
-        .run_traced_observed(&mut policy, ObsSink::to(rec.clone()))
+    Simulator::new(platform)
+        .run_observed(&mut policy, ObsSink::to(rec.clone()))
         .unwrap();
     let Ok(rec) = Rc::try_unwrap(rec) else {
         unreachable!("recorder has one owner after the run")
     };
-    let (events, _) = rec.into_inner().into_parts();
-    (trace, events)
+    rec.into_inner().into_parts().0
 }
 
 /// All `ph: "X"` spans of a parsed document as `(pid, tid, ts, dur)`.
@@ -68,7 +64,7 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn export_parses_back_with_legal_phases_and_named_tracks() {
-    let (_, events) = pinned_run();
+    let events = pinned_run();
     let rendered = perfetto_trace(&events).render_pretty();
     let doc = from_str(&rendered).expect("exported JSON parses");
     assert_eq!(
@@ -121,7 +117,7 @@ fn export_parses_back_with_legal_phases_and_named_tracks() {
 
 #[test]
 fn spans_within_one_track_never_overlap() {
-    let (_, events) = pinned_run();
+    let events = pinned_run();
     let doc = from_str(&perfetto_trace(&events).render_pretty()).unwrap();
     let mut by_track: std::collections::BTreeMap<(u64, u64), Vec<(f64, f64)>> =
         std::collections::BTreeMap::new();
@@ -143,53 +139,79 @@ fn spans_within_one_track_never_overlap() {
     }
 }
 
+/// Sorted `(ts, dur)` pairs, for order-free comparison.
+fn sorted(mut v: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v
+}
+
+fn assert_same_intervals(what: &str, got: &[(f64, f64)], want: &[(f64, f64)]) {
+    assert_eq!(got.len(), want.len(), "{what} span count");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            close(g.0, w.0) && close(g.1, w.1),
+            "{what} interval {g:?} vs expected {w:?}"
+        );
+    }
+}
+
 #[test]
-fn exported_intervals_match_the_legacy_trace() {
-    let (trace, events) = pinned_run();
+fn exported_intervals_match_the_schedule() {
+    let events = pinned_run();
     let doc = from_str(&perfetto_trace(&events).render_pretty()).unwrap();
     let all = spans(&doc);
+    // Port occupancy is pid 1; compute is pid 2 on the cpu tids (≡ 0 mod 3).
+    let port = sorted(
+        all.iter()
+            .filter(|(pid, ..)| *pid == 1)
+            .map(|&(_, _, ts, dur)| (ts, dur))
+            .collect(),
+    );
+    let cpu = sorted(
+        all.iter()
+            .filter(|(pid, tid, ..)| *pid == 2 && tid % 3 == 0)
+            .map(|&(_, _, ts, dur)| (ts, dur))
+            .collect(),
+    );
 
-    // Port occupancy (pid 1): exactly the legacy transfer intervals.
-    let mut port: Vec<(f64, f64)> = all
-        .iter()
-        .filter(|(pid, ..)| *pid == 1)
-        .map(|&(_, _, ts, dur)| (ts, dur))
-        .collect();
-    let mut legacy_port: Vec<(f64, f64)> = trace
-        .iter()
-        .filter(|t| t.uses_port())
-        .map(|t| (t.start * 1e6, (t.end - t.start) * 1e6))
-        .collect();
-    port.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    legacy_port.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    assert_eq!(port.len(), legacy_port.len(), "port span count");
-    for (got, want) in port.iter().zip(&legacy_port) {
-        assert!(
-            close(got.0, want.0) && close(got.1, want.1),
-            "port interval {got:?} vs legacy {want:?}"
-        );
+    // The first chunk, by hand. Het enrolls only worker 0 (c = w = 0.5,
+    // m = 40 ⇒ μ = 4): a 4×4 chunk of 16 C blocks, t = 8 steps of 4 B
+    // blocks + 4 A blocks and 16 updates each. So the C load takes 8 s,
+    // every operand fragment 2 s, every step 8 s. Two steps' operands
+    // are buffered: B₀ A₀ B₁ A₁ go out back to back after the C load,
+    // then each further B/A pair leaves as a step completes and frees
+    // its buffers. Step k runs [12 + 8k, 20 + 8k]; the last ends at 76
+    // and the 16-block retrieval fills [76, 84].
+    let mut want_port = vec![(0.0, 8.0)];
+    for k in 0..8 {
+        let b = if k == 0 { 8.0 } else { 4.0 + 8.0 * k as f64 };
+        want_port.extend([(b, 2.0), (b + 2.0, 2.0)]);
     }
+    want_port.push((76.0, 8.0));
+    let want_cpu: Vec<(f64, f64)> = (0..8).map(|k| (12.0 + 8.0 * k as f64, 8.0)).collect();
+    let us = |v: Vec<(f64, f64)>| sorted(v.into_iter().map(|(s, d)| (s * 1e6, d * 1e6)).collect());
+    let first_chunk = |v: &[(f64, f64)]| -> Vec<(f64, f64)> {
+        v.iter().copied().filter(|&(ts, _)| ts < 84e6).collect()
+    };
+    assert_same_intervals("first-chunk port", &first_chunk(&port), &us(want_port));
+    assert_same_intervals("first-chunk cpu", &first_chunk(&cpu), &us(want_cpu));
 
-    // Compute (pid 2, cpu tids ≡ 0 mod 3): exactly the legacy steps.
-    let mut cpu: Vec<(f64, f64)> = all
-        .iter()
-        .filter(|(pid, tid, ..)| *pid == 2 && tid % 3 == 0)
-        .map(|&(_, _, ts, dur)| (ts, dur))
-        .collect();
-    let mut legacy_cpu: Vec<(f64, f64)> = trace
-        .iter()
-        .filter(|t| matches!(t.kind, TraceKind::Compute { .. }))
-        .map(|t| (t.start * 1e6, (t.end - t.start) * 1e6))
-        .collect();
-    cpu.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    legacy_cpu.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    assert_eq!(cpu.len(), legacy_cpu.len(), "cpu span count");
-    for (got, want) in cpu.iter().zip(&legacy_cpu) {
-        assert!(
-            close(got.0, want.0) && close(got.1, want.1),
-            "cpu interval {got:?} vs legacy {want:?}"
+    // The whole run: exactly the closed spans of the one pairing pass.
+    let mut span_port = Vec::new();
+    let mut span_cpu = Vec::new();
+    for s in stargemm::obs::spans(&events) {
+        let interval = (
+            s.start,
+            s.end.expect("a static run closes every span") - s.start,
         );
+        match s.track {
+            Track::Port { .. } => span_port.push(interval),
+            Track::Compute { .. } => span_cpu.push(interval),
+            other => panic!("unexpected track in a static run: {other:?}"),
+        }
     }
+    assert_same_intervals("port", &port, &us(span_port));
+    assert_same_intervals("cpu", &cpu, &us(span_cpu));
 }
 
 /// Stream runs add job lifecycle tracks: every admitted job gets a
