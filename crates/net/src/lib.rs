@@ -9,11 +9,12 @@
 //!   payloads) with explicit encode/decode, exactly what would cross a
 //!   socket;
 //! * `reactor` — the one engine: a single-threaded event loop over
-//!   per-worker state machines and a lane table that shares the
-//!   master's wire under a pluggable contention model
-//!   (`stargemm-netmodel`: the paper's one-port, bounded multi-port, or
-//!   a fair-share backbone), pacing the wall clock so a `WorkerSpec`'s
-//!   `c_i` (and the model's share) is honoured in real time;
+//!   per-worker state machines, keeping the master's books and wire in
+//!   the simulator's own `StarLedger` and `LaneTable` (which shares the
+//!   wire under a pluggable contention model — `stargemm-netmodel`: the
+//!   paper's one-port, bounded multi-port, or a fair-share backbone)
+//!   and pacing the wall clock so a `WorkerSpec`'s `c_i` (and the
+//!   model's share) is honoured in real time;
 //! * `worker` — the worker dataflow machine holding block buffers and
 //!   running the actual GEMM kernel on received fragments;
 //! * [`runtime`] — the public facade: [`NetRuntime`] executes any
@@ -26,8 +27,8 @@
 //! Fidelity notes: worker→master control notifications (step/chunk
 //! completion) are a few bytes and travel un-throttled, mirroring the
 //! paper's decision to neglect start-up overheads and small messages.
-//! Memory admission is enforced master-side from the same accounting the
-//! simulator uses.
+//! Memory admission is enforced master-side by the ledger the simulator
+//! uses.
 
 pub mod calibrate;
 pub mod fed;

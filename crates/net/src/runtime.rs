@@ -15,7 +15,7 @@ use stargemm_linalg::BlockMatrix;
 use stargemm_netmodel::NetModelSpec;
 use stargemm_platform::dynamic::DynProfile;
 use stargemm_platform::Platform;
-use stargemm_sim::{ChunkId, MasterPolicy, ObsSink, RunStats};
+use stargemm_sim::{ChunkId, MasterPolicy, ObsSink, RunStats, SimError};
 
 /// Runtime tuning knobs.
 #[derive(Clone, Debug)]
@@ -33,8 +33,8 @@ pub struct NetOptions {
     /// Lifecycle times are in *model* seconds (wall = model ×
     /// `time_scale`). `None` = the static platform of the paper.
     pub profile: Option<DynProfile>,
-    /// Network-contention model of the star, served by the reactor's
-    /// lane table with the same shares the simulator computes.
+    /// Network-contention model of the star, served by the lane table
+    /// the reactor shares with the simulator.
     pub netmodel: NetModelSpec,
 }
 
@@ -107,6 +107,28 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+/// The shared ledger speaks `SimError`; a rule it finds broken is the
+/// same misuse here, so a buggy policy gets one verdict from both
+/// engines.
+impl From<SimError> for NetError {
+    fn from(e: SimError) -> Self {
+        match e {
+            SimError::MemoryViolation {
+                worker,
+                capacity,
+                attempted,
+                ..
+            } => NetError::MemoryViolation {
+                worker,
+                attempted,
+                capacity,
+            },
+            SimError::Protocol(m) => NetError::Protocol(m),
+            other => NetError::Protocol(other.to_string()),
+        }
+    }
+}
 
 /// The net runtime for one platform.
 pub struct NetRuntime {
@@ -395,12 +417,17 @@ mod tests {
         }
     }
 
-    /// A buggy policy gets the same verdict from both engines: the
-    /// simulator's typed protocol errors are typed errors here too, not
-    /// worker-side panics.
-    #[test]
-    fn bad_policies_are_errors_in_the_simulator_and_the_runtime_alike() {
-        let d = ChunkDescr {
+    fn send(worker: usize, fragment: Fragment, new_chunk: Option<ChunkDescr>) -> Action {
+        Action::Send {
+            worker,
+            fragment,
+            new_chunk,
+        }
+    }
+
+    /// The two-step, one-C-block chunk 0 of the scripted 1 × 2 × 1 job.
+    fn demo_descr() -> ChunkDescr {
+        ChunkDescr {
             id: 0,
             c_blocks: 1,
             steps: 2,
@@ -408,72 +435,224 @@ mod tests {
             b_blocks_per_step: 1,
             updates_per_step: 1,
             tail: None,
-        };
-        let send = |worker, fragment, new_chunk| Action::Send {
-            worker,
-            fragment,
-            new_chunk,
-        };
+        }
+    }
+
+    /// Runs one scripted policy through both engines under `netmodel`
+    /// and hands both copies back; each verdict is the error's text.
+    fn both_engines<P: MasterPolicy + GeometryAccess>(
+        netmodel: NetModelSpec,
+        policy: impl Fn() -> P,
+    ) -> [(Result<RunStats, String>, P); 2] {
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = BlockMatrix::random(1, 2, 2, &mut rng);
+        let b = BlockMatrix::random(2, 1, 2, &mut rng);
+        let mut c = BlockMatrix::zeros(1, 1, 2);
+        let (mut in_sim, mut in_net) = (policy(), policy());
+        let sim = Simulator::new(small_platform())
+            .with_netmodel(netmodel)
+            .run(&mut in_sim)
+            .map_err(|e| e.to_string());
+        let net = NetRuntime::new(small_platform())
+            .with_options(NetOptions {
+                netmodel,
+                ..fast_opts()
+            })
+            .run(&mut in_net, &a, &b, &mut c)
+            .map_err(|e| e.to_string());
+        [(sim, in_sim), (net, in_net)]
+    }
+
+    /// A buggy policy gets the same verdict from both engines, and for
+    /// the action that broke the rule: every bad script goes on with the
+    /// well-formed remainder, so a missing rejection cannot hide behind
+    /// the `PrematureFinish` a truncated script would earn.
+    #[test]
+    fn bad_policies_are_errors_in_the_simulator_and_the_runtime_alike() {
+        let d = demo_descr();
         let open = send(0, Fragment::c_load(&d), Some(d));
         let a0 = send(0, Fragment::a_step(&d, 0), None);
-        let fat_a0 = Fragment {
-            blocks: 2,
-            ..Fragment::a_step(&d, 0)
+        let a0_of = |blocks| {
+            let fragment = Fragment {
+                blocks,
+                ..Fragment::a_step(&d, 0)
+            };
+            send(0, fragment, None)
         };
+        let open_with = |d: ChunkDescr| send(0, Fragment::c_load(&d), Some(d));
+        let retrieve = |chunk| Action::Retrieve { worker: 0, chunk };
         let rest = [
             send(0, Fragment::b_step(&d, 0), None),
             send(0, Fragment::a_step(&d, 1), None),
             send(0, Fragment::b_step(&d, 1), None),
-            Action::Retrieve {
-                worker: 0,
-                chunk: 0,
-            },
+            retrieve(0),
         ];
-        let table: [(&str, Vec<Action>, bool); 6] = [
+        let one_port = NetModelSpec::OnePort;
+        let four_ports = NetModelSpec::BoundedMultiPort {
+            k: 4,
+            backbone: None,
+        };
+        // The reactor's whole-quota transport rule speaks before the
+        // ledger where both apply; those rows name the two messages.
+        let in_one_piece = "takes 1 in one piece";
+        // (case, net model, the bad prefix, what the simulator says,
+        // what the runtime says); `None`: the script is fine.
+        type Row<'a> = (&'a str, NetModelSpec, Vec<Action>, Option<[&'a str; 2]>);
+        let same = |msg| Some([msg, msg]);
+        let table: Vec<Row> = vec![
+            ("well-formed", one_port, vec![open, a0], None),
             (
-                "well-formed",
-                [vec![open, a0], rest.to_vec()].concat(),
-                true,
+                "duplicate chunk id",
+                one_port,
+                vec![open, open],
+                same("duplicate chunk id 0"),
             ),
-            ("duplicate chunk id", vec![open, open], false),
             (
                 "second C load",
+                one_port,
                 vec![open, send(0, Fragment::c_load(&d), None)],
-                false,
+                same("second C load for chunk 0"),
             ),
             (
                 "fragment to the wrong worker",
+                one_port,
                 vec![open, send(1, Fragment::b_step(&d, 0), None)],
-                false,
+                same("but the chunk lives on worker 0"),
             ),
-            ("duplicate fragment", vec![open, a0, a0], false),
+            (
+                "duplicate fragment",
+                one_port,
+                vec![open, a0, a0],
+                same("fragment over-delivers chunk 0 step 0"),
+            ),
+            (
+                "duplicate fragment, both in flight",
+                four_ports,
+                vec![open, a0, a0],
+                same("fragment over-delivers chunk 0 step 0"),
+            ),
             (
                 "over-delivered fragment",
-                vec![open, send(0, fat_a0, None)],
-                false,
+                one_port,
+                vec![open, a0_of(2)],
+                Some(["fragment over-delivers chunk 0 step 0", in_one_piece]),
+            ),
+            (
+                "empty A fragment",
+                one_port,
+                vec![open, a0_of(0)],
+                Some(["empty fragment", in_one_piece]),
+            ),
+            (
+                "chunk without C blocks",
+                one_port,
+                vec![open_with(ChunkDescr { c_blocks: 0, ..d })],
+                same("empty fragment"),
+            ),
+            (
+                "chunk without updates",
+                one_port,
+                vec![open_with(ChunkDescr {
+                    updates_per_step: 0,
+                    ..d
+                })],
+                same("degenerate chunk descriptor"),
+            ),
+            (
+                "retrieve of an unknown chunk",
+                one_port,
+                vec![open, retrieve(9)],
+                same("protocol violation: unknown chunk 9"),
+            ),
+            (
+                "finished with a live chunk unretrieved",
+                one_port,
+                vec![open, Action::Finished],
+                same("policy finished with 1 chunk(s) unretrieved"),
             ),
         ];
-        let mut rng = StdRng::seed_from_u64(17);
-        let a = BlockMatrix::random(1, 2, 2, &mut rng);
-        let b = BlockMatrix::random(2, 1, 2, &mut rng);
-        for (case, actions, ok) in table {
-            let sim = Simulator::new(small_platform())
-                .run(&mut Script(actions.clone().into_iter()))
-                .map_err(|e| e.to_string());
-            let mut c = BlockMatrix::zeros(1, 1, 2);
-            let net = NetRuntime::new(small_platform())
-                .with_options(fast_opts())
-                .run(&mut Script(actions.into_iter()), &a, &b, &mut c)
-                .map_err(|e| e.to_string());
-            assert_eq!(sim.is_ok(), ok, "{case}: simulator said {sim:?}");
-            assert_eq!(net.is_ok(), ok, "{case}: runtime said {net:?}");
-            if !ok {
-                assert!(
-                    net.as_ref().is_err_and(|e| e.starts_with("protocol")),
-                    "{case}: {net:?}"
-                );
+        for (case, netmodel, prefix, says) in table {
+            // A bad opening is never followed by fragments for the
+            // chunk it failed to open — an engine that let it through
+            // runs on to the retrieval and finishes cleanly.
+            let opened = prefix.contains(&open);
+            let actions: Vec<Action> = prefix
+                .into_iter()
+                .chain(rest.iter().copied().filter(|_| opened))
+                .collect();
+            let verdicts = both_engines(netmodel, || Script(actions.clone().into_iter()));
+            for (engine, (verdict, _)) in ["simulator", "runtime"].iter().zip(&verdicts) {
+                match says {
+                    None => assert!(verdict.is_ok(), "{case}: the {engine} said {verdict:?}"),
+                    Some(says) => {
+                        let says = says[usize::from(*engine == "runtime")];
+                        assert!(
+                            verdict.as_ref().is_err_and(|e| e.contains(says)),
+                            "{case}: the {engine} said {verdict:?}, not {says:?}"
+                        );
+                    }
+                }
+            }
+            if says.is_some() {
+                let net = verdicts[1].0.as_ref().unwrap_err();
+                assert!(net.starts_with("protocol"), "{case}: {net}");
             }
         }
+    }
+
+    /// Logs what the policy can read of worker 0's memory at each poll.
+    struct Probe {
+        script: Script,
+        seen: Vec<(u64, u64, bool)>,
+    }
+
+    impl MasterPolicy for Probe {
+        fn next_action(&mut self, ctx: &SimCtx) -> Action {
+            self.seen
+                .push((ctx.free_buffers(0), ctx.occupied_blocks(0), ctx.enrolled(0)));
+            self.script.next_action(ctx)
+        }
+    }
+
+    impl GeometryAccess for Probe {
+        fn chunk_geom(&self, id: ChunkId) -> Option<ChunkGeom> {
+            self.script.chunk_geom(id)
+        }
+
+        fn job_dims(&self) -> Job {
+            self.script.job_dims()
+        }
+    }
+
+    /// Blocks on the wire are reserved in the `SimCtx` of both engines:
+    /// a policy polled while its sends are in flight reads the same
+    /// occupancy from the reactor as from the simulator.
+    #[test]
+    fn in_flight_blocks_show_in_the_ctx_of_both_engines() {
+        let d = demo_descr();
+        let sends = vec![
+            send(0, Fragment::c_load(&d), Some(d)),
+            send(0, Fragment::a_step(&d, 0), None),
+            send(0, Fragment::b_step(&d, 0), None),
+            send(0, Fragment::a_step(&d, 1), None),
+            send(0, Fragment::b_step(&d, 1), None),
+        ];
+        let four_ports = NetModelSpec::BoundedMultiPort {
+            k: 4,
+            backbone: None,
+        };
+        // A send-only script ends in `PrematureFinish`; the polls before
+        // it are what is compared.
+        let [(sim, in_sim), (net, in_net)] = both_engines(four_ports, || Probe {
+            script: Script(sends.clone().into_iter()),
+            seen: Vec::new(),
+        });
+        assert!(sim.is_err() && net.is_err());
+        // Four sends go out back to back at t = 0, each reserving a
+        // block of worker 0's 60; the fifth waits for a port.
+        let want: Vec<(u64, u64, bool)> = (0..6).map(|n| (60 - n, n, n > 0)).collect();
+        assert_eq!(in_sim.seen[..6], want[..]);
+        assert_eq!(in_net.seen[..6], want[..]);
     }
 
     #[test]

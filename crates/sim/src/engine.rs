@@ -1,16 +1,14 @@
 //! The simulation driver: [`Simulator`] configuration and the master
 //! state machine.
 //!
-//! Since the kernel/model split, this module is a thin layer: the
-//! generic discrete-event machinery (time-ordered queue, stable
-//! tie-breaking, cancellation, event caps) lives in [`crate::kernel`],
-//! and all star-GEMM semantics (one-port transfers, dataflow workers,
-//! memory admission control, crash handling) in [`crate::model`]. What
-//! remains here is the *protocol* between the master policy and the
-//! platform: the master is asked for its next
-//! [`Action`] whenever its port is free; because
-//! the port is unique (one-port model) at most one transfer is ever in
-//! flight.
+//! This module is a thin layer: the generic discrete-event machinery
+//! (time-ordered queue, stable tie-breaking, cancellation, event caps)
+//! lives in [`crate::kernel`], the master's rules in the shared
+//! [`crate::ledger`] and [`crate::lanes`], and the simulated workers in
+//! [`crate::model`]. What remains here is the *protocol* between the
+//! master policy and the platform: the master is asked for its next
+//! [`Action`] whenever its port is free; under the paper's one-port
+//! model at most one transfer is ever in flight.
 //!
 //! [`Simulator`] is `Send + Clone`, so whole scenario sweeps can be
 //! fanned out across threads (see `stargemm-bench`'s sweep runner); each
@@ -24,10 +22,11 @@ use stargemm_platform::dynamic::{DynPlatform, DynProfile};
 use stargemm_platform::Platform;
 
 use crate::error::SimError;
+use crate::ledger::StarLedger;
 use crate::master::{MasterSm, MasterState, MasterTransport};
 use crate::model::{EvKind, StarModel};
 use crate::msg::{ChunkId, JobId};
-use crate::policy::{Action, MasterPolicy, SimCtx};
+use crate::policy::{Action, MasterPolicy};
 use crate::stats::RunStats;
 
 /// The simulator: owns the platform description and run options.
@@ -174,20 +173,20 @@ impl Simulator {
             })?;
 
             if sm.is_done() && !st.has_work_events() {
-                return Ok(st.collect_stats(policy.name()));
+                return Ok(st.into_stats(policy.name()));
             }
 
             let Some(ev) = st.next_event()? else {
                 return Err(SimError::Deadlock {
                     time: st.now,
-                    unretrieved_chunks: st.unretrieved(),
+                    unretrieved_chunks: st.ledger.unretrieved(),
                 });
             };
             let kind = ev.payload;
 
             let hooks = st.apply_event(kind)?;
 
-            if matches!(kind, EvKind::SendDone { .. } | EvKind::RetrieveDone { .. }) {
+            if matches!(kind, EvKind::TransferDone { .. }) {
                 sm.on_transfer_done();
             }
             sm.settle(&mut SimTransport {
@@ -197,19 +196,15 @@ impl Simulator {
 
             // Fire hooks after the state (and master bookkeeping) settled.
             for h in hooks {
-                let ctx = SimCtx {
-                    now: st.now,
-                    workers: &st.workers,
-                };
-                policy.on_event(&h, &ctx);
+                policy.on_event(&h, &st.ledger.ctx(st.now));
             }
         }
     }
 }
 
 /// [`MasterTransport`] over the virtual-time [`StarModel`]: the sim
-/// engine's clock is the kernel event queue, its wire the contention
-/// lane bookkeeping inside the model.
+/// engine's clock is the kernel event queue, its transport the
+/// simulated workers inside the model.
 struct SimTransport<'a> {
     st: &'a mut StarModel,
     policy: &'a mut dyn MasterPolicy,
@@ -219,31 +214,19 @@ impl MasterTransport for SimTransport<'_> {
     type Error = SimError;
 
     fn poll_action(&mut self) -> Action {
-        let ctx = SimCtx {
-            now: self.st.now,
-            workers: &self.st.workers,
-        };
-        self.policy.next_action(&ctx)
+        self.policy.next_action(&self.st.ledger.ctx(self.st.now))
     }
 
     fn perform(&mut self, action: Action) -> Result<MasterState, SimError> {
-        self.st.apply_action(action, self.policy)
+        self.st.apply_action(action)
     }
 
     fn can_issue(&self) -> bool {
         self.st.can_issue()
     }
 
-    fn chunk_is_lost(&self, chunk: ChunkId) -> Result<bool, SimError> {
-        self.st.chunk_is_lost(chunk)
-    }
-
-    fn chunk_is_computed(&self, chunk: ChunkId) -> Result<bool, SimError> {
-        self.st.chunk_is_computed(chunk)
-    }
-
-    fn chunk_worker(&self, chunk: ChunkId) -> Result<usize, SimError> {
-        self.st.chunk_worker(chunk)
+    fn ledger(&self) -> &StarLedger {
+        &self.st.ledger
     }
 
     fn start_retrieval(&mut self, worker: usize, chunk: ChunkId) -> Result<(), SimError> {
@@ -256,7 +239,7 @@ impl MasterTransport for SimTransport<'_> {
 mod tests {
     use super::*;
     use crate::msg::{ChunkDescr, Fragment};
-    use crate::policy::{Action, SimEvent};
+    use crate::policy::{Action, SimCtx, SimEvent};
     use stargemm_obs::{analyze, spans, MatTag, ObsEvent, RunRecorder, Track};
     use stargemm_platform::{WorkerId, WorkerSpec};
 

@@ -14,8 +14,11 @@
 //!
 //! The implementation is layered: [`kernel`] is a generic,
 //! model-agnostic discrete-event core (deterministically ordered,
-//! cancellable event queue), [`model`] expresses the star-GEMM platform
-//! above as kernel components, and [`engine::Simulator`] drives the
+//! cancellable event queue); [`master`], [`ledger`] and [`lanes`] are
+//! the master side of the rules above — the control automaton, the
+//! chunk and memory books, the transfers in flight — written once and
+//! shared with the `stargemm-net` runtime; [`model`] adds the simulated
+//! workers as kernel components, and [`engine::Simulator`] drives the
 //! master-policy protocol on top. Scheduling algorithms are
 //! [`policy::MasterPolicy`] implementations (provided by `stargemm-core`);
 //! the engine asks the policy what to communicate whenever the port frees,
@@ -37,6 +40,8 @@ pub mod engine;
 pub mod error;
 pub mod fed;
 pub mod kernel;
+pub mod lanes;
+pub mod ledger;
 pub mod master;
 pub mod model;
 pub mod msg;
@@ -47,10 +52,11 @@ pub use engine::Simulator;
 pub use error::SimError;
 pub use fed::{FedModel, FedRun};
 pub use kernel::{ComponentId, EventId, EventQueue, KernelError};
+pub use lanes::{Lane, LaneTable};
+pub use ledger::{Delivery, StarLedger};
 pub use master::{MasterSm, MasterState, MasterTransport};
-pub use model::{PortAccounting, WorkerRt};
 pub use msg::{ChunkDescr, ChunkId, Fragment, JobId, MatKind, StepCosts, StepId};
-pub use policy::{Action, CtxMirror, MasterPolicy, SimCtx, SimEvent};
+pub use policy::{Action, MasterPolicy, SimCtx, SimEvent};
 pub use stargemm_netmodel::{ContentionModel, NetModelSpec, TransferLane};
 pub use stargemm_obs::{ObsEvent, ObsSink, Recorder, RunRecorder};
 pub use stats::{JobStats, PortStats, RunStats, WorkerStats};

@@ -8,10 +8,17 @@
 //! which is exactly the class of sim-vs-net drift the cross-validation
 //! suite exists to catch. It now lives once, here: [`MasterSm`] owns the
 //! [`MasterState`] transitions, and each engine plugs in a
-//! [`MasterTransport`] describing *its* clock and wire (virtual time and
-//! the kernel event queue for `sim`; the wall-clock reactor lane table
-//! for `net`). The engines differ only in their transport; the protocol
-//! logic cannot drift.
+//! [`MasterTransport`] describing *its* clock and transport (virtual
+//! time and the kernel event queue for `sim`; a wall-paced loop over
+//! in-process worker machines for `net`).
+//!
+//! Everything else the master knows is shared the same way: the chunk
+//! and worker-memory books are one [`StarLedger`] (`crate::ledger` —
+//! every send/retrieve/finish rule, the crash sweep, the `SimCtx` view,
+//! the stats fold) and the transfers in flight are one
+//! [`LaneTable`](crate::lanes::LaneTable) (`crate::lanes` — admission,
+//! re-share, projected completions, port accounting). Each engine holds
+//! one of each and no table of its own, so the rules cannot drift.
 //!
 //! Driving pattern (one iteration of an engine's event loop):
 //!
@@ -22,6 +29,8 @@
 //! sm.settle(t)?              // blocked-retrieve + Waiting resolution
 //! ```
 
+use crate::error::SimError;
+use crate::ledger::StarLedger;
 use crate::msg::ChunkId;
 use crate::policy::Action;
 
@@ -43,14 +52,26 @@ pub enum MasterState {
     Done,
 }
 
+impl MasterState {
+    /// Master state after issuing a transfer: free to act while the
+    /// contention model still has wire capacity, parked otherwise.
+    /// One-port always parks — the historical `Busy`.
+    pub fn after_issue(can_issue: bool) -> MasterState {
+        if can_issue {
+            MasterState::Idle
+        } else {
+            MasterState::Busy
+        }
+    }
+}
+
 /// What an engine must provide for [`MasterSm`] to drive it: action
-/// polling/execution plus the few chunk/port predicates the
-/// blocked-retrieve resolution needs. `sim` implements this over
-/// `StarModel` + virtual time; the `net` reactor over its wall-clock
-/// lane table and in-process worker machines.
+/// polling/execution, its ledger, and whether its wire has room. `sim`
+/// implements this over `StarModel` + virtual time; the `net` reactor
+/// over its wall-paced loop and in-process worker machines.
 pub trait MasterTransport {
     /// Engine-specific failure type (`SimError`, `NetError`, …).
-    type Error;
+    type Error: From<SimError>;
 
     /// Ask the policy for its next action (engine builds the context).
     fn poll_action(&mut self) -> Action;
@@ -62,14 +83,8 @@ pub trait MasterTransport {
     /// transfer.
     fn can_issue(&self) -> bool;
 
-    /// Whether `chunk` was destroyed by a worker crash.
-    fn chunk_is_lost(&self, chunk: ChunkId) -> Result<bool, Self::Error>;
-
-    /// Whether all of `chunk`'s steps have completed.
-    fn chunk_is_computed(&self, chunk: ChunkId) -> Result<bool, Self::Error>;
-
-    /// The worker `chunk` is assigned to.
-    fn chunk_worker(&self, chunk: ChunkId) -> Result<WorkerId, Self::Error>;
+    /// The engine's books: which chunks are lost, computed, and where.
+    fn ledger(&self) -> &StarLedger;
 
     /// Begin pulling a computed `chunk` back over the wire.
     fn start_retrieval(&mut self, worker: WorkerId, chunk: ChunkId) -> Result<(), Self::Error>;
@@ -132,16 +147,13 @@ impl MasterSm {
     /// blocked). A `Waiting` master is re-asked after every event.
     pub fn settle<T: MasterTransport + ?Sized>(&mut self, t: &mut T) -> Result<(), T::Error> {
         if let MasterState::BlockedRetrieve(waiting) = self.state {
-            if t.chunk_is_lost(waiting)? {
+            let ledger = t.ledger();
+            if ledger.chunk_is_lost(waiting)? {
                 self.state = MasterState::Idle;
-            } else if t.chunk_is_computed(waiting)? && t.can_issue() {
-                let worker = t.chunk_worker(waiting)?;
+            } else if ledger.chunk_is_computed(waiting)? && t.can_issue() {
+                let worker = ledger.chunk_worker(waiting)?;
                 t.start_retrieval(worker, waiting)?;
-                self.state = if t.can_issue() {
-                    MasterState::Idle
-                } else {
-                    MasterState::Busy
-                };
+                self.state = MasterState::after_issue(t.can_issue());
             }
         }
         if self.state == MasterState::Waiting {
@@ -154,26 +166,41 @@ impl MasterSm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{ChunkDescr, Fragment};
+    use stargemm_platform::{Platform, WorkerSpec};
 
-    /// A scripted transport: canned actions, settable predicates.
+    /// A scripted transport: canned actions, a settable port, and a
+    /// ledger holding chunk 9 on worker 3.
     struct Fake {
         actions: Vec<Action>,
         performed: Vec<Action>,
         can_issue: bool,
-        lost: bool,
-        computed: bool,
+        ledger: StarLedger,
         retrievals: Vec<(WorkerId, ChunkId)>,
         next_state: MasterState,
     }
 
     impl Fake {
         fn new(actions: Vec<Action>) -> Fake {
+            let platform = Platform::new("fake", vec![WorkerSpec::new(1.0, 1.0, 10); 4]);
+            let mut ledger = StarLedger::new(&platform, None);
+            let descr = ChunkDescr {
+                id: 9,
+                c_blocks: 1,
+                steps: 1,
+                a_blocks_per_step: 1,
+                b_blocks_per_step: 1,
+                updates_per_step: 1,
+                tail: None,
+            };
+            ledger
+                .issue_send(3, &Fragment::c_load(&descr), Some(descr))
+                .unwrap();
             Fake {
                 actions,
                 performed: Vec::new(),
                 can_issue: true,
-                lost: false,
-                computed: false,
+                ledger,
                 retrievals: Vec::new(),
                 next_state: MasterState::Busy,
             }
@@ -181,13 +208,13 @@ mod tests {
     }
 
     impl MasterTransport for Fake {
-        type Error = String;
+        type Error = SimError;
 
         fn poll_action(&mut self) -> Action {
             self.actions.remove(0)
         }
 
-        fn perform(&mut self, action: Action) -> Result<MasterState, String> {
+        fn perform(&mut self, action: Action) -> Result<MasterState, SimError> {
             let state = match action {
                 Action::Wait => MasterState::Waiting,
                 Action::Finished => MasterState::Done,
@@ -201,19 +228,11 @@ mod tests {
             self.can_issue
         }
 
-        fn chunk_is_lost(&self, _chunk: ChunkId) -> Result<bool, String> {
-            Ok(self.lost)
+        fn ledger(&self) -> &StarLedger {
+            &self.ledger
         }
 
-        fn chunk_is_computed(&self, _chunk: ChunkId) -> Result<bool, String> {
-            Ok(self.computed)
-        }
-
-        fn chunk_worker(&self, _chunk: ChunkId) -> Result<WorkerId, String> {
-            Ok(3)
-        }
-
-        fn start_retrieval(&mut self, worker: WorkerId, chunk: ChunkId) -> Result<(), String> {
+        fn start_retrieval(&mut self, worker: WorkerId, chunk: ChunkId) -> Result<(), SimError> {
             self.retrievals.push((worker, chunk));
             Ok(())
         }
@@ -254,7 +273,7 @@ mod tests {
     fn blocked_retrieve_resolves_on_compute_crash_or_stays() {
         // Chunk completes and a lane is free: retrieval starts.
         let mut t = Fake::new(vec![]);
-        t.computed = true;
+        t.ledger.chunk_computed(9);
         let mut sm = MasterSm::new();
         sm.state = MasterState::BlockedRetrieve(9);
         sm.settle(&mut t).unwrap();
@@ -263,7 +282,7 @@ mod tests {
 
         // Chunk lost in a crash: master released without a retrieval.
         let mut t = Fake::new(vec![]);
-        t.lost = true;
+        t.ledger.crash(3);
         sm.state = MasterState::BlockedRetrieve(9);
         sm.settle(&mut t).unwrap();
         assert!(t.retrievals.is_empty());
@@ -278,7 +297,7 @@ mod tests {
         // Computed but the port is saturated and stays saturated after
         // the retrieval was issued: master parks Busy.
         let mut t = Fake::new(vec![]);
-        t.computed = true;
+        t.ledger.chunk_computed(9);
         t.can_issue = false;
         sm.state = MasterState::BlockedRetrieve(9);
         sm.settle(&mut t).unwrap();

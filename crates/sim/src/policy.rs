@@ -7,7 +7,10 @@
 //! policies (demand-driven, min-min) can react.
 //!
 //! The same trait drives both the discrete-event simulator and the
-//! `stargemm-net` runtime — algorithms are written once.
+//! `stargemm-net` runtime — algorithms are written once. Both engines
+//! build the [`SimCtx`] they hand a policy from the one shared
+//! [`StarLedger`](crate::ledger::StarLedger), so a policy reads the same
+//! occupancy, in-flight reservations included, whichever engine runs it.
 
 use crate::msg::{ChunkDescr, ChunkId, Fragment, JobId};
 use stargemm_platform::WorkerId;
@@ -87,7 +90,7 @@ pub enum SimEvent {
 /// it entirely.
 pub struct SimCtx<'a> {
     pub(crate) now: f64,
-    pub(crate) workers: &'a [crate::model::WorkerRt],
+    pub(crate) workers: &'a [crate::ledger::WorkerRt],
 }
 
 impl SimCtx<'_> {
@@ -138,93 +141,6 @@ impl SimCtx<'_> {
     }
 }
 
-/// Owning per-worker state mirror for drivers *outside* the
-/// discrete-event engine — the `stargemm-net` runtime keeps one so it
-/// can hand policies a valid [`SimCtx`]. Occupancy tracking mirrors
-/// the engine's: blocks become resident when a send completes and are
-/// freed by step completions and retrievals.
-pub struct CtxMirror {
-    now: f64,
-    workers: Vec<crate::model::WorkerRt>,
-}
-
-impl CtxMirror {
-    /// A mirror for the given platform, at time zero.
-    pub fn new(platform: &stargemm_platform::Platform) -> Self {
-        CtxMirror {
-            now: 0.0,
-            workers: platform
-                .workers()
-                .iter()
-                .map(crate::model::WorkerRt::from_spec)
-                .collect(),
-        }
-    }
-
-    /// Advances the mirror clock (seconds since the run started).
-    pub fn set_now(&mut self, now: f64) {
-        self.now = now;
-    }
-
-    /// Records a chunk newly assigned to worker `w` (its `LoadC` is about
-    /// to ship). Keeps `chunks_assigned` comparable with the engine's.
-    pub fn on_chunk_assigned(&mut self, w: WorkerId) {
-        self.workers[w].stats.chunks_assigned += 1;
-    }
-
-    /// Records a completed master→worker transfer of `blocks`.
-    pub fn on_delivered(&mut self, w: WorkerId, blocks: u64) {
-        let st = &mut self.workers[w];
-        st.resident += blocks;
-        st.stats.blocks_rx += blocks;
-        st.stats.mem_high_water = st.stats.mem_high_water.max(st.resident);
-    }
-
-    /// Records a completed compute step freeing `freed` operand blocks.
-    pub fn on_step(&mut self, w: WorkerId, freed: u64, updates: u64) {
-        let st = &mut self.workers[w];
-        st.resident = st.resident.saturating_sub(freed);
-        st.stats.updates += updates;
-    }
-
-    /// Records a worker crash: its memory is wiped and it goes down.
-    pub fn on_crash(&mut self, w: WorkerId) {
-        let st = &mut self.workers[w];
-        st.resident = 0;
-        st.up = false;
-    }
-
-    /// Records a worker (re)joining with empty memory.
-    pub fn on_rejoin(&mut self, w: WorkerId) {
-        self.workers[w].up = true;
-    }
-
-    /// Records a retrieved chunk of `blocks` C blocks.
-    pub fn on_retrieved(&mut self, w: WorkerId, blocks: u64) {
-        let st = &mut self.workers[w];
-        st.resident = st.resident.saturating_sub(blocks);
-        st.stats.blocks_tx += blocks;
-    }
-
-    /// Current occupancy of worker `w` (resident blocks).
-    pub fn occupancy(&self, w: WorkerId) -> u64 {
-        self.workers[w].resident
-    }
-
-    /// Per-worker statistics accumulated so far.
-    pub fn stats(&self) -> Vec<crate::stats::WorkerStats> {
-        self.workers.iter().map(|w| w.stats).collect()
-    }
-
-    /// A policy-facing view of the mirror.
-    pub fn ctx(&self) -> SimCtx<'_> {
-        SimCtx {
-            now: self.now,
-            workers: &self.workers,
-        }
-    }
-}
-
 /// A master-side scheduling algorithm.
 pub trait MasterPolicy {
     /// Asked whenever the master is idle (at `ctx.now()`); returns the
@@ -244,53 +160,6 @@ pub trait MasterPolicy {
 mod tests {
     use super::*;
     use crate::msg::MatKind;
-    use stargemm_platform::{Platform, WorkerSpec};
-
-    #[test]
-    fn ctx_mirror_tracks_occupancy_like_the_engine() {
-        let platform = Platform::new(
-            "m",
-            vec![WorkerSpec::new(1.0, 1.0, 50), WorkerSpec::new(2.0, 2.0, 20)],
-        );
-        let mut mirror = CtxMirror::new(&platform);
-        assert_eq!(mirror.occupancy(0), 0);
-        {
-            let ctx = mirror.ctx();
-            assert_eq!(ctx.num_workers(), 2);
-            assert_eq!(ctx.free_buffers(0), 50);
-            assert!(!ctx.enrolled(0));
-        }
-        mirror.on_chunk_assigned(0);
-        mirror.on_delivered(0, 10); // C chunk
-        mirror.on_delivered(0, 4); // step fragments
-        assert_eq!(mirror.occupancy(0), 14);
-        {
-            let ctx = mirror.ctx();
-            assert_eq!(ctx.free_buffers(0), 36);
-            assert!(ctx.enrolled(0));
-            assert!(!ctx.enrolled(1));
-        }
-        mirror.on_step(0, 4, 9);
-        assert_eq!(mirror.occupancy(0), 10);
-        assert_eq!(mirror.ctx().updates_done(0), 9);
-        mirror.on_retrieved(0, 10);
-        assert_eq!(mirror.occupancy(0), 0);
-        let stats = mirror.stats();
-        assert_eq!(stats[0].blocks_rx, 14);
-        assert_eq!(stats[0].blocks_tx, 10);
-        assert_eq!(stats[0].mem_high_water, 14);
-        assert_eq!(stats[0].chunks_assigned, 1);
-        assert_eq!(stats[1], crate::stats::WorkerStats::default());
-    }
-
-    #[test]
-    fn ctx_mirror_clock_advances() {
-        let platform = Platform::new("m", vec![WorkerSpec::new(1.0, 1.0, 10)]);
-        let mut mirror = CtxMirror::new(&platform);
-        mirror.set_now(3.5);
-        assert_eq!(mirror.ctx().now(), 3.5);
-        assert_eq!(mirror.ctx().compute_free_at(0), 3.5);
-    }
 
     #[test]
     fn action_equality_for_debugging() {

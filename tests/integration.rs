@@ -345,11 +345,17 @@ fn reactor_run_renders_and_analyzes_like_a_simulator_run() {
 
     let sim_a = analyze(&sim_events, platform.len());
     let net_a = analyze(&net_events, platform.len());
+    // Within one engine the log and the `sim::LaneTable` sum the same
+    // intervals in the same order: exact. The reactor's own `port_busy`
+    // is wall seconds, model × time_scale.
+    assert_eq!(sim_a.port_busy, sim_stats.port_busy);
+    assert_eq!(net_a.port_busy * 1e-6, net_stats.port_busy);
+    // Across engines the one table times the same transfers, but not at
+    // the same instants: the reactor models no compute time, so its
+    // retrievals start earlier and every later interval sits at another
+    // offset. Same durations, other roundings — hence `close`.
     let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs());
     assert!(close(net_a.port_busy, sim_a.port_busy));
-    assert!(close(sim_a.port_busy, sim_stats.port_busy));
-    // The reactor's own `port_busy` is wall seconds: model × time_scale.
-    assert!(close(net_a.port_busy * 1e-6, net_stats.port_busy));
     for (w, (n, s)) in net_a.workers.iter().zip(&sim_a.workers).enumerate() {
         assert!(
             close(n.transfer, s.transfer),
