@@ -9,7 +9,10 @@
 //!   path, zero allocation after warm-up);
 //! * **cancel-half** — same, but every other event is cancelled before
 //!   it can deliver (exercises the tombstone-skipping pop);
-//! * **drain** — schedule N, then pop all (batch build-up then tear-down).
+//! * **drain** — schedule N, then pop all (batch build-up then tear-down);
+//! * **reshare** — the contention model's max-min re-share at 64 / 256 /
+//!   1 024 active lanes through a warm scratch (the rows `exp_perf`
+//!   gates, scaling check included).
 //!
 //! Besides criterion's per-iteration timing, each workload prints its
 //! own `events/sec` line so the number the acceptance criterion asks
@@ -18,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use stargemm_bench::perf::{cancel_half, drain, hold, sample};
+use stargemm_bench::perf::{cancel_half, drain, hold, reshare, sample, RESHARE_LANES};
 
 const EVENTS: u64 = 100_000;
 
@@ -49,6 +52,15 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| black_box(cancel_half(1_024, 10_000)))
     });
     group.bench_function("drain/10k", |b| b.iter(|| black_box(drain(10_000))));
+    group.finish();
+
+    // 100 re-shares per iteration, so the per-run set-up is noise.
+    let mut group = c.benchmark_group("reshare");
+    for lanes in RESHARE_LANES {
+        group.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
+            b.iter(|| black_box(reshare(lanes, 100)))
+        });
+    }
     group.finish();
 }
 

@@ -9,9 +9,13 @@
 //! pop all). Each sample records events/sec, the kernel's heap
 //! high-water mark, and the cancellation count, so a future regression
 //! in any of the three shows up as a step in the trajectory file. The
-//! **gemm** rows put the block kernel (`linalg::gemm`, the rate behind
-//! every calibrated `w_i`) in the same file: GFLOP/s at the three block
-//! sizes the experiments use.
+//! **reshare** rows time the contention model's max-min re-share
+//! (`netmodel::maxmin_shares_into`, run at every admission and
+//! completion under `FairShare` / `BoundedMultiPort`) at 64, 256 and
+//! 1 024 active lanes, and the gate checks that its cost grows linearly
+//! between the last two. The **gemm** rows put the block kernel
+//! (`linalg::gemm`, the rate behind every calibrated `w_i`) in the same
+//! file: GFLOP/s at the three block sizes the experiments use.
 
 use std::time::Instant;
 
@@ -19,6 +23,7 @@ use serde::json::Value;
 use serde::Serialize;
 use stargemm_linalg::gemm::bytes_per_flop;
 use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds};
+use stargemm_netmodel::{maxmin_shares_into, ShareScratch, TransferLane};
 use stargemm_sim::EventQueue;
 
 use crate::netperf::{baseline_number, parse_baseline};
@@ -114,14 +119,46 @@ pub fn drain(events: u64) -> KernelCounters {
     counters(&q)
 }
 
+/// Active-lane counts of the `reshare` rows: `wide_star`'s FairShare
+/// leg holds ~190 lanes on average and peaks at 384.
+pub const RESHARE_LANES: [usize; 3] = [64, 256, 1_024];
+
+/// The re-share model: `calls` max-min re-shares of `lanes` active
+/// lanes through one warm [`ShareScratch`] — lanes round-robin over 128
+/// equal links under a backbone of 32 link rates, the shape of the repo
+/// benchmark's `netmodel.reshare_us_*` probe. `delivered` counts calls.
+pub fn reshare(lanes: usize, calls: u64) -> KernelCounters {
+    let link_rate = 1e4;
+    let active: Vec<TransferLane> = (0..lanes)
+        .map(|i| TransferLane {
+            worker: i % 128,
+            link_rate,
+        })
+        .collect();
+    let mut scratch = ShareScratch::new();
+    for _ in 0..calls {
+        maxmin_shares_into(
+            std::hint::black_box(&active),
+            32.0 * link_rate,
+            &mut scratch,
+        );
+        std::hint::black_box(scratch.shares());
+    }
+    KernelCounters {
+        delivered: calls,
+        cancelled: 0,
+        heap_high_water: 0,
+    }
+}
+
 /// One row of the kernel trajectory.
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelSample {
-    /// Workload name (`hold`, `cancel_half`, `drain`).
+    /// Workload name (`hold`, `cancel_half`, `drain`, `reshare_l<n>`).
     pub workload: String,
-    /// Events delivered by the run.
+    /// Events delivered by the run (`reshare_*`: re-shares computed).
     pub events: u64,
-    /// Delivered events per wall-clock second.
+    /// Delivered events (re-shares) per wall-clock second.
     pub events_per_sec: f64,
     /// Kernel heap high-water mark.
     pub heap_high_water: u64,
@@ -194,13 +231,20 @@ pub fn sample(workload: &str, run: impl FnOnce() -> KernelCounters) -> KernelSam
     }
 }
 
-/// The three headline kernel samples at `events` deliveries each.
+/// The three headline kernel samples at `events` deliveries each, then
+/// the `reshare` rows at `64 · events` lane visits each (so every row
+/// runs about as long, whatever its lane count).
 pub fn kernel_trajectory(pending: usize, events: u64) -> Vec<KernelSample> {
-    vec![
+    let mut rows = vec![
         sample("hold", || hold(pending, events)),
         sample("cancel_half", || cancel_half(pending, events)),
         sample("drain", || drain(events)),
-    ]
+    ];
+    rows.extend(RESHARE_LANES.map(|lanes| {
+        let calls = (64 * events / lanes as u64).max(1);
+        sample(&reshare_key(lanes), || reshare(lanes, calls))
+    }));
+    rows
 }
 
 /// Per-cell wall time of the standard size sweep (run serially so the
@@ -222,44 +266,59 @@ pub fn sweep_cell_times(cli: &Cli) -> Vec<CellSample> {
 
 /// The shape of `ci/BENCH_kernel_baseline.json`, for error messages.
 pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
-     \"cancel_half\": <events/sec>, \"drain\": <events/sec>, \"gemm_q32\": <GFLOP/s>, \
+     \"cancel_half\": <events/sec>, \"drain\": <events/sec>, \
+     \"reshare_l64\": <re-shares/sec>, \"reshare_l256\": <re-shares/sec>, \
+     \"reshare_l1024\": <re-shares/sec>, \"gemm_q32\": <GFLOP/s>, \
      \"gemm_q80\": <GFLOP/s>, \"gemm_q100\": <GFLOP/s>}";
+
+/// Most a re-share at 1 024 lanes may cost relative to one at 256. A
+/// routine linear in the lane count reads about 5 on any machine, one
+/// that rescans the lanes per lane about 28.
+pub const RESHARE_SCALING_MAX: f64 = 10.0;
 
 /// Gates the measured kernel trajectory against a committed baseline
 /// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload must
-/// deliver at least 80 % of its committed events/sec and every `gemm`
-/// row 80 % of its committed GFLOP/s — symmetric with
-/// [`crate::netperf::check_net_baseline`]. Returns the gate report on
-/// success and the first violation (or schema problem) on failure.
+/// deliver at least 80 % of its committed events/sec, every `reshare`
+/// row 80 % of its committed re-shares/sec and every `gemm` row 80 % of
+/// its committed GFLOP/s — symmetric with
+/// [`crate::netperf::check_net_baseline`] — and a re-share at 1 024
+/// lanes may cost at most [`RESHARE_SCALING_MAX`] re-shares at 256, on
+/// whatever machine. Returns the gate report on success and the first
+/// violation (or schema problem) on failure.
 pub fn check_kernel_baseline(
     baseline_json: &str,
     samples: &[KernelSample],
     gemm: &[GemmSample],
 ) -> Result<String, String> {
-    // (baseline key, measured rate, unit, printed decimals)
-    let measured: Vec<(String, f64, &str, usize)> = samples
+    let measured: Vec<(String, f64)> = samples
         .iter()
-        .map(|s| (s.workload.clone(), s.events_per_sec, "events/sec", 0))
-        .chain(gemm.iter().map(|g| (gemm_key(g.q), g.gflops, "GFLOP/s", 2)))
+        .map(|s| (s.workload.clone(), s.events_per_sec))
+        .chain(gemm.iter().map(|g| (gemm_key(g.q), g.gflops)))
         .collect();
+    // (baseline key, unit, printed decimals)
+    let rows = ["hold", "cancel_half", "drain"]
+        .into_iter()
+        .map(|key| (key.to_string(), "events/sec", 0))
+        .chain(RESHARE_LANES.map(|lanes| (reshare_key(lanes), "re-shares/sec", 0)))
+        .chain(GEMM_SIZES.map(|q| (gemm_key(q), "GFLOP/s", 2)));
     // Validate the whole baseline schema up front so a malformed file
     // is reported as such even when the measured samples are short.
     let doc = parse_baseline(baseline_json, KERNEL_BASELINE_SCHEMA)?;
     let mut gates = Vec::new();
-    for key in ["hold", "cancel_half", "drain"]
-        .into_iter()
-        .map(str::to_string)
-        .chain(GEMM_SIZES.into_iter().map(gemm_key))
-    {
+    for (key, unit, digits) in rows {
         let base = baseline_number(&doc, &key, KERNEL_BASELINE_SCHEMA)?;
-        gates.push((key, base));
+        gates.push((key, unit, digits, base));
     }
-    let mut lines = Vec::new();
-    for (key, base) in gates {
-        let &(_, rate, unit, digits) = measured
+    let rate_of = |key: &str| {
+        measured
             .iter()
             .find(|row| row.0 == key)
-            .ok_or_else(|| format!("no {key} sample to gate against"))?;
+            .map(|row| row.1)
+            .ok_or_else(|| format!("no {key} sample to gate against"))
+    };
+    let mut lines = Vec::new();
+    for (key, unit, digits, base) in gates {
+        let rate = rate_of(&key)?;
         let floor = 0.8 * base;
         if rate < floor {
             return Err(format!(
@@ -271,12 +330,30 @@ pub fn check_kernel_baseline(
             "kernel baseline gate ok: {key} {rate:.digits$} {unit} >= floor {floor:.digits$}"
         ));
     }
+    let (narrow, wide) = (reshare_key(256), reshare_key(1_024));
+    let scaling = rate_of(&narrow)? / rate_of(&wide)?;
+    if scaling >= RESHARE_SCALING_MAX {
+        return Err(format!(
+            "kernel perf regression: a re-share at 1024 lanes costs {scaling:.1}x one at 256 \
+             ({wide} vs {narrow}); linear is ~5x, the limit is {RESHARE_SCALING_MAX}x"
+        ));
+    }
+    lines.push(format!(
+        "kernel baseline gate ok: re-share cost 1024 / 256 lanes {scaling:.1}x < \
+         {RESHARE_SCALING_MAX}x"
+    ));
     Ok(lines.join("\n"))
 }
 
 /// Baseline key of the `gemm` row at block side `q`.
 fn gemm_key(q: impl std::fmt::Display) -> String {
     format!("gemm_q{q}")
+}
+
+/// Workload name and baseline key of the `reshare` row at `lanes`
+/// active lanes.
+fn reshare_key(lanes: usize) -> String {
+    format!("reshare_l{lanes}")
 }
 
 /// Renders the `BENCH_kernel.json` artifact.
@@ -345,6 +422,8 @@ mod tests {
         let d = drain(1_000);
         assert_eq!(d.delivered, 1_000);
         assert_eq!(d.heap_high_water, 1_000);
+
+        assert_eq!(reshare(64, 10).delivered, 10);
     }
 
     fn gemm_rows(gflops: f64) -> Vec<GemmSample> {
@@ -370,6 +449,7 @@ mod tests {
         assert!(json.contains("\"hold\""));
         assert!(json.contains("\"cancel_half\""));
         assert!(json.contains("\"drain\""));
+        assert!(json.contains("\"reshare_l256\""));
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"heap_high_water\""));
         assert!(json.contains("\"gemm\""));
@@ -391,46 +471,92 @@ mod tests {
         assert!(table.contains("q=80") && table.contains("0.150"), "{table}");
     }
 
+    /// Event-kernel rows at 1 000 events/sec, re-share rows at the
+    /// given rates.
+    fn kernel_rows(reshare_l256: f64, reshare_l1024: f64) -> Vec<KernelSample> {
+        [
+            ("hold", 1_000.0),
+            ("cancel_half", 1_000.0),
+            ("drain", 1_000.0),
+            ("reshare_l64", 4_000.0),
+            ("reshare_l256", reshare_l256),
+            ("reshare_l1024", reshare_l1024),
+        ]
+        .iter()
+        .map(|&(w, events_per_sec)| KernelSample {
+            workload: w.to_string(),
+            events: 1_000,
+            events_per_sec,
+            heap_high_water: 64,
+            cancelled: 0,
+            wall_secs: 1.0,
+        })
+        .collect()
+    }
+
+    fn baseline(cancel_half: f64, reshare_l256: f64, gemm_q80: f64) -> String {
+        format!(
+            r#"{{"hold": 1000.0, "cancel_half": {cancel_half}, "drain": 1000.0,
+                "reshare_l64": 4000.0, "reshare_l256": {reshare_l256}, "reshare_l1024": 200.0,
+                "gemm_q32": 10.0, "gemm_q80": {gemm_q80}, "gemm_q100": 10.0}}"#
+        )
+    }
+
     #[test]
     fn kernel_baseline_gate_passes_floor_and_fails_regression() {
-        let samples: Vec<KernelSample> = ["hold", "cancel_half", "drain"]
-            .iter()
-            .map(|w| KernelSample {
-                workload: w.to_string(),
-                events: 1_000,
-                events_per_sec: 1_000.0,
-                heap_high_water: 64,
-                cancelled: 0,
-                wall_secs: 1.0,
-            })
-            .collect();
+        let samples = kernel_rows(1_000.0, 200.0);
         let gemm = gemm_rows(10.0);
-        let baseline = |cancel_half: f64, gemm_q80: f64| {
-            format!(
-                r#"{{"hold": 1000.0, "cancel_half": {cancel_half}, "drain": 1000.0,
-                    "gemm_q32": 10.0, "gemm_q80": {gemm_q80}, "gemm_q100": 10.0}}"#
-            )
-        };
         // At the committed level and 20 % below: ok. Below the floor: err.
-        let report = check_kernel_baseline(&baseline(1000.0, 10.0), &samples, &gemm).unwrap();
+        let report =
+            check_kernel_baseline(&baseline(1000.0, 1000.0, 10.0), &samples, &gemm).unwrap();
         assert!(report.contains("gemm_q100 10.00 GFLOP/s"), "{report}");
-        assert!(check_kernel_baseline(&baseline(1200.0, 12.0), &samples, &gemm).is_ok());
-        let err = check_kernel_baseline(&baseline(2000.0, 10.0), &samples, &gemm).unwrap_err();
+        assert!(
+            report.contains("reshare_l256 1000 re-shares/sec"),
+            "{report}"
+        );
+        assert!(report.contains("1024 / 256 lanes 5.0x"), "{report}");
+        assert!(check_kernel_baseline(&baseline(1200.0, 1200.0, 12.0), &samples, &gemm).is_ok());
+        let err =
+            check_kernel_baseline(&baseline(2000.0, 1000.0, 10.0), &samples, &gemm).unwrap_err();
         assert!(err.contains("cancel_half"), "{err}");
         assert!(err.contains("80%"), "{err}");
-        let err = check_kernel_baseline(&baseline(1000.0, 20.0), &samples, &gemm).unwrap_err();
+        let err =
+            check_kernel_baseline(&baseline(1000.0, 2000.0, 10.0), &samples, &gemm).unwrap_err();
+        assert!(
+            err.contains("reshare_l256 delivers 1000 re-shares/sec"),
+            "{err}"
+        );
+        let err =
+            check_kernel_baseline(&baseline(1000.0, 1000.0, 20.0), &samples, &gemm).unwrap_err();
         assert!(err.contains("gemm_q80 delivers 10.00 GFLOP/s"), "{err}");
         assert!(err.contains("80%"), "{err}");
         // An upper-case exponent is still the whole number (2E6, not 2).
-        let big = baseline(1000.0, 10.0).replace("\"hold\": 1000.0", "\"hold\": 2E6");
+        let big = baseline(1000.0, 1000.0, 10.0).replace("\"hold\": 1000.0", "\"hold\": 2E6");
         let err = check_kernel_baseline(&big, &samples, &gemm).unwrap_err();
         assert!(
             err.contains("hold") && err.contains("floor 1600000"),
             "{err}"
         );
         // A measured row missing from the run is an error, not a pass.
-        let err = check_kernel_baseline(&baseline(1000.0, 10.0), &samples, &[]).unwrap_err();
+        let err =
+            check_kernel_baseline(&baseline(1000.0, 1000.0, 10.0), &samples, &[]).unwrap_err();
         assert!(err.contains("no gemm_q32 sample"), "{err}");
+    }
+
+    /// The scaling gate needs no baseline: every row clears its floor,
+    /// but 1 024 lanes cost 28 times 256 lanes — the quadratic routine's
+    /// signature on any machine.
+    #[test]
+    fn kernel_baseline_gate_trips_on_quadratic_reshare_scaling() {
+        let quadratic = kernel_rows(5_600.0, 200.0);
+        let err = check_kernel_baseline(
+            &baseline(1000.0, 1000.0, 10.0),
+            &quadratic,
+            &gemm_rows(10.0),
+        )
+        .unwrap_err();
+        assert!(err.contains("costs 28.0x one at 256"), "{err}");
+        assert!(err.contains("limit is 10x"), "{err}");
     }
 
     #[test]
@@ -439,10 +565,11 @@ mod tests {
         assert!(err.contains("cancel_half"), "{err}");
         assert!(err.contains("expected"), "{err}");
         assert!(err.contains("drain"), "{err}");
-        // The pre-gemm baseline file is a schema error too.
-        let old = r#"{"hold": 1.0, "cancel_half": 1.0, "drain": 1.0}"#;
+        // The pre-reshare baseline file is a schema error too.
+        let old = r#"{"hold": 1.0, "cancel_half": 1.0, "drain": 1.0,
+                      "gemm_q32": 1.0, "gemm_q80": 1.0, "gemm_q100": 1.0}"#;
         let err = check_kernel_baseline(old, &[], &[]).unwrap_err();
-        assert!(err.contains("no \"gemm_q32\" field (expected"), "{err}");
+        assert!(err.contains("no \"reshare_l64\" field (expected"), "{err}");
     }
 
     #[test]
@@ -451,5 +578,6 @@ mod tests {
         assert!(table.contains("hold"));
         assert!(table.contains("cancel_half"));
         assert!(table.contains("drain"));
+        assert!(table.contains("reshare_l64") && table.contains("reshare_l1024"));
     }
 }

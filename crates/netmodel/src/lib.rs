@@ -37,6 +37,15 @@
 //! not approximately — which is what lets `BoundedMultiPort { k: 1,
 //! backbone: ∞ }` reproduce [`OnePort`] byte-for-byte.
 //!
+//! The engines re-share at every admission and completion, so the
+//! routine ([`maxmin_shares_into`]) groups the lanes by link once per
+//! call and spends O(n) per filling round, allocation-free through a
+//! warm [`ShareScratch`]. Its results are pinned to the bit by every
+//! golden schedule; the three rules that keep the grouped form exact
+//! (accumulated group sums, a sequentially drained backbone, per-lane
+//! link rates) are stated on the function, and the quadratic filling it
+//! replaced lives on as the oracle of `tests/netmodel_props.rs`.
+//!
 //! [`NetModelSpec`] is the serializable/parsable configuration form used
 //! by platform files (`@netmodel …` directive), CLIs and sweep grids;
 //! [`NetModelSpec::build`] instantiates the trait object.
@@ -59,8 +68,10 @@ pub struct TransferLane {
 
 /// Reusable buffers for share computation, so the hot re-share path of
 /// an engine's lane table allocates nothing in steady state: the
-/// progressive-filling working vectors (`rates`, `frozen`) and the
-/// output `shares` all live here and are only ever grown, never freed.
+/// progressive-filling working vectors (`rates`, `frozen`), the
+/// per-call grouping of lanes by link (`slots`, `group_of`, `used`,
+/// `live`) and the output `shares` all live here and are only ever
+/// grown, never freed.
 ///
 /// One scratch per lane table; thread it through
 /// [`ContentionModel::shares_into`] on every active-set change.
@@ -69,7 +80,18 @@ pub struct ShareScratch {
     rates: Vec<f64>,
     frozen: Vec<bool>,
     shares: Vec<f64>,
+    /// Open-addressing table keyed by worker id; a slot holds the first
+    /// lane of the link's group, or [`EMPTY_SLOT`].
+    slots: Vec<usize>,
+    /// Dense group (= physical link) of each lane.
+    group_of: Vec<usize>,
+    /// Per group: the sum of its lanes' rates, and how many of them are
+    /// still unfrozen.
+    used: Vec<f64>,
+    live: Vec<usize>,
 }
+
+const EMPTY_SLOT: usize = usize::MAX;
 
 impl ShareScratch {
     /// A fresh scratch (buffers grow on first use).
@@ -133,36 +155,76 @@ pub fn maxmin_shares(active: &[TransferLane], backbone: f64) -> Vec<f64> {
 }
 
 /// [`maxmin_shares`] writing into a reusable [`ShareScratch`] — the
-/// allocation-free form the engines' re-share hot paths call. The
-/// arithmetic is identical to the allocating wrapper (bitwise), only the
-/// buffers are recycled.
+/// allocation-free form the engines' re-share hot paths call.
+///
+/// Lanes are grouped by link once per call; each filling round is then
+/// three passes over the lanes, O(n) against the O(n²) of rescanning
+/// the lanes for every lane's link. The shares are pinned bit for bit
+/// (goldens, benchmark digests, and the quadratic oracle in
+/// `tests/netmodel_props.rs`), which holds because:
+///
+/// * **group sums are accumulated, never computed** — `used[g]` is the
+///   left-to-right sum of `rates[j]` over the group's lanes in ascending
+///   lane index from `0.0`, re-accumulated after every raise; never
+///   `m · r`, and never a running `used[g] += delta · live[g]`;
+/// * **the backbone is drained by one subtraction per raised lane**, in
+///   lane order, not by `delta · unfrozen` — whether another round runs
+///   turns on that residual;
+/// * **`link_rate` stays per lane**: lanes of one worker may carry
+///   different rates and freeze in different rounds; only `used` and
+///   `live` are per group.
 pub fn maxmin_shares_into(active: &[TransferLane], backbone: f64, scratch: &mut ShareScratch) {
     let n = active.len();
     scratch.shares.clear();
     if n == 0 {
         return;
     }
-    // Lanes to the same worker share one physical link.
-    scratch.rates.clear();
-    scratch.rates.resize(n, 0.0);
-    scratch.frozen.clear();
-    scratch.frozen.resize(n, false);
-    let rates = &mut scratch.rates;
-    let frozen = &mut scratch.frozen;
+    let ShareScratch {
+        rates,
+        frozen,
+        shares,
+        slots,
+        group_of,
+        used,
+        live,
+    } = scratch;
+    rates.clear();
+    rates.resize(n, 0.0);
+    frozen.clear();
+    frozen.resize(n, false);
+
+    // Lanes to the same worker share one physical link: give each
+    // distinct worker a dense group. `worker` is any `usize`, so the
+    // table is hashed and sized by `n` (load ≤ 1/2), not indexed by id.
+    let mask = (2 * n).next_power_of_two() - 1;
+    let shift = 64 - mask.count_ones();
+    slots.clear();
+    slots.resize(mask + 1, EMPTY_SLOT);
+    group_of.clear();
+    used.clear();
+    live.clear();
+    for (i, lane) in active.iter().enumerate() {
+        let mut s = ((lane.worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        let g = loop {
+            let first = slots[s];
+            if first == EMPTY_SLOT {
+                slots[s] = i;
+                used.push(0.0);
+                live.push(0);
+                break used.len() - 1;
+            }
+            if active[first].worker == lane.worker {
+                break group_of[first];
+            }
+            s = (s + 1) & mask;
+        };
+        group_of.push(g);
+        live[g] += 1;
+    }
+
     let mut backbone_left = backbone;
-    let link_used = |rates: &[f64], worker: usize| -> f64 {
-        active
-            .iter()
-            .zip(rates)
-            .filter(|(l, _)| l.worker == worker)
-            .map(|(_, &r)| r)
-            .sum()
-    };
-    loop {
-        let unfrozen = frozen.iter().filter(|f| !**f).count();
-        if unfrozen == 0 {
-            break;
-        }
+    let mut unfrozen = n;
+    while unfrozen > 0 {
         // Headroom per constraint, divided by the unfrozen lanes it
         // covers: the uniform raise is the smallest such quotient.
         let mut delta = if backbone_left.is_finite() {
@@ -171,22 +233,17 @@ pub fn maxmin_shares_into(active: &[TransferLane], backbone: f64, scratch: &mut 
             f64::INFINITY
         };
         for (i, lane) in active.iter().enumerate() {
-            if frozen[i] {
-                continue;
+            if !frozen[i] {
+                let g = group_of[i];
+                delta = delta.min((lane.link_rate - used[g]) / live[g] as f64);
             }
-            let used = link_used(rates, lane.worker);
-            let link_unfrozen = active
-                .iter()
-                .enumerate()
-                .filter(|(j, l)| l.worker == lane.worker && !frozen[*j])
-                .count();
-            delta = delta.min((lane.link_rate - used) / link_unfrozen as f64);
         }
         if delta.is_nan() || delta <= 0.0 {
             // A constraint is exactly saturated (or the backbone is 0):
             // freeze everything still active at its current rate.
             break;
         }
+        used.fill(0.0);
         for i in 0..n {
             if !frozen[i] {
                 rates[i] += delta;
@@ -194,29 +251,28 @@ pub fn maxmin_shares_into(active: &[TransferLane], backbone: f64, scratch: &mut 
                     backbone_left -= delta;
                 }
             }
+            used[group_of[i]] += rates[i];
         }
         // Freeze lanes whose link is now saturated. The backbone
         // saturating ends the allocation outright.
         for (i, lane) in active.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            if link_used(rates, lane.worker) >= lane.link_rate * (1.0 - 1e-12) {
+            let g = group_of[i];
+            if !frozen[i] && used[g] >= lane.link_rate * (1.0 - 1e-12) {
                 frozen[i] = true;
+                live[g] -= 1;
+                unfrozen -= 1;
             }
         }
         if backbone_left.is_finite() && backbone_left <= 0.0 {
             break;
         }
     }
-    scratch
-        .shares
-        .extend(active.iter().zip(rates.iter()).map(|(l, &r)| {
-            // A single unconstrained lane must come out at exactly 1.0:
-            // its rate accumulated exactly link_rate (one raise of
-            // link_rate/1), and link_rate / link_rate == 1.0 bitwise.
-            (r / l.link_rate).min(1.0)
-        }));
+    shares.extend(active.iter().zip(rates.iter()).map(|(l, &r)| {
+        // A single unconstrained lane must come out at exactly 1.0:
+        // its rate accumulated exactly link_rate (one raise of
+        // link_rate/1), and link_rate / link_rate == 1.0 bitwise.
+        (r / l.link_rate).min(1.0)
+    }));
 }
 
 /// Completion times of a batch of transfers drained through a

@@ -58,6 +58,9 @@ pub struct LaneTable<P> {
     model: Box<dyn ContentionModel>,
     /// Per-worker nominal block costs `c_i`.
     cs: Vec<f64>,
+    /// Per-worker link capacities `1 / c_i`, as the contention model
+    /// wants them.
+    link_rates: Vec<f64>,
     profile: Option<DynProfile>,
     /// In start order.
     active: Vec<Lane<P>>,
@@ -88,6 +91,7 @@ impl<P> LaneTable<P> {
     ) -> Self {
         LaneTable {
             model,
+            link_rates: cs.iter().map(|c| 1.0 / c).collect(),
             cs,
             profile,
             active: Vec::new(),
@@ -216,7 +220,7 @@ impl<P> LaneTable<P> {
         self.lane_scratch
             .extend(self.active.iter().map(|l| TransferLane {
                 worker: l.worker,
-                link_rate: 1.0 / self.cs[l.worker],
+                link_rate: self.link_rates[l.worker],
             }));
         self.model
             .shares_into(&self.lane_scratch, &mut self.share_scratch);
