@@ -1,6 +1,8 @@
 //! Benchmarks of the execution engines themselves: discrete-event
 //! simulation throughput, the eight-variant Het decision procedure, and
-//! the net messaging runtime end-to-end.
+//! the net messaging runtime end-to-end. The `sim_oneport` and
+//! `het_plan` entries call the very functions behind the CI rows of the
+//! same names ([`stargemm_bench::perf`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,6 +10,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
 
+use stargemm_bench::perf::{het_plan, sim_oneport};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::select_het::{allocate, SelectionVariant};
 use stargemm_core::Job;
@@ -32,6 +35,9 @@ fn bench_simulator(c: &mut Criterion) {
             },
         );
     }
+    group.bench_function("sim_oneport_10k_events", |b| {
+        b.iter(|| black_box(sim_oneport(10_000)))
+    });
     group.finish();
 }
 
@@ -60,9 +66,7 @@ fn bench_selection(c: &mut Criterion) {
             b.iter(|| black_box(allocate(&platform, &job, v)))
         });
     }
-    group.bench_function("het_best_8_variants", |b| {
-        b.iter(|| black_box(stargemm_core::select_het::het_best(&platform, &job)))
-    });
+    group.bench_function("het_plan", |b| b.iter(|| black_box(het_plan(1))));
     group.finish();
 }
 

@@ -40,11 +40,13 @@ use stargemm_sim::{Action, ChunkId, MasterPolicy, SimCtx, SimEvent};
 // the [`CountingAlloc`]. In binaries that do not install it, every
 // reading stays zero and the heap columns degrade gracefully.
 static TOTAL_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static TOTAL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`System`]-backed global allocator that tracks cumulative
-/// allocated bytes, live bytes, and the live-byte high-water mark.
+/// allocated bytes and allocation calls, live bytes, and the live-byte
+/// high-water mark.
 ///
 /// Install it in a binary with
 /// `#[global_allocator] static A: CountingAlloc = CountingAlloc;`.
@@ -87,6 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 fn on_alloc(size: usize) {
+    TOTAL_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     TOTAL_ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
     HIGH_WATER.fetch_max(live, Ordering::Relaxed);
@@ -96,6 +99,13 @@ fn on_alloc(size: usize) {
 /// [`CountingAlloc`]).
 pub fn total_allocated() -> u64 {
     TOTAL_ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// Cumulative allocator calls that returned memory — `alloc`,
+/// `alloc_zeroed` and `realloc` alike (0 unless a binary installed the
+/// [`CountingAlloc`]).
+pub fn total_allocations() -> u64 {
+    TOTAL_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Resets the high-water mark to the current live size, so the next

@@ -13,7 +13,13 @@
 //! (`netmodel::maxmin_shares_into`, run at every admission and
 //! completion under `FairShare` / `BoundedMultiPort`) at 64, 256 and
 //! 1 024 active lanes, and the gate checks that its cost grows linearly
-//! between the last two. The **gemm** rows put the block kernel
+//! between the last two. The **sim_oneport** and **het_plan** rows put
+//! the layers above the queue on the same floor: whole one-port
+//! `Simulator::run`s (model, ledger, lane table and the streaming
+//! master's callbacks, in policy-visible events/sec) and whole
+//! `build_policy(.., Het)` calls (phase 1 for the eight variants plus
+//! one scoring run per distinct allocation, in plans/sec), both on one
+//! cell of the paper's grid. The **gemm** rows put the block kernel
 //! (`linalg::gemm`, the rate behind every calibrated `w_i`) in the same
 //! file: GFLOP/s at the three block sizes the experiments use.
 
@@ -21,12 +27,15 @@ use std::time::Instant;
 
 use serde::json::Value;
 use serde::Serialize;
+use stargemm_core::algorithms::{build_policy, Algorithm};
+use stargemm_core::Job;
 use stargemm_linalg::gemm::bytes_per_flop;
 use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds};
 use stargemm_netmodel::{maxmin_shares_into, ShareScratch, TransferLane};
-use stargemm_sim::EventQueue;
+use stargemm_platform::{presets, Platform};
+use stargemm_sim::{EventQueue, Simulator};
 
-use crate::netperf::{baseline_number, parse_baseline};
+use crate::netperf::{baseline_number, parse_baseline, CountingPolicy};
 use crate::{Cli, Instance};
 
 /// Deterministic pseudo-random delays (xorshift — no rand dependency in
@@ -64,6 +73,16 @@ fn counters<T>(q: &EventQueue<T>) -> KernelCounters {
         delivered: q.delivered(),
         cancelled: q.cancelled(),
         heap_high_water: q.heap_high_water(),
+    }
+}
+
+/// Counters of a workload that does not run the bare queue: deliveries
+/// (calls, events) only.
+fn calls_only(delivered: u64) -> KernelCounters {
+    KernelCounters {
+        delivered,
+        cancelled: 0,
+        heap_high_water: 0,
     }
 }
 
@@ -144,21 +163,53 @@ pub fn reshare(lanes: usize, calls: u64) -> KernelCounters {
         );
         std::hint::black_box(scratch.shares());
     }
-    KernelCounters {
-        delivered: calls,
-        cancelled: 0,
-        heap_high_water: 0,
+    calls_only(calls)
+}
+
+/// The cell of the `sim_oneport` and `het_plan` rows: one cell of the
+/// paper's own grid (and of the repo benchmark's `paper_sweep`).
+fn engine_cell() -> (Platform, Job) {
+    (presets::fully_het(2.0), Job::paper(64_000))
+}
+
+/// The one-port engine model: whole [`Simulator::run`]s of ODDOML on
+/// the engine cell until `events` policy-visible events have been
+/// delivered. `delivered` counts those events.
+pub fn sim_oneport(events: u64) -> KernelCounters {
+    let (platform, job) = engine_cell();
+    let sim = Simulator::new(platform.clone());
+    let mut delivered = 0;
+    while delivered < events {
+        let policy = build_policy(&platform, &job, Algorithm::Oddoml).expect("ODDOML fits");
+        let mut policy = CountingPolicy::new(policy);
+        std::hint::black_box(sim.run(&mut policy).expect("ODDOML completes"));
+        delivered += policy.events;
     }
+    calls_only(delivered)
+}
+
+/// The Het planning model: `calls` whole `build_policy(.., Het)` calls
+/// on the engine cell — the paper's decision procedure, phase 1 and
+/// scoring runs included. `delivered` counts calls.
+pub fn het_plan(calls: u64) -> KernelCounters {
+    let (platform, job) = engine_cell();
+    for _ in 0..calls {
+        let policy = build_policy(std::hint::black_box(&platform), &job, Algorithm::Het);
+        std::hint::black_box(policy.expect("Het fits"));
+    }
+    calls_only(calls)
 }
 
 /// One row of the kernel trajectory.
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelSample {
-    /// Workload name (`hold`, `cancel_half`, `drain`, `reshare_l<n>`).
+    /// Workload name (`hold`, `cancel_half`, `drain`, `reshare_l<n>`,
+    /// `sim_oneport`, `het_plan`).
     pub workload: String,
-    /// Events delivered by the run (`reshare_*`: re-shares computed).
+    /// Events delivered by the run (`reshare_*`: re-shares computed;
+    /// `het_plan`: policies built).
     pub events: u64,
-    /// Delivered events (re-shares) per wall-clock second.
+    /// Delivered events (re-shares, plans) per wall-clock second.
     pub events_per_sec: f64,
     /// Kernel heap high-water mark.
     pub heap_high_water: u64,
@@ -233,7 +284,9 @@ pub fn sample(workload: &str, run: impl FnOnce() -> KernelCounters) -> KernelSam
 
 /// The three headline kernel samples at `events` deliveries each, then
 /// the `reshare` rows at `64 · events` lane visits each (so every row
-/// runs about as long, whatever its lane count).
+/// runs about as long, whatever its lane count), then the engine and
+/// the Het planner on top of the queue: `events` policy-visible events,
+/// and one plan per 10 000 of them.
 pub fn kernel_trajectory(pending: usize, events: u64) -> Vec<KernelSample> {
     let mut rows = vec![
         sample("hold", || hold(pending, events)),
@@ -244,6 +297,8 @@ pub fn kernel_trajectory(pending: usize, events: u64) -> Vec<KernelSample> {
         let calls = (64 * events / lanes as u64).max(1);
         sample(&reshare_key(lanes), || reshare(lanes, calls))
     }));
+    rows.push(sample("sim_oneport", || sim_oneport(events)));
+    rows.push(sample("het_plan", || het_plan((events / 10_000).max(1))));
     rows
 }
 
@@ -268,7 +323,8 @@ pub fn sweep_cell_times(cli: &Cli) -> Vec<CellSample> {
 pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
      \"cancel_half\": <events/sec>, \"drain\": <events/sec>, \
      \"reshare_l64\": <re-shares/sec>, \"reshare_l256\": <re-shares/sec>, \
-     \"reshare_l1024\": <re-shares/sec>, \"gemm_q32\": <GFLOP/s>, \
+     \"reshare_l1024\": <re-shares/sec>, \"sim_oneport\": <events/sec>, \
+     \"het_plan\": <plans/sec>, \"gemm_q32\": <GFLOP/s>, \
      \"gemm_q80\": <GFLOP/s>, \"gemm_q100\": <GFLOP/s>}";
 
 /// Most a re-share at 1 024 lanes may cost relative to one at 256. A
@@ -277,10 +333,11 @@ pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
 pub const RESHARE_SCALING_MAX: f64 = 10.0;
 
 /// Gates the measured kernel trajectory against a committed baseline
-/// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload must
-/// deliver at least 80 % of its committed events/sec, every `reshare`
-/// row 80 % of its committed re-shares/sec and every `gemm` row 80 % of
-/// its committed GFLOP/s — symmetric with
+/// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload and
+/// `sim_oneport` must deliver at least 80 % of its committed events/sec,
+/// every `reshare` row 80 % of its committed re-shares/sec, `het_plan`
+/// 80 % of its committed plans/sec and every `gemm` row 80 % of its
+/// committed GFLOP/s — symmetric with
 /// [`crate::netperf::check_net_baseline`] — and a re-share at 1 024
 /// lanes may cost at most [`RESHARE_SCALING_MAX`] re-shares at 256, on
 /// whatever machine. Returns the gate report on success and the first
@@ -300,6 +357,10 @@ pub fn check_kernel_baseline(
         .into_iter()
         .map(|key| (key.to_string(), "events/sec", 0))
         .chain(RESHARE_LANES.map(|lanes| (reshare_key(lanes), "re-shares/sec", 0)))
+        .chain([
+            ("sim_oneport".to_string(), "events/sec", 0),
+            ("het_plan".to_string(), "plans/sec", 1),
+        ])
         .chain(GEMM_SIZES.map(|q| (gemm_key(q), "GFLOP/s", 2)));
     // Validate the whole baseline schema up front so a malformed file
     // is reported as such even when the measured samples are short.
@@ -424,6 +485,10 @@ mod tests {
         assert_eq!(d.heap_high_water, 1_000);
 
         assert_eq!(reshare(64, 10).delivered, 10);
+
+        // One ODDOML run of the engine cell delivers thousands of events.
+        assert!(sim_oneport(1).delivered > 1_000);
+        assert_eq!(het_plan(1).delivered, 1);
     }
 
     fn gemm_rows(gflops: f64) -> Vec<GemmSample> {
@@ -450,6 +515,7 @@ mod tests {
         assert!(json.contains("\"cancel_half\""));
         assert!(json.contains("\"drain\""));
         assert!(json.contains("\"reshare_l256\""));
+        assert!(json.contains("\"sim_oneport\"") && json.contains("\"het_plan\""));
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"heap_high_water\""));
         assert!(json.contains("\"gemm\""));
@@ -471,8 +537,8 @@ mod tests {
         assert!(table.contains("q=80") && table.contains("0.150"), "{table}");
     }
 
-    /// Event-kernel rows at 1 000 events/sec, re-share rows at the
-    /// given rates.
+    /// Event-kernel and engine rows at 1 000 events/sec, the planner at
+    /// 100 plans/sec, re-share rows at the given rates.
     fn kernel_rows(reshare_l256: f64, reshare_l1024: f64) -> Vec<KernelSample> {
         [
             ("hold", 1_000.0),
@@ -481,6 +547,8 @@ mod tests {
             ("reshare_l64", 4_000.0),
             ("reshare_l256", reshare_l256),
             ("reshare_l1024", reshare_l1024),
+            ("sim_oneport", 1_000.0),
+            ("het_plan", 100.0),
         ]
         .iter()
         .map(|&(w, events_per_sec)| KernelSample {
@@ -498,6 +566,7 @@ mod tests {
         format!(
             r#"{{"hold": 1000.0, "cancel_half": {cancel_half}, "drain": 1000.0,
                 "reshare_l64": 4000.0, "reshare_l256": {reshare_l256}, "reshare_l1024": 200.0,
+                "sim_oneport": 1000.0, "het_plan": 100.0,
                 "gemm_q32": 10.0, "gemm_q80": {gemm_q80}, "gemm_q100": 10.0}}"#
         )
     }
@@ -530,6 +599,19 @@ mod tests {
             check_kernel_baseline(&baseline(1000.0, 1000.0, 20.0), &samples, &gemm).unwrap_err();
         assert!(err.contains("gemm_q80 delivers 10.00 GFLOP/s"), "{err}");
         assert!(err.contains("80%"), "{err}");
+        // The engine and the planner are gated like the queue under them:
+        // a doctored sample below 80 % of its row trips it by name.
+        for (row, rate, said) in [
+            ("sim_oneport", 700.0, "sim_oneport delivers 700 events/sec"),
+            ("het_plan", 79.9, "het_plan delivers 79.9 plans/sec"),
+        ] {
+            let mut slow = samples.clone();
+            let s = slow.iter_mut().find(|s| s.workload == row).unwrap();
+            s.events_per_sec = rate;
+            let err =
+                check_kernel_baseline(&baseline(1000.0, 1000.0, 10.0), &slow, &gemm).unwrap_err();
+            assert!(err.contains(said), "{err}");
+        }
         // An upper-case exponent is still the whole number (2E6, not 2).
         let big = baseline(1000.0, 1000.0, 10.0).replace("\"hold\": 1000.0", "\"hold\": 2E6");
         let err = check_kernel_baseline(&big, &samples, &gemm).unwrap_err();
@@ -579,5 +661,6 @@ mod tests {
         assert!(table.contains("cancel_half"));
         assert!(table.contains("drain"));
         assert!(table.contains("reshare_l64") && table.contains("reshare_l1024"));
+        assert!(table.contains("sim_oneport") && table.contains("het_plan"));
     }
 }

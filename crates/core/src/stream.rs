@@ -13,9 +13,9 @@
 //! 2. **serving discipline** — strict sticky round-robin (Algorithm 1)
 //!    or demand-driven (serve whichever worker can accept data now).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use stargemm_sim::{Action, ChunkId, Fragment, MasterPolicy, SimCtx, SimEvent, StepId};
+use stargemm_sim::{Action, ChunkId, ChunkMap, Fragment, MasterPolicy, SimCtx, SimEvent, StepId};
 
 use crate::geometry::{carve_strip, ChunkGeom, PlannedChunk};
 use crate::job::Job;
@@ -155,7 +155,7 @@ pub struct StreamingMaster {
     serving: Serving,
     window: StepId,
     rr: usize,
-    geoms: HashMap<ChunkId, ChunkGeom>,
+    geoms: ChunkMap<ChunkGeom>,
 }
 
 impl StreamingMaster {
@@ -174,7 +174,8 @@ impl StreamingMaster {
         window: StepId,
     ) -> Self {
         assert!(window > 0, "window must be at least 1 step");
-        let mut geoms = HashMap::new();
+        let planned = queues.iter().map(Vec::len).sum();
+        let mut geoms = ChunkMap::with_capacity_and_hasher(planned, Default::default());
         let lanes = queues
             .into_iter()
             .enumerate()
@@ -223,7 +224,7 @@ impl StreamingMaster {
             serving,
             window,
             rr: 0,
-            geoms: HashMap::new(),
+            geoms: ChunkMap::default(),
         }
     }
 

@@ -17,14 +17,12 @@
 //! uniform: a lost chunk simply re-enters the ready frontier (with a
 //! fresh id) and its successors stay blocked until the retry lands.
 
-use std::collections::HashMap;
-
 use stargemm_core::cpath::best_task_time;
 use stargemm_core::geometry::plan_chunk;
 use stargemm_core::stream::{GeometryAccess, Serving};
 use stargemm_core::{ChunkGeom, Job, StreamingMaster};
 use stargemm_platform::Platform;
-use stargemm_sim::{Action, ChunkId, JobId, MasterPolicy, SimCtx, SimEvent, StepId};
+use stargemm_sim::{Action, ChunkId, ChunkMap, JobId, MasterPolicy, SimCtx, SimEvent, StepId};
 use stargemm_sim::{ObsEvent, ObsSink};
 
 use crate::graph::{DagJob, TaskId};
@@ -87,7 +85,7 @@ pub struct DagMaster {
     bottom: Vec<f64>,
     /// Estimated time each lane drains its assigned work.
     est_free: Vec<f64>,
-    chunk_task: HashMap<ChunkId, TaskId>,
+    chunk_task: ChunkMap<TaskId>,
     /// The live chunk of an in-flight task (re-dispatch after a crash
     /// allocates a fresh id, so stale ids guard themselves).
     cur_chunk: Vec<Option<ChunkId>>,
@@ -201,7 +199,7 @@ impl DagMaster {
             bottom,
             est_free: vec![0.0; capacity.len()],
             capacity,
-            chunk_task: HashMap::new(),
+            chunk_task: ChunkMap::default(),
             next_chunk: id_base,
             done: 0,
             obs: ObsSink::off(),

@@ -31,7 +31,9 @@ use stargemm_core::geometry::{plan_chunk, ChunkGeom, PlannedChunk};
 use stargemm_core::stream::{GeometryAccess, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_platform::Platform;
-use stargemm_sim::{Action, ChunkDescr, ChunkId, MasterPolicy, MatKind, SimCtx, SimEvent, StepId};
+use stargemm_sim::{
+    Action, ChunkDescr, ChunkId, ChunkMap, MasterPolicy, MatKind, SimCtx, SimEvent, StepId,
+};
 
 use crate::estimate::CostEstimator;
 
@@ -102,7 +104,7 @@ pub struct AdaptiveMaster {
     /// In-flight transfers being timed: `(blocks, issued_at)` by key.
     pending_sends: HashMap<PendingSendKey, (u64, f64)>,
     /// Engine descriptors of every chunk ever issued or queued.
-    descrs: HashMap<ChunkId, ChunkDescr>,
+    descrs: ChunkMap<ChunkDescr>,
     /// Arrival time of the A fragment completing a step's operands.
     step_ready: HashMap<(ChunkId, StepId), f64>,
     /// Time each worker's last compute step finished.
@@ -130,7 +132,7 @@ impl AdaptiveMaster {
     ) -> Self {
         let p = platform.len();
         let next_id = inner.max_planned_id().map_or(0, |id| id + 1);
-        let mut descrs = HashMap::new();
+        let mut descrs = ChunkMap::default();
         for w in 0..p {
             for pc in inner.queued_chunks(w) {
                 descrs.insert(pc.descr.id, pc.descr);

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use stargemm_linalg::gemm::block_update;
 use stargemm_linalg::Block;
-use stargemm_sim::{ChunkDescr, ChunkId, StepId};
+use stargemm_sim::{ChunkDescr, ChunkId, ChunkMap, StepId};
 
 use crate::wire::{ToMaster, ToWorker};
 
@@ -85,13 +85,13 @@ impl WorkerChunk {
 /// messages and collecting its replies, ordered step events before
 /// `ChunkComputed` before a deferred `Result`.
 pub(crate) struct WorkerCore {
-    chunks: HashMap<ChunkId, WorkerChunk>,
+    chunks: ChunkMap<WorkerChunk>,
     /// Fragments that overtook their chunk's C load on the wire:
     /// concurrent contention models (`multiport`, `fairshare`) can finish
     /// a small A/B transfer before the bigger C transfer admitted
     /// earlier on the same link. They are stashed and replayed when the
     /// C blocks land — the same any-order arrival the simulator models.
-    early: HashMap<ChunkId, Vec<ToWorker>>,
+    early: ChunkMap<Vec<ToWorker>>,
     /// Dynamic platforms: a `Fail` control message simulates a crash —
     /// all chunks are dropped and data is ignored until `Recover`.
     down: bool,
@@ -101,8 +101,8 @@ impl WorkerCore {
     /// A fresh (up, empty) worker.
     pub(crate) fn new() -> WorkerCore {
         WorkerCore {
-            chunks: HashMap::new(),
-            early: HashMap::new(),
+            chunks: ChunkMap::default(),
+            early: ChunkMap::default(),
             down: false,
         }
     }

@@ -164,6 +164,9 @@ impl Simulator {
             obs,
         );
         let mut sm = MasterSm::new();
+        // Hook notifications of the event being delivered: one buffer
+        // for the whole run, so the steady-state loop never allocates.
+        let mut hooks = Vec::new();
 
         loop {
             // Ask the policy while the master is free to act.
@@ -184,7 +187,8 @@ impl Simulator {
             };
             let kind = ev.payload;
 
-            let hooks = st.apply_event(kind)?;
+            hooks.clear();
+            st.apply_event(kind, &mut hooks)?;
 
             if matches!(kind, EvKind::TransferDone { .. }) {
                 sm.on_transfer_done();
@@ -195,8 +199,8 @@ impl Simulator {
             })?;
 
             // Fire hooks after the state (and master bookkeeping) settled.
-            for h in hooks {
-                policy.on_event(&h, &st.ledger.ctx(st.now));
+            for h in &hooks {
+                policy.on_event(h, &st.ledger.ctx(st.now));
             }
         }
     }

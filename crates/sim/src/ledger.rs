@@ -16,13 +16,11 @@
 //! step's quota, so two copies of one fragment cannot both be on the
 //! wire.
 
-use std::collections::HashMap;
-
 use stargemm_platform::dynamic::DynProfile;
 use stargemm_platform::{Platform, WorkerId};
 
 use crate::error::SimError;
-use crate::msg::{ChunkDescr, ChunkId, Fragment, MatKind, StepId};
+use crate::msg::{ChunkDescr, ChunkId, ChunkMap, Fragment, MatKind, StepId};
 use crate::policy::SimCtx;
 use crate::stats::{JobStats, PortStats, RunStats, WorkerStats};
 
@@ -68,7 +66,7 @@ pub enum Delivery {
 #[derive(Clone, Debug)]
 pub struct StarLedger {
     workers: Vec<WorkerRt>,
-    chunks: HashMap<ChunkId, ChunkEntry>,
+    chunks: ChunkMap<ChunkEntry>,
 }
 
 fn unknown_chunk(id: ChunkId) -> SimError {
@@ -95,7 +93,7 @@ impl StarLedger {
             .collect();
         StarLedger {
             workers,
-            chunks: HashMap::new(),
+            chunks: ChunkMap::default(),
         }
     }
 

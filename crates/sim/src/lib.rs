@@ -55,7 +55,9 @@ pub use kernel::{ComponentId, EventId, EventQueue, KernelError};
 pub use lanes::{Lane, LaneTable};
 pub use ledger::{Delivery, StarLedger};
 pub use master::{MasterSm, MasterState, MasterTransport};
-pub use msg::{ChunkDescr, ChunkId, Fragment, JobId, MatKind, StepCosts, StepId};
+pub use msg::{
+    ChunkDescr, ChunkId, ChunkMap, Fragment, IdHasher, JobId, MatKind, StepCosts, StepId,
+};
 pub use policy::{Action, MasterPolicy, SimCtx, SimEvent};
 pub use stargemm_netmodel::{ContentionModel, NetModelSpec, TransferLane};
 pub use stargemm_obs::{ObsEvent, ObsSink, Recorder, RunRecorder};

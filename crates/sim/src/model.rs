@@ -25,8 +25,15 @@
 //! tombstoned and skipped at delivery. In-flight transfers still deliver
 //! (the port time was spent either way); their blocks are dropped on
 //! arrival.
+//!
+//! Like the kernel under it, the model's event path allocates nothing in
+//! steady state: hook notifications go into a buffer the run loop owns,
+//! and the chunk tables are [`ChunkMap`]s (no keyed SipHash for ids the
+//! policy chose). What a run allocates scales with its chunks — the
+//! per-step vectors of `ChunkRt` here and of the ledger's record —
+//! never with its events; `stargemm-bench`'s `sim_alloc` test counts it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use stargemm_netmodel::NetModelSpec;
 use stargemm_obs::{Dir, ObsEvent, ObsSink};
@@ -38,7 +45,7 @@ use crate::kernel::{ComponentId, Event, EventId, EventQueue, KernelError};
 use crate::lanes::LaneTable;
 use crate::ledger::{Delivery, StarLedger};
 use crate::master::MasterState;
-use crate::msg::{ChunkDescr, ChunkId, Fragment, JobId, MatKind, StepId};
+use crate::msg::{ChunkDescr, ChunkId, ChunkMap, Fragment, JobId, MatKind, StepId};
 use crate::policy::{Action, SimEvent};
 use crate::stats::{JobStats, RunStats};
 
@@ -176,7 +183,7 @@ pub(crate) struct StarModel {
     lanes: LaneTable<Wire>,
     /// The simulated workers' view of the chunks they hold (dropped at
     /// retrieval or loss).
-    chunks: HashMap<ChunkId, ChunkRt>,
+    chunks: ChunkMap<ChunkRt>,
     agenda: Agenda,
     /// Structured-event sink; detached in ordinary runs.
     obs: ObsSink,
@@ -227,7 +234,7 @@ impl StarModel {
                 profile,
                 obs.clone(),
             ),
-            chunks: HashMap::new(),
+            chunks: ChunkMap::default(),
             agenda,
             obs,
             last_retrieve_done: 0.0,
@@ -345,9 +352,14 @@ impl StarModel {
         self.admit(worker, Dir::ToMaster, chunk, blocks, wire);
     }
 
-    /// Applies an event; returns the hook notifications to dispatch.
-    pub(crate) fn apply_event(&mut self, kind: EvKind) -> Result<Vec<SimEvent>, SimError> {
-        let mut hooks = Vec::with_capacity(2);
+    /// Applies an event; appends the hook notifications to dispatch to
+    /// `hooks`, a buffer the run loop owns — so that delivering an event
+    /// allocates nothing once the buffer and the tables have grown.
+    pub(crate) fn apply_event(
+        &mut self,
+        kind: EvKind,
+        hooks: &mut Vec<SimEvent>,
+    ) -> Result<(), SimError> {
         let now = self.now;
         match kind {
             EvKind::TransferDone { lane } => {
@@ -460,7 +472,7 @@ impl StarModel {
                 }
             }
         }
-        Ok(hooks)
+        Ok(())
     }
 
     /// The simulated worker takes delivery of a fragment and fires every

@@ -1,12 +1,64 @@
 //! Message and chunk descriptors exchanged between master policies and
 //! the execution engines (the simulator and the net runtime alike).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a C-chunk (a rectangular set of C blocks processed as a
 /// unit by one worker). Chunk ids are policy-chosen and must be unique
 /// within a run.
 pub type ChunkId = u32;
+
+/// A table keyed by [`ChunkId`], for the per-event look-ups of the
+/// engines and the masters. Iteration order is arbitrary, as with any
+/// hash map: sort, count or reduce order-free — never schedule from it.
+pub type ChunkMap<V> = IdKeyed<ChunkId, V>;
+
+/// `std`'s hash map under [`IdHasher`].
+type IdKeyed<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher behind [`ChunkMap`]: one multiply and one rotate for ids
+/// the program handed out itself, where `std`'s keyed SipHash defends
+/// against keys an adversary chose. Tables built from user text
+/// (`dag::parse`'s name index) keep the default.
+///
+/// `std`'s table picks the bucket from the *low* bits of the hash and
+/// the in-bucket tag from the top seven, while a multiply mixes upward
+/// only: the low 20 bits of a bare `id · K` never see the job part of a
+/// DAG chunk id (`DAG_ID_BASE + job · 2²⁰ + task` in `stargemm-stream`).
+/// So `finish` rotates the well-mixed high bits down — the shape of
+/// rustc-hash 2.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    /// `2⁶⁴ / φ`, the Fibonacci-hashing multiplier.
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for IdHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    /// Byte-wise fallback, so any `Hash` key (a tuple, a `usize`) still
+    /// works.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Identifier of one job in a multi-job stream. Job ids are chosen by
 /// the workload layer and must be unique within a run; single-job runs
@@ -218,6 +270,57 @@ mod tests {
         // Fragment constructors honour the tail.
         assert_eq!(Fragment::a_step(&d, 9).blocks, 2);
         assert_eq!(Fragment::b_step(&d, 0).blocks, 4);
+    }
+
+    /// `stargemm-stream`'s DAG chunk namespace (`DAG_ID_BASE`,
+    /// `DAG_ID_SPAN`), restated: this crate sits below it.
+    const DAG_ID_BASE: ChunkId = 0x4000_0000;
+    const DAG_ID_SPAN: ChunkId = 1 << 20;
+
+    /// The hash a [`ChunkMap`] computes for `key`.
+    fn hash_of(key: impl std::hash::Hash) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<IdHasher>::default().hash_one(key)
+    }
+
+    /// Most keys sharing one value of the low 12 bits of the hash —
+    /// the bucket index of a 4 096-slot table.
+    fn worst_bucket(ids: impl Iterator<Item = ChunkId>) -> usize {
+        let mut buckets = [0usize; 4096];
+        for id in ids {
+            buckets[(hash_of(id) & 0xfff) as usize] += 1;
+        }
+        buckets.into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn id_hasher_spreads_the_ids_the_repo_hands_out() {
+        // 4 096 keys over 4 096 buckets, both in the shapes the masters
+        // really produce. A bare multiply passes the first and puts the
+        // second into 256 buckets of 16.
+        assert!(worst_bucket(0..4096) <= 4);
+        let dag = (0..16).flat_map(|j| (0..256).map(move |t| DAG_ID_BASE + j * DAG_ID_SPAN + t));
+        assert!(worst_bucket(dag) <= 4);
+        // The tag bits (top seven) vary too.
+        let tags: std::collections::BTreeSet<u64> =
+            (0..4096u32).map(|id| hash_of(id) >> 57).collect();
+        assert_eq!(tags.len(), 128);
+
+        let mut map: ChunkMap<&str> = ChunkMap::default();
+        for (id, name) in [(ChunkId::MAX, "max"), (0, "zero"), (DAG_ID_BASE, "dag")] {
+            assert_eq!(map.insert(id, name), None);
+        }
+        assert_eq!(map.get(&ChunkId::MAX), Some(&"max"));
+        assert_eq!(map.get(&0), Some(&"zero"));
+        assert_eq!(map.remove(&DAG_ID_BASE), Some("dag"));
+        assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn id_hasher_takes_tuple_and_byte_keys() {
+        assert_ne!(hash_of((1u32, 2u32)), hash_of((2u32, 1u32)));
+        assert_ne!(hash_of(1usize), hash_of(2usize));
+        assert_eq!(hash_of((7u32, 9u32)), hash_of((7u32, 9u32)));
     }
 
     #[test]

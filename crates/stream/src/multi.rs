@@ -43,7 +43,7 @@ use stargemm_core::stream::{GeometryAccess, Serving, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_dag::{DagJob, DagMaster, TaskId};
 use stargemm_platform::Platform;
-use stargemm_sim::{Action, ChunkId, JobId, MasterPolicy, SimCtx, SimEvent, StepId};
+use stargemm_sim::{Action, ChunkId, ChunkMap, JobId, MasterPolicy, SimCtx, SimEvent, StepId};
 use stargemm_sim::{ObsEvent, ObsSink};
 
 use crate::allocator::{weighted_maxmin, JobDemand};
@@ -242,7 +242,7 @@ pub struct MultiJobMaster {
     active: Vec<ActiveJob>,
     completed: Vec<JobId>,
     /// Owner job of every planned chunk (ids are globally unique).
-    owner: HashMap<ChunkId, JobId>,
+    owner: ChunkMap<JobId>,
     next_chunk_id: ChunkId,
     up: Vec<bool>,
     shares_dirty: bool,
@@ -378,7 +378,7 @@ impl MultiJobMaster {
             backlog: VecDeque::new(),
             active: Vec::new(),
             completed: Vec::new(),
-            owner: HashMap::new(),
+            owner: ChunkMap::default(),
             next_chunk_id: 0,
             up: vec![true; platform.len()],
             shares_dirty: false,
