@@ -1,8 +1,8 @@
 //! Benchmarks of the execution engines themselves: discrete-event
 //! simulation throughput, the eight-variant Het decision procedure, and
-//! the net messaging runtime end-to-end. The `sim_oneport` and
-//! `het_plan` entries call the very functions behind the CI rows of the
-//! same names ([`stargemm_bench::perf`]).
+//! the net messaging runtime end-to-end. The `sim_oneport`, `het_plan`,
+//! `attr` and `dag_dispatch` entries call the very functions behind the
+//! CI rows of the same names ([`stargemm_bench::perf`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -10,12 +10,16 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
 
-use stargemm_bench::perf::{het_plan, sim_oneport};
+use stargemm_bench::perf::{
+    dag_dispatch, het_plan, recorded_stream, sim_oneport, ATTR_JOBS, DAG_ROWS,
+};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::select_het::{allocate, SelectionVariant};
 use stargemm_core::Job;
+use stargemm_dag::lu_dag;
 use stargemm_linalg::BlockMatrix;
 use stargemm_net::{NetOptions, NetRuntime};
+use stargemm_obs::Attribution;
 use stargemm_platform::{presets, Platform, WorkerSpec};
 use stargemm_sim::Simulator;
 
@@ -70,6 +74,22 @@ fn bench_selection(c: &mut Criterion) {
     group.finish();
 }
 
+/// The online layers above the engine: reading a recorded stream cell
+/// back (one attribution of its log per iteration) and whole `DagMaster`
+/// runs of the two LU graphs.
+fn bench_online(c: &mut Criterion) {
+    let mut group = c.benchmark_group("online");
+    let (log, makespan) = recorded_stream(ATTR_JOBS);
+    group.bench_function("attr", |b| {
+        b.iter(|| black_box(Attribution::from_events(&log, makespan)))
+    });
+    for (name, side) in DAG_ROWS {
+        let (dag, _) = lu_dag(side);
+        group.bench_function(name, |b| b.iter(|| black_box(dag_dispatch(&dag, 1))));
+    }
+    group.finish();
+}
+
 fn bench_net_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_runtime");
     group
@@ -104,6 +124,6 @@ fn bench_net_runtime(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_simulator, bench_selection, bench_net_runtime
+    targets = bench_simulator, bench_selection, bench_online, bench_net_runtime
 }
 criterion_main!(benches);

@@ -19,9 +19,15 @@
 //! master's callbacks, in policy-visible events/sec) and whole
 //! `build_policy(.., Het)` calls (phase 1 for the eight variants plus
 //! one scoring run per distinct allocation, in plans/sec), both on one
-//! cell of the paper's grid. The **gemm** rows put the block kernel
-//! (`linalg::gemm`, the rate behind every calibrated `w_i`) in the same
-//! file: GFLOP/s at the three block sizes the experiments use.
+//! cell of the paper's grid. The **attr** row times the run record's
+//! most expensive reader, `Attribution::from_events`, over the log of
+//! one recorded 400-job stream cell (events/sec), and the
+//! **dag_dispatch** rows whole `DagMaster` runs of tiled-LU graphs
+//! (tasks/sec) at two sizes, so the gate can check that a decision's
+//! cost does not grow with the task table. The **gemm** rows put the
+//! block kernel (`linalg::gemm`, the rate behind every calibrated
+//! `w_i`) in the same file: GFLOP/s at the three block sizes the
+//! experiments use.
 
 use std::time::Instant;
 
@@ -29,11 +35,17 @@ use serde::json::Value;
 use serde::Serialize;
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::Job;
+use stargemm_dag::{lu_dag, DagJob, DagMaster};
 use stargemm_linalg::gemm::bytes_per_flop;
 use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds};
 use stargemm_netmodel::{maxmin_shares_into, ShareScratch, TransferLane};
-use stargemm_platform::{presets, Platform};
+use stargemm_obs::{Attribution, ObsEvent};
+use stargemm_platform::{presets, Platform, WorkerSpec};
 use stargemm_sim::{EventQueue, Simulator};
+use stargemm_stream::{
+    aggregate_throughput_bound, ArrivalProcess, MultiJobMaster, StreamConfig, TenantSpec,
+    WorkloadSpec,
+};
 
 use crate::netperf::{baseline_number, parse_baseline, CountingPolicy};
 use crate::{Cli, Instance};
@@ -200,16 +212,85 @@ pub fn het_plan(calls: u64) -> KernelCounters {
     calls_only(calls)
 }
 
+/// The four-worker star of `exp_stream` and the repo benchmark's
+/// `stream_mix`.
+fn stream_star() -> Platform {
+    Platform::new(
+        "stream-star",
+        vec![
+            WorkerSpec::new(0.20, 0.10, 80),
+            WorkerSpec::new(0.25, 0.12, 60),
+            WorkerSpec::new(0.30, 0.15, 60),
+            WorkerSpec::new(0.50, 0.30, 40),
+        ],
+    )
+}
+
+/// Jobs of the `attr` row's stream cell.
+pub const ATTR_JOBS: usize = 400;
+
+/// One recorded open-arrival stream cell: `jobs` jobs of `exp_stream`'s
+/// uniform mix offered to its star at 0.9 of the steady-state capacity,
+/// run once under a recorder. Returns the event log and the makespan —
+/// what `Attribution::from_events` takes.
+pub fn recorded_stream(jobs: usize) -> (Vec<ObsEvent>, f64) {
+    let platform = stream_star();
+    let shapes = vec![Job::new(4, 3, 6, 2), Job::new(6, 4, 8, 2)];
+    let mean_updates =
+        shapes.iter().map(|j| j.total_updates() as f64).sum::<f64>() / shapes.len() as f64;
+    let requests = WorkloadSpec {
+        arrivals: ArrivalProcess::Open {
+            mean_interarrival: mean_updates / (0.9 * aggregate_throughput_bound(&platform)),
+        },
+        tenants: vec![TenantSpec::new("uni", 1.0, shapes)],
+        jobs,
+        seed: 2008,
+    }
+    .generate();
+    let (stats, events) = crate::obs::record_with(|obs| {
+        let mut master = MultiJobMaster::new(&platform, &requests, StreamConfig::default())
+            .expect("the mix fits the star")
+            .with_obs(obs.clone());
+        Simulator::new(platform.clone())
+            .with_arrivals(MultiJobMaster::arrival_plan(&requests))
+            .run_observed(&mut master, obs)
+    });
+    (events, stats.expect("the stream completes").makespan)
+}
+
+/// The `dag_dispatch` rows, as (workload name, side of the tiled-LU
+/// graph): `lu_dag(16)` (1 496 tasks) carries the floor, `lu_dag(8)` (204
+/// tasks) is what the scaling gate compares it with.
+pub const DAG_ROWS: [(&str, usize); 2] = [("dag_dispatch_n8", 8), ("dag_dispatch", 16)];
+
+/// The DAG dispatch model: `runs` whole unrecorded [`DagMaster`] runs of
+/// `dag` — dispatcher construction, every decision, the engine under
+/// them — on the first three workers of the stream star (the repo
+/// benchmark's `dag-star`). `delivered` counts completed tasks.
+pub fn dag_dispatch(dag: &DagJob, runs: u64) -> KernelCounters {
+    let star = stream_star();
+    let platform = Platform::new("dag-star", star.workers()[..3].to_vec());
+    let sim = Simulator::new(platform.clone());
+    for _ in 0..runs {
+        let mut master = DagMaster::new("lu", &platform, dag.clone(), 2, 2);
+        std::hint::black_box(sim.run(&mut master).expect("the LU graph completes"));
+        assert!(master.is_complete());
+    }
+    calls_only(runs * dag.len() as u64)
+}
+
 /// One row of the kernel trajectory.
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelSample {
     /// Workload name (`hold`, `cancel_half`, `drain`, `reshare_l<n>`,
-    /// `sim_oneport`, `het_plan`).
+    /// `sim_oneport`, `het_plan`, `attr`, `dag_dispatch`,
+    /// `dag_dispatch_n8`).
     pub workload: String,
     /// Events delivered by the run (`reshare_*`: re-shares computed;
-    /// `het_plan`: policies built).
+    /// `het_plan`: policies built; `attr`: log events attributed;
+    /// `dag_dispatch_*`: tasks completed).
     pub events: u64,
-    /// Delivered events (re-shares, plans) per wall-clock second.
+    /// Delivered events (re-shares, plans, tasks) per wall-clock second.
     pub events_per_sec: f64,
     /// Kernel heap high-water mark.
     pub heap_high_water: u64,
@@ -286,7 +367,10 @@ pub fn sample(workload: &str, run: impl FnOnce() -> KernelCounters) -> KernelSam
 /// the `reshare` rows at `64 · events` lane visits each (so every row
 /// runs about as long, whatever its lane count), then the engine and
 /// the Het planner on top of the queue: `events` policy-visible events,
-/// and one plan per 10 000 of them.
+/// and one plan per 10 000 of them. Last the two online layers: about
+/// `16 · events` log events attributed (the cell is recorded once,
+/// outside the timing) and about `events` DAG tasks per graph (each
+/// graph built outside the timing).
 pub fn kernel_trajectory(pending: usize, events: u64) -> Vec<KernelSample> {
     let mut rows = vec![
         sample("hold", || hold(pending, events)),
@@ -299,6 +383,19 @@ pub fn kernel_trajectory(pending: usize, events: u64) -> Vec<KernelSample> {
     }));
     rows.push(sample("sim_oneport", || sim_oneport(events)));
     rows.push(sample("het_plan", || het_plan((events / 10_000).max(1))));
+    let (log, makespan) = recorded_stream(ATTR_JOBS);
+    rows.push(sample("attr", || {
+        let calls = (16 * events / log.len() as u64).max(1);
+        for _ in 0..calls {
+            std::hint::black_box(Attribution::from_events(&log, makespan));
+        }
+        calls_only(calls * log.len() as u64)
+    }));
+    rows.extend(DAG_ROWS.map(|(name, side)| {
+        let (dag, _) = lu_dag(side);
+        let runs = (events / dag.len() as u64).max(1);
+        sample(name, || dag_dispatch(&dag, runs))
+    }));
     rows
 }
 
@@ -324,7 +421,8 @@ pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
      \"cancel_half\": <events/sec>, \"drain\": <events/sec>, \
      \"reshare_l64\": <re-shares/sec>, \"reshare_l256\": <re-shares/sec>, \
      \"reshare_l1024\": <re-shares/sec>, \"sim_oneport\": <events/sec>, \
-     \"het_plan\": <plans/sec>, \"gemm_q32\": <GFLOP/s>, \
+     \"het_plan\": <plans/sec>, \"attr\": <events/sec>, \
+     \"dag_dispatch\": <tasks/sec>, \"gemm_q32\": <GFLOP/s>, \
      \"gemm_q80\": <GFLOP/s>, \"gemm_q100\": <GFLOP/s>}";
 
 /// Most a re-share at 1 024 lanes may cost relative to one at 256. A
@@ -332,16 +430,26 @@ pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
 /// that rescans the lanes per lane about 28.
 pub const RESHARE_SCALING_MAX: f64 = 10.0;
 
+/// Least share of its tasks/sec on the smaller graph of [`DAG_ROWS`]
+/// that `DagMaster` must keep on the larger. A dispatcher whose
+/// decisions cost the frontier reads about 1 on any machine, one that
+/// rescans the task table per decision about 0.3.
+pub const DAG_SCALING_MIN: f64 = 0.5;
+
 /// Gates the measured kernel trajectory against a committed baseline
 /// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload and
 /// `sim_oneport` must deliver at least 80 % of its committed events/sec,
 /// every `reshare` row 80 % of its committed re-shares/sec, `het_plan`
 /// 80 % of its committed plans/sec and every `gemm` row 80 % of its
-/// committed GFLOP/s — symmetric with
-/// [`crate::netperf::check_net_baseline`] — and a re-share at 1 024
-/// lanes may cost at most [`RESHARE_SCALING_MAX`] re-shares at 256, on
-/// whatever machine. Returns the gate report on success and the first
-/// violation (or schema problem) on failure.
+/// committed GFLOP/s, `attr` 80 % of its committed events/sec and
+/// `dag_dispatch` (the larger graph of [`DAG_ROWS`]) 80 % of its
+/// committed tasks/sec — symmetric with
+/// [`crate::netperf::check_net_baseline`] — and, on whatever machine, a
+/// re-share at 1 024 lanes may cost at most [`RESHARE_SCALING_MAX`]
+/// re-shares at 256 and the larger LU graph must run at
+/// [`DAG_SCALING_MIN`] of the smaller one's tasks/sec or better. Returns
+/// the gate report on success and the first violation (or schema
+/// problem) on failure.
 pub fn check_kernel_baseline(
     baseline_json: &str,
     samples: &[KernelSample],
@@ -360,6 +468,8 @@ pub fn check_kernel_baseline(
         .chain([
             ("sim_oneport".to_string(), "events/sec", 0),
             ("het_plan".to_string(), "plans/sec", 1),
+            ("attr".to_string(), "events/sec", 0),
+            ("dag_dispatch".to_string(), "tasks/sec", 0),
         ])
         .chain(GEMM_SIZES.map(|q| (gemm_key(q), "GFLOP/s", 2)));
     // Validate the whole baseline schema up front so a malformed file
@@ -403,6 +513,19 @@ pub fn check_kernel_baseline(
         "kernel baseline gate ok: re-share cost 1024 / 256 lanes {scaling:.1}x < \
          {RESHARE_SCALING_MAX}x"
     ));
+    let [(small, small_side), (large, large_side)] = DAG_ROWS;
+    let kept = rate_of(large)? / rate_of(small)?;
+    if kept < DAG_SCALING_MIN {
+        return Err(format!(
+            "kernel perf regression: DagMaster keeps {kept:.2} of its tasks/sec from \
+             lu_dag({small_side}) to lu_dag({large_side}) ({large} vs {small}); a kept \
+             frontier reads ~1, the limit is {DAG_SCALING_MIN}"
+        ));
+    }
+    lines.push(format!(
+        "kernel baseline gate ok: DagMaster tasks/sec lu_dag({large_side}) / \
+         lu_dag({small_side}) {kept:.2} >= {DAG_SCALING_MIN}"
+    ));
     Ok(lines.join("\n"))
 }
 
@@ -435,12 +558,12 @@ pub fn perf_report_json(
 /// Aligned text table over the kernel samples.
 pub fn render_kernel_table(samples: &[KernelSample]) -> String {
     let mut out = format!(
-        "{:<14}{:>10}{:>16}{:>12}{:>12}{:>10}\n",
+        "{:<18}{:>10}{:>16}{:>12}{:>12}{:>10}\n",
         "workload", "events", "events/sec", "heap hw", "cancelled", "wall s"
     );
     for s in samples {
         out.push_str(&format!(
-            "{:<14}{:>10}{:>16.0}{:>12}{:>12}{:>10.3}\n",
+            "{:<18}{:>10}{:>16.0}{:>12}{:>12}{:>10.3}\n",
             s.workload, s.events, s.events_per_sec, s.heap_high_water, s.cancelled, s.wall_secs
         ));
     }
@@ -489,6 +612,14 @@ mod tests {
         // One ODDOML run of the engine cell delivers thousands of events.
         assert!(sim_oneport(1).delivered > 1_000);
         assert_eq!(het_plan(1).delivered, 1);
+
+        // A recorded stream logs hundreds of events per job, and the
+        // profile of its log is conserved.
+        let (log, makespan) = recorded_stream(5);
+        assert!(log.len() > 500, "{} events", log.len());
+        assert!(Attribution::from_events(&log, makespan).is_conserved());
+        let (dag, _) = lu_dag(3);
+        assert_eq!(dag_dispatch(&dag, 2).delivered, 2 * dag.len() as u64);
     }
 
     fn gemm_rows(gflops: f64) -> Vec<GemmSample> {
@@ -516,6 +647,8 @@ mod tests {
         assert!(json.contains("\"drain\""));
         assert!(json.contains("\"reshare_l256\""));
         assert!(json.contains("\"sim_oneport\"") && json.contains("\"het_plan\""));
+        assert!(json.contains("\"attr\"") && json.contains("\"dag_dispatch\""));
+        assert!(json.contains("\"dag_dispatch_n8\""));
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"heap_high_water\""));
         assert!(json.contains("\"gemm\""));
@@ -537,8 +670,9 @@ mod tests {
         assert!(table.contains("q=80") && table.contains("0.150"), "{table}");
     }
 
-    /// Event-kernel and engine rows at 1 000 events/sec, the planner at
-    /// 100 plans/sec, re-share rows at the given rates.
+    /// Event-kernel, engine, attribution and DAG rows at 1 000 per
+    /// second, the planner at 100 plans/sec, re-share rows at the given
+    /// rates.
     fn kernel_rows(reshare_l256: f64, reshare_l1024: f64) -> Vec<KernelSample> {
         [
             ("hold", 1_000.0),
@@ -549,6 +683,9 @@ mod tests {
             ("reshare_l1024", reshare_l1024),
             ("sim_oneport", 1_000.0),
             ("het_plan", 100.0),
+            ("attr", 1_000.0),
+            ("dag_dispatch_n8", 1_000.0),
+            ("dag_dispatch", 1_000.0),
         ]
         .iter()
         .map(|&(w, events_per_sec)| KernelSample {
@@ -566,7 +703,7 @@ mod tests {
         format!(
             r#"{{"hold": 1000.0, "cancel_half": {cancel_half}, "drain": 1000.0,
                 "reshare_l64": 4000.0, "reshare_l256": {reshare_l256}, "reshare_l1024": 200.0,
-                "sim_oneport": 1000.0, "het_plan": 100.0,
+                "sim_oneport": 1000.0, "het_plan": 100.0, "attr": 1000.0, "dag_dispatch": 1000.0,
                 "gemm_q32": 10.0, "gemm_q80": {gemm_q80}, "gemm_q100": 10.0}}"#
         )
     }
@@ -584,6 +721,10 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("1024 / 256 lanes 5.0x"), "{report}");
+        assert!(
+            report.contains("lu_dag(16) / lu_dag(8) 1.00 >= 0.5"),
+            "{report}"
+        );
         assert!(check_kernel_baseline(&baseline(1200.0, 1200.0, 12.0), &samples, &gemm).is_ok());
         let err =
             check_kernel_baseline(&baseline(2000.0, 1000.0, 10.0), &samples, &gemm).unwrap_err();
@@ -599,11 +740,14 @@ mod tests {
             check_kernel_baseline(&baseline(1000.0, 1000.0, 20.0), &samples, &gemm).unwrap_err();
         assert!(err.contains("gemm_q80 delivers 10.00 GFLOP/s"), "{err}");
         assert!(err.contains("80%"), "{err}");
-        // The engine and the planner are gated like the queue under them:
-        // a doctored sample below 80 % of its row trips it by name.
+        // The engine, the planner, attribution and the DAG dispatcher are
+        // gated like the queue under them: a doctored sample below 80 %
+        // of its row trips it by name.
         for (row, rate, said) in [
             ("sim_oneport", 700.0, "sim_oneport delivers 700 events/sec"),
             ("het_plan", 79.9, "het_plan delivers 79.9 plans/sec"),
+            ("attr", 799.0, "attr delivers 799 events/sec"),
+            ("dag_dispatch", 600.0, "dag_dispatch delivers 600 tasks/sec"),
         ] {
             let mut slow = samples.clone();
             let s = slow.iter_mut().find(|s| s.workload == row).unwrap();
@@ -641,6 +785,24 @@ mod tests {
         assert!(err.contains("limit is 10x"), "{err}");
     }
 
+    /// Likewise for the DAG dispatcher: the larger graph clears its
+    /// floor, but runs at 0.28 of the smaller one's tasks/sec — a
+    /// dispatcher that rescans the task table on every decision.
+    #[test]
+    fn kernel_baseline_gate_trips_on_a_dispatcher_that_scales_with_the_task_table() {
+        let mut scanning = kernel_rows(1_000.0, 200.0);
+        let small = scanning
+            .iter_mut()
+            .find(|s| s.workload == "dag_dispatch_n8")
+            .unwrap();
+        small.events_per_sec = 1_000.0 / 0.28;
+        let err =
+            check_kernel_baseline(&baseline(1000.0, 1000.0, 10.0), &scanning, &gemm_rows(10.0))
+                .unwrap_err();
+        assert!(err.contains("keeps 0.28 of its tasks/sec"), "{err}");
+        assert!(err.contains("limit is 0.5"), "{err}");
+    }
+
     #[test]
     fn kernel_baseline_gate_names_the_expected_schema() {
         let err = check_kernel_baseline(r#"{"hold": 1.0}"#, &[], &[]).unwrap_err();
@@ -662,5 +824,6 @@ mod tests {
         assert!(table.contains("drain"));
         assert!(table.contains("reshare_l64") && table.contains("reshare_l1024"));
         assert!(table.contains("sim_oneport") && table.contains("het_plan"));
+        assert!(table.contains("attr") && table.contains("dag_dispatch_n8"));
     }
 }

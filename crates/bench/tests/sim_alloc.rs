@@ -4,7 +4,10 @@
 //! fragment, one step completion per step) and must leave the run's
 //! allocation count under the same `A + B × chunks` line: what remains
 //! per chunk is the model's and the ledger's per-step vectors, what
-//! remains per run the tables, the event slab and the statistics.
+//! remains per run the tables, the event slab and the statistics. A
+//! `DagMaster` run is held to the same line — one chunk per task —
+//! whatever the size of its task table: its decisions walk a kept
+//! frontier and collect nothing.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would allocate into the reading.
@@ -12,9 +15,10 @@
 use stargemm_bench::netperf::{total_allocations, CountingAlloc};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::select_het::{het_policy, SelectionVariant};
-use stargemm_core::{Job, StreamingMaster};
-use stargemm_platform::{presets, Platform};
-use stargemm_sim::{RunStats, Simulator};
+use stargemm_core::Job;
+use stargemm_dag::{lu_dag, DagMaster};
+use stargemm_platform::{presets, Platform, WorkerSpec};
+use stargemm_sim::{MasterPolicy, RunStats, Simulator};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -29,7 +33,7 @@ const PER_CHUNK: u64 = 4;
 
 /// Allocator calls made inside `Simulator::run` (the policy is built
 /// before the reading starts).
-fn run_allocations(platform: &Platform, mut policy: StreamingMaster) -> (u64, RunStats) {
+fn run_allocations(platform: &Platform, mut policy: impl MasterPolicy) -> (u64, RunStats) {
     let sim = Simulator::new(platform.clone());
     let before = total_allocations();
     let stats = sim.run(&mut policy).expect("feasible run");
@@ -66,5 +70,22 @@ fn a_simulated_run_allocates_per_chunk_not_per_event() {
                 stats.chunks,
             );
         }
+    }
+
+    // DAG jobs: one chunk per task, and a sevenfold task table leaves
+    // the per-task count where it was (measured: 3.2–3.3).
+    let star = Platform::homogeneous("dag-star", 3, WorkerSpec::new(0.25, 0.12, 60));
+    for side in [8, 16] {
+        let (dag, _) = lu_dag(side);
+        let tasks = dag.len() as u64;
+        let master = DagMaster::new("lu", &star, dag, 2, 2);
+        let (allocations, stats) = run_allocations(&star, master);
+        assert_eq!(stats.chunks, tasks);
+        let line = PER_RUN + PER_CHUNK * tasks;
+        assert!(
+            allocations <= line,
+            "lu_dag({side}): {allocations} allocations for {tasks} tasks, \
+             over {PER_RUN} + {PER_CHUNK} × tasks = {line}"
+        );
     }
 }

@@ -9,6 +9,12 @@
 //! a task's chunk is enqueued, so both execution engines run DAG jobs
 //! through their existing chunk machinery unchanged.
 //!
+//! The frontier is kept, not re-derived: a set of the ready tasks'
+//! priority ranks, updated wherever a task changes state, so a decision
+//! costs the lanes plus the ready tasks it actually looks at — nothing
+//! when every lane already has its next chunk queued — whatever the
+//! size of the task table.
+//!
 //! A task of width `w` becomes a `1 × w` chunk of the DAG's virtual GEMM
 //! on the task's private column range: `w` C blocks down, one step of
 //! `w` B blocks plus 1 A block, `w` updates, `w` C blocks back. The
@@ -16,6 +22,8 @@
 //! event that unlocks successors — which also makes crash recovery
 //! uniform: a lost chunk simply re-enters the ready frontier (with a
 //! fresh id) and its successors stay blocked until the retry lands.
+
+use std::collections::BTreeSet;
 
 use stargemm_core::cpath::best_task_time;
 use stargemm_core::geometry::plan_chunk;
@@ -80,6 +88,14 @@ pub struct DagMaster {
     /// Tasks by descending bottom level (ties: ascending id) — the HEFT
     /// dispatch priority.
     priority: Vec<TaskId>,
+    /// Position of each task in `priority`.
+    rank: Vec<usize>,
+    /// Ranks of the tasks in state `Ready`: ascending order is dispatch
+    /// order. Changed only by [`DagMaster::set_state`].
+    ready: BTreeSet<usize>,
+    /// Ready tasks per width (observation only: the widest ready task
+    /// decides whether the frontier is memory-blocked).
+    ready_of_width: Vec<usize>,
     /// Bottom level of each task: its best-case time plus the longest
     /// best-case chain below it.
     bottom: Vec<f64>,
@@ -174,28 +190,25 @@ impl DagMaster {
                 .expect("finite bottom levels")
                 .then(a.cmp(&b))
         });
+        let mut rank = vec![0; dag.len()];
+        for (r, &t) in priority.iter().enumerate() {
+            rank[t] = r;
+        }
         let unmet: Vec<usize> = (0..dag.len()).map(|t| dag.preds(t).len()).collect();
-        let state = unmet
-            .iter()
-            .map(|&u| {
-                if u == 0 {
-                    TaskState::Ready
-                } else {
-                    TaskState::Blocked
-                }
-            })
-            .collect();
-        Ok(DagMaster {
+        let mut master = DagMaster {
             name,
             cur_chunk: vec![None; dag.len()],
             completion: Vec::with_capacity(dag.len()),
+            state: vec![TaskState::Blocked; dag.len()],
+            ready: BTreeSet::new(),
+            ready_of_width: vec![0; dag.max_width() + 1],
             dag,
             virt,
             inner,
             platform: platform.clone(),
-            state,
             unmet,
             priority,
+            rank,
             bottom,
             est_free: vec![0.0; capacity.len()],
             capacity,
@@ -205,7 +218,13 @@ impl DagMaster {
             obs: ObsSink::off(),
             obs_job: 0,
             mem_stalled: false,
-        })
+        };
+        for t in 0..master.dag.len() {
+            if master.unmet[t] == 0 {
+                master.set_state(t, TaskState::Ready);
+            }
+        }
+        Ok(master)
     }
 
     /// Attaches a structured-event sink; `job` labels the emitted
@@ -251,67 +270,108 @@ impl DagMaster {
         (3 * width + 1) as f64 * spec.c + width as f64 * spec.w
     }
 
-    /// Maps ready tasks onto idle lanes, highest bottom level first.
-    fn dispatch(&mut self, ctx: &SimCtx) {
-        let mut frontier_width = if self.obs.is_on() {
-            self.state
-                .iter()
-                .filter(|&&s| s == TaskState::Ready)
-                .count()
-        } else {
-            0
-        };
-        let mut unplaced: Vec<TaskId> = Vec::new();
-        for pi in 0..self.priority.len() {
-            let t = self.priority[pi];
-            if self.state[t] != TaskState::Ready {
-                continue;
-            }
-            let width = self.dag.width(t);
-            let need = 2 * width + 1;
-            let mut best: Option<(f64, usize)> = None;
-            for i in 0..self.platform.len() {
-                if !ctx.is_up(i)
-                    || need > self.capacity[i]
-                    || self.inner.queued_chunks(i).next().is_some()
-                {
-                    continue;
-                }
-                let finish = self.est_free[i].max(ctx.now()) + self.task_time(width, i);
-                if best.is_none_or(|(bf, _)| finish < bf) {
-                    best = Some((finish, i));
-                }
-            }
-            let Some((finish, i)) = best else {
-                unplaced.push(t);
-                continue;
-            };
-            let id = self.next_chunk;
-            self.next_chunk += 1;
-            let pc = plan_chunk(&self.virt, id, i, 0, self.dag.col0(t), 1, width, 1);
-            self.inner.enqueue_chunk(pc);
-            self.chunk_task.insert(id, t);
-            self.cur_chunk[t] = Some(id);
-            self.state[t] = TaskState::InFlight;
-            self.est_free[i] = finish;
-            self.obs.emit(|| ObsEvent::FrontierPromote {
-                time: ctx.now(),
-                job: self.obs_job,
-                task: t as u32,
-                worker: i,
-                frontier_width,
-            });
-            frontier_width = frontier_width.saturating_sub(1);
+    /// Moves task `t` to state `to`, keeping the ready set and its
+    /// per-width counts in step — the one place a task's state changes.
+    fn set_state(&mut self, t: TaskId, to: TaskState) {
+        let was = std::mem::replace(&mut self.state[t], to);
+        let width = self.dag.width(t);
+        if was == TaskState::Ready {
+            self.ready.remove(&self.rank[t]);
+            self.ready_of_width[width] -= 1;
         }
-        // Memory-stall tracking (observation only, mirroring the
-        // frontier-width idiom above): the frontier is memory-blocked
-        // when some ready task finds no live worker whose memory cap
-        // fits it — transient lane busyness does not count.
+        if to == TaskState::Ready {
+            self.ready.insert(self.rank[t]);
+            self.ready_of_width[width] += 1;
+        }
+    }
+
+    /// The worker that would finish a width-`width` task first among the
+    /// live ones whose allowance fits it and whose lane has no chunk
+    /// queued, with that finish time.
+    fn best_lane(&self, width: usize, ctx: &SimCtx) -> Option<(f64, usize)> {
+        let need = 2 * width + 1;
+        let mut best: Option<(f64, usize)> = None;
+        for i in 0..self.platform.len() {
+            if !ctx.is_up(i)
+                || need > self.capacity[i]
+                || self.inner.queued_chunks(i).next().is_some()
+            {
+                continue;
+            }
+            let finish = self.est_free[i].max(ctx.now()) + self.task_time(width, i);
+            if best.is_none_or(|(bf, _)| finish < bf) {
+                best = Some((finish, i));
+            }
+        }
+        best
+    }
+
+    /// Enqueues ready task `t` on worker `i` under a fresh chunk id.
+    /// `frontier_width` counts the ready tasks, `t` included.
+    fn promote(&mut self, t: TaskId, i: usize, finish: f64, frontier_width: usize, ctx: &SimCtx) {
+        let id = self.next_chunk;
+        self.next_chunk += 1;
+        let width = self.dag.width(t);
+        let pc = plan_chunk(&self.virt, id, i, 0, self.dag.col0(t), 1, width, 1);
+        self.inner.enqueue_chunk(pc);
+        self.chunk_task.insert(id, t);
+        self.cur_chunk[t] = Some(id);
+        self.est_free[i] = finish;
+        self.obs.emit(|| ObsEvent::FrontierPromote {
+            time: ctx.now(),
+            job: self.obs_job,
+            task: t as u32,
+            worker: i,
+            frontier_width,
+        });
+        self.set_state(t, TaskState::InFlight);
+    }
+
+    /// Maps ready tasks onto idle lanes, highest bottom level first.
+    ///
+    /// Walking `ready` by ascending rank visits exactly the `Ready`
+    /// tasks, in `priority` order. A task none of whose candidate lanes
+    /// is live, large enough and without a queued chunk is passed over;
+    /// and once no live lane has an empty queue nothing further can be
+    /// placed, so the walk stops there.
+    fn dispatch(&mut self, ctx: &SimCtx) {
+        debug_assert!(
+            self.ready.iter().map(|&r| self.priority[r]).eq(self
+                .priority
+                .iter()
+                .copied()
+                .filter(|&t| self.state[t] == TaskState::Ready)),
+            "the ready set is the set of Ready tasks"
+        );
+        let mut open = (0..self.platform.len())
+            .filter(|&i| ctx.is_up(i) && self.inner.queued_chunks(i).next().is_none())
+            .count();
+        let mut next = self.ready.first().copied();
+        while let Some(r) = next {
+            if open == 0 {
+                break;
+            }
+            next = self.ready.range(r + 1..).next().copied();
+            let t = self.priority[r];
+            if let Some((finish, i)) = self.best_lane(self.dag.width(t), ctx) {
+                self.promote(t, i, finish, self.ready.len(), ctx);
+                open -= 1;
+            }
+        }
+        // Memory-stall tracking (observation only): the frontier is
+        // memory-blocked when some ready task finds no live worker whose
+        // memory cap fits it — transient lane busyness does not count.
+        // The need grows with the width, so some ready task fits nowhere
+        // iff the widest one does not.
         if self.obs.is_on() {
-            let blocked = unplaced.iter().any(|&t| {
-                let need = 2 * self.dag.width(t) + 1;
-                !(0..self.platform.len()).any(|i| ctx.is_up(i) && need <= self.capacity[i])
-            });
+            let blocked = self
+                .ready_of_width
+                .iter()
+                .rposition(|&n| n > 0)
+                .is_some_and(|widest| {
+                    let need = 2 * widest + 1;
+                    !(0..self.platform.len()).any(|i| ctx.is_up(i) && need <= self.capacity[i])
+                });
             if blocked != self.mem_stalled {
                 self.mem_stalled = blocked;
                 let ev = if blocked {
@@ -335,7 +395,7 @@ impl DagMaster {
         if let Some(&t) = self.chunk_task.get(&chunk) {
             if self.cur_chunk[t] == Some(chunk) {
                 self.cur_chunk[t] = None;
-                self.state[t] = TaskState::Ready;
+                self.set_state(t, TaskState::Ready);
             }
         }
     }
@@ -377,7 +437,7 @@ impl MasterPolicy for DagMaster {
                 self.inner.on_event(ev, ctx);
                 if let Some(&t) = self.chunk_task.get(&chunk) {
                     if self.state[t] != TaskState::Done {
-                        self.state[t] = TaskState::Done;
+                        self.set_state(t, TaskState::Done);
                         self.cur_chunk[t] = None;
                         self.done += 1;
                         self.completion.push(t);
@@ -385,7 +445,7 @@ impl MasterPolicy for DagMaster {
                             let s = self.dag.succs(t)[si];
                             self.unmet[s] -= 1;
                             if self.unmet[s] == 0 && self.state[s] == TaskState::Blocked {
-                                self.state[s] = TaskState::Ready;
+                                self.set_state(s, TaskState::Ready);
                             }
                         }
                     }
@@ -608,5 +668,200 @@ mod tests {
         assert!(p.is_complete());
         assert!(p.dag().is_topological(p.completion_order()));
         assert!(stats.makespan > 0.0);
+    }
+
+    /// The dispatcher as it was before the frontier was kept: every
+    /// decision re-derives the ready tasks by scanning `priority`, counts
+    /// the `Ready` states for the frontier width, and collects the tasks
+    /// it could not place for the stall check. It never reads `ready`.
+    struct Scanning(DagMaster);
+
+    impl Scanning {
+        fn reference_dispatch(&mut self, ctx: &SimCtx) {
+            let m = &mut self.0;
+            let mut frontier_width = m.state.iter().filter(|&&s| s == TaskState::Ready).count();
+            let mut unplaced: Vec<TaskId> = Vec::new();
+            for pi in 0..m.priority.len() {
+                let t = m.priority[pi];
+                if m.state[t] != TaskState::Ready {
+                    continue;
+                }
+                let Some((finish, i)) = m.best_lane(m.dag.width(t), ctx) else {
+                    unplaced.push(t);
+                    continue;
+                };
+                m.promote(t, i, finish, frontier_width, ctx);
+                frontier_width = frontier_width.saturating_sub(1);
+            }
+            if m.obs.is_on() {
+                let blocked = unplaced.iter().any(|&t| {
+                    let need = 2 * m.dag.width(t) + 1;
+                    !(0..m.platform.len()).any(|i| ctx.is_up(i) && need <= m.capacity[i])
+                });
+                if blocked != m.mem_stalled {
+                    m.mem_stalled = blocked;
+                    let (time, job) = (ctx.now(), m.obs_job);
+                    m.obs.emit(|| {
+                        if blocked {
+                            ObsEvent::MemoryStallBegin { time, job }
+                        } else {
+                            ObsEvent::MemoryStallEnd { time, job }
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    impl MasterPolicy for Scanning {
+        fn next_action(&mut self, ctx: &SimCtx) -> Action {
+            self.reference_dispatch(ctx);
+            match self.0.inner.next_action(ctx) {
+                Action::Finished if !self.0.is_complete() => Action::Wait,
+                other => other,
+            }
+        }
+
+        fn on_event(&mut self, ev: &SimEvent, ctx: &SimCtx) {
+            self.0.on_event(ev, ctx);
+        }
+
+        fn name(&self) -> &'static str {
+            self.0.name
+        }
+    }
+
+    /// Crash scenarios of the oracle: worker `w`'s downtime, if any.
+    fn profile(p: usize, downtime: Option<(usize, f64, f64)>) -> DynProfile {
+        DynProfile::new(
+            (0..p)
+                .map(|i| match downtime {
+                    Some((w, from, until)) if w == i => {
+                        WorkerDyn::new(Trace::default(), Trace::default(), vec![(from, until)])
+                    }
+                    _ => WorkerDyn::stable(),
+                })
+                .collect(),
+        )
+    }
+
+    /// Runs `dag` under the kept-frontier dispatcher and under the
+    /// scanning one and checks they made the same run: stats, completion
+    /// order and — recorder on — the whole event log, frontier widths
+    /// and stall episodes included. Returns the log.
+    fn same_run_as_scanning(
+        platform: &Platform,
+        dag: &DagJob,
+        downtime: Option<(usize, f64, f64)>,
+        record: bool,
+    ) -> Vec<ObsEvent> {
+        let sim = Simulator::new(platform.clone()).with_profile(profile(platform.len(), downtime));
+        let run = |scanning: bool| {
+            let rec = stargemm_sim::RunRecorder::shared();
+            let sink = if record {
+                ObsSink::to(rec.clone())
+            } else {
+                ObsSink::off()
+            };
+            let master =
+                DagMaster::new("oracle", platform, dag.clone(), 2, 2).with_obs(sink.clone(), 7);
+            let (stats, order) = if scanning {
+                let mut p = Scanning(master);
+                (sim.run_observed(&mut p, sink), p.0.completion)
+            } else {
+                let mut p = master;
+                (sim.run_observed(&mut p, sink), p.completion)
+            };
+            let log = rec.borrow().events().to_vec();
+            (stats.map_err(|e| e.to_string()), order, log)
+        };
+        let (kept, scanned) = (run(false), run(true));
+        assert_eq!(kept.0, scanned.0, "stats, {downtime:?}, record {record}");
+        assert_eq!(kept.1, scanned.1, "completion order, {downtime:?}");
+        assert_eq!(kept.2, scanned.2, "event log, {downtime:?}");
+        assert_eq!(kept.2.is_empty(), !record);
+        kept.2
+    }
+
+    /// Every crash scenario × recorder on / off on one platform and DAG.
+    /// Worker 1 is the one that crashes (and the only one that fits the
+    /// widest task on the uneven platform).
+    fn check_against_scanning(platform: &Platform, dag: &DagJob) -> Vec<ObsEvent> {
+        let mut logs = Vec::new();
+        for downtime in [
+            None,
+            Some((1, 3.0, f64::INFINITY)),
+            Some((1, 3.0, 9.0)),
+            Some((1, 0.5, 40.0)),
+        ] {
+            // With worker 1 gone for good the widest task must still fit
+            // somewhere.
+            let stays_down = downtime.is_some_and(|(_, _, until)| until.is_infinite());
+            let fits_elsewhere =
+                (0..platform.len()).any(|i| i != 1 && 2 * dag.max_width() < platform.worker(i).m);
+            if stays_down && !fits_elsewhere {
+                continue;
+            }
+            for record in [false, true] {
+                logs.extend(same_run_as_scanning(platform, dag, downtime, record));
+            }
+        }
+        logs
+    }
+
+    #[test]
+    fn kept_frontier_dispatches_like_the_scanning_dispatcher() {
+        let even = homog(3, 64);
+        // Worker 0 holds width-1 tasks only: while worker 1 is down a
+        // wider ready task fits no live worker — a memory stall.
+        let uneven = Platform::new(
+            "uneven",
+            vec![WorkerSpec::new(1.0, 1.0, 3), WorkerSpec::new(0.5, 0.7, 100)],
+        );
+        let mut stalls = 0;
+        for n in 2..=8 {
+            let (dag, _) = lu_dag(n);
+            check_against_scanning(&even, &dag);
+        }
+        // Independent tasks: with worker 1 down the ready set holds a
+        // wide task that fits nowhere beside narrow ones that do.
+        let flat = [3, 1, 1, 1, 1].map(|width| TaskSpec::new(format!("w{width}"), width, vec![]));
+        let flat = DagJob::new("flat", flat.to_vec()).unwrap();
+        for dag in [DagJob::chain("chain", &[2, 1, 3, 1]), diamond(), flat] {
+            for platform in [&even, &uneven] {
+                stalls += check_against_scanning(platform, &dag)
+                    .iter()
+                    .filter(|e| matches!(e, ObsEvent::MemoryStallBegin { .. }))
+                    .count();
+            }
+        }
+        assert!(stalls > 0, "no scenario exercised the stall check");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The random forward-edge DAGs of `tests/dag_props.rs`.
+        #[test]
+        fn kept_frontier_dispatches_like_the_scanning_dispatcher_on_random_dags(
+            tasks in proptest::collection::vec((1usize..4, 0u32..u32::MAX), 1..12),
+            workers in proptest::collection::vec((0.05f64..2.0, 0.05f64..2.0, 3usize..40), 2..5),
+        ) {
+            let specs = tasks
+                .iter()
+                .enumerate()
+                .map(|(t, &(width, mask))| {
+                    let deps = (0..t).filter(|&p| mask & (1 << (p % 32)) != 0).collect();
+                    TaskSpec::new(format!("t{t}"), width, deps)
+                })
+                .collect();
+            let dag = DagJob::new("prop-dag", specs).expect("forward edges cannot cycle");
+            let platform = Platform::new(
+                "prop",
+                workers.iter().map(|&(c, w, m)| WorkerSpec::new(c, w, m)).collect(),
+            );
+            proptest::prop_assume!(workers.iter().any(|&(_, _, m)| 2 * dag.max_width() < m));
+            check_against_scanning(&platform, &dag);
+        }
     }
 }

@@ -184,25 +184,186 @@ impl ObsEvent {
     /// Schema name of the variant (used as the Perfetto event name
     /// prefix and in metrics counter keys).
     pub fn kind(&self) -> &'static str {
+        KIND_NAMES[self.kind_index()]
+    }
+
+    /// Position of the variant in [`KIND_NAMES`].
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
-            ObsEvent::PortAcquire { .. } => "port_acquire",
-            ObsEvent::PortRelease { .. } => "port_release",
-            ObsEvent::ComputeStart { .. } => "compute_start",
-            ObsEvent::ComputeEnd { .. } => "compute_end",
-            ObsEvent::Dispatch { .. } => "dispatch",
-            ObsEvent::LpResolve { .. } => "lp_resolve",
-            ObsEvent::DeficitCredit { .. } => "deficit_credit",
-            ObsEvent::FrontierPromote { .. } => "frontier_promote",
-            ObsEvent::WorkerDown { .. } => "worker_down",
-            ObsEvent::WorkerUp { .. } => "worker_up",
-            ObsEvent::ChunkLost { .. } => "chunk_lost",
-            ObsEvent::UplinkAcquire { .. } => "uplink_acquire",
-            ObsEvent::UplinkRelease { .. } => "uplink_release",
-            ObsEvent::MemoryStallBegin { .. } => "memory_stall_begin",
-            ObsEvent::MemoryStallEnd { .. } => "memory_stall_end",
-            ObsEvent::JobArrived { .. } => "job_arrived",
-            ObsEvent::JobAdmitted { .. } => "job_admitted",
-            ObsEvent::JobCompleted { .. } => "job_completed",
+            ObsEvent::PortAcquire { .. } => 0,
+            ObsEvent::PortRelease { .. } => 1,
+            ObsEvent::ComputeStart { .. } => 2,
+            ObsEvent::ComputeEnd { .. } => 3,
+            ObsEvent::Dispatch { .. } => 4,
+            ObsEvent::LpResolve { .. } => 5,
+            ObsEvent::DeficitCredit { .. } => 6,
+            ObsEvent::FrontierPromote { .. } => 7,
+            ObsEvent::WorkerDown { .. } => 8,
+            ObsEvent::WorkerUp { .. } => 9,
+            ObsEvent::ChunkLost { .. } => 10,
+            ObsEvent::UplinkAcquire { .. } => 11,
+            ObsEvent::UplinkRelease { .. } => 12,
+            ObsEvent::MemoryStallBegin { .. } => 13,
+            ObsEvent::MemoryStallEnd { .. } => 14,
+            ObsEvent::JobArrived { .. } => 15,
+            ObsEvent::JobAdmitted { .. } => 16,
+            ObsEvent::JobCompleted { .. } => 17,
+        }
+    }
+}
+
+/// Schema names of the [`ObsEvent`] variants, in declaration order.
+pub(crate) const KIND_NAMES: [&str; 18] = [
+    "port_acquire",
+    "port_release",
+    "compute_start",
+    "compute_end",
+    "dispatch",
+    "lp_resolve",
+    "deficit_credit",
+    "frontier_promote",
+    "worker_down",
+    "worker_up",
+    "chunk_lost",
+    "uplink_acquire",
+    "uplink_release",
+    "memory_stall_begin",
+    "memory_stall_end",
+    "job_arrived",
+    "job_admitted",
+    "job_completed",
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every variant keeps the schema name it has always had (Perfetto
+    /// event names and `events.<kind>` counter keys are built from it).
+    #[test]
+    fn kinds_name_their_variants() {
+        let (time, worker, chunk, step, job, blocks) = (0.0, 0, 0, 0, 0, 0);
+        let (lane, star, dir) = (0, 0, Dir::ToWorker);
+        let named = [
+            (
+                ObsEvent::PortAcquire {
+                    time,
+                    lane,
+                    worker,
+                    dir,
+                    chunk,
+                    blocks,
+                },
+                "port_acquire",
+            ),
+            (
+                ObsEvent::PortRelease {
+                    time,
+                    lane,
+                    worker,
+                    dir,
+                    chunk,
+                    blocks,
+                },
+                "port_release",
+            ),
+            (
+                ObsEvent::ComputeStart {
+                    time,
+                    worker,
+                    chunk,
+                    step,
+                    updates: 0,
+                },
+                "compute_start",
+            ),
+            (
+                ObsEvent::ComputeEnd {
+                    time,
+                    worker,
+                    chunk,
+                    step,
+                },
+                "compute_end",
+            ),
+            (
+                ObsEvent::Dispatch {
+                    time,
+                    worker,
+                    chunk,
+                    step,
+                    mat: MatTag::A,
+                    blocks,
+                },
+                "dispatch",
+            ),
+            (
+                ObsEvent::LpResolve {
+                    time,
+                    jobs: vec![],
+                    shares: vec![],
+                },
+                "lp_resolve",
+            ),
+            (
+                ObsEvent::DeficitCredit {
+                    time,
+                    job,
+                    port_seconds: 0.0,
+                },
+                "deficit_credit",
+            ),
+            (
+                ObsEvent::FrontierPromote {
+                    time,
+                    job,
+                    task: 0,
+                    worker,
+                    frontier_width: 0,
+                },
+                "frontier_promote",
+            ),
+            (ObsEvent::WorkerDown { time, worker }, "worker_down"),
+            (ObsEvent::WorkerUp { time, worker }, "worker_up"),
+            (
+                ObsEvent::ChunkLost {
+                    time,
+                    worker,
+                    chunk,
+                },
+                "chunk_lost",
+            ),
+            (
+                ObsEvent::UplinkAcquire {
+                    time,
+                    star,
+                    job,
+                    blocks,
+                },
+                "uplink_acquire",
+            ),
+            (
+                ObsEvent::UplinkRelease {
+                    time,
+                    star,
+                    job,
+                    blocks,
+                },
+                "uplink_release",
+            ),
+            (
+                ObsEvent::MemoryStallBegin { time, job },
+                "memory_stall_begin",
+            ),
+            (ObsEvent::MemoryStallEnd { time, job }, "memory_stall_end"),
+            (ObsEvent::JobArrived { time, job }, "job_arrived"),
+            (ObsEvent::JobAdmitted { time, job }, "job_admitted"),
+            (ObsEvent::JobCompleted { time, job }, "job_completed"),
+        ];
+        assert_eq!(named.len(), KIND_NAMES.len());
+        for (n, (ev, name)) in named.iter().enumerate() {
+            assert_eq!(ev.kind_index(), n, "{name}");
+            assert_eq!(ev.kind(), *name);
         }
     }
 }

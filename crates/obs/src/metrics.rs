@@ -163,7 +163,14 @@ impl MetricsRegistry {
 
     /// Adds `n` to counter `name` (creating it at zero).
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        // Look the key up before building it: only a counter's first
+        // sample allocates. Likewise `set` and `observe`.
+        match self.counters.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Increments counter `name` by one.
@@ -173,15 +180,33 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `v` (last write wins).
     pub fn set(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge = v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Records `v` into histogram `name` (creating it empty).
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::new();
+                h.observe(v);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
+    }
+
+    /// Stores `h` as histogram `name` if it holds a sample, so that a
+    /// histogram exists iff something was recorded into it, as with
+    /// [`MetricsRegistry::observe`].
+    pub(crate) fn insert_histogram(&mut self, name: &str, h: Histogram) {
+        if h.count() > 0 {
+            self.histograms.insert(name.to_string(), h);
+        }
     }
 
     /// Current value of counter `name` (0 if never touched).

@@ -11,8 +11,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::event::ObsEvent;
-use crate::metrics::MetricsRegistry;
+use crate::event::{ObsEvent, KIND_NAMES};
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::span::{spans, Track};
 
 /// A consumer of structured observability events.
@@ -72,7 +72,9 @@ impl std::fmt::Debug for ObsSink {
 /// The standard in-memory recorder: keeps the full event log.
 ///
 /// Recording is a push; the [`MetricsRegistry`] is derived from the log
-/// once, by [`RunRecorder::into_parts`]:
+/// once, by [`RunRecorder::into_parts`] — one pass over the events and
+/// one over their [`spans`], allocating per registry key, not per
+/// sample:
 ///
 /// * `events.<kind>` counters for every event kind;
 /// * `port.transfer_secs` histogram of lane occupancy intervals;
@@ -103,43 +105,50 @@ impl RunRecorder {
 
     /// Consumes the recorder, returning `(events, metrics)`.
     pub fn into_parts(self) -> (Vec<ObsEvent>, MetricsRegistry) {
-        let mut metrics = MetricsRegistry::new();
-        let mut active_jobs = 0i64;
-        let mut kinds: Vec<(&'static str, u64)> = Vec::new();
+        // Derived per event with no string in sight: kinds are counted
+        // by variant index and the histograms filled as locals; every
+        // key is built once, below.
+        let mut kinds = [0u64; KIND_NAMES.len()];
+        let mut frontier_width = Histogram::new();
+        let mut active_jobs: Option<i64> = None;
         for ev in &self.events {
-            let kind = ev.kind();
-            match kinds.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => kinds.push((kind, 1)),
-            }
+            kinds[ev.kind_index()] += 1;
             match ev {
-                ObsEvent::FrontierPromote { frontier_width, .. } => {
-                    metrics.observe("dag.frontier_width", *frontier_width as f64);
+                ObsEvent::FrontierPromote {
+                    frontier_width: w, ..
+                } => {
+                    frontier_width.observe(*w as f64);
                 }
-                ObsEvent::JobAdmitted { .. } | ObsEvent::JobCompleted { .. } => {
-                    active_jobs += if matches!(ev, ObsEvent::JobAdmitted { .. }) {
-                        1
-                    } else {
-                        -1
-                    };
-                    metrics.set("jobs.active", active_jobs as f64);
-                }
+                ObsEvent::JobAdmitted { .. } => active_jobs = Some(active_jobs.unwrap_or(0) + 1),
+                ObsEvent::JobCompleted { .. } => active_jobs = Some(active_jobs.unwrap_or(0) - 1),
                 _ => {}
             }
         }
-        for (kind, n) in kinds {
-            metrics.add(&format!("events.{kind}"), n);
-        }
+        let mut transfer_secs = Histogram::new();
+        let mut step_secs = Histogram::new();
         for span in spans(&self.events) {
-            let name = match span.track {
-                Track::Port { .. } => "port.transfer_secs",
-                Track::Compute { .. } => "compute.step_secs",
+            let h = match span.track {
+                Track::Port { .. } => &mut transfer_secs,
+                Track::Compute { .. } => &mut step_secs,
                 _ => continue,
             };
             if let Some(end) = span.end {
-                metrics.observe(name, end - span.start);
+                h.observe(end - span.start);
             }
         }
+
+        let mut metrics = MetricsRegistry::new();
+        for (kind, &n) in KIND_NAMES.iter().zip(&kinds) {
+            if n > 0 {
+                metrics.add(&format!("events.{kind}"), n);
+            }
+        }
+        if let Some(active) = active_jobs {
+            metrics.set("jobs.active", active as f64);
+        }
+        metrics.insert_histogram("dag.frontier_width", frontier_width);
+        metrics.insert_histogram("port.transfer_secs", transfer_secs);
+        metrics.insert_histogram("compute.step_secs", step_secs);
         (self.events, metrics)
     }
 }
