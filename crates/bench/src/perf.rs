@@ -19,7 +19,14 @@
 //! master's callbacks, in policy-visible events/sec) and whole
 //! `build_policy(.., Het)` calls (phase 1 for the eight variants plus
 //! one scoring run per distinct allocation, in plans/sec), both on one
-//! cell of the paper's grid. The **attr** row times the run record's
+//! cell of the paper's grid. The **sim_multiport** row is the same
+//! measure where the lane table is busy: whole `Simulator::run`s of
+//! ODDOML under `BoundedMultiPort { k = 16 }` with a binding backbone on
+//! a 256-worker star, every admission and completion re-sharing sixteen
+//! lanes; its companion **sim_wide_oneport** runs the same star and job
+//! under one-port, so the gate can check that a transfer among sixteen
+//! costs the engine a bounded multiple of a transfer alone. The **attr**
+//! row times the run record's
 //! most expensive reader, `Attribution::from_events`, over the log of
 //! one recorded 400-job stream cell (events/sec), and the
 //! **dag_dispatch** rows whole `DagMaster` runs of tiled-LU graphs
@@ -38,7 +45,7 @@ use stargemm_core::Job;
 use stargemm_dag::{lu_dag, DagJob, DagMaster};
 use stargemm_linalg::gemm::bytes_per_flop;
 use stargemm_net::calibrate::{gflops_at, measure_block_update_seconds};
-use stargemm_netmodel::{maxmin_shares_into, ShareScratch, TransferLane};
+use stargemm_netmodel::{maxmin_shares_into, NetModelSpec, ShareScratch, TransferLane};
 use stargemm_obs::{Attribution, ObsEvent};
 use stargemm_platform::{presets, Platform, WorkerSpec};
 use stargemm_sim::{EventQueue, Simulator};
@@ -184,20 +191,56 @@ fn engine_cell() -> (Platform, Job) {
     (presets::fully_het(2.0), Job::paper(64_000))
 }
 
-/// The one-port engine model: whole [`Simulator::run`]s of ODDOML on
-/// the engine cell until `events` policy-visible events have been
-/// delivered. `delivered` counts those events.
-pub fn sim_oneport(events: u64) -> KernelCounters {
-    let (platform, job) = engine_cell();
-    let sim = Simulator::new(platform.clone());
+/// Whole [`Simulator::run`]s of ODDOML for `job` on `sim`'s platform
+/// until `events` policy-visible events have been delivered.
+/// `delivered` counts those events.
+fn oddoml_runs(sim: &Simulator, job: &Job, events: u64) -> KernelCounters {
     let mut delivered = 0;
     while delivered < events {
-        let policy = build_policy(&platform, &job, Algorithm::Oddoml).expect("ODDOML fits");
+        let policy = build_policy(sim.platform(), job, Algorithm::Oddoml).expect("ODDOML fits");
         let mut policy = CountingPolicy::new(policy);
         std::hint::black_box(sim.run(&mut policy).expect("ODDOML completes"));
         delivered += policy.events;
     }
     calls_only(delivered)
+}
+
+/// The one-port engine model: whole [`Simulator::run`]s of ODDOML on
+/// the engine cell until `events` policy-visible events have been
+/// delivered. `delivered` counts those events.
+pub fn sim_oneport(events: u64) -> KernelCounters {
+    let (platform, job) = engine_cell();
+    oddoml_runs(&Simulator::new(platform), &job, events)
+}
+
+/// The `sim_multiport` rows, as (workload name, contention model of the
+/// wide star): the bounded multi-port model with a backbone of eight
+/// link rates carries the floor, one-port is what the ratio gate
+/// compares it with.
+pub fn wide_rows() -> [(&'static str, NetModelSpec); 2] {
+    let multiport = NetModelSpec::BoundedMultiPort {
+        k: 16,
+        backbone: Some(8.0 / WIDE_C),
+    };
+    [
+        ("sim_wide_oneport", NetModelSpec::OnePort),
+        ("sim_multiport", multiport),
+    ]
+}
+
+/// Link cost of the wide star's workers (seconds per block).
+const WIDE_C: f64 = 1e-5;
+
+/// The wide-star engine model: the same measure as [`sim_oneport`]
+/// under `model` on a 256-worker homogeneous star (q = 2 blocks, 16
+/// one-step chunks per worker — the shape of the repo benchmark's
+/// `wide_star` multiport leg at half its width).
+pub fn sim_wide(model: NetModelSpec, events: u64) -> KernelCounters {
+    let workers = 256;
+    let platform = Platform::homogeneous("wide-star", workers, WorkerSpec::new(WIDE_C, 1e-6, 64));
+    let job = Job::new(4, 1, 64 * workers, 2);
+    let sim = Simulator::new(platform).with_netmodel(model);
+    oddoml_runs(&sim, &job, events)
 }
 
 /// The Het planning model: `calls` whole `build_policy(.., Het)` calls
@@ -283,8 +326,8 @@ pub fn dag_dispatch(dag: &DagJob, runs: u64) -> KernelCounters {
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelSample {
     /// Workload name (`hold`, `cancel_half`, `drain`, `reshare_l<n>`,
-    /// `sim_oneport`, `het_plan`, `attr`, `dag_dispatch`,
-    /// `dag_dispatch_n8`).
+    /// `sim_oneport`, `sim_wide_oneport`, `sim_multiport`, `het_plan`,
+    /// `attr`, `dag_dispatch`, `dag_dispatch_n8`).
     pub workload: String,
     /// Events delivered by the run (`reshare_*`: re-shares computed;
     /// `het_plan`: policies built; `attr`: log events attributed;
@@ -366,8 +409,10 @@ pub fn sample(workload: &str, run: impl FnOnce() -> KernelCounters) -> KernelSam
 /// The three headline kernel samples at `events` deliveries each, then
 /// the `reshare` rows at `64 · events` lane visits each (so every row
 /// runs about as long, whatever its lane count), then the engine and
-/// the Het planner on top of the queue: `events` policy-visible events,
-/// and one plan per 10 000 of them. Last the two online layers: about
+/// the Het planner on top of the queue: `events` policy-visible events
+/// (on the paper's cell, then on the wide star under each model of
+/// [`wide_rows`]), and one plan per 10 000 of them. Last the two online
+/// layers: about
 /// `16 · events` log events attributed (the cell is recorded once,
 /// outside the timing) and about `events` DAG tasks per graph (each
 /// graph built outside the timing).
@@ -382,6 +427,7 @@ pub fn kernel_trajectory(pending: usize, events: u64) -> Vec<KernelSample> {
         sample(&reshare_key(lanes), || reshare(lanes, calls))
     }));
     rows.push(sample("sim_oneport", || sim_oneport(events)));
+    rows.extend(wide_rows().map(|(name, model)| sample(name, || sim_wide(model, events))));
     rows.push(sample("het_plan", || het_plan((events / 10_000).max(1))));
     let (log, makespan) = recorded_stream(ATTR_JOBS);
     rows.push(sample("attr", || {
@@ -421,9 +467,9 @@ pub const KERNEL_BASELINE_SCHEMA: &str = "{\"hold\": <events/sec>, \
      \"cancel_half\": <events/sec>, \"drain\": <events/sec>, \
      \"reshare_l64\": <re-shares/sec>, \"reshare_l256\": <re-shares/sec>, \
      \"reshare_l1024\": <re-shares/sec>, \"sim_oneport\": <events/sec>, \
-     \"het_plan\": <plans/sec>, \"attr\": <events/sec>, \
-     \"dag_dispatch\": <tasks/sec>, \"gemm_q32\": <GFLOP/s>, \
-     \"gemm_q80\": <GFLOP/s>, \"gemm_q100\": <GFLOP/s>}";
+     \"sim_multiport\": <events/sec>, \"het_plan\": <plans/sec>, \
+     \"attr\": <events/sec>, \"dag_dispatch\": <tasks/sec>, \
+     \"gemm_q32\": <GFLOP/s>, \"gemm_q80\": <GFLOP/s>, \"gemm_q100\": <GFLOP/s>}";
 
 /// Most a re-share at 1 024 lanes may cost relative to one at 256. A
 /// routine linear in the lane count reads about 5 on any machine, one
@@ -436,9 +482,19 @@ pub const RESHARE_SCALING_MAX: f64 = 10.0;
 /// rescans the task table per decision about 0.3.
 pub const DAG_SCALING_MIN: f64 = 0.5;
 
+/// Least share of the wide star's one-port events/sec that the engine
+/// must keep under the bounded multi-port model of [`wide_rows`], where
+/// every admission and completion re-shares up to sixteen lanes. An
+/// engine that reads each transfer's completion off the lane table keeps
+/// 0.22–0.28 on the builder box; one that cancels and re-pushes a kernel
+/// event per re-shared lane kept 0.09–0.14 (the commit before this row
+/// existed, same box); the limit is their geometric mean.
+pub const MULTIPORT_SHARE_MIN: f64 = 0.15;
+
 /// Gates the measured kernel trajectory against a committed baseline
-/// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload and
-/// `sim_oneport` must deliver at least 80 % of its committed events/sec,
+/// (`ci/BENCH_kernel_baseline.json`): every event-kernel workload,
+/// `sim_oneport` and `sim_multiport` must deliver at least 80 % of its
+/// committed events/sec,
 /// every `reshare` row 80 % of its committed re-shares/sec, `het_plan`
 /// 80 % of its committed plans/sec and every `gemm` row 80 % of its
 /// committed GFLOP/s, `attr` 80 % of its committed events/sec and
@@ -446,8 +502,10 @@ pub const DAG_SCALING_MIN: f64 = 0.5;
 /// committed tasks/sec — symmetric with
 /// [`crate::netperf::check_net_baseline`] — and, on whatever machine, a
 /// re-share at 1 024 lanes may cost at most [`RESHARE_SCALING_MAX`]
-/// re-shares at 256 and the larger LU graph must run at
-/// [`DAG_SCALING_MIN`] of the smaller one's tasks/sec or better. Returns
+/// re-shares at 256, the larger LU graph must run at
+/// [`DAG_SCALING_MIN`] of the smaller one's tasks/sec or better, and the
+/// wide star's multi-port run must keep [`MULTIPORT_SHARE_MIN`] of its
+/// one-port run's events/sec. Returns
 /// the gate report on success and the first violation (or schema
 /// problem) on failure.
 pub fn check_kernel_baseline(
@@ -467,6 +525,7 @@ pub fn check_kernel_baseline(
         .chain(RESHARE_LANES.map(|lanes| (reshare_key(lanes), "re-shares/sec", 0)))
         .chain([
             ("sim_oneport".to_string(), "events/sec", 0),
+            ("sim_multiport".to_string(), "events/sec", 0),
             ("het_plan".to_string(), "plans/sec", 1),
             ("attr".to_string(), "events/sec", 0),
             ("dag_dispatch".to_string(), "tasks/sec", 0),
@@ -525,6 +584,19 @@ pub fn check_kernel_baseline(
     lines.push(format!(
         "kernel baseline gate ok: DagMaster tasks/sec lu_dag({large_side}) / \
          lu_dag({small_side}) {kept:.2} >= {DAG_SCALING_MIN}"
+    ));
+    let [(alone, _), (shared, _)] = wide_rows();
+    let kept = rate_of(shared)? / rate_of(alone)?;
+    if kept < MULTIPORT_SHARE_MIN {
+        return Err(format!(
+            "kernel perf regression: the engine keeps {kept:.2} of its one-port events/sec \
+             under 16-lane multi-port on the wide star ({shared} vs {alone}); one clock per \
+             transfer reads ~0.25, the limit is {MULTIPORT_SHARE_MIN}"
+        ));
+    }
+    lines.push(format!(
+        "kernel baseline gate ok: wide-star events/sec multi-port / one-port {kept:.2} >= \
+         {MULTIPORT_SHARE_MIN}"
     ));
     Ok(lines.join("\n"))
 }
@@ -609,8 +681,11 @@ mod tests {
 
         assert_eq!(reshare(64, 10).delivered, 10);
 
-        // One ODDOML run of the engine cell delivers thousands of events.
+        // One ODDOML run of the engine cell delivers thousands of events,
+        // and the wide star the same events under either model.
         assert!(sim_oneport(1).delivered > 1_000);
+        let [alone, shared] = wide_rows().map(|(_, model)| sim_wide(model, 1).delivered);
+        assert!(alone > 10_000 && alone == shared, "{alone} vs {shared}");
         assert_eq!(het_plan(1).delivered, 1);
 
         // A recorded stream logs hundreds of events per job, and the
@@ -647,6 +722,7 @@ mod tests {
         assert!(json.contains("\"drain\""));
         assert!(json.contains("\"reshare_l256\""));
         assert!(json.contains("\"sim_oneport\"") && json.contains("\"het_plan\""));
+        assert!(json.contains("\"sim_multiport\"") && json.contains("\"sim_wide_oneport\""));
         assert!(json.contains("\"attr\"") && json.contains("\"dag_dispatch\""));
         assert!(json.contains("\"dag_dispatch_n8\""));
         assert!(json.contains("\"events_per_sec\""));
@@ -682,6 +758,8 @@ mod tests {
             ("reshare_l256", reshare_l256),
             ("reshare_l1024", reshare_l1024),
             ("sim_oneport", 1_000.0),
+            ("sim_wide_oneport", 4_000.0),
+            ("sim_multiport", 1_000.0),
             ("het_plan", 100.0),
             ("attr", 1_000.0),
             ("dag_dispatch_n8", 1_000.0),
@@ -703,7 +781,8 @@ mod tests {
         format!(
             r#"{{"hold": 1000.0, "cancel_half": {cancel_half}, "drain": 1000.0,
                 "reshare_l64": 4000.0, "reshare_l256": {reshare_l256}, "reshare_l1024": 200.0,
-                "sim_oneport": 1000.0, "het_plan": 100.0, "attr": 1000.0, "dag_dispatch": 1000.0,
+                "sim_oneport": 1000.0, "sim_multiport": 1000.0, "het_plan": 100.0,
+                "attr": 1000.0, "dag_dispatch": 1000.0,
                 "gemm_q32": 10.0, "gemm_q80": {gemm_q80}, "gemm_q100": 10.0}}"#
         )
     }
@@ -723,6 +802,10 @@ mod tests {
         assert!(report.contains("1024 / 256 lanes 5.0x"), "{report}");
         assert!(
             report.contains("lu_dag(16) / lu_dag(8) 1.00 >= 0.5"),
+            "{report}"
+        );
+        assert!(
+            report.contains("multi-port / one-port 0.25 >= 0.15"),
             "{report}"
         );
         assert!(check_kernel_baseline(&baseline(1200.0, 1200.0, 12.0), &samples, &gemm).is_ok());
@@ -745,6 +828,11 @@ mod tests {
         // of its row trips it by name.
         for (row, rate, said) in [
             ("sim_oneport", 700.0, "sim_oneport delivers 700 events/sec"),
+            (
+                "sim_multiport",
+                790.0,
+                "sim_multiport delivers 790 events/sec",
+            ),
             ("het_plan", 79.9, "het_plan delivers 79.9 plans/sec"),
             ("attr", 799.0, "attr delivers 799 events/sec"),
             ("dag_dispatch", 600.0, "dag_dispatch delivers 600 tasks/sec"),
@@ -803,6 +891,27 @@ mod tests {
         assert!(err.contains("limit is 0.5"), "{err}");
     }
 
+    /// And for the transfer clock: the multi-port row clears its floor,
+    /// but keeps a tenth of the one-port rate — an engine that re-arms a
+    /// kernel event per re-shared lane.
+    #[test]
+    fn kernel_baseline_gate_trips_on_an_engine_that_rearms_every_reshared_lane() {
+        let mut rearming = kernel_rows(1_000.0, 200.0);
+        let alone = rearming
+            .iter_mut()
+            .find(|s| s.workload == "sim_wide_oneport")
+            .unwrap();
+        alone.events_per_sec = 10_000.0;
+        let err =
+            check_kernel_baseline(&baseline(1000.0, 1000.0, 10.0), &rearming, &gemm_rows(10.0))
+                .unwrap_err();
+        assert!(
+            err.contains("keeps 0.10 of its one-port events/sec"),
+            "{err}"
+        );
+        assert!(err.contains("limit is 0.15"), "{err}");
+    }
+
     #[test]
     fn kernel_baseline_gate_names_the_expected_schema() {
         let err = check_kernel_baseline(r#"{"hold": 1.0}"#, &[], &[]).unwrap_err();
@@ -824,6 +933,7 @@ mod tests {
         assert!(table.contains("drain"));
         assert!(table.contains("reshare_l64") && table.contains("reshare_l1024"));
         assert!(table.contains("sim_oneport") && table.contains("het_plan"));
+        assert!(table.contains("sim_wide_oneport") && table.contains("sim_multiport"));
         assert!(table.contains("attr") && table.contains("dag_dispatch_n8"));
     }
 }

@@ -6,9 +6,17 @@
 //!   [`Buf`] get-accessors consume from the front.
 //!
 //! Semantics match the real crate for this surface: `freeze()` converts
-//! writer → shared reader; `len()`/`chunk()` report the *remaining*
+//! writer → shared reader without copying (the reader holds the very
+//! buffer the writer filled); `len()`/`chunk()` report the *remaining*
 //! (unconsumed) bytes; the `get_*`/`put_*` accessors are little-endian.
+//!
+//! Bulk payloads go through slices, not per-scalar calls: a writer
+//! [`resize`](BytesMut::resize)s and fills the new tail through
+//! `DerefMut<Target = [u8]>`; a reader converts a checked prefix of
+//! [`chunk()`](Buf::chunk) and [`advance`](Buf::advance)s past it. The
+//! per-scalar accessors are for headers.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Read access that consumes from the front of a buffer.
@@ -98,12 +106,30 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Converts into an immutable, cheaply-cloneable [`Bytes`].
+    /// Resizes the buffer to `new_len` bytes, filling any new tail with
+    /// `value` (to be overwritten in bulk through `DerefMut`).
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
+
+    /// Converts into an immutable, cheaply-cloneable [`Bytes`] over the
+    /// same allocation: nothing is copied.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::from(self.data),
-            pos: 0,
-        }
+        Bytes::from(self.data)
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -119,25 +145,21 @@ impl BufMut for BytesMut {
 /// cursor), so passing an encoded message to several readers is cheap.
 #[derive(Clone, Debug)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The buffer as its writer left it (an `Arc<[u8]>` would copy it
+    /// out of the `Vec` on every `freeze`).
+    data: Arc<Vec<u8>>,
     pos: usize,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(Vec::new()),
-            pos: 0,
-        }
+        Bytes::from(Vec::new())
     }
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(src.to_vec()),
-            pos: 0,
-        }
+        Bytes::from(src.to_vec())
     }
 
     /// Unconsumed bytes remaining.
@@ -189,7 +211,7 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             pos: 0,
         }
     }
@@ -212,6 +234,43 @@ mod tests {
         assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64_le(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.get_f64_le(), -1.5);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn freeze_keeps_the_writers_buffer() {
+        let mut w = BytesMut::with_capacity(16);
+        w.put_u64_le(1);
+        w.put_u64_le(2);
+        let written = w.as_ptr();
+        let mut a = w.freeze();
+        assert_eq!(a.chunk().as_ptr(), written, "freeze must not copy");
+        // Clones share that buffer and still read independently.
+        let mut b = a.clone();
+        assert_eq!(b.chunk().as_ptr(), written);
+        assert_eq!(a.get_u64_le(), 1);
+        assert_eq!(b.get_u64_le(), 1);
+        assert_eq!(a.get_u64_le(), 2);
+        assert_eq!(b.remaining(), 8);
+    }
+
+    #[test]
+    fn bulk_tail_is_written_and_read_through_slices() {
+        let mut w = BytesMut::with_capacity(1 + 16);
+        w.put_u8(9);
+        let at = w.len();
+        w.resize(at + 16, 0);
+        for (dst, x) in w[at..].chunks_exact_mut(8).zip([1.5f64, -2.25]) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        let mut r = w.freeze();
+        assert_eq!(r.get_u8(), 9);
+        let got: Vec<f64> = r.chunk()[..16]
+            .chunks_exact(8)
+            .map(|raw| f64::from_le_bytes(raw.try_into().unwrap()))
+            .collect();
+        r.advance(16);
+        assert_eq!(got, [1.5, -2.25]);
         assert!(r.is_empty());
     }
 

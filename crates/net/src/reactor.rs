@@ -10,12 +10,21 @@
 //! adds its transport — every worker is an in-process [`WorkerCore`]
 //! state machine fed real blocks through the wire format — and its
 //! clock: a deterministic virtual model clock advanced to the earliest
-//! projected event (a lane's completion or a lifecycle boundary), which
+//! projected event (the lane table's cached earliest completion — the
+//! same `next_completion`, with the same `(end, stamp)` tie rule, the
+//! simulator reads — or a lifecycle boundary), which
 //! the wall clock only *paces* (the reactor sleeps until
 //! `vnow × time_scale` of real time has elapsed), so machine load and
 //! inline compute never perturb the schedule. The loop is the same
 //! three-beat cadence as the discrete-event engine: `pump` the shared
 //! [`MasterSm`] while the master is free, deliver one event, `settle`.
+//!
+//! A fragment crosses the reactor as one flat buffer: its tiles are
+//! encoded straight out of the borrowed matrices into one exactly-sized
+//! message, decoded into one vector the worker computes on in place,
+//! and a retrieved result is copied into C's blocks where they are — so
+//! a transfer costs a fixed number of allocations whatever its block
+//! count (`stargemm-bench`'s `net_alloc` test counts them).
 //!
 //! Because nothing blocks per transfer, the reactor scales to thousands
 //! of workers per star, and a stalled schedule is detected analytically
@@ -24,8 +33,9 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use stargemm_core::stream::GeometryAccess;
-use stargemm_linalg::{Block, BlockMatrix};
+use stargemm_linalg::BlockMatrix;
 use stargemm_obs::Dir;
 use stargemm_platform::dynamic::LifecycleEvent;
 use stargemm_platform::Platform;
@@ -36,7 +46,7 @@ use stargemm_sim::{
 };
 
 use crate::runtime::{NetError, NetOptions};
-use crate::wire::{ToMaster, ToWorker};
+use crate::wire::{self, Tiles, ToMaster, ToWorker};
 use crate::worker::WorkerCore;
 
 /// One worker's in-process state machine plus its fault-injection
@@ -78,8 +88,14 @@ impl WorkerSm {
 enum LaneKind {
     /// Master → worker fragment (the decoded wire message).
     Outbound { fragment: Fragment, msg: ToWorker },
-    /// Worker → master retrieved C blocks.
-    Inbound { blocks: Vec<Block> },
+    /// Worker → master retrieved C tiles.
+    Inbound { tiles: Tiles },
+}
+
+/// Draws the next projection stamp from the reactor's counter.
+fn next_stamp(counter: &mut u64) -> u64 {
+    *counter += 1;
+    *counter - 1
 }
 
 fn protocol<T>(message: String) -> Result<T, NetError> {
@@ -127,6 +143,7 @@ pub(crate) fn run_reactor<P: MasterPolicy + GeometryAccess>(
         lifecycle: profile
             .map(|pr| pr.lifecycle_events().into())
             .unwrap_or_default(),
+        stamp: 0,
         inbox: VecDeque::new(),
         replies: Vec::new(),
     };
@@ -152,6 +169,8 @@ struct Reactor<'r, P: MasterPolicy + GeometryAccess> {
     ledger: StarLedger,
     /// The master's wire, likewise; the table runs in model seconds.
     lanes: LaneTable<LaneKind>,
+    /// The counter lent to the lane table for its projection stamps.
+    stamp: u64,
     /// Lifecycle boundaries not yet applied, in time order (model s).
     lifecycle: VecDeque<LifecycleEvent>,
     /// Worker replies not yet delivered to the policy. Like the
@@ -201,8 +220,8 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             let next_lane = self.lanes.next_completion();
             let next_boundary = self.lifecycle.front().map(|e| e.time);
             let target = match (next_lane, next_boundary) {
-                (Some((_, t)), Some(b)) => t.min(b),
-                (Some((_, t)), None) => t,
+                (Some(lane), Some(b)) => lane.end.min(b),
+                (Some(lane), None) => lane.end,
                 (None, Some(b)) => b,
                 (None, None) => return Err(self.stall_error()),
             };
@@ -228,8 +247,8 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             // completions projected at-or-after them.
             if next_boundary.is_some_and(|b| b <= target) {
                 self.pump_lifecycle();
-            } else if let Some((id, _)) = next_lane {
-                self.complete_lane(id, target)?;
+            } else if let Some(lane) = next_lane {
+                self.complete_lane(lane.lane, target)?;
                 sm.on_transfer_done();
             }
             sm.settle(self)?;
@@ -314,7 +333,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
     /// ingested by the worker machine (whose replies feed the policy),
     /// inbound results land in C.
     fn complete_lane(&mut self, id: u64, now: f64) -> Result<(), NetError> {
-        let done = self.lanes.complete(id, now);
+        let done = self.lanes.complete(id, now, || next_stamp(&mut self.stamp));
         let (worker, chunk) = (done.worker, done.chunk);
         match done.payload {
             LaneKind::Outbound { fragment, msg } => {
@@ -326,7 +345,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                 self.tell(SimEvent::SendDone { worker, fragment });
                 self.ingest_and_enqueue(worker, msg);
             }
-            LaneKind::Inbound { blocks } => {
+            LaneKind::Inbound { tiles } => {
                 if !self.ledger.retrieved(worker, chunk) {
                     return Ok(()); // stale result of a dead chunk
                 }
@@ -334,7 +353,14 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                     .policy
                     .chunk_geom(chunk)
                     .ok_or(NetError::UnknownChunk(chunk))?;
-                self.c.store_chunk(geom.i0, geom.j0, geom.h, geom.w, blocks);
+                // Row-major `h × w`, as `encode` sliced the load: each
+                // tile is copied into the C block it came from.
+                assert_eq!(tiles.len(), geom.h * geom.w, "result payload mismatch");
+                let cells = (geom.i0..geom.i0 + geom.h)
+                    .flat_map(|i| (geom.j0..geom.j0 + geom.w).map(move |j| (i, j)));
+                for ((i, j), tile) in cells.zip(tiles.iter()) {
+                    self.c.block_mut(i, j).as_mut_slice().copy_from_slice(tile);
+                }
                 self.tell(SimEvent::RetrieveDone { worker, chunk });
             }
         }
@@ -405,7 +431,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
 
     /// The send rules this transport needs and the simulator's does
     /// not, run before the ledger's own: a live link ([`Self::check_link`]);
-    /// a chunk of at most `t` steps, because `materialize` slices real
+    /// a chunk of at most `t` steps, because `encode` slices real
     /// matrices; and an A/B fragment that is its step's whole quota,
     /// because `WorkerCore` takes one `FragA`/`FragB` per step.
     fn check_transport(
@@ -446,12 +472,13 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         Ok(())
     }
 
-    /// Slices the real matrices into the fragment's payload.
-    fn materialize(
+    /// Encodes the fragment's wire message, its tiles sliced straight
+    /// out of the real matrices into the message buffer.
+    fn encode(
         &self,
         fragment: &Fragment,
         new_chunk: Option<ChunkDescr>,
-    ) -> Result<ToWorker, NetError> {
+    ) -> Result<Bytes, NetError> {
         let t = self.policy.job_dims().t;
         let geom = self
             .policy
@@ -461,37 +488,25 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         let rows = geom.i0..geom.i0 + geom.h;
         let cols = geom.j0..geom.j0 + geom.w;
         let Fragment { chunk, step, .. } = *fragment;
-        // Exact for every fragment `check_transport` lets through.
-        let whole = fragment.blocks as usize;
+        let depth = khi - klo;
         Ok(match fragment.kind {
-            MatKind::C => ToWorker::LoadC {
-                descr: new_chunk
-                    .ok_or_else(|| NetError::Protocol("C load without chunk descriptor".into()))?,
-                h: geom.h as u32,
-                w: geom.w as u32,
-                blocks: self.c.chunk(geom.i0, geom.j0, geom.h, geom.w),
-            },
+            MatKind::C => {
+                let descr = new_chunk
+                    .ok_or_else(|| NetError::Protocol("C load without chunk descriptor".into()))?;
+                let c = &*self.c;
+                let tiles = rows.flat_map(|i| cols.clone().map(move |j| c.block(i, j).as_slice()));
+                wire::encode_load_c(&descr, geom.h as u32, geom.w as u32, c.q(), tiles)
+            }
             MatKind::A => {
-                let mut blocks = Vec::with_capacity(whole);
-                for i in rows {
-                    blocks.extend((klo..khi).map(|kk| self.a.block(i, kk).clone()));
-                }
-                ToWorker::FragA {
-                    chunk,
-                    step,
-                    blocks,
-                }
+                let a = self.a;
+                let tiles = rows.flat_map(|i| (klo..khi).map(move |kk| a.block(i, kk).as_slice()));
+                wire::encode_frag(MatKind::A, chunk, step, geom.h * depth, a.q(), tiles)
             }
             MatKind::B => {
-                let mut blocks = Vec::with_capacity(whole);
-                for kk in klo..khi {
-                    blocks.extend(cols.clone().map(|j| self.b.block(kk, j).clone()));
-                }
-                ToWorker::FragB {
-                    chunk,
-                    step,
-                    blocks,
-                }
+                let b = self.b;
+                let tiles =
+                    (klo..khi).flat_map(|kk| cols.clone().map(move |j| b.block(kk, j).as_slice()));
+                wire::encode_frag(MatKind::B, chunk, step, depth * geom.w, b.q(), tiles)
             }
         })
     }
@@ -516,7 +531,7 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
                 self.ledger.issue_send(worker, &fragment, new_chunk)?;
                 // Round-trip through the wire format: the payload that
                 // reaches the worker is exactly what a socket would carry.
-                let msg = ToWorker::decode(self.materialize(&fragment, new_chunk)?.encode());
+                let msg = ToWorker::decode(self.encode(&fragment, new_chunk)?);
                 let now = self.vnow;
                 self.obs.emit(|| ObsEvent::Dispatch {
                     time: now,
@@ -534,6 +549,7 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
                     fragment.chunk,
                     fragment.blocks,
                     payload,
+                    || next_stamp(&mut self.stamp),
                 );
                 Ok(MasterState::after_issue(self.lanes.can_admit()))
             }
@@ -578,8 +594,8 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
         let mut result = Ok(());
         for reply in replies.drain(..) {
             match reply {
-                ToMaster::Result { chunk: got, blocks } if got == chunk => {
-                    payload = Some(blocks);
+                ToMaster::Result { chunk: got, tiles } if got == chunk => {
+                    payload = Some(tiles);
                 }
                 other => {
                     if result.is_ok() {
@@ -590,15 +606,21 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
         }
         self.replies = replies;
         result?;
-        let blocks = payload.ok_or_else(|| {
+        let tiles = payload.ok_or_else(|| {
             NetError::WorkerFailure(format!(
                 "worker {worker} produced no result for chunk {chunk}"
             ))
         })?;
-        let n_blocks = blocks.len() as u64;
-        let payload = LaneKind::Inbound { blocks };
-        self.lanes
-            .admit(self.vnow, worker, Dir::ToMaster, chunk, n_blocks, payload);
+        let n_blocks = tiles.len() as u64;
+        self.lanes.admit(
+            self.vnow,
+            worker,
+            Dir::ToMaster,
+            chunk,
+            n_blocks,
+            LaneKind::Inbound { tiles },
+            || next_stamp(&mut self.stamp),
+        );
         Ok(())
     }
 }

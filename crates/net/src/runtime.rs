@@ -280,6 +280,37 @@ mod tests {
         run_and_verify(Algorithm::Hom, small_platform(), Job::new(6, 5, 8, 4));
     }
 
+    /// One-port policies feed every chunk its steps in increasing `k`,
+    /// and the worker runs each tile product through the kernel on
+    /// sub-slices of the flat payloads, so C is the sequential
+    /// reference's to the bit — at an even side and at an odd one,
+    /// where every tile takes the kernel's edge path.
+    #[test]
+    fn reactor_product_is_bitwise_the_sequential_reference() {
+        for q in [2, 7] {
+            for alg in [Algorithm::Het, Algorithm::Oddoml] {
+                let job = Job::new(6, 5, 8, q);
+                let platform = small_platform();
+                let mut rng = StdRng::seed_from_u64(23);
+                let a = BlockMatrix::random(job.r, job.t, q, &mut rng);
+                let b = BlockMatrix::random(job.t, job.s, q, &mut rng);
+                let mut c = BlockMatrix::random(job.r, job.s, q, &mut rng);
+                let mut expect = c.clone();
+                BlockMatrix::gemm_reference(&mut expect, &a, &b);
+                let mut policy = build_policy(&platform, &job, alg).unwrap();
+                let rt = NetRuntime::new(platform).with_options(fast_opts());
+                rt.run(&mut policy, &a, &b, &mut c).unwrap();
+                for i in 0..job.r {
+                    for j in 0..job.s {
+                        let got = c.block(i, j).as_slice().iter().map(|x| x.to_bits());
+                        let want = expect.block(i, j).as_slice().iter().map(|x| x.to_bits());
+                        assert!(got.eq(want), "{alg:?}, q = {q}: block ({i}, {j})");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn injected_worker_crash_surfaces_as_an_error() {
         let job = Job::new(6, 5, 8, 4);

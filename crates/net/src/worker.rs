@@ -7,71 +7,86 @@
 //! chunk does not matter (block updates commute); A/B buffers are
 //! dropped after their step, C buffers when the master retrieves the
 //! chunk.
+//!
+//! Operands stay in the form they arrive in — one flat [`Tiles`] buffer
+//! per fragment, the decoder's own vector — and the kernel runs on
+//! sub-slices of them, so ingesting a fragment copies nothing and
+//! allocates nothing per block. The bookkeeping is O(1) per message: a
+//! fragment can complete only its own step, and a step only its own
+//! chunk, so nothing is scanned for work that might have become ready.
 
-use std::collections::HashMap;
+use stargemm_linalg::gemm::gemm_tiled;
+use stargemm_sim::{ChunkDescr, ChunkId, ChunkMap, MatKind, StepId};
 
-use stargemm_linalg::gemm::block_update;
-use stargemm_linalg::Block;
-use stargemm_sim::{ChunkDescr, ChunkId, ChunkMap, StepId};
-
-use crate::wire::{ToMaster, ToWorker};
+use crate::wire::{Tiles, ToMaster, ToWorker};
 
 /// State of one chunk resident on a worker.
 struct WorkerChunk {
     descr: ChunkDescr,
     h: usize,
     w: usize,
-    c: Vec<Block>,
-    pend_a: HashMap<StepId, Vec<Block>>,
-    pend_b: HashMap<StepId, Vec<Block>>,
+    /// Row-major `h × w`, updated in place.
+    c: Tiles,
+    /// The operand each half-delivered step is waiting with, `(step, A
+    /// or B, tiles)`, until the other lands and the step fires. A short
+    /// list searched linearly: the master's memory admission bounds how
+    /// many steps a policy can have half-delivered.
+    pending: Vec<(StepId, MatKind, Tiles)>,
     steps_done: StepId,
     retrieve_requested: bool,
 }
 
 impl WorkerChunk {
-    /// Fires every step whose operands are resident; returns the events
-    /// to notify the master with.
-    fn fire_ready(&mut self) -> Vec<ToMaster> {
-        let mut events = Vec::new();
-        // Collect ready steps first (both fragments present).
-        let ready: Vec<StepId> = self
-            .pend_a
-            .keys()
-            .filter(|k| self.pend_b.contains_key(k))
-            .copied()
-            .collect();
-        for step in ready {
-            let a = self.pend_a.remove(&step).expect("just checked");
-            let b = self.pend_b.remove(&step).expect("just checked");
-            self.compute_step(&a, &b);
-            self.steps_done += 1;
-            events.push(ToMaster::StepDone {
-                chunk: self.descr.id,
-                step,
-            });
-            if self.steps_done == self.descr.steps {
-                events.push(ToMaster::ChunkComputed {
-                    chunk: self.descr.id,
-                });
-            }
+    fn computed(&self) -> bool {
+        self.steps_done == self.descr.steps
+    }
+
+    /// Takes delivery of one operand of `step`: it waits for the other,
+    /// or — the other already waiting — the step fires and the master is
+    /// notified.
+    fn land(&mut self, step: StepId, kind: MatKind, tiles: Tiles, out: &mut Vec<ToMaster>) {
+        let Some(at) = self.pending.iter().position(|(s, ..)| *s == step) else {
+            self.pending.push((step, kind, tiles));
+            return;
+        };
+        let (_, waiting_kind, waiting) = self.pending.swap_remove(at);
+        assert_ne!(waiting_kind, kind, "duplicate {kind:?} fragment");
+        let (a, b) = match kind {
+            MatKind::A => (tiles, waiting),
+            _ => (waiting, tiles),
+        };
+        self.compute_step(&a, &b);
+        self.steps_done += 1;
+        let chunk = self.descr.id;
+        out.push(ToMaster::StepDone { chunk, step });
+        if self.computed() {
+            out.push(ToMaster::ChunkComputed { chunk });
         }
-        events
     }
 
     /// One update step: `C[i][j] += Σ_k A[i][k]·B[k][j]` over the
-    /// fragment's inner depth.
+    /// fragment's inner depth, every tile product through the kernel on
+    /// sub-slices of the three buffers.
     ///
     /// A is ordered `(i-local major, k minor)`, B `(k major, j-local
-    /// minor)`, C row-major `h × w` — the master's slicing order.
-    fn compute_step(&mut self, a: &[Block], b: &[Block]) {
+    /// minor)`, C row-major `h × w` — the master's slicing order. Each C
+    /// tile takes its updates in increasing `k`, as the sequential
+    /// reference does.
+    fn compute_step(&mut self, a: &Tiles, b: &Tiles) {
+        let q = self.c.q();
         let depth = a.len() / self.h;
         assert_eq!(a.len(), self.h * depth, "ragged A fragment");
         assert_eq!(b.len(), depth * self.w, "ragged B fragment");
         for kk in 0..depth {
             for i in 0..self.h {
-                let a_ik = &a[i * depth + kk];
+                let a_ik = a.tile(i * depth + kk);
                 for j in 0..self.w {
-                    block_update(&mut self.c[i * self.w + j], a_ik, &b[kk * self.w + j]);
+                    gemm_tiled(
+                        q,
+                        self.c.tile_mut(i * self.w + j),
+                        a_ik,
+                        b.tile(kk * self.w + j),
+                    );
                 }
             }
         }
@@ -86,12 +101,12 @@ impl WorkerChunk {
 /// `ChunkComputed` before a deferred `Result`.
 pub(crate) struct WorkerCore {
     chunks: ChunkMap<WorkerChunk>,
-    /// Fragments that overtook their chunk's C load on the wire:
+    /// Operands that overtook their chunk's C load on the wire:
     /// concurrent contention models (`multiport`, `fairshare`) can finish
     /// a small A/B transfer before the bigger C transfer admitted
     /// earlier on the same link. They are stashed and replayed when the
-    /// C blocks land — the same any-order arrival the simulator models.
-    early: ChunkMap<Vec<ToWorker>>,
+    /// C tiles land — the same any-order arrival the simulator models.
+    early: ChunkMap<Vec<(StepId, MatKind, Tiles)>>,
     /// Dynamic platforms: a `Fail` control message simulates a crash —
     /// all chunks are dropped and data is ignored until `Recover`.
     down: bool,
@@ -114,74 +129,34 @@ impl WorkerCore {
                 self.chunks.clear();
                 self.early.clear();
                 self.down = true;
-                return;
             }
-            ToWorker::Recover => {
-                self.down = false;
-                return;
-            }
+            ToWorker::Recover => self.down = false,
             // While down, every other message falls on dead hardware.
-            _ if self.down => return,
-            ToWorker::LoadC {
-                descr,
-                h,
-                w,
-                blocks,
-            } => {
-                assert_eq!(blocks.len(), (h * w) as usize, "C payload mismatch");
+            _ if self.down => {}
+            ToWorker::LoadC { descr, h, w, tiles } => {
+                assert_eq!(tiles.len(), (h * w) as usize, "C payload mismatch");
                 let prev = self.chunks.insert(
                     descr.id,
                     WorkerChunk {
                         descr,
                         h: h as usize,
                         w: w as usize,
-                        c: blocks,
-                        pend_a: HashMap::new(),
-                        pend_b: HashMap::new(),
+                        c: tiles,
+                        pending: Vec::new(),
                         steps_done: 0,
                         retrieve_requested: false,
                     },
                 );
                 assert!(prev.is_none(), "chunk {} loaded twice", descr.id);
-                if let Some(stash) = self.early.remove(&descr.id) {
-                    for msg in stash {
-                        self.ingest(msg, out);
-                    }
+                for (step, kind, tiles) in self.early.remove(&descr.id).unwrap_or_default() {
+                    self.operand(descr.id, step, kind, tiles, out);
                 }
             }
-            ToWorker::FragA {
-                chunk,
-                step,
-                blocks,
-            } => {
-                let Some(ch) = self.chunks.get_mut(&chunk) else {
-                    self.early.entry(chunk).or_default().push(ToWorker::FragA {
-                        chunk,
-                        step,
-                        blocks,
-                    });
-                    return;
-                };
-                let prev = ch.pend_a.insert(step, blocks);
-                assert!(prev.is_none(), "duplicate A fragment");
-                out.extend(ch.fire_ready());
+            ToWorker::FragA { chunk, step, tiles } => {
+                self.operand(chunk, step, MatKind::A, tiles, out);
             }
-            ToWorker::FragB {
-                chunk,
-                step,
-                blocks,
-            } => {
-                let Some(ch) = self.chunks.get_mut(&chunk) else {
-                    self.early.entry(chunk).or_default().push(ToWorker::FragB {
-                        chunk,
-                        step,
-                        blocks,
-                    });
-                    return;
-                };
-                let prev = ch.pend_b.insert(step, blocks);
-                assert!(prev.is_none(), "duplicate B fragment");
-                out.extend(ch.fire_ready());
+            ToWorker::FragB { chunk, step, tiles } => {
+                self.operand(chunk, step, MatKind::B, tiles, out);
             }
             ToWorker::Retrieve { chunk } => {
                 let ch = self
@@ -189,21 +164,35 @@ impl WorkerCore {
                     .get_mut(&chunk)
                     .expect("retrieve of unknown chunk");
                 ch.retrieve_requested = true;
-                if ch.steps_done == ch.descr.steps {
+                // Otherwise the reply happens when the last step fires.
+                if ch.computed() {
                     self.reply_result(chunk, out);
                 }
-                // Otherwise the reply happens when the last step fires.
             }
         }
-        // A completed chunk with a pending retrieval replies immediately.
-        let due: Vec<ChunkId> = self
-            .chunks
-            .iter()
-            .filter(|(_, c)| c.retrieve_requested && c.steps_done == c.descr.steps)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.reply_result(id, out);
+    }
+
+    /// One A or B fragment: stashed if its chunk is not open yet, else
+    /// landed — and if it fired the chunk's last step under a pending
+    /// retrieval, the result follows at once.
+    fn operand(
+        &mut self,
+        chunk: ChunkId,
+        step: StepId,
+        kind: MatKind,
+        tiles: Tiles,
+        out: &mut Vec<ToMaster>,
+    ) {
+        let Some(ch) = self.chunks.get_mut(&chunk) else {
+            self.early
+                .entry(chunk)
+                .or_default()
+                .push((step, kind, tiles));
+            return;
+        };
+        ch.land(step, kind, tiles, out);
+        if ch.retrieve_requested && ch.computed() {
+            self.reply_result(chunk, out);
         }
     }
 
@@ -211,7 +200,7 @@ impl WorkerCore {
         let ch = self.chunks.remove(&id).expect("due chunk exists");
         out.push(ToMaster::Result {
             chunk: id,
-            blocks: ch.c,
+            tiles: ch.c,
         });
     }
 }
@@ -229,8 +218,16 @@ mod tests {
     use rand::SeedableRng;
     use stargemm_linalg::gemm::gemm_naive;
 
-    fn blocks(n: usize, q: usize, rng: &mut StdRng) -> Vec<Block> {
-        (0..n).map(|_| Block::random(q, rng)).collect()
+    fn descr(id: ChunkId, h: usize, w: usize, steps: StepId) -> ChunkDescr {
+        ChunkDescr {
+            id,
+            c_blocks: (h * w) as u64,
+            steps,
+            a_blocks_per_step: h as u64,
+            b_blocks_per_step: w as u64,
+            updates_per_step: (h * w) as u64,
+            tail: None,
+        }
     }
 
     /// Drives a lone worker through a 2×2-chunk, 3-step job and checks
@@ -239,28 +236,19 @@ mod tests {
     fn worker_computes_a_chunk_exactly() {
         let q = 6;
         let (h, w, steps) = (2usize, 2usize, 3u32);
-        let descr = ChunkDescr {
-            id: 0,
-            c_blocks: (h * w) as u64,
-            steps,
-            a_blocks_per_step: h as u64,
-            b_blocks_per_step: w as u64,
-            updates_per_step: (h * w) as u64,
-            tail: None,
-        };
         let mut rng = StdRng::seed_from_u64(1);
-        let c0 = blocks(h * w, q, &mut rng);
-        let a_frags: Vec<Vec<Block>> = (0..steps).map(|_| blocks(h, q, &mut rng)).collect();
-        let b_frags: Vec<Vec<Block>> = (0..steps).map(|_| blocks(w, q, &mut rng)).collect();
+        let c0 = Tiles::random(h * w, q, &mut rng);
+        let a_frags: Vec<Tiles> = (0..steps).map(|_| Tiles::random(h, q, &mut rng)).collect();
+        let b_frags: Vec<Tiles> = (0..steps).map(|_| Tiles::random(w, q, &mut rng)).collect();
 
         let mut core = WorkerCore::new();
         let mut out = Vec::new();
         core.ingest(
             ToWorker::LoadC {
-                descr,
+                descr: descr(0, h, w, steps),
                 h: h as u32,
                 w: w as u32,
-                blocks: c0.clone(),
+                tiles: c0.clone(),
             },
             &mut out,
         );
@@ -270,7 +258,7 @@ mod tests {
                 ToWorker::FragB {
                     chunk: 0,
                     step: k,
-                    blocks: b_frags[k as usize].clone(),
+                    tiles: b_frags[k as usize].clone(),
                 },
                 &mut out,
             );
@@ -278,7 +266,7 @@ mod tests {
                 ToWorker::FragA {
                     chunk: 0,
                     step: k,
-                    blocks: a_frags[k as usize].clone(),
+                    tiles: a_frags[k as usize].clone(),
                 },
                 &mut out,
             );
@@ -294,7 +282,7 @@ mod tests {
         assert_eq!(out[3], ToMaster::ChunkComputed { chunk: 0 });
         let Some(ToMaster::Result {
             chunk: 0,
-            blocks: got,
+            tiles: got,
         }) = out.pop()
         else {
             panic!("no result for chunk 0");
@@ -303,19 +291,16 @@ mod tests {
         // Reference: C[i][j] = C0[i][j] + Σ_k A_k[i]·B_k[j].
         for i in 0..h {
             for j in 0..w {
-                let mut expect = c0[i * w + j].clone();
+                let mut expect = c0.tile(i * w + j).to_vec();
                 for k in 0..steps as usize {
-                    let mut tmp = vec![0.0; q * q];
-                    tmp.copy_from_slice(expect.as_slice());
-                    gemm_naive(
-                        q,
-                        &mut tmp,
-                        a_frags[k][i].as_slice(),
-                        b_frags[k][j].as_slice(),
-                    );
-                    expect = Block::from_vec(q, tmp);
+                    gemm_naive(q, &mut expect, a_frags[k].tile(i), b_frags[k].tile(j));
                 }
-                let diff = got[i * w + j].max_abs_diff(&expect);
+                let diff = got
+                    .tile(i * w + j)
+                    .iter()
+                    .zip(&expect)
+                    .map(|(x, y)| (x - y).abs())
+                    .fold(0.0, f64::max);
                 assert!(diff < 1e-9, "block ({i},{j}) diff {diff}");
             }
         }
@@ -324,24 +309,15 @@ mod tests {
     #[test]
     fn retrieve_before_completion_defers_the_reply() {
         let q = 4;
-        let descr = ChunkDescr {
-            id: 3,
-            c_blocks: 1,
-            steps: 1,
-            a_blocks_per_step: 1,
-            b_blocks_per_step: 1,
-            updates_per_step: 1,
-            tail: None,
-        };
         let mut rng = StdRng::seed_from_u64(2);
         let mut core = WorkerCore::new();
         let mut out = Vec::new();
         core.ingest(
             ToWorker::LoadC {
-                descr,
+                descr: descr(3, 1, 1, 1),
                 h: 1,
                 w: 1,
-                blocks: blocks(1, q, &mut rng),
+                tiles: Tiles::random(1, q, &mut rng),
             },
             &mut out,
         );
@@ -352,7 +328,7 @@ mod tests {
             ToWorker::FragB {
                 chunk: 3,
                 step: 0,
-                blocks: blocks(1, q, &mut rng),
+                tiles: Tiles::random(1, q, &mut rng),
             },
             &mut out,
         );
@@ -361,7 +337,7 @@ mod tests {
             ToWorker::FragA {
                 chunk: 3,
                 step: 0,
-                blocks: blocks(1, q, &mut rng),
+                tiles: Tiles::random(1, q, &mut rng),
             },
             &mut out,
         );
@@ -378,5 +354,70 @@ mod tests {
             ),
             "{out:?}"
         );
+    }
+
+    /// Fragments that overtake their chunk's C load wait for it: nothing
+    /// fires until the load lands, then every stashed step does, and the
+    /// product is what in-order delivery computes.
+    #[test]
+    fn early_fragments_are_stashed_until_their_c_load() {
+        let q = 3;
+        let (h, w, steps) = (1usize, 2usize, 2u32);
+        let mut rng = StdRng::seed_from_u64(3);
+        let load = ToWorker::LoadC {
+            descr: descr(8, h, w, steps),
+            h: h as u32,
+            w: w as u32,
+            tiles: Tiles::random(h * w, q, &mut rng),
+        };
+        let frags: Vec<ToWorker> = (0..steps)
+            .flat_map(|step| {
+                let a = Tiles::random(h, q, &mut rng);
+                let b = Tiles::random(w, q, &mut rng);
+                [
+                    ToWorker::FragA {
+                        chunk: 8,
+                        step,
+                        tiles: a,
+                    },
+                    ToWorker::FragB {
+                        chunk: 8,
+                        step,
+                        tiles: b,
+                    },
+                ]
+            })
+            .collect();
+
+        let run = |order: Vec<ToWorker>| {
+            let mut core = WorkerCore::new();
+            let mut out = Vec::new();
+            for msg in order {
+                core.ingest(msg, &mut out);
+            }
+            core.ingest(ToWorker::Retrieve { chunk: 8 }, &mut out);
+            out
+        };
+        let in_order = run(std::iter::once(load.clone()).chain(frags.clone()).collect());
+
+        // All four fragments first: silence; the load then fires both
+        // steps at once.
+        let mut core = WorkerCore::new();
+        let mut out = Vec::new();
+        for msg in frags {
+            core.ingest(msg, &mut out);
+        }
+        assert!(out.is_empty(), "{out:?}");
+        core.ingest(load, &mut out);
+        assert_eq!(
+            out,
+            [
+                ToMaster::StepDone { chunk: 8, step: 0 },
+                ToMaster::StepDone { chunk: 8, step: 1 },
+                ToMaster::ChunkComputed { chunk: 8 },
+            ]
+        );
+        core.ingest(ToWorker::Retrieve { chunk: 8 }, &mut out);
+        assert_eq!(out, in_order, "same replies, bitwise the same C");
     }
 }

@@ -163,45 +163,51 @@ impl Simulator {
             self.max_events,
             obs,
         );
-        let mut sm = MasterSm::new();
-        // Hook notifications of the event being delivered: one buffer
-        // for the whole run, so the steady-state loop never allocates.
-        let mut hooks = Vec::new();
+        drive(&mut st, policy)?;
+        Ok(st.into_stats(policy.name()))
+    }
+}
 
-        loop {
-            // Ask the policy while the master is free to act.
-            sm.pump(&mut SimTransport {
-                st: &mut st,
-                policy: &mut *policy,
-            })?;
+/// The run loop: pump the master automaton, deliver one event, settle,
+/// until the policy is done and no work is pending.
+pub(crate) fn drive(st: &mut StarModel, policy: &mut dyn MasterPolicy) -> Result<(), SimError> {
+    let mut sm = MasterSm::new();
+    // Hook notifications of the event being delivered: one buffer
+    // for the whole run, so the steady-state loop never allocates.
+    let mut hooks = Vec::new();
 
-            if sm.is_done() && !st.has_work_events() {
-                return Ok(st.into_stats(policy.name()));
-            }
+    loop {
+        // Ask the policy while the master is free to act.
+        sm.pump(&mut SimTransport {
+            st: &mut *st,
+            policy: &mut *policy,
+        })?;
 
-            let Some(ev) = st.next_event()? else {
-                return Err(SimError::Deadlock {
-                    time: st.now,
-                    unretrieved_chunks: st.ledger.unretrieved(),
-                });
-            };
-            let kind = ev.payload;
+        if sm.is_done() && !st.has_work_events() {
+            return Ok(());
+        }
 
-            hooks.clear();
-            st.apply_event(kind, &mut hooks)?;
+        let Some(kind) = st.next_event()? else {
+            return Err(SimError::Deadlock {
+                time: st.now,
+                unretrieved_chunks: st.ledger.unretrieved(),
+            });
+        };
 
-            if matches!(kind, EvKind::TransferDone { .. }) {
-                sm.on_transfer_done();
-            }
-            sm.settle(&mut SimTransport {
-                st: &mut st,
-                policy: &mut *policy,
-            })?;
+        hooks.clear();
+        st.apply_event(kind, &mut hooks)?;
 
-            // Fire hooks after the state (and master bookkeeping) settled.
-            for h in &hooks {
-                policy.on_event(h, &st.ledger.ctx(st.now));
-            }
+        if matches!(kind, EvKind::TransferDone { .. }) {
+            sm.on_transfer_done();
+        }
+        sm.settle(&mut SimTransport {
+            st: &mut *st,
+            policy: &mut *policy,
+        })?;
+
+        // Fire hooks after the state (and master bookkeeping) settled.
+        for h in &hooks {
+            policy.on_event(h, &st.ledger.ctx(st.now));
         }
     }
 }

@@ -11,9 +11,23 @@
 //! * **O(1) cancellation** — [`EventQueue::schedule`] returns an
 //!   [`EventId`] that can later be [cancelled](EventQueue::cancel);
 //!   cancellation invalidates the slab slot and the stale heap entry is
-//!   skipped lazily on pop (generation counters make slot reuse safe);
+//!   skipped lazily on pop (generation counters make slot reuse safe).
+//!   It is for events that must *never* deliver — the star model cancels
+//!   the pending compute steps of a crashed worker — not for events
+//!   that merely move: a lazily cancelled entry stays in the heap until
+//!   popped, so re-timing by cancel-and-re-push grows the heap by one
+//!   stale entry per move;
 //! * **bounded progress** — an optional event cap aborts runaway models
 //!   ([`KernelError::EventCapExceeded`]).
+//!
+//! A model that keeps some of its timers *outside* the heap — the star
+//! model's transfers live in the lane table, which re-projects their
+//! ends on every re-share — still gets one total order and one clock:
+//! it draws the timer's tie-break from the same counter `schedule` uses
+//! ([`EventQueue::take_seq`]), compares its own earliest `(time, seq)`
+//! with the heap's ([`EventQueue::peek_key`]), and reports the ones it
+//! delivers itself through [`EventQueue::deliver_external`], which
+//! counts and clamps exactly as [`EventQueue::pop`] does.
 //!
 //! The hot path is allocation-light: the binary heap holds small `Copy`
 //! entries (time, sequence, slot, generation) while payloads live in an
@@ -276,13 +290,47 @@ impl<T> EventQueue<T> {
     /// Delivery time of the next pending event, without delivering it
     /// (stale heap entries left by cancellations are discarded).
     pub fn peek_time(&mut self) -> Option<f64> {
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, sequence)` key [`Self::pop`] would deliver next —
+    /// what an externally kept timer compares its own key against
+    /// (`f64::total_cmp` on the time, then the sequence). Stale heap
+    /// entries left by cancellations are discarded.
+    pub fn peek_key(&mut self) -> Option<(f64, u64)> {
         while let Some(&Reverse(entry)) = self.heap.peek() {
             if self.entry_is_live(entry) {
-                return Some(entry.time);
+                return Some((entry.time, entry.seq));
             }
             self.heap.pop();
         }
         None
+    }
+
+    /// Draws the next schedule sequence number without scheduling
+    /// anything: the tie-break of a timer the model keeps outside the
+    /// heap. It is the number [`Self::schedule`] would have stamped on
+    /// an event pushed at this point, so such a timer orders against
+    /// heap events exactly as if it had been pushed.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Accounts for an event the model delivers from a timer of its own
+    /// at `time`: counts it against the event cap and advances the clock
+    /// exactly as [`Self::pop`] does. Returns the delivery instant
+    /// (`time` clamped to now: the clock never rewinds).
+    pub fn deliver_external(&mut self, time: f64) -> Result<f64, KernelError> {
+        self.delivered += 1;
+        if self.delivered > self.max_events {
+            return Err(KernelError::EventCapExceeded {
+                cap: self.max_events,
+            });
+        }
+        self.now = time.max(self.now);
+        Ok(self.now)
     }
 
     fn entry_is_live(&self, entry: HeapEntry) -> bool {
@@ -315,16 +363,10 @@ impl<T> EventQueue<T> {
             };
             self.free_head = entry.slot;
             self.pending -= 1;
-            self.delivered += 1;
-            if self.delivered > self.max_events {
-                return Err(KernelError::EventCapExceeded {
-                    cap: self.max_events,
-                });
-            }
             // Past-scheduled events deliver "now": the clock never rewinds.
-            self.now = entry.time.max(self.now);
+            let time = self.deliver_external(entry.time)?;
             return Ok(Some(Event {
-                time: self.now,
+                time,
                 component,
                 payload,
             }));
@@ -446,6 +488,26 @@ mod tests {
         assert!(q.pop().unwrap().is_some());
         assert!(q.pop().unwrap().is_some());
         assert!(q.pop().unwrap().is_none());
+    }
+
+    #[test]
+    fn an_external_timer_orders_counts_and_clamps_like_a_scheduled_event() {
+        let mut q = EventQueue::new().with_max_events(3);
+        q.schedule(2.0, 0, "before");
+        let stamp = q.take_seq(); // the timer's tie-break, drawn here
+        q.schedule(2.0, 0, "after");
+        // At the same instant the timer sits between the two events.
+        assert_eq!(q.peek_key(), Some((2.0, stamp - 1)));
+        assert_eq!(q.pop().unwrap().map(|e| e.payload), Some("before"));
+        assert_eq!(q.peek_key(), Some((2.0, stamp + 1)));
+        // Delivered by the model itself: counted, and the clock moves.
+        assert_eq!(q.deliver_external(2.0), Ok(2.0));
+        assert_eq!(q.deliver_external(1.0), Ok(2.0), "delivery clamps to now");
+        assert_eq!((q.delivered(), q.now()), (3, 2.0));
+        // The cap trips on the fourth delivery, whoever makes it.
+        let err = KernelError::EventCapExceeded { cap: 3 };
+        assert_eq!(q.deliver_external(5.0), Err(err));
+        assert_eq!(q.now(), 2.0, "a refused delivery leaves the clock alone");
     }
 
     #[test]

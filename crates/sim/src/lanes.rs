@@ -10,11 +10,23 @@
 //! re-projected — between changes every cached end is exact, and under
 //! one-port (a lone lane at share 1.0) nothing is ever re-projected.
 //!
+//! The table *is* the transfer clock of both engines: the pass that
+//! re-projects also caches the earliest completion, so
+//! [`next_completion`](LaneTable::next_completion) is O(1) between
+//! membership changes, and neither engine keeps a second timer per
+//! lane. Simultaneous completions resolve by **one tie rule**: every
+//! (re)projection stamps the lane with the next number of a counter the
+//! engine lends the table, and the earliest completion is the least
+//! `(end, stamp)` — a lane whose share held keeps its older stamp and
+//! goes first. The simulator lends its kernel's schedule sequence
+//! ([`EventQueue::take_seq`](crate::kernel::EventQueue::take_seq)), so a
+//! lane orders against compute and lifecycle events in the heap exactly
+//! as a kernel event pushed at its last re-projection would; the
+//! reactor lends a counter of its own.
+//!
 //! The table is generic over the engine's per-lane payload `P` and
-//! knows no clock: the simulator schedules a kernel event at each
-//! [`moved`](LaneTable::moved_mut) lane's end, the reactor sleeps until
-//! [`next_completion`](LaneTable::next_completion). Times are whatever
-//! scale the caller's `now` is in (both engines use model seconds).
+//! knows no clock and no event queue. Times are whatever scale the
+//! caller's `now` is in (both engines use model seconds).
 
 use stargemm_netmodel::{ContentionModel, ShareScratch, TransferLane};
 use stargemm_obs::{Dir, ObsEvent, ObsSink};
@@ -39,6 +51,9 @@ pub struct Lane<P> {
     pub lane: usize,
     /// Projected completion under the current shares.
     pub end: f64,
+    /// Sequence stamp of the latest (re)projection of `end`: the
+    /// tie-break among simultaneous completions.
+    pub stamp: u64,
     /// Whatever the engine hangs on the transfer.
     pub payload: P,
     dir: Dir,
@@ -48,9 +63,28 @@ pub struct Lane<P> {
     share: Option<f64>,
     since: f64,
     started: f64,
-    /// The last re-share moved `end` (or projected it for the first
-    /// time).
-    moved: bool,
+}
+
+/// The earliest projected completion of a [`LaneTable`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Completion {
+    /// The lane's id, the handle [`LaneTable::complete`] takes.
+    pub lane: u64,
+    /// Its projected end.
+    pub end: f64,
+    /// The stamp of that projection.
+    pub stamp: u64,
+}
+
+impl Completion {
+    /// The tie rule, in one place: whether this completion comes before
+    /// an event keyed `(time, seq)` — another lane's `(end, stamp)`, or
+    /// the `(time, schedule sequence)` of an event on a kernel heap the
+    /// stamps were drawn from. Times compare by `f64::total_cmp`, so a
+    /// `+∞` end (a link that never serves) orders last.
+    pub fn precedes(&self, (time, seq): (f64, u64)) -> bool {
+        self.end.total_cmp(&time).then(self.stamp.cmp(&seq)).is_lt()
+    }
 }
 
 /// The transfers in flight on one master's port.
@@ -64,6 +98,9 @@ pub struct LaneTable<P> {
     profile: Option<DynProfile>,
     /// In start order.
     active: Vec<Lane<P>>,
+    /// The least `(end, stamp)` over `active`, refreshed by every
+    /// re-share.
+    head: Option<Completion>,
     lane_used: Vec<bool>,
     /// Reusable lane descriptions and share buffers handed to the
     /// contention model (the re-share hot path allocates nothing in
@@ -95,6 +132,7 @@ impl<P> LaneTable<P> {
             cs,
             profile,
             active: Vec::new(),
+            head: None,
             lane_used: Vec::new(),
             lane_scratch: Vec::new(),
             share_scratch: ShareScratch::new(),
@@ -116,9 +154,16 @@ impl<P> LaneTable<P> {
         self.active.len() < self.model.capacity()
     }
 
+    /// The transfers in flight, in start order.
+    pub fn in_flight(&self) -> &[Lane<P>] {
+        &self.active
+    }
+
     /// Admits a transfer of `blocks` blocks on `worker`'s link at time
-    /// `now` and re-shares the wire; the caller has checked
-    /// [`can_admit`](Self::can_admit). Returns the lane's id.
+    /// `now` and re-shares the wire, drawing one stamp from `stamps` per
+    /// lane the re-share (re)projects, in start order; the caller has
+    /// checked [`can_admit`](Self::can_admit). Returns the lane's id.
+    #[allow(clippy::too_many_arguments)]
     pub fn admit(
         &mut self,
         now: f64,
@@ -127,6 +172,7 @@ impl<P> LaneTable<P> {
         chunk: ChunkId,
         blocks: u64,
         payload: P,
+        mut stamps: impl FnMut() -> u64,
     ) -> u64 {
         debug_assert!(self.can_admit(), "transfer admitted past capacity");
         // Lowest free contention lane (one-port: always lane 0).
@@ -147,14 +193,15 @@ impl<P> LaneTable<P> {
             chunk,
             blocks,
             lane,
-            // A fresh lane has no share yet; the re-share below projects it.
+            // A fresh lane has no share yet; the re-share below projects
+            // and stamps it.
             end: f64::NAN,
+            stamp: 0,
             payload,
             rem: blocks as f64 * self.cs[worker],
             share: None,
             since: now,
             started: now,
-            moved: false,
         });
         // An admission onto a fully idle port closes a stall — except the
         // first ever: the gap before it is ramp-up.
@@ -173,13 +220,14 @@ impl<P> LaneTable<P> {
             chunk,
             blocks,
         });
-        self.reshare(now);
+        self.reshare(now, &mut stamps);
         id
     }
 
     /// Completes lane `id` at time `now`: charges the port, frees the
-    /// lane and re-shares the rest.
-    pub fn complete(&mut self, id: u64, now: f64) -> Lane<P> {
+    /// lane and re-shares the rest (stamping as [`admit`](Self::admit)
+    /// does).
+    pub fn complete(&mut self, id: u64, now: f64, mut stamps: impl FnMut() -> u64) -> Lane<P> {
         let idx = self
             .active
             .iter()
@@ -204,15 +252,17 @@ impl<P> LaneTable<P> {
             chunk: done.chunk,
             blocks: done.blocks,
         });
-        self.reshare(now);
+        self.reshare(now, &mut stamps);
         done
     }
 
-    /// Recomputes the active lanes' bandwidth shares and re-projects
-    /// every lane whose share changed. Called only when the active set
-    /// changes, so between calls shares are constant and each cached end
+    /// Recomputes the active lanes' bandwidth shares, re-projects and
+    /// re-stamps every lane whose share changed, and caches the earliest
+    /// completion. Called only when the active set changes, so between
+    /// calls shares are constant and each cached end — and the head —
     /// stays exact.
-    fn reshare(&mut self, now: f64) {
+    fn reshare(&mut self, now: f64, stamps: &mut impl FnMut() -> u64) {
+        self.head = None;
         if self.active.is_empty() {
             return;
         }
@@ -227,36 +277,42 @@ impl<P> LaneTable<P> {
         debug_assert_eq!(self.share_scratch.shares().len(), self.active.len());
         let profile = self.profile.as_ref();
         for (l, &share) in self.active.iter_mut().zip(self.share_scratch.shares()) {
-            l.moved = l.share != Some(share);
-            if !l.moved {
-                continue; // projected end still exact
+            // A lane whose share held keeps its end (still exact) and
+            // its stamp.
+            if l.share != Some(share) {
+                // Progress served under the old share since the last
+                // update (a fresh lane has no progress yet).
+                if let Some(old) = l.share {
+                    let served =
+                        old * transfer_nominal_between_opt(profile, l.worker, l.since, now);
+                    l.rem = (l.rem - served).max(0.0);
+                }
+                l.since = now;
+                l.share = Some(share);
+                l.end = transfer_end_opt(profile, l.worker, now, l.rem, share);
+                assert!(!l.end.is_nan(), "transfer projected to end at NaN");
+                l.stamp = stamps();
             }
-            // Progress served under the old share since the last update
-            // (a fresh lane has no progress yet).
-            if let Some(old) = l.share {
-                let served = old * transfer_nominal_between_opt(profile, l.worker, l.since, now);
-                l.rem = (l.rem - served).max(0.0);
+            let projected = Completion {
+                lane: l.id,
+                end: l.end,
+                stamp: l.stamp,
+            };
+            if self
+                .head
+                .is_none_or(|h| projected.precedes((h.end, h.stamp)))
+            {
+                self.head = Some(projected);
             }
-            l.since = now;
-            l.share = Some(share);
-            l.end = transfer_end_opt(profile, l.worker, now, l.rem, share);
         }
     }
 
-    /// The lanes whose projected end the last [`admit`](Self::admit) or
-    /// [`complete`](Self::complete) moved, in start order — the ones a
-    /// clock that keeps a timer per lane must re-arm.
-    pub fn moved_mut(&mut self) -> impl Iterator<Item = &mut Lane<P>> {
-        self.active.iter_mut().filter(|l| l.moved)
-    }
-
-    /// The earliest projected completion, `(lane id, end)`; ties go to
-    /// the lane admitted first.
-    pub fn next_completion(&self) -> Option<(u64, f64)> {
-        self.active
-            .iter()
-            .map(|l| (l.id, l.end))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+    /// The earliest projected completion: the least `(end, stamp)` over
+    /// the lanes in flight, for every engine — among simultaneous ends
+    /// the lane whose end was projected first goes first. O(1): cached
+    /// by the last re-share.
+    pub fn next_completion(&self) -> Option<Completion> {
+        self.head
     }
 
     /// Seconds the port spent transferring (the sum of every completed
@@ -277,28 +333,61 @@ mod tests {
     use stargemm_netmodel::NetModelSpec;
     use stargemm_platform::dynamic::{Trace, WorkerDyn};
 
-    fn table(spec: NetModelSpec, cs: &[f64], profile: Option<DynProfile>) -> LaneTable<()> {
-        LaneTable::new(spec.build(), cs.to_vec(), profile, ObsSink::off())
+    /// A payload-free table plus the stamp counter an engine would lend
+    /// it.
+    struct Port {
+        t: LaneTable<()>,
+        seq: u64,
     }
 
-    /// Admits a payload-free transfer of `base` nominal seconds; returns
-    /// its lane id.
-    fn admit(t: &mut LaneTable<()>, now: f64, worker: usize, base: f64) -> u64 {
-        let blocks = (base / t.cs[worker]) as u64;
-        t.admit(now, worker, Dir::ToMaster, 0, blocks, ())
+    fn port(spec: NetModelSpec, cs: &[f64], profile: Option<DynProfile>) -> Port {
+        Port {
+            t: LaneTable::new(spec.build(), cs.to_vec(), profile, ObsSink::off()),
+            seq: 0,
+        }
+    }
+
+    impl Port {
+        /// Admits a transfer of `base` nominal seconds; returns its lane
+        /// id.
+        fn admit(&mut self, now: f64, worker: usize, base: f64) -> u64 {
+            let blocks = (base / self.t.cs[worker]) as u64;
+            let seq = &mut self.seq;
+            self.t
+                .admit(now, worker, Dir::ToMaster, 0, blocks, (), || take(seq))
+        }
+
+        fn complete(&mut self, id: u64, now: f64) -> Lane<()> {
+            let seq = &mut self.seq;
+            self.t.complete(id, now, || take(seq))
+        }
+
+        /// `(lane id, end)` of the earliest completion.
+        fn next(&self) -> Option<(u64, f64)> {
+            self.t.next_completion().map(|c| (c.lane, c.end))
+        }
+
+        fn stamps(&self) -> Vec<u64> {
+            self.t.in_flight().iter().map(|l| l.stamp).collect()
+        }
+    }
+
+    fn take(seq: &mut u64) -> u64 {
+        *seq += 1;
+        *seq - 1
     }
 
     #[test]
     fn one_port_refuses_a_second_admission() {
-        let mut t = table(NetModelSpec::OnePort, &[0.5, 0.5], None);
-        assert!(t.can_admit());
-        let id = admit(&mut t, 0.0, 0, 3.0);
-        assert!(!t.can_admit(), "the port is taken");
-        assert_eq!(t.next_completion(), Some((id, 3.0)));
-        t.complete(id, 3.0);
-        assert!(t.can_admit(), "released at completion");
-        assert_eq!(t.next_completion(), None);
-        assert_eq!(t.port_busy(), 3.0);
+        let mut p = port(NetModelSpec::OnePort, &[0.5, 0.5], None);
+        assert!(p.t.can_admit());
+        let id = p.admit(0.0, 0, 3.0);
+        assert!(!p.t.can_admit(), "the port is taken");
+        assert_eq!(p.next(), Some((id, 3.0)));
+        p.complete(id, 3.0);
+        assert!(p.t.can_admit(), "released at completion");
+        assert_eq!(p.next(), None);
+        assert_eq!(p.t.port_busy(), 3.0);
     }
 
     #[test]
@@ -307,37 +396,64 @@ mod tests {
             k: 2,
             backbone: None,
         };
-        let mut t = table(spec, &[0.5, 0.25], None);
-        let slow = admit(&mut t, 0.0, 0, 4.0);
-        let fast = admit(&mut t, 1.0, 1, 2.0);
-        assert!(!t.can_admit(), "both ports taken");
+        let mut p = port(spec, &[0.5, 0.25], None);
+        let slow = p.admit(0.0, 0, 4.0);
+        let fast = p.admit(1.0, 1, 2.0);
+        assert!(!p.t.can_admit(), "both ports taken");
+        assert_eq!(p.stamps(), [0, 1], "one projection each");
         // Neither transfer slows the other: each ends `base` after its
         // own start, and the two occupy distinct accounting lanes.
-        assert_eq!(t.next_completion(), Some((fast, 3.0)));
-        assert_eq!(t.complete(fast, 3.0).lane, 1);
-        assert_eq!(t.moved_mut().count(), 0, "the survivor's share held");
-        assert_eq!(t.next_completion(), Some((slow, 4.0)));
-        assert_eq!(t.complete(slow, 4.0).lane, 0);
-        assert_eq!(t.port_stats().lane_busy, [4.0, 2.0]);
+        assert_eq!(p.next(), Some((fast, 3.0)));
+        assert_eq!(p.complete(fast, 3.0).lane, 1);
+        assert_eq!(p.stamps(), [0], "the survivor's share held");
+        assert_eq!(p.next(), Some((slow, 4.0)));
+        assert_eq!(p.complete(slow, 4.0).lane, 0);
+        assert_eq!(p.t.port_stats().lane_busy, [4.0, 2.0]);
     }
 
     #[test]
     fn fair_share_halves_concurrent_rates_and_reshares_to_the_survivor() {
         // Two 1 block/s links under a 1 block/s backbone: share 0.5 each.
         let spec = NetModelSpec::FairShare { backbone: 1.0 };
-        let mut t = table(spec, &[1.0, 1.0], None);
-        let short = admit(&mut t, 0.0, 0, 1.0);
-        assert_eq!(t.moved_mut().map(|l| l.id).collect::<Vec<_>>(), [short]);
-        let long = admit(&mut t, 0.0, 1, 2.0);
-        assert_eq!(t.moved_mut().count(), 2, "both lanes were re-projected");
-        assert!(t.can_admit(), "fair share admits without bound");
+        let mut p = port(spec, &[1.0, 1.0], None);
+        let short = p.admit(0.0, 0, 1.0);
+        assert_eq!(p.stamps(), [0]);
+        let long = p.admit(0.0, 1, 2.0);
+        assert_eq!(p.stamps(), [1, 2], "both lanes were re-projected");
+        assert!(p.t.can_admit(), "fair share admits without bound");
         // At half rate the 1 s transfer takes 2 s, the 2 s one would
         // take 4 s...
-        assert_eq!(t.next_completion(), Some((short, 2.0)));
-        t.complete(short, 2.0);
+        assert_eq!(p.next(), Some((short, 2.0)));
+        p.complete(short, 2.0);
         // ...but the survivor (1 s of work left) gets the whole backbone
         // back and finishes at 3.
-        assert_eq!(t.next_completion(), Some((long, 3.0)));
+        assert_eq!(p.next(), Some((long, 3.0)));
+    }
+
+    /// The one tie rule: an older lane re-projected onto a younger,
+    /// un-moved lane's end goes *second* — the order the simulator's
+    /// kernel always gave (`seq` of the last re-arm), where the reactor
+    /// used to break the tie by lane id.
+    #[test]
+    fn simultaneous_ends_resolve_by_the_stamp_of_the_last_projection() {
+        // Unit-cost links, backbone never binding.
+        let spec = NetModelSpec::FairShare { backbone: 100.0 };
+        let mut p = port(spec, &[1.0, 1.0, 1.0], None);
+        let l0 = p.admit(0.0, 0, 4.0);
+        let l1 = p.admit(0.0, 1, 6.0);
+        let l3 = p.admit(0.0, 2, 2.0);
+        assert_eq!(p.next(), Some((l3, 2.0)));
+        p.complete(l3, 2.0);
+        assert_eq!(p.stamps(), [0, 1], "nobody's share moved");
+        // A second transfer on worker 0's link halves L0's share: its 2
+        // remaining seconds stretch to 4, onto L1's end exactly.
+        let l2 = p.admit(2.0, 0, 2.0);
+        let ends: Vec<(u64, f64)> = p.t.in_flight().iter().map(|l| (l.id, l.end)).collect();
+        assert_eq!(ends, [(l0, 6.0), (l1, 6.0), (l2, 6.0)]);
+        assert!(l0 < l1, "lane id would have put L0 first");
+        assert_eq!(p.next(), Some((l1, 6.0)), "L1's projection is the oldest");
+        p.complete(l1, 6.0);
+        assert_eq!(p.next(), Some((l0, 6.0)));
     }
 
     #[test]
@@ -347,17 +463,17 @@ mod tests {
         let flat = WorkerDyn::new(Trace::default(), Trace::default(), vec![]);
         let profile = DynProfile::new(vec![scaled, flat]);
         let spec = NetModelSpec::FairShare { backbone: 1.0 };
-        let mut t = table(spec, &[1.0, 1.0], Some(profile));
-        let id = admit(&mut t, 0.0, 0, 3.0);
-        assert_eq!(t.next_completion(), Some((id, 12.0)));
+        let mut p = port(spec, &[1.0, 1.0], Some(profile));
+        let id = p.admit(0.0, 0, 3.0);
+        assert_eq!(p.next(), Some((id, 12.0)));
         // Halfway there a second lane halves the share, which advances
         // the first: half the nominal work is left.
-        let other = admit(&mut t, 6.0, 1, 1.0);
-        assert_eq!(t.active[0].rem, 1.5);
+        let other = p.admit(6.0, 1, 1.0);
+        assert_eq!(p.t.active[0].rem, 1.5);
         // The second lane ends at t = 8 and hands the link back.
-        assert_eq!(t.next_completion(), Some((other, 8.0)));
-        t.complete(other, 8.0);
-        assert_eq!(t.active[0].rem, 1.25);
-        assert_eq!(t.next_completion(), Some((id, 13.0)));
+        assert_eq!(p.next(), Some((other, 8.0)));
+        p.complete(other, 8.0);
+        assert_eq!(p.t.active[0].rem, 1.25);
+        assert_eq!(p.next(), Some((id, 13.0)));
     }
 }

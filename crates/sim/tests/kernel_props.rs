@@ -11,10 +11,14 @@
 //!   already cancelled) can never cancel again, even after its slot was
 //!   reused by later schedules;
 //! * the `pending + delivered + cancelled` bookkeeping stays exact at
-//!   every step and adds up to the number of schedules at the end.
+//!   every step and adds up to the number of schedules at the end;
+//! * a timer kept *outside* the heap — stamped with `take_seq`, merged
+//!   against `peek_key`, reported through `deliver_external` — is
+//!   indistinguishable from the same timer scheduled on the heap: same
+//!   delivery order, clock, count and event-cap trip point.
 
 use proptest::prelude::*;
-use stargemm_sim::{EventId, EventQueue};
+use stargemm_sim::{EventId, EventQueue, KernelError};
 
 /// One scripted operation. `schedule` times come from a small grid so
 /// same-time ties (the interesting ordering case) are frequent.
@@ -184,5 +188,69 @@ proptest! {
         for id in &ids {
             prop_assert_eq!(q.cancel(*id), None);
         }
+    }
+
+    /// Timers kept outside the heap deliver exactly as if scheduled:
+    /// each script runs once with every timer on the heap and once with
+    /// the "external" ones in a side list, stamped by `take_seq` and
+    /// delivered through `deliver_external` when their `(time, stamp)`
+    /// is below `peek_key`.
+    #[test]
+    fn external_timers_are_indistinguishable_from_scheduled_ones(
+        ops in prop::collection::vec((0u8..3, 0u8..6), 1..80),
+        cap in 1u64..60,
+    ) {
+        // (delivery time, payload) per pop, then how the run ended.
+        type Log = (Vec<(f64, u64)>, Option<KernelError>);
+        let run = |external: bool| -> (Log, f64, u64) {
+            let mut q: EventQueue<u64> = EventQueue::new().with_max_events(cap);
+            let mut side: Vec<(f64, u64, u64)> = Vec::new(); // (time, stamp, payload)
+            let mut log = Vec::new();
+            let mut payload = 0u64;
+            for &(kind, time_q) in &ops {
+                // Times are relative to nothing: some land in the past
+                // and must clamp to now.
+                let time = f64::from(time_q) * 0.5;
+                match kind {
+                    0 => {
+                        q.schedule(time, 0, payload);
+                        payload += 1;
+                    }
+                    1 => {
+                        if external {
+                            side.push((time, q.take_seq(), payload));
+                        } else {
+                            q.schedule(time, 1, payload);
+                        }
+                        payload += 1;
+                    }
+                    _ => {
+                        let ext = side
+                            .iter()
+                            .copied()
+                            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        let ext_first = ext.is_some_and(|(time, stamp, _)| {
+                            q.peek_key().is_none_or(|(t, seq)| {
+                                time.total_cmp(&t).then(stamp.cmp(&seq)).is_lt()
+                            })
+                        });
+                        let got = if ext_first {
+                            let (time, stamp, payload) = ext.expect("ext_first");
+                            side.retain(|&(_, s, _)| s != stamp);
+                            q.deliver_external(time).map(|at| Some((at, payload)))
+                        } else {
+                            q.pop().map(|ev| ev.map(|ev| (ev.time, ev.payload)))
+                        };
+                        match got {
+                            Ok(Some(delivery)) => log.push(delivery),
+                            Ok(None) => {}
+                            Err(e) => return ((log, Some(e)), q.now(), q.delivered()),
+                        }
+                    }
+                }
+            }
+            ((log, None), q.now(), q.delivered())
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 }

@@ -13,6 +13,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stargemm::core::algorithms::{build_policy, Algorithm};
+use stargemm::core::geometry::ChunkGeom;
+use stargemm::core::stream::GeometryAccess;
 use stargemm::core::Job;
 use stargemm::dynamic::model::DynProfile;
 use stargemm::dynamic::AdaptiveMaster;
@@ -20,7 +22,9 @@ use stargemm::linalg::verify::{tolerance_for, verify_product};
 use stargemm::linalg::BlockMatrix;
 use stargemm::net::{NetOptions, NetRuntime};
 use stargemm::platform::{Platform, WorkerSpec};
-use stargemm::sim::{RunStats, Simulator};
+use stargemm::sim::{
+    Action, ChunkDescr, ChunkId, Fragment, MasterPolicy, RunStats, SimCtx, SimEvent, Simulator,
+};
 use std::time::Duration;
 
 const SEED: u64 = 0xC0FFEE;
@@ -513,5 +517,169 @@ fn cross_validated_run_still_computes_the_right_product() {
     });
     rt.run(&mut policy, &a, &b, &mut c).unwrap();
     let report = verify_product(&c, &c0, &a, &b, tolerance_for(job.t * job.q));
+    assert!(report.passed(), "{report:?}");
+}
+
+/// A scripted policy for the tie-rule pin: each action is released once
+/// a given number of sends have landed, so both engines issue it at the
+/// same model instant; it logs the order its sends complete in.
+struct GatedScript {
+    /// `(send completions required first, action)`, in issue order.
+    actions: std::collections::VecDeque<(usize, Action)>,
+    geoms: Vec<ChunkGeom>,
+    job: Job,
+    unretrieved: usize,
+    send_done: Vec<(usize, Fragment)>,
+}
+
+impl MasterPolicy for GatedScript {
+    fn next_action(&mut self, _ctx: &SimCtx) -> Action {
+        match self.actions.front() {
+            Some(&(gate, action)) if gate <= self.send_done.len() => {
+                self.actions.pop_front();
+                action
+            }
+            None if self.unretrieved == 0 => Action::Finished,
+            _ => Action::Wait,
+        }
+    }
+
+    fn on_event(&mut self, event: &SimEvent, _ctx: &SimCtx) {
+        match *event {
+            SimEvent::SendDone { worker, fragment } => self.send_done.push((worker, fragment)),
+            SimEvent::RetrieveDone { .. } => self.unretrieved -= 1,
+            _ => {}
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-script"
+    }
+}
+
+impl GeometryAccess for GatedScript {
+    fn chunk_geom(&self, id: ChunkId) -> Option<ChunkGeom> {
+        self.geoms.get(id as usize).copied()
+    }
+
+    fn job_dims(&self) -> Job {
+        self.job
+    }
+}
+
+/// One tie rule for simultaneous completions, in the lane table, for
+/// both engines: the least `(end, stamp of the last projection)`.
+///
+/// Unit-cost links under a fair-share backbone that never binds. At
+/// t = 0 the master opens chunk 0 on worker 0 (L0, 4 blocks → ends at
+/// 4), chunk 1 on worker 1 (L1, 6 blocks → 6) and chunk 2 on worker 2
+/// (2 blocks → 2). When the last lands, at t = 2, chunk 0's A fragment
+/// (2 blocks) joins L0 on worker 0's link: both run at half rate, and
+/// L0's two remaining blocks re-project to exactly 6.0 — L1's end. L1's
+/// projection is the older one, so L1 completes first; ordering by lane
+/// id, as the reactor once did, would put L0 first.
+#[test]
+fn simultaneous_completions_resolve_alike_in_both_engines() {
+    let q = 2;
+    let job = Job::new(2, 1, 6, q);
+    let platform = Platform::homogeneous("tie", 3, WorkerSpec::new(1.0, 1e-3, 64));
+    let netmodel = stargemm::netmodel::NetModelSpec::FairShare { backbone: 100.0 };
+    // Chunk `id` on worker `id`: two block rows of `w` columns from `j0`.
+    let geoms: Vec<ChunkGeom> = [(0, 2), (2, 3), (5, 1)]
+        .iter()
+        .enumerate()
+        .map(|(id, &(j0, w))| ChunkGeom {
+            id: id as ChunkId,
+            worker: id,
+            i0: 0,
+            j0,
+            h: 2,
+            w,
+            k_depth: 1,
+        })
+        .collect();
+    let descrs: Vec<ChunkDescr> = geoms
+        .iter()
+        .map(|g| ChunkDescr {
+            id: g.id,
+            c_blocks: (g.h * g.w) as u64,
+            steps: 1,
+            a_blocks_per_step: g.h as u64,
+            b_blocks_per_step: g.w as u64,
+            updates_per_step: (g.h * g.w) as u64,
+            tail: None,
+        })
+        .collect();
+    let send = |gate, d: &ChunkDescr, fragment, opens: bool| {
+        let action = Action::Send {
+            worker: d.id as usize,
+            fragment,
+            new_chunk: opens.then_some(*d),
+        };
+        (gate, action)
+    };
+    let [d0, d1, d2] = [&descrs[0], &descrs[1], &descrs[2]];
+    let script = || GatedScript {
+        actions: [
+            send(0, d0, Fragment::c_load(d0), true),
+            send(0, d1, Fragment::c_load(d1), true),
+            send(0, d2, Fragment::c_load(d2), true),
+            // t = 2: onto L0's link.
+            send(1, d0, Fragment::a_step(d0, 0), false),
+            // t = 6, after the three-way tie: everything else.
+            send(4, d0, Fragment::b_step(d0, 0), false),
+            send(4, d1, Fragment::a_step(d1, 0), false),
+            send(4, d1, Fragment::b_step(d1, 0), false),
+            send(4, d2, Fragment::a_step(d2, 0), false),
+            send(4, d2, Fragment::b_step(d2, 0), false),
+        ]
+        .into_iter()
+        .chain((0..3).map(|w| {
+            let chunk = w as ChunkId;
+            (9, Action::Retrieve { worker: w, chunk })
+        }))
+        .collect(),
+        geoms: geoms.clone(),
+        job,
+        unretrieved: 3,
+        send_done: Vec::new(),
+    };
+
+    let mut in_sim = script();
+    Simulator::new(platform.clone())
+        .with_netmodel(netmodel)
+        .run(&mut in_sim)
+        .unwrap();
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let a = BlockMatrix::random(job.r, job.t, q, &mut rng);
+    let b = BlockMatrix::random(job.t, job.s, q, &mut rng);
+    let c0 = BlockMatrix::random(job.r, job.s, q, &mut rng);
+    let mut c = c0.clone();
+    let mut in_net = script();
+    NetRuntime::new(platform)
+        .with_options(NetOptions {
+            time_scale: 1e-7,
+            idle_timeout: Duration::from_secs(20),
+            netmodel,
+            ..Default::default()
+        })
+        .run(&mut in_net, &a, &b, &mut c)
+        .unwrap();
+
+    // The pinned order: chunk 2's load, then the tie — L1 (its end
+    // projected at t = 0), L0 (re-projected at t = 2), the A fragment
+    // (admitted after that).
+    let tie = [
+        (2, Fragment::c_load(d2)),
+        (1, Fragment::c_load(d1)),
+        (0, Fragment::c_load(d0)),
+        (0, Fragment::a_step(d0, 0)),
+    ];
+    assert_eq!(in_sim.send_done[..4], tie, "simulator");
+    assert_eq!(in_net.send_done[..4], tie, "reactor");
+    assert_eq!(in_sim.send_done, in_net.send_done);
+    assert_eq!(in_sim.send_done.len(), 9);
+    let report = verify_product(&c, &c0, &a, &b, tolerance_for(job.t * q));
     assert!(report.passed(), "{report:?}");
 }
