@@ -8,10 +8,11 @@
 //! ci/BENCH_net_baseline.json` and uploads both artifacts, so kernel,
 //! sweep, or net-engine regressions show up as steps in the trajectory
 //! across commits (and a >20 % reactor throughput drop fails the job
-//! outright). The workloads are shared with `benches/kernel.rs` and the
-//! library tests (see [`stargemm_bench::perf`] and
-//! [`stargemm_bench::netperf`]); this binary is the cheap always-on
-//! sampling pass, the criterion bench the statistically careful one.
+//! outright). The workloads are shared with the library tests (see
+//! [`stargemm_bench::perf`] and [`stargemm_bench::netperf`]); this
+//! binary is the cheap always-on sampling pass that holds the floors,
+//! the repo benchmark (`benchmark/`) the statistically careful
+//! comparison between two commits.
 
 use stargemm_bench::netperf::{
     self, net_report_json, net_trajectory, netmodel_steady_state_bytes, render_net_table,

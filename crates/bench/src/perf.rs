@@ -1,9 +1,9 @@
 //! The pinned perf trajectory behind `BENCH_kernel.json`.
 //!
-//! One module owns the kernel workloads so the criterion bench
-//! (`benches/kernel.rs`) and the CI artifact writer (`exp_perf`) can
-//! never measure different code: **hold** (the classic DES benchmark —
-//! N events stay pending, each delivery schedules a successor),
+//! One module owns the kernel workloads the CI artifact writer
+//! (`exp_perf`) times and the library tests check: **hold** (the classic
+//! DES benchmark — N events stay pending, each delivery schedules a
+//! successor),
 //! **cancel-half** (every other event is cancelled before delivery,
 //! exercising the tombstone-skipping pop), and **drain** (schedule N,
 //! pop all). Each sample records events/sec, the kernel's heap

@@ -106,11 +106,11 @@ pub fn critical_path(platform: &Platform, tasks: &[TaskCost], preds: &[Vec<usize
 }
 
 /// The combined critical-path / volume / steady-state makespan lower
-/// bound for a DAG job (see the module docs). Zero for an empty DAG.
+/// bound for a DAG job (see the module docs). Zero for an empty DAG;
+/// `+∞` on a platform where no worker fits the steady-state layout.
 ///
 /// # Panics
-/// Panics on a malformed predecessor relation ([`critical_path`]) or a
-/// platform where no worker fits the steady-state layout.
+/// Panics on a malformed predecessor relation ([`critical_path`]).
 pub fn dag_makespan_lower_bound(
     platform: &Platform,
     tasks: &[TaskCost],

@@ -12,6 +12,21 @@
 //! The resulting throughput is an **upper bound** that finite memory may
 //! make unreachable (Table 2): the paper uses it to certify that `Het`'s
 //! absolute performance is good (within ~2.3× on average).
+//!
+//! **One star block.** The paper states the LP once, and so does this
+//! module: the private `star_block` lays one star's variables
+//! `[x_1..x_p, y_1..y_p]` and its five row kinds (aggregate port,
+//! compute, coupling, per-port, backbone) at a column offset, pricing
+//! the port rows by the star's [`NetModelSpec`] — the same value the
+//! engines share the wire by. Every bound here *instantiates* it:
+//! [`generalized_lp`] is one block at offset 0, [`table1_lp`] is
+//! [`generalized_lp`] under one-port, and [`federated_lp`] is one block
+//! per star plus the uplink rows that tie them. Nothing lays a row except
+//! through [`LpProblem::le`], there is no second formulation (not even
+//! as a test oracle: the tests pin the matrices as literal numbers), and
+//! row order and every coefficient expression are fixed — Bland's rule
+//! makes the pivot sequence a function of row and column order, so the
+//! golden schedules and benchmark digests hold these rows to the bit.
 
 use stargemm_lp::LpProblem;
 use stargemm_netmodel::NetModelSpec;
@@ -33,17 +48,16 @@ pub struct SteadyState {
 
 /// Bandwidth-centric greedy (optimal for the Table 1 LP).
 ///
-/// `r` caps each worker's `μ_i` exactly as the execution layouts do.
-///
-/// # Panics
-/// Panics when no worker fits the layout.
+/// `r` caps each worker's `μ_i` exactly as the execution layouts do. A
+/// platform no worker of which fits the layout (`μ_i = 0` everywhere)
+/// enrolls nobody: the zero solution, throughput `0.0` — the verdict
+/// [`lp_throughput`] gives on the same platform.
 pub fn bandwidth_centric(platform: &Platform, r: usize) -> SteadyState {
     let mus: Vec<usize> = platform
         .workers()
         .iter()
         .map(|s| effective_mu(s.m, r))
         .collect();
-    assert!(mus.iter().any(|&m| m > 0), "no worker fits the layout");
 
     let mut order: Vec<WorkerId> = (0..platform.len()).filter(|&w| mus[w] > 0).collect();
     // Sort by port cost per unit of work, 2c_i/μ_i.
@@ -85,59 +99,70 @@ pub fn bandwidth_centric(platform: &Platform, r: usize) -> SteadyState {
     }
 }
 
-/// The Table 1 linear program, in the solver's standard form.
-///
-/// Variables `[x_1..x_p, y_1..y_p]` (`x_i` = updates/s, `y_i` = blocks/s
-/// received):
-///
-/// * `Σ y_i c_i ≤ 1` — one-port;
-/// * `x_i w_i ≤ 1` — compute rate;
-/// * `x_i/μ_i² ≤ y_i/(2μ_i)` — a chunk's updates need its fragments.
-pub fn table1_lp(platform: &Platform, r: usize) -> LpProblem {
-    let p = platform.len();
-    let mus: Vec<f64> = platform
+/// Objective of one star's variables `[x_1..x_p, y_1..y_p]`: throughput
+/// counts the `x_i` of the workers that fit a layout at all.
+fn star_objective(platform: &Platform, r: usize) -> impl Iterator<Item = f64> + '_ {
+    let fits = platform
         .workers()
         .iter()
-        .map(|s| effective_mu(s.m, r).max(1) as f64)
-        .collect();
-    let nvars = 2 * p;
-    let mut objective = vec![0.0; nvars];
-    for (i, o) in objective.iter_mut().take(p).enumerate() {
-        *o = if effective_mu(platform.worker(i).m, r) > 0 {
-            1.0
-        } else {
-            0.0
-        };
+        .map(move |s| if effective_mu(s.m, r) > 0 { 1.0 } else { 0.0 });
+    fits.chain(std::iter::repeat_n(0.0, platform.len()))
+}
+
+/// The star block of Table 1, written once: the rows of one star whose
+/// variables `[x_1..x_p, y_1..y_p]` (`x_i` = updates/s, `y_i` = blocks/s
+/// received) start at column `off`, under the star's contention model —
+/// in this order, which the pinned solutions depend on:
+///
+/// 1. the **aggregate port row** `Σ y_i c_i ≤ capacity` — the paper's
+///    one-port row at capacity 1; at every instant the busy-fraction sum
+///    of the links is at most the number of transfers the master drives,
+///    so it holds on average. Absent when the model admits unboundedly
+///    many transfers;
+/// 2. the **compute rows** `x_i w_i ≤ 1`;
+/// 3. the **coupling rows** `x_i/μ_i² − y_i/(2μ_i) ≤ 0` — a chunk's
+///    updates need its fragments;
+/// 4. the **per-port rows** `y_i c_i ≤ 1` — each link carries at most its
+///    own bandwidth. Absent under one-port, whose aggregate row implies
+///    them;
+/// 5. the **backbone row** `Σ y_i ≤ B` when the model caps the aggregate
+///    block rate.
+///
+/// # Panics
+/// Panics on an invalid `model` ([`NetModelSpec::assert_valid`]): a
+/// `k = 0` or NaN-backbone star has no bound, not a loose one.
+fn star_block(lp: &mut LpProblem, off: usize, platform: &Platform, r: usize, model: &NetModelSpec) {
+    model.assert_valid();
+    let (x, y) = (off, off + platform.len());
+    if model.capacity() != usize::MAX {
+        lp.le(
+            platform.iter().map(|(i, spec)| (y + i, spec.c)),
+            model.capacity() as f64,
+        );
     }
-    let mut constraints = Vec::new();
-    let mut rhs = Vec::new();
-    // One-port.
-    let mut port = vec![0.0; nvars];
     for (i, spec) in platform.iter() {
-        port[p + i] = spec.c;
+        lp.le([(x + i, spec.w)], 1.0);
     }
-    constraints.push(port);
-    rhs.push(1.0);
-    // Compute rates.
     for (i, spec) in platform.iter() {
-        let mut row = vec![0.0; nvars];
-        row[i] = spec.w;
-        constraints.push(row);
-        rhs.push(1.0);
+        let mu = effective_mu(spec.m, r).max(1) as f64;
+        lp.le([(x + i, 1.0 / (mu * mu)), (y + i, -1.0 / (2.0 * mu))], 0.0);
     }
-    // Data-dependency coupling: x_i/μ_i² − y_i/(2μ_i) ≤ 0.
-    for i in 0..p {
-        let mut row = vec![0.0; nvars];
-        row[i] = 1.0 / (mus[i] * mus[i]);
-        row[p + i] = -1.0 / (2.0 * mus[i]);
-        constraints.push(row);
-        rhs.push(0.0);
+    if *model != NetModelSpec::OnePort {
+        for (i, spec) in platform.iter() {
+            lp.le([(y + i, spec.c)], 1.0);
+        }
     }
-    LpProblem {
-        objective,
-        constraints,
-        rhs,
+    if let Some(bb) = model.backbone() {
+        lp.le((0..platform.len()).map(|i| (y + i, 1.0)), bb);
     }
+}
+
+/// The Table 1 linear program, in the solver's standard form:
+/// [`generalized_lp`] under the paper's one-port model, i.e. the
+/// aggregate port row at capacity 1, the compute rows and the coupling
+/// rows of the star block.
+pub fn table1_lp(platform: &Platform, r: usize) -> LpProblem {
+    generalized_lp(platform, r, &NetModelSpec::OnePort)
 }
 
 /// Throughput according to the LP (cross-check of the greedy).
@@ -148,54 +173,17 @@ pub fn lp_throughput(platform: &Platform, r: usize) -> f64 {
         .objective
 }
 
-/// The Table 1 LP generalized to an arbitrary network-contention model:
-/// the one-port row `Σ y_i c_i ≤ 1` is relaxed to
+/// The Table 1 LP under an arbitrary network-contention model: one star
+/// block (see the module docs) at offset 0. Relative to the paper's LP
+/// the one-port row `Σ y_i c_i ≤ 1` becomes `Σ y_i c_i ≤ k` (or goes,
+/// under an unlimited-admission model), and per-port rows `y_i c_i ≤ 1`
+/// and a backbone row `Σ y_i ≤ B` join it.
 ///
-/// * **per-port rows** `y_i c_i ≤ 1` — each link carries at most its own
-///   bandwidth (transfers to one worker share that star edge whatever
-///   the model);
-/// * an **aggregate port row** `Σ y_i c_i ≤ k` when the master drives at
-///   most `k` simultaneous transfers (at every instant the busy-fraction
-///   sum of the links is at most `k`, so it holds on average);
-/// * a **backbone row** `Σ y_i ≤ B` when the model caps the aggregate
-///   block rate.
-///
-/// For [`NetModelSpec::OnePort`] this emits exactly [`table1_lp`] — the
-/// generalization degenerates to the paper's bound, row for row.
+/// # Panics
+/// Panics on an invalid `model` ([`NetModelSpec::assert_valid`]).
 pub fn generalized_lp(platform: &Platform, r: usize, model: &NetModelSpec) -> LpProblem {
-    if *model == NetModelSpec::OnePort {
-        return table1_lp(platform, r);
-    }
-    let mut lp = table1_lp(platform, r);
-    // Row 0 is the one-port row Σ y_i c_i ≤ 1; generalize it in place.
-    let p = platform.len();
-    match model.capacity() {
-        usize::MAX => {
-            // No admission limit: drop the aggregate port row entirely
-            // (the per-port and backbone rows below carry the load).
-            lp.constraints.remove(0);
-            lp.rhs.remove(0);
-        }
-        k => {
-            lp.rhs[0] = k as f64;
-        }
-    }
-    // Per-port rows: y_i c_i ≤ 1.
-    for (i, spec) in platform.iter() {
-        let mut row = vec![0.0; 2 * p];
-        row[p + i] = spec.c;
-        lp.constraints.push(row);
-        lp.rhs.push(1.0);
-    }
-    // Backbone row: Σ y_i ≤ B.
-    if let Some(bb) = model.backbone() {
-        let mut row = vec![0.0; 2 * p];
-        for slot in row.iter_mut().skip(p) {
-            *slot = 1.0;
-        }
-        lp.constraints.push(row);
-        lp.rhs.push(bb);
-    }
+    let mut lp = LpProblem::maximize(star_objective(platform, r).collect());
+    star_block(&mut lp, 0, platform, r, model);
     lp
 }
 
@@ -218,151 +206,88 @@ pub fn model_makespan_lower_bound(platform: &Platform, job: &Job, model: &NetMod
 
 /// The hierarchical steady-state LP for a federated platform.
 ///
-/// Variables: per star `s` a full Table-1-style block
-/// `[x_{s,1}..x_{s,p_s}, y_{s,1}..y_{s,p_s}]` (generalized to the star's
-/// own contention model exactly as [`generalized_lp`] does), followed by
-/// one **uplink rate** `u_s` (blocks of A per second the root streams to
-/// star `s`). On top of each star's rows:
+/// Variables: per star `s` one star block
+/// `[x_{s,1}..x_{s,p_s}, y_{s,1}..y_{s,p_s}]` under the star's own
+/// contention model — the very rows [`generalized_lp`] emits for that
+/// star, at the star's column offset — then one **uplink rate** `u_s`
+/// per star (blocks of A per second the root streams to star `s`).
+/// After each star's block:
 ///
 /// * **uplink tie** — star `s` owns a `shard_s`-column shard of C, so
 ///   one block of A fuels at most `shard_s` of its updates:
 ///   `Σ_i x_{s,i} / shard_s − u_s ≤ 0` (a zero-width shard forces
 ///   `Σ_i x_{s,i} ≤ 0`);
 /// * **per-uplink capacity** — `u_s · c_up_s ≤ 1`;
+///
+/// and after the last star:
+///
 /// * an **aggregate uplink row** `Σ_s u_s · c_up_s ≤ k_root` when the
 ///   root drives at most `k_root` simultaneous uplinks (omitted for an
 ///   unlimited-capacity model);
 /// * an **uplink backbone row** `Σ_s u_s ≤ B` when the uplink model caps
 ///   the aggregate block rate.
 ///
-/// With `k = 1` stars this **is** the single-star bound, row for row: it
-/// early-returns [`generalized_lp`] on the lone star (and hence
-/// [`table1_lp`] under one-port) — no uplink variables or rows at all.
+/// With `k = 1` stars root and regional master coincide: there is no
+/// uplink *variable*, so the LP **is** [`generalized_lp`] on the lone
+/// star (and hence [`table1_lp`] under one-port), row for row.
+///
+/// # Panics
+/// Panics on an invalid star or uplink model
+/// ([`NetModelSpec::assert_valid`]).
 pub fn federated_lp(fed: &FedPlatform, job: &Job) -> LpProblem {
-    if fed.len() == 1 {
-        let star = &fed.star(0).platform;
-        return generalized_lp(&star.base, job.r, &star.netmodel);
+    fed.uplink.assert_valid();
+    if let [star] = &fed.stars[..] {
+        return generalized_lp(&star.platform.base, job.r, &star.platform.netmodel);
     }
     let k = fed.len();
     let shards = shard_widths(job.s, k);
-    let offsets: Vec<usize> = fed
-        .stars
-        .iter()
-        .scan(0usize, |acc, s| {
-            let off = *acc;
-            *acc += 2 * s.platform.base.len();
-            Some(off)
-        })
-        .collect();
     let uvar_base: usize = fed.stars.iter().map(|s| 2 * s.platform.base.len()).sum();
-    let nvars = uvar_base + k;
-    let mut objective = vec![0.0; nvars];
-    let mut constraints: Vec<Vec<f64>> = Vec::new();
-    let mut rhs: Vec<f64> = Vec::new();
-    for (s, star) in fed.stars.iter().enumerate() {
-        let plat = &star.platform.base;
-        let model = &star.platform.netmodel;
-        let p = plat.len();
-        let off = offsets[s];
-        let mus: Vec<f64> = plat
-            .workers()
+    let mut lp = LpProblem::maximize(
+        fed.stars
             .iter()
-            .map(|w| effective_mu(w.m, job.r).max(1) as f64)
-            .collect();
-        for i in 0..p {
-            objective[off + i] = if effective_mu(plat.worker(i).m, job.r) > 0 {
-                1.0
-            } else {
-                0.0
-            };
-        }
-        // Aggregate port row Σ y_i c_i ≤ capacity (dropped when the
-        // star's model admits unboundedly many transfers).
-        if model.capacity() != usize::MAX {
-            let mut row = vec![0.0; nvars];
-            for (i, spec) in plat.iter() {
-                row[off + p + i] = spec.c;
-            }
-            constraints.push(row);
-            rhs.push(model.capacity() as f64);
-        }
-        // Compute rates: x_i w_i ≤ 1.
-        for (i, spec) in plat.iter() {
-            let mut row = vec![0.0; nvars];
-            row[off + i] = spec.w;
-            constraints.push(row);
-            rhs.push(1.0);
-        }
-        // Data-dependency coupling: x_i/μ_i² − y_i/(2μ_i) ≤ 0.
-        for i in 0..p {
-            let mut row = vec![0.0; nvars];
-            row[off + i] = 1.0 / (mus[i] * mus[i]);
-            row[off + p + i] = -1.0 / (2.0 * mus[i]);
-            constraints.push(row);
-            rhs.push(0.0);
-        }
-        // Per-port rows y_i c_i ≤ 1 (redundant under one-port's
-        // aggregate row, exactly as in `generalized_lp`).
-        if *model != NetModelSpec::OnePort {
-            for (i, spec) in plat.iter() {
-                let mut row = vec![0.0; nvars];
-                row[off + p + i] = spec.c;
-                constraints.push(row);
-                rhs.push(1.0);
-            }
-        }
-        // Star backbone row: Σ y_i ≤ B.
-        if let Some(bb) = model.backbone() {
-            let mut row = vec![0.0; nvars];
-            for i in 0..p {
-                row[off + p + i] = 1.0;
-            }
-            constraints.push(row);
-            rhs.push(bb);
-        }
+            .flat_map(|s| star_objective(&s.platform.base, job.r))
+            .chain(std::iter::repeat_n(0.0, k))
+            .collect(),
+    );
+    let mut off = 0;
+    for (s, star) in fed.stars.iter().enumerate() {
+        let p = star.platform.base.len();
+        let u = uvar_base + s;
+        star_block(
+            &mut lp,
+            off,
+            &star.platform.base,
+            job.r,
+            &star.platform.netmodel,
+        );
         // Uplink tie: Σ_i x_{s,i} / shard_s ≤ u_s.
-        let mut row = vec![0.0; nvars];
-        if shards[s] == 0 {
-            for i in 0..p {
-                row[off + i] = 1.0;
-            }
-        } else {
-            for i in 0..p {
-                row[off + i] = 1.0 / shards[s] as f64;
-            }
-            row[uvar_base + s] = -1.0;
-        }
-        constraints.push(row);
-        rhs.push(0.0);
+        let per_block = match shards[s] {
+            0 => 1.0,
+            width => 1.0 / width as f64,
+        };
+        lp.le(
+            (off..off + p)
+                .map(|x| (x, per_block))
+                .chain((shards[s] > 0).then_some((u, -1.0))),
+            0.0,
+        );
         // Per-uplink capacity: u_s · c_up_s ≤ 1.
-        let mut row = vec![0.0; nvars];
-        row[uvar_base + s] = star.uplink_c;
-        constraints.push(row);
-        rhs.push(1.0);
+        lp.le([(u, star.uplink_c)], 1.0);
+        off += 2 * p;
     }
+    let uplinks = || (uvar_base..).zip(&fed.stars);
     // Aggregate uplink row: Σ_s u_s c_up_s ≤ k_root.
     if fed.uplink.capacity() != usize::MAX {
-        let mut row = vec![0.0; nvars];
-        for (s, star) in fed.stars.iter().enumerate() {
-            row[uvar_base + s] = star.uplink_c;
-        }
-        constraints.push(row);
-        rhs.push(fed.uplink.capacity() as f64);
+        lp.le(
+            uplinks().map(|(u, star)| (u, star.uplink_c)),
+            fed.uplink.capacity() as f64,
+        );
     }
     // Uplink backbone row: Σ_s u_s ≤ B.
     if let Some(bb) = fed.uplink.backbone() {
-        let mut row = vec![0.0; nvars];
-        for s in 0..k {
-            row[uvar_base + s] = 1.0;
-        }
-        constraints.push(row);
-        rhs.push(bb);
+        lp.le(uplinks().map(|(u, _)| (u, 1.0)), bb);
     }
-    LpProblem {
-        objective,
-        constraints,
-        rhs,
-    }
+    lp
 }
 
 /// Steady-state throughput bound of a federation (block updates per
@@ -384,7 +309,9 @@ pub fn federated_makespan_lower_bound(fed: &FedPlatform, job: &Job) -> f64 {
 
 /// Makespan lower bound implied by the steady-state throughput:
 /// `r·s·t / ρ`. The paper compares Het's achieved throughput against
-/// this optimistic bound (ratio ≈ 2.3× on average).
+/// this optimistic bound (ratio ≈ 2.3× on average). `+∞` on a platform
+/// no worker of which fits the layout, as
+/// [`model_makespan_lower_bound`] is.
 pub fn makespan_lower_bound(platform: &Platform, job: &Job) -> f64 {
     let ss = bandwidth_centric(platform, job.r);
     job.total_updates() as f64 / ss.throughput
@@ -443,7 +370,7 @@ mod tests {
             let p = table2_platform(x);
             let ss = bandwidth_centric(&p, 100);
             assert_eq!(ss.enrolled.len(), 2);
-            let expect = 0.5 + 1.0 / (2.0 * x);
+            let expect = 0.5 + 0.5 / x;
             assert!((ss.throughput - expect).abs() < 1e-9, "x={x}");
         }
     }
@@ -560,27 +487,189 @@ mod tests {
         // One-port star: the federated LP must be `table1_lp`, row for
         // row, coefficient for coefficient.
         let fed = FedPlatform::single(DynPlatform::constant(platform()));
-        let flp = federated_lp(&fed, &job);
-        let t1 = table1_lp(&fed.star(0).platform.base, job.r);
-        assert_eq!(flp.objective, t1.objective);
-        assert_eq!(flp.constraints, t1.constraints);
-        assert_eq!(flp.rhs, t1.rhs);
+        assert_eq!(
+            federated_lp(&fed, &job),
+            table1_lp(&fed.star(0).platform.base, job.r)
+        );
         // Non-one-port star: must be `generalized_lp` on that model.
         let spec = NetModelSpec::BoundedMultiPort {
             k: 2,
             backbone: Some(3.0),
         };
         let fed = FedPlatform::single(DynPlatform::constant(platform()).with_netmodel(spec));
-        let flp = federated_lp(&fed, &job);
-        let gen = generalized_lp(&fed.star(0).platform.base, job.r, &spec);
-        assert_eq!(flp.objective, gen.objective);
-        assert_eq!(flp.constraints, gen.constraints);
-        assert_eq!(flp.rhs, gen.rhs);
+        assert_eq!(
+            federated_lp(&fed, &job),
+            generalized_lp(&fed.star(0).platform.base, job.r, &spec)
+        );
         // And the throughputs agree bitwise.
         assert_eq!(
             federated_throughput(&fed, &job).to_bits(),
             model_throughput(&fed.star(0).platform.base, job.r, &spec).to_bits()
         );
+    }
+
+    /// The two-worker platform of the literal pins: `μ = 6` and `μ = 3`
+    /// at `r = 8`, so the coupling coefficients are `1/36, −1/12` and
+    /// `1/9, −1/6`.
+    fn pin_platform() -> Platform {
+        Platform::new(
+            "pin",
+            vec![WorkerSpec::new(0.5, 0.2, 60), WorkerSpec::new(1.0, 0.4, 30)],
+        )
+    }
+
+    /// A formulation written out: the objective, then `(row, rhs)` pairs.
+    fn literal(objective: &[f64], rows: &[(&[f64], f64)]) -> LpProblem {
+        LpProblem {
+            objective: objective.to_vec(),
+            constraints: rows.iter().map(|(row, _)| row.to_vec()).collect(),
+            rhs: rows.iter().map(|&(_, rhs)| rhs).collect(),
+        }
+    }
+
+    // The pins below are literal matrices, not a second generator: a
+    // reordered row family, a re-associated coefficient or a shifted
+    // column fails here before it moves a golden.
+
+    #[test]
+    fn one_star_rows_are_pinned_under_each_model() {
+        let p = pin_platform();
+        let obj = [1.0, 1.0, 0.0, 0.0];
+        let compute_and_coupling: [(&[f64], f64); 4] = [
+            (&[0.2, 0.0, 0.0, 0.0], 1.0),
+            (&[0.0, 0.4, 0.0, 0.0], 1.0),
+            (&[1.0 / 36.0, 0.0, -1.0 / 12.0, 0.0], 0.0),
+            (&[0.0, 1.0 / 9.0, 0.0, -1.0 / 6.0], 0.0),
+        ];
+        let per_port: [(&[f64], f64); 2] =
+            [(&[0.0, 0.0, 0.5, 0.0], 1.0), (&[0.0, 0.0, 0.0, 1.0], 1.0)];
+
+        // One-port: three row kinds, the aggregate row at capacity 1.
+        let mut rows = vec![(&[0.0, 0.0, 0.5, 1.0][..], 1.0)];
+        rows.extend(compute_and_coupling);
+        assert_eq!(table1_lp(&p, 8), literal(&obj, &rows));
+
+        // Bounded multi-port: all five, the aggregate row at capacity k.
+        let multiport = NetModelSpec::BoundedMultiPort {
+            k: 2,
+            backbone: Some(3.0),
+        };
+        let mut rows = vec![(&[0.0, 0.0, 0.5, 1.0][..], 2.0)];
+        rows.extend(compute_and_coupling);
+        rows.extend(per_port);
+        rows.push((&[0.0, 0.0, 1.0, 1.0], 3.0));
+        assert_eq!(generalized_lp(&p, 8, &multiport), literal(&obj, &rows));
+
+        // Fair share: no aggregate row.
+        let mut rows = compute_and_coupling.to_vec();
+        rows.extend(per_port);
+        rows.push((&[0.0, 0.0, 1.0, 1.0], 2.5));
+        assert_eq!(
+            generalized_lp(&p, 8, &NetModelSpec::FairShare { backbone: 2.5 }),
+            literal(&obj, &rows)
+        );
+    }
+
+    #[test]
+    fn federated_rows_are_pinned_with_a_zero_width_shard() {
+        use stargemm_platform::{DynPlatform, FedStar};
+        // Star 0: the pin platform under a 2-port model (variables 0–3);
+        // star 1: one one-port worker with μ = 8 (variables 4–5);
+        // uplinks u_0, u_1 (variables 6–7) under a 2-port root with a
+        // backbone. `s = 1` column over two stars: star 1's shard is
+        // empty, so its tie row has no uplink term.
+        let star0 =
+            DynPlatform::constant(pin_platform()).with_netmodel(NetModelSpec::BoundedMultiPort {
+                k: 2,
+                backbone: Some(3.0),
+            });
+        let star1 = DynPlatform::constant(Platform::new("b", vec![WorkerSpec::new(2.0, 0.8, 120)]));
+        let fed = FedPlatform::new(
+            "fed",
+            vec![FedStar::new(star0, 0.25), FedStar::new(star1, 0.5)],
+            NetModelSpec::BoundedMultiPort {
+                k: 2,
+                backbone: Some(1.5),
+            },
+        );
+        let expected = literal(
+            &[1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            &[
+                // Star 0's block.
+                (&[0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0], 2.0),
+                (&[0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+                (&[0.0, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+                (
+                    &[1.0 / 36.0, 0.0, -1.0 / 12.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    0.0,
+                ),
+                (&[0.0, 1.0 / 9.0, 0.0, -1.0 / 6.0, 0.0, 0.0, 0.0, 0.0], 0.0),
+                (&[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+                (&[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+                (&[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3.0),
+                // Its uplink tie (shard width 1) and uplink capacity.
+                (&[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0], 0.0),
+                (&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0], 1.0),
+                // Star 1's block (one-port: three row kinds).
+                (&[0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0], 1.0),
+                (&[0.0, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0], 1.0),
+                (
+                    &[0.0, 0.0, 0.0, 0.0, 1.0 / 64.0, -1.0 / 16.0, 0.0, 0.0],
+                    0.0,
+                ),
+                // Its tie on an empty shard, and uplink capacity.
+                (&[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], 0.0),
+                (&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], 1.0),
+                // The root's aggregate uplink and backbone rows.
+                (&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.5], 2.0),
+                (&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 1.5),
+            ],
+        );
+        assert_eq!(federated_lp(&fed, &Job::new(8, 4, 1, 2)), expected);
+
+        // Five columns split 3 + 2: only the two tie rows change.
+        let mut wide = expected;
+        wide.constraints[8] = vec![1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0];
+        wide.constraints[13] = vec![0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -1.0];
+        let job = Job::new(8, 4, 5, 2);
+        assert_eq!(federated_lp(&fed, &job), wide);
+        assert_eq!(federated_throughput(&fed, &job), 4.5);
+    }
+
+    #[test]
+    fn greedy_and_lp_give_one_verdict_when_no_worker_fits() {
+        // m ∈ {3, 4} is the smallest memory a spec admits and holds no
+        // layout: μ = 0 everywhere. The greedy is the closed form of the
+        // LP, so it must answer what the LP answers: 0.
+        let p = Platform::new(
+            "no-fit",
+            vec![WorkerSpec::new(1.0, 1.0, 3), WorkerSpec::new(1.0, 1.0, 4)],
+        );
+        let job = Job::new(8, 4, 5, 2);
+        let ss = bandwidth_centric(&p, job.r);
+        assert_eq!(ss.rates, [0.0, 0.0]);
+        assert!(ss.enrolled.is_empty());
+        assert_eq!(ss.throughput, 0.0);
+        assert_eq!(lp_throughput(&p, job.r), 0.0);
+        assert_eq!(makespan_lower_bound(&p, &job), f64::INFINITY);
+        assert_eq!(
+            model_makespan_lower_bound(&p, &job, &NetModelSpec::OnePort),
+            f64::INFINITY
+        );
+        let task = crate::cpath::TaskCost {
+            in_blocks: 3,
+            out_blocks: 1,
+            updates: 1,
+        };
+        assert_eq!(
+            crate::cpath::dag_makespan_lower_bound(&p, &[task], &[vec![]]),
+            f64::INFINITY
+        );
+        // Whoever else divides by the throughput: `MultiStarMaster::place`
+        // skips stars with `rho <= 0`, and `stream_report`'s
+        // throughput / bound never sees such a platform — a stream needs
+        // a `MultiJobMaster`, whose constructor rejects it first (pinned
+        // beside `aggregate_throughput_bound` in `stream::metrics`).
     }
 
     #[test]

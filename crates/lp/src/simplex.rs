@@ -6,7 +6,11 @@ use std::fmt;
 const EPS: f64 = 1e-10;
 
 /// `maximize cᵀx  s.t.  Ax ≤ b, x ≥ 0` with `b ≥ 0`.
-#[derive(Clone, Debug)]
+///
+/// Built with [`LpProblem::maximize`] and one [`LpProblem::le`] per row;
+/// the three fields are the dense form the solver (and anyone printing
+/// or comparing a formulation) reads.
+#[derive(Clone, Debug, PartialEq)]
 pub struct LpProblem {
     /// Objective coefficients, one per structural variable.
     pub objective: Vec<f64>,
@@ -50,6 +54,35 @@ impl fmt::Display for LpError {
 impl std::error::Error for LpError {}
 
 impl LpProblem {
+    /// An LP over `objective.len()` variables maximizing `objective · x`,
+    /// with no rows yet.
+    pub fn maximize(objective: Vec<f64>) -> Self {
+        LpProblem {
+            objective,
+            constraints: Vec::new(),
+            rhs: Vec::new(),
+        }
+    }
+
+    /// Appends the row `Σ coef · x_var ≤ rhs`. Sparse in, dense out: the
+    /// terms are consumed as they come (no temporary list), the row is
+    /// the one allocation. A variable named twice contributes the sum of
+    /// its coefficients; an empty term list is the vacuous row
+    /// `0 · x ≤ rhs`.
+    ///
+    /// # Panics
+    /// Panics on a variable index the objective does not cover.
+    pub fn le(&mut self, terms: impl IntoIterator<Item = (usize, f64)>, rhs: f64) {
+        let n = self.objective.len();
+        let mut row = vec![0.0; n];
+        for (var, coef) in terms {
+            assert!(var < n, "variable {var} out of range: the LP has {n}");
+            row[var] += coef;
+        }
+        self.constraints.push(row);
+        self.rhs.push(rhs);
+    }
+
     /// Validates shapes and signs.
     fn validate(&self) -> Result<(usize, usize), LpError> {
         let n = self.objective.len();
@@ -238,6 +271,37 @@ mod tests {
         assert_close(sol.objective, 3.0);
         assert_close(sol.x[0], 1.0);
         assert_close(sol.x[1], 2.0);
+    }
+
+    #[test]
+    fn le_lays_dense_rows_from_sparse_terms() {
+        let mut lp = LpProblem::maximize(vec![3.0, 5.0]);
+        lp.le([(0, 1.0)], 4.0);
+        lp.le([(1, 2.0)], 12.0);
+        // Any iterator, any order; a variable named twice sums.
+        lp.le([(1, 2.0), (0, 1.0), (0, 2.0)].into_iter().rev(), 18.0);
+        // No terms at all: the vacuous row of the test above.
+        lp.le([], 7.0);
+        assert_eq!(
+            lp,
+            LpProblem {
+                objective: vec![3.0, 5.0],
+                constraints: vec![
+                    vec![1.0, 0.0],
+                    vec![0.0, 2.0],
+                    vec![3.0, 2.0],
+                    vec![0.0, 0.0]
+                ],
+                rhs: vec![4.0, 12.0, 18.0, 7.0],
+            }
+        );
+        assert_close(lp.solve().unwrap().objective, 36.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable 2 out of range: the LP has 2")]
+    fn le_rejects_a_variable_the_objective_does_not_cover() {
+        LpProblem::maximize(vec![1.0, 1.0]).le([(0, 1.0), (2, 1.0)], 1.0);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! prices). [`FedNetRuntime`] composes the federation store-and-forward:
 //! the root streams each star's shard (all of `A` plus the `B`/`C`
 //! columns it owns) over that star's uplink — all uplinks contending
-//! under the federation's contention model, integrated in closed form by
-//! [`stargemm_netmodel::drain_times`] — and each star then executes its
-//! shard job on its own [`NetRuntime`] (real data, its own `@netmodel`
-//! and dynamic profile, the reactor's single lane table driving all of
-//! that star's worker state machines). The federated
+//! under the federation's uplink model (a `NetModelSpec`, the same value
+//! the hierarchical LP prices its uplink rows by), integrated in closed
+//! form by [`stargemm_netmodel::drain_times`] — and each star then
+//! executes its shard job on its own [`NetRuntime`] (real data, its own
+//! `@netmodel` and dynamic profile, the reactor's single lane table
+//! driving all of that star's worker state machines). The federated
 //! makespan is `max_s(arrival_s + makespan_s)` in model seconds.
 //!
 //! With `k = 1` the root and the regional master coincide: nothing
@@ -156,7 +157,7 @@ impl FedNetRuntime {
                 link_rate: 1.0 / star.uplink_c,
             })
             .collect();
-        drain_times(&lanes, volumes, self.fed.uplink.build().as_ref())
+        drain_times(&lanes, volumes, &self.fed.uplink)
     }
 
     /// Executes the federated product `C ← C + A·B`: shards `B`/`C` by

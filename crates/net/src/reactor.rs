@@ -135,7 +135,7 @@ pub(crate) fn run_reactor<P: MasterPolicy + GeometryAccess>(
         workers,
         ledger: StarLedger::new(platform, profile),
         lanes: LaneTable::new(
-            opts.netmodel.build(),
+            opts.netmodel,
             platform.workers().iter().map(|s| s.c).collect(),
             opts.profile.clone(),
             obs.clone(),

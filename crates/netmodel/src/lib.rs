@@ -1,17 +1,24 @@
-//! Pluggable network-contention models for the star platform.
+//! The network-contention model of the star platform, stated once.
 //!
 //! The paper hard-wires the **one-port** assumption: the master
 //! serializes all of its communications, so at any instant at most one
 //! transfer occupies the wire at full link speed. This crate makes the
-//! contention model a first-class, swappable component (in the spirit of
-//! dslab's throughput-sharing models): the execution engines describe
-//! the set of *active transfers* and a [`ContentionModel`] answers two
-//! questions —
+//! contention model a value (in the spirit of dslab's
+//! throughput-sharing models): one `Copy` enum, [`NetModelSpec`], with
+//! three variants, that answers the two questions anyone asks of it —
 //!
 //! 1. **admission** — how many transfers may be in flight at once
-//!    ([`ContentionModel::capacity`]);
+//!    ([`NetModelSpec::capacity`]);
 //! 2. **sharing** — what fraction of its own link bandwidth each active
-//!    transfer progresses at ([`ContentionModel::shares`]).
+//!    transfer progresses at ([`NetModelSpec::shares_into`]).
+//!
+//! The same value is what platform files (`@netmodel …` directive), CLIs
+//! and sweep grids carry, what the engines' lane tables consult at every
+//! membership change, and what the steady-state LP of `core::steady`
+//! prices its rows by ([`NetModelSpec::capacity`] is the aggregate port
+//! row's right-hand side, [`NetModelSpec::backbone`] the backbone
+//! row's): there is no second, "built" form of a model to keep equal to
+//! it. The set of models is closed, so dispatch is a `match`.
 //!
 //! Shares are recomputed whenever the active set changes (a transfer
 //! starts or finishes); between those instants they are constant, so the
@@ -19,15 +26,17 @@
 //! over dynamic `c_scale` cost traces, which compose multiplicatively on
 //! top of the share.
 //!
-//! Three models are provided:
+//! The three variants:
 //!
-//! * [`OnePort`] — the paper's model: one transfer at a time, full link
-//!   speed. The degenerate case every other model must generalize.
-//! * [`BoundedMultiPort`] — the master drives up to `k` simultaneous
-//!   transfers; each is capped by its own link and all of them together
-//!   by an aggregate backbone bandwidth.
-//! * [`FairShare`] — no admission limit; all active transfers max-min
-//!   fair-share a finite backbone, each still capped by its own link.
+//! * [`NetModelSpec::OnePort`] — the paper's model: one transfer at a
+//!   time, full link speed. The degenerate case every other model must
+//!   generalize.
+//! * [`NetModelSpec::BoundedMultiPort`] — the master drives up to `k`
+//!   simultaneous transfers; each is capped by its own link and all of
+//!   them together by an aggregate backbone bandwidth.
+//! * [`NetModelSpec::FairShare`] — no admission limit; all active
+//!   transfers max-min fair-share a finite backbone, each still capped
+//!   by its own link.
 //!
 //! All sharing goes through one deterministic **progressive-filling**
 //! max-min allocation ([`maxmin_shares`]): rates rise uniformly until a
@@ -35,7 +44,7 @@
 //! backbone) saturates, freezing its transfers. With a single active
 //! transfer and no binding backbone the share is exactly `1.0` — bitwise,
 //! not approximately — which is what lets `BoundedMultiPort { k: 1,
-//! backbone: ∞ }` reproduce [`OnePort`] byte-for-byte.
+//! backbone: None }` reproduce `OnePort` byte-for-byte.
 //!
 //! The engines re-share at every admission and completion, so the
 //! routine ([`maxmin_shares_into`]) groups the lanes by link once per
@@ -46,9 +55,13 @@
 //! link rates) are stated on the function, and the quadratic filling it
 //! replaced lives on as the oracle of `tests/netmodel_props.rs`.
 //!
-//! [`NetModelSpec`] is the serializable/parsable configuration form used
-//! by platform files (`@netmodel …` directive), CLIs and sweep grids;
-//! [`NetModelSpec::build`] instantiates the trait object.
+//! **One verdict for an invalid spec.** A spec is a plain value, so an
+//! invalid one (`k = 0`, a non-positive or NaN backbone) can be written
+//! down; [`NetModelSpec::parse`] and the runtimes reject it with their
+//! typed errors, and everything that *consumes* a spec — lane tables,
+//! [`drain_times`], the steady-state LPs — calls
+//! [`NetModelSpec::assert_valid`] first and fails with
+//! [`NetModelSpec::validate`]'s message rather than computing with it.
 
 use std::fmt;
 
@@ -74,7 +87,7 @@ pub struct TransferLane {
 /// grown, never freed.
 ///
 /// One scratch per lane table; thread it through
-/// [`ContentionModel::shares_into`] on every active-set change.
+/// [`NetModelSpec::shares_into`] on every active-set change.
 #[derive(Clone, Debug, Default)]
 pub struct ShareScratch {
     rates: Vec<f64>,
@@ -99,43 +112,12 @@ impl ShareScratch {
         ShareScratch::default()
     }
 
-    /// The shares computed by the last [`ContentionModel::shares_into`]
-    /// call, index-aligned with the active set it was given.
+    /// The shares computed by the last [`NetModelSpec::shares_into`]
+    /// (or [`maxmin_shares_into`]) call, index-aligned with the active
+    /// set it was given.
     pub fn shares(&self) -> &[f64] {
         &self.shares
     }
-}
-
-/// A network-contention model: admission capacity plus bandwidth shares
-/// for the active transfer set.
-pub trait ContentionModel: Send + Sync {
-    /// Human-readable model name (reports, traces).
-    fn name(&self) -> &'static str;
-
-    /// Maximum number of simultaneously active transfers the master may
-    /// drive (`usize::MAX` = unlimited).
-    fn capacity(&self) -> usize;
-
-    /// The share (fraction of its *own* link bandwidth, in `(0, 1]`)
-    /// granted to each active transfer, index-aligned with `active`.
-    ///
-    /// Invariants every model must uphold: transfers on the same worker
-    /// link never sum past that link's capacity, and — when the model has
-    /// a backbone — allocated rates never sum past it.
-    ///
-    /// Convenience wrapper over [`ContentionModel::shares_into`] that
-    /// allocates the result; the engines' hot paths use the scratch form
-    /// directly.
-    fn shares(&self, active: &[TransferLane]) -> Vec<f64> {
-        let mut scratch = ShareScratch::new();
-        self.shares_into(active, &mut scratch);
-        std::mem::take(&mut scratch.shares)
-    }
-
-    /// Allocation-free form of [`ContentionModel::shares`]: writes the
-    /// shares into `scratch.shares` (cleared first), reusing its
-    /// buffers. Bitwise-identical results to `shares`.
-    fn shares_into(&self, active: &[TransferLane], scratch: &mut ShareScratch);
 }
 
 /// Deterministic progressive-filling max-min allocation.
@@ -278,25 +260,23 @@ pub fn maxmin_shares_into(active: &[TransferLane], backbone: f64, scratch: &mut 
 /// Completion times of a batch of transfers drained through a
 /// contention model: lane `i` must move `volume[i]` blocks over
 /// `lanes[i]`, all requested at `t = 0`, admitted FIFO in index order up
-/// to [`ContentionModel::capacity`] and re-shared (through
-/// [`ContentionModel::shares_into`]) at every completion.
+/// to [`NetModelSpec::capacity`] and re-shared (through
+/// [`NetModelSpec::shares_into`]) at every completion.
 ///
 /// This is the closed-form integrator the federated layers use for the
 /// root's uplink feeds: lane `i` is star `i`'s uplink
 /// (`link_rate = 1 / uplink_c_i`), `volume[i]` its shard in blocks, and
 /// the returned time is when star `i`'s feed lands. Zero-volume lanes
 /// complete at `t = 0` without occupying a port. Deterministic pure-f64
-/// arithmetic; under [`OnePort`] lane `i` completes at
+/// arithmetic; under [`NetModelSpec::OnePort`] lane `i` completes at
 /// `Σ_{j ≤ i} volume[j] / link_rate_j` exactly.
 ///
 /// # Panics
-/// Panics when `lanes` and `volume` disagree in length or a volume is
-/// negative/non-finite.
-pub fn drain_times(
-    lanes: &[TransferLane],
-    volume: &[f64],
-    model: &dyn ContentionModel,
-) -> Vec<f64> {
+/// Panics when `lanes` and `volume` disagree in length, a volume is
+/// negative/non-finite, or `model` is invalid
+/// ([`NetModelSpec::assert_valid`]).
+pub fn drain_times(lanes: &[TransferLane], volume: &[f64], model: &NetModelSpec) -> Vec<f64> {
+    model.assert_valid();
     assert_eq!(lanes.len(), volume.len(), "one volume per lane");
     assert!(
         volume.iter().all(|&v| v.is_finite() && v >= 0.0),
@@ -368,92 +348,28 @@ pub fn drain_times(
     done
 }
 
-/// The paper's one-port model: one transfer at a time, full link speed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OnePort;
-
-impl ContentionModel for OnePort {
-    fn name(&self) -> &'static str {
-        "oneport"
-    }
-
-    fn capacity(&self) -> usize {
-        1
-    }
-
-    fn shares_into(&self, active: &[TransferLane], scratch: &mut ShareScratch) {
-        debug_assert!(active.len() <= 1, "one-port admitted {}", active.len());
-        scratch.shares.clear();
-        scratch.shares.resize(active.len(), 1.0);
-    }
-}
-
-/// Bounded multi-port: the master drives up to `k` simultaneous
-/// transfers, each capped by its own link, all of them together by an
-/// aggregate `backbone` bandwidth (blocks/s; `∞` = links are the only
-/// limit).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BoundedMultiPort {
-    /// Simultaneous transfer limit (`k ≥ 1`).
-    pub k: usize,
-    /// Aggregate backbone bandwidth in blocks per second.
-    pub backbone: f64,
-}
-
-impl ContentionModel for BoundedMultiPort {
-    fn name(&self) -> &'static str {
-        "multiport"
-    }
-
-    fn capacity(&self) -> usize {
-        self.k
-    }
-
-    fn shares_into(&self, active: &[TransferLane], scratch: &mut ShareScratch) {
-        debug_assert!(active.len() <= self.k, "multi-port overcommitted");
-        maxmin_shares_into(active, self.backbone, scratch);
-    }
-}
-
-/// Fair-share backbone (dslab-style): no admission limit; all active
-/// transfers max-min fair-share the finite backbone, each still capped
-/// by its own link.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FairShare {
-    /// Aggregate backbone bandwidth in blocks per second.
-    pub backbone: f64,
-}
-
-impl ContentionModel for FairShare {
-    fn name(&self) -> &'static str {
-        "fairshare"
-    }
-
-    fn capacity(&self) -> usize {
-        usize::MAX
-    }
-
-    fn shares_into(&self, active: &[TransferLane], scratch: &mut ShareScratch) {
-        maxmin_shares_into(active, self.backbone, scratch);
-    }
-}
-
-/// Serializable/parsable configuration of a contention model — the form
-/// platform files (`@netmodel` directive), CLIs and sweep grids carry.
+/// A network-contention model: the value platform files (`@netmodel`
+/// directive), CLIs and sweep grids carry, the engines' lane tables
+/// share the wire by, and the steady-state LP prices its rows by.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum NetModelSpec {
-    /// [`OnePort`].
+    /// The paper's one-port model: one transfer at a time, full link
+    /// speed.
     #[default]
     OnePort,
-    /// [`BoundedMultiPort`] with `k` ports and an optional backbone
-    /// (`None` = unlimited backbone, links are the only cap).
+    /// Bounded multi-port: the master drives up to `k` simultaneous
+    /// transfers, each capped by its own link, all of them together by
+    /// an optional aggregate backbone (`None` = unlimited backbone,
+    /// links are the only cap).
     BoundedMultiPort {
         /// Simultaneous transfer limit (`k ≥ 1`).
         k: usize,
         /// Aggregate backbone bandwidth in blocks/s (`None` = ∞).
         backbone: Option<f64>,
     },
-    /// [`FairShare`] over a finite backbone (blocks/s).
+    /// Fair-share backbone (dslab-style): no admission limit; all active
+    /// transfers max-min fair-share the finite backbone (blocks/s), each
+    /// still capped by its own link.
     FairShare {
         /// Aggregate backbone bandwidth in blocks/s.
         backbone: f64,
@@ -461,31 +377,49 @@ pub enum NetModelSpec {
 }
 
 impl NetModelSpec {
-    /// Instantiates the configured model.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration (`k = 0`, or a non-positive /
-    /// NaN backbone) — specs built through [`NetModelSpec::parse`] are
-    /// validated there with a proper error instead.
-    pub fn build(&self) -> Box<dyn ContentionModel> {
-        self.validate().expect("invalid net-model spec");
-        match *self {
-            NetModelSpec::OnePort => Box::new(OnePort),
-            NetModelSpec::BoundedMultiPort { k, backbone } => Box::new(BoundedMultiPort {
-                k,
-                backbone: backbone.unwrap_or(f64::INFINITY),
-            }),
-            NetModelSpec::FairShare { backbone } => Box::new(FairShare { backbone }),
-        }
-    }
-
-    /// Admission capacity without building the trait object.
+    /// Maximum number of simultaneously active transfers the master may
+    /// drive (`usize::MAX` = unlimited).
     pub fn capacity(&self) -> usize {
         match *self {
             NetModelSpec::OnePort => 1,
             NetModelSpec::BoundedMultiPort { k, .. } => k,
             NetModelSpec::FairShare { .. } => usize::MAX,
         }
+    }
+
+    /// The share (fraction of its *own* link bandwidth, in `(0, 1]`)
+    /// granted to each active transfer, written into `scratch` (read it
+    /// back through [`ShareScratch::shares`], index-aligned with
+    /// `active`) — allocation-free once the scratch is warm.
+    ///
+    /// Transfers on the same worker link never sum past that link's
+    /// capacity, and — when the model has a backbone — allocated rates
+    /// never sum past it. One-port is the literal `1.0` fill, not a
+    /// max-min call; a model is never handed more lanes than it admits.
+    pub fn shares_into(&self, active: &[TransferLane], scratch: &mut ShareScratch) {
+        debug_assert!(
+            active.len() <= self.capacity(),
+            "{self} handed {} lanes",
+            active.len()
+        );
+        match *self {
+            NetModelSpec::OnePort => {
+                scratch.shares.clear();
+                scratch.shares.resize(active.len(), 1.0);
+            }
+            NetModelSpec::BoundedMultiPort { backbone, .. } => {
+                maxmin_shares_into(active, backbone.unwrap_or(f64::INFINITY), scratch)
+            }
+            NetModelSpec::FairShare { backbone } => maxmin_shares_into(active, backbone, scratch),
+        }
+    }
+
+    /// Allocating form of [`NetModelSpec::shares_into`], bitwise the
+    /// same shares; the engines' hot paths use the scratch form.
+    pub fn shares(&self, active: &[TransferLane]) -> Vec<f64> {
+        let mut scratch = ShareScratch::new();
+        self.shares_into(active, &mut scratch);
+        std::mem::take(&mut scratch.shares)
     }
 
     /// The backbone bandwidth constraint, if any.
@@ -518,6 +452,19 @@ impl NetModelSpec {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// The one verdict on an invalid spec, for everything that consumes
+    /// one (lane tables, [`drain_times`], the steady-state LPs): specs
+    /// built through [`NetModelSpec::parse`] are validated there with a
+    /// proper error instead.
+    ///
+    /// # Panics
+    /// Panics with [`NetModelSpec::validate`]'s complaint.
+    pub fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid net-model spec: {e}");
         }
     }
 
@@ -563,7 +510,8 @@ impl NetModelSpec {
             }
             "multiport" => NetModelSpec::BoundedMultiPort {
                 k: k.ok_or_else(|| "multiport needs k=<n>".to_string())?,
-                backbone: backbone.filter(|b| b.is_finite()),
+                // `inf` is "no backbone"; NaN and −∞ are `validate`'s.
+                backbone: backbone.filter(|&b| b != f64::INFINITY),
             },
             "fairshare" => NetModelSpec::FairShare {
                 backbone: backbone.ok_or_else(|| "fairshare needs backbone=<rate>".to_string())?,
@@ -733,14 +681,14 @@ mod tests {
     fn drain_times_oneport_serializes_fifo() {
         // One-port: lane i completes at the prefix sum of volume/rate.
         let l = lanes(&[(0, 2.0), (1, 4.0), (2, 1.0)]);
-        let d = drain_times(&l, &[4.0, 4.0, 3.0], &OnePort);
+        let d = drain_times(&l, &[4.0, 4.0, 3.0], &NetModelSpec::OnePort);
         assert_eq!(d, vec![2.0, 3.0, 6.0]);
     }
 
     #[test]
     fn drain_times_zero_volume_completes_instantly() {
         let l = lanes(&[(0, 2.0), (1, 4.0), (2, 1.0)]);
-        let d = drain_times(&l, &[4.0, 0.0, 3.0], &OnePort);
+        let d = drain_times(&l, &[4.0, 0.0, 3.0], &NetModelSpec::OnePort);
         // Lane 1 never occupies the port; lane 2 starts right after 0.
         assert_eq!(d, vec![2.0, 0.0, 5.0]);
     }
@@ -751,7 +699,7 @@ mod tests {
         // lane 0 (volume 2) finishes at t=2, then lane 1 takes the full
         // backbone (rate 2.0) for its remaining 2 blocks → t=3.
         let l = lanes(&[(0, 2.0), (1, 2.0)]);
-        let d = drain_times(&l, &[2.0, 4.0], &FairShare { backbone: 2.0 });
+        let d = drain_times(&l, &[2.0, 4.0], &NetModelSpec::FairShare { backbone: 2.0 });
         assert!(
             (d[0] - 2.0).abs() < 1e-12 && (d[1] - 3.0).abs() < 1e-12,
             "{d:?}"
@@ -763,9 +711,9 @@ mod tests {
         // k=2, no backbone: lanes 0 and 1 run at full link speed; lane 2
         // is admitted when lane 0 finishes.
         let l = lanes(&[(0, 1.0), (1, 2.0), (2, 1.0)]);
-        let m = BoundedMultiPort {
+        let m = NetModelSpec::BoundedMultiPort {
             k: 2,
-            backbone: f64::INFINITY,
+            backbone: None,
         };
         let d = drain_times(&l, &[1.0, 4.0, 1.0], &m);
         assert!((d[0] - 1.0).abs() < 1e-12, "{d:?}");
@@ -776,9 +724,9 @@ mod tests {
     #[test]
     fn drain_times_ties_complete_together() {
         let l = lanes(&[(0, 2.0), (1, 2.0)]);
-        let m = BoundedMultiPort {
+        let m = NetModelSpec::BoundedMultiPort {
             k: 2,
-            backbone: f64::INFINITY,
+            backbone: None,
         };
         let d = drain_times(&l, &[6.0, 6.0], &m);
         assert_eq!(d, vec![3.0, 3.0]);
@@ -786,7 +734,7 @@ mod tests {
 
     #[test]
     fn oneport_is_capacity_one_full_speed() {
-        let m = OnePort;
+        let m = NetModelSpec::OnePort;
         assert_eq!(m.capacity(), 1);
         assert_eq!(m.shares(&lanes(&[(3, 0.5)])), vec![1.0]);
         assert!(m.shares(&[]).is_empty());
@@ -794,11 +742,10 @@ mod tests {
 
     #[test]
     fn multiport_k1_unbounded_matches_oneport_bitwise() {
-        let spec = NetModelSpec::BoundedMultiPort {
+        let m = NetModelSpec::BoundedMultiPort {
             k: 1,
             backbone: None,
         };
-        let m = spec.build();
         assert_eq!(m.capacity(), 1);
         for rate in [0.1, 1.0, 7.25, 1e9] {
             let s = m.shares(&lanes(&[(0, rate)]));
@@ -808,7 +755,7 @@ mod tests {
 
     #[test]
     fn fairshare_admits_unbounded_lanes() {
-        let m = FairShare { backbone: 3.0 };
+        let m = NetModelSpec::FairShare { backbone: 3.0 };
         assert_eq!(m.capacity(), usize::MAX);
         let l = lanes(&[(0, 2.0), (1, 2.0), (2, 2.0)]);
         let s = m.shares(&l);
@@ -845,6 +792,8 @@ mod tests {
             &["multiport", "k=0"][..],
             &["multiport", "k=two"][..],
             &["multiport", "k=2", "backbone=-1"][..],
+            &["multiport", "k=2", "backbone=nan"][..],
+            &["multiport", "k=2", "backbone=-inf"][..],
             &["fairshare"][..],
             &["fairshare", "backbone=0"][..],
             &["fairshare", "backbone=nan"][..],

@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use stargemm_netmodel::{
-    maxmin_shares, maxmin_shares_into, ContentionModel, FairShare, ShareScratch, TransferLane,
+    maxmin_shares, maxmin_shares_into, NetModelSpec, ShareScratch, TransferLane,
 };
 
 /// Progressive filling by nested scans: O(n²) per round. The oracle.
@@ -266,14 +266,9 @@ fn wide_star_peak_matches_the_oracle_bitwise() {
             link_rate: rate,
         })
         .collect();
-    let model = FairShare {
-        backbone: 32.0 * rate,
-    };
-    let shares = model.shares(&lanes);
-    assert_eq!(
-        bits(&shares),
-        bits(&reference_maxmin(&lanes, model.backbone))
-    );
+    let backbone = 32.0 * rate;
+    let shares = NetModelSpec::FairShare { backbone }.shares(&lanes);
+    assert_eq!(bits(&shares), bits(&reference_maxmin(&lanes, backbone)));
     // 32 link rates over 384 lanes: a twelfth of a link each.
     assert!(shares.iter().all(|&s| (s - 1.0 / 12.0).abs() < 1e-12));
 }

@@ -85,7 +85,7 @@ impl FedPlatform {
     /// Panics when `stars` is empty or the uplink model is invalid.
     pub fn new(name: &str, mut stars: Vec<FedStar>, uplink: NetModelSpec) -> Self {
         assert!(!stars.is_empty(), "a federation needs at least one star");
-        uplink.validate().expect("invalid uplink model");
+        uplink.assert_valid();
         for (i, star) in stars.iter_mut().enumerate() {
             star.platform.base.name = format!("{name}/star{i}");
         }

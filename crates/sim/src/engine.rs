@@ -83,9 +83,10 @@ impl Simulator {
     /// paper's engine byte for byte.
     ///
     /// # Panics
-    /// Panics on an invalid spec (`k = 0`, non-positive backbone).
+    /// Panics on an invalid spec (`k = 0`, non-positive backbone), with
+    /// [`NetModelSpec::assert_valid`]'s message.
     pub fn with_netmodel(mut self, netmodel: NetModelSpec) -> Self {
-        netmodel.validate().expect("invalid net-model spec");
+        netmodel.assert_valid();
         self.netmodel = netmodel;
         self
     }

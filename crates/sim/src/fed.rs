@@ -3,10 +3,12 @@
 //!
 //! A [`FedModel`] runs a two-level hierarchy (a [`FedPlatform`]): the
 //! root master streams each star's operand shard over that star's
-//! uplink — all uplinks contending under the federation's
-//! [`stargemm_netmodel::ContentionModel`], integrated in closed form by
-//! [`stargemm_netmodel::drain_times`] (the same progressive
-//! max-min re-share the engines use, via `maxmin_shares_into`) — and
+//! uplink — all uplinks contending under the federation's uplink model
+//! (a [`stargemm_netmodel::NetModelSpec`], the same value
+//! `core::steady::federated_lp` prices its uplink rows by), integrated
+//! in closed form by [`stargemm_netmodel::drain_times`] (the same
+//! progressive max-min re-share the engines use, via
+//! `NetModelSpec::shares_into`) — and
 //! each regional star then executes its local schedule with its own
 //! [`Simulator`] (own contention model, own dynamic profile, own
 //! crashes). The federated makespan is `max_s(arrival_s + makespan_s)`:
@@ -92,7 +94,7 @@ impl FedModel {
                 link_rate: 1.0 / star.uplink_c,
             })
             .collect();
-        drain_times(&lanes, volumes, self.fed.uplink.build().as_ref())
+        drain_times(&lanes, volumes, &self.fed.uplink)
     }
 
     /// Runs one policy per star: star `s`'s feed of `volumes[s]` blocks

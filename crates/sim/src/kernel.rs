@@ -33,7 +33,8 @@
 //! entries (time, sequence, slot, generation) while payloads live in an
 //! index slab with an intrusive free list, so scheduling and delivering
 //! an event never allocates once the slab has warmed up. Throughput is
-//! tracked by `benches/kernel.rs` in events/sec.
+//! tracked by `exp_perf`'s `hold` / `cancel_half` / `drain` rows in
+//! events/sec.
 //!
 //! [`engine::Simulator`](crate::engine::Simulator) drives the star-GEMM
 //! model of [`crate::model`] on top of this kernel; future models

@@ -2,10 +2,11 @@
 //! under the star's contention model, and the port accounting they
 //! leave behind.
 //!
-//! A [`LaneTable`] admits a transfer while the
-//! [`ContentionModel`] has capacity, re-shares the wire whenever the
-//! active set changes, and keeps each lane's projected completion time
-//! cached. Shares change *only* at a membership change, and only a lane
+//! A [`LaneTable`] admits a transfer while its contention model (a
+//! [`NetModelSpec`], held by value — the table asks it the same two
+//! questions the steady-state LP does) has capacity, re-shares the wire
+//! whenever the active set changes, and keeps each lane's projected
+//! completion time cached. Shares change *only* at a membership change, and only a lane
 //! whose share changed has its remaining work advanced and its end
 //! re-projected — between changes every cached end is exact, and under
 //! one-port (a lone lane at share 1.0) nothing is ever re-projected.
@@ -28,7 +29,7 @@
 //! knows no clock and no event queue. Times are whatever scale the
 //! caller's `now` is in (both engines use model seconds).
 
-use stargemm_netmodel::{ContentionModel, ShareScratch, TransferLane};
+use stargemm_netmodel::{NetModelSpec, ShareScratch, TransferLane};
 use stargemm_obs::{Dir, ObsEvent, ObsSink};
 use stargemm_platform::dynamic::{transfer_end_opt, transfer_nominal_between_opt, DynProfile};
 use stargemm_platform::WorkerId;
@@ -89,7 +90,7 @@ impl Completion {
 
 /// The transfers in flight on one master's port.
 pub struct LaneTable<P> {
-    model: Box<dyn ContentionModel>,
+    model: NetModelSpec,
     /// Per-worker nominal block costs `c_i`.
     cs: Vec<f64>,
     /// Per-worker link capacities `1 / c_i`, as the contention model
@@ -120,12 +121,16 @@ impl<P> LaneTable<P> {
     /// An idle port over links of nominal block costs `cs`, throttled by
     /// `profile`'s cost traces, emitting `PortAcquire`/`PortRelease`
     /// into `obs`.
+    ///
+    /// # Panics
+    /// Panics on an invalid `model` ([`NetModelSpec::assert_valid`]).
     pub fn new(
-        model: Box<dyn ContentionModel>,
+        model: NetModelSpec,
         cs: Vec<f64>,
         profile: Option<DynProfile>,
         obs: ObsSink,
     ) -> Self {
+        model.assert_valid();
         LaneTable {
             model,
             link_rates: cs.iter().map(|c| 1.0 / c).collect(),
@@ -330,7 +335,6 @@ impl<P> LaneTable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stargemm_netmodel::NetModelSpec;
     use stargemm_platform::dynamic::{Trace, WorkerDyn};
 
     /// A payload-free table plus the stamp counter an engine would lend
@@ -342,7 +346,7 @@ mod tests {
 
     fn port(spec: NetModelSpec, cs: &[f64], profile: Option<DynProfile>) -> Port {
         Port {
-            t: LaneTable::new(spec.build(), cs.to_vec(), profile, ObsSink::off()),
+            t: LaneTable::new(spec, cs.to_vec(), profile, ObsSink::off()),
             seq: 0,
         }
     }

@@ -59,6 +59,6 @@ pub use msg::{
     ChunkDescr, ChunkId, ChunkMap, Fragment, IdHasher, JobId, MatKind, StepCosts, StepId,
 };
 pub use policy::{Action, MasterPolicy, SimCtx, SimEvent};
-pub use stargemm_netmodel::{ContentionModel, NetModelSpec, TransferLane};
+pub use stargemm_netmodel::{NetModelSpec, TransferLane};
 pub use stargemm_obs::{ObsEvent, ObsSink, Recorder, RunRecorder};
 pub use stats::{JobStats, PortStats, RunStats, WorkerStats};

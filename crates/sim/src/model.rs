@@ -242,7 +242,7 @@ impl StarModel {
             now: 0.0,
             ledger: StarLedger::new(platform, profile.as_ref()),
             lanes: LaneTable::new(
-                netmodel.build(),
+                *netmodel,
                 platform.workers().iter().map(|s| s.c).collect(),
                 profile,
                 obs.clone(),

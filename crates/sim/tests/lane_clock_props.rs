@@ -83,7 +83,7 @@ type Delivered = (f64, Kind, u64);
 type Outcome = (Vec<Delivered>, Option<KernelError>, u64);
 
 fn table(model: NetModelSpec) -> LaneTable<()> {
-    LaneTable::new(model.build(), COSTS.to_vec(), None, ObsSink::off())
+    LaneTable::new(model, COSTS.to_vec(), None, ObsSink::off())
 }
 
 /// The replaced clock: one kernel event per lane, cancelled and

@@ -12,6 +12,12 @@
 //! objective on the raw rates spends capacity the bottleneck job cannot
 //! use.
 //!
+//! Like every formulation in the workspace the LP is laid through
+//! [`LpProblem::le`], one row family at a time — port, per-worker
+//! compute, per-job coupling, in that order, which (with the variable
+//! order) fixes the solver's pivot sequence and hence the shares to the
+//! bit.
+//!
 //! The resulting per-job **port shares** drive the deficit scheduler of
 //! [`crate::multi::MultiJobMaster`].
 
@@ -44,20 +50,21 @@ pub struct MultiJobAllocation {
     pub level: f64,
 }
 
-/// Solves the weighted max-min LP for the given demands. Returns `None`
-/// when a demand has no usable worker or the LP fails (degenerate
-/// platform) — callers fall back to plain weight shares.
-pub fn weighted_maxmin(platform: &Platform, demands: &[JobDemand]) -> Option<MultiJobAllocation> {
+/// Port seconds per update of demand `d` served on worker `i`:
+/// `2 c_i / μ_{j,i}`.
+fn port_cost(platform: &Platform, d: &JobDemand, i: usize) -> f64 {
+    2.0 * platform.worker(i).c / d.sides[i] as f64
+}
+
+/// The weighted max-min LP and its variable layout: one `x_{j,i}` per
+/// `(job, worker)` pair with a positive side, in job-major order, then
+/// `z` last. `None` when a demand has a non-positive weight or no
+/// usable worker.
+fn maxmin_lp(
+    platform: &Platform,
+    demands: &[JobDemand],
+) -> Option<(Vec<(usize, usize)>, LpProblem)> {
     let p = platform.len();
-    if demands.is_empty() {
-        return Some(MultiJobAllocation {
-            rates: vec![],
-            port_shares: vec![],
-            level: 0.0,
-        });
-    }
-    // Variable layout: one x_{j,i} per (job, worker) pair with a
-    // positive side, then z last.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for (j, d) in demands.iter().enumerate() {
         assert_eq!(d.sides.len(), p, "demand must describe every worker");
@@ -70,68 +77,54 @@ pub fn weighted_maxmin(platform: &Platform, demands: &[JobDemand]) -> Option<Mul
             return None; // job j has no usable worker
         }
     }
-    let nvars = pairs.len() + 1;
-    let z = nvars - 1;
-
-    let mut objective = vec![EPS_THROUGHPUT; nvars];
+    let z = pairs.len();
+    let mut objective = vec![EPS_THROUGHPUT; z + 1];
     objective[z] = 1.0;
-
-    let mut constraints = Vec::new();
-    let mut rhs = Vec::new();
+    let mut lp = LpProblem::maximize(objective);
+    let vars = || pairs.iter().copied().enumerate();
 
     // One-port: operand traffic of every job shares the master's port.
-    let port_cost = |j: usize, i: usize| 2.0 * platform.worker(i).c / demands[j].sides[i] as f64;
-    let mut port = vec![0.0; nvars];
-    for (v, &(j, i)) in pairs.iter().enumerate() {
-        port[v] = port_cost(j, i);
-    }
-    constraints.push(port);
-    rhs.push(1.0);
-
+    lp.le(
+        vars().map(|(v, (j, i))| (v, port_cost(platform, &demands[j], i))),
+        1.0,
+    );
     // Per-worker compute rate.
-    for i in 0..p {
-        let mut row = vec![0.0; nvars];
-        for (v, &(j2, i2)) in pairs.iter().enumerate() {
-            if i2 == i {
-                row[v] = platform.worker(i).w;
-                let _ = j2;
-            }
-        }
-        constraints.push(row);
-        rhs.push(1.0);
+    for (i, spec) in platform.iter() {
+        let on_worker = vars().filter(|&(_, (_, i2))| i2 == i);
+        lp.le(on_worker.map(|(v, _)| (v, spec.w)), 1.0);
     }
-
     // Weighted max-min coupling: ω_j·z − Σ_i x_{j,i} ≤ 0.
     for (j, d) in demands.iter().enumerate() {
-        let mut row = vec![0.0; nvars];
-        for (v, &(j2, _)) in pairs.iter().enumerate() {
-            if j2 == j {
-                row[v] = -1.0;
-            }
-        }
-        row[z] = d.weight;
-        constraints.push(row);
-        rhs.push(0.0);
+        let of_job = vars().filter(|&(_, (j2, _))| j2 == j);
+        lp.le(of_job.map(|(v, _)| (v, -1.0)).chain([(z, d.weight)]), 0.0);
     }
+    Some((pairs, lp))
+}
 
-    let sol = LpProblem {
-        objective,
-        constraints,
-        rhs,
+/// Solves the weighted max-min LP for the given demands. Returns `None`
+/// when a demand has no usable worker or the LP fails (degenerate
+/// platform) — callers fall back to plain weight shares.
+pub fn weighted_maxmin(platform: &Platform, demands: &[JobDemand]) -> Option<MultiJobAllocation> {
+    if demands.is_empty() {
+        return Some(MultiJobAllocation {
+            rates: vec![],
+            port_shares: vec![],
+            level: 0.0,
+        });
     }
-    .solve()
-    .ok()?;
+    let (pairs, lp) = maxmin_lp(platform, demands)?;
+    let sol = lp.solve().ok()?;
 
     let mut rates = vec![0.0; demands.len()];
     let mut port_shares = vec![0.0; demands.len()];
     for (v, &(j, i)) in pairs.iter().enumerate() {
         rates[j] += sol.x[v];
-        port_shares[j] += sol.x[v] * port_cost(j, i);
+        port_shares[j] += sol.x[v] * port_cost(platform, &demands[j], i);
     }
     Some(MultiJobAllocation {
         rates,
         port_shares,
-        level: sol.x[z],
+        level: sol.x[pairs.len()],
     })
 }
 
@@ -204,6 +197,39 @@ mod tests {
         let port: f64 = alloc.port_shares.iter().sum();
         assert!(port <= 1.0 + 1e-6);
         assert!((alloc.rates[0] - alloc.level).abs() < 1e-6);
+    }
+
+    #[test]
+    fn the_lp_is_pinned_for_two_demands() {
+        // Job 0 runs on both workers (sides 4, 3), job 1 only on worker 1
+        // (side 5): variables x_{0,0}, x_{0,1}, x_{1,1}, z. Written out —
+        // port, per-worker compute, per-job coupling — so a reordered
+        // family or a re-associated `2c/μ` fails here, not in a golden.
+        let demands = [
+            demand(1.0),
+            JobDemand {
+                sides: vec![0, 5],
+                weight: 3.0,
+            },
+        ];
+        let (pairs, lp) = maxmin_lp(&platform(), &demands).unwrap();
+        assert_eq!(pairs, [(0, 0), (0, 1), (1, 1)]);
+        let expected = LpProblem {
+            objective: vec![1e-6, 1e-6, 1e-6, 1.0],
+            constraints: vec![
+                vec![0.1, 0.8 / 3.0, 0.16, 0.0],
+                vec![0.1, 0.0, 0.0, 0.0],
+                vec![0.0, 0.2, 0.2, 0.0],
+                vec![-1.0, -1.0, 0.0, 1.0],
+                vec![0.0, 0.0, -1.0, 3.0],
+            ],
+            rhs: vec![1.0, 1.0, 1.0, 0.0, 0.0],
+        };
+        assert_eq!(lp, expected);
+        let alloc = weighted_maxmin(&platform(), &demands).unwrap();
+        assert_eq!(alloc.rates, [2.000000000000001, 5.0]);
+        assert_eq!(alloc.port_shares, [0.2000000000000001, 0.8]);
+        assert_eq!(alloc.level, 1.6666666666666665);
     }
 
     #[test]

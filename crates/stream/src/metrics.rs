@@ -80,6 +80,8 @@ pub struct StreamReport {
 /// Aggregate steady-state throughput bound of `platform`: the
 /// bandwidth-centric optimum with uncapped chunk sides. No multi-job
 /// schedule on a platform at (or below) its nominal speed can exceed it.
+/// `0.0` on a platform no worker of which fits a layout — on which
+/// [`MultiJobMaster::new`] admits no job, so no report divides by it.
 pub fn aggregate_throughput_bound(platform: &Platform) -> f64 {
     bandwidth_centric(platform, usize::MAX).throughput
 }
@@ -268,6 +270,27 @@ mod tests {
         assert_eq!(quantile(&s, 0.0), 1.0);
         assert_eq!(quantile(&s, 1.0), 4.0);
         assert!(quantile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn no_fit_platform_has_a_zero_bound_and_admits_no_job() {
+        // μ = 0 on every worker: the bound is 0, not a panic, and
+        // nothing ever divides by it — the master refuses the first job,
+        // and a gap against a degenerate bound renders 0, not NaN
+        // (`obs::runmetrics`).
+        let p = Platform::new(
+            "no-fit",
+            vec![WorkerSpec::new(1.0, 1.0, 3), WorkerSpec::new(1.0, 1.0, 4)],
+        );
+        assert_eq!(aggregate_throughput_bound(&p), 0.0);
+        let reqs = [JobRequest {
+            id: 0,
+            tenant: 0,
+            weight: 1.0,
+            job: Job::new(4, 3, 4, 2),
+            arrival: 0.0,
+        }];
+        assert!(MultiJobMaster::new(&p, &reqs, StreamConfig::default()).is_err());
     }
 
     #[test]
