@@ -318,6 +318,29 @@ mod tests {
         }
     }
 
+    /// The uplink tier drains in closed form under the federation's
+    /// model: one port serializes the feeds in star order, two overlap
+    /// them.
+    #[test]
+    fn uplink_feeds_drain_through_the_federation_model() {
+        let fed = |costs: [f64; 2], uplink| {
+            let stars = costs.map(|c| FedStar::new(DynPlatform::constant(star_platform()), c));
+            FedNetRuntime::new(FedPlatform::new("f2", stars.to_vec(), uplink))
+        };
+        let two_ports = NetModelSpec::BoundedMultiPort {
+            k: 2,
+            backbone: None,
+        };
+        // Star 0's 10-block feed lands at 5.0; star 1's queues behind it
+        // → 5 + 20 = 25.
+        let skewed = fed([0.5, 2.0], NetModelSpec::OnePort);
+        assert_eq!(skewed.uplink_arrivals(&[10.0, 10.0]), [5.0, 25.0]);
+        let serial = fed([1.0, 1.0], NetModelSpec::OnePort);
+        assert_eq!(serial.uplink_arrivals(&[10.0, 10.0]), [10.0, 20.0]);
+        let overlap = fed([1.0, 1.0], two_ports);
+        assert_eq!(overlap.uplink_arrivals(&[10.0, 10.0]), [10.0, 10.0]);
+    }
+
     #[test]
     fn undersized_jobs_cannot_be_sharded() {
         let fed = FedPlatform::new(

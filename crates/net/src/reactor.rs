@@ -18,6 +18,8 @@
 //! inline compute never perturb the schedule. The loop is the same
 //! three-beat cadence as the discrete-event engine: `pump` the shared
 //! [`MasterSm`] while the master is free, deliver one event, `settle`.
+//! What an action does is `MasterSm::perform`'s; the reactor supplies
+//! only its [`MasterTransport`] verbs and pre-checks.
 //!
 //! A fragment crosses the reactor as one flat buffer: its tiles are
 //! encoded straight out of the borrowed matrices into one exactly-sized
@@ -40,9 +42,8 @@ use stargemm_obs::Dir;
 use stargemm_platform::dynamic::LifecycleEvent;
 use stargemm_platform::Platform;
 use stargemm_sim::{
-    Action, ChunkDescr, ChunkId, Delivery, Fragment, LaneTable, MasterPolicy, MasterSm,
-    MasterState, MasterTransport, MatKind, ObsEvent, ObsSink, PortStats, RunStats, SimEvent,
-    StarLedger,
+    Action, ChunkDescr, ChunkId, Delivery, Fragment, JobId, LaneTable, MasterPolicy, MasterSm,
+    MasterTransport, MatKind, ObsEvent, ObsSink, PortStats, RunStats, SimEvent, StarLedger,
 };
 
 use crate::runtime::{NetError, NetOptions};
@@ -429,49 +430,6 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         }
     }
 
-    /// The send rules this transport needs and the simulator's does
-    /// not, run before the ledger's own: a live link ([`Self::check_link`]);
-    /// a chunk of at most `t` steps, because `encode` slices real
-    /// matrices; and an A/B fragment that is its step's whole quota,
-    /// because `WorkerCore` takes one `FragA`/`FragB` per step.
-    fn check_transport(
-        &self,
-        worker: usize,
-        fragment: &Fragment,
-        new_chunk: Option<&ChunkDescr>,
-    ) -> Result<(), NetError> {
-        self.check_link("send to", worker)?;
-        let Fragment {
-            kind,
-            chunk,
-            step,
-            blocks,
-        } = *fragment;
-        if let Some(d) = new_chunk {
-            let t = self.policy.job_dims().t;
-            if d.steps as usize > t {
-                return protocol(format!(
-                    "chunk {} has {} steps, more than the job's t = {t}",
-                    d.id, d.steps
-                ));
-            }
-        } else if let Some(d) = self.ledger.descr(chunk) {
-            let whole = match kind {
-                MatKind::A if step < d.steps => d.a_for(step),
-                MatKind::B if step < d.steps => d.b_for(step),
-                // A second C load, a step out of range: the ledger's.
-                _ => return Ok(()),
-            };
-            if blocks != whole {
-                return protocol(format!(
-                    "{kind:?} fragment of {blocks} blocks for chunk {chunk} step {step}, \
-                     which takes {whole} in one piece"
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Encodes the fragment's wire message, its tiles sliced straight
     /// out of the real matrices into the message buffer.
     fn encode(
@@ -520,66 +478,102 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
         self.policy.next_action(&ctx)
     }
 
-    fn perform(&mut self, action: Action) -> Result<MasterState, NetError> {
-        match action {
-            Action::Send {
-                worker,
-                fragment,
-                new_chunk,
-            } => {
-                self.check_transport(worker, &fragment, new_chunk.as_ref())?;
-                self.ledger.issue_send(worker, &fragment, new_chunk)?;
-                // Round-trip through the wire format: the payload that
-                // reaches the worker is exactly what a socket would carry.
-                let msg = ToWorker::decode(self.encode(&fragment, new_chunk)?);
-                let now = self.vnow;
-                self.obs.emit(|| ObsEvent::Dispatch {
-                    time: now,
-                    worker,
-                    chunk: fragment.chunk,
-                    step: fragment.step,
-                    mat: fragment.kind.into(),
-                    blocks: fragment.blocks,
-                });
-                let payload = LaneKind::Outbound { fragment, msg };
-                self.lanes.admit(
-                    now,
-                    worker,
-                    Dir::ToWorker,
-                    fragment.chunk,
-                    fragment.blocks,
-                    payload,
-                    || next_stamp(&mut self.stamp),
-                );
-                Ok(MasterState::after_issue(self.lanes.can_admit()))
-            }
-            Action::Retrieve { worker, chunk } => {
-                self.check_link("retrieve from", worker)?;
-                if self.ledger.issue_retrieve(worker, chunk)? {
-                    self.start_retrieval(worker, chunk)?;
-                    Ok(MasterState::after_issue(self.lanes.can_admit()))
-                } else {
-                    Ok(MasterState::BlockedRetrieve(chunk))
-                }
-            }
-            Action::CompleteJob { job } => protocol(format!(
-                "job streams are not supported by the net runtime \
-                 (CompleteJob for job {job})"
-            )),
-            Action::Wait => Ok(MasterState::Waiting),
-            Action::Finished => {
-                self.ledger.check_finished()?;
-                Ok(MasterState::Done)
-            }
-        }
-    }
-
     fn can_issue(&self) -> bool {
         self.lanes.can_admit()
     }
 
     fn ledger(&self) -> &StarLedger {
         &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut StarLedger {
+        &mut self.ledger
+    }
+
+    /// The send rules this transport needs and the simulator's does
+    /// not: a live link ([`Self::check_link`]); a chunk of at most `t`
+    /// steps, because `encode` slices real matrices; and an A/B fragment
+    /// that is its step's whole quota, because `WorkerCore` takes one
+    /// `FragA`/`FragB` per step.
+    fn check_send(
+        &self,
+        worker: usize,
+        fragment: &Fragment,
+        new_chunk: Option<&ChunkDescr>,
+    ) -> Result<(), NetError> {
+        self.check_link("send to", worker)?;
+        let Fragment {
+            kind,
+            chunk,
+            step,
+            blocks,
+        } = *fragment;
+        if let Some(d) = new_chunk {
+            let t = self.policy.job_dims().t;
+            if d.steps as usize > t {
+                return protocol(format!(
+                    "chunk {} has {} steps, more than the job's t = {t}",
+                    d.id, d.steps
+                ));
+            }
+        } else if let Some(d) = self.ledger.descr(chunk) {
+            let whole = match kind {
+                MatKind::A if step < d.steps => d.a_for(step),
+                MatKind::B if step < d.steps => d.b_for(step),
+                // A second C load, a step out of range: the ledger's.
+                _ => return Ok(()),
+            };
+            if blocks != whole {
+                return protocol(format!(
+                    "{kind:?} fragment of {blocks} blocks for chunk {chunk} step {step}, \
+                     which takes {whole} in one piece"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn check_retrieve(&self, worker: usize) -> Result<(), NetError> {
+        self.check_link("retrieve from", worker)
+    }
+
+    /// Round-trips the fragment through the wire format — the payload
+    /// that reaches the worker is exactly what a socket would carry —
+    /// and admits it as an outbound lane.
+    fn send(
+        &mut self,
+        worker: usize,
+        fragment: Fragment,
+        new_chunk: Option<ChunkDescr>,
+    ) -> Result<(), NetError> {
+        let msg = ToWorker::decode(self.encode(&fragment, new_chunk)?);
+        let now = self.vnow;
+        self.obs.emit(|| ObsEvent::Dispatch {
+            time: now,
+            worker,
+            chunk: fragment.chunk,
+            step: fragment.step,
+            mat: fragment.kind.into(),
+            blocks: fragment.blocks,
+        });
+        let payload = LaneKind::Outbound { fragment, msg };
+        self.lanes.admit(
+            now,
+            worker,
+            Dir::ToWorker,
+            fragment.chunk,
+            fragment.blocks,
+            payload,
+            || next_stamp(&mut self.stamp),
+        );
+        Ok(())
+    }
+
+    fn complete_job(&mut self, job: JobId) -> Result<(), NetError> {
+        protocol(format!(
+            "job streams are not supported by the net runtime \
+             (CompleteJob for job {job})"
+        ))
     }
 
     /// Pulls a computed chunk back: the retrieve control message goes to

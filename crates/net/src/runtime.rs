@@ -511,12 +511,12 @@ mod tests {
             send(0, fragment, None)
         };
         let open_with = |d: ChunkDescr| send(0, Fragment::c_load(&d), Some(d));
-        let retrieve = |chunk| Action::Retrieve { worker: 0, chunk };
+        let retrieve = |worker, chunk| Action::Retrieve { worker, chunk };
         let rest = [
             send(0, Fragment::b_step(&d, 0), None),
             send(0, Fragment::a_step(&d, 1), None),
             send(0, Fragment::b_step(&d, 1), None),
-            retrieve(0),
+            retrieve(0, 0),
         ];
         let one_port = NetModelSpec::OnePort;
         let four_ports = NetModelSpec::BoundedMultiPort {
@@ -592,8 +592,29 @@ mod tests {
             (
                 "retrieve of an unknown chunk",
                 one_port,
-                vec![open, retrieve(9)],
+                vec![open, retrieve(0, 9)],
                 same("protocol violation: unknown chunk 9"),
+            ),
+            (
+                "chunk retrieved twice",
+                one_port,
+                [&[open, a0][..], &rest, &[retrieve(0, 0)]].concat(),
+                same("chunk 0 retrieved twice"),
+            ),
+            (
+                "retrieve from the wrong worker",
+                one_port,
+                vec![open, retrieve(1, 0)],
+                same("but it is assigned to worker 0"),
+            ),
+            (
+                "completion of a job that never arrived",
+                one_port,
+                vec![open, Action::CompleteJob { job: 5 }],
+                Some([
+                    "completion of unknown (never-arrived) job 5",
+                    "job streams are not supported",
+                ]),
             ),
             (
                 "finished with a live chunk unretrieved",

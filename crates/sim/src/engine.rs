@@ -1,14 +1,15 @@
-//! The simulation driver: [`Simulator`] configuration and the master
-//! state machine.
+//! The simulation driver: [`Simulator`] configuration and the run loop.
 //!
 //! This module is a thin layer: the generic discrete-event machinery
 //! (time-ordered queue, stable tie-breaking, cancellation, event caps)
-//! lives in [`crate::kernel`], the master's rules in the shared
-//! [`crate::ledger`] and [`crate::lanes`], and the simulated workers in
-//! [`crate::model`]. What remains here is the *protocol* between the
-//! master policy and the platform: the master is asked for its next
-//! [`Action`] whenever its port is free; under the paper's one-port
-//! model at most one transfer is ever in flight.
+//! lives in [`crate::kernel`], the master's automaton and action table
+//! in [`crate::master`], its rules in the shared [`crate::ledger`] and
+//! [`crate::lanes`], and the simulated workers with the simulator's
+//! transport verbs in [`crate::model`]. What remains here is the loop
+//! that drives them: the master is asked for its next
+//! [`Action`](crate::policy::Action) whenever its port is free, one event
+//! is delivered, the master settles; under the paper's one-port model at
+//! most one transfer is ever in flight.
 //!
 //! [`Simulator`] is `Send + Clone`, so whole scenario sweeps can be
 //! fanned out across threads (see `stargemm-bench`'s sweep runner); each
@@ -22,11 +23,10 @@ use stargemm_platform::dynamic::{DynPlatform, DynProfile};
 use stargemm_platform::Platform;
 
 use crate::error::SimError;
-use crate::ledger::StarLedger;
-use crate::master::{MasterSm, MasterState, MasterTransport};
-use crate::model::{EvKind, StarModel};
-use crate::msg::{ChunkId, JobId};
-use crate::policy::{Action, MasterPolicy};
+use crate::master::MasterSm;
+use crate::model::{EvKind, SimTransport, StarModel};
+use crate::msg::JobId;
+use crate::policy::MasterPolicy;
 use crate::stats::RunStats;
 
 /// The simulator: owns the platform description and run options.
@@ -173,83 +173,45 @@ impl Simulator {
 /// until the policy is done and no work is pending.
 pub(crate) fn drive(st: &mut StarModel, policy: &mut dyn MasterPolicy) -> Result<(), SimError> {
     let mut sm = MasterSm::new();
+    let mut t = SimTransport { st, policy };
     // Hook notifications of the event being delivered: one buffer
     // for the whole run, so the steady-state loop never allocates.
     let mut hooks = Vec::new();
 
     loop {
         // Ask the policy while the master is free to act.
-        sm.pump(&mut SimTransport {
-            st: &mut *st,
-            policy: &mut *policy,
-        })?;
+        sm.pump(&mut t)?;
 
-        if sm.is_done() && !st.has_work_events() {
+        if sm.is_done() && !t.st.has_work_events() {
             return Ok(());
         }
 
-        let Some(kind) = st.next_event()? else {
+        let Some(kind) = t.st.next_event()? else {
             return Err(SimError::Deadlock {
-                time: st.now,
-                unretrieved_chunks: st.ledger.unretrieved(),
+                time: t.st.now,
+                unretrieved_chunks: t.st.ledger.unretrieved(),
             });
         };
 
         hooks.clear();
-        st.apply_event(kind, &mut hooks)?;
+        t.st.apply_event(kind, &mut hooks)?;
 
         if matches!(kind, EvKind::TransferDone { .. }) {
             sm.on_transfer_done();
         }
-        sm.settle(&mut SimTransport {
-            st: &mut *st,
-            policy: &mut *policy,
-        })?;
+        sm.settle(&mut t)?;
 
         // Fire hooks after the state (and master bookkeeping) settled.
         for h in &hooks {
-            policy.on_event(h, &st.ledger.ctx(st.now));
+            t.policy.on_event(h, &t.st.ledger.ctx(t.st.now));
         }
-    }
-}
-
-/// [`MasterTransport`] over the virtual-time [`StarModel`]: the sim
-/// engine's clock is the kernel event queue, its transport the
-/// simulated workers inside the model.
-struct SimTransport<'a> {
-    st: &'a mut StarModel,
-    policy: &'a mut dyn MasterPolicy,
-}
-
-impl MasterTransport for SimTransport<'_> {
-    type Error = SimError;
-
-    fn poll_action(&mut self) -> Action {
-        self.policy.next_action(&self.st.ledger.ctx(self.st.now))
-    }
-
-    fn perform(&mut self, action: Action) -> Result<MasterState, SimError> {
-        self.st.apply_action(action)
-    }
-
-    fn can_issue(&self) -> bool {
-        self.st.can_issue()
-    }
-
-    fn ledger(&self) -> &StarLedger {
-        &self.st.ledger
-    }
-
-    fn start_retrieval(&mut self, worker: usize, chunk: ChunkId) -> Result<(), SimError> {
-        self.st.start_retrieval(worker, chunk);
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{ChunkDescr, Fragment};
+    use crate::msg::{ChunkDescr, ChunkId, Fragment};
     use crate::policy::{Action, SimCtx, SimEvent};
     use stargemm_obs::{analyze, spans, MatTag, ObsEvent, RunRecorder, Track};
     use stargemm_platform::{WorkerId, WorkerSpec};

@@ -15,6 +15,11 @@
 //! `reserved` against the worker's memory and counted against their
 //! step's quota, so two copies of one fragment cannot both be on the
 //! wire.
+//!
+//! A chunk's lifecycle is one `ChunkState` value moved by one
+//! transition table (`ChunkState::after`): an opened chunk is computed
+//! and asked for, in either order, then retrieved — or lost to a crash at
+//! any point before it is back.
 
 use stargemm_platform::dynamic::DynProfile;
 use stargemm_platform::{Platform, WorkerId};
@@ -36,6 +41,68 @@ pub(crate) struct WorkerRt {
     pub(crate) stats: WorkerStats,
 }
 
+/// Where an opened chunk is in its lifecycle, as the master books it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ChunkState {
+    /// Steps still to compute; no retrieval asked for.
+    Computing,
+    /// Asked for before its last step finished: the master blocks on it.
+    Asked,
+    /// Every step done; not asked for yet.
+    Computed,
+    /// Computed and asked for: the result is on the wire, or goes on it
+    /// as soon as a lane frees.
+    Retrieving,
+    /// The result reached the master.
+    Retrieved,
+    /// Destroyed by a worker crash: its retrieval is not required.
+    /// `asked`: it had been asked for, so asking again is still a
+    /// second retrieval.
+    Lost { asked: bool },
+}
+
+/// What can happen to an opened chunk (`Lost`: a crash, or a fragment
+/// reaching a downed worker).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ChunkEvent {
+    Computed,
+    Retrieve,
+    Retrieved,
+    Lost,
+}
+
+impl ChunkState {
+    /// The lifecycle's transition table: the state `ev` moves a chunk in
+    /// this state to, or `None` when `ev` cannot happen to it. `Lost`
+    /// absorbs whatever the transport still reports after the crash (a
+    /// retrieval already on the wire, another dropped fragment); a policy
+    /// asking for a lost chunk is refused.
+    fn after(self, ev: ChunkEvent) -> Option<ChunkState> {
+        use ChunkEvent as E;
+        use ChunkState as S;
+        Some(match (self, ev) {
+            (S::Computing, E::Computed) => S::Computed,
+            (S::Asked, E::Computed) => S::Retrieving,
+            (S::Computing, E::Retrieve) => S::Asked,
+            (S::Computed, E::Retrieve) => S::Retrieving,
+            (S::Retrieving, E::Retrieved) => S::Retrieved,
+            (S::Computing | S::Computed, E::Lost) => S::Lost { asked: false },
+            (S::Asked | S::Retrieving, E::Lost) => S::Lost { asked: true },
+            (S::Lost { .. }, E::Computed | E::Retrieved | E::Lost) => self,
+            _ => return None,
+        })
+    }
+
+    fn is_lost(self) -> bool {
+        matches!(self, ChunkState::Lost { .. })
+    }
+
+    /// Opened, not lost, not back: the master still owes its retrieval.
+    fn is_live(self) -> bool {
+        !matches!(self, ChunkState::Retrieved | ChunkState::Lost { .. })
+    }
+}
+
 /// Master-side record of one chunk the policy opened.
 #[derive(Clone, Debug)]
 struct ChunkEntry {
@@ -43,11 +110,20 @@ struct ChunkEntry {
     descr: ChunkDescr,
     /// `[A, B]` blocks issued so far, per step.
     issued: Vec<[u64; 2]>,
-    computed: bool,
-    retrieved: bool,
-    retrieve_pending: bool,
-    /// Destroyed by a worker crash: its retrieval is not required.
-    lost: bool,
+    state: ChunkState,
+}
+
+impl ChunkEntry {
+    /// Moves the chunk on an event its engine observed. The protocol
+    /// only produces events the table allows; anything else is an
+    /// engine bug.
+    fn advance(&mut self, ev: ChunkEvent) -> ChunkState {
+        self.state = self
+            .state
+            .after(ev)
+            .unwrap_or_else(|| panic!("chunk {}: {ev:?} when {:?}", self.descr.id, self.state));
+        self.state
+    }
 }
 
 /// What became of a fragment when its transfer completed.
@@ -107,12 +183,18 @@ impl StarLedger {
 
     /// Whether `chunk` was destroyed by a worker crash.
     pub fn chunk_is_lost(&self, chunk: ChunkId) -> Result<bool, SimError> {
-        self.chunk(chunk).map(|c| c.lost)
+        self.chunk(chunk).map(|c| c.state.is_lost())
     }
 
-    /// Whether all of `chunk`'s steps have completed.
+    /// Whether all of `chunk`'s steps have completed (and it is not
+    /// lost).
     pub fn chunk_is_computed(&self, chunk: ChunkId) -> Result<bool, SimError> {
-        self.chunk(chunk).map(|c| c.computed)
+        self.chunk(chunk).map(|c| {
+            matches!(
+                c.state,
+                ChunkState::Computed | ChunkState::Retrieving | ChunkState::Retrieved
+            )
+        })
     }
 
     /// The worker `chunk` is assigned to.
@@ -190,10 +272,7 @@ impl StarLedger {
                         worker,
                         descr,
                         issued: vec![[0; 2]; descr.steps as usize],
-                        computed: false,
-                        retrieved: false,
-                        retrieve_pending: false,
-                        lost: false,
+                        state: ChunkState::Computing,
                     },
                 );
                 w.stats.chunks_assigned += 1;
@@ -203,7 +282,7 @@ impl StarLedger {
                     .chunks
                     .get_mut(&chunk)
                     .ok_or_else(|| unknown_chunk(chunk))?;
-                if ch.lost {
+                if ch.state.is_lost() {
                     return Err(SimError::protocol(format!(
                         "fragment for chunk {chunk}, lost in a worker crash"
                     )));
@@ -259,16 +338,15 @@ impl StarLedger {
                 ch.worker
             )));
         }
-        if ch.retrieved || ch.retrieve_pending {
-            return Err(SimError::protocol(format!("chunk {chunk} retrieved twice")));
-        }
-        if ch.lost {
-            return Err(SimError::protocol(format!(
-                "retrieve of chunk {chunk}, lost in a worker crash"
-            )));
-        }
-        ch.retrieve_pending = true;
-        Ok(ch.computed)
+        let next = ch.state.after(ChunkEvent::Retrieve).ok_or_else(|| {
+            SimError::protocol(if ch.state == (ChunkState::Lost { asked: false }) {
+                format!("retrieve of chunk {chunk}, lost in a worker crash")
+            } else {
+                format!("chunk {chunk} retrieved twice")
+            })
+        })?;
+        ch.state = next;
+        Ok(next == ChunkState::Retrieving)
     }
 
     /// `Action::Finished` is legal only once every live chunk is back.
@@ -281,8 +359,12 @@ impl StarLedger {
         }
     }
 
+    // The four event reports below run once per event, called from other
+    // modules and crates: `#[inline]` lets both engines inline them.
+
     /// A send completed: releases its reservation and, unless the worker
     /// is down or the chunk lost, makes the blocks resident.
+    #[inline]
     pub fn delivered(&mut self, worker: WorkerId, fragment: &Fragment) -> Delivery {
         let w = &mut self.workers[worker];
         w.reserved -= fragment.blocks;
@@ -290,9 +372,9 @@ impl StarLedger {
             .chunks
             .get_mut(&fragment.chunk)
             .expect("chunk checked at issue");
-        if !w.up || ch.lost {
-            let newly_lost = !ch.lost;
-            ch.lost = true;
+        if !w.up || ch.state.is_lost() {
+            let newly_lost = !ch.state.is_lost();
+            ch.advance(ChunkEvent::Lost);
             return Delivery::Dropped { newly_lost };
         }
         w.resident += fragment.blocks;
@@ -302,6 +384,7 @@ impl StarLedger {
     }
 
     /// A compute step completed: its A/B buffers are free.
+    #[inline]
     pub fn step_done(&mut self, worker: WorkerId, chunk: ChunkId, step: StepId) {
         let d = &self.chunks[&chunk].descr;
         let w = &mut self.workers[worker];
@@ -310,19 +393,20 @@ impl StarLedger {
     }
 
     /// All of `chunk`'s steps completed: its result can be retrieved.
+    #[inline]
     pub fn chunk_computed(&mut self, chunk: ChunkId) {
-        self.chunk_mut(chunk).computed = true;
+        self.chunk_mut(chunk).advance(ChunkEvent::Computed);
     }
 
     /// A retrieval completed. Returns `false` — and books nothing — when
     /// the source crashed mid-transfer and the partial result is
     /// discarded.
+    #[inline]
     pub fn retrieved(&mut self, worker: WorkerId, chunk: ChunkId) -> bool {
         let ch = self.chunk_mut(chunk);
-        if ch.lost {
+        if ch.advance(ChunkEvent::Retrieved).is_lost() {
             return false;
         }
-        ch.retrieved = true;
         let blocks = ch.descr.c_blocks;
         let w = &mut self.workers[worker];
         w.resident -= blocks;
@@ -339,8 +423,8 @@ impl StarLedger {
         w.resident = 0;
         let mut lost = Vec::new();
         for (&id, ch) in self.chunks.iter_mut() {
-            if ch.worker == worker && !ch.retrieved && !ch.lost {
-                ch.lost = true;
+            if ch.worker == worker && ch.state.is_live() {
+                ch.advance(ChunkEvent::Lost);
                 lost.push(id);
             }
         }
@@ -357,10 +441,7 @@ impl StarLedger {
 
     /// Live chunks still to be retrieved.
     pub fn unretrieved(&self) -> usize {
-        self.chunks
-            .values()
-            .filter(|c| !c.retrieved && !c.lost)
-            .count()
+        self.chunks.values().filter(|c| c.state.is_live()).count()
     }
 
     /// The policy-facing view of the books at time `now`.
@@ -387,7 +468,11 @@ impl StarLedger {
             blocks_to_workers: per_worker.iter().map(|w| w.blocks_rx).sum(),
             blocks_to_master: per_worker.iter().map(|w| w.blocks_tx).sum(),
             total_updates: per_worker.iter().map(|w| w.updates).sum(),
-            chunks: self.chunks.values().filter(|c| c.retrieved).count() as u64,
+            chunks: self
+                .chunks
+                .values()
+                .filter(|c| c.state == ChunkState::Retrieved)
+                .count() as u64,
             port,
             per_worker,
             jobs,
@@ -468,5 +553,90 @@ mod tests {
         assert_eq!(stats.per_worker[0].mem_high_water, 14);
         assert_eq!(stats.per_worker[0].chunks_assigned, 1);
         assert_eq!(stats.per_worker[1], WorkerStats::default());
+    }
+
+    /// Every legal move of the chunk lifecycle, driven through the
+    /// ledger's own entry points: computed then asked for, asked for then
+    /// computed, and lost from each live state — but not once back.
+    #[test]
+    fn the_chunk_lifecycle_walks_its_transition_table() {
+        let platform = Platform::homogeneous("life", 4, WorkerSpec::new(1.0, 1.0, 50));
+        let mut ledger = StarLedger::new(&platform, None);
+        let d = |id| ChunkDescr {
+            id,
+            c_blocks: 1,
+            steps: 1,
+            a_blocks_per_step: 1,
+            b_blocks_per_step: 1,
+            updates_per_step: 1,
+            tail: None,
+        };
+        let issue = |ledger: &mut StarLedger, worker, f: Fragment| {
+            let new_chunk = (f.kind == MatKind::C).then(|| d(f.chunk));
+            ledger.issue_send(worker, &f, new_chunk).unwrap();
+        };
+        let open = |ledger: &mut StarLedger, worker, id| {
+            let c = Fragment::c_load(&d(id));
+            issue(ledger, worker, c);
+            ledger.delivered(worker, &c)
+        };
+        let compute = |ledger: &mut StarLedger, worker, id| {
+            for f in [Fragment::a_step(&d(id), 0), Fragment::b_step(&d(id), 0)] {
+                issue(ledger, worker, f);
+                assert_eq!(ledger.delivered(worker, &f), Delivery::Landed);
+            }
+            ledger.step_done(worker, id, 0);
+            ledger.chunk_computed(id);
+        };
+        let refused = |l: &mut StarLedger, worker, id| match l.issue_retrieve(worker, id) {
+            Err(SimError::Protocol(m)) => m,
+            booked => panic!("chunk {id}: {booked:?}"),
+        };
+        let twice = |id| format!("chunk {id} retrieved twice");
+
+        // Computing → Computed → Retrieving → Retrieved; a crash after
+        // the retrieval loses nothing.
+        assert_eq!(open(&mut ledger, 0, 1), Delivery::Landed);
+        compute(&mut ledger, 0, 1);
+        assert_eq!(ledger.issue_retrieve(0, 1), Ok(true));
+        assert!(ledger.retrieved(0, 1));
+        assert_eq!(refused(&mut ledger, 0, 1), twice(1));
+        assert_eq!(ledger.crash(0), []);
+        assert_eq!(ledger.chunk_is_lost(1), Ok(false));
+
+        // Computing → Asked → Retrieving; a crash mid-retrieval loses the
+        // chunk, and the result that still arrives is discarded.
+        open(&mut ledger, 1, 2);
+        assert_eq!(ledger.issue_retrieve(1, 2), Ok(false));
+        assert_eq!(refused(&mut ledger, 1, 2), twice(2));
+        compute(&mut ledger, 1, 2);
+        assert_eq!(ledger.chunk_is_computed(2), Ok(true));
+        assert_eq!(ledger.crash(1), [2]);
+        assert!(!ledger.retrieved(1, 2));
+        assert_eq!(refused(&mut ledger, 1, 2), twice(2), "it was asked for");
+
+        // Computed → Lost and Computing → Lost, in one sweep.
+        open(&mut ledger, 2, 3);
+        compute(&mut ledger, 2, 3);
+        open(&mut ledger, 2, 4);
+        assert_eq!(ledger.crash(2), [3, 4]);
+        for id in [3, 4] {
+            let lost = format!("retrieve of chunk {id}, lost in a worker crash");
+            assert_eq!(refused(&mut ledger, 2, id), lost);
+        }
+
+        // A chunk opened on a downed worker is lost when its C load
+        // lands; a fragment already behind it is dropped too.
+        ledger.crash(3);
+        let (c, a) = (Fragment::c_load(&d(5)), Fragment::a_step(&d(5), 0));
+        issue(&mut ledger, 3, c);
+        issue(&mut ledger, 3, a);
+        for (f, newly_lost) in [(c, true), (a, false)] {
+            assert_eq!(ledger.delivered(3, &f), Delivery::Dropped { newly_lost });
+        }
+
+        assert_eq!(ledger.check_finished(), Ok(()));
+        let stats = ledger.into_stats(1.0, 0.5, PortStats::default(), Vec::new(), "p");
+        assert_eq!(stats.chunks, 1, "only chunk 1 came back");
     }
 }

@@ -15,11 +15,12 @@
 //! The implementation is layered: [`kernel`] is a generic,
 //! model-agnostic discrete-event core (deterministically ordered,
 //! cancellable event queue); [`master`], [`ledger`] and [`lanes`] are
-//! the master side of the rules above — the control automaton, the
-//! chunk and memory books, the transfers in flight — written once and
-//! shared with the `stargemm-net` runtime; [`model`] adds the simulated
-//! workers as kernel components, and [`engine::Simulator`] drives the
-//! master-policy protocol on top. Scheduling algorithms are
+//! the master side of the rules above — the control automaton and its
+//! action table, the chunk and memory books, the transfers in flight —
+//! written once and shared with the `stargemm-net` runtime; [`model`]
+//! adds the simulated workers as kernel components and the simulator's
+//! transport verbs, and [`engine::Simulator`] drives the master-policy
+//! protocol on top. Scheduling algorithms are
 //! [`policy::MasterPolicy`] implementations (provided by `stargemm-core`);
 //! the engine asks the policy what to communicate whenever the port frees,
 //! executes the generic dataflow worker semantics, enforces the memory
@@ -38,7 +39,6 @@
 
 pub mod engine;
 pub mod error;
-pub mod fed;
 pub mod kernel;
 pub mod lanes;
 pub mod ledger;
@@ -50,7 +50,6 @@ pub mod stats;
 
 pub use engine::Simulator;
 pub use error::SimError;
-pub use fed::{FedModel, FedRun};
 pub use kernel::{ComponentId, EventId, EventQueue, KernelError};
 pub use lanes::{Lane, LaneTable};
 pub use ledger::{Delivery, StarLedger};

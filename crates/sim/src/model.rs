@@ -59,9 +59,9 @@ use crate::error::SimError;
 use crate::kernel::{ComponentId, EventId, EventQueue, KernelError};
 use crate::lanes::LaneTable;
 use crate::ledger::{Delivery, StarLedger};
-use crate::master::MasterState;
+use crate::master::MasterTransport;
 use crate::msg::{ChunkDescr, ChunkId, ChunkMap, Fragment, JobId, MatKind, StepId};
-use crate::policy::{Action, SimEvent};
+use crate::policy::{Action, MasterPolicy, SimEvent};
 use crate::stats::{JobStats, RunStats};
 
 /// Component id of the master's port.
@@ -261,11 +261,6 @@ impl StarModel {
         !self.lanes.in_flight().is_empty() || self.agenda.work_events > 0
     }
 
-    /// Whether the contention model admits another transfer right now.
-    pub(crate) fn can_issue(&self) -> bool {
-        self.lanes.can_admit()
-    }
-
     /// Puts a transfer on the wire. Every lane the re-share
     /// (re)projects is stamped with the kernel's next schedule sequence,
     /// in start order — the `seq` its completion would have carried as
@@ -306,71 +301,6 @@ impl StarModel {
         };
         self.now = self.agenda.queue.now();
         Ok(kind)
-    }
-
-    /// Validates and enacts a policy action; returns the new master state.
-    pub(crate) fn apply_action(&mut self, action: Action) -> Result<MasterState, SimError> {
-        match action {
-            Action::Wait => Ok(MasterState::Waiting),
-            Action::Finished => {
-                self.ledger.check_finished()?;
-                Ok(MasterState::Done)
-            }
-            Action::Send {
-                worker,
-                fragment,
-                new_chunk,
-            } => {
-                self.ledger.issue_send(worker, &fragment, new_chunk)?;
-                if let Some(descr) = new_chunk {
-                    self.chunks.insert(descr.id, ChunkRt::new(descr));
-                }
-                let start = self.now;
-                self.obs.emit(|| ObsEvent::Dispatch {
-                    time: start,
-                    worker,
-                    chunk: fragment.chunk,
-                    step: fragment.step,
-                    mat: fragment.kind.into(),
-                    blocks: fragment.blocks,
-                });
-                self.admit(
-                    worker,
-                    Dir::ToWorker,
-                    fragment.chunk,
-                    fragment.blocks,
-                    Some(fragment),
-                );
-                Ok(MasterState::after_issue(self.can_issue()))
-            }
-            Action::CompleteJob { job } => {
-                let rec = self.jobs.get_mut(&job).ok_or_else(|| {
-                    SimError::protocol(format!("completion of unknown (never-arrived) job {job}"))
-                })?;
-                if rec.completion.is_some() {
-                    return Err(SimError::protocol(format!("job {job} completed twice")));
-                }
-                rec.completion = Some(self.now);
-                // Echo through the kernel so the hook arrives in event
-                // order; completion is free (no port time).
-                let now = self.now;
-                self.agenda.push(now, EvKind::JobDeclaredDone { job });
-                Ok(MasterState::Idle)
-            }
-            Action::Retrieve { worker, chunk } => {
-                if self.ledger.issue_retrieve(worker, chunk)? {
-                    self.start_retrieval(worker, chunk);
-                    Ok(MasterState::after_issue(self.can_issue()))
-                } else {
-                    Ok(MasterState::BlockedRetrieve(chunk))
-                }
-            }
-        }
-    }
-
-    pub(crate) fn start_retrieval(&mut self, worker: WorkerId, chunk: ChunkId) {
-        let blocks = self.chunks[&chunk].descr.c_blocks;
-        self.admit(worker, Dir::ToMaster, chunk, blocks, None);
     }
 
     /// Applies an event; appends the hook notifications to dispatch to
@@ -564,6 +494,89 @@ impl StarModel {
     }
 }
 
+/// [`MasterTransport`] over the virtual-time model: the sim engine's
+/// clock is the kernel event queue, its transport the simulated workers.
+/// It adds no rule of its own. The per-decision methods are `#[inline]`:
+/// `MasterSm` calls them from another module.
+pub(crate) struct SimTransport<'a> {
+    pub(crate) st: &'a mut StarModel,
+    pub(crate) policy: &'a mut dyn MasterPolicy,
+}
+
+impl MasterTransport for SimTransport<'_> {
+    type Error = SimError;
+
+    #[inline]
+    fn poll_action(&mut self) -> Action {
+        self.policy.next_action(&self.st.ledger.ctx(self.st.now))
+    }
+
+    fn can_issue(&self) -> bool {
+        self.st.lanes.can_admit()
+    }
+
+    fn ledger(&self) -> &StarLedger {
+        &self.st.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut StarLedger {
+        &mut self.st.ledger
+    }
+
+    /// A C load also opens the simulated worker's record of its chunk.
+    #[inline]
+    fn send(
+        &mut self,
+        worker: WorkerId,
+        fragment: Fragment,
+        new_chunk: Option<ChunkDescr>,
+    ) -> Result<(), SimError> {
+        let st = &mut *self.st;
+        if let Some(descr) = new_chunk {
+            st.chunks.insert(descr.id, ChunkRt::new(descr));
+        }
+        let start = st.now;
+        st.obs.emit(|| ObsEvent::Dispatch {
+            time: start,
+            worker,
+            chunk: fragment.chunk,
+            step: fragment.step,
+            mat: fragment.kind.into(),
+            blocks: fragment.blocks,
+        });
+        st.admit(
+            worker,
+            Dir::ToWorker,
+            fragment.chunk,
+            fragment.blocks,
+            Some(fragment),
+        );
+        Ok(())
+    }
+
+    #[inline]
+    fn start_retrieval(&mut self, worker: WorkerId, chunk: ChunkId) -> Result<(), SimError> {
+        let blocks = self.st.chunks[&chunk].descr.c_blocks;
+        self.st.admit(worker, Dir::ToMaster, chunk, blocks, None);
+        Ok(())
+    }
+
+    /// Books the completion of an arrived job and echoes it through the
+    /// kernel, so the hook arrives in event order.
+    fn complete_job(&mut self, job: JobId) -> Result<(), SimError> {
+        let st = &mut *self.st;
+        let rec = st.jobs.get_mut(&job).ok_or_else(|| {
+            SimError::protocol(format!("completion of unknown (never-arrived) job {job}"))
+        })?;
+        if rec.completion.is_some() {
+            return Err(SimError::protocol(format!("job {job} completed twice")));
+        }
+        rec.completion = Some(st.now);
+        st.agenda.push(st.now, EvKind::JobDeclaredDone { job });
+        Ok(())
+    }
+}
+
 impl From<KernelError> for SimError {
     fn from(e: KernelError) -> Self {
         match e {
@@ -576,7 +589,7 @@ impl From<KernelError> for SimError {
 mod tests {
     use super::*;
     use crate::engine::drive;
-    use crate::policy::{MasterPolicy, SimCtx};
+    use crate::policy::SimCtx;
     use stargemm_platform::WorkerSpec;
 
     /// Replays a fixed action list, waits for `unretrieved` retrievals

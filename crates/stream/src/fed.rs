@@ -189,50 +189,17 @@ impl MultiStarMaster {
     /// [`MultiJobMaster`] simulation per star (each on its own
     /// [`Simulator`], with its own dynamic profile — a crash on one
     /// star is invisible to every other). Arrivals are fed in
-    /// root-clock time, so per-star stats share one clock.
+    /// root-clock time, so per-star stats share one clock; with `k = 1`
+    /// this is bitwise the single-star stream run.
     ///
-    /// With `k = 1` this is bitwise the single-star stream run.
-    pub fn run(&self, requests: &[JobRequest]) -> Result<FedStreamRun, FedStreamError> {
-        let placement = self.place(requests);
-        let arrivals = self.feed_arrivals(requests, &placement);
-        let mut stars = Vec::with_capacity(self.fed.len());
-        let mut stream_stats = Vec::with_capacity(self.fed.len());
-        for s in 0..self.fed.len() {
-            // The star sees its own subset, arriving when the feed lands.
-            let local: Vec<JobRequest> = requests
-                .iter()
-                .zip(&placement)
-                .zip(&arrivals)
-                .filter(|((_, &p), _)| p == s)
-                .map(|((r, _), &at)| JobRequest { arrival: at, ..*r })
-                .collect();
-            let star = self.fed.star(s);
-            let mut policy = MultiJobMaster::new(&star.platform.base, &local, self.cfg)?;
-            let stats = Simulator::new_dyn(star.platform.clone())
-                .with_arrivals(MultiJobMaster::arrival_plan(&local))
-                .run(&mut policy)?;
-            stream_stats.push(policy.stats());
-            stars.push(stats);
-        }
-        let makespan = stars.iter().map(|s| s.makespan).fold(0.0f64, f64::max);
-        Ok(FedStreamRun {
-            placement: requests.iter().map(|r| r.id).zip(placement).collect(),
-            feed_arrivals: requests.iter().map(|r| r.id).zip(arrivals).collect(),
-            stars,
-            stream_stats,
-            makespan,
-        })
-    }
-
-    /// [`MultiStarMaster::run`] with a recorder attached to every
-    /// star's simulation. Returns the run alongside one structured
-    /// event log per star; each log additionally carries synthesized
-    /// [`ObsEvent::UplinkAcquire`]/[`ObsEvent::UplinkRelease`] spans
-    /// for the star's operand feeds (none at `k = 1`, where nothing
+    /// Every star's simulation is recorded: the run comes back with one
+    /// structured event log per star, each additionally carrying
+    /// synthesized [`ObsEvent::UplinkAcquire`]/[`ObsEvent::UplinkRelease`]
+    /// spans for the star's operand feeds (none at `k = 1`, where nothing
     /// crosses a wire), so post-run attribution can see uplink
     /// serialization next to the star's local port and compute
-    /// timeline. The schedule is identical to the unrecorded run —
-    /// observation only.
+    /// timeline. Recording only observes: the schedule is the one an
+    /// unrecorded simulation gives.
     pub fn run_recorded(
         &self,
         requests: &[JobRequest],
@@ -243,6 +210,7 @@ impl MultiStarMaster {
         let mut stream_stats = Vec::with_capacity(self.fed.len());
         let mut logs: Vec<Vec<ObsEvent>> = Vec::with_capacity(self.fed.len());
         for s in 0..self.fed.len() {
+            // The star sees its own subset, arriving when the feed lands.
             let local: Vec<JobRequest> = requests
                 .iter()
                 .zip(&placement)
@@ -260,29 +228,20 @@ impl MultiStarMaster {
                 .run_observed(&mut policy, obs)?;
             stream_stats.push(policy.stats());
             stars.push(stats);
-            // The policy still holds its sink clone; release it so the
-            // recorder is back to a single owner.
-            drop(policy);
-            let Ok(rec) = std::rc::Rc::try_unwrap(rec) else {
-                unreachable!("recorder has one owner after the run")
-            };
-            let (mut events, _) = rec.into_inner().into_parts();
+            let (mut events, _) = rec.take().into_parts();
             if self.fed.len() > 1 {
-                for ((r, &p), &at) in requests.iter().zip(&placement).zip(&arrivals) {
-                    if p != s {
-                        continue;
-                    }
+                for r in &local {
                     let volume = job_volume(&r.job);
                     let dur = volume * star.uplink_c;
                     let blocks = volume as u64;
                     events.push(ObsEvent::UplinkAcquire {
-                        time: at - dur,
+                        time: r.arrival - dur,
                         star: s,
                         job: r.id,
                         blocks,
                     });
                     events.push(ObsEvent::UplinkRelease {
-                        time: at,
+                        time: r.arrival,
                         star: s,
                         job: r.id,
                         blocks,
@@ -363,7 +322,7 @@ mod tests {
         let reqs = workload(5, 11, 10.0);
         let fed = FedPlatform::single(DynPlatform::constant(star_platform()));
         let root = MultiStarMaster::new(fed, StreamConfig::default());
-        let run = root.run(&reqs).unwrap();
+        let run = root.run_recorded(&reqs).unwrap().0;
         assert!(run.placement.iter().all(|&(_, s)| s == 0));
         // Feeds keep the original arrival times: nothing crossed a wire.
         for (r, &(id, at)) in reqs.iter().zip(&run.feed_arrivals) {
@@ -401,7 +360,7 @@ mod tests {
         assert!(placement.contains(&0));
         assert!(placement.contains(&1));
         assert!(load(0).abs_diff(load(1)) <= biggest);
-        let run = root.run(&reqs).unwrap();
+        let run = root.run_recorded(&reqs).unwrap().0;
         assert_eq!(run.stars[0].jobs.len() + run.stars[1].jobs.len(), 6);
         assert!(run
             .stars
@@ -454,8 +413,14 @@ mod tests {
             NetModelSpec::OnePort,
         );
         let cfg = StreamConfig::default();
-        let a = MultiStarMaster::new(healthy, cfg).run(&reqs).unwrap();
-        let b = MultiStarMaster::new(wounded, cfg).run(&reqs).unwrap();
+        let a = MultiStarMaster::new(healthy, cfg)
+            .run_recorded(&reqs)
+            .unwrap()
+            .0;
+        let b = MultiStarMaster::new(wounded, cfg)
+            .run_recorded(&reqs)
+            .unwrap()
+            .0;
         // Identical placement and feeds (placement ignores dynamics),
         // and star 0's run is bitwise untouched by star 1's crash.
         assert_eq!(a.placement, b.placement);
