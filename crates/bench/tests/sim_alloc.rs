@@ -7,7 +7,9 @@
 //! remains per run the tables, the event slab and the statistics. A
 //! `DagMaster` run is held to the same line — one chunk per task —
 //! whatever the size of its task table: its decisions walk a kept
-//! frontier and collect nothing.
+//! frontier and collect nothing. A `MultiJobMaster` stream adds a term
+//! per job and nothing per decision: its deficit order is rebuilt in one
+//! kept buffer.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would allocate into the reading.
@@ -19,6 +21,7 @@ use stargemm_core::Job;
 use stargemm_dag::{lu_dag, DagMaster};
 use stargemm_platform::{presets, Platform, WorkerSpec};
 use stargemm_sim::{MasterPolicy, RunStats, Simulator};
+use stargemm_stream::{ArrivalProcess, MultiJobMaster, StreamConfig, TenantSpec, WorkloadSpec};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -30,11 +33,14 @@ const PER_RUN: u64 = 32;
 /// Allocations per chunk: its step vectors in the model and the ledger.
 /// Measured: 3.
 const PER_CHUNK: u64 = 4;
+/// Allocations per job of a stream: planning it (its queues and member
+/// master) and the share re-solves at its admission and completion.
+/// Measured: 54.
+const PER_JOB: u64 = 64;
 
 /// Allocator calls made inside `Simulator::run` (the policy is built
 /// before the reading starts).
-fn run_allocations(platform: &Platform, mut policy: impl MasterPolicy) -> (u64, RunStats) {
-    let sim = Simulator::new(platform.clone());
+fn run_allocations(sim: &Simulator, mut policy: impl MasterPolicy) -> (u64, RunStats) {
     let before = total_allocations();
     let stats = sim.run(&mut policy).expect("feasible run");
     (total_allocations() - before, stats)
@@ -58,7 +64,7 @@ fn a_simulated_run_allocates_per_chunk_not_per_event() {
             het_policy(&platform, &job, variant),
         ];
         for policy in policies {
-            let (allocations, stats) = run_allocations(&platform, policy);
+            let (allocations, stats) = run_allocations(&Simulator::new(platform.clone()), policy);
             assert_eq!(stats.total_updates, job.total_updates());
             let events = stats.chunks * 3 * t as u64;
             let line = PER_RUN + PER_CHUNK * stats.chunks;
@@ -79,13 +85,49 @@ fn a_simulated_run_allocates_per_chunk_not_per_event() {
         let (dag, _) = lu_dag(side);
         let tasks = dag.len() as u64;
         let master = DagMaster::new("lu", &star, dag, 2, 2);
-        let (allocations, stats) = run_allocations(&star, master);
+        let (allocations, stats) = run_allocations(&Simulator::new(star.clone()), master);
         assert_eq!(stats.chunks, tasks);
         let line = PER_RUN + PER_CHUNK * tasks;
         assert!(
             allocations <= line,
             "lu_dag({side}): {allocations} allocations for {tasks} tasks, \
              over {PER_RUN} + {PER_CHUNK} × tasks = {line}"
+        );
+    }
+
+    let stream_star = Platform::new(
+        "stream-star",
+        vec![
+            WorkerSpec::new(0.2, 0.1, 60),
+            WorkerSpec::new(0.3, 0.15, 60),
+            WorkerSpec::new(0.5, 0.3, 40),
+        ],
+    );
+    for t in [6, 12] {
+        let requests = WorkloadSpec {
+            tenants: vec![
+                TenantSpec::new("t0", 1.0, vec![Job::new(8, t, 12, 2)]),
+                TenantSpec::new("t1", 2.0, vec![Job::new(6, t, 16, 2)]),
+            ],
+            arrivals: ArrivalProcess::Open {
+                mean_interarrival: 10.0,
+            },
+            jobs: 40,
+            seed: 3,
+        }
+        .generate();
+        let master = MultiJobMaster::new(&stream_star, &requests, StreamConfig::default())
+            .expect("the stream fits");
+        let sim = Simulator::new(stream_star.clone())
+            .with_arrivals(MultiJobMaster::arrival_plan(&requests));
+        let (allocations, stats) = run_allocations(&sim, master);
+        let jobs = stats.jobs.len() as u64;
+        let line = PER_RUN + PER_JOB * jobs + PER_CHUNK * stats.chunks;
+        assert!(
+            allocations <= line,
+            "stream at t = {t}: {allocations} allocations for {jobs} jobs and {} chunks, \
+             over {PER_RUN} + {PER_JOB} × jobs + {PER_CHUNK} × chunks = {line}",
+            stats.chunks,
         );
     }
 }

@@ -12,6 +12,14 @@
 //!    ORROML, OMMOML) or a dynamic pool carved on demand (ODDOML, BMM);
 //! 2. **serving discipline** — strict sticky round-robin (Algorithm 1)
 //!    or demand-driven (serve whichever worker can accept data now).
+//!
+//! A lane's *gate* — what it would do next, and whether it may — is a
+//! pure read of the lane (and, for a starved lane, of whether the pool
+//! can still feed it); the strip a starved lane is fed is carved when
+//! its chunk opens. Demand-driven serving keeps every lane's gate and
+//! the set of ready lanes, re-reading a lane only when something its
+//! gate reads changes, so a decision is a bitset search, not a gate per
+//! lane.
 
 use std::collections::VecDeque;
 
@@ -74,19 +82,22 @@ impl DynamicPool {
         }
     }
 
-    fn pull(&mut self, worker: usize) -> Option<Vec<PlannedChunk>> {
-        let side = self.sides[worker];
-        if side == 0 {
-            return None;
-        }
+    /// Whether a strip can still be carved for `worker`.
+    fn can_feed(&self, worker: usize) -> bool {
+        self.sides[worker] > 0 && !self.exhausted()
+    }
+
+    /// Carves `worker`'s next strip; call only when [`Self::can_feed`].
+    fn pull(&mut self, worker: usize) -> Vec<PlannedChunk> {
         carve_strip(
             &self.job,
             worker,
-            side,
+            self.sides[worker],
             self.k_depths[worker],
             &mut self.next_col,
             &mut self.next_id,
         )
+        .expect("the pool can feed this worker")
     }
 
     fn exhausted(&self) -> bool {
@@ -146,6 +157,59 @@ enum Gate {
     Exhausted,
 }
 
+/// Every lane's gate as last read, the `Ready` lanes as a bitset, and
+/// how many lanes are `Exhausted` — the demand-driven decision state.
+#[derive(Clone, Debug)]
+struct ReadyLanes {
+    gates: Vec<Gate>,
+    bits: Vec<u64>,
+    exhausted: usize,
+}
+
+impl ReadyLanes {
+    fn new(lanes: usize) -> Self {
+        ReadyLanes {
+            gates: vec![Gate::Blocked; lanes],
+            bits: vec![0; lanes.div_ceil(64)],
+            exhausted: 0,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, w: usize, gate: Gate) {
+        let was = std::mem::replace(&mut self.gates[w], gate);
+        self.exhausted += usize::from(gate == Gate::Exhausted);
+        self.exhausted -= usize::from(was == Gate::Exhausted);
+        let bit = 1u64 << (w % 64);
+        if matches!(gate, Gate::Ready(_)) {
+            self.bits[w / 64] |= bit;
+        } else {
+            self.bits[w / 64] &= !bit;
+        }
+    }
+
+    /// The first ready lane at or cyclically after `from`, with its need.
+    fn first_from(&self, from: usize) -> Option<(usize, Need)> {
+        let word = from / 64;
+        let head = self.bits.get(word)? & (!0u64 << (from % 64));
+        let w = if head != 0 {
+            word * 64 + head.trailing_zeros() as usize
+        } else {
+            // The words after `word`, then from the first one on: `word`
+            // itself has no ready lane at or after `from`.
+            let nonzero = |bits: &[u64]| bits.iter().position(|&b| b != 0);
+            let i = nonzero(&self.bits[word + 1..])
+                .map(|i| word + 1 + i)
+                .or_else(|| nonzero(&self.bits[..=word]))?;
+            i * 64 + self.bits[i].trailing_zeros() as usize
+        };
+        match self.gates[w] {
+            Gate::Ready(need) => Some((w, need)),
+            _ => unreachable!("a set bit marks a ready lane"),
+        }
+    }
+}
+
 /// The generic streaming master policy. See module docs.
 pub struct StreamingMaster {
     name: &'static str,
@@ -156,6 +220,9 @@ pub struct StreamingMaster {
     window: StepId,
     rr: usize,
     geoms: ChunkMap<ChunkGeom>,
+    /// Kept for demand-driven serving only (round-robin reads its one
+    /// sticky lane per decision).
+    ready: ReadyLanes,
 }
 
 impl StreamingMaster {
@@ -190,16 +257,7 @@ impl StreamingMaster {
                 }
             })
             .collect();
-        StreamingMaster {
-            name,
-            job,
-            lanes,
-            pool: None,
-            serving,
-            window,
-            rr: 0,
-            geoms,
-        }
+        Self::with_lanes(name, job, lanes, None, serving, window, geoms)
     }
 
     /// Policy with a dynamic pool: strips are carved for a worker when it
@@ -216,16 +274,32 @@ impl StreamingMaster {
     ) -> Self {
         assert!(window > 0, "window must be at least 1 step");
         let lanes = (0..pool.sides.len()).map(|_| Lane::default()).collect();
-        StreamingMaster {
+        let geoms = ChunkMap::default();
+        Self::with_lanes(name, job, lanes, Some(pool), serving, window, geoms)
+    }
+
+    fn with_lanes(
+        name: &'static str,
+        job: Job,
+        lanes: Vec<Lane>,
+        pool: Option<DynamicPool>,
+        serving: Serving,
+        window: StepId,
+        geoms: ChunkMap<ChunkGeom>,
+    ) -> Self {
+        let mut master = StreamingMaster {
             name,
             job,
+            ready: ReadyLanes::new(lanes.len()),
             lanes,
-            pool: Some(pool),
+            pool,
             serving,
             window,
             rr: 0,
-            geoms: ChunkMap::default(),
-        }
+            geoms,
+        };
+        master.refresh_all();
+        master
     }
 
     /// The job this policy executes.
@@ -246,56 +320,6 @@ impl StreamingMaster {
         self.geoms.values()
     }
 
-    // ------------------------------------------------------------------
-    // Queue surgery — the hooks `stargemm-dyn` uses to rebalance unsent
-    // work and to recover chunks orphaned by worker crashes. The bare
-    // master never calls these itself.
-    // ------------------------------------------------------------------
-
-    /// The chunks queued (not yet opened) on lane `w`, in order.
-    pub fn queued_chunks(&self, w: usize) -> impl Iterator<Item = &PlannedChunk> {
-        self.lanes[w].queue.iter()
-    }
-
-    /// The chunk lane `w` is currently streaming, if any.
-    pub fn active_chunk_on(&self, w: usize) -> Option<&PlannedChunk> {
-        self.lanes[w].active.as_ref().map(|a| &a.pc)
-    }
-
-    /// Removes and returns every queued (not yet opened) chunk of lane
-    /// `w`. Geometries stay registered — ids are never reused.
-    pub fn drain_lane(&mut self, w: usize) -> Vec<PlannedChunk> {
-        self.lanes[w].queue.drain(..).collect()
-    }
-
-    /// Drops lane `w`'s active chunk without completing it (the engine
-    /// reported it lost in a crash). Returns the abandoned chunk.
-    pub fn clear_active(&mut self, w: usize) -> Option<PlannedChunk> {
-        self.lanes[w].active.take().map(|a| a.pc)
-    }
-
-    /// Appends a chunk to its worker's queue, registering its geometry.
-    /// Re-enqueueing a previously drained chunk (identical geometry) is
-    /// allowed; reusing an id for a *different* geometry is not.
-    ///
-    /// # Panics
-    /// Panics when the chunk's worker is unknown or its id was already
-    /// planned with a different geometry.
-    pub fn enqueue_chunk(&mut self, pc: PlannedChunk) {
-        let w = pc.geom.worker;
-        assert!(w < self.lanes.len(), "chunk for unknown worker {w}");
-        if let Some(prev) = self.geoms.insert(pc.geom.id, pc.geom) {
-            assert_eq!(prev, pc.geom, "chunk id {} planned twice", pc.geom.id);
-        }
-        self.lanes[w].queue.push_back(pc);
-    }
-
-    /// The largest chunk id planned so far (fresh replacement ids must
-    /// stay above it).
-    pub fn max_planned_id(&self) -> Option<ChunkId> {
-        self.geoms.keys().copied().max()
-    }
-
     /// Workers with at least one planned chunk so far.
     pub fn enrolled_workers(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.geoms.values().map(|g| g.worker).collect();
@@ -304,27 +328,17 @@ impl StreamingMaster {
         v
     }
 
-    /// Evaluates lane `w`'s gate, pulling from the dynamic pool if the
-    /// lane is starved.
-    fn gate(&mut self, w: usize, allow_blocking_retrieve: bool) -> Gate {
-        // Starved lane: try to pull a strip from the pool.
-        if self.lanes[w].active.is_none() && self.lanes[w].queue.is_empty() {
-            if let Some(pool) = self.pool.as_mut() {
-                if let Some(strip) = pool.pull(w) {
-                    for pc in &strip {
-                        self.geoms.insert(pc.geom.id, pc.geom);
-                    }
-                    self.lanes[w].queue.extend(strip);
-                }
-            }
-        }
+    /// Lane `w`'s gate. A starved lane is ready to open a chunk while
+    /// the pool can still feed it; the strip is carved by [`Self::issue`].
+    #[inline]
+    fn gate(&self, w: usize, allow_blocking_retrieve: bool) -> Gate {
         let lane = &self.lanes[w];
         match &lane.active {
             None => {
-                if lane.queue.is_empty() {
-                    Gate::Exhausted
-                } else {
+                if !lane.queue.is_empty() || self.pool.as_ref().is_some_and(|p| p.can_feed(w)) {
                     Gate::Ready(Need::OpenChunk)
+                } else {
+                    Gate::Exhausted
                 }
             }
             Some(a) => {
@@ -353,11 +367,48 @@ impl StreamingMaster {
         }
     }
 
+    /// Re-reads lane `w`'s gate into the ready set — after anything its
+    /// gate reads has changed.
+    #[inline]
+    fn refresh(&mut self, w: usize) {
+        if self.serving == Serving::DemandDriven {
+            let gate = self.gate(w, false);
+            self.ready.set(w, gate);
+        }
+    }
+
+    fn refresh_all(&mut self) {
+        for w in 0..self.lanes.len() {
+            self.refresh(w);
+        }
+    }
+
+    /// Feeds starved lane `w` its next strip from the pool. The strip
+    /// that empties the pool turns every other starved lane `Exhausted`.
+    fn pull_strip(&mut self, w: usize) {
+        let pool = self
+            .pool
+            .as_mut()
+            .expect("a starved lane opens only from a pool");
+        let strip = pool.pull(w);
+        let dry = pool.exhausted();
+        for pc in &strip {
+            self.geoms.insert(pc.geom.id, pc.geom);
+        }
+        self.lanes[w].queue.extend(strip);
+        if dry {
+            self.refresh_all();
+        }
+    }
+
     /// Issues `need` on lane `w`, mutating lane state, and returns the
     /// engine action.
     fn issue(&mut self, w: usize, need: Need) -> Action {
+        if need == Need::OpenChunk && self.lanes[w].queue.is_empty() {
+            self.pull_strip(w);
+        }
         let lane = &mut self.lanes[w];
-        match need {
+        let action = match need {
             Need::OpenChunk => {
                 let pc = lane.queue.pop_front().expect("gated on non-empty");
                 let action = Action::Send {
@@ -397,7 +448,9 @@ impl StreamingMaster {
                     chunk: a.pc.descr.id,
                 }
             }
-        }
+        };
+        self.refresh(w);
+        action
     }
 
     /// Whether the whole computation has been issued and retrieved.
@@ -407,6 +460,15 @@ impl StreamingMaster {
                 .lanes
                 .iter()
                 .all(|l| l.active.is_none() && l.queue.is_empty())
+    }
+
+    /// The lane after `w`, cyclically.
+    fn lane_after(&self, w: usize) -> usize {
+        if w + 1 == self.lanes.len() {
+            0
+        } else {
+            w + 1
+        }
     }
 
     /// Round-robin pointer advance rule: the sticky pointer moves on
@@ -436,12 +498,12 @@ impl MasterPolicy for StreamingMaster {
                 // lane (strict program order).
                 for _ in 0..n {
                     match self.gate(self.rr, true) {
-                        Gate::Exhausted => self.rr = (self.rr + 1) % n,
+                        Gate::Exhausted => self.rr = self.lane_after(self.rr),
                         Gate::Blocked => return Action::Wait,
                         Gate::Ready(need) => {
                             let w = self.rr;
                             if Self::advances_pointer(need) {
-                                self.rr = (self.rr + 1) % n;
+                                self.rr = self.lane_after(self.rr);
                             }
                             return self.issue(w, need);
                         }
@@ -453,25 +515,16 @@ impl MasterPolicy for StreamingMaster {
                     Action::Wait
                 }
             }
-            Serving::DemandDriven => {
-                let mut blocked_any = false;
-                for off in 0..n {
-                    let w = (self.rr + off) % n;
-                    match self.gate(w, false) {
-                        Gate::Ready(need) => {
-                            self.rr = (w + 1) % n;
-                            return self.issue(w, need);
-                        }
-                        Gate::Blocked => blocked_any = true,
-                        Gate::Exhausted => {}
-                    }
+            // The first ready lane cyclically from the pointer, as a scan
+            // of every gate would find it.
+            Serving::DemandDriven => match self.ready.first_from(self.rr) {
+                Some((w, need)) => {
+                    self.rr = self.lane_after(w);
+                    self.issue(w, need)
                 }
-                if blocked_any || !self.all_done() {
-                    Action::Wait
-                } else {
-                    Action::Finished
-                }
-            }
+                None if self.ready.exhausted < n || !self.all_done() => Action::Wait,
+                None => Action::Finished,
+            },
         }
     }
 
@@ -482,24 +535,27 @@ impl MasterPolicy for StreamingMaster {
                     debug_assert_eq!(a.pc.descr.id, chunk);
                     a.steps_done += 1;
                 }
+                self.refresh(worker);
             }
             SimEvent::ChunkComputed { worker, chunk } => {
                 if let Some(a) = self.lanes[worker].active.as_mut() {
                     debug_assert_eq!(a.pc.descr.id, chunk);
                     a.computed = true;
                 }
+                self.refresh(worker);
             }
             SimEvent::RetrieveDone { worker, chunk } => {
                 let lane = &mut self.lanes[worker];
                 debug_assert_eq!(lane.active.as_ref().map(|a| a.pc.descr.id), Some(chunk));
                 lane.active = None;
+                self.refresh(worker);
             }
             SimEvent::SendDone { .. } => {}
             // Dynamic-platform lifecycle: the bare streaming master is
-            // crash-oblivious; `stargemm-dyn`'s adaptive wrapper reacts
-            // to these and repairs the lanes through the queue-surgery
-            // API below. Job lifecycle belongs to the multi-job layer
-            // (`stargemm-stream`), which owns its member masters.
+            // crash-oblivious; wrappers react to these and repair the
+            // lanes through [`QueueSurgery`]. Job lifecycle belongs to
+            // the multi-job layer (`stargemm-stream`), which owns its
+            // member masters.
             SimEvent::WorkerDown { .. }
             | SimEvent::WorkerUp { .. }
             | SimEvent::ChunkLost { .. }
@@ -510,6 +566,76 @@ impl MasterPolicy for StreamingMaster {
 
     fn name(&self) -> &'static str {
         self.name
+    }
+}
+
+/// Queue surgery: the hooks through which a wrapper edits a lane
+/// master's unsent work — `stargemm-dyn`'s adaptive master re-balances
+/// it and re-plans crash orphans, the multi-job and DAG masters evacuate
+/// downed lanes and feed in chunks of their own. The bare master never
+/// calls these itself.
+pub trait QueueSurgery: MasterPolicy + GeometryAccess {
+    /// The chunks queued (not yet opened) on lane `w`, in order.
+    fn queued_chunks(&self, w: usize) -> impl Iterator<Item = &PlannedChunk>;
+
+    /// The chunk lane `w` is currently streaming, if any.
+    fn active_chunk_on(&self, w: usize) -> Option<&PlannedChunk>;
+
+    /// Removes and returns every queued (not yet opened) chunk of lane
+    /// `w`. Geometries stay registered — ids are never reused.
+    fn drain_lane(&mut self, w: usize) -> Vec<PlannedChunk>;
+
+    /// Drops lane `w`'s active chunk without completing it (the engine
+    /// reported it lost in a crash). Returns the abandoned chunk.
+    fn clear_active(&mut self, w: usize) -> Option<PlannedChunk>;
+
+    /// Appends a chunk to its worker's queue, registering its geometry.
+    /// Re-enqueueing a previously drained chunk (identical geometry) is
+    /// allowed; reusing an id for a *different* geometry is not.
+    ///
+    /// # Panics
+    /// Panics when the chunk's worker is unknown or its id was already
+    /// planned with a different geometry.
+    fn enqueue_chunk(&mut self, pc: PlannedChunk);
+
+    /// The largest chunk id planned so far (fresh replacement ids must
+    /// stay above it).
+    fn max_planned_id(&self) -> Option<ChunkId>;
+}
+
+impl QueueSurgery for StreamingMaster {
+    fn queued_chunks(&self, w: usize) -> impl Iterator<Item = &PlannedChunk> {
+        self.lanes[w].queue.iter()
+    }
+
+    fn active_chunk_on(&self, w: usize) -> Option<&PlannedChunk> {
+        self.lanes[w].active.as_ref().map(|a| &a.pc)
+    }
+
+    fn drain_lane(&mut self, w: usize) -> Vec<PlannedChunk> {
+        let drained = self.lanes[w].queue.drain(..).collect();
+        self.refresh(w);
+        drained
+    }
+
+    fn clear_active(&mut self, w: usize) -> Option<PlannedChunk> {
+        let cleared = self.lanes[w].active.take().map(|a| a.pc);
+        self.refresh(w);
+        cleared
+    }
+
+    fn enqueue_chunk(&mut self, pc: PlannedChunk) {
+        let w = pc.geom.worker;
+        assert!(w < self.lanes.len(), "chunk for unknown worker {w}");
+        if let Some(prev) = self.geoms.insert(pc.geom.id, pc.geom) {
+            assert_eq!(prev, pc.geom, "chunk id {} planned twice", pc.geom.id);
+        }
+        self.lanes[w].queue.push_back(pc);
+        self.refresh(w);
+    }
+
+    fn max_planned_id(&self) -> Option<ChunkId> {
+        self.geoms.keys().copied().max()
     }
 }
 

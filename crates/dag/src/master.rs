@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 
 use stargemm_core::cpath::best_task_time;
 use stargemm_core::geometry::plan_chunk;
-use stargemm_core::stream::{GeometryAccess, Serving};
+use stargemm_core::stream::{GeometryAccess, QueueSurgery, Serving};
 use stargemm_core::{ChunkGeom, Job, StreamingMaster};
 use stargemm_platform::Platform;
 use stargemm_sim::{Action, ChunkId, ChunkMap, JobId, MasterPolicy, SimCtx, SimEvent, StepId};

@@ -2,8 +2,8 @@
 //! re-balancing on top of any statically planned [`StreamingMaster`].
 //!
 //! [`AdaptiveMaster`] wraps the paper's `Het` plan (or any other static
-//! streaming policy) and adds the three behaviours a *dynamic* platform
-//! demands:
+//! streaming policy — any lane master with [`QueueSurgery`]) and adds
+//! the three behaviours a *dynamic* platform demands:
 //!
 //! 1. **Crash recovery** — when the engine reports a worker down, the
 //!    wrapper drains the dead lane's queue and re-plans every chunk the
@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 
 use stargemm_core::algorithms::{build_policy, Algorithm, BuildError};
 use stargemm_core::geometry::{plan_chunk, ChunkGeom, PlannedChunk};
-use stargemm_core::stream::{GeometryAccess, StreamingMaster};
+use stargemm_core::stream::{GeometryAccess, QueueSurgery, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_platform::Platform;
 use stargemm_sim::{
@@ -92,10 +92,10 @@ pub struct AdaptiveStats {
 /// order.
 type PendingSendKey = (usize, ChunkId, StepId, MatKind);
 
-/// See the module docs.
-pub struct AdaptiveMaster {
+/// See the module docs. `M` is the wrapped lane master.
+pub struct AdaptiveMaster<M = StreamingMaster> {
     name: &'static str,
-    inner: StreamingMaster,
+    inner: M,
     cfg: AdaptiveConfig,
     platform: Platform,
     job: Job,
@@ -121,13 +121,13 @@ pub struct AdaptiveMaster {
     stats: AdaptiveStats,
 }
 
-impl AdaptiveMaster {
-    /// Wraps an existing statically planned streaming master.
+impl<M: QueueSurgery> AdaptiveMaster<M> {
+    /// Wraps an existing statically planned lane master.
     pub fn wrap(
         name: &'static str,
         platform: &Platform,
         job: Job,
-        inner: StreamingMaster,
+        inner: M,
         cfg: AdaptiveConfig,
     ) -> Self {
         let p = platform.len();
@@ -164,35 +164,6 @@ impl AdaptiveMaster {
             rebalance_due: false,
             stats: AdaptiveStats::default(),
         }
-    }
-
-    /// The paper's `Het` plan under full adaptation: EWMA estimation,
-    /// drift-triggered re-balancing, crash recovery.
-    pub fn adaptive_het(platform: &Platform, job: &Job) -> Result<Self, BuildError> {
-        let inner = build_policy(platform, job, Algorithm::Het)?;
-        Ok(AdaptiveMaster::wrap(
-            "AdaptiveHet",
-            platform,
-            *job,
-            inner,
-            AdaptiveConfig::default(),
-        ))
-    }
-
-    /// The paper's *static* `Het` plan with crash recovery only — the
-    /// baseline `AdaptiveHet` is measured against on dynamic platforms.
-    pub fn guarded_het(platform: &Platform, job: &Job) -> Result<Self, BuildError> {
-        let inner = build_policy(platform, job, Algorithm::Het)?;
-        Ok(AdaptiveMaster::wrap(
-            "HetGuard",
-            platform,
-            *job,
-            inner,
-            AdaptiveConfig {
-                adapt: false,
-                ..AdaptiveConfig::default()
-            },
-        ))
     }
 
     /// Adaptive-layer counters.
@@ -395,7 +366,38 @@ impl AdaptiveMaster {
     }
 }
 
-impl GeometryAccess for AdaptiveMaster {
+impl AdaptiveMaster {
+    /// The paper's `Het` plan under full adaptation: EWMA estimation,
+    /// drift-triggered re-balancing, crash recovery.
+    pub fn adaptive_het(platform: &Platform, job: &Job) -> Result<Self, BuildError> {
+        let inner = build_policy(platform, job, Algorithm::Het)?;
+        Ok(AdaptiveMaster::wrap(
+            "AdaptiveHet",
+            platform,
+            *job,
+            inner,
+            AdaptiveConfig::default(),
+        ))
+    }
+
+    /// The paper's *static* `Het` plan with crash recovery only — the
+    /// baseline `AdaptiveHet` is measured against on dynamic platforms.
+    pub fn guarded_het(platform: &Platform, job: &Job) -> Result<Self, BuildError> {
+        let inner = build_policy(platform, job, Algorithm::Het)?;
+        Ok(AdaptiveMaster::wrap(
+            "HetGuard",
+            platform,
+            *job,
+            inner,
+            AdaptiveConfig {
+                adapt: false,
+                ..AdaptiveConfig::default()
+            },
+        ))
+    }
+}
+
+impl<M: QueueSurgery> GeometryAccess for AdaptiveMaster<M> {
     fn chunk_geom(&self, id: ChunkId) -> Option<ChunkGeom> {
         self.inner.chunk_geom(id)
     }
@@ -405,7 +407,7 @@ impl GeometryAccess for AdaptiveMaster {
     }
 }
 
-impl MasterPolicy for AdaptiveMaster {
+impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
     fn next_action(&mut self, ctx: &SimCtx) -> Action {
         self.quarantine_down_lanes(ctx);
         if self.rebalance_due {

@@ -39,7 +39,7 @@ use std::collections::{HashMap, VecDeque};
 
 use stargemm_core::geometry::{carve_strip, plan_chunk, ChunkGeom, PlannedChunk};
 use stargemm_core::layout::mu_with_window;
-use stargemm_core::stream::{GeometryAccess, Serving, StreamingMaster};
+use stargemm_core::stream::{GeometryAccess, QueueSurgery, Serving, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_dag::{DagJob, DagMaster, TaskId};
 use stargemm_platform::Platform;
@@ -240,6 +240,9 @@ pub struct MultiJobMaster {
     expected: usize,
     backlog: VecDeque<JobId>,
     active: Vec<ActiveJob>,
+    /// Indices into `active` in deficit order, rebuilt in place at every
+    /// decision.
+    order: Vec<usize>,
     completed: Vec<JobId>,
     /// Owner job of every planned chunk (ids are globally unique).
     owner: ChunkMap<JobId>,
@@ -377,6 +380,7 @@ impl MultiJobMaster {
             requests: by_id,
             backlog: VecDeque::new(),
             active: Vec::new(),
+            order: Vec::new(),
             completed: Vec::new(),
             owner: ChunkMap::default(),
             next_chunk_id: 0,
@@ -767,16 +771,18 @@ impl MasterPolicy for MultiJobMaster {
 
         // Deficit order: least port-time-per-share first; job id breaks
         // ties deterministically.
-        let mut order: Vec<usize> = (0..self.active.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ka = self.active[a].port_used / self.active[a].share;
-            let kb = self.active[b].port_used / self.active[b].share;
-            ka.total_cmp(&kb)
-                .then(self.active[a].id.cmp(&self.active[b].id))
+        self.order.clear();
+        self.order.extend(0..self.active.len());
+        let active = &self.active;
+        self.order.sort_by(|&a, &b| {
+            let ka = active[a].port_used / active[a].share;
+            let kb = active[b].port_used / active[b].share;
+            ka.total_cmp(&kb).then(active[a].id.cmp(&active[b].id))
         });
 
         let mut finished: Option<usize> = None;
-        for i in order {
+        for k in 0..self.order.len() {
+            let i = self.order[k];
             match self.active[i].member.next_action(ctx) {
                 Action::Send {
                     worker,
