@@ -320,9 +320,9 @@ impl DagMaster {
         self.obs.emit(|| ObsEvent::FrontierPromote {
             time: ctx.now(),
             job: self.obs_job,
-            task: t as u32,
-            worker: i,
-            frontier_width,
+            task: ObsEvent::narrow(t),
+            worker: ObsEvent::narrow(i),
+            frontier_width: ObsEvent::narrow(frontier_width),
         });
         self.set_state(t, TaskState::InFlight);
     }

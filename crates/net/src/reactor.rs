@@ -305,12 +305,18 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             if up {
                 self.workers[worker].ingest(ToWorker::Recover, &mut no_replies);
                 self.ledger.rejoin(worker);
-                self.obs.emit(|| ObsEvent::WorkerUp { time, worker });
+                self.obs.emit(|| ObsEvent::WorkerUp {
+                    time,
+                    worker: ObsEvent::narrow(worker),
+                });
                 self.tell(SimEvent::WorkerUp { worker });
             } else {
                 self.workers[worker].ingest(ToWorker::Fail, &mut no_replies);
                 let lost = self.ledger.crash(worker);
-                self.obs.emit(|| ObsEvent::WorkerDown { time, worker });
+                self.obs.emit(|| ObsEvent::WorkerDown {
+                    time,
+                    worker: ObsEvent::narrow(worker),
+                });
                 self.tell(SimEvent::WorkerDown { worker });
                 for chunk in lost {
                     self.chunk_lost(worker, chunk);
@@ -324,7 +330,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         let time = self.vnow;
         self.obs.emit(|| ObsEvent::ChunkLost {
             time,
-            worker,
+            worker: ObsEvent::narrow(worker),
             chunk,
         });
         self.tell(SimEvent::ChunkLost { worker, chunk });
@@ -550,7 +556,7 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
         let now = self.vnow;
         self.obs.emit(|| ObsEvent::Dispatch {
             time: now,
-            worker,
+            worker: ObsEvent::narrow(worker),
             chunk: fragment.chunk,
             step: fragment.step,
             mat: fragment.kind.into(),

@@ -450,7 +450,7 @@ impl CrashIndex {
         let mut crashes = Vec::new();
         for ev in events {
             match ev {
-                ObsEvent::WorkerDown { time, worker } => crashes.push((*worker, *time)),
+                ObsEvent::WorkerDown { time, worker } => crashes.push((*worker as usize, *time)),
                 ObsEvent::ChunkLost { time, chunk, .. } => losses.push((*chunk, *time)),
                 _ => {}
             }
@@ -1165,7 +1165,7 @@ mod tests {
 
     /// One soup item: `(kind draw, begin tick, end tick, id, place)`. An
     /// end tick at or past [`TICKS`] leaves the interval unclosed.
-    type Item = (usize, usize, usize, u32, usize);
+    type Item = (usize, usize, usize, u32, u32);
 
     /// What a kind draw means — 0 port, 1 compute, 2 uplink, 3 stall,
     /// 4 downtime, 5 job presence — under the two mixes: an engine-like
@@ -1185,6 +1185,7 @@ mod tests {
         let at = |tick: usize| tick as f64 * 0.1;
         let mut timed: Vec<(usize, ObsEvent)> = Vec::new();
         for (n, &(draw, t0, t1, id, place)) in items.iter().enumerate() {
+            let n = n as u32;
             let (t0, t1) = (t0.min(t1), t0.max(t1));
             let (time, end, job, blocks) = (at(t0), at(t1), id, 1);
             let (begin, end) = match MIXES[mix][draw] {
@@ -1192,10 +1193,7 @@ mod tests {
                     acquire(time, n, place, ToWorker, id),
                     release(end, n, place, ToWorker, id),
                 ),
-                1 => (
-                    start(time, place, id, n as u32),
-                    finish(end, place, id, n as u32),
-                ),
+                1 => (start(time, place, id, n), finish(end, place, id, n)),
                 2 => {
                     let star = place;
                     (
@@ -1261,7 +1259,7 @@ mod tests {
         #[test]
         fn one_merge_sweep_agrees_with_the_reference(
             items in proptest::collection::vec(
-                (0usize..11, 0usize..TICKS, 0usize..TICKS + 6, 0u32..5, 0usize..3), 0..40),
+                (0usize..11, 0usize..TICKS, 0usize..TICKS + 6, 0u32..5, 0u32..3), 0..40),
             losses in proptest::collection::vec((0usize..TICKS, 0u32..5), 0..4),
             end_tick in 1usize..TICKS - 4,
             off_grid in 0u8..2,
@@ -1278,7 +1276,7 @@ mod tests {
         #[test]
         fn crash_index_answers_like_a_linear_scan(
             losses in proptest::collection::vec((0u32..4, 0usize..TICKS), 0..8),
-            crashes in proptest::collection::vec((0usize..3, 0usize..TICKS), 0..8),
+            crashes in proptest::collection::vec((0u32..3, 0usize..TICKS), 0..8),
         ) {
             let at = |tick: usize| tick as f64 * 0.1;
             let mut events = Vec::new();
@@ -1295,7 +1293,7 @@ mod tests {
                     proptest::prop_assert_eq!(index.lost(id, at(tick)), lost);
                     let next_crash = crashes
                         .iter()
-                        .filter(|&&(w, t)| w == id as usize && at(t) > at(tick))
+                        .filter(|&&(w, t)| w == id && at(t) > at(tick))
                         .map(|&(_, t)| at(t))
                         .fold(f64::INFINITY, f64::min);
                     proptest::prop_assert_eq!(index.crash_after(id as usize, at(tick)), next_crash);

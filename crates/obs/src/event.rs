@@ -3,8 +3,14 @@
 //! One enum covers both engines (`sim` emits model time directly; `net`
 //! maps wall clock through its `time_scale` into the same model-time
 //! axis) and every master policy. Identifiers are the engine-level ones
-//! (`worker`/`lane` indices, `u32` chunk/job/task ids) so an event is
-//! meaningful without any policy context.
+//! (`worker`/`lane`/`star` indices and chunk/job/task ids, all `u32`) so
+//! an event is meaningful without any policy context.
+//!
+//! An event is 32 bytes: every view reads the whole log, so the log's
+//! size is what recording and reading back cost. Indices are narrowed
+//! by [`ObsEvent::narrow`] inside the emitting closure (a detached sink
+//! never runs it) and widened again where [`spans`](crate::spans) pairs
+//! them.
 
 /// Direction of a wire transfer on the master's port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,8 +57,8 @@ pub enum ObsEvent {
     /// master's port.
     PortAcquire {
         time: f64,
-        lane: usize,
-        worker: usize,
+        lane: u32,
+        worker: u32,
         dir: Dir,
         chunk: u32,
         blocks: u64,
@@ -60,8 +66,8 @@ pub enum ObsEvent {
     /// The transfer occupying `lane` completed and freed the lane.
     PortRelease {
         time: f64,
-        lane: usize,
-        worker: usize,
+        lane: u32,
+        worker: u32,
         dir: Dir,
         chunk: u32,
         blocks: u64,
@@ -69,7 +75,7 @@ pub enum ObsEvent {
     /// A compute step started on a worker.
     ComputeStart {
         time: f64,
-        worker: usize,
+        worker: u32,
         chunk: u32,
         step: u32,
         updates: u64,
@@ -79,25 +85,26 @@ pub enum ObsEvent {
     /// engine semantics.
     ComputeEnd {
         time: f64,
-        worker: usize,
+        worker: u32,
         chunk: u32,
         step: u32,
     },
     /// Master decision: a fragment dispatch was issued to a worker.
     Dispatch {
         time: f64,
-        worker: usize,
+        worker: u32,
         chunk: u32,
         step: u32,
         mat: MatTag,
         blocks: u64,
     },
     /// Master decision: the stream allocator re-solved the weighted
-    /// max-min LP over the active job set.
+    /// max-min LP over the active job set; `shares` holds one
+    /// `(job, share)` per active job. One boxed slice keeps the variant
+    /// (and so every event) at 32 bytes.
     LpResolve {
         time: f64,
-        jobs: Vec<u32>,
-        shares: Vec<f64>,
+        shares: Box<[(u32, f64)]>,
     },
     /// Master decision: a job's deficit counter was charged for port
     /// seconds consumed by one of its fragments.
@@ -113,31 +120,27 @@ pub enum ObsEvent {
         time: f64,
         job: u32,
         task: u32,
-        worker: usize,
-        frontier_width: usize,
+        worker: u32,
+        frontier_width: u32,
     },
     /// A worker crashed (lifecycle trace or injected fault).
-    WorkerDown { time: f64, worker: usize },
+    WorkerDown { time: f64, worker: u32 },
     /// A crashed worker came back up.
-    WorkerUp { time: f64, worker: usize },
+    WorkerUp { time: f64, worker: u32 },
     /// A chunk's in-progress state was lost to a worker crash.
-    ChunkLost {
-        time: f64,
-        worker: usize,
-        chunk: u32,
-    },
+    ChunkLost { time: f64, worker: u32, chunk: u32 },
     /// A federated uplink started shipping a job's operand volume from
     /// the root master down to star `star`.
     UplinkAcquire {
         time: f64,
-        star: usize,
+        star: u32,
         job: u32,
         blocks: u64,
     },
     /// The uplink shipment for `job` landed at star `star`.
     UplinkRelease {
         time: f64,
-        star: usize,
+        star: u32,
         job: u32,
         blocks: u64,
     },
@@ -185,6 +188,21 @@ impl ObsEvent {
     /// prefix and in metrics counter keys).
     pub fn kind(&self) -> &'static str {
         KIND_NAMES[self.kind_index()]
+    }
+
+    /// Narrows an engine index — a worker, lane or star index, a DAG
+    /// task id or frontier width — to the schema's `u32`. Call it inside
+    /// the emitting closure, so a detached sink never pays for it.
+    ///
+    /// # Panics
+    ///
+    /// If `index` exceeds `u32::MAX`, which the engines never reach.
+    #[inline]
+    pub fn narrow(index: usize) -> u32 {
+        u32::try_from(index).expect(
+            "an event index fits in u32: indices are below the platform's worker count \
+             (and a DAG's task count)",
+        )
     }
 
     /// Position of the variant in [`KIND_NAMES`].
@@ -300,8 +318,7 @@ mod tests {
             (
                 ObsEvent::LpResolve {
                     time,
-                    jobs: vec![],
-                    shares: vec![],
+                    shares: Box::new([]),
                 },
                 "lp_resolve",
             ),
@@ -365,5 +382,28 @@ mod tests {
             assert_eq!(ev.kind_index(), n, "{name}");
             assert_eq!(ev.kind(), *name);
         }
+    }
+
+    /// Every view reads the whole log — the pairing pass, attribution,
+    /// the registry, the exporters — so a fat variant taxes all of them,
+    /// and every push while recording. Keep each variant's payload
+    /// within 24 bytes beside the tag (box anything variable-length).
+    #[test]
+    fn an_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<ObsEvent>(), 32);
+    }
+
+    #[test]
+    fn narrow_keeps_every_u32_index() {
+        for i in [0, 1, 4095, u32::MAX as usize] {
+            assert_eq!(ObsEvent::narrow(i) as usize, i);
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "below the platform's worker count")]
+    fn narrow_names_the_invariant_it_relies_on() {
+        ObsEvent::narrow(u32::MAX as usize + 1);
     }
 }

@@ -116,6 +116,7 @@ pub fn render_gantt(events: &[ObsEvent], num_workers: usize, width: usize) -> St
             ObsEvent::JobCompleted { time, .. } => mark(&mut lanes, master_row, time, 'D'),
             ObsEvent::WorkerDown { time, worker } => {
                 mark(&mut lanes, master_row, time, 'X');
+                let worker = worker as usize;
                 if worker < num_workers {
                     mark(&mut lanes, cpu_row(worker), time, 'X');
                 }

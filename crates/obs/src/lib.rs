@@ -13,23 +13,26 @@
 //!   credits, DAG frontier promotion, crash/recovery, job
 //!   admission/completion.
 //!
-//! Events flow through a [`Recorder`] behind an [`ObsSink`] handle.
-//! The sink is **zero-overhead when disabled**: detached it is a
-//! `None` — one branch per would-be event, and the event constructor
-//! (a closure) is never run. Recording never feeds back into the
-//! engines: a recorder can only observe, so recorder-on and
-//! recorder-off runs produce byte-identical schedules and stats (pinned
-//! by workspace proptests).
+//! Events flow through an [`ObsSink`] handle into a [`RunRecorder`],
+//! whose log is a `Vec` of 32-byte events. The sink is
+//! **zero-overhead when disabled**: detached it is a `None` — one
+//! branch per would-be event, and the event constructor (a closure) is
+//! never run; attached, an event is one inline push. Recording never
+//! feeds back into the engines: a recorder can only observe, so
+//! recorder-on and recorder-off runs produce byte-identical schedules
+//! and stats (pinned by workspace proptests).
 //!
-//! The event log is the one record of a run. [`spans`] pairs its
-//! begin/end events into intervals once — a single definition of what
-//! an interval is, and of what happens to one that never closes — and
-//! every view below reads those spans, so each works on a run of either
+//! The event log is the one record of a run, and recording derives
+//! nothing from it: [`RunRecorder::into_parts`] hands the log back
+//! unread. [`spans`] pairs its begin/end events into intervals — a
+//! single definition of what an interval is, and of what happens to one
+//! that never closes — and every view below is computed from the log on
+//! demand by the reader that wants it, so each works on a run of either
 //! engine:
 //!
-//! * [`MetricsRegistry`] — counters, gauges and log-bucketed
-//!   [`Histogram`]s (quantiles oracle-tested against exact sorted
-//!   vectors), derived from the log by [`RunRecorder::into_parts`];
+//! * [`MetricsRegistry::from_events`] — counters, gauges and
+//!   log-bucketed [`Histogram`]s (quantiles oracle-tested against exact
+//!   sorted vectors);
 //! * [`RunMetrics`] — headline *bound-gap* block (port utilization vs
 //!   the LP ceiling, per-worker busy fraction vs plan share, achieved
 //!   vs LP throughput, DAG frontier width) embedded in `--json`
@@ -71,6 +74,6 @@ pub use event::{Dir, MatTag, ObsEvent};
 pub use gantt::render_gantt;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use perfetto::perfetto_trace;
-pub use recorder::{ObsSink, Recorder, RunRecorder};
+pub use recorder::{ObsSink, RunRecorder};
 pub use runmetrics::{BoundGap, RunMetrics, TenantGap, WorkerGap};
 pub use span::{spans, Span, Track};

@@ -1,4 +1,5 @@
-//! Metrics registry: counters, gauges, and log-bucketed histograms.
+//! Metrics registry: counters, gauges, and log-bucketed histograms, and
+//! [`MetricsRegistry::from_events`], the registry view of a recorded log.
 //!
 //! Histograms use logarithmic buckets — eight per octave, so bucket
 //! boundaries grow by `2^(1/8) ≈ 1.09`. A quantile is answered with the
@@ -11,6 +12,9 @@ use std::collections::BTreeMap;
 
 use serde::json::Value;
 use serde::Serialize;
+
+use crate::event::{ObsEvent, KIND_NAMES};
+use crate::span::{spans, Track};
 
 /// Buckets per factor-of-two of value range.
 const PER_OCTAVE: usize = 8;
@@ -200,10 +204,67 @@ impl MetricsRegistry {
         }
     }
 
+    /// The registry view of a recorded log — one pass over the events
+    /// and one over their [`spans`], allocating per registry key, not per
+    /// sample:
+    ///
+    /// * `events.<kind>` counters for every event kind;
+    /// * `port.transfer_secs` histogram of lane occupancy intervals;
+    /// * `compute.step_secs` histogram of completed step durations;
+    /// * `dag.frontier_width` histogram sampled at each promotion;
+    /// * `jobs.active` gauge (admitted minus completed).
+    pub fn from_events(events: &[ObsEvent]) -> MetricsRegistry {
+        // Derived per event with no string in sight: kinds are counted
+        // by variant index and the histograms filled as locals; every
+        // key is built once, below.
+        let mut kinds = [0u64; KIND_NAMES.len()];
+        let mut frontier_width = Histogram::new();
+        let mut active_jobs: Option<i64> = None;
+        for ev in events {
+            kinds[ev.kind_index()] += 1;
+            match ev {
+                ObsEvent::FrontierPromote {
+                    frontier_width: w, ..
+                } => {
+                    frontier_width.observe(f64::from(*w));
+                }
+                ObsEvent::JobAdmitted { .. } => active_jobs = Some(active_jobs.unwrap_or(0) + 1),
+                ObsEvent::JobCompleted { .. } => active_jobs = Some(active_jobs.unwrap_or(0) - 1),
+                _ => {}
+            }
+        }
+        let mut transfer_secs = Histogram::new();
+        let mut step_secs = Histogram::new();
+        for span in spans(events) {
+            let h = match span.track {
+                Track::Port { .. } => &mut transfer_secs,
+                Track::Compute { .. } => &mut step_secs,
+                _ => continue,
+            };
+            if let Some(end) = span.end {
+                h.observe(end - span.start);
+            }
+        }
+
+        let mut metrics = MetricsRegistry::new();
+        for (kind, &n) in KIND_NAMES.iter().zip(&kinds) {
+            if n > 0 {
+                metrics.add(&format!("events.{kind}"), n);
+            }
+        }
+        if let Some(active) = active_jobs {
+            metrics.set("jobs.active", active as f64);
+        }
+        metrics.insert_histogram("dag.frontier_width", frontier_width);
+        metrics.insert_histogram("port.transfer_secs", transfer_secs);
+        metrics.insert_histogram("compute.step_secs", step_secs);
+        metrics
+    }
+
     /// Stores `h` as histogram `name` if it holds a sample, so that a
     /// histogram exists iff something was recorded into it, as with
     /// [`MetricsRegistry::observe`].
-    pub(crate) fn insert_histogram(&mut self, name: &str, h: Histogram) {
+    fn insert_histogram(&mut self, name: &str, h: Histogram) {
         if h.count() > 0 {
             self.histograms.insert(name.to_string(), h);
         }

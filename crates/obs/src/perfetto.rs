@@ -178,11 +178,12 @@ pub fn perfetto_trace(events: &[ObsEvent]) -> Value {
         }
     }
 
-    let mut seen_lane: Vec<usize> = Vec::new();
+    let mut seen_lane: Vec<u32> = Vec::new();
     let mut seen_worker: Vec<usize> = Vec::new();
     let mut seen_job: Vec<u32> = Vec::new();
-    let mut seen_star: Vec<usize> = Vec::new();
-    let mut note_worker = |w: usize, metas: &mut Vec<Value>| {
+    let mut seen_star: Vec<u32> = Vec::new();
+    let mut note_worker = |w: u32, metas: &mut Vec<Value>| {
+        let w = w as usize;
         if !seen_worker.contains(&w) {
             seen_worker.push(w);
             for (dir, label) in [
@@ -241,7 +242,7 @@ pub fn perfetto_trace(events: &[ObsEvent]) -> Value {
 /// track; `None` for the events that only open or close an interval.
 fn decision(ev: &ObsEvent) -> Option<(String, Value)> {
     let job_args = |job: &u32| Value::object([("job", job.to_value())]);
-    let worker_args = |worker: &usize| Value::object([("worker", worker.to_value())]);
+    let worker_args = |worker: &u32| Value::object([("worker", worker.to_value())]);
     Some(match ev {
         ObsEvent::Dispatch {
             worker,
@@ -260,16 +261,16 @@ fn decision(ev: &ObsEvent) -> Option<(String, Value)> {
                 ("blocks", blocks.to_value()),
             ]),
         ),
-        ObsEvent::LpResolve { jobs, shares, .. } => (
+        ObsEvent::LpResolve { shares, .. } => (
             "lp_resolve".to_string(),
             Value::object([
                 (
                     "jobs",
-                    Value::Array(jobs.iter().map(|j| j.to_value()).collect()),
+                    Value::Array(shares.iter().map(|(j, _)| j.to_value()).collect()),
                 ),
                 (
                     "shares",
-                    Value::Array(shares.iter().map(|s| s.to_value()).collect()),
+                    Value::Array(shares.iter().map(|(_, s)| s.to_value()).collect()),
                 ),
             ]),
         ),

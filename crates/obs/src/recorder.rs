@@ -1,26 +1,19 @@
-//! The `Recorder` trait and the `ObsSink` handle the engines thread
-//! through their hot paths.
+//! The in-memory [`RunRecorder`] and the `ObsSink` handle the engines
+//! thread through their hot paths.
 //!
 //! Zero-cost guarantee: a detached sink is `ObsSink(None)`; emitting
 //! through it is one `Option` branch and the event-constructing closure
-//! never runs. An attached recorder can only *observe* — nothing in the
-//! engines reads recorder state — so attaching one cannot perturb a
-//! schedule (pinned by workspace proptests comparing `RunStats` and
-//! the policy-visible callback log recorder-on vs recorder-off).
+//! never runs. An attached sink pushes the event onto its recorder's log
+//! inline — one 32-byte push, no dynamic call. A recorder can only
+//! *observe* — nothing in the engines reads recorder state — so
+//! attaching one cannot perturb a schedule (pinned by workspace
+//! proptests comparing `RunStats` and the policy-visible callback log
+//! recorder-on vs recorder-off).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::event::{ObsEvent, KIND_NAMES};
-use crate::metrics::{Histogram, MetricsRegistry};
-use crate::span::{spans, Track};
-
-/// A consumer of structured observability events.
-pub trait Recorder {
-    /// Accepts one event. Called in engine order: event times are
-    /// non-decreasing per emitting engine.
-    fn record(&mut self, ev: ObsEvent);
-}
+use crate::event::ObsEvent;
 
 /// Shared handle to an optional recorder.
 ///
@@ -31,7 +24,7 @@ pub trait Recorder {
 /// engines take it as a *run parameter*, never storing it in their
 /// `Send + Sync` configuration types.
 #[derive(Clone, Default)]
-pub struct ObsSink(Option<Rc<RefCell<dyn Recorder>>>);
+pub struct ObsSink(Option<Rc<RefCell<RunRecorder>>>);
 
 impl ObsSink {
     /// The detached sink: every emit is a single `None` branch.
@@ -40,7 +33,7 @@ impl ObsSink {
     }
 
     /// A sink feeding `recorder`.
-    pub fn to(recorder: Rc<RefCell<dyn Recorder>>) -> ObsSink {
+    pub fn to(recorder: Rc<RefCell<RunRecorder>>) -> ObsSink {
         ObsSink(Some(recorder))
     }
 
@@ -54,7 +47,7 @@ impl ObsSink {
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> ObsEvent) {
         if let Some(r) = &self.0 {
-            r.borrow_mut().record(f());
+            r.borrow_mut().events.push(f());
         }
     }
 }
@@ -69,18 +62,13 @@ impl std::fmt::Debug for ObsSink {
     }
 }
 
-/// The standard in-memory recorder: keeps the full event log.
+/// The in-memory recorder: keeps the full event log, in emission order
+/// (event times are non-decreasing per emitting engine).
 ///
-/// Recording is a push; the [`MetricsRegistry`] is derived from the log
-/// once, by [`RunRecorder::into_parts`] — one pass over the events and
-/// one over their [`spans`], allocating per registry key, not per
-/// sample:
-///
-/// * `events.<kind>` counters for every event kind;
-/// * `port.transfer_secs` histogram of lane occupancy intervals;
-/// * `compute.step_secs` histogram of completed step durations;
-/// * `dag.frontier_width` histogram sampled at each promotion;
-/// * `jobs.active` gauge (admitted minus completed).
+/// Recording is a push and nothing else; every summary of the run
+/// ([`crate::spans`], [`crate::MetricsRegistry::from_events`],
+/// [`crate::Attribution`], [`crate::perfetto_trace`]) is a view its
+/// reader derives from the log on demand.
 #[derive(Default)]
 pub struct RunRecorder {
     events: Vec<ObsEvent>,
@@ -103,59 +91,10 @@ impl RunRecorder {
         &self.events
     }
 
-    /// Consumes the recorder, returning `(events, metrics)`.
-    pub fn into_parts(self) -> (Vec<ObsEvent>, MetricsRegistry) {
-        // Derived per event with no string in sight: kinds are counted
-        // by variant index and the histograms filled as locals; every
-        // key is built once, below.
-        let mut kinds = [0u64; KIND_NAMES.len()];
-        let mut frontier_width = Histogram::new();
-        let mut active_jobs: Option<i64> = None;
-        for ev in &self.events {
-            kinds[ev.kind_index()] += 1;
-            match ev {
-                ObsEvent::FrontierPromote {
-                    frontier_width: w, ..
-                } => {
-                    frontier_width.observe(*w as f64);
-                }
-                ObsEvent::JobAdmitted { .. } => active_jobs = Some(active_jobs.unwrap_or(0) + 1),
-                ObsEvent::JobCompleted { .. } => active_jobs = Some(active_jobs.unwrap_or(0) - 1),
-                _ => {}
-            }
-        }
-        let mut transfer_secs = Histogram::new();
-        let mut step_secs = Histogram::new();
-        for span in spans(&self.events) {
-            let h = match span.track {
-                Track::Port { .. } => &mut transfer_secs,
-                Track::Compute { .. } => &mut step_secs,
-                _ => continue,
-            };
-            if let Some(end) = span.end {
-                h.observe(end - span.start);
-            }
-        }
-
-        let mut metrics = MetricsRegistry::new();
-        for (kind, &n) in KIND_NAMES.iter().zip(&kinds) {
-            if n > 0 {
-                metrics.add(&format!("events.{kind}"), n);
-            }
-        }
-        if let Some(active) = active_jobs {
-            metrics.set("jobs.active", active as f64);
-        }
-        metrics.insert_histogram("dag.frontier_width", frontier_width);
-        metrics.insert_histogram("port.transfer_secs", transfer_secs);
-        metrics.insert_histogram("compute.step_secs", step_secs);
-        (self.events, metrics)
-    }
-}
-
-impl Recorder for RunRecorder {
-    fn record(&mut self, ev: ObsEvent) {
-        self.events.push(ev);
+    /// Consumes the recorder and hands its log back unread (a one-tuple:
+    /// callers, the repository benchmark among them, take `into_parts().0`).
+    pub fn into_parts(self) -> (Vec<ObsEvent>,) {
+        (self.events,)
     }
 }
 
@@ -163,6 +102,7 @@ impl Recorder for RunRecorder {
 mod tests {
     use super::*;
     use crate::event::Dir;
+    use crate::metrics::MetricsRegistry;
 
     #[test]
     fn detached_sink_never_runs_the_constructor() {
@@ -208,7 +148,8 @@ mod tests {
         drop(sink);
         let rec = Rc::try_unwrap(rec).ok().expect("sole owner").into_inner();
         assert_eq!(rec.events().len(), 4);
-        let (_, m) = rec.into_parts();
+        let (log,) = rec.into_parts();
+        let m = MetricsRegistry::from_events(&log);
         assert_eq!(m.counter("events.port_acquire"), 1);
         let h = m.histogram("port.transfer_secs").unwrap();
         assert_eq!(h.count(), 1);
@@ -226,11 +167,14 @@ mod tests {
         b.emit(|| ObsEvent::JobAdmitted { time: 0.0, job: 1 });
         assert_eq!(rec.borrow().events().len(), 2);
         drop((a, b));
-        let (_, m) = Rc::try_unwrap(rec)
+        let (log,) = Rc::try_unwrap(rec)
             .ok()
             .expect("sole owner")
             .into_inner()
             .into_parts();
-        assert_eq!(m.gauge("jobs.active"), Some(1.0));
+        assert_eq!(
+            MetricsRegistry::from_events(&log).gauge("jobs.active"),
+            Some(1.0)
+        );
     }
 }

@@ -16,7 +16,9 @@
 //!   `end: None`, so each reader states its own policy for it (the
 //!   exporters drop it, the attribution bounds it by the crash).
 //!
-//! Closed spans come out in closing order, open ones after them.
+//! Closed spans come out in closing order, open ones after them. The
+//! event schema stores indices as `u32`; a [`Track`] widens them back to
+//! the `usize` the views index with.
 
 use crate::event::{Dir, MatTag, ObsEvent};
 
@@ -100,7 +102,7 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
     let mut downs = Open(Vec::new());
     let mut jobs = Open(Vec::new());
     // The dispatch decision still waiting for its transfer's admission.
-    let mut dispatched: Option<(f64, usize, u32, MatTag, u32)> = None;
+    let mut dispatched: Option<(f64, u32, u32, MatTag, u32)> = None;
 
     for ev in events {
         match *ev {
@@ -130,8 +132,8 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
                     _ => None,
                 };
                 let track = Track::Port {
-                    lane,
-                    worker,
+                    lane: lane as usize,
+                    worker: worker as usize,
                     dir,
                     chunk,
                     blocks,
@@ -148,7 +150,7 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
                 updates,
             } => {
                 let track = Track::Compute {
-                    worker,
+                    worker: worker as usize,
                     chunk,
                     step,
                     updates,
@@ -166,7 +168,14 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
                 star,
                 job,
                 blocks,
-            } => uplinks.begin((star, job), time, Track::Uplink { star, job, blocks }),
+            } => {
+                let track = Track::Uplink {
+                    star: star as usize,
+                    job,
+                    blocks,
+                };
+                uplinks.begin((star, job), time, track);
+            }
             ObsEvent::UplinkRelease {
                 time, star, job, ..
             } => uplinks.end((star, job), time, &mut out),
@@ -175,7 +184,10 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
             }
             ObsEvent::MemoryStallEnd { time, job } => stalls.end(job, time, &mut out),
             ObsEvent::WorkerDown { time, worker } => {
-                downs.begin(worker, time, Track::Down { worker });
+                let track = Track::Down {
+                    worker: worker as usize,
+                };
+                downs.begin(worker, time, track);
             }
             ObsEvent::WorkerUp { time, worker } => downs.end(worker, time, &mut out),
             ObsEvent::JobArrived { time, job } => jobs.begin(job, time, Track::Job { job }),
@@ -202,7 +214,7 @@ pub(crate) mod testlog {
     //! Event-pair builders shared by this crate's unit tests.
     use super::*;
 
-    pub fn acquire(time: f64, lane: usize, worker: usize, dir: Dir, chunk: u32) -> ObsEvent {
+    pub fn acquire(time: f64, lane: u32, worker: u32, dir: Dir, chunk: u32) -> ObsEvent {
         ObsEvent::PortAcquire {
             time,
             lane,
@@ -213,7 +225,7 @@ pub(crate) mod testlog {
         }
     }
 
-    pub fn release(time: f64, lane: usize, worker: usize, dir: Dir, chunk: u32) -> ObsEvent {
+    pub fn release(time: f64, lane: u32, worker: u32, dir: Dir, chunk: u32) -> ObsEvent {
         ObsEvent::PortRelease {
             time,
             lane,
@@ -225,14 +237,14 @@ pub(crate) mod testlog {
     }
 
     /// A to-worker transfer `[t0, t1)` on `lane`.
-    pub fn port(t0: f64, t1: f64, lane: usize, worker: usize, chunk: u32) -> [ObsEvent; 2] {
+    pub fn port(t0: f64, t1: f64, lane: u32, worker: u32, chunk: u32) -> [ObsEvent; 2] {
         [
             acquire(t0, lane, worker, Dir::ToWorker, chunk),
             release(t1, lane, worker, Dir::ToWorker, chunk),
         ]
     }
 
-    pub fn start(time: f64, worker: usize, chunk: u32, step: u32) -> ObsEvent {
+    pub fn start(time: f64, worker: u32, chunk: u32, step: u32) -> ObsEvent {
         ObsEvent::ComputeStart {
             time,
             worker,
@@ -242,7 +254,7 @@ pub(crate) mod testlog {
         }
     }
 
-    pub fn finish(time: f64, worker: usize, chunk: u32, step: u32) -> ObsEvent {
+    pub fn finish(time: f64, worker: u32, chunk: u32, step: u32) -> ObsEvent {
         ObsEvent::ComputeEnd {
             time,
             worker,
@@ -252,7 +264,7 @@ pub(crate) mod testlog {
     }
 
     /// Step 0 of `chunk` computing over `[t0, t1)`.
-    pub fn compute(t0: f64, t1: f64, worker: usize, chunk: u32) -> [ObsEvent; 2] {
+    pub fn compute(t0: f64, t1: f64, worker: u32, chunk: u32) -> [ObsEvent; 2] {
         [start(t0, worker, chunk, 0), finish(t1, worker, chunk, 0)]
     }
 }
@@ -283,7 +295,7 @@ mod tests {
         }
     }
 
-    fn uplink(time: f64, star: usize, job: u32, begin: bool) -> ObsEvent {
+    fn uplink(time: f64, star: u32, job: u32, begin: bool) -> ObsEvent {
         let blocks = 4;
         if begin {
             ObsEvent::UplinkAcquire {

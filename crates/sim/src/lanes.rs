@@ -219,8 +219,8 @@ impl<P> LaneTable<P> {
         self.port.peak_lanes = self.port.peak_lanes.max(self.active.len() as u64);
         self.obs.emit(|| ObsEvent::PortAcquire {
             time: now,
-            lane,
-            worker,
+            lane: ObsEvent::narrow(lane),
+            worker: ObsEvent::narrow(worker),
             dir,
             chunk,
             blocks,
@@ -251,8 +251,8 @@ impl<P> LaneTable<P> {
         }
         self.obs.emit(|| ObsEvent::PortRelease {
             time: now,
-            lane: done.lane,
-            worker: done.worker,
+            lane: ObsEvent::narrow(done.lane),
+            worker: ObsEvent::narrow(done.worker),
             dir: done.dir,
             chunk: done.chunk,
             blocks: done.blocks,

@@ -59,5 +59,5 @@ pub use msg::{
 };
 pub use policy::{Action, MasterPolicy, SimCtx, SimEvent};
 pub use stargemm_netmodel::{NetModelSpec, TransferLane};
-pub use stargemm_obs::{ObsEvent, ObsSink, Recorder, RunRecorder};
+pub use stargemm_obs::{ObsEvent, ObsSink, RunRecorder};
 pub use stats::{JobStats, PortStats, RunStats, WorkerStats};

@@ -328,7 +328,7 @@ impl StarModel {
                                 hooks.push(SimEvent::ChunkLost { worker, chunk });
                                 self.obs.emit(|| ObsEvent::ChunkLost {
                                     time: now,
-                                    worker,
+                                    worker: ObsEvent::narrow(worker),
                                     chunk,
                                 });
                             }
@@ -355,7 +355,7 @@ impl StarModel {
             } => {
                 self.obs.emit(|| ObsEvent::ComputeEnd {
                     time: now,
-                    worker,
+                    worker: ObsEvent::narrow(worker),
                     chunk,
                     step,
                 });
@@ -395,6 +395,7 @@ impl StarModel {
             }
             EvKind::Lifecycle { worker, up } => {
                 self.obs.emit(|| {
+                    let worker = ObsEvent::narrow(worker);
                     if up {
                         ObsEvent::WorkerUp { time: now, worker }
                     } else {
@@ -413,7 +414,7 @@ impl StarModel {
                         hooks.push(SimEvent::ChunkLost { worker, chunk });
                         self.obs.emit(|| ObsEvent::ChunkLost {
                             time: now,
-                            worker,
+                            worker: ObsEvent::narrow(worker),
                             chunk,
                         });
                         let ch = self.chunks.remove(&chunk).expect("opened chunk");
@@ -460,7 +461,7 @@ impl StarModel {
             w.stats.busy_time += end - start;
             self.obs.emit(|| ObsEvent::ComputeStart {
                 time: start,
-                worker,
+                worker: ObsEvent::narrow(worker),
                 chunk,
                 step,
                 updates,
@@ -538,7 +539,7 @@ impl MasterTransport for SimTransport<'_> {
         let start = st.now;
         st.obs.emit(|| ObsEvent::Dispatch {
             time: start,
-            worker,
+            worker: ObsEvent::narrow(worker),
             chunk: fragment.chunk,
             step: fragment.step,
             mat: fragment.kind.into(),

@@ -228,21 +228,22 @@ impl MultiStarMaster {
                 .run_observed(&mut policy, obs)?;
             stream_stats.push(policy.stats());
             stars.push(stats);
-            let (mut events, _) = rec.take().into_parts();
+            let (mut events,) = rec.take().into_parts();
             if self.fed.len() > 1 {
+                let star_id = ObsEvent::narrow(s);
                 for r in &local {
                     let volume = job_volume(&r.job);
                     let dur = volume * star.uplink_c;
                     let blocks = volume as u64;
                     events.push(ObsEvent::UplinkAcquire {
                         time: r.arrival - dur,
-                        star: s,
+                        star: star_id,
                         job: r.id,
                         blocks,
                     });
                     events.push(ObsEvent::UplinkRelease {
                         time: r.arrival,
-                        star: s,
+                        star: star_id,
                         job: r.id,
                         blocks,
                     });

@@ -640,8 +640,7 @@ impl MultiJobMaster {
         }
         self.obs.emit(|| ObsEvent::LpResolve {
             time: self.now,
-            jobs: self.active.iter().map(|a| a.id).collect(),
-            shares: self.active.iter().map(|a| a.share).collect(),
+            shares: self.active.iter().map(|a| (a.id, a.share)).collect(),
         });
     }
 

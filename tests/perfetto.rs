@@ -245,7 +245,7 @@ fn stream_export_carries_job_tracks() {
     let Ok(rec) = Rc::try_unwrap(rec) else {
         unreachable!("recorder has one owner after the run")
     };
-    let (events, _) = rec.into_inner().into_parts();
+    let (events,) = rec.into_inner().into_parts();
     let doc = from_str(&perfetto_trace(&events).render_pretty()).unwrap();
     let job_spans: Vec<_> = spans(&doc)
         .into_iter()

@@ -15,9 +15,14 @@ single-threaded one.
 
 Symbols come from `nm -C -n -S` on the executable, with their sizes, so
 a sample past the end of the symbol before it is not charged to it.
-Samples in the executable but inside no symbol are one bin; samples in
-any other mapping (libc, the vDSO, ...) are binned by that mapping's
-file name. `--detail SUBSTR` also prints, for the hottest symbols whose
+Samples in the executable but inside no symbol are one bin. A shared
+library (libc, ...) exports only its dynamic symbols, and its internal
+functions (malloc's arena code, the memmove and string variants) lie
+between them, so a sample there is labelled by the nearest exported
+symbol at or below it, `[libc.so.6] after <symbol>`: a region, not
+necessarily the function. Samples in any other mapping (the vDSO,
+anonymous memory, ...) are binned by the mapping's name.
+`--detail SUBSTR` also prints, for the hottest symbols whose
 name contains SUBSTR, the sampled offsets into the symbol: a stalled
 instruction shows as the samples right after it.
 
@@ -48,20 +53,24 @@ RIP_INDEX = 16  # user_regs_struct: r15 ... rip is the 17th of 27 words
 
 
 def executable_load(path):
-    """(p_offset, p_vaddr) of the executable PT_LOAD segment of an ELF64."""
-    with open(path, "rb") as f:
-        head = f.read(64)
-        if head[:4] != b"\x7fELF" or head[4] != 2:
-            sys.exit(f"{path}: not a 64-bit ELF file")
-        phoff, = struct.unpack_from("<Q", head, 0x20)
-        phentsize, phnum = struct.unpack_from("<HH", head, 0x36)
-        f.seek(phoff)
-        table = f.read(phentsize * phnum)
+    """(p_offset, p_vaddr) of the executable PT_LOAD segment of an ELF64,
+    or None when `path` is no such file."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(64)
+            if head[:4] != b"\x7fELF" or head[4] != 2:
+                return None
+            phoff, = struct.unpack_from("<Q", head, 0x20)
+            phentsize, phnum = struct.unpack_from("<HH", head, 0x36)
+            f.seek(phoff)
+            table = f.read(phentsize * phnum)
+    except OSError:
+        return None
     for i in range(phnum):
         p_type, p_flags, p_offset, p_vaddr = struct.unpack_from("<IIQQ", table, i * phentsize)
         if p_type == 1 and p_flags & 1:  # PT_LOAD, PF_X
             return p_offset, p_vaddr
-    sys.exit(f"{path}: no executable PT_LOAD segment")
+    return None
 
 
 def mappings(pid):
@@ -77,7 +86,10 @@ def mappings(pid):
 
 
 def load_bias(pid, exe):
-    p_offset, p_vaddr = executable_load(exe)
+    load = executable_load(exe)
+    if load is None:
+        sys.exit(f"{exe}: not a 64-bit ELF file with an executable PT_LOAD segment")
+    p_offset, p_vaddr = load
     for start, _, offset, perms, path in mappings(pid):
         if path == exe and "x" in perms:
             return start - offset - (p_vaddr - p_offset)
@@ -97,6 +109,41 @@ def symbols(exe):
             starts.append(int(parts[0], 16))
             info.append((int(parts[1], 16), parts[3]))
     return starts, info
+
+
+def exported_symbols(lib):
+    """(p_offset, p_vaddr, sorted starts, names) of the exported functions
+    of shared library `lib`, or None when it has none to read."""
+    load = executable_load(lib)
+    if load is None:
+        return None
+    text = subprocess.run(
+        ["nm", "-D", "-n", "--defined-only", lib], capture_output=True, text=True,
+    ).stdout
+    starts, names = [], []
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[1] in "tTwWi":  # i: an IFUNC, as memmove is
+            starts.append(int(parts[0], 16))
+            names.append(parts[2].split("@")[0])
+    return (*load, starts, names) if starts else None
+
+
+def library_label(mapped, rip, cache):
+    """`[name] after <symbol>` for a sample in a shared library's text,
+    or `[name]` when no exported symbol lies at or below it."""
+    start, _, offset, perms, path = mapped
+    label = f"[{os.path.basename(path)}]"
+    if "x" not in perms or not path.startswith("/"):
+        return label
+    if path not in cache:
+        cache[path] = exported_symbols(path)
+    if cache[path] is None:
+        return label
+    p_offset, p_vaddr, starts, names = cache[path]
+    addr = rip - (start - offset - (p_vaddr - p_offset))
+    i = bisect.bisect_right(starts, addr) - 1
+    return f"{label} after {names[i]}" if i >= 0 else label
 
 
 def sample(pid, hz, seconds):
@@ -160,11 +207,14 @@ def main():
 
     bins = collections.Counter()
     offsets = collections.defaultdict(collections.Counter)
+    libraries = {}
     for rip in rips:
         mapped = next((m for m in maps if m[0] <= rip < m[1]), None)
-        if mapped is None or mapped[4] != exe:
-            name = os.path.basename(mapped[4]) if mapped else "?"
-            bins[f"[{name}]"] += 1
+        if mapped is None:
+            bins["[?]"] += 1
+            continue
+        if mapped[4] != exe:
+            bins[library_label(mapped, rip, libraries)] += 1
             continue
         addr = rip - bias
         i = bisect.bisect_right(starts, addr) - 1
