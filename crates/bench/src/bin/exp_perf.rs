@@ -13,7 +13,15 @@
 //! binary is the cheap always-on sampling pass that holds the floors,
 //! the repo benchmark (`benchmark/`) the statistically careful
 //! comparison between two commits.
+//!
+//! Besides the common flags ([`Cli`]) it takes the two it alone honours:
+//! `--net-baseline <path>` (fail when the reactor's events/sec drop more
+//! than 20 % below the committed baseline) and `--kernel-baseline
+//! <path>` (the same floor per event-kernel workload).
 
+use std::path::{Path, PathBuf};
+
+use stargemm_bench::cli::{flag_value, Cli, USAGE};
 use stargemm_bench::netperf::{
     self, net_report_json, net_trajectory, netmodel_steady_state_bytes, render_net_table,
     NET_BASELINE_SCHEMA,
@@ -22,7 +30,7 @@ use stargemm_bench::perf::{
     check_kernel_baseline, gemm_trajectory, kernel_trajectory, perf_report_json, render_gemm_table,
     render_kernel_table, sweep_cell_times, KERNEL_BASELINE_SCHEMA,
 };
-use stargemm_bench::{write_json, write_results, Cli};
+use stargemm_bench::{write_json, write_results};
 
 // Every heap sample in this binary (kernel heap high-water, net-engine
 // heap high-water, the netmodel steady-state delta) flows through the
@@ -31,7 +39,7 @@ use stargemm_bench::{write_json, write_results, Cli};
 static ALLOC: netperf::CountingAlloc = netperf::CountingAlloc;
 
 fn main() {
-    let cli = Cli::parse();
+    let (cli, net_baseline, kernel_baseline) = parse_args();
     let (pending, events) = if cli.smoke {
         (1_024, 50_000)
     } else {
@@ -75,7 +83,7 @@ fn main() {
         write_json(&net_path, &net_json);
     }
     stargemm_bench::obs::emit_artifacts(&cli, stargemm_bench::obs::default_cell);
-    if let Some(base_path) = &cli.net_baseline {
+    if let Some(base_path) = &net_baseline {
         let baseline = read_baseline(base_path, NET_BASELINE_SCHEMA);
         match netperf::check_net_baseline(&baseline, &net) {
             Ok(msg) => println!("{msg}"),
@@ -85,7 +93,7 @@ fn main() {
             }
         }
     }
-    if let Some(base_path) = &cli.kernel_baseline {
+    if let Some(base_path) = &kernel_baseline {
         let baseline = read_baseline(base_path, KERNEL_BASELINE_SCHEMA);
         match check_kernel_baseline(&baseline, &kernel, &gemm) {
             Ok(msg) => println!("{msg}"),
@@ -97,10 +105,40 @@ fn main() {
     }
 }
 
+/// Parses the process arguments; prints the error and exits with status
+/// 2 on a malformed or unknown flag.
+fn parse_args() -> (Cli, Option<PathBuf>, Option<PathBuf>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    split_baselines(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: {USAGE} [--net-baseline <path>] [--kernel-baseline <path>]");
+        std::process::exit(2);
+    })
+}
+
+/// Splits the net and kernel baseline paths off `args` and parses the
+/// rest as the common flags.
+fn split_baselines(args: &[String]) -> Result<(Cli, Option<PathBuf>, Option<PathBuf>), String> {
+    let (mut net, mut kernel, mut common) = (None, None, Vec::new());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let slot = match arg.as_str() {
+            "--net-baseline" => &mut net,
+            "--kernel-baseline" => &mut kernel,
+            _ => {
+                common.push(arg.clone());
+                continue;
+            }
+        };
+        *slot = Some(PathBuf::from(flag_value(&mut it, arg, "path")?));
+    }
+    Ok((Cli::from_args(&common)?, net, kernel))
+}
+
 /// Reads a committed baseline file, turning a missing or unreadable
 /// path into a CLI error that names the expected schema instead of a
 /// panic.
-fn read_baseline(path: &std::path::Path, schema: &str) -> String {
+fn read_baseline(path: &Path, schema: &str) -> String {
     match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -108,5 +146,55 @@ fn read_baseline(path: &std::path::Path, schema: &str) -> String {
             eprintln!("expected a committed JSON file of the form {schema}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strs(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn baselines_split_off_the_common_flags() {
+        let (cli, net, kernel) = split_baselines(&strs(&[
+            "--threads",
+            "3",
+            "--net-baseline",
+            "b.json",
+            "--smoke",
+            "--kernel-baseline",
+            "k.json",
+            "--json",
+            "o.json",
+        ]))
+        .unwrap();
+        assert_eq!(net, Some(PathBuf::from("b.json")));
+        assert_eq!(kernel, Some(PathBuf::from("k.json")));
+        assert!(cli.smoke);
+        assert_eq!(cli.threads, 3);
+        assert_eq!(cli.json, Some(PathBuf::from("o.json")));
+        let (_, net, kernel) = split_baselines(&[]).unwrap();
+        assert_eq!((net, kernel), (None, None));
+    }
+
+    #[test]
+    fn a_baseline_flag_needs_a_path() {
+        for flag in ["--net-baseline", "--kernel-baseline"] {
+            let err = split_baselines(&strs(&[flag])).unwrap_err();
+            assert!(err.contains(&format!("{flag} needs a path")), "{err}");
+            let err = split_baselines(&strs(&[flag, "--smoke"])).unwrap_err();
+            assert!(err.contains(&format!("{flag} needs a path")), "{err}");
+        }
+    }
+
+    #[test]
+    fn common_flags_keep_their_errors() {
+        let err = split_baselines(&strs(&["--frobnicate"])).unwrap_err();
+        assert!(err.contains("--frobnicate"), "{err}");
+        let err = split_baselines(&strs(&["--json", "--net-baseline", "b.json"])).unwrap_err();
+        assert!(err.contains("--json needs a path"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! Uniform command-line handling for the `exp_*` experiment binaries.
 //!
-//! Every experiment accepts the same three flags instead of growing its
-//! own ad-hoc parser:
+//! Every experiment accepts the same flags instead of growing its own
+//! ad-hoc parser:
 //!
 //! * `--smoke` — shrink the instance to CI size (binaries without a
 //!   smaller instance simply ignore it);
@@ -13,19 +13,21 @@
 //!   recorder, so the artifact is thread-count independent);
 //! * `--attr-out <path>` — write the folded flamegraph stacks of the
 //!   same representative cell's makespan attribution to `path`
-//!   (mirrors `--trace-out`: serial re-run, thread-count independent);
-//! * `--net-baseline <path>` — committed net-engine throughput baseline
-//!   to gate against (only `exp_perf` honours it; the run fails if the
-//!   reactor's events/sec drop more than 20 % below the baseline);
-//! * `--kernel-baseline <path>` — committed event-kernel throughput
-//!   baseline (only `exp_perf` honours it; same 20 % floor per
-//!   workload).
+//!   (mirrors `--trace-out`: serial re-run, thread-count independent).
+//!
+//! A flag only one binary honours is that binary's to parse (`exp_perf`
+//! splits off its two baseline flags before calling
+//! [`Cli::from_args`]); every other binary rejects it as unknown.
 //!
 //! ```sh
 //! cargo run --release -p stargemm-bench --bin exp_dynamic -- --smoke --threads 2
 //! ```
 
 use std::path::PathBuf;
+
+/// The common flags, for usage lines.
+pub const USAGE: &str =
+    "[--smoke] [--json <path>] [--threads <n>] [--trace-out <path>] [--attr-out <path>]";
 
 /// Parsed common flags.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,10 +42,6 @@ pub struct Cli {
     pub trace_out: Option<PathBuf>,
     /// Where to write folded attribution stacks of a representative run.
     pub attr_out: Option<PathBuf>,
-    /// Committed net-engine baseline JSON to gate throughput against.
-    pub net_baseline: Option<PathBuf>,
-    /// Committed event-kernel baseline JSON to gate throughput against.
-    pub kernel_baseline: Option<PathBuf>,
 }
 
 impl Cli {
@@ -55,11 +53,7 @@ impl Cli {
             Ok(cli) => cli,
             Err(e) => {
                 eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--smoke] [--json <path>] [--threads <n>] \
-                     [--trace-out <path>] [--attr-out <path>] \
-                     [--net-baseline <path>] [--kernel-baseline <path>]"
-                );
+                eprintln!("usage: {USAGE}");
                 std::process::exit(2);
             }
         }
@@ -67,53 +61,29 @@ impl Cli {
 
     /// Parses a raw argument list (no program name).
     pub fn from_args(args: &[String]) -> Result<Cli, String> {
-        // A flag's value must not itself look like a flag: `--json
-        // --threads` is a forgotten path, not a file named "--threads".
-        fn value<'a>(
-            it: &mut std::slice::Iter<'a, String>,
-            flag: &str,
-            what: &str,
-        ) -> Result<&'a str, String> {
-            match it.clone().next() {
-                Some(v) if !v.starts_with("--") => {
-                    it.next();
-                    Ok(v)
-                }
-                _ => Err(format!("{flag} needs a {what} argument")),
-            }
-        }
         let mut cli = Cli {
             smoke: false,
             json: None,
             threads: default_threads(),
             trace_out: None,
             attr_out: None,
-            net_baseline: None,
-            kernel_baseline: None,
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--smoke" => cli.smoke = true,
                 "--json" => {
-                    cli.json = Some(PathBuf::from(value(&mut it, "--json", "path")?));
+                    cli.json = Some(PathBuf::from(flag_value(&mut it, "--json", "path")?));
                 }
                 "--trace-out" => {
-                    cli.trace_out = Some(PathBuf::from(value(&mut it, "--trace-out", "path")?));
+                    cli.trace_out =
+                        Some(PathBuf::from(flag_value(&mut it, "--trace-out", "path")?));
                 }
                 "--attr-out" => {
-                    cli.attr_out = Some(PathBuf::from(value(&mut it, "--attr-out", "path")?));
-                }
-                "--net-baseline" => {
-                    cli.net_baseline =
-                        Some(PathBuf::from(value(&mut it, "--net-baseline", "path")?));
-                }
-                "--kernel-baseline" => {
-                    cli.kernel_baseline =
-                        Some(PathBuf::from(value(&mut it, "--kernel-baseline", "path")?));
+                    cli.attr_out = Some(PathBuf::from(flag_value(&mut it, "--attr-out", "path")?));
                 }
                 "--threads" => {
-                    let n = value(&mut it, "--threads", "count")?;
+                    let n = flag_value(&mut it, "--threads", "count")?;
                     let n: usize = n
                         .parse()
                         .map_err(|_| format!("--threads needs a number, got {n:?}"))?;
@@ -126,13 +96,30 @@ impl Cli {
                     return Err(format!(
                         "unknown argument {other:?} \
                          (valid flags: --smoke, --json <path>, --threads <n>, \
-                         --trace-out <path>, --attr-out <path>, \
-                         --net-baseline <path>, --kernel-baseline <path>)"
+                         --trace-out <path>, --attr-out <path>)"
                     ))
                 }
             }
         }
         Ok(cli)
+    }
+}
+
+/// Takes the value of `flag` off `it`, failing with "`flag` needs a
+/// `what` argument" when there is none. A value must not itself look
+/// like a flag: `--json --threads` is a forgotten path, not a file named
+/// "--threads".
+pub fn flag_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, String> {
+    match it.clone().next() {
+        Some(v) if !v.starts_with("--") => {
+            it.next();
+            Ok(v)
+        }
+        _ => Err(format!("{flag} needs a {what} argument")),
     }
 }
 
@@ -156,8 +143,6 @@ mod tests {
         assert_eq!(cli.json, None);
         assert_eq!(cli.trace_out, None);
         assert_eq!(cli.attr_out, None);
-        assert_eq!(cli.net_baseline, None);
-        assert_eq!(cli.kernel_baseline, None);
         assert!(cli.threads >= 1);
     }
 
@@ -171,10 +156,6 @@ mod tests {
             "t.json",
             "--attr-out",
             "a.folded",
-            "--net-baseline",
-            "b.json",
-            "--kernel-baseline",
-            "k.json",
             "--json",
             "o.json",
         ]))
@@ -183,8 +164,6 @@ mod tests {
         assert_eq!(cli.json, Some(PathBuf::from("o.json")));
         assert_eq!(cli.trace_out, Some(PathBuf::from("t.json")));
         assert_eq!(cli.attr_out, Some(PathBuf::from("a.folded")));
-        assert_eq!(cli.net_baseline, Some(PathBuf::from("b.json")));
-        assert_eq!(cli.kernel_baseline, Some(PathBuf::from("k.json")));
         assert_eq!(cli.threads, 3);
     }
 
@@ -198,10 +177,6 @@ mod tests {
         assert!(Cli::from_args(&strs(&["--trace-out", "--smoke"])).is_err());
         assert!(Cli::from_args(&strs(&["--attr-out"])).is_err());
         assert!(Cli::from_args(&strs(&["--attr-out", "--smoke"])).is_err());
-        assert!(Cli::from_args(&strs(&["--net-baseline"])).is_err());
-        assert!(Cli::from_args(&strs(&["--net-baseline", "--smoke"])).is_err());
-        assert!(Cli::from_args(&strs(&["--kernel-baseline"])).is_err());
-        assert!(Cli::from_args(&strs(&["--kernel-baseline", "--smoke"])).is_err());
         assert!(Cli::from_args(&strs(&["--frobnicate"])).is_err());
     }
 
@@ -222,11 +197,21 @@ mod tests {
         assert!(err.contains("--smoke"), "{err}");
         assert!(err.contains("--threads"), "{err}");
         assert!(err.contains("--attr-out"), "{err}");
-        assert!(err.contains("--kernel-baseline"), "{err}");
         let err = Cli::from_args(&strs(&["--threads", "0"])).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = Cli::from_args(&strs(&["--threads", "three"])).unwrap_err();
         assert!(err.contains("needs a number"), "{err}");
+    }
+
+    /// Only `exp_perf` honours the baseline flags, and it takes them
+    /// off the list before the common parse: anywhere else a baseline
+    /// would be ignored silently, so it is an unknown flag.
+    #[test]
+    fn baseline_flags_are_not_common_flags() {
+        for flag in ["--kernel-baseline", "--net-baseline"] {
+            let err = Cli::from_args(&strs(&[flag, "k.json"])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]

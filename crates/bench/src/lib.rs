@@ -301,16 +301,6 @@ pub fn write_results(name: &str, contents: &str) -> std::io::Result<std::path::P
     Ok(path)
 }
 
-/// Runs the Figures 4–6 protocol: the five increasing matrix sizes on
-/// one platform, fanned out over `threads` workers.
-pub fn size_sweep(platform: &Platform, threads: usize) -> Vec<Instance> {
-    let grid: Vec<(Platform, Job)> = Job::paper_sweep()
-        .iter()
-        .map(|job| (platform.clone(), *job))
-        .collect();
-    Instance::run_grid(&grid, threads)
-}
-
 /// The Figures 4–6 grid under the uniform flags: the paper's five
 /// matrix sizes on one platform (`--smoke` keeps the two smallest —
 /// sliced *before* anything is simulated).

@@ -1,11 +1,11 @@
 //! A reactor run allocates per *fragment*, never per *block* — asserted
 //! under a counting global allocator. A fragment crosses the reactor as
-//! one flat buffer: one exactly-sized encode buffer (and the `Arc` that
-//! shares it), one decoded tile vector the worker computes on in place,
-//! and amortised growth of the tables it is filed in. Doubling the chunk
-//! side quadruples the blocks of every C load and result and doubles
-//! those of every A and B fragment, at the same fragment count, and must
-//! leave the run under the same `A + B × fragments` line.
+//! one flat buffer: one exactly-sized encode buffer, one decoded tile
+//! vector the worker computes on in place, and amortised growth of the
+//! tables it is filed in. Doubling the chunk side quadruples the blocks
+//! of every C load and result and doubles those of every A and B
+//! fragment, at the same fragment count, and must leave the run under
+//! the same `A + B × fragments` line.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would allocate into the reading.
@@ -29,10 +29,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Measured: 9.
 const PER_RUN: u64 = 32;
 /// Allocations per fragment on the wire (C loads, A and B fragments,
-/// retrieved results). Measured: 3.0 at both chunk sides (2 505 calls
-/// for 832 fragments); the `Vec<Block>` messages this replaced made
-/// 12.8 at side 2 (2.2 blocks per fragment) and 18.4 at side 4 (4.9).
-const PER_FRAGMENT: u64 = 4;
+/// retrieved results). Measured: 2.05 at both chunk sides (1 705 calls
+/// for 832 fragments), down from 3.0 (2 505) when every encoded message
+/// was also wrapped in a reference-counted buffer; the `Vec<Block>`
+/// messages before that made 12.8 at side 2 (2.2 blocks per fragment)
+/// and 18.4 at side 4 (4.9).
+const PER_FRAGMENT: u64 = 3;
 
 /// Runs ODDOML for an `r × t × s` job on a four-worker one-port star
 /// whose memory `m` sets the chunk side; returns `(allocator calls

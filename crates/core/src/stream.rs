@@ -320,14 +320,6 @@ impl StreamingMaster {
         self.geoms.values()
     }
 
-    /// Workers with at least one planned chunk so far.
-    pub fn enrolled_workers(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.geoms.values().map(|g| g.worker).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Lane `w`'s gate. A starved lane is ready to open a chunk while
     /// the pool can still feed it; the strip is carved by [`Self::issue`].
     #[inline]
@@ -827,7 +819,8 @@ mod tests {
         assert_eq!(stats.total_updates, job.total_updates());
         // Worker 1 ends up with nothing.
         assert!(!stats.per_worker[1].enrolled());
-        assert_eq!(p.enrolled_workers(), vec![0, 1]); // geometries persist
+        // The drained chunks' geometries persist.
+        assert!(p.geoms().any(|g| g.worker == 1));
     }
 
     #[test]

@@ -37,40 +37,9 @@ use stargemm_sim::{
 
 use crate::estimate::CostEstimator;
 
-/// Tuning of the adaptive layer.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveConfig {
-    /// Enable estimation-driven re-balancing (`false` = crash recovery
-    /// only; the static plan is never second-guessed).
-    pub adapt: bool,
-    /// EWMA smoothing weight for cost observations.
-    pub alpha: f64,
-    /// Relative deviation of an estimate from its baseline that triggers
-    /// a re-balance.
-    pub drift_threshold: f64,
-    /// Observations before an estimate is trusted (and its baseline is
-    /// anchored).
-    pub min_obs: u32,
-    /// Observations shorter than this many engine-clock seconds are
-    /// discarded as measurement noise.
-    pub min_sample: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            adapt: true,
-            alpha: 0.5,
-            drift_threshold: 0.25,
-            // One accepted observation suffices: model-time measurements
-            // are exact and wall-clock noise is already filtered by
-            // `min_sample`. Rebasing after each rebalance prevents
-            // thrash.
-            min_obs: 1,
-            min_sample: 1e-3,
-        }
-    }
-}
+/// Relative deviation of an estimate from its baseline that triggers a
+/// re-balance.
+const DRIFT_THRESHOLD: f64 = 0.25;
 
 /// Counters exposed for tests and experiment reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -96,7 +65,9 @@ type PendingSendKey = (usize, ChunkId, StepId, MatKind);
 pub struct AdaptiveMaster<M = StreamingMaster> {
     name: &'static str,
     inner: M,
-    cfg: AdaptiveConfig,
+    /// Estimation-driven re-balancing on (`false` = crash recovery only;
+    /// the static plan is never second-guessed).
+    adapt: bool,
     platform: Platform,
     job: Job,
     est: CostEstimator,
@@ -122,14 +93,9 @@ pub struct AdaptiveMaster<M = StreamingMaster> {
 }
 
 impl<M: QueueSurgery> AdaptiveMaster<M> {
-    /// Wraps an existing statically planned lane master.
-    pub fn wrap(
-        name: &'static str,
-        platform: &Platform,
-        job: Job,
-        inner: M,
-        cfg: AdaptiveConfig,
-    ) -> Self {
+    /// Wraps an existing statically planned lane master; `adapt` turns
+    /// estimation-driven re-balancing on (`false` = crash recovery only).
+    pub fn wrap(name: &'static str, platform: &Platform, job: Job, inner: M, adapt: bool) -> Self {
         let p = platform.len();
         let next_id = inner.max_planned_id().map_or(0, |id| id + 1);
         let mut descrs = ChunkMap::default();
@@ -141,14 +107,11 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
         let est = CostEstimator::new(
             platform.workers().iter().map(|s| s.c).collect(),
             platform.workers().iter().map(|s| s.w).collect(),
-            cfg.alpha,
-            cfg.min_obs,
-            cfg.min_sample,
         );
         AdaptiveMaster {
             name,
             inner,
-            cfg,
+            adapt,
             platform: platform.clone(),
             job,
             est,
@@ -169,11 +132,6 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
     /// Adaptive-layer counters.
     pub fn stats(&self) -> AdaptiveStats {
         self.stats
-    }
-
-    /// The cost estimator (estimates are in the driving engine's clock).
-    pub fn estimator(&self) -> &CostEstimator {
-        &self.est
     }
 
     /// Geometries of the chunks actually retrieved — on a completed run
@@ -376,7 +334,7 @@ impl AdaptiveMaster {
             platform,
             *job,
             inner,
-            AdaptiveConfig::default(),
+            true,
         ))
     }
 
@@ -385,14 +343,7 @@ impl AdaptiveMaster {
     pub fn guarded_het(platform: &Platform, job: &Job) -> Result<Self, BuildError> {
         let inner = build_policy(platform, job, Algorithm::Het)?;
         Ok(AdaptiveMaster::wrap(
-            "HetGuard",
-            platform,
-            *job,
-            inner,
-            AdaptiveConfig {
-                adapt: false,
-                ..AdaptiveConfig::default()
-            },
+            "HetGuard", platform, *job, inner, false,
         ))
     }
 }
@@ -447,7 +398,7 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
             SimEvent::SendDone { worker, fragment } => {
                 let key = (worker, fragment.chunk, fragment.step, fragment.kind);
                 if let Some((blocks, issued_at)) = self.pending_sends.remove(&key) {
-                    if self.cfg.adapt {
+                    if self.adapt {
                         // A static plan does not calibrate online; only
                         // the adaptive master learns from observations.
                         self.est
@@ -461,7 +412,7 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
                         .insert((fragment.chunk, fragment.step), ctx.now());
                 }
                 self.inner.on_event(ev, ctx);
-                if self.cfg.adapt && self.est.max_drift() > self.cfg.drift_threshold {
+                if self.adapt && self.est.max_drift() > DRIFT_THRESHOLD {
                     self.rebalance_due = true;
                 }
             }
@@ -479,14 +430,14 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
                     .unwrap_or_else(|| ctx.now());
                 let start = ready.max(self.last_step_done[worker]);
                 self.last_step_done[worker] = ctx.now();
-                if self.cfg.adapt {
+                if self.adapt {
                     if let Some(d) = self.descrs.get(&chunk) {
                         self.est
                             .observe_compute(worker, d.updates_for(step), ctx.now() - start);
                     }
                 }
                 self.inner.on_event(ev, ctx);
-                if self.cfg.adapt && self.est.max_drift() > self.cfg.drift_threshold {
+                if self.adapt && self.est.max_drift() > DRIFT_THRESHOLD {
                     self.rebalance_due = true;
                 }
             }
@@ -524,7 +475,7 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
                 for geom in stranded {
                     self.replan(geom);
                 }
-                if self.cfg.adapt {
+                if self.adapt {
                     // Fold the newcomer into the balance.
                     self.rebalance_due = true;
                 }

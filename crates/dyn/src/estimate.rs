@@ -6,14 +6,25 @@
 //! seconds witnesses `ĉ = d / X`; a compute step of `U` updates that ran
 //! for `d` seconds witnesses `ŵ = d / U`. Observations feed an
 //! exponentially weighted moving average per worker, and a *baseline*
-//! snapshot taken once the estimate has warmed up turns the stream into
-//! a drift detector: when the smoothed estimate strays from the baseline
-//! by more than a configured ratio, the platform has genuinely changed
-//! and the schedule should be revisited.
+//! snapshot taken at a worker's first accepted observation turns the
+//! stream into a drift detector: when the smoothed estimate strays from
+//! the baseline by more than the adaptive master's fixed ratio, the
+//! platform has genuinely changed and the schedule should be revisited.
 //!
-//! Observations shorter than a floor duration are discarded — below the
-//! clock's resolution a ratio of two tiny numbers measures scheduling
-//! noise, not hardware.
+//! Observations shorter than a floor duration (`MIN_SAMPLE`) are
+//! discarded — below the clock's resolution a ratio of two tiny numbers
+//! measures scheduling noise, not hardware.
+
+/// EWMA smoothing weight for cost observations.
+const ALPHA: f64 = 0.5;
+
+/// Observations shorter than this many engine-clock seconds are
+/// discarded as measurement noise. One accepted observation suffices to
+/// trust an estimate (and anchor its baseline): model-time measurements
+/// are exact, wall-clock noise is filtered here, and rebasing after each
+/// rebalance prevents thrash. On reactor runs at small time scales every
+/// observation falls under this floor, which keeps adaptation off there.
+const MIN_SAMPLE: f64 = 1e-3;
 
 /// One exponentially weighted moving average with drift tracking.
 #[derive(Clone, Copy, Debug, Default)]
@@ -21,7 +32,7 @@ pub struct Ewma {
     value: f64,
     /// Accepted observations so far.
     count: u32,
-    /// Snapshot of `value` taken when the estimate warmed up (and again
+    /// Snapshot taken at the first accepted observation (and again
     /// after every rebalance); drift is measured against it.
     baseline: Option<f64>,
 }
@@ -37,31 +48,26 @@ impl Ewma {
         self.count
     }
 
-    /// Whether the estimate has at least `min_obs` observations.
-    pub fn warmed_up(&self, min_obs: u32) -> bool {
-        self.count >= min_obs
-    }
-
-    /// Feeds one observation with smoothing weight `alpha`.
-    pub fn observe(&mut self, obs: f64, alpha: f64) {
+    /// Feeds one observation with smoothing weight `ALPHA`.
+    pub fn observe(&mut self, obs: f64) {
         debug_assert!(obs.is_finite() && obs > 0.0);
         self.value = if self.count == 0 {
             obs
         } else {
-            alpha * obs + (1.0 - alpha) * self.value
+            ALPHA * obs + (1.0 - ALPHA) * self.value
         };
         self.count += 1;
     }
 
     /// Anchors the drift baseline. The estimator anchors at the
-    /// *nominal* (planned) cost when the estimate warms up, so drift
+    /// *nominal* (planned) cost at the first accepted observation, so drift
     /// measures "reality vs what the current schedule assumed".
     pub fn set_baseline(&mut self, v: f64) {
         self.baseline = Some(v);
     }
 
     /// Relative deviation of the estimate from its baseline
-    /// (`|value/baseline − 1|`), 0 before warm-up.
+    /// (`|value/baseline − 1|`), 0 before any observation.
     pub fn drift(&self) -> f64 {
         match self.baseline {
             Some(b) if b > 0.0 => (self.value / b - 1.0).abs(),
@@ -88,44 +94,29 @@ pub struct CostEstimator {
     /// Observed estimates.
     pub est_c: Vec<Ewma>,
     pub est_w: Vec<Ewma>,
-    alpha: f64,
-    min_obs: u32,
-    /// Observations shorter than this (in the engine's own clock) are
-    /// noise and get discarded.
-    min_sample: f64,
 }
 
 impl CostEstimator {
     /// An estimator seeded with the nominal costs.
-    pub fn new(
-        nominal_c: Vec<f64>,
-        nominal_w: Vec<f64>,
-        alpha: f64,
-        min_obs: u32,
-        min_sample: f64,
-    ) -> Self {
+    pub fn new(nominal_c: Vec<f64>, nominal_w: Vec<f64>) -> Self {
         assert_eq!(nominal_c.len(), nominal_w.len());
-        assert!((0.0..=1.0).contains(&alpha) && alpha > 0.0);
         let p = nominal_c.len();
         CostEstimator {
             nominal_c,
             nominal_w,
             est_c: vec![Ewma::default(); p],
             est_w: vec![Ewma::default(); p],
-            alpha,
-            min_obs,
-            min_sample,
         }
     }
 
     /// Witnesses a transfer of `blocks` blocks over `duration` seconds.
     /// Returns `true` when the observation was accepted.
     pub fn observe_transfer(&mut self, w: usize, blocks: u64, duration: f64) -> bool {
-        if blocks == 0 || !(duration.is_finite()) || duration < self.min_sample {
+        if blocks == 0 || !(duration.is_finite()) || duration < MIN_SAMPLE {
             return false;
         }
-        self.est_c[w].observe(duration / blocks as f64, self.alpha);
-        if self.est_c[w].count() == self.min_obs.max(1) {
+        self.est_c[w].observe(duration / blocks as f64);
+        if self.est_c[w].count() == 1 {
             self.est_c[w].set_baseline(self.nominal_c[w]);
         }
         true
@@ -134,22 +125,21 @@ impl CostEstimator {
     /// Witnesses a compute interval of `updates` updates over `duration`
     /// seconds. Returns `true` when the observation was accepted.
     pub fn observe_compute(&mut self, w: usize, updates: u64, duration: f64) -> bool {
-        if updates == 0 || !(duration.is_finite()) || duration < self.min_sample {
+        if updates == 0 || !(duration.is_finite()) || duration < MIN_SAMPLE {
             return false;
         }
-        self.est_w[w].observe(duration / updates as f64, self.alpha);
-        if self.est_w[w].count() == self.min_obs.max(1) {
+        self.est_w[w].observe(duration / updates as f64);
+        if self.est_w[w].count() == 1 {
             self.est_w[w].set_baseline(self.nominal_w[w]);
         }
         true
     }
 
-    /// Largest baseline drift across warmed-up estimates.
+    /// Largest baseline drift across the observed estimates.
     pub fn max_drift(&self) -> f64 {
         self.est_c
             .iter()
             .chain(&self.est_w)
-            .filter(|e| e.warmed_up(self.min_obs))
             .map(Ewma::drift)
             .fold(0.0, f64::max)
     }
@@ -162,25 +152,25 @@ impl CostEstimator {
     }
 
     /// Effective per-block cost for planning: the observed estimate once
-    /// warmed up, else the nominal cost scaled by the geometric mean of
+    /// there is one, else the nominal cost scaled by the geometric mean of
     /// observed/nominal ratios (so an engine whose clock runs in
     /// different units still ranks workers correctly).
     pub fn effective_c(&self, w: usize) -> f64 {
-        self.effective(w, &self.est_c, &self.nominal_c)
+        Self::effective(w, &self.est_c, &self.nominal_c)
     }
 
     /// Effective per-update cost for planning (see [`Self::effective_c`]).
     pub fn effective_w(&self, w: usize) -> f64 {
-        self.effective(w, &self.est_w, &self.nominal_w)
+        Self::effective(w, &self.est_w, &self.nominal_w)
     }
 
-    fn effective(&self, w: usize, ests: &[Ewma], nominals: &[f64]) -> f64 {
-        if let Some(v) = ests[w].value().filter(|_| ests[w].warmed_up(self.min_obs)) {
+    fn effective(w: usize, ests: &[Ewma], nominals: &[f64]) -> f64 {
+        if let Some(v) = ests[w].value() {
             return v;
         }
         let (mut log_sum, mut n) = (0.0, 0u32);
         for (e, &nom) in ests.iter().zip(nominals) {
-            if let Some(v) = e.value().filter(|_| e.warmed_up(self.min_obs)) {
+            if let Some(v) = e.value() {
                 log_sum += (v / nom).ln();
                 n += 1;
             }
@@ -202,14 +192,14 @@ mod tests {
     fn ewma_converges_and_tracks_drift() {
         let mut e = Ewma::default();
         for _ in 0..10 {
-            e.observe(2.0, 0.3);
+            e.observe(2.0);
         }
         e.set_baseline(2.0);
         assert!((e.value().unwrap() - 2.0).abs() < 1e-12);
         assert!(e.drift() < 1e-12);
         // The platform shifts ×3: drift grows past any reasonable bar.
         for _ in 0..20 {
-            e.observe(6.0, 0.3);
+            e.observe(6.0);
         }
         assert!(e.drift() > 1.0, "{}", e.drift());
         e.rebase();
@@ -218,8 +208,8 @@ mod tests {
 
     #[test]
     fn short_samples_are_rejected() {
-        let mut est = CostEstimator::new(vec![1.0], vec![1.0], 0.3, 2, 1e-3);
-        assert!(!est.observe_transfer(0, 4, 1e-6));
+        let mut est = CostEstimator::new(vec![1.0], vec![1.0]);
+        assert!(!est.observe_transfer(0, 4, MIN_SAMPLE / 2.0));
         assert!(!est.observe_compute(0, 4, 0.0));
         assert_eq!(est.est_c[0].count(), 0);
         assert!(est.observe_transfer(0, 4, 0.8));
@@ -231,7 +221,7 @@ mod tests {
         // Two workers, nominal c = [1, 2]. Only worker 0 observed, at
         // ×10 the nominal: the unobserved worker is scaled by the same
         // factor, preserving the ranking.
-        let mut est = CostEstimator::new(vec![1.0, 2.0], vec![1.0, 1.0], 0.5, 1, 0.0);
+        let mut est = CostEstimator::new(vec![1.0, 2.0], vec![1.0, 1.0]);
         est.observe_transfer(0, 1, 10.0);
         assert!((est.effective_c(0) - 10.0).abs() < 1e-12);
         assert!((est.effective_c(1) - 20.0).abs() < 1e-9);
@@ -240,19 +230,19 @@ mod tests {
     }
 
     #[test]
-    fn max_drift_needs_warm_estimates() {
-        let mut est = CostEstimator::new(vec![1.0], vec![1.0], 1.0, 3, 0.0);
-        est.observe_transfer(0, 1, 9.0);
-        est.observe_transfer(0, 1, 9.0);
-        assert_eq!(est.max_drift(), 0.0); // not warmed up yet
-                                          // Warm-up anchors the baseline at the *nominal* cost (1.0): the
-                                          // platform is ×9 off what the plan assumed → drift immediately.
+    fn first_observation_anchors_the_baseline_at_the_nominal_cost() {
+        let mut est = CostEstimator::new(vec![1.0], vec![1.0]);
+        assert_eq!(est.max_drift(), 0.0); // nothing observed yet
+
+        // The first observation anchors the baseline at the *nominal*
+        // cost (1.0): the platform is ×9 off what the plan assumed →
+        // drift at once.
         est.observe_transfer(0, 1, 9.0);
         assert!(est.max_drift() > 1.0);
         est.rebase(); // schedule adapted to ĉ = 9
         assert!(est.max_drift() < 0.01);
         // Matching-the-plan observations keep drift flat.
-        let mut calm = CostEstimator::new(vec![1.0], vec![1.0], 1.0, 2, 0.0);
+        let mut calm = CostEstimator::new(vec![1.0], vec![1.0]);
         calm.observe_transfer(0, 1, 1.0);
         calm.observe_transfer(0, 1, 1.0);
         assert!(calm.max_drift() < 1e-12);

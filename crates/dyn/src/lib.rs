@@ -37,7 +37,7 @@ pub mod scenario;
 /// [`stargemm_platform::dynamic`]).
 pub use stargemm_platform::dynamic as model;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveMaster, AdaptiveStats};
+pub use adaptive::{AdaptiveMaster, AdaptiveStats};
 pub use bound::dyn_makespan_lower_bound;
 pub use estimate::{CostEstimator, Ewma};
 pub use scenario::{

@@ -111,12 +111,6 @@ impl Block {
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
-
-    /// Payload size in bytes when serialized on the wire (`q² × 8`).
-    #[inline]
-    pub fn wire_bytes(&self) -> usize {
-        self.q * self.q * 8
-    }
 }
 
 impl fmt::Debug for Block {
@@ -192,11 +186,6 @@ mod tests {
             b.set(i, i, 2.0);
         }
         assert!((b.frobenius_norm() - (12.0f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wire_bytes_counts_f64_payload() {
-        assert_eq!(Block::zeros(80).wire_bytes(), 80 * 80 * 8);
     }
 
     #[test]

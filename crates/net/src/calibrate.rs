@@ -1,5 +1,5 @@
 //! The paper's benchmark phase: measure this machine's kernel rate and
-//! derive a `WorkerSpec`.
+//! derive the reactor's time scale from it.
 //!
 //! Before every run, the paper's implementation times the transfer and
 //! the update of a single `q × q` block ten times per worker and takes
@@ -13,8 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stargemm_linalg::gemm::{block_update, flops_per_update};
 use stargemm_linalg::Block;
-use stargemm_platform::units::{blocks_from_megabytes, c_from_bandwidth_mbps};
-use stargemm_platform::{Platform, WorkerSpec};
+use stargemm_platform::Platform;
 
 /// Shortest batch of updates timed as one sample: long enough that the
 /// clock's own cost and resolution (tens of ns) are below a thousandth
@@ -58,11 +57,6 @@ pub fn gflops_at(q: usize, update_secs: f64) -> f64 {
     flops_per_update(q) as f64 / update_secs / 1e9
 }
 
-/// Sustained kernel rate in GFLOP/s.
-pub fn measure_gflops(q: usize, reps: usize) -> f64 {
-    gflops_at(q, measure_block_update_seconds(q, reps))
-}
-
 /// Smallest `time_scale` at which the reactor's pacing clock dominates
 /// real kernel work, given an already-measured block-update time.
 ///
@@ -94,19 +88,10 @@ pub fn time_scale_for(platform: &Platform, q: usize, reps: usize) -> f64 {
     time_scale_for_measured(platform, measure_block_update_seconds(q, reps))
 }
 
-/// A `WorkerSpec` for this machine: measured `w`, configured link
-/// bandwidth and memory budget.
-pub fn calibrated_spec(q: usize, link_mbps: f64, memory_mb: f64, reps: usize) -> WorkerSpec {
-    WorkerSpec::new(
-        c_from_bandwidth_mbps(q, link_mbps),
-        measure_block_update_seconds(q, reps),
-        blocks_from_megabytes(q, memory_mb).max(3),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stargemm_platform::WorkerSpec;
 
     #[test]
     fn measurement_is_positive_and_plausible() {
@@ -114,18 +99,6 @@ mod tests {
         assert!(secs > 0.0);
         // A 32³ update is 65 kflop; any machine does it within a second.
         assert!(secs < 1.0);
-    }
-
-    #[test]
-    fn gflops_is_positive() {
-        let g = measure_gflops(32, 5);
-        assert!(g > 0.01, "implausibly slow: {g} GFLOP/s");
-    }
-
-    #[test]
-    fn calibrated_spec_is_valid() {
-        let spec = calibrated_spec(16, 100.0, 64.0, 3);
-        assert!(spec.c > 0.0 && spec.w > 0.0 && spec.m >= 3);
     }
 
     #[test]

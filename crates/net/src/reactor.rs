@@ -35,7 +35,6 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use stargemm_core::stream::GeometryAccess;
 use stargemm_linalg::BlockMatrix;
 use stargemm_obs::Dir;
@@ -442,7 +441,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         &self,
         fragment: &Fragment,
         new_chunk: Option<ChunkDescr>,
-    ) -> Result<Bytes, NetError> {
+    ) -> Result<Vec<u8>, NetError> {
         let t = self.policy.job_dims().t;
         let geom = self
             .policy
@@ -552,7 +551,7 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
         fragment: Fragment,
         new_chunk: Option<ChunkDescr>,
     ) -> Result<(), NetError> {
-        let msg = ToWorker::decode(self.encode(&fragment, new_chunk)?);
+        let msg = ToWorker::decode(&self.encode(&fragment, new_chunk)?);
         let now = self.vnow;
         self.obs.emit(|| ObsEvent::Dispatch {
             time: now,

@@ -1,23 +1,24 @@
-//! Binary wire format for master↔worker messages.
+//! Binary wire format for master → worker messages.
 //!
 //! Layout: a one-byte tag, little-endian integer headers, then raw
 //! little-endian `f64` coefficients for block payloads. The encoding is
 //! self-describing enough for a socket transport; the in-process runtime
-//! round-trips every data message through it so the bytes that "travel"
-//! are exactly what a networked deployment would send.
+//! round-trips every chunk load and fragment through it so the bytes
+//! that "travel" are exactly what a networked deployment would send.
+//! Worker replies ([`ToMaster`]) reach the master in-process as values
+//! and have no encoding.
 //!
 //! A block payload is one [`Tiles`]: `n` square `q × q` tiles in a
 //! single contiguous buffer with the shape beside it, not one heap
 //! object per block. A fragment therefore costs the transport a fixed
 //! number of allocations whatever its block count: the sender writes
-//! header and tiles into one exactly-sized buffer — straight from
-//! borrowed block slices ([`encode_load_c`], [`encode_frag`]; the
-//! `encode` methods go through the same two functions, so there is one
-//! encoder) — `freeze` hands that buffer over uncopied, and `decode`
-//! converts the coefficients in one bulk pass into one vector, which
+//! header and tiles into one exactly-sized `Vec<u8>` — straight from
+//! borrowed block slices ([`encode_load_c`], [`encode_frag`];
+//! [`ToWorker::encode`] goes through the same two functions, so there is
+//! one encoder) — and `decode` reads that buffer through a borrowed cursor,
+//! converting the coefficients in one bulk pass into one vector, which
 //! the worker keeps and computes on in place.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stargemm_sim::{ChunkDescr, ChunkId, MatKind, StepCosts, StepId};
 
 /// `n` square tiles of side `q`, contiguous, each row-major: the payload
@@ -115,7 +116,7 @@ pub enum ToWorker {
     Recover,
 }
 
-/// Messages worker → master.
+/// Messages worker → master, delivered in-process (no wire encoding).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ToMaster {
     /// A compute step finished (control message, un-throttled).
@@ -132,9 +133,6 @@ const TAG_FRAG_B: u8 = 3;
 const TAG_RETRIEVE: u8 = 4;
 const TAG_FAIL: u8 = 9;
 const TAG_RECOVER: u8 = 10;
-const TAG_STEP_DONE: u8 = 6;
-const TAG_CHUNK_COMPUTED: u8 = 7;
-const TAG_RESULT: u8 = 8;
 
 /// Encoded size of a tile payload: the `(n, q)` header and the
 /// coefficients.
@@ -142,11 +140,46 @@ fn tiles_len(n: usize, q: usize) -> usize {
     4 + 4 + n * q * q * 8
 }
 
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A read cursor over an encoded message, consumed from the front.
+///
+/// Every read panics when the message is shorter than it claims (the
+/// transport is trusted in-process).
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
+    }
+}
+
 /// Appends `n` tiles of side `q`: the count and side, then every
 /// coefficient converted in bulk into the (already reserved) tail.
-fn put_tiles<'a>(buf: &mut BytesMut, n: usize, q: usize, tiles: impl Iterator<Item = &'a [f64]>) {
-    buf.put_u32_le(n as u32);
-    buf.put_u32_le(q as u32);
+fn put_tiles<'a>(buf: &mut Vec<u8>, n: usize, q: usize, tiles: impl Iterator<Item = &'a [f64]>) {
+    put_u32(buf, n as u32);
+    put_u32(buf, q as u32);
     let tile_bytes = q * q * 8;
     let mut at = buf.len();
     buf.resize(at + n * tile_bytes, 0);
@@ -161,20 +194,20 @@ fn put_tiles<'a>(buf: &mut BytesMut, n: usize, q: usize, tiles: impl Iterator<It
     assert_eq!(at, buf.len(), "tile count disagrees with the header");
 }
 
-fn get_tiles(buf: &mut Bytes) -> Tiles {
-    let n = buf.get_u32_le() as usize;
-    let q = buf.get_u32_le() as usize;
+fn get_tiles(buf: &mut Reader) -> Tiles {
+    let n = buf.u32() as usize;
+    let q = buf.u32() as usize;
     // The size is checked against the bytes really there before
     // anything is allocated for it.
     let len = [q, q, 8]
         .iter()
         .try_fold(n, |len, &by| len.checked_mul(by))
         .expect("tile payload size overflows");
-    let data = buf.chunk()[..len]
+    let data = buf
+        .take(len)
         .chunks_exact(8)
         .map(|raw| f64::from_le_bytes(raw.try_into().expect("chunks of 8")))
         .collect();
-    buf.advance(len);
     Tiles::new(q, data)
 }
 
@@ -183,36 +216,36 @@ fn descr_len(d: &ChunkDescr) -> usize {
     4 + 8 + 4 + 8 + 8 + 8 + 1 + if d.tail.is_some() { 24 } else { 0 }
 }
 
-fn put_descr(buf: &mut BytesMut, d: &ChunkDescr) {
-    buf.put_u32_le(d.id);
-    buf.put_u64_le(d.c_blocks);
-    buf.put_u32_le(d.steps);
-    buf.put_u64_le(d.a_blocks_per_step);
-    buf.put_u64_le(d.b_blocks_per_step);
-    buf.put_u64_le(d.updates_per_step);
+fn put_descr(buf: &mut Vec<u8>, d: &ChunkDescr) {
+    put_u32(buf, d.id);
+    put_u64(buf, d.c_blocks);
+    put_u32(buf, d.steps);
+    put_u64(buf, d.a_blocks_per_step);
+    put_u64(buf, d.b_blocks_per_step);
+    put_u64(buf, d.updates_per_step);
     match d.tail {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(t) => {
-            buf.put_u8(1);
-            buf.put_u64_le(t.a_blocks);
-            buf.put_u64_le(t.b_blocks);
-            buf.put_u64_le(t.updates);
+            buf.push(1);
+            put_u64(buf, t.a_blocks);
+            put_u64(buf, t.b_blocks);
+            put_u64(buf, t.updates);
         }
     }
 }
 
-fn get_descr(buf: &mut Bytes) -> ChunkDescr {
-    let id = buf.get_u32_le();
-    let c_blocks = buf.get_u64_le();
-    let steps = buf.get_u32_le();
-    let a = buf.get_u64_le();
-    let b = buf.get_u64_le();
-    let u = buf.get_u64_le();
-    let tail = if buf.get_u8() == 1 {
+fn get_descr(buf: &mut Reader) -> ChunkDescr {
+    let id = buf.u32();
+    let c_blocks = buf.u64();
+    let steps = buf.u32();
+    let a = buf.u64();
+    let b = buf.u64();
+    let u = buf.u64();
+    let tail = if buf.u8() == 1 {
         Some(StepCosts {
-            a_blocks: buf.get_u64_le(),
-            b_blocks: buf.get_u64_le(),
-            updates: buf.get_u64_le(),
+            a_blocks: buf.u64(),
+            b_blocks: buf.u64(),
+            updates: buf.u64(),
         })
     } else {
         None
@@ -236,15 +269,15 @@ pub fn encode_load_c<'a>(
     w: u32,
     q: usize,
     tiles: impl Iterator<Item = &'a [f64]>,
-) -> Bytes {
+) -> Vec<u8> {
     let n = h as usize * w as usize;
-    let mut buf = BytesMut::with_capacity(1 + descr_len(descr) + 4 + 4 + tiles_len(n, q));
-    buf.put_u8(TAG_LOAD_C);
+    let mut buf = Vec::with_capacity(1 + descr_len(descr) + 4 + 4 + tiles_len(n, q));
+    buf.push(TAG_LOAD_C);
     put_descr(&mut buf, descr);
-    buf.put_u32_le(h);
-    buf.put_u32_le(w);
+    put_u32(&mut buf, h);
+    put_u32(&mut buf, w);
     put_tiles(&mut buf, n, q, tiles);
-    buf.freeze()
+    buf
 }
 
 /// Encodes the [`ToWorker::FragA`] (`kind` A) or [`ToWorker::FragB`]
@@ -260,32 +293,32 @@ pub fn encode_frag<'a>(
     n: usize,
     q: usize,
     tiles: impl Iterator<Item = &'a [f64]>,
-) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + 4 + 4 + tiles_len(n, q));
-    buf.put_u8(match kind {
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + 4 + 4 + tiles_len(n, q));
+    buf.push(match kind {
         MatKind::A => TAG_FRAG_A,
         MatKind::B => TAG_FRAG_B,
         MatKind::C => panic!("a C fragment is a chunk load"),
     });
-    buf.put_u32_le(chunk);
-    buf.put_u32_le(step);
+    put_u32(&mut buf, chunk);
+    put_u32(&mut buf, step);
     put_tiles(&mut buf, n, q, tiles);
-    buf.freeze()
+    buf
 }
 
 /// Encodes a payload-free control message: a tag and its ids.
-fn control(tag: u8, ids: &[u32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + 4 * ids.len());
-    buf.put_u8(tag);
+fn control(tag: u8, ids: &[u32]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + 4 * ids.len());
+    buf.push(tag);
     for &id in ids {
-        buf.put_u32_le(id);
+        put_u32(&mut buf, id);
     }
-    buf.freeze()
+    buf
 }
 
 impl ToWorker {
     /// Serializes the message.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         match self {
             ToWorker::LoadC { descr, h, w, tiles } => {
                 encode_load_c(descr, *h, *w, tiles.q(), tiles.iter())
@@ -308,70 +341,30 @@ impl ToWorker {
     ///
     /// # Panics
     /// Panics on a malformed buffer (the transport is trusted in-process).
-    pub fn decode(mut buf: Bytes) -> Self {
-        match buf.get_u8() {
+    pub fn decode(buf: &[u8]) -> Self {
+        let mut buf = Reader(buf);
+        match buf.u8() {
             TAG_LOAD_C => {
                 let descr = get_descr(&mut buf);
-                let h = buf.get_u32_le();
-                let w = buf.get_u32_le();
+                let h = buf.u32();
+                let w = buf.u32();
                 let tiles = get_tiles(&mut buf);
                 ToWorker::LoadC { descr, h, w, tiles }
             }
             TAG_FRAG_A => ToWorker::FragA {
-                chunk: buf.get_u32_le(),
-                step: buf.get_u32_le(),
+                chunk: buf.u32(),
+                step: buf.u32(),
                 tiles: get_tiles(&mut buf),
             },
             TAG_FRAG_B => ToWorker::FragB {
-                chunk: buf.get_u32_le(),
-                step: buf.get_u32_le(),
+                chunk: buf.u32(),
+                step: buf.u32(),
                 tiles: get_tiles(&mut buf),
             },
-            TAG_RETRIEVE => ToWorker::Retrieve {
-                chunk: buf.get_u32_le(),
-            },
+            TAG_RETRIEVE => ToWorker::Retrieve { chunk: buf.u32() },
             TAG_FAIL => ToWorker::Fail,
             TAG_RECOVER => ToWorker::Recover,
             tag => panic!("unknown ToWorker tag {tag}"),
-        }
-    }
-}
-
-impl ToMaster {
-    /// Serializes the message.
-    pub fn encode(&self) -> Bytes {
-        match self {
-            ToMaster::StepDone { chunk, step } => control(TAG_STEP_DONE, &[*chunk, *step]),
-            ToMaster::ChunkComputed { chunk } => control(TAG_CHUNK_COMPUTED, &[*chunk]),
-            ToMaster::Result { chunk, tiles } => {
-                let (n, q) = (tiles.len(), tiles.q());
-                let mut buf = BytesMut::with_capacity(1 + 4 + tiles_len(n, q));
-                buf.put_u8(TAG_RESULT);
-                buf.put_u32_le(*chunk);
-                put_tiles(&mut buf, n, q, tiles.iter());
-                buf.freeze()
-            }
-        }
-    }
-
-    /// Deserializes a message.
-    ///
-    /// # Panics
-    /// Panics on a malformed buffer.
-    pub fn decode(mut buf: Bytes) -> Self {
-        match buf.get_u8() {
-            TAG_STEP_DONE => ToMaster::StepDone {
-                chunk: buf.get_u32_le(),
-                step: buf.get_u32_le(),
-            },
-            TAG_CHUNK_COMPUTED => ToMaster::ChunkComputed {
-                chunk: buf.get_u32_le(),
-            },
-            TAG_RESULT => ToMaster::Result {
-                chunk: buf.get_u32_le(),
-                tiles: get_tiles(&mut buf),
-            },
-            tag => panic!("unknown ToMaster tag {tag}"),
         }
     }
 }
@@ -410,7 +403,7 @@ mod tests {
             w: 3,
             tiles: tiles(6, 4, 1),
         };
-        assert_eq!(ToWorker::decode(msg.encode()), msg);
+        assert_eq!(ToWorker::decode(&msg.encode()), msg);
     }
 
     #[test]
@@ -420,13 +413,13 @@ mod tests {
             step: 3,
             tiles: tiles(2, 5, 2),
         };
-        assert_eq!(ToWorker::decode(a.encode()), a);
+        assert_eq!(ToWorker::decode(&a.encode()), a);
         let b = ToWorker::FragB {
             chunk: 7,
             step: 3,
             tiles: tiles(3, 5, 3),
         };
-        assert_eq!(ToWorker::decode(b.encode()), b);
+        assert_eq!(ToWorker::decode(&b.encode()), b);
     }
 
     /// The format is pinned byte for byte: tag, `chunk`, `step`, tile
@@ -449,8 +442,8 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0xF0, 0x3F, //  1.0
             0, 0, 0, 0, 0, 0, 0x04, 0xC0, // -2.5
         ];
-        assert_eq!(msg.encode().as_ref(), golden);
-        assert_eq!(ToWorker::decode(Bytes::copy_from_slice(&golden)), msg);
+        assert_eq!(msg.encode(), golden);
+        assert_eq!(ToWorker::decode(&golden), msg);
     }
 
     /// Encoding from borrowed slices — the reactor's path — writes the
@@ -486,31 +479,15 @@ mod tests {
 
     #[test]
     fn control_messages_roundtrip_and_are_payload_free() {
-        // Tag plus at most two u32 ids: no block payload.
+        // Tag plus at most one u32 id: no block payload.
         for msg in [
             ToWorker::Retrieve { chunk: 9 },
             ToWorker::Fail,
             ToWorker::Recover,
         ] {
-            assert_eq!(ToWorker::decode(msg.encode()), msg);
-            assert!(msg.encode().len() <= 9);
+            assert_eq!(ToWorker::decode(&msg.encode()), msg);
+            assert!(msg.encode().len() <= 5);
         }
-        for msg in [
-            ToMaster::StepDone { chunk: 1, step: 2 },
-            ToMaster::ChunkComputed { chunk: 1 },
-        ] {
-            assert_eq!(ToMaster::decode(msg.encode()), msg);
-            assert!(msg.encode().len() <= 9);
-        }
-    }
-
-    #[test]
-    fn result_roundtrip() {
-        let msg = ToMaster::Result {
-            chunk: 3,
-            tiles: tiles(4, 3, 4),
-        };
-        assert_eq!(ToMaster::decode(msg.encode()), msg);
     }
 
     proptest::proptest! {
@@ -545,18 +522,7 @@ mod tests {
                     tiles: payload,
                 },
             };
-            proptest::prop_assert_eq!(ToWorker::decode(msg.encode()), msg);
-        }
-
-        #[test]
-        fn arbitrary_results_roundtrip(
-            chunk in 0u32..10_000,
-            n in 1usize..6,
-            q in 1usize..6,
-            seed in 0u64..1_000,
-        ) {
-            let msg = ToMaster::Result { chunk, tiles: tiles(n, q, seed) };
-            proptest::prop_assert_eq!(ToMaster::decode(msg.encode()), msg);
+            proptest::prop_assert_eq!(ToWorker::decode(&msg.encode()), msg);
         }
     }
 

@@ -45,15 +45,6 @@ impl TraceAnalysis {
             0.0
         }
     }
-
-    /// Compute utilization of worker `w` over the horizon.
-    pub fn worker_utilization(&self, w: usize) -> f64 {
-        if self.horizon > 0.0 {
-            self.workers[w].compute / self.horizon
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Merges overlapping intervals into a sorted disjoint set.
@@ -186,7 +177,7 @@ mod tests {
         // Overlap: [2,4] of the 4 port seconds → 0.5.
         assert!((a.overlap_fraction - 0.5).abs() < 1e-12);
         assert!((a.port_utilization() - 4.0 / 6.0).abs() < 1e-12);
-        assert!((a.worker_utilization(0) - 4.0 / 6.0).abs() < 1e-12);
+        assert_eq!(a.workers[0].compute, 4.0);
         assert_eq!(a.workers[0].transfer, 4.0);
         assert_eq!(a.workers[0].first_active, 0.0);
         assert_eq!(a.workers[0].last_active, 6.0);

@@ -30,9 +30,6 @@
 //! demand by the reader that wants it, so each works on a run of either
 //! engine:
 //!
-//! * [`MetricsRegistry::from_events`] — counters, gauges and
-//!   log-bucketed [`Histogram`]s (quantiles oracle-tested against exact
-//!   sorted vectors);
 //! * [`RunMetrics`] — headline *bound-gap* block (port utilization vs
 //!   the LP ceiling, per-worker busy fraction vs plan share, achieved
 //!   vs LP throughput, DAG frontier width) embedded in `--json`
@@ -62,7 +59,6 @@ mod analysis;
 mod attr;
 mod event;
 mod gantt;
-mod metrics;
 mod perfetto;
 mod recorder;
 mod runmetrics;
@@ -72,7 +68,6 @@ pub use analysis::{analyze, TraceAnalysis, WorkerBreakdown};
 pub use attr::{Attribution, Categories, CriticalPath, CATEGORY_COUNT, CATEGORY_NAMES};
 pub use event::{Dir, MatTag, ObsEvent};
 pub use gantt::render_gantt;
-pub use metrics::{Histogram, MetricsRegistry};
 pub use perfetto::perfetto_trace;
 pub use recorder::{ObsSink, RunRecorder};
 pub use runmetrics::{BoundGap, RunMetrics, TenantGap, WorkerGap};

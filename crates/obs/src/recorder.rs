@@ -66,9 +66,8 @@ impl std::fmt::Debug for ObsSink {
 /// (event times are non-decreasing per emitting engine).
 ///
 /// Recording is a push and nothing else; every summary of the run
-/// ([`crate::spans`], [`crate::MetricsRegistry::from_events`],
-/// [`crate::Attribution`], [`crate::perfetto_trace`]) is a view its
-/// reader derives from the log on demand.
+/// ([`crate::spans`], [`crate::Attribution`], [`crate::perfetto_trace`])
+/// is a view its reader derives from the log on demand.
 #[derive(Default)]
 pub struct RunRecorder {
     events: Vec<ObsEvent>,
@@ -102,7 +101,6 @@ impl RunRecorder {
 mod tests {
     use super::*;
     use crate::event::Dir;
-    use crate::metrics::MetricsRegistry;
 
     #[test]
     fn detached_sink_never_runs_the_constructor() {
@@ -112,50 +110,48 @@ mod tests {
     }
 
     #[test]
-    fn attached_sink_records_and_derives_metrics() {
+    fn attached_sink_records_in_emission_order() {
         let rec = RunRecorder::shared();
         let sink = ObsSink::to(rec.clone());
         assert!(sink.is_on());
-        sink.emit(|| ObsEvent::PortAcquire {
-            time: 1.0,
-            lane: 0,
-            worker: 2,
-            dir: Dir::ToWorker,
-            chunk: 7,
-            blocks: 3,
-        });
-        sink.emit(|| ObsEvent::PortRelease {
-            time: 2.5,
-            lane: 0,
-            worker: 2,
-            dir: Dir::ToWorker,
-            chunk: 7,
-            blocks: 3,
-        });
-        sink.emit(|| ObsEvent::ComputeStart {
-            time: 2.5,
-            worker: 2,
-            chunk: 7,
-            step: 0,
-            updates: 12,
-        });
-        sink.emit(|| ObsEvent::ComputeEnd {
-            time: 4.0,
-            worker: 2,
-            chunk: 7,
-            step: 0,
-        });
+        let log = [
+            ObsEvent::PortAcquire {
+                time: 1.0,
+                lane: 0,
+                worker: 2,
+                dir: Dir::ToWorker,
+                chunk: 7,
+                blocks: 3,
+            },
+            ObsEvent::PortRelease {
+                time: 2.5,
+                lane: 0,
+                worker: 2,
+                dir: Dir::ToWorker,
+                chunk: 7,
+                blocks: 3,
+            },
+            ObsEvent::ComputeStart {
+                time: 2.5,
+                worker: 2,
+                chunk: 7,
+                step: 0,
+                updates: 12,
+            },
+            ObsEvent::ComputeEnd {
+                time: 4.0,
+                worker: 2,
+                chunk: 7,
+                step: 0,
+            },
+        ];
+        for ev in &log {
+            sink.emit(|| ev.clone());
+        }
         drop(sink);
         let rec = Rc::try_unwrap(rec).ok().expect("sole owner").into_inner();
-        assert_eq!(rec.events().len(), 4);
-        let (log,) = rec.into_parts();
-        let m = MetricsRegistry::from_events(&log);
-        assert_eq!(m.counter("events.port_acquire"), 1);
-        let h = m.histogram("port.transfer_secs").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!((h.sum() - 1.5).abs() < 1e-12);
-        let h = m.histogram("compute.step_secs").unwrap();
-        assert!((h.sum() - 1.5).abs() < 1e-12);
+        assert_eq!(rec.events(), log);
+        assert_eq!(rec.into_parts().0, log);
     }
 
     #[test]
@@ -165,16 +161,13 @@ mod tests {
         let b = a.clone();
         a.emit(|| ObsEvent::JobArrived { time: 0.0, job: 1 });
         b.emit(|| ObsEvent::JobAdmitted { time: 0.0, job: 1 });
-        assert_eq!(rec.borrow().events().len(), 2);
         drop((a, b));
-        let (log,) = Rc::try_unwrap(rec)
-            .ok()
-            .expect("sole owner")
-            .into_inner()
-            .into_parts();
         assert_eq!(
-            MetricsRegistry::from_events(&log).gauge("jobs.active"),
-            Some(1.0)
+            rec.borrow().events(),
+            [
+                ObsEvent::JobArrived { time: 0.0, job: 1 },
+                ObsEvent::JobAdmitted { time: 0.0, job: 1 },
+            ]
         );
     }
 }

@@ -1,10 +1,9 @@
 //! The one pairing pass: an event log in, intervals out.
 //!
 //! Every downstream view of a recorded run — the Perfetto export, the
-//! makespan attribution, the ASCII Gantt, the overlap analysis and the
-//! recorder's derived registry — is a function of the *intervals* the
-//! begin/end events delimit. [`spans`] pairs the log once, and decides
-//! in one place what an interval is:
+//! makespan attribution, the ASCII Gantt and the overlap analysis — is
+//! a function of the *intervals* the begin/end events delimit. [`spans`]
+//! pairs the log once, and decides in one place what an interval is:
 //!
 //! * a track is keyed by the identity its events share — contention
 //!   lane, `(worker, chunk, step)`, `(star, job)`, job or worker id;

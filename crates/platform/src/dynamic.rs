@@ -284,14 +284,9 @@ impl DynProfile {
     }
 
     /// End time of a transfer needing `base` nominal seconds
-    /// (`blocks · c_i`) on worker `w`'s link, starting at `start`.
-    pub fn transfer_end(&self, w: WorkerId, start: f64, base: f64) -> f64 {
-        self.workers[w].c_scale.finish(start, base)
-    }
-
-    /// [`Self::transfer_end`] for a transfer progressing at a fractional
-    /// `share` of worker `w`'s link (contention-model composition: the
-    /// share applies on top of the cost trace).
+    /// (`blocks · c_i`) on worker `w`'s link, starting at `start` and
+    /// progressing at a fractional `share` of the link (contention-model
+    /// composition: the share applies on top of the cost trace).
     pub fn transfer_end_shared(&self, w: WorkerId, start: f64, base: f64, share: f64) -> f64 {
         self.workers[w]
             .c_scale

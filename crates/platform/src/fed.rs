@@ -123,11 +123,6 @@ impl FedPlatform {
     pub fn star(&self, s: usize) -> &FedStar {
         &self.stars[s]
     }
-
-    /// Total workers across all stars.
-    pub fn total_workers(&self) -> usize {
-        self.stars.iter().map(|s| s.platform.base.len()).sum()
-    }
 }
 
 /// Splits `total` columns into `k` contiguous shards: an even split with
@@ -305,7 +300,6 @@ mod tests {
         let fp = two_star_fed();
         assert_eq!(fp.star(0).platform.base.name, "fed/star0");
         assert_eq!(fp.star(1).platform.base.name, "fed/star1");
-        assert_eq!(fp.total_workers(), 3);
         assert_eq!(fp.len(), 2);
         assert!(!fp.is_empty());
     }

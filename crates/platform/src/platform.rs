@@ -32,13 +32,6 @@ impl WorkerSpec {
         WorkerSpec { c, w, m }
     }
 
-    /// Communication-to-computation speed ratio `c/w` of this worker —
-    /// how many block updates it performs in the time one block takes to
-    /// travel its link.
-    pub fn comm_comp_ratio(&self) -> f64 {
-        self.c / self.w
-    }
-
     /// Whether this worker dominates `other` (at least as fast on every
     /// dimension). Used by the HomI virtual-platform construction.
     pub fn dominates(&self, other: &WorkerSpec) -> bool {
@@ -115,24 +108,6 @@ impl Platform {
         self.workers.iter().all(|s| *s == first)
     }
 
-    /// Restriction of this platform to a subset of its workers, keeping
-    /// their order. Returns the sub-platform and the mapping from new
-    /// index to original [`WorkerId`].
-    ///
-    /// # Panics
-    /// Panics if `keep` is empty or references an unknown worker.
-    pub fn restrict(&self, keep: &[WorkerId]) -> (Platform, Vec<WorkerId>) {
-        assert!(!keep.is_empty(), "restriction must keep at least 1 worker");
-        let workers = keep.iter().map(|&i| self.workers[i]).collect();
-        (
-            Platform {
-                workers,
-                name: format!("{}/restricted", self.name),
-            },
-            keep.to_vec(),
-        )
-    }
-
     /// Heterogeneity summary: `(max/min c, max/min w, max/min m)`.
     /// Used to label experiment outputs like Figure 7's ratio-2/ratio-4
     /// platforms.
@@ -157,7 +132,7 @@ mod tests {
     #[test]
     fn spec_validation() {
         let s = WorkerSpec::new(2.0, 4.5, 21);
-        assert_eq!(s.comm_comp_ratio(), 2.0 / 4.5);
+        assert_eq!((s.c, s.w, s.m), (2.0, 4.5, 21));
     }
 
     #[test]
@@ -194,21 +169,6 @@ mod tests {
         specs[1].w = 3.0;
         let q = Platform::new("het", specs);
         assert!(!q.is_homogeneous());
-    }
-
-    #[test]
-    fn restriction_keeps_order_and_maps_ids() {
-        let specs = vec![
-            WorkerSpec::new(1.0, 1.0, 10),
-            WorkerSpec::new(2.0, 2.0, 20),
-            WorkerSpec::new(3.0, 3.0, 30),
-        ];
-        let p = Platform::new("p", specs);
-        let (sub, map) = p.restrict(&[2, 0]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.worker(0).c, 3.0);
-        assert_eq!(sub.worker(1).c, 1.0);
-        assert_eq!(map, vec![2, 0]);
     }
 
     #[test]

@@ -168,12 +168,6 @@ impl ChunkDescr {
                 .map(|s| self.a_for(s) + self.b_for(s))
                 .sum::<u64>()
     }
-
-    /// Peak memory this chunk needs with double-buffered A/B fragments
-    /// (the layout constraint `μ² + 4μ ≤ m` generalized).
-    pub fn peak_memory_double_buffered(&self) -> u64 {
-        self.c_blocks + 2 * (self.a_blocks_per_step + self.b_blocks_per_step)
-    }
 }
 
 /// One master→worker message: a batch of blocks of a single matrix bound
@@ -248,7 +242,6 @@ mod tests {
         let d = descr();
         assert_eq!(d.total_updates(), 160);
         assert_eq!(d.total_blocks_in(), 16 + 80);
-        assert_eq!(d.peak_memory_double_buffered(), 16 + 16);
     }
 
     #[test]

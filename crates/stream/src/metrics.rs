@@ -97,12 +97,8 @@ pub fn solo_makespan(platform: &Platform, job: &Job) -> f64 {
         job: *job,
         arrival: 0.0,
     }];
-    let cfg = StreamConfig {
-        slots: 1,
-        window: 2,
-    };
-    let mut policy =
-        MultiJobMaster::new(platform, &req, cfg).expect("solo job fits the full memory");
+    let mut policy = MultiJobMaster::new(platform, &req, StreamConfig { slots: 1 })
+        .expect("solo job fits the full memory");
     Simulator::new(platform.clone())
         .with_arrivals(MultiJobMaster::arrival_plan(&req))
         .run(&mut policy)

@@ -7,7 +7,8 @@
 //!   [`SimEvent::JobArrived`]) queue FIFO in a backlog; at most
 //!   [`StreamConfig::slots`] jobs are admitted at once. Each worker's
 //!   memory is statically partitioned into `slots` slices, so the per-job
-//!   chunk sides (`μ² + 2·window·μ ≤ m_i / slots`) make any interleaving
+//!   chunk sides (`μ² + 4μ ≤ m_i / slots`, the paper's double-buffered
+//!   layout) make any interleaving
 //!   of admitted jobs memory-safe by construction.
 //! * **Planning.** An admitted job is carved into column strips
 //!   round-robin over the workers that fit it (globally unique chunk
@@ -59,23 +60,20 @@ pub const DAG_ID_BASE: ChunkId = 0x4000_0000;
 /// task count — a job re-planning a task gets a fresh id).
 pub const DAG_ID_SPAN: ChunkId = 0x0010_0000;
 
+/// Per-lane lookahead window in steps: the paper's double buffer.
+const WINDOW: StepId = 2;
+
 /// Tuning of the multi-job master.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Maximum concurrently admitted jobs (the multiprogramming level).
     /// Every worker's memory is split into this many slices.
     pub slots: usize,
-    /// Per-lane lookahead window in steps (2 = the paper's
-    /// double-buffered layout).
-    pub window: StepId,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig {
-            slots: 2,
-            window: 2,
-        }
+        StreamConfig { slots: 2 }
     }
 }
 
@@ -88,8 +86,7 @@ pub enum StreamError {
         /// The offending job id.
         job: JobId,
     },
-    /// The [`StreamConfig`] itself is unusable (zero slots or a zero
-    /// lookahead window).
+    /// The [`StreamConfig`] itself is unusable (zero slots).
     Config(String),
     /// Two requests carry the same job id.
     DuplicateJob {
@@ -243,7 +240,6 @@ pub struct MultiJobMaster {
     /// Indices into `active` in deficit order, rebuilt in place at every
     /// decision.
     order: Vec<usize>,
-    completed: Vec<JobId>,
     /// Owner job of every planned chunk (ids are globally unique).
     owner: ChunkMap<JobId>,
     next_chunk_id: ChunkId,
@@ -290,7 +286,7 @@ pub(crate) fn partitioned_sides(
     platform
         .workers()
         .iter()
-        .map(|s| mu_with_window(slot_cap(s.m, cfg.slots, slot), cfg.window as usize).min(job.r))
+        .map(|s| mu_with_window(slot_cap(s.m, cfg.slots, slot), WINDOW as usize).min(job.r))
         .collect()
 }
 
@@ -314,7 +310,7 @@ impl MultiJobMaster {
     /// The request's `job` must equal `dag.virtual_job(q)` for its block
     /// side `q` — the DAG's schedule *is* a schedule of that GEMM.
     ///
-    /// All malformed inputs — zero slots, a zero window, duplicate job
+    /// All malformed inputs — zero slots, duplicate job
     /// ids, a DAG for an unknown request, a DAG job id outside the id
     /// namespace, a DAG/job dimension mismatch, or an infeasible job —
     /// are reported as typed [`StreamError`]s.
@@ -328,9 +324,6 @@ impl MultiJobMaster {
             return Err(StreamError::Config(
                 "at least one job slot is required".into(),
             ));
-        }
-        if cfg.window < 1 {
-            return Err(StreamError::Config("window must be at least 1 step".into()));
         }
         let mut dag_specs = HashMap::new();
         for (id, dag) in dags {
@@ -381,7 +374,6 @@ impl MultiJobMaster {
             backlog: VecDeque::new(),
             active: Vec::new(),
             order: Vec::new(),
-            completed: Vec::new(),
             owner: ChunkMap::default(),
             next_chunk_id: 0,
             up: vec![true; platform.len()],
@@ -421,11 +413,6 @@ impl MultiJobMaster {
     /// a completed run, whatever crashes re-planned on the way).
     pub fn retrieved_geoms(&self, job: JobId) -> &[ChunkGeom] {
         self.retrieved.get(&job).map_or(&[], Vec::as_slice)
-    }
-
-    /// Ids of the jobs completed so far, in completion order.
-    pub fn completed_jobs(&self) -> &[JobId] {
-        &self.completed
     }
 
     /// The task graph registered for `job`, if it is a DAG job.
@@ -531,7 +518,7 @@ impl MultiJobMaster {
                             &self.platform,
                             dag.clone(),
                             req.job.q,
-                            self.cfg.window,
+                            WINDOW,
                             caps,
                             id_base,
                         )
@@ -553,7 +540,7 @@ impl MultiJobMaster {
                         req.job,
                         queues,
                         Serving::DemandDriven,
-                        self.cfg.window,
+                        WINDOW,
                     )))
                 }
             };
@@ -840,13 +827,12 @@ impl MasterPolicy for MultiJobMaster {
                 self.dag_completions
                     .insert(done.id, d.completion_order().to_vec());
             }
-            self.completed.push(done.id);
             self.stats.completed += 1;
             self.shares_dirty = true;
             return Action::CompleteJob { job: done.id };
         }
 
-        if self.completed.len() == self.expected {
+        if self.stats.completed == self.expected as u64 {
             Action::Finished
         } else {
             Action::Wait
@@ -1292,20 +1278,9 @@ mod tests {
     #[test]
     fn bad_configs_are_typed_errors() {
         let reqs = workload(1, 1, 1.0);
-        let no_slots = StreamConfig {
-            slots: 0,
-            window: 2,
-        };
+        let no_slots = StreamConfig { slots: 0 };
         match MultiJobMaster::new(&platform(), &reqs, no_slots).err() {
             Some(StreamError::Config(msg)) => assert!(msg.contains("slot")),
-            other => panic!("expected Config error, got {other:?}"),
-        }
-        let no_window = StreamConfig {
-            slots: 2,
-            window: 0,
-        };
-        match MultiJobMaster::new(&platform(), &reqs, no_window).err() {
-            Some(StreamError::Config(msg)) => assert!(msg.contains("window")),
             other => panic!("expected Config error, got {other:?}"),
         }
     }
@@ -1393,11 +1368,7 @@ mod tests {
     #[test]
     fn single_slot_serializes_jobs() {
         let reqs = workload(4, 9, 1.0);
-        let cfg = StreamConfig {
-            slots: 1,
-            window: 2,
-        };
-        let (stats, policy) = run_stream(&platform(), &reqs, cfg);
+        let (stats, policy) = run_stream(&platform(), &reqs, StreamConfig { slots: 1 });
         assert_eq!(stats.jobs.len(), 4);
         assert!(stats.jobs.iter().all(|j| j.completion.is_some()));
         assert_eq!(policy.stats().completed, 4);

@@ -21,7 +21,7 @@ use stargemm::core::geometry::{carve_strip, plan_chunk, ChunkGeom, PlannedChunk}
 use stargemm::core::select_het::{allocate, SelectionVariant};
 use stargemm::core::stream::{DynamicPool, GeometryAccess, QueueSurgery, Serving, StreamingMaster};
 use stargemm::core::Job;
-use stargemm::dynamic::{random_scenario, AdaptiveConfig, AdaptiveMaster, ScenarioConfig};
+use stargemm::dynamic::{random_scenario, AdaptiveMaster, ScenarioConfig};
 use stargemm::platform::{DynPlatform, Platform, WorkerSpec};
 use stargemm::sim::{Action, ChunkId, Fragment, MasterPolicy, SimCtx, SimEvent, Simulator, StepId};
 
@@ -622,14 +622,13 @@ proptest! {
         let (dp, job, variant, adapt) = inst;
         prop_assume!(layout_sides(&dp.base, &job).iter().any(|&s| s > 0));
         let queues = allocate(&dp.base, &job, SelectionVariant::all()[variant]).queues;
-        let cfg = AdaptiveConfig { adapt, ..AdaptiveConfig::default() };
         let dd = Serving::DemandDriven;
         let fast = StreamingMaster::new_static("Het", job, queues.clone(), dd, 2);
         let oracle = ScanMaster::new_static("Het", job, queues, dd, 2);
         let sim = Simulator::new_dyn(dp.clone());
         agree(
-            record(&sim, AdaptiveMaster::wrap("AdaptiveHet", &dp.base, job, fast, cfg)),
-            record(&sim, AdaptiveMaster::wrap("AdaptiveHet", &dp.base, job, oracle, cfg)),
+            record(&sim, AdaptiveMaster::wrap("AdaptiveHet", &dp.base, job, fast, adapt)),
+            record(&sim, AdaptiveMaster::wrap("AdaptiveHet", &dp.base, job, oracle, adapt)),
         )?;
     }
 }
