@@ -34,4 +34,30 @@ fn warm_reshare_allocates_nothing_at_any_width() {
     maxmin_shares_into(&wide, 0.75, &mut scratch);
     assert_eq!(scratch.shares().len(), 1_024);
     assert_eq!(total_allocated() - before, 0);
+
+    // Symmetric sets (one lane per link, one rate) go through the
+    // per-lane-count cache: a 16-lane multi-port star going 15 ↔ 16
+    // lanes, then every width from 1 to 384, grow nothing once warm.
+    let star: Vec<TransferLane> = (0..384)
+        .map(|w| TransferLane {
+            worker: w,
+            link_rate: 1e4,
+        })
+        .collect();
+    let bytes_once_warm = |widths: &[usize], scratch: &mut ShareScratch| {
+        for &n in widths {
+            maxmin_shares_into(&star[..n], 8e4, scratch);
+        }
+        let before = total_allocated();
+        for _ in 0..50 {
+            for &n in widths {
+                maxmin_shares_into(&star[..n], 8e4, scratch);
+            }
+        }
+        total_allocated() - before
+    };
+    let mut scratch = ShareScratch::new();
+    assert_eq!(bytes_once_warm(&[16, 15], &mut scratch), 0);
+    let sweep: Vec<usize> = (1..=384).collect();
+    assert_eq!(bytes_once_warm(&sweep, &mut scratch), 0);
 }

@@ -55,6 +55,19 @@
 //! link rates) are stated on the function, and the quadratic filling it
 //! replaced lives on as the oracle of `tests/netmodel_props.rs`.
 //!
+//! **Symmetric sets are filled once per lane count.** On a homogeneous
+//! star under `BoundedMultiPort` — every lane on its own worker, one
+//! link rate — the fill's answer is one share per lane count. The
+//! scratch caches it per `n`, keyed by the `(link_rate, backbone)` bits
+//! and dropped when they change, and hands it back on a repeat. It is
+//! exact, not an approximation: on such a set the fill never reads a
+//! worker id and treats every lane alike, so equal inputs give equal
+//! bits, rounding residue of the drained backbone included. Sets with
+//! several lanes on one link (`FairShare` past one lane per worker) or
+//! several rates still run the fill. Distinct workers are told apart by
+//! stamps indexed by worker id (the engines' `0..p`), or by the link
+//! grouping when an id is past 2¹⁶.
+//!
 //! **One verdict for an invalid spec.** A spec is a plain value, so an
 //! invalid one (`k = 0`, a non-positive or NaN backbone) can be written
 //! down; [`NetModelSpec::parse`] and the runtimes reject it with their
@@ -62,6 +75,7 @@
 //! [`drain_times`], the steady-state LPs — calls
 //! [`NetModelSpec::assert_valid`] first and fails with
 //! [`NetModelSpec::validate`]'s message rather than computing with it.
+//! [`maxmin_shares_into`] does the same for a NaN or `−∞` backbone.
 
 use std::fmt;
 
@@ -83,8 +97,9 @@ pub struct TransferLane {
 /// an engine's lane table allocates nothing in steady state: the
 /// progressive-filling working vectors (`rates`, `frozen`), the
 /// per-call grouping of lanes by link (`slots`, `group_of`, `used`,
-/// `live`) and the output `shares` all live here and are only ever
-/// grown, never freed.
+/// `live`), the distinct-worker stamps (`seen`), the symmetric-set
+/// cache and the output `shares` all live here and are only ever grown,
+/// never freed.
 ///
 /// One scratch per lane table; thread it through
 /// [`NetModelSpec::shares_into`] on every active-set change.
@@ -102,9 +117,24 @@ pub struct ShareScratch {
     /// still unfrozen.
     used: Vec<f64>,
     live: Vec<usize>,
+    /// Indexed by worker id: `seen[w] == epoch` once the current
+    /// distinctness check has met worker `w`.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// Indexed by lane count `n`: the share every lane of a symmetric
+    /// set of `n` lanes gets under `symmetric_key`, or NaN when not yet
+    /// filled (a share never is NaN: each passes `min(1.0)`).
+    symmetric: Vec<f64>,
+    /// The `(link_rate, backbone)` bits `symmetric` was filled under.
+    symmetric_key: (u64, u64),
 }
 
 const EMPTY_SLOT: usize = usize::MAX;
+
+/// Worker ids below this are told apart by the `seen` stamps, so those
+/// grow with the largest id met (4 bytes each); a set with a larger id
+/// is told apart by the link grouping.
+const DENSE_IDS: usize = 1 << 16;
 
 impl ShareScratch {
     /// A fresh scratch (buffers grow on first use).
@@ -117,6 +147,152 @@ impl ShareScratch {
     /// set it was given.
     pub fn shares(&self) -> &[f64] {
         &self.shares
+    }
+
+    /// Whether every lane of `active` is on its own worker. Stamps
+    /// indexed by worker id decide it in one pass, cheaper than the
+    /// hashed grouping; an id of [`DENSE_IDS`] or more falls back to the
+    /// grouping (one group per lane).
+    fn distinct_workers(&mut self, active: &[TransferLane]) -> bool {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        for lane in active {
+            let w = lane.worker;
+            if w >= DENSE_IDS {
+                return self.group_by_link(active) == active.len();
+            }
+            if w >= self.seen.len() {
+                self.seen.resize(w + 1, 0);
+            }
+            if std::mem::replace(&mut self.seen[w], self.epoch) == self.epoch {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The cached share of a symmetric set of `n` lanes under `key`,
+    /// dropping every cached share first if the key changed.
+    fn symmetric_share(&mut self, n: usize, key: (u64, u64)) -> Option<f64> {
+        if self.symmetric_key != key {
+            self.symmetric.clear();
+            self.symmetric_key = key;
+        }
+        self.symmetric.get(n).copied().filter(|s| !s.is_nan())
+    }
+
+    /// Gives each distinct worker of `active` a dense group (= physical
+    /// link) and counts the group's lanes; returns the number of groups.
+    fn group_by_link(&mut self, active: &[TransferLane]) -> usize {
+        let ShareScratch {
+            slots,
+            group_of,
+            used,
+            live,
+            ..
+        } = self;
+        // `worker` is any `usize`, so the table is hashed and sized by
+        // `n` (load ≤ 1/2), not indexed by id.
+        let mask = (2 * active.len()).next_power_of_two() - 1;
+        let shift = 64 - mask.count_ones();
+        slots.clear();
+        slots.resize(mask + 1, EMPTY_SLOT);
+        group_of.clear();
+        used.clear();
+        live.clear();
+        for (i, lane) in active.iter().enumerate() {
+            let mut s =
+                ((lane.worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            let g = loop {
+                let first = slots[s];
+                if first == EMPTY_SLOT {
+                    slots[s] = i;
+                    used.push(0.0);
+                    live.push(0);
+                    break used.len() - 1;
+                }
+                if active[first].worker == lane.worker {
+                    break group_of[first];
+                }
+                s = (s + 1) & mask;
+            };
+            group_of.push(g);
+            live[g] += 1;
+        }
+        used.len()
+    }
+
+    /// Progressive filling of a non-empty `active` set grouped by
+    /// [`group_by_link`](Self::group_by_link), into `shares`.
+    fn fill(&mut self, active: &[TransferLane], backbone: f64) {
+        let n = active.len();
+        let ShareScratch {
+            rates,
+            frozen,
+            shares,
+            group_of,
+            used,
+            live,
+            ..
+        } = self;
+        rates.clear();
+        rates.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        let mut backbone_left = backbone;
+        let mut unfrozen = n;
+        while unfrozen > 0 {
+            // Headroom per constraint, divided by the unfrozen lanes it
+            // covers: the uniform raise is the smallest such quotient.
+            let mut delta = if backbone_left.is_finite() {
+                backbone_left / unfrozen as f64
+            } else {
+                f64::INFINITY
+            };
+            for (i, lane) in active.iter().enumerate() {
+                if !frozen[i] {
+                    let g = group_of[i];
+                    delta = delta.min((lane.link_rate - used[g]) / live[g] as f64);
+                }
+            }
+            if delta.is_nan() || delta <= 0.0 {
+                // A constraint is exactly saturated (or the backbone is 0):
+                // freeze everything still active at its current rate.
+                break;
+            }
+            used.fill(0.0);
+            for i in 0..n {
+                if !frozen[i] {
+                    rates[i] += delta;
+                    if backbone_left.is_finite() {
+                        backbone_left -= delta;
+                    }
+                }
+                used[group_of[i]] += rates[i];
+            }
+            // Freeze lanes whose link is now saturated. The backbone
+            // saturating ends the allocation outright.
+            for (i, lane) in active.iter().enumerate() {
+                let g = group_of[i];
+                if !frozen[i] && used[g] >= lane.link_rate * (1.0 - 1e-12) {
+                    frozen[i] = true;
+                    live[g] -= 1;
+                    unfrozen -= 1;
+                }
+            }
+            if backbone_left.is_finite() && backbone_left <= 0.0 {
+                break;
+            }
+        }
+        shares.extend(active.iter().zip(rates.iter()).map(|(l, &r)| {
+            // A single unconstrained lane must come out at exactly 1.0:
+            // its rate accumulated exactly link_rate (one raise of
+            // link_rate/1), and link_rate / link_rate == 1.0 bitwise.
+            (r / l.link_rate).min(1.0)
+        }));
     }
 }
 
@@ -155,106 +331,51 @@ pub fn maxmin_shares(active: &[TransferLane], backbone: f64) -> Vec<f64> {
 /// * **`link_rate` stays per lane**: lanes of one worker may carry
 ///   different rates and freeze in different rounds; only `used` and
 ///   `live` are per group.
+///
+/// **Symmetric sets are filled once per lane count.** When every lane
+/// is on its own worker and all carry one `link_rate`, the fill never
+/// reads a worker id and treats every lane alike, so its output is one
+/// share, a function of `(n, link_rate, backbone)` alone — rounding
+/// residue of the drained backbone included. The scratch caches that
+/// share per `n` under the `(link_rate, backbone)` bits and hands it
+/// back on a repeat, bit for bit what the fill would compute; a set
+/// with two lanes on one link, or two rates, always runs the fill.
+///
+/// # Panics
+/// Panics on a NaN or `−∞` backbone, with [`NetModelSpec::validate`]'s
+/// complaint. A zero or negative finite backbone grants every lane
+/// share 0.
 pub fn maxmin_shares_into(active: &[TransferLane], backbone: f64, scratch: &mut ShareScratch) {
+    if backbone.is_nan() || backbone == f64::NEG_INFINITY {
+        NetModelSpec::FairShare { backbone }.assert_valid();
+    }
     let n = active.len();
     scratch.shares.clear();
     if n == 0 {
         return;
     }
-    let ShareScratch {
-        rates,
-        frozen,
-        shares,
-        slots,
-        group_of,
-        used,
-        live,
-    } = scratch;
-    rates.clear();
-    rates.resize(n, 0.0);
-    frozen.clear();
-    frozen.resize(n, false);
-
-    // Lanes to the same worker share one physical link: give each
-    // distinct worker a dense group. `worker` is any `usize`, so the
-    // table is hashed and sized by `n` (load ≤ 1/2), not indexed by id.
-    let mask = (2 * n).next_power_of_two() - 1;
-    let shift = 64 - mask.count_ones();
-    slots.clear();
-    slots.resize(mask + 1, EMPTY_SLOT);
-    group_of.clear();
-    used.clear();
-    live.clear();
-    for (i, lane) in active.iter().enumerate() {
-        let mut s = ((lane.worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        let g = loop {
-            let first = slots[s];
-            if first == EMPTY_SLOT {
-                slots[s] = i;
-                used.push(0.0);
-                live.push(0);
-                break used.len() - 1;
-            }
-            if active[first].worker == lane.worker {
-                break group_of[first];
-            }
-            s = (s + 1) & mask;
-        };
-        group_of.push(g);
-        live[g] += 1;
-    }
-
-    let mut backbone_left = backbone;
-    let mut unfrozen = n;
-    while unfrozen > 0 {
-        // Headroom per constraint, divided by the unfrozen lanes it
-        // covers: the uniform raise is the smallest such quotient.
-        let mut delta = if backbone_left.is_finite() {
-            backbone_left / unfrozen as f64
-        } else {
-            f64::INFINITY
-        };
-        for (i, lane) in active.iter().enumerate() {
-            if !frozen[i] {
-                let g = group_of[i];
-                delta = delta.min((lane.link_rate - used[g]) / live[g] as f64);
-            }
-        }
-        if delta.is_nan() || delta <= 0.0 {
-            // A constraint is exactly saturated (or the backbone is 0):
-            // freeze everything still active at its current rate.
-            break;
-        }
-        used.fill(0.0);
-        for i in 0..n {
-            if !frozen[i] {
-                rates[i] += delta;
-                if backbone_left.is_finite() {
-                    backbone_left -= delta;
-                }
-            }
-            used[group_of[i]] += rates[i];
-        }
-        // Freeze lanes whose link is now saturated. The backbone
-        // saturating ends the allocation outright.
-        for (i, lane) in active.iter().enumerate() {
-            let g = group_of[i];
-            if !frozen[i] && used[g] >= lane.link_rate * (1.0 - 1e-12) {
-                frozen[i] = true;
-                live[g] -= 1;
-                unfrozen -= 1;
-            }
-        }
-        if backbone_left.is_finite() && backbone_left <= 0.0 {
-            break;
+    let rate = active[0].link_rate.to_bits();
+    let symmetric =
+        active.iter().all(|l| l.link_rate.to_bits() == rate) && scratch.distinct_workers(active);
+    if symmetric {
+        if let Some(share) = scratch.symmetric_share(n, (rate, backbone.to_bits())) {
+            scratch.shares.resize(n, share);
+            return;
         }
     }
-    shares.extend(active.iter().zip(rates.iter()).map(|(l, &r)| {
-        // A single unconstrained lane must come out at exactly 1.0:
-        // its rate accumulated exactly link_rate (one raise of
-        // link_rate/1), and link_rate / link_rate == 1.0 bitwise.
-        (r / l.link_rate).min(1.0)
-    }));
+    scratch.group_by_link(active);
+    scratch.fill(active, backbone);
+    if symmetric {
+        let share = scratch.shares[0];
+        debug_assert!(scratch
+            .shares
+            .iter()
+            .all(|s| s.to_bits() == share.to_bits()));
+        if scratch.symmetric.len() <= n {
+            scratch.symmetric.resize(n + 1, f64::NAN);
+        }
+        scratch.symmetric[n] = share;
+    }
 }
 
 /// Completion times of a batch of transfers drained through a
@@ -675,6 +796,35 @@ mod tests {
         maxmin_shares_into(&lanes(&[(0, 1.0)]), f64::INFINITY, &mut scratch);
         assert_eq!(scratch.shares(), &[1.0]);
         assert!(scratch.shares.capacity() >= cap);
+    }
+
+    #[test]
+    fn symmetric_cache_holds_one_entry_per_lane_count_under_one_key() {
+        let star = lanes(&(0..384).map(|w| (w, 1e4)).collect::<Vec<_>>());
+        let mut scratch = ShareScratch::new();
+        for n in [16, 15, 16, 15] {
+            maxmin_shares_into(&star[..n], 8e4, &mut scratch);
+        }
+        assert_eq!(scratch.symmetric.len(), 17);
+        for n in 1..=384 {
+            maxmin_shares_into(&star[..n], 8e4, &mut scratch);
+        }
+        assert_eq!(scratch.symmetric.len(), 385);
+        // A new backbone drops every entry filled under the old one.
+        maxmin_shares_into(&star[..3], 9e4, &mut scratch);
+        assert_eq!(scratch.symmetric.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid net-model spec: backbone must be positive, got NaN")]
+    fn nan_backbone_is_an_invalid_spec_not_no_backbone() {
+        maxmin_shares(&lanes(&[(0, 4.0), (1, 4.0)]), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid net-model spec: backbone must be positive, got -inf")]
+    fn negative_infinite_backbone_is_an_invalid_spec_not_no_backbone() {
+        maxmin_shares(&lanes(&[(0, 4.0), (1, 4.0)]), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! per link, per-lane and per-worker rates, dense and sparse worker ids,
 //! with and without a finite backbone, including the `delta <= 0`
 //! saturation break (a zero or exactly-consumed backbone freezes all
-//! remaining lanes at once).
+//! remaining lanes at once) — and on symmetric sets (one rate, one lane
+//! per link), whose shares the scratch caches per lane count.
 
 use proptest::prelude::*;
 use stargemm_netmodel::{
@@ -161,6 +162,38 @@ fn bits(shares: &[f64]) -> Vec<u64> {
     shares.iter().map(|s| s.to_bits()).collect()
 }
 
+/// A symmetric active set, which `arb_lanes` almost never draws: `n`
+/// lanes at one `rate`, each on its own worker — dense ids `0, stride,
+/// 2·stride, …` (the engines' `0..p`) or, with `sparse`, ids spread down
+/// from `usize::MAX`.
+fn symmetric_lanes(n: usize, sparse: bool, stride: usize, rate: f64) -> Vec<TransferLane> {
+    (0..n)
+        .map(|w| TransferLane {
+            worker: if sparse {
+                usize::MAX - w * 1_000_003
+            } else {
+                w * stride
+            },
+            link_rate: rate,
+        })
+        .collect()
+}
+
+/// Re-shares `lanes` through `scratch` and holds the shares to the
+/// oracle, bit for bit.
+fn check_against_oracle(
+    lanes: &[TransferLane],
+    backbone: f64,
+    scratch: &mut ShareScratch,
+) -> Result<(), TestCaseError> {
+    maxmin_shares_into(lanes, backbone, scratch);
+    prop_assert_eq!(
+        bits(scratch.shares()),
+        bits(&reference_maxmin(lanes, backbone))
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -200,6 +233,60 @@ proptest! {
         let backbone = backbone_of(kind, cap, &first);
         maxmin_shares_into(&first, backbone, &mut scratch);
         prop_assert_eq!(bits(scratch.shares()), bits(&reference_maxmin(&first, backbone)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A symmetric set's cached share is the fill's, bit for bit: on the
+    /// first call (a miss, which runs the fill) and on a repeat (a hit),
+    /// under every backbone kind — kind 4 ends on the drained
+    /// backbone's rounding residue.
+    #[test]
+    fn symmetric_sets_match_the_oracle_from_the_cache(
+        n in 1usize..513,
+        sparse in 0usize..2,
+        stride in 1usize..4,
+        rate in 0.05f64..8.0,
+        kind in 0usize..6,
+        cap in 0.0f64..25.0,
+    ) {
+        let lanes = symmetric_lanes(n, sparse == 1, stride, rate);
+        let backbone = backbone_of(kind, cap, &lanes);
+        let mut scratch = ShareScratch::new();
+        check_against_oracle(&lanes, backbone, &mut scratch)?;
+        check_against_oracle(&lanes, backbone, &mut scratch)?;
+    }
+
+    /// One scratch recycled across everything that must not hit a stale
+    /// entry: another rate at the same `n`, another backbone at the same
+    /// `n`, and the same `n` with one lane moved onto another lane's
+    /// worker (no longer symmetric) — then the first set again, a hit.
+    #[test]
+    fn recycled_scratch_keys_the_symmetric_cache(
+        n in 1usize..513,
+        sparse in 0usize..2,
+        stride in 1usize..4,
+        rates in (0.05f64..8.0, 0.05f64..8.0),
+        kinds in (0usize..6, 0usize..6),
+        cap in 0.0f64..25.0,
+    ) {
+        let first = symmetric_lanes(n, sparse == 1, stride, rates.0);
+        let other_rate = symmetric_lanes(n, sparse == 1, stride, rates.1);
+        let mut moved = first.clone();
+        moved[n - 1].worker = moved[0].worker;
+        let mut scratch = ShareScratch::new();
+        for (lanes, kind) in [
+            (&first, kinds.0),
+            (&other_rate, kinds.0),
+            (&first, kinds.0),
+            (&first, kinds.1),
+            (&moved, kinds.1),
+            (&first, kinds.1),
+        ] {
+            check_against_oracle(lanes, backbone_of(kind, cap, lanes), &mut scratch)?;
+        }
     }
 }
 
