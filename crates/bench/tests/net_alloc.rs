@@ -1,11 +1,15 @@
-//! A reactor run allocates per *fragment*, never per *block* — asserted
-//! under a counting global allocator. A fragment crosses the reactor as
-//! one flat buffer: one exactly-sized encode buffer, one decoded tile
-//! vector the worker computes on in place, and amortised growth of the
-//! tables it is filed in. Doubling the chunk side quadruples the blocks
-//! of every C load and result and doubles those of every A and B
-//! fragment, at the same fragment count, and must leave the run under
-//! the same `A + B × fragments` line.
+//! A reactor run allocates per *chunk*, never per *fragment* or per
+//! *block* — asserted under a counting global allocator. A fragment
+//! crosses the reactor as one flat buffer: encoded into the one byte
+//! buffer every message reuses, decoded into a vector from the reactor's
+//! pool that the worker computes on in place and hands back once its
+//! step fires (a result, once it is copied into C). What is left is a
+//! chunk's own books: its worker-side record, the list its half-delivered
+//! steps wait in, the ledger's entry. Doubling the chunk side quadruples
+//! the blocks of every C load and result and doubles those of every A
+//! and B fragment; doubling the steps per chunk doubles the fragments;
+//! both at the same chunk count must stay under the same
+//! `PER_RUN + PER_CHUNK × chunks` line.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would allocate into the reading.
@@ -25,21 +29,23 @@ use stargemm_platform::{Platform, WorkerSpec};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations of a whole run that scale with the platform only: the
-/// worker machines, the ledger and lane tables, the statistics.
-/// Measured: 9.
+/// worker machines, the ledger and lane tables, the statistics, and the
+/// pool filling up to the buffers a run has in flight at once.
 const PER_RUN: u64 = 32;
-/// Allocations per fragment on the wire (C loads, A and B fragments,
-/// retrieved results). Measured: 2.05 at both chunk sides (1 705 calls
-/// for 832 fragments), down from 3.0 (2 505) when every encoded message
-/// was also wrapped in a reference-counted buffer; the `Vec<Block>`
-/// messages before that made 12.8 at side 2 (2.2 blocks per fragment)
-/// and 18.4 at side 4 (4.9).
-const PER_FRAGMENT: u64 = 3;
+/// Allocations per chunk. Per wire fragment (C loads, A and B fragments,
+/// retrieved results) this was 18.4 at side 4 and 12.8 at side 2 with
+/// one heap object per block, 3.0 with flat tiles in a reference-counted
+/// message, and 2.05 with the message and the decoded vector allocated
+/// each time (1 705 calls for 832 fragments). With the reused encode
+/// buffer and the decode pool, the 832 fragments of 32 chunks take 118
+/// calls at both chunk sides (3.7 per chunk, 0.14 per fragment), and the
+/// 1 600 fragments of the same chunks at twice the steps take 118 too.
+const PER_CHUNK: u64 = 6;
 
 /// Runs ODDOML for an `r × t × s` job on a four-worker one-port star
 /// whose memory `m` sets the chunk side; returns `(allocator calls
-/// inside NetRuntime::run, fragments moved, blocks moved)`.
-fn run(m: usize, (r, t, s): (usize, usize, usize)) -> (u64, u64, u64) {
+/// inside NetRuntime::run, chunks, fragments moved, blocks moved)`.
+fn run(m: usize, (r, t, s): (usize, usize, usize)) -> (u64, u64, u64, u64) {
     let q = 2;
     let job = Job::new(r, t, s, q);
     let platform = Platform::homogeneous("alloc-star", 4, WorkerSpec::new(1e-5, 1e-6, m));
@@ -67,29 +73,39 @@ fn run(m: usize, (r, t, s): (usize, usize, usize)) -> (u64, u64, u64) {
     let fragments = stats.chunks * (2 + 2 * t as u64);
     (
         allocations,
+        stats.chunks,
         fragments,
         stats.blocks_to_workers + stats.blocks_to_master,
     )
 }
 
 #[test]
-fn a_reactor_run_allocates_per_fragment_not_per_block() {
+fn a_reactor_run_allocates_per_chunk_not_per_fragment() {
     assert!(
         total_allocations() > 0,
         "the counting allocator is not live"
     );
-    // Chunk side 2 (m = 12 holds μ² + 4μ), then side 4 (m = 32) on a job
-    // twice as tall and wide: the same 32 chunks of 12 steps each.
+    // Chunk side 2 (m = 12 holds μ² + 4μ); side 4 (m = 32) on a job
+    // twice as tall and wide; side 2 at twice the steps: the same 32
+    // chunks each time.
     let small = run(12, (8, 12, 16));
     let large = run(32, (16, 12, 32));
-    assert_eq!(small.1, large.1, "same fragment count");
-    assert!(large.2 > 2 * small.2, "at more than twice the blocks");
-    for (what, (allocations, fragments, blocks)) in [("side 2", small), ("side 4", large)] {
-        let line = PER_RUN + PER_FRAGMENT * fragments;
+    let deep = run(12, (8, 24, 16));
+    assert_eq!(small.1, large.1, "same chunk count");
+    assert_eq!(small.1, deep.1, "same chunk count");
+    assert_eq!(small.2, large.2, "same fragment count");
+    assert!(deep.2 > small.2 * 3 / 2, "at many more fragments");
+    assert!(large.3 > 2 * small.3, "at more than twice the blocks");
+    for (what, (allocations, chunks, fragments, blocks)) in [
+        ("side 2", small),
+        ("side 4", large),
+        ("side 2, 24 steps", deep),
+    ] {
+        let line = PER_RUN + PER_CHUNK * chunks;
         assert!(
             allocations <= line,
-            "chunk {what}: {allocations} allocations for {fragments} fragments \
-             ({blocks} blocks), over {PER_RUN} + {PER_FRAGMENT} × fragments = {line}"
+            "chunk {what}: {allocations} allocations for {chunks} chunks \
+             ({fragments} fragments, {blocks} blocks), over {PER_RUN} + {PER_CHUNK} × chunks = {line}"
         );
     }
 }

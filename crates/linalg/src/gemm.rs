@@ -10,8 +10,13 @@
 //! the same code at run-time width (the scalar edge path), the rows left
 //! over when `MR` does not divide `q` through one-row tiles. Blocks
 //! smaller than a tile (`q < NR`: the `q = 2` stars of the contention
-//! experiments) take a plain triple loop instead, which at that size
-//! beats the run-time-width edge path.
+//! experiments) take a fixed-size kernel instead, `fixed::<Q>` for
+//! `Q = 1..=7`, picked by one `match` on `q` per call: the side is then
+//! known when the kernel compiles, every row is a `[f64; Q]`, and the
+//! loops unroll with no bounds checks: a `q = 2` update becomes a dozen
+//! AVX2 instructions, and measured 7.7 ns against 15–24 ns through a
+//! loop at run-time width (2-vCPU Xeon @ 2.10 GHz). The choice is by
+//! size alone, never by CPU features.
 //!
 //! The source is portable safe Rust with no intrinsics, no
 //! `target_feature` attributes and no run-time dispatch; its width comes
@@ -120,9 +125,23 @@ fn kernel<const SUB: bool>(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(c.len(), q * q);
     assert_eq!(a.len(), q * q);
     assert_eq!(b.len(), q * q);
-    if q < NR {
-        return small::<SUB>(q, c, a, b);
+    match q {
+        1 => fixed::<1, SUB>(c, a, b),
+        2 => fixed::<2, SUB>(c, a, b),
+        3 => fixed::<3, SUB>(c, a, b),
+        4 => fixed::<4, SUB>(c, a, b),
+        5 => fixed::<5, SUB>(c, a, b),
+        6 => fixed::<6, SUB>(c, a, b),
+        7 => fixed::<7, SUB>(c, a, b),
+        _ => tiled::<SUB>(q, c, a, b),
     }
+}
+
+/// A block of at least one tile: full `MR`-row strips, then one-row
+/// strips for the rows left over. Kept out of line, so that a fixed-size
+/// call does not pay this path's register saves and stack frame.
+#[inline(never)]
+fn tiled<const SUB: bool>(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
     let full_rows = q - q % MR;
     let full_cols = q - q % NR;
     for i0 in (0..full_rows).step_by(MR) {
@@ -133,15 +152,25 @@ fn kernel<const SUB: bool>(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// A block smaller than one tile: the textbook loop, each entry summed
-/// in increasing `k` from `0.0` and then stored, as in a tile.
-fn small<const SUB: bool>(q: usize, c: &mut [f64], a: &[f64], b: &[f64]) {
-    for (c_row, a_row) in c.chunks_exact_mut(q).zip(a.chunks_exact(q)) {
-        for (j, c_ij) in c_row.iter_mut().enumerate() {
-            let mut x = 0.0;
-            for (a_ik, b_row) in a_row.iter().zip(b.chunks_exact(q)) {
-                x += a_ik * b_row[j];
+/// A `Q × Q` block smaller than one tile, its side known when it
+/// compiles: every row of A, B and C is a `[f64; Q]`, so the loops unroll
+/// into straight-line code with no bounds checks. Each row of the
+/// product is accumulated from `0.0` in increasing `k`, as in a tile,
+/// and then stored.
+#[inline(always)]
+fn fixed<const Q: usize, const SUB: bool>(c: &mut [f64], a: &[f64], b: &[f64]) {
+    let square = "a Q × Q block";
+    let a: &[[f64; Q]; Q] = a.as_chunks().0.try_into().expect(square);
+    let b: &[[f64; Q]; Q] = b.as_chunks().0.try_into().expect(square);
+    let c: &mut [[f64; Q]; Q] = c.as_chunks_mut().0.try_into().expect(square);
+    for (c_row, a_row) in c.iter_mut().zip(a) {
+        let mut acc = [0.0f64; Q];
+        for (a_ik, b_row) in a_row.iter().zip(b) {
+            for (x, b_kj) in acc.iter_mut().zip(b_row) {
+                *x += a_ik * b_kj;
             }
+        }
+        for (c_ij, x) in c_row.iter_mut().zip(acc) {
             if SUB {
                 *c_ij -= x;
             } else {

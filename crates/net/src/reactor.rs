@@ -22,11 +22,14 @@
 //! only its [`MasterTransport`] verbs and pre-checks.
 //!
 //! A fragment crosses the reactor as one flat buffer: its tiles are
-//! encoded straight out of the borrowed matrices into one exactly-sized
-//! message, decoded into one vector the worker computes on in place,
-//! and a retrieved result is copied into C's blocks where they are — so
-//! a transfer costs a fixed number of allocations whatever its block
-//! count (`stargemm-bench`'s `net_alloc` test counts them).
+//! encoded straight out of the borrowed matrices into the one byte
+//! buffer every message reuses, decoded into a vector from the reactor's
+//! [`TilePool`] that the worker computes on in place, and a retrieved
+//! result is copied into C's blocks where they are. Spent buffers go
+//! back to the pool — a fired step's A and B from the worker, a result
+//! once it is in C — so in steady state a transfer allocates nothing,
+//! whatever its block count (`stargemm-bench`'s `net_alloc` test holds
+//! a run to a fixed number per chunk).
 //!
 //! Because nothing blocks per transfer, the reactor scales to thousands
 //! of workers per star, and a stalled schedule is detected analytically
@@ -46,7 +49,7 @@ use stargemm_sim::{
 };
 
 use crate::runtime::{NetError, NetOptions};
-use crate::wire::{self, Tiles, ToMaster, ToWorker};
+use crate::wire::{self, TilePool, Tiles, ToMaster, ToWorker};
 use crate::worker::WorkerCore;
 
 /// One worker's in-process state machine plus its fault-injection
@@ -70,7 +73,7 @@ impl WorkerSm {
 
     /// Feeds one decoded message to the core, honouring injected faults:
     /// a dead worker silently drops everything.
-    fn ingest(&mut self, msg: ToWorker, out: &mut Vec<ToMaster>) {
+    fn ingest(&mut self, msg: ToWorker, out: &mut Vec<ToMaster>, pool: &mut TilePool) {
         if self.dead {
             return;
         }
@@ -79,7 +82,7 @@ impl WorkerSm {
             self.dead = true;
             return;
         }
-        self.core.ingest(msg, out);
+        self.core.ingest(msg, out, pool);
     }
 }
 
@@ -131,6 +134,7 @@ pub(crate) fn run_reactor<P: MasterPolicy + GeometryAccess>(
         c,
         obs,
         epoch: Instant::now(),
+        wall_seen: 0.0,
         vnow: 0.0,
         workers,
         ledger: StarLedger::new(platform, profile),
@@ -146,6 +150,8 @@ pub(crate) fn run_reactor<P: MasterPolicy + GeometryAccess>(
         stamp: 0,
         inbox: VecDeque::new(),
         replies: Vec::new(),
+        encoded: Vec::new(),
+        pool: TilePool::default(),
     };
     r.run()?;
     Ok(r.into_stats())
@@ -159,6 +165,10 @@ struct Reactor<'r, P: MasterPolicy + GeometryAccess> {
     c: &'r mut BlockMatrix,
     obs: &'r ObsSink,
     epoch: Instant,
+    /// Wall seconds since `epoch` known to have passed: the latest clock
+    /// reading, or the end of the latest sleep. The clock is monotonic,
+    /// so a wall target at or before it needs neither a sleep nor a read.
+    wall_seen: f64,
     /// Deterministic virtual model clock (seconds): advanced to each
     /// projected event time. Wall time only *paces* it (sleeps stretch
     /// real elapsed time to `vnow × time_scale`); load and inline
@@ -180,13 +190,13 @@ struct Reactor<'r, P: MasterPolicy + GeometryAccess> {
     inbox: VecDeque<(usize, ToMaster)>,
     /// Reply scratch for worker ingestion (reused across deliveries).
     replies: Vec<ToMaster>,
+    /// The byte buffer every outgoing message is encoded into.
+    encoded: Vec<u8>,
+    /// Spent tile buffers, for the next messages to be decoded into.
+    pool: TilePool,
 }
 
 impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
-    fn wall_now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
     /// The virtual clock in the wall-seconds scale policies are handed
     /// (`vnow × time_scale`).
     fn vnow_wall(&self) -> f64 {
@@ -233,15 +243,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             // forever), then advance the virtual clock exactly to it:
             // the schedule is a pure function of the projections, never
             // of sleep jitter or inline compute time.
-            let wall_target = target * self.opts.time_scale;
-            let ahead = wall_target - self.wall_now();
-            if ahead > 0.0 {
-                let wait = Duration::from_secs_f64(ahead);
-                if wait > self.opts.idle_timeout {
-                    return Err(NetError::Timeout);
-                }
-                std::thread::sleep(wait);
-            }
+            self.pace(target * self.opts.time_scale)?;
             self.vnow = self.vnow.max(target);
             // Lifecycle boundaries due by now fire before lane
             // completions projected at-or-after them.
@@ -253,6 +255,28 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             }
             sm.settle(self)?;
         }
+    }
+
+    /// Sleeps until `wall_target` seconds after `epoch`. The clock is
+    /// read only when the target lies past what is already known to have
+    /// elapsed; once the wall runs ahead of the schedule (a fast
+    /// `time_scale`), pacing costs no clock read at all.
+    fn pace(&mut self, wall_target: f64) -> Result<(), NetError> {
+        if wall_target <= self.wall_seen {
+            return Ok(());
+        }
+        self.wall_seen = self.epoch.elapsed().as_secs_f64();
+        let ahead = wall_target - self.wall_seen;
+        if ahead > 0.0 {
+            let wait = Duration::from_secs_f64(ahead);
+            if wait > self.opts.idle_timeout {
+                return Err(NetError::Timeout);
+            }
+            // A sleep lasts at least `wait`.
+            std::thread::sleep(wait);
+            self.wall_seen = wall_target;
+        }
+        Ok(())
     }
 
     /// Closes out a finished run. The lane table kept the port's books
@@ -302,7 +326,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             // Neither control message draws a reply.
             let mut no_replies = Vec::new();
             if up {
-                self.workers[worker].ingest(ToWorker::Recover, &mut no_replies);
+                self.workers[worker].ingest(ToWorker::Recover, &mut no_replies, &mut self.pool);
                 self.ledger.rejoin(worker);
                 self.obs.emit(|| ObsEvent::WorkerUp {
                     time,
@@ -310,7 +334,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                 });
                 self.tell(SimEvent::WorkerUp { worker });
             } else {
-                self.workers[worker].ingest(ToWorker::Fail, &mut no_replies);
+                self.workers[worker].ingest(ToWorker::Fail, &mut no_replies, &mut self.pool);
                 let lost = self.ledger.crash(worker);
                 self.obs.emit(|| ObsEvent::WorkerDown {
                     time,
@@ -337,7 +361,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
 
     /// Delivers a completed lane: outbound fragments are booked and
     /// ingested by the worker machine (whose replies feed the policy),
-    /// inbound results land in C.
+    /// inbound results land in C and their buffer goes back to the pool.
     fn complete_lane(&mut self, id: u64, now: f64) -> Result<(), NetError> {
         let done = self.lanes.complete(id, now, || next_stamp(&mut self.stamp));
         let (worker, chunk) = (done.worker, done.chunk);
@@ -353,6 +377,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             }
             LaneKind::Inbound { tiles } => {
                 if !self.ledger.retrieved(worker, chunk) {
+                    self.pool.give(tiles);
                     return Ok(()); // stale result of a dead chunk
                 }
                 let geom = self
@@ -367,6 +392,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                 for ((i, j), tile) in cells.zip(tiles.iter()) {
                     self.c.block_mut(i, j).as_mut_slice().copy_from_slice(tile);
                 }
+                self.pool.give(tiles);
                 self.tell(SimEvent::RetrieveDone { worker, chunk });
             }
         }
@@ -378,7 +404,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
     fn ingest_and_enqueue(&mut self, worker: usize, msg: ToWorker) {
         self.replies.clear();
         let mut replies = std::mem::take(&mut self.replies);
-        self.workers[worker].ingest(msg, &mut replies);
+        self.workers[worker].ingest(msg, &mut replies, &mut self.pool);
         for reply in replies.drain(..) {
             self.inbox.push_back((worker, reply));
         }
@@ -435,13 +461,14 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         }
     }
 
-    /// Encodes the fragment's wire message, its tiles sliced straight
-    /// out of the real matrices into the message buffer.
+    /// Encodes the fragment's wire message into the reused `encoded`
+    /// buffer, its tiles sliced straight out of the real matrices.
     fn encode(
-        &self,
+        &mut self,
         fragment: &Fragment,
         new_chunk: Option<ChunkDescr>,
-    ) -> Result<Vec<u8>, NetError> {
+    ) -> Result<(), NetError> {
+        let buf = &mut self.encoded;
         let t = self.policy.job_dims().t;
         let geom = self
             .policy
@@ -452,26 +479,27 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         let cols = geom.j0..geom.j0 + geom.w;
         let Fragment { chunk, step, .. } = *fragment;
         let depth = khi - klo;
-        Ok(match fragment.kind {
+        match fragment.kind {
             MatKind::C => {
                 let descr = new_chunk
                     .ok_or_else(|| NetError::Protocol("C load without chunk descriptor".into()))?;
                 let c = &*self.c;
                 let tiles = rows.flat_map(|i| cols.clone().map(move |j| c.block(i, j).as_slice()));
-                wire::encode_load_c(&descr, geom.h as u32, geom.w as u32, c.q(), tiles)
+                wire::encode_load_c(buf, &descr, geom.h as u32, geom.w as u32, c.q(), tiles);
             }
             MatKind::A => {
                 let a = self.a;
                 let tiles = rows.flat_map(|i| (klo..khi).map(move |kk| a.block(i, kk).as_slice()));
-                wire::encode_frag(MatKind::A, chunk, step, geom.h * depth, a.q(), tiles)
+                wire::encode_frag(buf, MatKind::A, chunk, step, geom.h * depth, a.q(), tiles);
             }
             MatKind::B => {
                 let b = self.b;
                 let tiles =
                     (klo..khi).flat_map(|kk| cols.clone().map(move |j| b.block(kk, j).as_slice()));
-                wire::encode_frag(MatKind::B, chunk, step, depth * geom.w, b.q(), tiles)
+                wire::encode_frag(buf, MatKind::B, chunk, step, depth * geom.w, b.q(), tiles);
             }
-        })
+        }
+        Ok(())
     }
 }
 
@@ -551,7 +579,8 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
         fragment: Fragment,
         new_chunk: Option<ChunkDescr>,
     ) -> Result<(), NetError> {
-        let msg = ToWorker::decode(&self.encode(&fragment, new_chunk)?);
+        self.encode(&fragment, new_chunk)?;
+        let msg = ToWorker::decode_pooled(&self.encoded, &mut self.pool);
         let now = self.vnow;
         self.obs.emit(|| ObsEvent::Dispatch {
             time: now,
@@ -588,7 +617,7 @@ impl<P: MasterPolicy + GeometryAccess> MasterTransport for Reactor<'_, P> {
     fn start_retrieval(&mut self, worker: usize, chunk: ChunkId) -> Result<(), NetError> {
         self.replies.clear();
         let mut replies = std::mem::take(&mut self.replies);
-        self.workers[worker].ingest(ToWorker::Retrieve { chunk }, &mut replies);
+        self.workers[worker].ingest(ToWorker::Retrieve { chunk }, &mut replies, &mut self.pool);
         let mut payload = None;
         let mut result = Ok(());
         for reply in replies.drain(..) {

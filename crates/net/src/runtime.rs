@@ -280,34 +280,107 @@ mod tests {
         run_and_verify(Algorithm::Hom, small_platform(), Job::new(6, 5, 8, 4));
     }
 
-    /// One-port policies feed every chunk its steps in increasing `k`,
-    /// and the worker runs each tile product through the kernel on
-    /// sub-slices of the flat payloads, so C is the sequential
-    /// reference's to the bit — at an even side and at an odd one,
-    /// where every tile takes the kernel's edge path.
+    /// Policies feed every chunk its steps in increasing `k`, and the
+    /// worker runs each tile product through the kernel on sub-slices of
+    /// the flat payloads, so C is the sequential reference's to the bit
+    /// — at every side below one tile (each fixed-size kernel) and at the
+    /// first tiled side. Four ports reorder arrivals: operands overtake
+    /// their C load into the `early` stash, and pooled buffers are reused
+    /// across chunks in a different order than under one port.
     #[test]
     fn reactor_product_is_bitwise_the_sequential_reference() {
-        for q in [2, 7] {
-            for alg in [Algorithm::Het, Algorithm::Oddoml] {
-                let job = Job::new(6, 5, 8, q);
-                let platform = small_platform();
-                let mut rng = StdRng::seed_from_u64(23);
-                let a = BlockMatrix::random(job.r, job.t, q, &mut rng);
-                let b = BlockMatrix::random(job.t, job.s, q, &mut rng);
-                let mut c = BlockMatrix::random(job.r, job.s, q, &mut rng);
-                let mut expect = c.clone();
-                BlockMatrix::gemm_reference(&mut expect, &a, &b);
-                let mut policy = build_policy(&platform, &job, alg).unwrap();
-                let rt = NetRuntime::new(platform).with_options(fast_opts());
-                rt.run(&mut policy, &a, &b, &mut c).unwrap();
-                for i in 0..job.r {
-                    for j in 0..job.s {
-                        let got = c.block(i, j).as_slice().iter().map(|x| x.to_bits());
-                        let want = expect.block(i, j).as_slice().iter().map(|x| x.to_bits());
-                        assert!(got.eq(want), "{alg:?}, q = {q}: block ({i}, {j})");
+        let four_ports = NetModelSpec::BoundedMultiPort {
+            k: 4,
+            backbone: None,
+        };
+        for netmodel in [NetModelSpec::OnePort, four_ports] {
+            for q in 1..=8 {
+                for alg in [Algorithm::Het, Algorithm::Oddoml] {
+                    let job = Job::new(6, 5, 8, q);
+                    let platform = small_platform();
+                    let mut rng = StdRng::seed_from_u64(23);
+                    let a = BlockMatrix::random(job.r, job.t, q, &mut rng);
+                    let b = BlockMatrix::random(job.t, job.s, q, &mut rng);
+                    let mut c = BlockMatrix::random(job.r, job.s, q, &mut rng);
+                    let mut expect = c.clone();
+                    BlockMatrix::gemm_reference(&mut expect, &a, &b);
+                    let mut policy = build_policy(&platform, &job, alg).unwrap();
+                    let rt = NetRuntime::new(platform).with_options(NetOptions {
+                        netmodel,
+                        ..fast_opts()
+                    });
+                    rt.run(&mut policy, &a, &b, &mut c).unwrap();
+                    for i in 0..job.r {
+                        for j in 0..job.s {
+                            let got = c.block(i, j).as_slice().iter().map(|x| x.to_bits());
+                            let want = expect.block(i, j).as_slice().iter().map(|x| x.to_bits());
+                            assert!(
+                                got.eq(want),
+                                "{netmodel:?}, {alg:?}, q = {q}: block ({i}, {j})"
+                            );
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The reactor sleeps until `vnow × time_scale` of wall time has
+    /// passed, and reads the clock only when that instant lies past its
+    /// last reading. At a scale where pacing, not compute, sets the wall
+    /// time, a run under every contention model must still last at least
+    /// the simulator's makespan (the same schedule) scaled: a skipped
+    /// read never skips a sleep that was due.
+    #[test]
+    fn pacing_holds_the_wall_to_the_scaled_makespan() {
+        let time_scale = 0.05;
+        let job = Job::new(4, 3, 4, 4);
+        // Compute is all but free: the reactor's takes no model time, the
+        // simulator's here adds under 0.1 µs to the makespan.
+        let platform = Platform::new(
+            "paced",
+            vec![
+                WorkerSpec::new(1e-2, 1e-9, 60),
+                WorkerSpec::new(2e-2, 2e-9, 30),
+            ],
+        );
+        let mut rng = StdRng::seed_from_u64(29);
+        let a = BlockMatrix::random(job.r, job.t, job.q, &mut rng);
+        let b = BlockMatrix::random(job.t, job.s, job.q, &mut rng);
+        let c0 = BlockMatrix::random(job.r, job.s, job.q, &mut rng);
+        let models = [
+            NetModelSpec::OnePort,
+            NetModelSpec::BoundedMultiPort {
+                k: 2,
+                backbone: None,
+            },
+            // Below the two links' 150 blocks/s together.
+            NetModelSpec::FairShare { backbone: 120.0 },
+        ];
+        for netmodel in models {
+            let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
+            let sim = Simulator::new(platform.clone())
+                .with_netmodel(netmodel)
+                .run(&mut policy)
+                .unwrap();
+            let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
+            let mut c = c0.clone();
+            let net = NetRuntime::new(platform.clone())
+                .with_options(NetOptions {
+                    time_scale,
+                    netmodel,
+                    idle_timeout: Duration::from_secs(20),
+                    ..Default::default()
+                })
+                .run(&mut policy, &a, &b, &mut c)
+                .unwrap();
+            let paced = sim.makespan * time_scale;
+            assert!(paced > 0.01, "{netmodel:?}: pacing must matter, {paced} s");
+            assert!(
+                net.makespan >= paced,
+                "{netmodel:?}: the run took {} s of wall, under the paced {paced} s",
+                net.makespan
+            );
         }
     }
 

@@ -10,14 +10,15 @@
 //!
 //! A block payload is one [`Tiles`]: `n` square `q × q` tiles in a
 //! single contiguous buffer with the shape beside it, not one heap
-//! object per block. A fragment therefore costs the transport a fixed
-//! number of allocations whatever its block count: the sender writes
-//! header and tiles into one exactly-sized `Vec<u8>` — straight from
-//! borrowed block slices ([`encode_load_c`], [`encode_frag`];
-//! [`ToWorker::encode`] goes through the same two functions, so there is
-//! one encoder) — and `decode` reads that buffer through a borrowed cursor,
-//! converting the coefficients in one bulk pass into one vector, which
-//! the worker keeps and computes on in place.
+//! object per block. The sender writes header and tiles into a byte
+//! buffer it passes in and reuses — straight from borrowed block slices
+//! ([`encode_load_c`], [`encode_frag`]; [`ToWorker::encode`] goes through
+//! the same two functions, so there is one encoder) — and the decoder
+//! reads that buffer through a borrowed cursor, converting the
+//! coefficients in one bulk pass into one vector, which the worker keeps
+//! and computes on in place. The reactor decodes into vectors taken from
+//! a `TilePool` that spent payloads are handed back to, so in steady
+//! state a message allocates nothing at all.
 
 use stargemm_sim::{ChunkDescr, ChunkId, MatKind, StepCosts, StepId};
 
@@ -70,6 +71,28 @@ impl Tiles {
     /// The tiles in order.
     pub fn iter(&self) -> std::slice::ChunksExact<'_, f64> {
         self.data.chunks_exact(self.q * self.q)
+    }
+}
+
+/// Spare coefficient vectors for the decoder to fill: a payload whose
+/// tiles are spent is handed back with [`TilePool::give`], and the next
+/// decode reuses its vector instead of allocating one. Vectors of any
+/// size are mixed; one too small for a payload grows once, so after a
+/// few messages every vector fits and decoding allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TilePool(Vec<Vec<f64>>);
+
+impl TilePool {
+    /// Takes back the buffer of tiles nobody reads any more.
+    pub(crate) fn give(&mut self, tiles: Tiles) {
+        self.0.push(tiles.data);
+    }
+
+    /// An empty vector, with the capacity of the last one given back.
+    fn take(&mut self) -> Vec<f64> {
+        let mut data = self.0.pop().unwrap_or_default();
+        data.clear();
+        data
     }
 }
 
@@ -194,7 +217,7 @@ fn put_tiles<'a>(buf: &mut Vec<u8>, n: usize, q: usize, tiles: impl Iterator<Ite
     assert_eq!(at, buf.len(), "tile count disagrees with the header");
 }
 
-fn get_tiles(buf: &mut Reader) -> Tiles {
+fn get_tiles(buf: &mut Reader, pool: &mut TilePool) -> Tiles {
     let n = buf.u32() as usize;
     let q = buf.u32() as usize;
     // The size is checked against the bytes really there before
@@ -203,11 +226,12 @@ fn get_tiles(buf: &mut Reader) -> Tiles {
         .iter()
         .try_fold(n, |len, &by| len.checked_mul(by))
         .expect("tile payload size overflows");
-    let data = buf
-        .take(len)
-        .chunks_exact(8)
-        .map(|raw| f64::from_le_bytes(raw.try_into().expect("chunks of 8")))
-        .collect();
+    let mut data = pool.take();
+    data.extend(
+        buf.take(len)
+            .chunks_exact(8)
+            .map(|raw| f64::from_le_bytes(raw.try_into().expect("chunks of 8"))),
+    );
     Tiles::new(q, data)
 }
 
@@ -261,80 +285,89 @@ fn get_descr(buf: &mut Reader) -> ChunkDescr {
     }
 }
 
-/// Encodes a [`ToWorker::LoadC`] whose `n = h · w` tiles of side `q` are
-/// borrowed from wherever they live, into one exactly-sized buffer.
+/// Empties `buf` and makes room for a message of `len` bytes, so that a
+/// buffer reused for every message grows only to the largest one.
+fn start(buf: &mut Vec<u8>, len: usize) {
+    buf.clear();
+    buf.reserve(len);
+}
+
+/// Encodes into `buf` (emptied first) a [`ToWorker::LoadC`] whose
+/// `n = h · w` tiles of side `q` are borrowed from wherever they live.
 pub fn encode_load_c<'a>(
+    buf: &mut Vec<u8>,
     descr: &ChunkDescr,
     h: u32,
     w: u32,
     q: usize,
     tiles: impl Iterator<Item = &'a [f64]>,
-) -> Vec<u8> {
+) {
     let n = h as usize * w as usize;
-    let mut buf = Vec::with_capacity(1 + descr_len(descr) + 4 + 4 + tiles_len(n, q));
+    start(buf, 1 + descr_len(descr) + 4 + 4 + tiles_len(n, q));
     buf.push(TAG_LOAD_C);
-    put_descr(&mut buf, descr);
-    put_u32(&mut buf, h);
-    put_u32(&mut buf, w);
-    put_tiles(&mut buf, n, q, tiles);
-    buf
+    put_descr(buf, descr);
+    put_u32(buf, h);
+    put_u32(buf, w);
+    put_tiles(buf, n, q, tiles);
 }
 
-/// Encodes the [`ToWorker::FragA`] (`kind` A) or [`ToWorker::FragB`]
-/// (`kind` B) of `(chunk, step)` whose `n` tiles of side `q` are
-/// borrowed from wherever they live, into one exactly-sized buffer.
+/// Encodes into `buf` (emptied first) the [`ToWorker::FragA`] (`kind` A)
+/// or [`ToWorker::FragB`] (`kind` B) of `(chunk, step)` whose `n` tiles
+/// of side `q` are borrowed from wherever they live.
 ///
 /// # Panics
 /// Panics when `kind` is C (a C load is [`encode_load_c`]).
 pub fn encode_frag<'a>(
+    buf: &mut Vec<u8>,
     kind: MatKind,
     chunk: ChunkId,
     step: StepId,
     n: usize,
     q: usize,
     tiles: impl Iterator<Item = &'a [f64]>,
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 + 4 + 4 + tiles_len(n, q));
+) {
+    start(buf, 1 + 4 + 4 + tiles_len(n, q));
     buf.push(match kind {
         MatKind::A => TAG_FRAG_A,
         MatKind::B => TAG_FRAG_B,
         MatKind::C => panic!("a C fragment is a chunk load"),
     });
-    put_u32(&mut buf, chunk);
-    put_u32(&mut buf, step);
-    put_tiles(&mut buf, n, q, tiles);
-    buf
+    put_u32(buf, chunk);
+    put_u32(buf, step);
+    put_tiles(buf, n, q, tiles);
 }
 
-/// Encodes a payload-free control message: a tag and its ids.
-fn control(tag: u8, ids: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 + 4 * ids.len());
+/// Encodes into `buf` (emptied first) a payload-free control message: a
+/// tag and its ids.
+fn control(buf: &mut Vec<u8>, tag: u8, ids: &[u32]) {
+    start(buf, 1 + 4 * ids.len());
     buf.push(tag);
     for &id in ids {
-        put_u32(&mut buf, id);
+        put_u32(buf, id);
     }
-    buf
 }
 
 impl ToWorker {
     /// Serializes the message.
     pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             ToWorker::LoadC { descr, h, w, tiles } => {
-                encode_load_c(descr, *h, *w, tiles.q(), tiles.iter())
+                encode_load_c(&mut buf, descr, *h, *w, tiles.q(), tiles.iter());
             }
             ToWorker::FragA { chunk, step, tiles } => {
                 let (n, q) = (tiles.len(), tiles.q());
-                encode_frag(MatKind::A, *chunk, *step, n, q, tiles.iter())
+                encode_frag(&mut buf, MatKind::A, *chunk, *step, n, q, tiles.iter());
             }
             ToWorker::FragB { chunk, step, tiles } => {
                 let (n, q) = (tiles.len(), tiles.q());
-                encode_frag(MatKind::B, *chunk, *step, n, q, tiles.iter())
+                encode_frag(&mut buf, MatKind::B, *chunk, *step, n, q, tiles.iter());
             }
-            ToWorker::Retrieve { chunk } => control(TAG_RETRIEVE, &[*chunk]),
-            ToWorker::Fail => control(TAG_FAIL, &[]),
-            ToWorker::Recover => control(TAG_RECOVER, &[]),
+            ToWorker::Retrieve { chunk } => control(&mut buf, TAG_RETRIEVE, &[*chunk]),
+            ToWorker::Fail => control(&mut buf, TAG_FAIL, &[]),
+            ToWorker::Recover => control(&mut buf, TAG_RECOVER, &[]),
         }
+        buf
     }
 
     /// Deserializes a message.
@@ -342,24 +375,30 @@ impl ToWorker {
     /// # Panics
     /// Panics on a malformed buffer (the transport is trusted in-process).
     pub fn decode(buf: &[u8]) -> Self {
+        Self::decode_pooled(buf, &mut TilePool::default())
+    }
+
+    /// [`ToWorker::decode`], with the payload decoded into a vector from
+    /// `pool`.
+    pub(crate) fn decode_pooled(buf: &[u8], pool: &mut TilePool) -> Self {
         let mut buf = Reader(buf);
         match buf.u8() {
             TAG_LOAD_C => {
                 let descr = get_descr(&mut buf);
                 let h = buf.u32();
                 let w = buf.u32();
-                let tiles = get_tiles(&mut buf);
+                let tiles = get_tiles(&mut buf, pool);
                 ToWorker::LoadC { descr, h, w, tiles }
             }
             TAG_FRAG_A => ToWorker::FragA {
                 chunk: buf.u32(),
                 step: buf.u32(),
-                tiles: get_tiles(&mut buf),
+                tiles: get_tiles(&mut buf, pool),
             },
             TAG_FRAG_B => ToWorker::FragB {
                 chunk: buf.u32(),
                 step: buf.u32(),
-                tiles: get_tiles(&mut buf),
+                tiles: get_tiles(&mut buf, pool),
             },
             TAG_RETRIEVE => ToWorker::Retrieve { chunk: buf.u32() },
             TAG_FAIL => ToWorker::Fail,
@@ -446,8 +485,9 @@ mod tests {
         assert_eq!(ToWorker::decode(&golden), msg);
     }
 
-    /// Encoding from borrowed slices — the reactor's path — writes the
-    /// bytes `encode` writes, into a buffer of exactly that size.
+    /// Encoding from borrowed slices into one reused buffer — the
+    /// reactor's path — writes the bytes `encode` writes, whatever the
+    /// buffer held before.
     #[test]
     fn borrowed_tiles_encode_to_the_same_bytes() {
         let t = tiles(6, 3, 9);
@@ -459,22 +499,56 @@ mod tests {
             w: 3,
             tiles: t.clone(),
         };
-        assert_eq!(encode_load_c(&descr(), 2, 3, 3, borrowed()), load.encode());
+        let mut buf = Vec::new();
+        encode_load_c(&mut buf, &descr(), 2, 3, 3, borrowed());
+        assert_eq!(buf, load.encode());
         let frag = ToWorker::FragB {
             chunk: 5,
             step: 1,
             tiles: t,
         };
-        let encoded = encode_frag(MatKind::B, 5, 1, 6, 3, borrowed());
-        assert_eq!(encoded, frag.encode());
-        assert_eq!(encoded.len(), 1 + 4 + 4 + 4 + 4 + 6 * 9 * 8);
+        encode_frag(&mut buf, MatKind::B, 5, 1, 6, 3, borrowed());
+        assert_eq!(buf, frag.encode());
+        assert_eq!(buf.len(), 1 + 4 + 4 + 4 + 4 + 6 * 9 * 8);
+    }
+
+    /// Decoding through a pool gives the message `decode` gives, in a
+    /// vector the pool handed out: spent payloads of any size come back
+    /// and are refilled without an allocation.
+    #[test]
+    fn pooled_decoding_reuses_spent_payloads() {
+        let mut pool = TilePool::default();
+        let big = ToWorker::FragA {
+            chunk: 1,
+            step: 0,
+            tiles: tiles(6, 3, 4),
+        };
+        let small = ToWorker::FragB {
+            chunk: 1,
+            step: 0,
+            tiles: tiles(2, 3, 5),
+        };
+        let ToWorker::FragA { tiles: spent, .. } =
+            ToWorker::decode_pooled(&big.encode(), &mut pool)
+        else {
+            panic!("not a FragA");
+        };
+        let at = spent.data.as_ptr();
+        pool.give(spent);
+        let got = ToWorker::decode_pooled(&small.encode(), &mut pool);
+        assert_eq!(got, small);
+        let ToWorker::FragB { tiles, .. } = got else {
+            panic!("not a FragB");
+        };
+        assert_eq!(tiles.data.as_ptr(), at, "the spent vector is reused");
+        assert!(pool.0.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "tile count")]
     fn a_short_tile_iterator_is_caught() {
         let t = tiles(2, 2, 1);
-        let _ = encode_frag(MatKind::A, 0, 0, 3, 2, t.iter());
+        encode_frag(&mut Vec::new(), MatKind::A, 0, 0, 3, 2, t.iter());
     }
 
     #[test]

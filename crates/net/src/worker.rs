@@ -4,21 +4,24 @@
 //! A worker is a dataflow executor identical in semantics to the
 //! simulator's worker model: a step fires once its chunk's C blocks and
 //! the step's A and B fragments are all resident; step order within a
-//! chunk does not matter (block updates commute); A/B buffers are
-//! dropped after their step, C buffers when the master retrieves the
+//! chunk does not matter (block updates commute); A/B buffers leave the
+//! worker after their step, C buffers when the master retrieves the
 //! chunk.
 //!
 //! Operands stay in the form they arrive in — one flat [`Tiles`] buffer
-//! per fragment, the decoder's own vector — and the kernel runs on
+//! per fragment, the vector the decoder filled — and the kernel runs on
 //! sub-slices of them, so ingesting a fragment copies nothing and
-//! allocates nothing per block. The bookkeeping is O(1) per message: a
+//! allocates nothing. A fired step's A and B buffers go back to the
+//! caller's [`TilePool`] for the next fragment to be decoded into, and a
+//! retrieved C buffer leaves in the `Result` for the master to hand back
+//! once it is copied out. The bookkeeping is O(1) per message: a
 //! fragment can complete only its own step, and a step only its own
 //! chunk, so nothing is scanned for work that might have become ready.
 
 use stargemm_linalg::gemm::gemm_tiled;
 use stargemm_sim::{ChunkDescr, ChunkId, ChunkMap, MatKind, StepId};
 
-use crate::wire::{Tiles, ToMaster, ToWorker};
+use crate::wire::{TilePool, Tiles, ToMaster, ToWorker};
 
 /// State of one chunk resident on a worker.
 struct WorkerChunk {
@@ -42,9 +45,16 @@ impl WorkerChunk {
     }
 
     /// Takes delivery of one operand of `step`: it waits for the other,
-    /// or — the other already waiting — the step fires and the master is
-    /// notified.
-    fn land(&mut self, step: StepId, kind: MatKind, tiles: Tiles, out: &mut Vec<ToMaster>) {
+    /// or — the other already waiting — the step fires, its operands go
+    /// to `pool`, and the master is notified.
+    fn land(
+        &mut self,
+        step: StepId,
+        kind: MatKind,
+        tiles: Tiles,
+        out: &mut Vec<ToMaster>,
+        pool: &mut TilePool,
+    ) {
         let Some(at) = self.pending.iter().position(|(s, ..)| *s == step) else {
             self.pending.push((step, kind, tiles));
             return;
@@ -56,6 +66,8 @@ impl WorkerChunk {
             _ => (waiting, tiles),
         };
         self.compute_step(&a, &b);
+        pool.give(a);
+        pool.give(b);
         self.steps_done += 1;
         let chunk = self.descr.id;
         out.push(ToMaster::StepDone { chunk, step });
@@ -122,8 +134,9 @@ impl WorkerCore {
         }
     }
 
-    /// Processes one message, appending any replies to `out`.
-    pub(crate) fn ingest(&mut self, msg: ToWorker, out: &mut Vec<ToMaster>) {
+    /// Processes one message, appending any replies to `out` and giving
+    /// spent operand buffers to `pool`.
+    pub(crate) fn ingest(&mut self, msg: ToWorker, out: &mut Vec<ToMaster>, pool: &mut TilePool) {
         match msg {
             ToWorker::Fail => {
                 self.chunks.clear();
@@ -149,14 +162,14 @@ impl WorkerCore {
                 );
                 assert!(prev.is_none(), "chunk {} loaded twice", descr.id);
                 for (step, kind, tiles) in self.early.remove(&descr.id).unwrap_or_default() {
-                    self.operand(descr.id, step, kind, tiles, out);
+                    self.operand(descr.id, step, kind, tiles, out, pool);
                 }
             }
             ToWorker::FragA { chunk, step, tiles } => {
-                self.operand(chunk, step, MatKind::A, tiles, out);
+                self.operand(chunk, step, MatKind::A, tiles, out, pool);
             }
             ToWorker::FragB { chunk, step, tiles } => {
-                self.operand(chunk, step, MatKind::B, tiles, out);
+                self.operand(chunk, step, MatKind::B, tiles, out, pool);
             }
             ToWorker::Retrieve { chunk } => {
                 let ch = self
@@ -182,6 +195,7 @@ impl WorkerCore {
         kind: MatKind,
         tiles: Tiles,
         out: &mut Vec<ToMaster>,
+        pool: &mut TilePool,
     ) {
         let Some(ch) = self.chunks.get_mut(&chunk) else {
             self.early
@@ -190,7 +204,7 @@ impl WorkerCore {
                 .push((step, kind, tiles));
             return;
         };
-        ch.land(step, kind, tiles, out);
+        ch.land(step, kind, tiles, out, pool);
         if ch.retrieve_requested && ch.computed() {
             self.reply_result(chunk, out);
         }
@@ -243,6 +257,7 @@ mod tests {
 
         let mut core = WorkerCore::new();
         let mut out = Vec::new();
+        let mut pool = TilePool::default();
         core.ingest(
             ToWorker::LoadC {
                 descr: descr(0, h, w, steps),
@@ -251,6 +266,7 @@ mod tests {
                 tiles: c0.clone(),
             },
             &mut out,
+            &mut pool,
         );
         // Send steps out of order to exercise commutativity.
         for &k in &[1u32, 0, 2] {
@@ -261,6 +277,7 @@ mod tests {
                     tiles: b_frags[k as usize].clone(),
                 },
                 &mut out,
+                &mut pool,
             );
             core.ingest(
                 ToWorker::FragA {
@@ -269,9 +286,10 @@ mod tests {
                     tiles: a_frags[k as usize].clone(),
                 },
                 &mut out,
+                &mut pool,
             );
         }
-        core.ingest(ToWorker::Retrieve { chunk: 0 }, &mut out);
+        core.ingest(ToWorker::Retrieve { chunk: 0 }, &mut out, &mut pool);
 
         // One StepDone per step (in arrival order), ChunkComputed, then
         // the result.
@@ -312,6 +330,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut core = WorkerCore::new();
         let mut out = Vec::new();
+        let mut pool = TilePool::default();
         core.ingest(
             ToWorker::LoadC {
                 descr: descr(3, 1, 1, 1),
@@ -320,10 +339,11 @@ mod tests {
                 tiles: Tiles::random(1, q, &mut rng),
             },
             &mut out,
+            &mut pool,
         );
         // Retrieve first, then the operands: nothing may come back until
         // the last one lands.
-        core.ingest(ToWorker::Retrieve { chunk: 3 }, &mut out);
+        core.ingest(ToWorker::Retrieve { chunk: 3 }, &mut out, &mut pool);
         core.ingest(
             ToWorker::FragB {
                 chunk: 3,
@@ -331,6 +351,7 @@ mod tests {
                 tiles: Tiles::random(1, q, &mut rng),
             },
             &mut out,
+            &mut pool,
         );
         assert!(out.is_empty(), "{out:?}");
         core.ingest(
@@ -340,6 +361,7 @@ mod tests {
                 tiles: Tiles::random(1, q, &mut rng),
             },
             &mut out,
+            &mut pool,
         );
 
         // StepDone, ChunkComputed, then the deferred Result.
@@ -392,10 +414,11 @@ mod tests {
         let run = |order: Vec<ToWorker>| {
             let mut core = WorkerCore::new();
             let mut out = Vec::new();
+            let mut pool = TilePool::default();
             for msg in order {
-                core.ingest(msg, &mut out);
+                core.ingest(msg, &mut out, &mut pool);
             }
-            core.ingest(ToWorker::Retrieve { chunk: 8 }, &mut out);
+            core.ingest(ToWorker::Retrieve { chunk: 8 }, &mut out, &mut pool);
             out
         };
         let in_order = run(std::iter::once(load.clone()).chain(frags.clone()).collect());
@@ -404,11 +427,12 @@ mod tests {
         // steps at once.
         let mut core = WorkerCore::new();
         let mut out = Vec::new();
+        let mut pool = TilePool::default();
         for msg in frags {
-            core.ingest(msg, &mut out);
+            core.ingest(msg, &mut out, &mut pool);
         }
         assert!(out.is_empty(), "{out:?}");
-        core.ingest(load, &mut out);
+        core.ingest(load, &mut out, &mut pool);
         assert_eq!(
             out,
             [
@@ -417,7 +441,7 @@ mod tests {
                 ToMaster::ChunkComputed { chunk: 8 },
             ]
         );
-        core.ingest(ToWorker::Retrieve { chunk: 8 }, &mut out);
+        core.ingest(ToWorker::Retrieve { chunk: 8 }, &mut out, &mut pool);
         assert_eq!(out, in_order, "same replies, bitwise the same C");
     }
 }

@@ -85,15 +85,23 @@ def mappings(pid):
     return out
 
 
-def load_bias(pid, exe):
+def load_bias(pid, exe, wait=2.0):
+    """The executable's load bias. A child just started may not have its
+    new image mapped yet when `Popen` returns (its maps can still list
+    only `[stack]` and `[vsyscall]`), so the maps are re-read for up to
+    `wait` seconds until the executable segment appears."""
     load = executable_load(exe)
     if load is None:
         sys.exit(f"{exe}: not a 64-bit ELF file with an executable PT_LOAD segment")
     p_offset, p_vaddr = load
-    for start, _, offset, perms, path in mappings(pid):
-        if path == exe and "x" in perms:
-            return start - offset - (p_vaddr - p_offset)
-    sys.exit(f"no executable mapping of {exe} in process {pid}")
+    deadline = time.monotonic() + wait
+    while True:
+        for start, _, offset, perms, path in mappings(pid):
+            if path == exe and "x" in perms:
+                return start - offset - (p_vaddr - p_offset)
+        if time.monotonic() >= deadline:
+            sys.exit(f"no executable mapping of {exe} in process {pid}")
+        time.sleep(0.001)
 
 
 def symbols(exe):
