@@ -2,11 +2,13 @@
 //!
 //! Each test runs an `exp_*` binary with `--smoke --json` and compares
 //! the JSON byte-for-byte against the checked-in snapshot under
-//! `tests/golden/`. The artifacts are contractually independent of the
-//! build profile, the thread count, and the machine (pure model time,
-//! deterministic seeds, shortest-round-trip float rendering), so a
-//! mismatch means a serde/CLI/model refactor silently changed published
-//! numbers — regenerate the snapshot *deliberately* with
+//! `tests/golden/` (Figure 9, whose JSON only repeats Figures 4–8's
+//! instances, is pinned by its `results/fig9.txt` summary instead). The
+//! artifacts are contractually independent of the build profile, the
+//! thread count, and the machine (pure model time, deterministic seeds,
+//! shortest-round-trip float rendering), so a mismatch means a
+//! serde/CLI/model refactor silently changed published numbers —
+//! regenerate the snapshot *deliberately* with
 //!
 //! ```sh
 //! cargo run --release -p stargemm-bench --bin exp_fig7 -- \
@@ -15,33 +17,30 @@
 //!
 //! and explain the change in the commit message.
 
-use std::path::PathBuf;
 use std::process::Command;
 
-/// Runs `exe --smoke --threads 2 --json <tmp>` in a scratch directory
+/// Runs `exe --smoke --threads 2 --json out.json` in a scratch directory
 /// (the binaries also write `results/*` into their cwd) and returns the
-/// JSON bytes.
-fn run_smoke_json(exe: &str, tag: &str) -> Vec<u8> {
+/// bytes of `artifact`, a path relative to that directory.
+fn run_smoke(exe: &str, tag: &str, artifact: &str) -> Vec<u8> {
     let scratch =
         std::env::temp_dir().join(format!("stargemm-golden-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let json_path: PathBuf = scratch.join("out.json");
     let status = Command::new(exe)
-        .args(["--smoke", "--threads", "2", "--json"])
-        .arg(&json_path)
+        .args(["--smoke", "--threads", "2", "--json", "out.json"])
         .current_dir(&scratch)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .status()
         .unwrap_or_else(|e| panic!("cannot launch {exe}: {e}"));
     assert!(status.success(), "{exe} exited with {status}");
-    let bytes = std::fs::read(&json_path).expect("json artifact written");
+    let bytes = std::fs::read(scratch.join(artifact)).expect("artifact written");
     let _ = std::fs::remove_dir_all(&scratch);
     bytes
 }
 
-fn assert_matches_golden(exe: &str, tag: &str, golden: &str) {
-    let got = run_smoke_json(exe, tag);
+fn assert_matches_golden(exe: &str, tag: &str, artifact: &str, golden: &str) {
+    let got = run_smoke(exe, tag, artifact);
     let want = golden.as_bytes();
     if got != want {
         let got_s = String::from_utf8_lossy(&got);
@@ -51,7 +50,7 @@ fn assert_matches_golden(exe: &str, tag: &str, golden: &str) {
             .enumerate()
             .find(|(_, (a, b))| a != b);
         panic!(
-            "{tag}: artifact drifted from tests/golden/{tag}.json \
+            "{tag}: {artifact} drifted from its snapshot under tests/golden/ \
              (got {} bytes, want {} bytes; first differing line: {:?})",
             got.len(),
             want.len(),
@@ -60,66 +59,51 @@ fn assert_matches_golden(exe: &str, tag: &str, golden: &str) {
     }
 }
 
-#[test]
-fn exp_fig7_smoke_json_is_pinned() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fig7"),
-        "exp_fig7",
-        include_str!("golden/exp_fig7.json"),
-    );
+/// One `#[test]` per pinned artifact: `name => binary, snapshot file,
+/// the file the binary writes`.
+macro_rules! golden {
+    ($($name:ident => $exe:literal, $snapshot:literal, $artifact:literal;)*) => {$(
+        #[test]
+        fn $name() {
+            assert_matches_golden(
+                env!(concat!("CARGO_BIN_EXE_", $exe)),
+                $exe,
+                $artifact,
+                include_str!(concat!("golden/", $snapshot)),
+            );
+        }
+    )*};
 }
 
-#[test]
-fn exp_dynamic_smoke_json_is_pinned() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_dynamic"),
-        "exp_dynamic",
-        include_str!("golden/exp_dynamic.json"),
-    );
-}
-
-#[test]
-fn exp_stream_smoke_json_is_pinned() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_stream"),
-        "exp_stream",
-        include_str!("golden/exp_stream.json"),
-    );
-}
-
-#[test]
-fn exp_dag_smoke_json_is_pinned() {
+golden! {
+    // The paper's §6 artifacts and the §3 bounds sweep.
+    exp_table1_smoke_json_is_pinned => "exp_table1", "exp_table1.json", "out.json";
+    exp_table2_smoke_json_is_pinned => "exp_table2", "exp_table2.json", "out.json";
+    exp_bounds_smoke_json_is_pinned => "exp_bounds", "exp_bounds.json", "out.json";
+    exp_fig4_smoke_json_is_pinned => "exp_fig4", "exp_fig4.json", "out.json";
+    exp_fig5_smoke_json_is_pinned => "exp_fig5", "exp_fig5.json", "out.json";
+    exp_fig6_smoke_json_is_pinned => "exp_fig6", "exp_fig6.json", "out.json";
+    exp_fig7_smoke_json_is_pinned => "exp_fig7", "exp_fig7.json", "out.json";
+    exp_fig8_smoke_json_is_pinned => "exp_fig8", "exp_fig8.json", "out.json";
+    exp_fig9_smoke_summary_is_pinned => "exp_fig9", "exp_fig9.txt", "results/fig9.txt";
+    exp_ablation_smoke_json_is_pinned => "exp_ablation", "exp_ablation.json", "out.json";
+    exp_ooc_smoke_json_is_pinned => "exp_ooc", "exp_ooc.json", "out.json";
+    // Beyond the paper. Dynamic: the adaptive master's crash recovery.
+    exp_dynamic_smoke_json_is_pinned => "exp_dynamic", "exp_dynamic.json", "out.json";
+    exp_stream_smoke_json_is_pinned => "exp_stream", "exp_stream.json", "out.json";
     // Pins the DAG-member integration: bottom-level dispatch order, the
     // DAG chunk-id namespace, and the mixed-stream deficit accounting
     // all feed these numbers.
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_dag"),
-        "exp_dag",
-        include_str!("golden/exp_dag.json"),
-    );
-}
-
-#[test]
-fn exp_netmodel_smoke_json_is_pinned() {
+    exp_dag_smoke_json_is_pinned => "exp_dag", "exp_dag.json", "out.json";
     // Also pins the OnePort-through-the-trait refactor: the sweep's
     // one-port rows and the cross-engine schedule counts are exactly the
     // values the pre-netmodel engine produced.
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_netmodel"),
-        "exp_netmodel",
-        include_str!("golden/exp_netmodel.json"),
-    );
-}
-
-#[test]
-fn exp_fed_smoke_json_is_pinned() {
+    exp_netmodel_smoke_json_is_pinned => "exp_netmodel", "exp_netmodel.json", "out.json";
     // Pins the federation stack end to end: root placement, the
     // multi-server uplink feed serialization, per-star MultiJobMaster
     // schedules under slot-partitioned memory, and the hierarchical LP
     // bounds (including the k = 1 collapse flag in the artifact).
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_exp_fed"),
-        "exp_fed",
-        include_str!("golden/exp_fed.json"),
-    );
+    exp_fed_smoke_json_is_pinned => "exp_fed", "exp_fed.json", "out.json";
+    // The attribution battery: one conserved breakdown per engine class.
+    exp_attr_smoke_json_is_pinned => "exp_attr", "exp_attr.json", "out.json";
 }
