@@ -14,14 +14,17 @@
 //! the repo benchmark (`benchmark/`) the statistically careful
 //! comparison between two commits.
 //!
-//! Besides the common flags ([`Cli`]) it takes the two it alone honours:
+//! Besides the common flags ([`Cli`]; nothing here is traced, so
+//! `--trace-out`/`--attr-out` are usage errors) it takes the two it
+//! alone honours:
 //! `--net-baseline <path>` (fail when the reactor's events/sec drop more
 //! than 20 % below the committed baseline) and `--kernel-baseline
 //! <path>` (the same floor per event-kernel workload).
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-use stargemm_bench::cli::{flag_value, Cli, USAGE};
+use stargemm_bench::cli::{flag_value, usage_exit, Cli};
 use stargemm_bench::netperf::{
     self, net_report_json, net_trajectory, netmodel_steady_state_bytes, render_net_table,
     NET_BASELINE_SCHEMA,
@@ -30,7 +33,7 @@ use stargemm_bench::perf::{
     check_kernel_baseline, gemm_trajectory, kernel_trajectory, perf_report_json, render_gemm_table,
     render_kernel_table, sweep_cell_times, KERNEL_BASELINE_SCHEMA,
 };
-use stargemm_bench::{write_json, write_results};
+use stargemm_bench::write_file;
 
 // Every heap sample in this binary (kernel heap high-water, net-engine
 // heap high-water, the netmodel steady-state delta) flows through the
@@ -38,7 +41,7 @@ use stargemm_bench::{write_json, write_results};
 #[global_allocator]
 static ALLOC: netperf::CountingAlloc = netperf::CountingAlloc;
 
-fn main() {
+fn main() -> ExitCode {
     let (cli, net_baseline, kernel_baseline) = parse_args();
     let (pending, events) = if cli.smoke {
         (1_024, 50_000)
@@ -73,23 +76,25 @@ fn main() {
     let net_json = net_report_json(&net, steady);
 
     let json = perf_report_json(&kernel, &gemm, &cells);
-    if let Ok(p) = write_results("perf.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
+    let mut writes = vec![(Path::new("results/perf.txt").to_path_buf(), table)];
     if let Some(path) = &cli.json {
-        write_json(path, &json);
+        writes.push((path.clone(), json));
         // BENCH_net.json rides next to the kernel artifact.
-        let net_path = path.with_file_name("BENCH_net.json");
-        write_json(&net_path, &net_json);
+        writes.push((path.with_file_name("BENCH_net.json"), net_json));
     }
-    stargemm_bench::obs::emit_artifacts(&cli, stargemm_bench::obs::default_cell);
+    for (path, contents) in &writes {
+        if let Err(e) = write_file(path, contents) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     if let Some(base_path) = &net_baseline {
         let baseline = read_baseline(base_path, NET_BASELINE_SCHEMA);
         match netperf::check_net_baseline(&baseline, &net) {
             Ok(msg) => println!("{msg}"),
             Err(msg) => {
                 eprintln!("error: {msg}");
-                std::process::exit(1);
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -99,10 +104,11 @@ fn main() {
             Ok(msg) => println!("{msg}"),
             Err(msg) => {
                 eprintln!("error: {msg}");
-                std::process::exit(1);
+                return ExitCode::FAILURE;
             }
         }
     }
+    ExitCode::SUCCESS
 }
 
 /// Parses the process arguments; prints the error and exits with status
@@ -110,14 +116,14 @@ fn main() {
 fn parse_args() -> (Cli, Option<PathBuf>, Option<PathBuf>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     split_baselines(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        eprintln!("usage: {USAGE} [--net-baseline <path>] [--kernel-baseline <path>]");
-        std::process::exit(2);
+        let usage = "exp_perf [--smoke] [--json <path>] [--threads <n>] \
+                     [--net-baseline <path>] [--kernel-baseline <path>]";
+        usage_exit(&e, usage)
     })
 }
 
 /// Splits the net and kernel baseline paths off `args` and parses the
-/// rest as the common flags.
+/// rest as the common flags, less the artifact flags.
 fn split_baselines(args: &[String]) -> Result<(Cli, Option<PathBuf>, Option<PathBuf>), String> {
     let (mut net, mut kernel, mut common) = (None, None, Vec::new());
     let mut it = args.iter();
@@ -132,7 +138,7 @@ fn split_baselines(args: &[String]) -> Result<(Cli, Option<PathBuf>, Option<Path
         };
         *slot = Some(PathBuf::from(flag_value(&mut it, arg, "path")?));
     }
-    Ok((Cli::from_args(&common)?, net, kernel))
+    Ok((Cli::from_args(&common)?.untraced()?, net, kernel))
 }
 
 /// Reads a committed baseline file, turning a missing or unreadable

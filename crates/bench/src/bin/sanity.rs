@@ -3,18 +3,24 @@
 //! Useful for eyeballing that shapes still match the paper after a
 //! change (`cargo run --release -p stargemm-bench --bin sanity`).
 
+use std::process::ExitCode;
+use std::time::Instant;
+
 use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, Cli};
+use stargemm_bench::cli::usage_exit;
+use stargemm_bench::{write_file, Cli};
 use stargemm_core::algorithms::{run_algorithm, Algorithm};
 use stargemm_core::Job;
 use stargemm_platform::presets;
-use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     // `--threads` is accepted for uniformity; the runs stay serial so
-    // the printed wall-clock timings mean something.
-    let cli = Cli::parse();
+    // the printed wall-clock timings mean something. Nothing is traced.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::from_args(&args)
+        .and_then(Cli::untraced)
+        .unwrap_or_else(|e| usage_exit(&e, "sanity [--smoke] [--json <path>] [--threads <n>]"));
     let job = Job::paper(if cli.smoke { 16_000 } else { 80_000 });
     let mut rows: Vec<Value> = Vec::new();
     for (name, p) in [
@@ -47,7 +53,10 @@ fn main() {
             ("rows", Value::Array(rows)),
         ])
         .render_pretty();
-        write_json(path, &json);
+        if let Err(e) = write_file(path, &json) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     }
-    stargemm_bench::obs::emit_artifacts(&cli, stargemm_bench::obs::default_cell);
+    ExitCode::SUCCESS
 }

@@ -1,26 +1,27 @@
-//! Uniform command-line handling for the `exp_*` experiment binaries.
+//! Uniform command-line handling for the experiments.
 //!
-//! Every experiment accepts the same flags instead of growing its own
-//! ad-hoc parser:
+//! Every experiment row (`exp <id>`) and the `sanity` and `exp_perf`
+//! binaries accept the same flags instead of growing their own ad-hoc
+//! parser:
 //!
-//! * `--smoke` — shrink the instance to CI size (binaries without a
-//!   smaller instance simply ignore it);
+//! * `--smoke` — shrink the instance to CI size (rows without a smaller
+//!   instance simply ignore it);
 //! * `--json <path>` — also write machine-readable results to `path`;
-//! * `--threads <n>` — worker threads for the sweep runner
+//! * `--threads <n>` — worker threads for the row's sweep
 //!   (default: all available cores; `--threads 1` forces a serial run);
 //! * `--trace-out <path>` — write a Perfetto/Chrome `trace_event` JSON
-//!   of a representative cell to `path` (re-run serially under a
-//!   recorder, so the artifact is thread-count independent);
+//!   of the row's traced cell to `path`: the log of the run the sweep
+//!   performs anyway, so the artifact is thread-count independent;
 //! * `--attr-out <path>` — write the folded flamegraph stacks of the
-//!   same representative cell's makespan attribution to `path`
-//!   (mirrors `--trace-out`: serial re-run, thread-count independent).
+//!   same cell's makespan attribution to `path`.
 //!
-//! A flag only one binary honours is that binary's to parse (`exp_perf`
-//! splits off its two baseline flags before calling
-//! [`Cli::from_args`]); every other binary rejects it as unknown.
+//! The last two mean something only where a row has a traced cell;
+//! anywhere else they are usage errors ([`Cli::untraced`]). A flag only
+//! one program honours is that program's to parse (`exp attr --diff`,
+//! `exp_perf`'s two baseline flags); everywhere else it is unknown.
 //!
 //! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_dynamic -- --smoke --threads 2
+//! cargo run --release -p stargemm-bench --bin exp -- dynamic --smoke --threads 2
 //! ```
 
 use std::path::PathBuf;
@@ -38,27 +39,13 @@ pub struct Cli {
     pub json: Option<PathBuf>,
     /// Worker threads for sweep fan-out (≥ 1).
     pub threads: usize,
-    /// Where to write a Perfetto trace of a representative run.
+    /// Where to write a Perfetto trace of the traced cell's run.
     pub trace_out: Option<PathBuf>,
-    /// Where to write folded attribution stacks of a representative run.
+    /// Where to write folded attribution stacks of the same run.
     pub attr_out: Option<PathBuf>,
 }
 
 impl Cli {
-    /// Parses the process arguments; prints the error and exits with
-    /// status 2 on a malformed or unknown flag.
-    pub fn parse() -> Cli {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Cli::from_args(&args) {
-            Ok(cli) => cli,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("usage: {USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Parses a raw argument list (no program name).
     pub fn from_args(args: &[String]) -> Result<Cli, String> {
         let mut cli = Cli {
@@ -103,6 +90,31 @@ impl Cli {
         }
         Ok(cli)
     }
+
+    /// `self`, or a usage error naming `--trace-out` or `--attr-out`
+    /// when either is set: for a program with no traced cell, where the
+    /// flag would write nothing.
+    pub fn untraced(self) -> Result<Cli, String> {
+        for (flag, path) in [
+            ("--trace-out", &self.trace_out),
+            ("--attr-out", &self.attr_out),
+        ] {
+            if path.is_some() {
+                return Err(format!(
+                    "{flag} is not accepted here: this experiment has no traced cell"
+                ));
+            }
+        }
+        Ok(self)
+    }
+}
+
+/// Prints `error` and the usage line, and exits with status 2 — the
+/// one outcome of a malformed command line.
+pub fn usage_exit(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {usage}");
+    std::process::exit(2);
 }
 
 /// Takes the value of `flag` off `it`, failing with "`flag` needs a
@@ -203,15 +215,29 @@ mod tests {
         assert!(err.contains("needs a number"), "{err}");
     }
 
-    /// Only `exp_perf` honours the baseline flags, and it takes them
-    /// off the list before the common parse: anywhere else a baseline
-    /// would be ignored silently, so it is an unknown flag.
+    /// Only `exp_perf` honours the baseline flags and only `exp attr`
+    /// the `--diff` mode, and each takes them off the list before the
+    /// common parse: anywhere else they would be ignored silently, so
+    /// they are unknown flags.
     #[test]
     fn baseline_flags_are_not_common_flags() {
-        for flag in ["--kernel-baseline", "--net-baseline"] {
+        for flag in ["--kernel-baseline", "--net-baseline", "--diff"] {
             let err = Cli::from_args(&strs(&[flag, "k.json"])).unwrap_err();
             assert!(err.contains(flag), "{err}");
         }
+    }
+
+    #[test]
+    fn untraced_programs_reject_the_artifact_flags_by_name() {
+        for flag in ["--trace-out", "--attr-out"] {
+            let cli = Cli::from_args(&strs(&["--smoke", flag, "x"])).unwrap();
+            let err = cli.untraced().unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        assert!(Cli::from_args(&strs(&["--smoke"]))
+            .unwrap()
+            .untraced()
+            .is_ok());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! EXP-ATTR — critical-path attribution profiler: explain every model
-//! second of makespan.
+//! The `attr` row — critical-path attribution profiler: explain every
+//! model second of makespan.
 //!
 //! Runs a scenario battery — a static GEMM, a multi-tenant stream, a
 //! mixed DAG+GEMM stream, and a federated two-star run with slow
@@ -7,27 +7,25 @@
 //! decomposes every makespan into the conserved category breakdown
 //! (`obs::Attribution`): port busy, port idle-while-work-pending,
 //! uplink wait, compute, memory stall, master gaps, crash rework, and
-//! no-work idle. The binary asserts the conservation invariant on every
+//! no-work idle. The row asserts the conservation invariant on every
 //! cell: the categories sum bit-exactly to the makespan.
 //!
-//! Besides the common flags (`--json`, `--attr-out` writes the first
-//! scenario's folded flamegraph stacks), a second mode compares two
-//! artifacts:
+//! A second mode compares two artifacts:
 //!
 //! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_attr -- --smoke
-//! cargo run ... --bin exp_attr -- --diff base.json new.json
+//! cargo run --release -p stargemm-bench --bin exp -- attr --diff base.json new.json
 //! ```
 //!
-//! `--diff` scans both JSON files (any `exp_*` artifact) for
+//! `--diff` scans both JSON files (any experiment's artifact) for
 //! `attribution` blocks, pairs them in document order, and prints the
 //! per-category deltas — "the makespan grew 60 s and 55 s of that is
 //! port_busy" — so a regression can be attributed, not just detected.
 
+use std::process::ExitCode;
+
 use serde::json::{self, Value};
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
-use stargemm_core::algorithms::Algorithm;
+use stargemm_core::algorithms::{run_algorithm_observed, Algorithm};
 use stargemm_core::Job;
 use stargemm_dag::{lu_dag, DagJob};
 use stargemm_netmodel::NetModelSpec;
@@ -38,6 +36,11 @@ use stargemm_stream::{
     ArrivalProcess, JobRequest, MultiJobMaster, MultiStarMaster, StreamConfig, TenantSpec,
     WorkloadSpec,
 };
+
+use super::fed::critical_star;
+use super::{rows_json, Report, Sweep};
+use crate::obs::record_with;
+use crate::{Cli, RunLog};
 
 /// One battery scenario (the sweep cell).
 enum Scenario {
@@ -72,18 +75,10 @@ impl Scenario {
 }
 
 /// One attributed scenario.
+#[derive(Serialize)]
 struct Row {
     scenario: &'static str,
     attribution: Attribution,
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("scenario", self.scenario.to_value()),
-            ("attribution", self.attribution.to_value()),
-        ])
-    }
 }
 
 /// The shared star for the single-star scenarios.
@@ -171,17 +166,21 @@ fn battery(smoke: bool) -> Vec<Scenario> {
     ]
 }
 
-/// Runs one battery scenario (executed on a pool worker).
-fn run_cell(s: &Scenario) -> Row {
+/// Runs one battery scenario (executed on a pool worker); the static
+/// GEMM hands its log back when `log` is set.
+fn run_cell(s: &Scenario, log: bool) -> (Row, Option<RunLog>) {
+    let mut trace = None;
     let attribution = match s {
         Scenario::Gemm { platform, job } => {
             let (stats, events) =
-                stargemm_bench::obs::record_algorithm(platform, job, Algorithm::Het)
-                    .expect("gemm scenario runs");
-            Attribution::from_events(&events, stats.makespan)
+                record_with(|obs| run_algorithm_observed(platform, job, Algorithm::Het, obs));
+            let stats = stats.expect("gemm scenario runs");
+            let attribution = Attribution::from_events(&events, stats.makespan);
+            trace = log.then_some((events, stats.makespan));
+            attribution
         }
         Scenario::Stream { platform, requests } => {
-            let (res, events) = stargemm_bench::obs::record_with(|obs| {
+            let (res, events) = record_with(|obs| {
                 let mut policy = MultiJobMaster::new(platform, requests, StreamConfig::default())
                     .expect("stream policy builds")
                     .with_obs(obs.clone());
@@ -197,7 +196,7 @@ fn run_cell(s: &Scenario) -> Row {
             requests,
             dags,
         } => {
-            let (res, events) = stargemm_bench::obs::record_with(|obs| {
+            let (res, events) = record_with(|obs| {
                 let mut policy = MultiJobMaster::with_dags(
                     platform,
                     requests,
@@ -217,22 +216,15 @@ fn run_cell(s: &Scenario) -> Row {
             let (run, logs) = MultiStarMaster::new(fed.clone(), StreamConfig::default())
                 .run_recorded(requests)
                 .expect("fed scenario runs");
-            let critical = logs
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    let ta = a.last().map_or(0.0, |e| e.time());
-                    let tb = b.last().map_or(0.0, |e| e.time());
-                    ta.total_cmp(&tb)
-                })
-                .map_or(0, |(i, _)| i);
+            let critical = critical_star(&logs);
             Attribution::from_events(&logs[critical], run.makespan)
         }
     };
-    Row {
+    let row = Row {
         scenario: s.name(),
         attribution,
-    }
+    };
+    (row, trace)
 }
 
 fn render(rows: &[Row]) -> String {
@@ -301,20 +293,10 @@ fn collect_attrs(v: &Value, path: &str, out: &mut Vec<(String, Value)>) {
     }
 }
 
-/// Reads and parses one artifact, exiting with a useful message if the
-/// file is missing or not JSON.
-fn load_doc(path: &str) -> Value {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    match json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {path} is not valid JSON: {e:?}");
-            std::process::exit(1);
-        }
-    }
+/// Reads and parses one artifact; the error names the file.
+fn load_doc(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    json::from_str(&text).map_err(|e| format!("{path} is not valid JSON: {e:?}"))
 }
 
 /// Pulls (makespan, per-category seconds) out of one attribution block;
@@ -330,20 +312,28 @@ fn block_numbers(block: &Value) -> (f64, [f64; CATEGORY_NAMES.len()]) {
     (makespan, cats)
 }
 
-/// `--diff a.json b.json`: pair the attribution blocks of two artifacts
-/// in document order and print per-category deltas.
-fn run_diff(a_path: &str, b_path: &str) {
+/// `exp attr --diff a.json b.json`: pair the attribution blocks of two
+/// artifacts in document order and print per-category deltas.
+pub fn diff(a_path: &str, b_path: &str) -> ExitCode {
     let mut a_blocks = Vec::new();
     let mut b_blocks = Vec::new();
-    collect_attrs(&load_doc(a_path), "$", &mut a_blocks);
-    collect_attrs(&load_doc(b_path), "$", &mut b_blocks);
+    match (load_doc(a_path), load_doc(b_path)) {
+        (Ok(a), Ok(b)) => {
+            collect_attrs(&a, "$", &mut a_blocks);
+            collect_attrs(&b, "$", &mut b_blocks);
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     if a_blocks.is_empty() || b_blocks.is_empty() {
         eprintln!(
             "error: no attribution blocks found ({} in {a_path}, {} in {b_path})",
             a_blocks.len(),
             b_blocks.len()
         );
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     if a_blocks.len() != b_blocks.len() {
         eprintln!(
@@ -384,29 +374,17 @@ fn run_diff(a_path: &str, b_path: &str) {
             println!("  {:<14}{:+12.3}", CATEGORY_NAMES[i], total[i]);
         }
     }
+    ExitCode::SUCCESS
 }
 
-fn main() {
-    // `--diff` is exp_attr-specific and takes two positional paths, so
-    // it is peeled off before the uniform flag parser sees the args.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().is_some_and(|a| a == "--diff") {
-        if raw.len() != 3 {
-            eprintln!("usage: exp_attr --diff <base.json> <new.json>");
-            std::process::exit(2);
-        }
-        run_diff(&raw[1], &raw[2]);
-        return;
-    }
-
-    let cli = Cli::parse();
+/// The battery; the traced cell is the static GEMM, whose port/compute
+/// frames carry worker and chunk labels.
+pub fn attr(cli: &Cli, sweep: &mut Sweep) -> Report {
     let cells = battery(cli.smoke);
-    let outcome = SweepSpec::new("attr", cli.threads).run(&cells, run_cell);
-    eprintln!("{}", outcome.summary());
-    let rows = &outcome.rows;
+    let rows = sweep.run_traced(&cells, 0, run_cell);
 
     // The whole point: every model second is accounted for, exactly.
-    for r in rows {
+    for r in &rows {
         assert!(
             r.attribution.is_conserved(),
             "{}: categories sum {} != makespan {}",
@@ -415,21 +393,5 @@ fn main() {
             r.attribution.makespan
         );
     }
-
-    let table = render(rows);
-    print!("{table}");
-    if let Ok(p) = write_results("attr.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        write_json(path, &outcome.to_json());
-    }
-    // The first battery scenario (the static GEMM): its port/compute
-    // frames carry worker and chunk labels.
-    stargemm_bench::obs::emit_artifacts(&cli, || match &cells[0] {
-        Scenario::Gemm { platform, job } => {
-            stargemm_bench::obs::gemm_cell(platform, job, Algorithm::Het)
-        }
-        _ => unreachable!("the battery opens with the static GEMM"),
-    });
+    Report::table("attr.txt", render(&rows), rows_json("attr", &rows))
 }

@@ -1,5 +1,5 @@
-//! EXP-DAG — beyond the paper: DAG-structured jobs (tiled LU task
-//! graphs) sharing the star with plain GEMM tenants.
+//! The `dag` row — beyond the paper: DAG-structured jobs (tiled LU
+//! task graphs) sharing the star with plain GEMM tenants.
 //!
 //! Sweeps **DAG fraction × arrival pressure × platform**: each cell
 //! draws a seeded job stream, turns the first `frac · jobs` requests
@@ -11,32 +11,24 @@
 //! lower bound: the makespan can beat neither the aggregate
 //! steady-state capacity nor any single job's
 //! `arrival + dag_makespan_lower_bound`.
-//!
-//! Every cell is an independent simulation, so the grid fans out over
-//! the thread pool (`--threads`); table and `--json` artifact are
-//! identical whatever the fan-out width.
-//!
-//! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_dag            # full sweep
-//! cargo run --release -p stargemm-bench --bin exp_dag -- --smoke # CI-sized
-//! cargo run ... -- --smoke --threads 2 --json results/bench_dag.json
-//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::cpath::dag_makespan_lower_bound;
 use stargemm_core::Job;
 use stargemm_dag::{lu_dag, DagJob};
-use stargemm_obs::{Attribution, ObsEvent};
+use stargemm_obs::Attribution;
 use stargemm_platform::{Platform, WorkerSpec};
-use stargemm_sim::{RunStats, Simulator};
+use stargemm_sim::Simulator;
 use stargemm_stream::{
     aggregate_throughput_bound, stream_report, JobRequest, MultiJobMaster, StreamConfig,
     StreamReport,
 };
+
+use super::{rows_json, Report, Sweep};
+use crate::obs::record_with;
+use crate::{Cli, RunLog};
 
 /// One cell of the sweep grid.
 struct Cell {
@@ -51,6 +43,7 @@ struct Cell {
 }
 
 /// One measurement row.
+#[derive(Serialize)]
 struct Row {
     platform: &'static str,
     frac: f64,
@@ -61,22 +54,6 @@ struct Row {
     report: Option<StreamReport>,
     attribution: Option<Attribution>,
     error: Option<String>,
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("platform", self.platform.to_value()),
-            ("frac", self.frac.to_value()),
-            ("mean_interarrival", self.mean_interarrival.to_value()),
-            ("dag_jobs", self.dag_jobs.to_value()),
-            ("gemm_jobs", self.gemm_jobs.to_value()),
-            ("lower_bound", self.lower_bound.to_value()),
-            ("report", self.report.to_value()),
-            ("attribution", self.attribution.to_value()),
-            ("error", self.error.to_value()),
-        ])
-    }
 }
 
 fn platforms() -> Vec<(&'static str, Platform)> {
@@ -197,10 +174,14 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs one cell's mixed stream under a recorder: the stats (or the
-/// failure) and the event log.
-fn record_cell(cell: &Cell) -> (Result<RunStats, String>, Vec<ObsEvent>) {
-    stargemm_bench::obs::record_with(|obs| {
+/// Runs one sweep cell (executed on a pool worker). The cell runs under
+/// a recorder so the row can carry its makespan attribution; recording
+/// is observation-only, so the report is identical to an unrecorded run.
+/// The log comes back when `log` is set.
+fn run_cell(cell: &Cell, log: bool) -> (Row, Option<RunLog>) {
+    let dag_jobs = cell.dags.len();
+    let gemm_jobs = cell.requests.len() - dag_jobs;
+    let (outcome, events) = record_with(|obs| {
         MultiJobMaster::with_dags(
             &cell.platform,
             &cell.requests,
@@ -224,26 +205,17 @@ fn record_cell(cell: &Cell) -> (Result<RunStats, String>, Vec<ObsEvent>) {
             }
             Ok(stats)
         })
-    })
-}
-
-/// Runs one sweep cell (executed on a pool worker). The cell runs under
-/// a recorder so the row can carry its makespan attribution; recording
-/// is observation-only, so the report is identical to an unrecorded run.
-fn run_cell(cell: &Cell) -> Row {
-    let dag_jobs = cell.dags.len();
-    let gemm_jobs = cell.requests.len() - dag_jobs;
-    let (outcome, events) = record_cell(cell);
-    let outcome =
-        outcome.map(|stats| (stream_report(&cell.platform, &cell.requests, &stats), stats));
-    let (report, attribution, error) = match outcome {
-        Ok((r, stats)) => {
+    });
+    let (report, attribution, error, trace) = match outcome {
+        Ok(stats) => {
+            let report = stream_report(&cell.platform, &cell.requests, &stats);
             let attr = Attribution::from_events(&events, stats.makespan);
-            (Some(r), Some(attr), None)
+            let trace = log.then_some((events, stats.makespan));
+            (Some(report), Some(attr), None, trace)
         }
-        Err(e) => (None, None, Some(e)),
+        Err(e) => (None, None, Some(e), None),
     };
-    Row {
+    let row = Row {
         platform: cell.platform_name,
         frac: cell.frac,
         mean_interarrival: cell.mean_interarrival,
@@ -253,7 +225,8 @@ fn run_cell(cell: &Cell) -> Row {
         report,
         attribution,
         error,
-    }
+    };
+    (row, trace)
 }
 
 fn render(rows: &[Row]) -> String {
@@ -289,15 +262,16 @@ fn render(rows: &[Row]) -> String {
     out
 }
 
-fn main() {
-    let cli = Cli::parse();
+/// The mixed-stream sweep; the traced cell is the first with DAG jobs,
+/// so its trace carries frontier promotions next to the port and worker
+/// intervals.
+pub fn dag(cli: &Cli, sweep: &mut Sweep) -> Report {
     let cells = grid(cli.smoke);
-    let outcome = SweepSpec::new("dag", cli.threads).run(&cells, run_cell);
-    eprintln!("{}", outcome.summary());
-    let rows = &outcome.rows;
+    let traced = cells.iter().position(|c| !c.dags.is_empty()).unwrap_or(0);
+    let rows = sweep.run_traced(&cells, traced, run_cell);
 
     // Sanity: no cell may beat its critical-path-aware lower bound.
-    for r in rows {
+    for r in &rows {
         if let Some(rep) = &r.report {
             assert_eq!(
                 rep.completed, rep.total,
@@ -315,26 +289,5 @@ fn main() {
             );
         }
     }
-
-    let table = render(rows);
-    print!("{table}");
-    if let Ok(p) = write_results("dag.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        write_json(path, &outcome.to_json());
-    }
-    stargemm_bench::obs::emit_artifacts(&cli, || {
-        // The representative mixed cell: the first grid cell that has
-        // DAG jobs, re-run serially under the recorder so the trace
-        // carries frontier promotions next to the port and worker
-        // intervals.
-        let cell = cells
-            .iter()
-            .find(|c| !c.dags.is_empty())
-            .unwrap_or(&cells[0]);
-        let (res, events) = record_cell(cell);
-        let stats = res.expect("trace cell completes");
-        Some((events, stats.makespan))
-    });
+    Report::table("dag.txt", render(&rows), rows_json("dag", &rows))
 }

@@ -1,5 +1,5 @@
-//! EXP-DYN — beyond the paper: dynamic platforms, worker churn, and
-//! adaptive online scheduling.
+//! The `dynamic` row — beyond the paper: dynamic platforms, worker
+//! churn, and adaptive online scheduling.
 //!
 //! Sweeps jitter/churn regimes over a heterogeneous star and compares
 //! `AdaptiveHet` (EWMA estimation + drift-triggered re-balancing +
@@ -7,21 +7,8 @@
 //! recovery only — "HetGuard") and Toledo's `BMM` (jitter regimes only:
 //! the raw pool policy is crash-oblivious). Every makespan is checked
 //! against the trace-aware steady-state lower bound.
-//!
-//! Every (scenario, policy) cell is an independent simulation, so the
-//! whole sweep fans out over the thread pool (`--threads`, default all
-//! cores); results — table, `results/dynamic.txt`, and the `--json`
-//! artifact — are identical whatever the fan-out width.
-//!
-//! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_dynamic            # full sweep
-//! cargo run --release -p stargemm-bench --bin exp_dynamic -- --smoke # CI-sized
-//! cargo run ... -- --smoke --threads 2 --json results/bench_dynamic.json
-//! ```
 
-use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::Job;
 use stargemm_dyn::model::{DynPlatform, DynProfile};
@@ -31,6 +18,10 @@ use stargemm_dyn::{
 };
 use stargemm_platform::{Platform, WorkerSpec};
 use stargemm_sim::Simulator;
+
+use super::{rows_json, Report, Sweep};
+use crate::obs::record_if;
+use crate::{Cli, RunLog};
 
 /// Which policy a sweep cell runs.
 #[derive(Clone, Copy, Debug)]
@@ -50,29 +41,18 @@ struct Cell {
     kind: PolicyKind,
 }
 
-/// One (scenario, policy) measurement.
+/// One (scenario, policy) measurement; the adaptive counters are those
+/// of the `AdaptiveMaster` policies.
+#[derive(Serialize)]
 struct Row {
     scenario: &'static str,
     policy: String,
     makespan: Option<f64>,
-    bound: f64,
-    adaptive: Option<AdaptiveStats>,
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        let stat = |get: fn(&AdaptiveStats) -> u64| self.adaptive.as_ref().map(get).to_value();
-        Value::object([
-            ("scenario", self.scenario.to_value()),
-            ("policy", self.policy.to_value()),
-            ("makespan", self.makespan.to_value()),
-            ("lower_bound", self.bound.to_value()),
-            ("reassigned_chunks", stat(|s| s.reassigned_chunks)),
-            ("rebalances", stat(|s| s.rebalances)),
-            ("crashes", stat(|s| s.crashes)),
-            ("joins", stat(|s| s.joins)),
-        ])
-    }
+    lower_bound: f64,
+    reassigned_chunks: Option<u64>,
+    rebalances: Option<u64>,
+    crashes: Option<u64>,
+    joins: Option<u64>,
 }
 
 fn platform() -> Platform {
@@ -171,9 +151,10 @@ fn grid(base: &Platform, job: Job, smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs one sweep cell (executed on a pool worker).
-fn run_cell(cell: &Cell) -> Row {
-    let (policy_name, makespan, adaptive) = match cell.kind {
+/// Runs one sweep cell (executed on a pool worker), under a recorder
+/// when `log` is set.
+fn run_cell(cell: &Cell, log: bool) -> (Row, Option<RunLog>) {
+    let (policy_name, makespan, adaptive, trace) = match cell.kind {
         PolicyKind::Adaptive | PolicyKind::Guarded => {
             let adapt = matches!(cell.kind, PolicyKind::Adaptive);
             let mut policy = if adapt {
@@ -181,12 +162,13 @@ fn run_cell(cell: &Cell) -> Row {
             } else {
                 AdaptiveMaster::guarded_het(&cell.dp.base, &cell.job).expect("layout fits")
             };
-            let makespan = Simulator::new_dyn(cell.dp.clone())
-                .run(&mut policy)
-                .map(|s| s.makespan)
-                .ok();
+            let (stats, events) = record_if(log, |obs| {
+                Simulator::new_dyn(cell.dp.clone()).run_observed(&mut policy, obs)
+            });
+            let makespan = stats.map(|s| s.makespan).ok();
             let name = if adapt { "AdaptiveHet" } else { "HetGuard" };
-            (name.to_string(), makespan, Some(policy.stats()))
+            let trace = events.zip(makespan);
+            (name.to_string(), makespan, Some(policy.stats()), trace)
         }
         PolicyKind::Static(alg) => {
             let makespan = build_policy(&cell.dp.base, &cell.job, alg)
@@ -197,16 +179,21 @@ fn run_cell(cell: &Cell) -> Row {
                         .map(|s| s.makespan)
                         .ok()
                 });
-            (alg.name().to_string(), makespan, None)
+            (alg.name().to_string(), makespan, None, None)
         }
     };
-    Row {
+    let stat = |get: fn(&AdaptiveStats) -> u64| adaptive.as_ref().map(get);
+    let row = Row {
         scenario: cell.scenario,
         policy: policy_name,
         makespan,
-        bound: cell.bound,
-        adaptive,
-    }
+        lower_bound: cell.bound,
+        reassigned_chunks: stat(|s| s.reassigned_chunks),
+        rebalances: stat(|s| s.rebalances),
+        crashes: stat(|s| s.crashes),
+        joins: stat(|s| s.joins),
+    };
+    (row, trace)
 }
 
 fn render(rows: &[Row]) -> String {
@@ -218,23 +205,28 @@ fn render(rows: &[Row]) -> String {
     ));
     for r in rows {
         let (mk, ratio) = match r.makespan {
-            Some(m) => (format!("{m:.1}"), format!("{:.2}", m / r.bound)),
+            Some(m) => (format!("{m:.1}"), format!("{:.2}", m / r.lower_bound)),
             None => ("-".into(), "-".into()),
         };
-        let (reasgn, rebal) = match r.adaptive {
-            Some(s) => (s.reassigned_chunks.to_string(), s.rebalances.to_string()),
-            None => ("-".into(), "-".into()),
-        };
+        let count = |c: Option<u64>| c.map_or("-".into(), |c| c.to_string());
         out.push_str(&format!(
             "{:<14}{:>13}{:>11}{:>12.1}{:>8}{:>7}{:>7}\n",
-            r.scenario, r.policy, mk, r.bound, ratio, reasgn, rebal
+            r.scenario,
+            r.policy,
+            mk,
+            r.lower_bound,
+            ratio,
+            count(r.reassigned_chunks),
+            count(r.rebalances)
         ));
     }
     out
 }
 
-fn main() {
-    let cli = Cli::parse();
+/// Every scenario × applicable policy; the traced cell is AdaptiveHet
+/// through `crash-top` (a top worker dies mid-run), so the trace shows
+/// crash, chunk reassignment, and recovery events.
+pub fn dynamic(cli: &Cli, sweep: &mut Sweep) -> Report {
     let base = platform();
     let job = if cli.smoke {
         Job::new(8, 6, 12, 2)
@@ -243,45 +235,23 @@ fn main() {
     };
 
     let cells = grid(&base, job, cli.smoke);
-    let outcome = SweepSpec::new("dynamic", cli.threads).run(&cells, run_cell);
-    eprintln!("{}", outcome.summary());
-    let rows = &outcome.rows;
+    let traced = cells
+        .iter()
+        .position(|c| c.scenario == "crash-top" && matches!(c.kind, PolicyKind::Adaptive))
+        .expect("crash-top is always in the grid");
+    let rows = sweep.run_traced(&cells, traced, run_cell);
 
     // Sanity: nothing may beat its trace-aware lower bound.
-    for r in rows {
+    for r in &rows {
         if let Some(m) = r.makespan {
             assert!(
-                m >= r.bound - 1e-9,
+                m >= r.lower_bound - 1e-9,
                 "{}/{} beats the lower bound: {m} < {}",
                 r.scenario,
                 r.policy,
-                r.bound
+                r.lower_bound
             );
         }
     }
-
-    let table = render(rows);
-    print!("{table}");
-    if let Ok(p) = write_results("dynamic.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        write_json(path, &outcome.to_json());
-    }
-    stargemm_bench::obs::emit_artifacts(&cli, || {
-        // The representative dynamic cell: AdaptiveHet through the
-        // crash-top scenario (a top worker dies mid-run), so the trace
-        // shows crash, chunk reassignment, and recovery events.
-        let dp = scenarios(&base, true)
-            .into_iter()
-            .find(|(name, _, _)| *name == "crash-top")
-            .map(|(_, dp, _)| dp)
-            .expect("crash-top is always in the grid");
-        let mut policy = AdaptiveMaster::adaptive_het(&base, &job).expect("layout fits");
-        let (res, events) = stargemm_bench::obs::record_with(|obs| {
-            Simulator::new_dyn(dp).run_observed(&mut policy, obs)
-        });
-        let stats = res.expect("crash-top run succeeds");
-        Some((events, stats.makespan))
-    });
+    Report::table("dynamic.txt", render(&rows), rows_json("dynamic", &rows))
 }

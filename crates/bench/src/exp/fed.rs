@@ -1,4 +1,4 @@
-//! EXP-FED — beyond the paper: federated multi-star platforms.
+//! The `fed` row — beyond the paper: federated multi-star platforms.
 //!
 //! The paper schedules one star. This experiment federates `k` regional
 //! stars under a root master (`stargemm-platform`'s `FedPlatform`): the
@@ -22,30 +22,22 @@
 //! `k ≥ 2` cell exceeds any *single* star's one-port steady-state
 //! ceiling — federation beats a fat star's port — while slow uplinks
 //! throttle the same federation below it. A `k = 1` collapse check
-//! (the federated LP is row-for-row the Table-1 LP) is asserted
-//! in-binary and recorded in the artifact.
-//!
-//! Sweep cells are independent, so the grid fans out over the thread
-//! pool (`--threads`); table and `--json` artifact are byte-identical
-//! whatever the fan-out width.
-//!
-//! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_fed            # full sweep
-//! cargo run --release -p stargemm-bench --bin exp_fed -- --smoke # CI-sized
-//! cargo run ... -- --smoke --threads 2 --json results/bench_fed.json
-//! ```
+//! (the federated LP is row-for-row the Table-1 LP) is asserted and
+//! recorded in the artifact.
 
 use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::steady::{bandwidth_centric, federated_lp, federated_throughput, table1_lp};
 use stargemm_core::Job;
 use stargemm_netmodel::NetModelSpec;
-use stargemm_obs::Attribution;
+use stargemm_obs::{Attribution, ObsEvent};
 use stargemm_platform::{DynPlatform, FedPlatform, FedStar, Platform, WorkerSpec};
 use stargemm_stream::{
     ArrivalProcess, JobRequest, MultiStarMaster, StreamConfig, TenantSpec, WorkloadSpec,
 };
+
+use super::{Report, Sweep};
+use crate::{Cli, RunLog};
 
 /// The regional star every federation replicates.
 fn star_platform() -> Platform {
@@ -84,34 +76,19 @@ struct Cell {
 }
 
 /// One sweep measurement.
+#[derive(Serialize)]
 struct Row {
-    k: usize,
-    ratio: f64,
+    stars: usize,
+    uplink_ratio: f64,
     mix: &'static str,
     jobs: usize,
     makespan: f64,
     throughput: f64,
-    bound: f64,
-    single_star: f64,
+    fed_bound: f64,
+    single_star_bound: f64,
     /// Attribution of the critical (latest-finishing) star's timeline
     /// against the federated makespan.
     attribution: Attribution,
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("stars", (self.k as u64).to_value()),
-            ("uplink_ratio", self.ratio.to_value()),
-            ("mix", self.mix.to_value()),
-            ("jobs", (self.jobs as u64).to_value()),
-            ("makespan", self.makespan.to_value()),
-            ("throughput", self.throughput.to_value()),
-            ("fed_bound", self.bound.to_value()),
-            ("single_star_bound", self.single_star.to_value()),
-            ("attribution", self.attribution.to_value()),
-        ])
-    }
 }
 
 /// The tenant mixes: same job shape, different fairness weights.
@@ -189,33 +166,37 @@ fn grid(smoke: bool) -> Vec<Cell> {
 /// Runs one sweep cell (executed on a pool worker). The cell runs under
 /// per-star recorders; the row attributes the critical star — the one
 /// whose timeline (including its uplink feeds) ends last — against the
-/// federated makespan, so uplink stalls show up as `uplink_wait`.
-fn run_cell(cell: &Cell) -> Row {
+/// federated makespan, so uplink stalls show up as `uplink_wait`. When
+/// `log` is set, that star's log comes back as the cell's trace.
+fn run_cell(cell: &Cell, log: bool) -> (Row, Option<RunLog>) {
     let root = MultiStarMaster::new(cell.fed.clone(), StreamConfig::default());
-    let (run, logs) = root
+    let (run, mut logs) = root
         .run_recorded(&cell.requests)
         .expect("federated stream cell completes");
-    let critical = logs
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            let ta = a.last().map_or(0.0, |e| e.time());
-            let tb = b.last().map_or(0.0, |e| e.time());
-            ta.total_cmp(&tb)
-        })
-        .map_or(0, |(i, _)| i);
+    let critical = critical_star(&logs);
     let attribution = Attribution::from_events(&logs[critical], run.makespan);
-    Row {
-        k: cell.k,
-        ratio: cell.ratio,
+    let row = Row {
+        stars: cell.k,
+        uplink_ratio: cell.ratio,
         mix: cell.mix,
         jobs: cell.requests.len(),
         makespan: run.makespan,
         throughput: run.throughput(),
-        bound: cell.bound,
-        single_star: cell.single_star,
+        fed_bound: cell.bound,
+        single_star_bound: cell.single_star,
         attribution,
-    }
+    };
+    (row, log.then(|| (logs.swap_remove(critical), run.makespan)))
+}
+
+/// The star whose log ends last: the federated run's critical star,
+/// the one a row attributes against the federated makespan.
+pub(super) fn critical_star(logs: &[Vec<ObsEvent>]) -> usize {
+    let end = |log: &Vec<ObsEvent>| log.last().map_or(0.0, |e| e.time());
+    logs.iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| end(a).total_cmp(&end(b)))
+        .map_or(0, |(i, _)| i)
 }
 
 /// The `k = 1` collapse check: the federated LP must be row-for-row the
@@ -238,40 +219,40 @@ fn render(rows: &[Row]) -> String {
     for r in rows {
         out.push_str(&format!(
             "{:<7}{:<9}{:<9}{:>6}{:>12.1}{:>12.3}{:>12.3}{:>12.3}{:>8.2}\n",
-            r.k,
-            format!("x{}", r.ratio),
+            r.stars,
+            format!("x{}", r.uplink_ratio),
             r.mix,
             r.jobs,
             r.makespan,
             r.throughput,
-            r.bound,
-            r.single_star,
-            r.throughput / r.bound,
+            r.fed_bound,
+            r.single_star_bound,
+            r.throughput / r.fed_bound,
         ));
     }
     out
 }
 
-fn main() {
-    let cli = Cli::parse();
+/// The federation sweep; the traced cell is `k = 2`, uplink ×2, even
+/// mix — two stars whose slow uplinks show as `uplink_wait` — and its
+/// trace is the critical star's log, the one the row attributes.
+pub fn fed(cli: &Cli, sweep: &mut Sweep) -> Report {
     let cells = grid(cli.smoke);
-    let outcome = SweepSpec::new("fed", cli.threads).run(&cells, run_cell);
-    eprintln!("{}", outcome.summary());
-    let rows = outcome.rows;
-
-    let table = render(&rows);
-    print!("{table}");
-
+    let traced = cells
+        .iter()
+        .position(|c| c.k == 2 && c.ratio == 2.0 && c.mix == "even")
+        .expect("the traced cell is swept");
+    let rows = sweep.run_traced(&cells, traced, run_cell);
     // Sanity: no cell may beat its hierarchical LP bound.
     for r in &rows {
         assert!(
-            r.throughput <= r.bound * (1.0 + 1e-9),
+            r.throughput <= r.fed_bound * (1.0 + 1e-9),
             "k={} uplink x{} {}: throughput {} beats the hierarchical bound {}",
-            r.k,
-            r.ratio,
+            r.stars,
+            r.uplink_ratio,
             r.mix,
             r.throughput,
-            r.bound
+            r.fed_bound
         );
     }
 
@@ -279,7 +260,7 @@ fn main() {
     // star's one-port steady-state ceiling.
     let beats = rows
         .iter()
-        .any(|r| r.k >= 2 && r.throughput > r.single_star);
+        .any(|r| r.stars >= 2 && r.throughput > r.single_star_bound);
     assert!(
         beats,
         "no k >= 2 cell beat the single-star one-port bound — federation shows no gain"
@@ -289,41 +270,10 @@ fn main() {
     let collapse = k1_collapse_is_exact();
     assert!(collapse, "federated LP at k = 1 drifted from Table 1");
 
-    if let Ok(p) = write_results("fed.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        let json = Value::object([
-            ("experiment", "fed".to_value()),
-            ("k1_collapse_exact", collapse.to_value()),
-            ("rows", rows.to_value()),
-        ])
-        .render_pretty();
-        write_json(path, &json);
-    }
-    stargemm_bench::obs::emit_artifacts(&cli, || {
-        // Representative trace: one regional star's MultiJobMaster under
-        // the even mix (the federated run is k such timelines plus the
-        // uplink drain offsets).
-        use stargemm_sim::Simulator;
-        use stargemm_stream::MultiJobMaster;
-        let star = star_platform();
-        let requests = WorkloadSpec {
-            tenants: mixes()[0].1.clone(),
-            arrivals: ArrivalProcess::ClosedBatch,
-            jobs: 4,
-            seed: 2008,
-        }
-        .generate();
-        let (res, events) = stargemm_bench::obs::record_with(|obs| {
-            let mut policy = MultiJobMaster::new(&star, &requests, StreamConfig::default())
-                .expect("trace stream is feasible")
-                .with_obs(obs.clone());
-            Simulator::new(star.clone())
-                .with_arrivals(MultiJobMaster::arrival_plan(&requests))
-                .run_observed(&mut policy, obs)
-        });
-        let stats = res.expect("trace cell completes");
-        Some((events, stats.makespan))
-    });
+    let json = Value::object([
+        ("experiment", "fed".to_value()),
+        ("k1_collapse_exact", collapse.to_value()),
+        ("rows", rows.to_value()),
+    ]);
+    Report::table("fed.txt", render(&rows), json.render_pretty())
 }

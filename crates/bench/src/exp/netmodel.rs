@@ -1,4 +1,5 @@
-//! EXP-NETMODEL — beyond the paper: pluggable network-contention models.
+//! The `netmodel` row — beyond the paper: pluggable network-contention
+//! models.
 //!
 //! The paper's entire analysis rests on the strict one-port assumption.
 //! This experiment swaps the contention model — one-port, bounded
@@ -15,21 +16,12 @@
 //! * **cross-engine leg**: one shared small scenario runs all three
 //!   models through *both* engines — the simulator and the net runtime
 //!   (whose reactor lane table throttles real links to the same shares)
-//!   — and records that they realize the identical per-worker schedule.
+//!   — and records that they realize the identical per-worker schedule
+//!   (only schedule counts, which are plan-determined, reach the
+//!   artifact).
 //!
 //! Backbone ratios are relative to the platform's *fastest* nominal link
 //! rate (1.0 = a single full-speed transfer saturates the backbone).
-//!
-//! Sweep cells are independent simulations, so the grid fans out over
-//! the thread pool (`--threads`); table and `--json` artifact are
-//! byte-identical whatever the fan-out width (the cross-engine leg
-//! reports only schedule counts, which are plan-determined).
-//!
-//! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_netmodel            # full sweep
-//! cargo run --release -p stargemm-bench --bin exp_netmodel -- --smoke # CI-sized
-//! cargo run ... -- --smoke --threads 2 --json results/bench_netmodel.json
-//! ```
 
 use std::time::Duration;
 
@@ -37,7 +29,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::steady::model_makespan_lower_bound;
 use stargemm_core::Job;
@@ -46,6 +37,10 @@ use stargemm_net::{NetOptions, NetRuntime};
 use stargemm_netmodel::NetModelSpec;
 use stargemm_platform::{Platform, WorkerSpec};
 use stargemm_sim::{RunStats, Simulator};
+
+use super::{Report, Sweep};
+use crate::obs::record_if;
+use crate::{Cli, RunLog};
 
 /// One cell of the sweep grid.
 struct Cell {
@@ -62,28 +57,16 @@ struct Cell {
 }
 
 /// One sweep measurement.
+#[derive(Serialize)]
 struct Row {
     platform: &'static str,
     model: String,
-    ratio: Option<f64>,
+    backbone_ratio: Option<f64>,
     makespan: Option<f64>,
-    bound: f64,
+    lower_bound: f64,
     /// Makespan relative to the same plan under one-port (< 1 = the
     /// extra capacity helps even an oblivious plan).
     vs_oneport: Option<f64>,
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("platform", self.platform.to_value()),
-            ("model", self.model.to_value()),
-            ("backbone_ratio", self.ratio.to_value()),
-            ("makespan", self.makespan.to_value()),
-            ("lower_bound", self.bound.to_value()),
-            ("vs_oneport", self.vs_oneport.to_value()),
-        ])
-    }
 }
 
 /// The model grid for one platform: (label, ratio, spec).
@@ -154,25 +137,28 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs one sweep cell (executed on a pool worker).
-fn run_cell(cell: &Cell) -> Row {
-    let makespan = build_policy(&cell.platform, &cell.job, Algorithm::Het)
-        .ok()
-        .and_then(|mut policy| {
+/// Runs one sweep cell (executed on a pool worker), under a recorder
+/// when `log` is set.
+fn run_cell(cell: &Cell, log: bool) -> (Row, Option<RunLog>) {
+    let (stats, events) = match build_policy(&cell.platform, &cell.job, Algorithm::Het) {
+        Ok(mut policy) => record_if(log, |obs| {
             Simulator::new(cell.platform.clone())
                 .with_netmodel(cell.spec)
-                .run(&mut policy)
-                .map(|s| s.makespan)
+                .run_observed(&mut policy, obs)
                 .ok()
-        });
-    Row {
+        }),
+        Err(_) => (None, None),
+    };
+    let makespan = stats.map(|s| s.makespan);
+    let row = Row {
         platform: cell.platform_name,
         model: cell.label.clone(),
-        ratio: cell.ratio,
+        backbone_ratio: cell.ratio,
         makespan,
-        bound: cell.bound,
+        lower_bound: cell.bound,
         vs_oneport: None, // annotated after the sweep
-    }
+    };
+    (row, events.zip(makespan))
 }
 
 // ---------------------------------------------------------------------
@@ -201,22 +187,12 @@ impl Schedule {
     }
 }
 
+#[derive(Serialize)]
 struct CrossRow {
     model: String,
     sim_makespan: f64,
     blocks_rx: Vec<u64>,
     schedule_agrees: bool,
-}
-
-impl Serialize for CrossRow {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("model", self.model.to_value()),
-            ("sim_makespan", self.sim_makespan.to_value()),
-            ("blocks_rx", self.blocks_rx.to_value()),
-            ("schedule_agrees", self.schedule_agrees.to_value()),
-        ])
-    }
 }
 
 /// Runs the shared scenario through both engines under `spec` and
@@ -269,13 +245,13 @@ fn render(rows: &[Row], cross: &[CrossRow]) -> String {
     ));
     for r in rows {
         let (mk, ratio) = match r.makespan {
-            Some(m) => (format!("{m:.0}"), format!("{:.2}", m / r.bound)),
+            Some(m) => (format!("{m:.0}"), format!("{:.2}", m / r.lower_bound)),
             None => ("-".into(), "-".into()),
         };
         let vs = r.vs_oneport.map_or("-".into(), |v| format!("{v:.3}"));
         out.push_str(&format!(
             "{:<10}{:<22}{:>12}{:>12.0}{:>8}{:>12}\n",
-            r.platform, r.model, mk, r.bound, ratio, vs
+            r.platform, r.model, mk, r.lower_bound, ratio, vs
         ));
     }
     out.push_str("\ncross-engine (shared scenario, sim vs net runtime):\n");
@@ -288,13 +264,16 @@ fn render(rows: &[Row], cross: &[CrossRow]) -> String {
     out
 }
 
-fn main() {
-    let cli = Cli::parse();
+/// The model sweep, then the cross-engine leg; the traced cell is Het
+/// under bounded multi-port k=2 on the ratio-2 preset, so the trace
+/// shows two concurrent port lanes.
+pub fn netmodel(cli: &Cli, sweep: &mut Sweep) -> Report {
     let cells = grid(cli.smoke);
-    let outcome = SweepSpec::new("netmodel", cli.threads).run(&cells, run_cell);
-    eprintln!("{}", outcome.summary());
-    let mut rows = outcome.rows;
-
+    let traced = cells
+        .iter()
+        .position(|c| c.platform_name == "het-2" && c.label == "multiport k=2")
+        .expect("the traced cell is swept");
+    let mut rows = sweep.run_traced(&cells, traced, run_cell);
     // Annotate each row with its platform's one-port reference.
     for i in 0..rows.len() {
         let base = rows
@@ -310,11 +289,11 @@ fn main() {
     for r in &rows {
         if let Some(m) = r.makespan {
             assert!(
-                m >= r.bound - 1e-9,
+                m >= r.lower_bound - 1e-9,
                 "{}/{} beats the generalized bound: {m} < {}",
                 r.platform,
                 r.model,
-                r.bound
+                r.lower_bound
             );
         }
     }
@@ -347,35 +326,10 @@ fn main() {
         );
     }
 
-    let table = render(&rows, &cross);
-    print!("{table}");
-    if let Ok(p) = write_results("netmodel.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        let json = Value::object([
-            ("experiment", "netmodel".to_value()),
-            ("rows", rows.to_value()),
-            ("cross_engine", cross.to_value()),
-        ])
-        .render_pretty();
-        write_json(path, &json);
-    }
-    stargemm_bench::obs::emit_artifacts(&cli, || {
-        // The representative cell: Het under bounded multi-port k=2 on
-        // the ratio-2 preset — the trace shows two concurrent port lanes.
-        let platform = stargemm_platform::presets::fully_het(2.0);
-        let job = Job::paper(16_000);
-        let mut policy = build_policy(&platform, &job, Algorithm::Het).expect("layout fits");
-        let (res, events) = stargemm_bench::obs::record_with(|obs| {
-            Simulator::new(platform.clone())
-                .with_netmodel(NetModelSpec::BoundedMultiPort {
-                    k: 2,
-                    backbone: None,
-                })
-                .run_observed(&mut policy, obs)
-        });
-        let stats = res.expect("trace cell completes");
-        Some((events, stats.makespan))
-    });
+    let json = Value::object([
+        ("experiment", "netmodel".to_value()),
+        ("rows", rows.to_value()),
+        ("cross_engine", cross.to_value()),
+    ]);
+    Report::table("netmodel.txt", render(&rows, &cross), json.render_pretty())
 }

@@ -1,4 +1,5 @@
-//! EXP-RT — model validation: the net runtime vs the simulator.
+//! The `runtime` row — model validation: the net runtime vs the
+//! simulator.
 //!
 //! Calibrates this machine's kernel (the paper's benchmark phase), builds
 //! a small heterogeneous platform whose `w` is the measured value, runs
@@ -9,9 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::Job;
 use stargemm_linalg::gemm::bytes_per_flop;
@@ -22,11 +21,24 @@ use stargemm_net::{NetOptions, NetRuntime};
 use stargemm_platform::{Platform, WorkerSpec};
 use stargemm_sim::Simulator;
 
-fn main() {
-    // Real threads and calibration: `--threads` is accepted for
-    // uniformity but the validation runs serially on purpose — parallel
-    // co-runners would distort the wall-clock measurements.
-    let cli = Cli::parse();
+use super::{rows_json, Report, Sweep};
+use crate::obs::record_if;
+use crate::Cli;
+
+/// One policy through both engines.
+#[derive(Serialize)]
+struct Row {
+    policy: &'static str,
+    sim_makespan: f64,
+    net_makespan: f64,
+    verified: bool,
+}
+
+/// Het, ODDOML and BMM through both engines, serially whatever
+/// `--threads` says — parallel co-runners would distort the wall-clock
+/// measurements. The traced cell is Het's *net* run, so the Perfetto
+/// timeline shows reactor-paced transfers, in model seconds.
+pub fn runtime(cli: &Cli, sweep: &mut Sweep) -> Report {
     let q = if cli.smoke { 24 } else { 48 };
     let w = measure_block_update_seconds(q, 10);
     let gflops = gflops_at(q, w);
@@ -61,12 +73,8 @@ fn main() {
     let b = BlockMatrix::random(job.t, job.s, job.q, &mut rng);
     let c0 = BlockMatrix::random(job.r, job.s, job.q, &mut rng);
 
-    out.push_str(&format!(
-        "{:<8} {:>12} {:>12} {:>8} {:>8}\n",
-        "policy", "sim (s)", "net (s)", "ratio", "verify"
-    ));
-    let mut rows: Vec<Value> = Vec::new();
-    for alg in [Algorithm::Het, Algorithm::Oddoml, Algorithm::Bmm] {
+    let algs = [Algorithm::Het, Algorithm::Oddoml, Algorithm::Bmm];
+    let rows = sweep.serial().run_traced(&algs, 0, |&alg, log| {
         let mut sim_policy = build_policy(&platform, &job, alg).unwrap();
         let sim_stats = Simulator::new(platform.clone())
             .run(&mut sim_policy)
@@ -78,53 +86,38 @@ fn main() {
             time_scale,
             ..Default::default()
         });
-        let net_stats = rt.run(&mut net_policy, &a, &b, &mut c).unwrap();
+        let (net_stats, events) = record_if(log, |obs| {
+            rt.run_observed(&mut net_policy, &a, &b, &mut c, obs)
+        });
+        let net_stats = net_stats.unwrap();
         let report = verify_product(&c, &c0, &a, &b, tolerance_for(job.t * job.q));
+        let row = Row {
+            policy: alg.name(),
+            sim_makespan: sim_stats.makespan,
+            net_makespan: net_stats.makespan,
+            verified: report.passed(),
+        };
+        (row, events.map(|e| (e, net_stats.makespan)))
+    });
+
+    out.push_str(&format!(
+        "{:<8} {:>12} {:>12} {:>8} {:>8}\n",
+        "policy", "sim (s)", "net (s)", "ratio", "verify"
+    ));
+    for r in &rows {
         out.push_str(&format!(
             "{:<8} {:>12.4} {:>12.4} {:>8.2} {:>8}\n",
-            alg.name(),
-            sim_stats.makespan,
-            net_stats.makespan,
-            net_stats.makespan / sim_stats.makespan,
-            if report.passed() { "ok" } else { "FAIL" },
+            r.policy,
+            r.sim_makespan,
+            r.net_makespan,
+            r.net_makespan / r.sim_makespan,
+            if r.verified { "ok" } else { "FAIL" },
         ));
-        rows.push(Value::object([
-            ("policy", alg.name().to_value()),
-            ("sim_makespan", sim_stats.makespan.to_value()),
-            ("net_makespan", net_stats.makespan.to_value()),
-            ("verified", report.passed().to_value()),
-        ]));
-        assert!(report.passed(), "numerical verification failed");
+        assert!(r.verified, "numerical verification failed");
     }
     out.push_str(
         "ratio ~ 1 validates the one-port linear-cost model; >1 reflects\n\
          sleep granularity and kernel-time variance on this machine.\n",
     );
-    print!("{out}");
-    if let Ok(p) = write_results("exp_runtime.txt", &out) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        let json = Value::object([
-            ("experiment", "runtime".to_value()),
-            ("rows", Value::Array(rows)),
-        ])
-        .render_pretty();
-        write_json(path, &json);
-    }
-    stargemm_bench::obs::emit_artifacts(&cli, || {
-        // Trace the *net* engine (not the simulator): the Perfetto
-        // timeline shows reactor-paced transfers, in model seconds.
-        let mut policy = build_policy(&platform, &job, Algorithm::Het).unwrap();
-        let mut c = c0.clone();
-        let rt = NetRuntime::new(platform.clone()).with_options(NetOptions {
-            time_scale,
-            ..Default::default()
-        });
-        let (res, events) = stargemm_bench::obs::record_with(|obs| {
-            rt.run_observed(&mut policy, &a, &b, &mut c, obs)
-        });
-        let stats = res.unwrap();
-        Some((events, stats.makespan))
-    });
+    Report::table("exp_runtime.txt", out, rows_json("runtime", &rows))
 }

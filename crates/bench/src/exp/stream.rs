@@ -1,5 +1,5 @@
-//! EXP-STREAM — beyond the paper: multi-tenant job streams over the
-//! shared star.
+//! The `stream` row — beyond the paper: multi-tenant job streams over
+//! the shared star.
 //!
 //! Sweeps **load factor × tenant mix × platform** (static and jittery
 //! dynamic): each cell draws a seeded workload whose arrival rate is a
@@ -9,29 +9,21 @@
 //! per-job p50/p95/p99 slowdown against the solo baseline. Every cell is
 //! checked against the steady-state throughput bound no schedule can
 //! beat.
-//!
-//! Every cell is an independent simulation, so the grid fans out over
-//! the thread pool (`--threads`); table and `--json` artifact are
-//! identical whatever the fan-out width.
-//!
-//! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_stream            # full sweep
-//! cargo run --release -p stargemm-bench --bin exp_stream -- --smoke # CI-sized
-//! cargo run ... -- --smoke --threads 2 --json results/bench_stream.json
-//! ```
 
-use serde::json::Value;
 use serde::Serialize;
-use stargemm_bench::{write_json, write_results, Cli, SweepSpec};
 use stargemm_core::Job;
-use stargemm_obs::{Attribution, ObsEvent};
+use stargemm_obs::Attribution;
 use stargemm_platform::dynamic::{DynPlatform, DynProfile, Trace, WorkerDyn};
 use stargemm_platform::{Platform, WorkerSpec};
-use stargemm_sim::{RunStats, Simulator};
+use stargemm_sim::Simulator;
 use stargemm_stream::{
     aggregate_throughput_bound, stream_report, ArrivalProcess, JobRequest, MultiJobMaster,
     StreamConfig, StreamReport, TenantSpec, WorkloadSpec,
 };
+
+use super::{rows_json, Report, Sweep};
+use crate::obs::record_with;
+use crate::{Cli, RunLog};
 
 /// One cell of the sweep grid.
 struct Cell {
@@ -43,6 +35,7 @@ struct Cell {
 }
 
 /// One measurement row.
+#[derive(Serialize)]
 struct Row {
     platform: &'static str,
     mix: &'static str,
@@ -50,19 +43,6 @@ struct Row {
     report: Option<StreamReport>,
     attribution: Option<Attribution>,
     error: Option<String>,
-}
-
-impl Serialize for Row {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("platform", self.platform.to_value()),
-            ("mix", self.mix.to_value()),
-            ("load", self.load.to_value()),
-            ("report", self.report.to_value()),
-            ("attribution", self.attribution.to_value()),
-            ("error", self.error.to_value()),
-        ])
-    }
 }
 
 fn base_platform() -> Platform {
@@ -175,10 +155,12 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Runs one cell's stream under a recorder: the stats (or the failure)
-/// and the event log.
-fn record_cell(cell: &Cell) -> (Result<RunStats, String>, Vec<ObsEvent>) {
-    stargemm_bench::obs::record_with(|obs| {
+/// Runs one sweep cell (executed on a pool worker). The cell runs under
+/// a recorder so the row can carry its makespan attribution; recording
+/// is observation-only, so the report is identical to an unrecorded run.
+/// The log comes back when `log` is set.
+fn run_cell(cell: &Cell, log: bool) -> (Row, Option<RunLog>) {
+    let (outcome, events) = record_with(|obs| {
         MultiJobMaster::new(&cell.dp.base, &cell.requests, StreamConfig::default())
             .map_err(|e| e.to_string())
             .and_then(|policy| {
@@ -188,31 +170,25 @@ fn record_cell(cell: &Cell) -> (Result<RunStats, String>, Vec<ObsEvent>) {
                     .run_observed(&mut policy, obs)
                     .map_err(|e| e.to_string())
             })
-    })
-}
-
-/// Runs one sweep cell (executed on a pool worker). The cell runs under
-/// a recorder so the row can carry its makespan attribution; recording
-/// is observation-only, so the report is identical to an unrecorded run.
-fn run_cell(cell: &Cell) -> Row {
-    let (outcome, events) = record_cell(cell);
-    let outcome =
-        outcome.map(|stats| (stream_report(&cell.dp.base, &cell.requests, &stats), stats));
-    let (report, attribution, error) = match outcome {
-        Ok((r, stats)) => {
+    });
+    let (report, attribution, error, trace) = match outcome {
+        Ok(stats) => {
+            let report = stream_report(&cell.dp.base, &cell.requests, &stats);
             let attr = Attribution::from_events(&events, stats.makespan);
-            (Some(r), Some(attr), None)
+            let trace = log.then_some((events, stats.makespan));
+            (Some(report), Some(attr), None, trace)
         }
-        Err(e) => (None, None, Some(e)),
+        Err(e) => (None, None, Some(e), None),
     };
-    Row {
+    let row = Row {
         platform: cell.platform_name,
         mix: cell.mix,
         load: cell.load,
         report,
         attribution,
         error,
-    }
+    };
+    (row, trace)
 }
 
 fn render(rows: &[Row]) -> String {
@@ -292,15 +268,16 @@ fn render(rows: &[Row]) -> String {
     out
 }
 
-fn main() {
-    let cli = Cli::parse();
+/// The load-factor sweep; the traced cell is the first (static
+/// platform, uniform mix, lightest load) — its trace carries job
+/// admission/completion, LP re-solves, and deficit credits on the
+/// master track.
+pub fn stream(cli: &Cli, sweep: &mut Sweep) -> Report {
     let cells = grid(cli.smoke);
-    let outcome = SweepSpec::new("stream", cli.threads).run(&cells, run_cell);
-    eprintln!("{}", outcome.summary());
-    let rows = &outcome.rows;
+    let rows = sweep.run_traced(&cells, 0, run_cell);
 
     // Sanity: no cell may beat the aggregate steady-state bound.
-    for r in rows {
+    for r in &rows {
         if let Some(rep) = &r.report {
             assert!(
                 rep.throughput <= rep.throughput_bound * (1.0 + 1e-9),
@@ -313,22 +290,5 @@ fn main() {
             );
         }
     }
-
-    let table = render(rows);
-    print!("{table}");
-    if let Ok(p) = write_results("stream.txt", &table) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Some(path) = &cli.json {
-        write_json(path, &outcome.to_json());
-    }
-    stargemm_bench::obs::emit_artifacts(&cli, || {
-        // The representative stream cell: the first grid cell (static
-        // platform, uniform mix, lightest load), re-run serially under
-        // the recorder — the trace gets job admission/completion, LP
-        // re-solves, and deficit credits on the master track.
-        let (res, events) = record_cell(&cells[0]);
-        let stats = res.expect("trace cell completes");
-        Some((events, stats.makespan))
-    });
+    Report::table("stream.txt", render(&rows), rows_json("stream", &rows))
 }

@@ -1,19 +1,23 @@
 //! Experiment harness: shared utilities for regenerating every table and
 //! figure of the paper (see `EXPERIMENTS.md` for the index).
 //!
-//! Each `src/bin/exp_*.rs` binary reproduces one artifact; this library
-//! holds the common machinery —
+//! Every experiment is a row of one table, run by one binary
+//! (`exp <id>`, the [`exp`] driver); this library holds the common
+//! machinery —
 //!
 //! * running the seven competitors on a platform/job grid and computing
 //!   the paper's *relative cost* and *relative work* metrics,
-//! * the [`sweep`] runner that fans a scenario grid out over a thread
-//!   pool with grid-order (hence thread-count-independent) results,
-//! * the [`cli`] flags (`--smoke`/`--json`/`--threads`) shared by every
-//!   experiment binary,
+//! * the driver: [`parallel_map`] fans a row's cells out over a thread
+//!   pool with cell-order (hence thread-count-independent) results, and
+//!   one writer emits `results/`, `--json`, `--trace-out` and
+//!   `--attr-out`,
+//! * the [`cli`] flags (`--smoke`/`--json`/`--threads`/...) shared by
+//!   every experiment,
 //! * serde-backed JSON export (one serializer for all `--json` output)
 //!   plus aligned text tables and CSV.
 
 pub mod cli;
+pub mod exp;
 pub mod netperf;
 pub mod obs;
 pub mod perf;
@@ -21,14 +25,15 @@ pub mod sweep;
 
 use serde::json::Value;
 use serde::Serialize;
-use stargemm_core::algorithms::Algorithm;
+use stargemm_core::algorithms::{run_algorithm_observed, Algorithm};
 use stargemm_core::Job;
 use stargemm_obs::{Attribution, RunMetrics};
 use stargemm_platform::Platform;
 use stargemm_sim::RunStats;
 
 pub use cli::Cli;
-pub use sweep::{parallel_map, SweepOutcome, SweepSpec};
+pub use obs::RunLog;
+pub use sweep::parallel_map;
 
 /// Result of one algorithm on one instance.
 #[derive(Clone, Debug)]
@@ -69,34 +74,49 @@ impl Instance {
     /// block — recording is observation-only, the stats are identical
     /// to an unrecorded run).
     pub fn run(platform: &Platform, job: &Job) -> Instance {
+        Instance::run_logged(platform, job, false).0
+    }
+
+    /// [`Instance::run`], also handing back Het's event log when `log`
+    /// is set: the run the figures trace.
+    pub fn run_logged(platform: &Platform, job: &Job, log: bool) -> (Instance, Option<RunLog>) {
+        let mut trace = None;
         let results = Algorithm::all()
             .into_iter()
-            .map(|alg| match obs::record_algorithm(platform, job, alg) {
-                Ok((stats, events)) => {
-                    let metrics = obs::gemm_run_metrics(platform, job, &stats);
-                    let attribution = Attribution::from_events(&events, stats.makespan);
-                    AlgResult {
-                        algorithm: alg,
-                        stats: Some(stats),
-                        metrics: Some(metrics),
-                        attribution: Some(attribution),
-                        error: None,
+            .map(|alg| {
+                let (stats, events) =
+                    obs::record_with(|obs| run_algorithm_observed(platform, job, alg, obs));
+                match stats {
+                    Ok(stats) => {
+                        let metrics = obs::gemm_run_metrics(platform, job, &stats);
+                        let attribution = Attribution::from_events(&events, stats.makespan);
+                        if log && alg == Algorithm::Het {
+                            trace = Some((events, stats.makespan));
+                        }
+                        AlgResult {
+                            algorithm: alg,
+                            stats: Some(stats),
+                            metrics: Some(metrics),
+                            attribution: Some(attribution),
+                            error: None,
+                        }
                     }
+                    Err(e) => AlgResult {
+                        algorithm: alg,
+                        stats: None,
+                        metrics: None,
+                        attribution: None,
+                        error: Some(e.to_string()),
+                    },
                 }
-                Err(e) => AlgResult {
-                    algorithm: alg,
-                    stats: None,
-                    metrics: None,
-                    attribution: None,
-                    error: Some(e.to_string()),
-                },
             })
             .collect();
-        Instance {
+        let instance = Instance {
             platform_name: platform.name.clone(),
             job: *job,
             results,
-        }
+        };
+        (instance, trace)
     }
 
     /// Runs a `(platform, job)` grid on `threads` workers — the standard
@@ -141,49 +161,29 @@ impl Instance {
     }
 }
 
-impl Serialize for AlgResult {
-    fn to_value(&self) -> Value {
-        let (makespan, enrolled, work) = match &self.stats {
-            Some(s) => (Some(s.makespan), s.enrolled(), Some(s.work())),
-            None => (None, 0, None),
-        };
-        Value::object([
-            ("algorithm", self.algorithm.name().to_value()),
-            ("makespan", makespan.to_value()),
-            ("enrolled", enrolled.to_value()),
-            ("work", work.to_value()),
-            ("metrics", self.metrics.to_value()),
-            ("attribution", self.attribution.to_value()),
-            // Keep "error" last: Instance::to_value pops it to splice
-            // the relative metrics in front.
-            ("error", self.error.to_value()),
-        ])
-    }
-}
-
 impl Serialize for Instance {
     fn to_value(&self) -> Value {
+        // Relative metrics need the whole instance, so the results are
+        // serialized here rather than on their own.
         let results: Vec<Value> = self
             .results
             .iter()
             .map(|r| {
-                // Relative metrics need the whole instance, so they are
-                // attached here rather than in `AlgResult::to_value`.
-                let Value::Object(mut fields) = r.to_value() else {
-                    unreachable!("AlgResult serializes to an object")
+                let (makespan, enrolled, work) = match &r.stats {
+                    Some(s) => (Some(s.makespan), s.enrolled(), Some(s.work())),
+                    None => (None, 0, None),
                 };
-                let error = fields.pop().expect("AlgResult has fields");
-                assert_eq!(error.0, "error", "AlgResult field order changed");
-                fields.push((
-                    "relative_cost".into(),
-                    self.relative_cost(r.algorithm).to_value(),
-                ));
-                fields.push((
-                    "relative_work".into(),
-                    self.relative_work(r.algorithm).to_value(),
-                ));
-                fields.push(error);
-                Value::Object(fields)
+                Value::object([
+                    ("algorithm", r.algorithm.name().to_value()),
+                    ("makespan", makespan.to_value()),
+                    ("enrolled", enrolled.to_value()),
+                    ("work", work.to_value()),
+                    ("metrics", r.metrics.to_value()),
+                    ("attribution", r.attribution.to_value()),
+                    ("relative_cost", self.relative_cost(r.algorithm).to_value()),
+                    ("relative_work", self.relative_work(r.algorithm).to_value()),
+                    ("error", r.error.to_value()),
+                ])
             })
             .collect();
         Value::object([
@@ -273,32 +273,18 @@ pub fn instances_to_json(experiment: &str, instances: &[Instance]) -> String {
     .render_pretty()
 }
 
-/// Writes a `--json` result file, creating parent directories on demand
-/// (shared by every binary accepting the flag).
-///
-/// # Panics
-/// Panics when the file cannot be written — a results path the user
-/// asked for must not fail silently after a long sweep.
-pub fn write_json(path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-        }
+/// The one writer of every experiment output (`results/*`, `--json`,
+/// `--trace-out`, `--attr-out`): creates parent directories on demand
+/// and echoes the path on stderr. A path that cannot be written is an
+/// error naming it, never a panic.
+pub fn write_file(path: &std::path::Path, contents: &str) -> Result<(), String> {
+    let cannot = |e: std::io::Error| format!("cannot write {}: {e}", path.display());
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(cannot)?;
     }
-    std::fs::write(path, contents)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!("(json written to {})", path.display());
-}
-
-/// Writes experiment output under `results/` (created on demand) and
-/// echoes the path.
-pub fn write_results(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, contents)?;
-    Ok(path)
+    std::fs::write(path, contents).map_err(cannot)?;
+    eprintln!("(written to {})", path.display());
+    Ok(())
 }
 
 /// The Figures 4–6 grid under the uniform flags: the paper's five
@@ -312,7 +298,7 @@ pub fn size_grid(platform: &Platform, cli: &Cli) -> Vec<(Platform, Job)> {
 
 /// The Figure-7 grid under the uniform flags: the fixed ratio-2/ratio-4
 /// platforms plus the seeded random draws (`--smoke`: two draws and a
-/// smaller B). Shared by `exp_fig7` and the `exp_fig9` recap so the two
+/// smaller B). Shared by the `fig7` row and the `fig9` recap so the two
 /// can never desynchronize.
 pub fn fig7_grid(cli: &Cli) -> Vec<(Platform, Job)> {
     let job = Job::paper(if cli.smoke { 16_000 } else { 80_000 });
@@ -327,49 +313,14 @@ pub fn fig7_grid(cli: &Cli) -> Vec<(Platform, Job)> {
 }
 
 /// The Figure-8 grid under the uniform flags: the two Lyon
-/// configurations (`--smoke`: smaller B). Shared by `exp_fig8` and the
-/// `exp_fig9` recap.
+/// configurations (`--smoke`: smaller B). Shared by the `fig8` row and
+/// the `fig9` recap.
 pub fn fig8_grid(cli: &Cli) -> Vec<(Platform, Job)> {
     let job = Job::paper(if cli.smoke { 64_000 } else { 320_000 });
     vec![
         (stargemm_platform::presets::lyon(true), job),
         (stargemm_platform::presets::lyon(false), job),
     ]
-}
-
-/// The whole Figures 4–6 protocol behind the uniform CLI: run the size
-/// sweep (`--smoke` keeps the two smallest sizes, `--threads` fans the
-/// grid out), emit the two-panel figure, and honour `--json`.
-pub fn emit_size_figure(id: &str, title: &str, platform: &Platform, cli: &Cli) {
-    let grid = size_grid(platform, cli);
-    let instances = Instance::run_grid(&grid, cli.threads);
-    emit_figure(id, title, &instances, |i| {
-        format!("s={} ({})", i.job.s, i.platform_name)
-    });
-    if let Some(path) = &cli.json {
-        write_json(path, &instances_to_json(id, &instances));
-    }
-    // The representative cell: Het on the largest size kept.
-    let (p, j) = grid.last().expect("size grid is never empty");
-    obs::emit_artifacts(cli, || obs::gemm_cell(p, j, Algorithm::Het));
-}
-
-/// Standard output for a figure: render both panels, print, and persist
-/// table + CSV under `results/`.
-pub fn emit_figure(
-    id: &str,
-    title: &str,
-    instances: &[Instance],
-    label: impl Fn(&Instance) -> String,
-) {
-    let fig = render_figure(title, instances, label);
-    print!("{fig}");
-    if let Ok(p) = write_results(&format!("{id}.txt"), &fig) {
-        eprintln!("(written to {})", p.display());
-    }
-    if let Ok(p) = write_results(&format!("{id}.csv"), &to_csv(instances)) {
-        eprintln!("(written to {})", p.display());
-    }
 }
 
 /// Geometric mean helper for summary statistics.
@@ -429,6 +380,59 @@ mod tests {
                 assert_eq!(a.stats, b.stats);
             }
         }
+    }
+
+    #[test]
+    fn recording_does_not_change_the_stats() {
+        let (p, j) = tiny();
+        let plain = stargemm_core::run_algorithm(&p, &j, Algorithm::Oddoml).unwrap();
+        let (inst, trace) = Instance::run_logged(&p, &j, true);
+        assert_eq!(inst.result(Algorithm::Oddoml).stats.as_ref(), Some(&plain));
+        // The log handed back is Het's, and equals a serial recorded run.
+        let (het, events) =
+            obs::record_with(|obs| run_algorithm_observed(&p, &j, Algorithm::Het, obs));
+        assert_eq!(trace, Some((events, het.unwrap().makespan)));
+        assert!(Instance::run_logged(&p, &j, false).1.is_none());
+    }
+
+    #[test]
+    fn attr_diff_blames_halved_port_bandwidth_on_the_port() {
+        // Same job, same workers — but every per-block comm cost is
+        // doubled, i.e. the shared port runs at half bandwidth. The
+        // attribution diff must pin the slowdown on the port category,
+        // not spread it around.
+        let (fast, job) = tiny();
+        let slow = Platform::new(
+            "t-slow",
+            fast.workers()
+                .iter()
+                .map(|s| WorkerSpec::new(2.0 * s.c, s.w, s.m))
+                .collect(),
+        );
+        let het = |p: &Platform| {
+            Instance::run(p, &job)
+                .result(Algorithm::Het)
+                .attribution
+                .clone()
+                .unwrap()
+        };
+        let (a, b) = (het(&fast), het(&slow));
+        assert!(
+            b.makespan > a.makespan,
+            "halving port bandwidth must slow the run"
+        );
+        let d = a.diff(&b);
+        // d[0] is port_busy (CATEGORY_NAMES order); it must be the
+        // dominant mover and carry most of the makespan growth.
+        assert_eq!(stargemm_obs::CATEGORY_NAMES[0], "port_busy");
+        let max = d.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        assert_eq!(d[0], max, "port_busy must be the largest delta: {d:?}");
+        assert!(
+            d[0] >= 0.5 * (b.makespan - a.makespan),
+            "port_busy delta {} vs makespan delta {}",
+            d[0],
+            b.makespan - a.makespan
+        );
     }
 
     #[test]

@@ -1,103 +1,22 @@
-//! The parallel scenario-sweep runner.
+//! The parallel fan-out under every experiment row.
 //!
 //! Paper figures are *grids* — platforms × jobs × algorithms, or
 //! scenarios × policies — and every cell is an independent simulation:
 //! `Simulator` and `DynPlatform` are `Send + Clone`, so a whole sweep is
-//! embarrassingly parallel. [`SweepSpec::run`] fans a scenario grid out
-//! over a small thread pool and reassembles the results **in grid
-//! order**, so the output (tables, CSV, aggregated JSON) is byte-for-byte
-//! identical whatever `--threads` says — parallelism changes wall-clock
-//! time, never results. `tests/determinism.rs` holds the property test.
+//! embarrassingly parallel. [`parallel_map`] fans the cells out over a
+//! small thread pool and reassembles the results **in cell order**, so
+//! the output (tables, CSV, aggregated JSON) is byte-for-byte identical
+//! whatever `--threads` says — parallelism changes wall-clock time,
+//! never results. `tests/determinism.rs` holds the property test.
 //!
-//! ```no_run
-//! use stargemm_bench::sweep::SweepSpec;
+//! ```
+//! use stargemm_bench::parallel_map;
 //!
-//! let squares = SweepSpec::new("squares", 4).run(&[1u64, 2, 3], |&n| n * n);
-//! assert_eq!(squares.rows, vec![1, 4, 9]);
+//! let squares = parallel_map(4, &[1u64, 2, 3], |_, &n| n * n);
+//! assert_eq!(squares, vec![1, 4, 9]);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use serde::json::Value;
-use serde::Serialize;
-
-/// Describes one sweep: a label for reports and the fan-out width.
-#[derive(Clone, Debug)]
-pub struct SweepSpec {
-    /// Experiment label carried into the aggregated JSON.
-    pub name: String,
-    /// Worker threads (1 = serial on the calling thread).
-    pub threads: usize,
-}
-
-impl SweepSpec {
-    /// A sweep named `name` running on `threads` workers.
-    pub fn new(name: impl Into<String>, threads: usize) -> Self {
-        SweepSpec {
-            name: name.into(),
-            threads: threads.max(1),
-        }
-    }
-
-    /// Runs `f` over every scenario of the grid on the pool and returns
-    /// the per-scenario results in grid order.
-    pub fn run<S, R, F>(&self, grid: &[S], f: F) -> SweepOutcome<R>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(&S) -> R + Sync,
-    {
-        let start = std::time::Instant::now();
-        let rows = parallel_map(self.threads, grid, |_, s| f(s));
-        SweepOutcome {
-            name: self.name.clone(),
-            threads: self.threads.min(grid.len().max(1)),
-            wall_secs: start.elapsed().as_secs_f64(),
-            rows,
-        }
-    }
-}
-
-/// The results of one sweep, in grid order.
-#[derive(Clone, Debug)]
-pub struct SweepOutcome<R> {
-    /// The sweep's label.
-    pub name: String,
-    /// Threads actually used (capped at the grid size).
-    pub threads: usize,
-    /// Wall-clock seconds the fan-out took (reporting only — not part
-    /// of the aggregated JSON, which must not depend on `--threads`).
-    pub wall_secs: f64,
-    /// One result per scenario, in grid order.
-    pub rows: Vec<R>,
-}
-
-impl<R: Serialize> SweepOutcome<R> {
-    /// Aggregated JSON: `{"experiment": name, "rows": [...]}`.
-    ///
-    /// Deliberately excludes `threads` and `wall_secs` so the artifact
-    /// is identical across fan-out widths.
-    pub fn to_json(&self) -> String {
-        Value::object([
-            ("experiment", Value::String(self.name.clone())),
-            ("rows", self.rows.to_value()),
-        ])
-        .render_pretty()
-    }
-}
-
-impl<R> SweepOutcome<R> {
-    /// One-line human summary for stderr.
-    pub fn summary(&self) -> String {
-        format!(
-            "sweep {:?}: {} scenario(s) on {} thread(s) in {:.2}s",
-            self.name,
-            self.rows.len(),
-            self.threads,
-            self.wall_secs
-        )
-    }
-}
 
 /// Applies `f` to every item on a pool of `threads` workers and returns
 /// the results in item order (`f` also receives the item index).
@@ -160,35 +79,6 @@ mod tests {
             let expect: Vec<u64> = items.iter().map(|n| n * n).collect();
             assert_eq!(out, expect, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn aggregated_json_is_thread_count_independent() {
-        let items = [1.5f64, 2.5, f64::NAN];
-        let json: Vec<String> = [1usize, 3]
-            .iter()
-            .map(|&t| {
-                SweepSpec::new("demo", t)
-                    .run(&items, |&x| x * 2.0)
-                    .to_json()
-            })
-            .collect();
-        assert_eq!(json[0], json[1]);
-        assert!(json[0].contains("\"experiment\": \"demo\""));
-        assert!(json[0].contains("null"), "NaN renders as null: {}", json[0]);
-    }
-
-    #[test]
-    fn empty_grid_is_fine() {
-        let out = SweepSpec::new("empty", 8).run(&[] as &[u32], |&x| x);
-        assert!(out.rows.is_empty());
-        assert_eq!(out.to_json().matches('[').count(), 1);
-    }
-
-    #[test]
-    fn thread_cap_never_exceeds_grid() {
-        let out = SweepSpec::new("cap", 64).run(&[1, 2], |&x: &i32| x);
-        assert!(out.threads <= 2);
     }
 
     #[test]

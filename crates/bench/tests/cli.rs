@@ -1,8 +1,100 @@
-//! Negative paths of the `stargemm` front end: a bad number is a usage
-//! error (exit code 2, a message naming the flag and the value), never
-//! a panic and never a silent fall-back to the default.
+//! Negative paths of the command lines. The `stargemm` front end: a bad
+//! number is a usage error (exit code 2, a message naming the flag and
+//! the value), never a panic and never a silent fall-back to the
+//! default. The experiments (`exp <id>`, `sanity`, `exp_perf`): a flag
+//! that would do nothing is a usage error naming it, and an output path
+//! that cannot be written exits 1 naming the path, never with a panic.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Runs `exe args` in a fresh scratch directory (experiments write
+/// `results/*` into their cwd).
+fn run_in_scratch(exe: &str, args: &[&str], tag: &str) -> Output {
+    let scratch = std::env::temp_dir().join(format!("stargemm-cli-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let out = Command::new(exe)
+        .args(args)
+        .current_dir(&scratch)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot launch {exe}: {e}"));
+    let _ = std::fs::remove_dir_all(&scratch);
+    out
+}
+
+/// `exe args` exits with `code`, its stderr's first line names `needle`,
+/// and nothing panicked.
+fn assert_fails(exe: &str, args: &[&str], code: i32, needle: &str) {
+    let tag = args.join("_").replace('/', "-");
+    let out = run_in_scratch(exe, args, &tag);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let first = stderr
+        .lines()
+        .find(|l| !l.starts_with('('))
+        .unwrap_or_default();
+    assert!(
+        first.contains(needle),
+        "{args:?}: expected {needle:?} in {first:?}"
+    );
+}
+
+#[test]
+fn an_unwritable_output_path_exits_1_naming_it() {
+    let exp = env!("CARGO_BIN_EXE_exp");
+    for args in [
+        ["table1", "--smoke", "--json", "/dev/null/x.json"],
+        ["fig7", "--smoke", "--trace-out", "/dev/null/t.json"],
+        ["table2", "--smoke", "--attr-out", "/dev/null/a.folded"],
+    ] {
+        assert_fails(exp, &args, 1, &format!("cannot write {}", args[3]));
+    }
+}
+
+#[test]
+fn artifact_flags_without_a_traced_cell_are_usage_errors() {
+    let exp = env!("CARGO_BIN_EXE_exp");
+    for id in ["table1", "bounds", "ablation"] {
+        for flag in ["--trace-out", "--attr-out"] {
+            assert_fails(exp, &[id, "--smoke", flag, "x.out"], 2, flag);
+        }
+    }
+    assert_fails(
+        env!("CARGO_BIN_EXE_sanity"),
+        &["--trace-out", "x"],
+        2,
+        "--trace-out",
+    );
+    assert_fails(
+        env!("CARGO_BIN_EXE_exp_perf"),
+        &["--attr-out", "x"],
+        2,
+        "--attr-out",
+    );
+}
+
+#[test]
+fn diff_parses_only_on_attr() {
+    let exp = env!("CARGO_BIN_EXE_exp");
+    for id in ["table1", "fig7", "dynamic"] {
+        assert_fails(exp, &[id, "--diff", "a.json", "b.json"], 2, "--diff");
+    }
+    // On `attr` it is the diff mode: it reads the two files.
+    assert_fails(
+        exp,
+        &["attr", "--diff", "a.json", "b.json"],
+        1,
+        "cannot read a.json",
+    );
+    assert_fails(exp, &["attr", "--diff", "a.json"], 2, "--diff");
+}
+
+#[test]
+fn an_unknown_or_missing_experiment_is_a_usage_error() {
+    let exp = env!("CARGO_BIN_EXE_exp");
+    assert_fails(exp, &["exp_fig7", "--smoke"], 2, "exp_fig7");
+    assert_fails(exp, &[], 2, "which experiment");
+}
 
 #[test]
 fn bad_numbers_exit_2_naming_the_flag_and_the_value() {

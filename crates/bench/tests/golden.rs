@@ -1,7 +1,7 @@
 //! Golden-snapshot tests for the experiment artifacts.
 //!
-//! Each test runs an `exp_*` binary with `--smoke --json` and compares
-//! the JSON byte-for-byte against the checked-in snapshot under
+//! Each test runs one experiment row (`exp <id>`) with `--smoke --json`
+//! and compares the JSON byte-for-byte against the checked-in snapshot under
 //! `tests/golden/` (Figure 9, whose JSON only repeats Figures 4–8's
 //! instances, is pinned by its `results/fig9.txt` summary instead). The
 //! artifacts are contractually independent of the build profile, the
@@ -11,7 +11,7 @@
 //! regenerate the snapshot *deliberately* with
 //!
 //! ```sh
-//! cargo run --release -p stargemm-bench --bin exp_fig7 -- \
+//! cargo run --release -p stargemm-bench --bin exp -- fig7 \
 //!     --smoke --threads 1 --json crates/bench/tests/golden/exp_fig7.json
 //! ```
 //!
@@ -19,28 +19,27 @@
 
 use std::process::Command;
 
-/// Runs `exe --smoke --threads 2 --json out.json` in a scratch directory
-/// (the binaries also write `results/*` into their cwd) and returns the
-/// bytes of `artifact`, a path relative to that directory.
-fn run_smoke(exe: &str, tag: &str, artifact: &str) -> Vec<u8> {
-    let scratch =
-        std::env::temp_dir().join(format!("stargemm-golden-{}-{tag}", std::process::id()));
+/// Runs `exp <id> --smoke --threads 2 --json out.json` in a scratch
+/// directory (rows also write `results/*` into their cwd) and returns
+/// the bytes of `artifact`, a path relative to that directory.
+fn run_smoke(id: &str, artifact: &str) -> Vec<u8> {
+    let scratch = std::env::temp_dir().join(format!("stargemm-golden-{}-{id}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let status = Command::new(exe)
-        .args(["--smoke", "--threads", "2", "--json", "out.json"])
+    let status = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .args([id, "--smoke", "--threads", "2", "--json", "out.json"])
         .current_dir(&scratch)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .status()
-        .unwrap_or_else(|e| panic!("cannot launch {exe}: {e}"));
-    assert!(status.success(), "{exe} exited with {status}");
+        .unwrap_or_else(|e| panic!("cannot launch exp {id}: {e}"));
+    assert!(status.success(), "exp {id} exited with {status}");
     let bytes = std::fs::read(scratch.join(artifact)).expect("artifact written");
     let _ = std::fs::remove_dir_all(&scratch);
     bytes
 }
 
-fn assert_matches_golden(exe: &str, tag: &str, artifact: &str, golden: &str) {
-    let got = run_smoke(exe, tag, artifact);
+fn assert_matches_golden(id: &str, artifact: &str, golden: &str) {
+    let got = run_smoke(id, artifact);
     let want = golden.as_bytes();
     if got != want {
         let got_s = String::from_utf8_lossy(&got);
@@ -50,7 +49,7 @@ fn assert_matches_golden(exe: &str, tag: &str, artifact: &str, golden: &str) {
             .enumerate()
             .find(|(_, (a, b))| a != b);
         panic!(
-            "{tag}: {artifact} drifted from its snapshot under tests/golden/ \
+            "{id}: {artifact} drifted from its snapshot under tests/golden/ \
              (got {} bytes, want {} bytes; first differing line: {:?})",
             got.len(),
             want.len(),
@@ -59,51 +58,46 @@ fn assert_matches_golden(exe: &str, tag: &str, artifact: &str, golden: &str) {
     }
 }
 
-/// One `#[test]` per pinned artifact: `name => binary, snapshot file,
-/// the file the binary writes`.
+/// One `#[test]` per pinned artifact: `name => row id, snapshot file,
+/// the file the row writes`.
 macro_rules! golden {
-    ($($name:ident => $exe:literal, $snapshot:literal, $artifact:literal;)*) => {$(
+    ($($name:ident => $id:literal, $snapshot:literal, $artifact:literal;)*) => {$(
         #[test]
         fn $name() {
-            assert_matches_golden(
-                env!(concat!("CARGO_BIN_EXE_", $exe)),
-                $exe,
-                $artifact,
-                include_str!(concat!("golden/", $snapshot)),
-            );
+            assert_matches_golden($id, $artifact, include_str!(concat!("golden/", $snapshot)));
         }
     )*};
 }
 
 golden! {
     // The paper's §6 artifacts and the §3 bounds sweep.
-    exp_table1_smoke_json_is_pinned => "exp_table1", "exp_table1.json", "out.json";
-    exp_table2_smoke_json_is_pinned => "exp_table2", "exp_table2.json", "out.json";
-    exp_bounds_smoke_json_is_pinned => "exp_bounds", "exp_bounds.json", "out.json";
-    exp_fig4_smoke_json_is_pinned => "exp_fig4", "exp_fig4.json", "out.json";
-    exp_fig5_smoke_json_is_pinned => "exp_fig5", "exp_fig5.json", "out.json";
-    exp_fig6_smoke_json_is_pinned => "exp_fig6", "exp_fig6.json", "out.json";
-    exp_fig7_smoke_json_is_pinned => "exp_fig7", "exp_fig7.json", "out.json";
-    exp_fig8_smoke_json_is_pinned => "exp_fig8", "exp_fig8.json", "out.json";
-    exp_fig9_smoke_summary_is_pinned => "exp_fig9", "exp_fig9.txt", "results/fig9.txt";
-    exp_ablation_smoke_json_is_pinned => "exp_ablation", "exp_ablation.json", "out.json";
-    exp_ooc_smoke_json_is_pinned => "exp_ooc", "exp_ooc.json", "out.json";
+    exp_table1_smoke_json_is_pinned => "table1", "exp_table1.json", "out.json";
+    exp_table2_smoke_json_is_pinned => "table2", "exp_table2.json", "out.json";
+    exp_bounds_smoke_json_is_pinned => "bounds", "exp_bounds.json", "out.json";
+    exp_fig4_smoke_json_is_pinned => "fig4", "exp_fig4.json", "out.json";
+    exp_fig5_smoke_json_is_pinned => "fig5", "exp_fig5.json", "out.json";
+    exp_fig6_smoke_json_is_pinned => "fig6", "exp_fig6.json", "out.json";
+    exp_fig7_smoke_json_is_pinned => "fig7", "exp_fig7.json", "out.json";
+    exp_fig8_smoke_json_is_pinned => "fig8", "exp_fig8.json", "out.json";
+    exp_fig9_smoke_summary_is_pinned => "fig9", "exp_fig9.txt", "results/fig9.txt";
+    exp_ablation_smoke_json_is_pinned => "ablation", "exp_ablation.json", "out.json";
+    exp_ooc_smoke_json_is_pinned => "ooc", "exp_ooc.json", "out.json";
     // Beyond the paper. Dynamic: the adaptive master's crash recovery.
-    exp_dynamic_smoke_json_is_pinned => "exp_dynamic", "exp_dynamic.json", "out.json";
-    exp_stream_smoke_json_is_pinned => "exp_stream", "exp_stream.json", "out.json";
+    exp_dynamic_smoke_json_is_pinned => "dynamic", "exp_dynamic.json", "out.json";
+    exp_stream_smoke_json_is_pinned => "stream", "exp_stream.json", "out.json";
     // Pins the DAG-member integration: bottom-level dispatch order, the
     // DAG chunk-id namespace, and the mixed-stream deficit accounting
     // all feed these numbers.
-    exp_dag_smoke_json_is_pinned => "exp_dag", "exp_dag.json", "out.json";
+    exp_dag_smoke_json_is_pinned => "dag", "exp_dag.json", "out.json";
     // Also pins the OnePort-through-the-trait refactor: the sweep's
     // one-port rows and the cross-engine schedule counts are exactly the
     // values the pre-netmodel engine produced.
-    exp_netmodel_smoke_json_is_pinned => "exp_netmodel", "exp_netmodel.json", "out.json";
+    exp_netmodel_smoke_json_is_pinned => "netmodel", "exp_netmodel.json", "out.json";
     // Pins the federation stack end to end: root placement, the
     // multi-server uplink feed serialization, per-star MultiJobMaster
     // schedules under slot-partitioned memory, and the hierarchical LP
     // bounds (including the k = 1 collapse flag in the artifact).
-    exp_fed_smoke_json_is_pinned => "exp_fed", "exp_fed.json", "out.json";
+    exp_fed_smoke_json_is_pinned => "fed", "exp_fed.json", "out.json";
     // The attribution battery: one conserved breakdown per engine class.
-    exp_attr_smoke_json_is_pinned => "exp_attr", "exp_attr.json", "out.json";
+    exp_attr_smoke_json_is_pinned => "attr", "exp_attr.json", "out.json";
 }

@@ -7,19 +7,20 @@
 //! * running the same (platform, trace, policy, seed) scenario twice
 //!   yields **byte-identical** statistics and policy-visible callback
 //!   logs (every decision and every notification, with its instant);
-//! * a parallel sweep returns its results in grid order, so the
-//!   aggregated JSON artifact is byte-identical whatever `--threads`
-//!   says.
+//! * the experiment driver's sweep returns its results in cell order,
+//!   so every row's report — stdout, `results/*`, the `--json`
+//!   document — and its traced cell's log are byte-identical whatever
+//!   `--threads` says.
 
 use proptest::prelude::*;
-use stargemm::core::algorithms::{build_policy, run_algorithm, Algorithm};
+use stargemm::core::algorithms::{build_policy, Algorithm};
 use stargemm::core::Job;
 use stargemm::dynamic::model::DynPlatform;
 use stargemm::dynamic::{random_scenario, AdaptiveMaster, ScenarioConfig};
 use stargemm::platform::{Platform, WorkerSpec};
 use stargemm::sim::{MasterPolicy, Simulator};
-use stargemm_bench::sweep::SweepSpec;
-use stargemm_bench::{parallel_map, Instance};
+use stargemm_bench::exp::{self, ROWS};
+use stargemm_bench::{parallel_map, Cli, Instance};
 
 mod common;
 use common::Logged;
@@ -133,33 +134,26 @@ fn run_scenario(dp: &DynPlatform, job: &Job) -> String {
     )
 }
 
-/// The aggregated JSON of a whole sweep is byte-identical across thread
-/// counts (the artifact contract of `SweepOutcome::to_json`).
+/// Every experiment row, run by the driver at `--smoke`, produces the
+/// same report and the same traced log at 1, 2 and 4 threads (the
+/// artifact contract of `exp <id>`). `runtime` measures wall-clock time
+/// and is exempt.
 #[test]
 fn sweep_json_is_thread_count_independent() {
-    let platform = Platform::new(
-        "sweep-json",
-        vec![
-            WorkerSpec::new(0.2, 0.1, 60),
-            WorkerSpec::new(0.3, 0.15, 40),
-            WorkerSpec::new(0.5, 0.3, 40),
-        ],
-    );
-    let jobs: Vec<Job> = (2..8).map(|r| Job::new(r, 5, r + 2, 4)).collect();
-    let json: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&threads| {
-            SweepSpec::new("det", threads)
-                .run(&jobs, |job| {
-                    run_algorithm(&platform, job, Algorithm::Het).unwrap()
-                })
-                .to_json()
-        })
-        .collect();
-    assert_eq!(json[0], json[1]);
-    assert_eq!(json[0], json[2]);
-    assert!(json[0].contains("\"experiment\": \"det\""));
-    assert!(json[0].contains("\"makespan\""));
+    for row in ROWS.iter().filter(|r| r.id != "runtime") {
+        let run = |threads: &str| {
+            let mut args = vec!["--smoke", "--threads", threads];
+            if row.traced {
+                args.extend(["--trace-out", "unwritten.json"]);
+            }
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            exp::run(row, &Cli::from_args(&args).unwrap())
+        };
+        let serial = run("1");
+        assert_eq!(serial.1.is_some(), row.traced, "{}", row.id);
+        assert!(serial == run("2"), "{}: 2 threads differ", row.id);
+        assert!(serial == run("4"), "{}: 4 threads differ", row.id);
+    }
 }
 
 /// `Instance::run_grid` (the figure protocol) is equally order-stable.
