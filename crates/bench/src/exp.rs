@@ -113,21 +113,13 @@ pub fn row(id: &str) -> Option<&'static Row> {
 /// `--threads` workers, results in cell order.
 pub struct Sweep {
     threads: usize,
+    /// Whether the driver wants the traced cell's log.
     log: bool,
+    /// That log, once the traced cell has run.
     trace: Option<RunLog>,
 }
 
 impl Sweep {
-    /// A sweep on `threads` workers; `log` asks the traced cell for its
-    /// log.
-    pub fn new(threads: usize, log: bool) -> Sweep {
-        Sweep {
-            threads,
-            log,
-            trace: None,
-        }
-    }
-
     /// Runs every cell serially, whatever `--threads` says (for rows
     /// that measure wall-clock time).
     pub fn serial(&mut self) -> &mut Sweep {
@@ -159,20 +151,19 @@ impl Sweep {
         }
         rows
     }
-
-    /// The traced cell's log, once the row has run.
-    pub fn into_trace(self) -> Option<RunLog> {
-        self.trace
-    }
 }
 
 /// Runs `row` under `cli`: its report, and the traced cell's log when
 /// `cli` asks for `--trace-out` or `--attr-out`. Writes nothing.
 pub fn run(row: &Row, cli: &Cli) -> (Report, Option<RunLog>) {
     let wants_log = cli.trace_out.is_some() || cli.attr_out.is_some();
-    let mut sweep = Sweep::new(cli.threads, row.traced && wants_log);
+    let mut sweep = Sweep {
+        threads: cli.threads,
+        log: row.traced && wants_log,
+        trace: None,
+    };
     let report = (row.run)(cli, &mut sweep);
-    (report, sweep.into_trace())
+    (report, sweep.trace)
 }
 
 /// Prints the report and writes every file `cli` asks for.

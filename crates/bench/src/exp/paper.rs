@@ -352,7 +352,9 @@ pub fn table2(cli: &Cli, sweep: &mut Sweep) -> Report {
                 run_algorithm_observed(&p, &job, alg, obs)
             });
             if let Ok(s) = stats {
-                trace = trace.or(events.map(|e| (e, s.makespan)));
+                if let Some(events) = events {
+                    trace = Some((events, s.makespan));
+                }
                 if s.makespan < best.0 {
                     best = (s.makespan, alg.name());
                 }

@@ -119,12 +119,6 @@ impl Instance {
         (instance, trace)
     }
 
-    /// Runs a `(platform, job)` grid on `threads` workers — the standard
-    /// figure protocol, parallel. Results come back in grid order.
-    pub fn run_grid(grid: &[(Platform, Job)], threads: usize) -> Vec<Instance> {
-        parallel_map(threads, grid, |_, (p, j)| Instance::run(p, j))
-    }
-
     /// Best (smallest) makespan across algorithms.
     pub fn best_makespan(&self) -> f64 {
         self.results
@@ -368,10 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_matches_serial_runs() {
+    fn parallel_instances_match_serial_runs() {
         let (p, j) = tiny();
         let grid = vec![(p.clone(), j), (p.clone(), Job::new(4, 4, 4, 2))];
-        let par = Instance::run_grid(&grid, 4);
+        let par = parallel_map(4, &grid, |_, (p, j)| Instance::run(p, j));
         for ((gp, gj), inst) in grid.iter().zip(&par) {
             let serial = Instance::run(gp, gj);
             assert_eq!(inst.platform_name, serial.platform_name);

@@ -87,7 +87,7 @@ pub fn gemm_run_metrics(platform: &Platform, job: &Job, stats: &RunStats) -> Run
 }
 
 /// Aligned text table of the port-level breakdown across instances —
-/// the satellite view `exp_fig7` prints under the classic two panels.
+/// the satellite view the `fig7` row prints under the classic two panels.
 pub fn render_port_breakdown(title: &str, rows: &[(String, &RunStats)]) -> String {
     let mut out = format!("{title}\n");
     out.push_str(&format!(

@@ -255,7 +255,7 @@ pub fn het_plan(calls: u64) -> KernelCounters {
     calls_only(calls)
 }
 
-/// The four-worker star of `exp_stream` and the repo benchmark's
+/// The four-worker star of the `stream` row and the repo benchmark's
 /// `stream_mix`.
 fn stream_star() -> Platform {
     Platform::new(
@@ -272,7 +272,7 @@ fn stream_star() -> Platform {
 /// Jobs of the `attr` row's stream cell.
 pub const ATTR_JOBS: usize = 400;
 
-/// One recorded open-arrival stream cell: `jobs` jobs of `exp_stream`'s
+/// One recorded open-arrival stream cell: `jobs` jobs of the `stream` row's
 /// uniform mix offered to its star at 0.9 of the steady-state capacity,
 /// run once under a recorder. Returns the event log and the makespan —
 /// what `Attribution::from_events` takes.

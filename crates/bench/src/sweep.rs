@@ -79,6 +79,7 @@ mod tests {
             let expect: Vec<u64> = items.iter().map(|n| n * n).collect();
             assert_eq!(out, expect, "threads = {threads}");
         }
+        assert!(parallel_map(8, &[] as &[u32], |_, &x| x).is_empty());
     }
 
     #[test]

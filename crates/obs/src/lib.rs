@@ -36,7 +36,7 @@
 //!   artifacts;
 //! * [`perfetto_trace`] — Chrome/Perfetto `trace_event` JSON with one
 //!   track per port lane, per worker comm/compute lane, and per job
-//!   (written by every `exp_*` binary's `--trace-out` flag);
+//!   (written by `exp <id> --trace-out` for a row's traced cell);
 //! * [`render_gantt`] — the ASCII Gantt chart of the schedule, one row
 //!   per port lane and two per worker;
 //! * [`analyze`] — port utilization, per-worker busy time and the
@@ -46,7 +46,7 @@
 //!   (summing *bit-exactly* to the makespan), a critical-path summary,
 //!   and folded flamegraph stacks (written by `--attr-out`, embedded as
 //!   the `attribution` block in `--json` artifacts, and diffed by
-//!   `exp_attr --diff`).
+//!   `exp attr --diff`).
 //!
 //! Dependency-graph position: `obs` is a leaf above `serde` only, so
 //! every engine and policy crate can depend on it without cycles; LP

@@ -16,7 +16,7 @@
 //! With `k = 1` the root and the regional master coincide: nothing
 //! crosses an uplink, every job arrives at its original time, and the
 //! run is **bitwise identical** to driving [`MultiJobMaster`] on the
-//! star directly (pinned by tests). The `exp_fed` sweep of
+//! star directly (pinned by tests). The `fed` experiment row of
 //! `stargemm-bench` compares this composition against the hierarchical
 //! LP bound (`stargemm_core::steady::federated_lp`) — no cell may beat
 //! the bound, and with fast uplinks a `k ≥ 2` federation beats any

@@ -23,7 +23,7 @@
 //!   baseline, quantiles, and the aggregate steady-state throughput
 //!   bound no schedule can beat.
 //!
-//! The `exp_stream` binary of `stargemm-bench` sweeps load factor ×
+//! The `stream` experiment row of `stargemm-bench` sweeps load factor ×
 //! tenant mix × platform over this machinery.
 
 pub mod allocator;

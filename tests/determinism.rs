@@ -156,7 +156,8 @@ fn sweep_json_is_thread_count_independent() {
     }
 }
 
-/// `Instance::run_grid` (the figure protocol) is equally order-stable.
+/// The figure protocol (every algorithm per cell, fanned out by
+/// `parallel_map`) is equally order-stable.
 #[test]
 fn instance_grid_is_thread_count_independent() {
     let platform = Platform::new(
@@ -167,7 +168,7 @@ fn instance_grid_is_thread_count_independent() {
         .map(|r| (platform.clone(), Job::new(r, 4, 6, 2)))
         .collect();
     let render = |threads| {
-        Instance::run_grid(&grid, threads)
+        parallel_map(threads, &grid, |_, (p, j)| Instance::run(p, j))
             .iter()
             .map(|i| {
                 format!(

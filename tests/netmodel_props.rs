@@ -8,7 +8,7 @@
 //!    model reached the engine as a trait object) reproduces the default
 //!    engine's run statistics *and* recorded intervals byte for byte —
 //!    on static and on dynamic (jittery) platforms alike. The
-//!    `exp_fig7`/`exp_dynamic` golden snapshots
+//!    `fig7`/`dynamic` golden snapshots
 //!    (`crates/bench/tests/golden.rs`) pin the same fact end-to-end.
 //! 2. **No schedule beats the generalized steady-state bound** (a
 //!    theorem): under every contention model, the achieved makespan is
