@@ -11,6 +11,11 @@
 //! both at the same chunk count must stay under the same
 //! `PER_RUN + PER_CHUNK × chunks` line.
 //!
+//! The matrices the master holds are one allocation each: a
+//! `BlockMatrix` is one block-major buffer, so `zeros`, `random` and
+//! `clone` of a 4 × 65 536 grid of `q = 2` blocks take one allocator
+//! call apiece (262 145 when it was one heap object per block).
+//!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would allocate into the reading.
 
@@ -79,12 +84,25 @@ fn run(m: usize, (r, t, s): (usize, usize, usize)) -> (u64, u64, u64, u64) {
     )
 }
 
+/// Allocator calls `make` takes, and what it made.
+fn counted<T>(make: impl FnOnce() -> T) -> (u64, T) {
+    let before = total_allocations();
+    let made = make();
+    (total_allocations() - before, made)
+}
+
 #[test]
 fn a_reactor_run_allocates_per_chunk_not_per_fragment() {
     assert!(
         total_allocations() > 0,
         "the counting allocator is not live"
     );
+    let mut rng = StdRng::seed_from_u64(23);
+    let (zeros, _) = counted(|| BlockMatrix::zeros(4, 65_536, 2));
+    let (random, m) = counted(|| BlockMatrix::random(4, 65_536, 2, &mut rng));
+    let (clone, _) = counted(|| m.clone());
+    assert_eq!((zeros, random, clone), (1, 1, 1), "zeros, random, clone");
+    drop(m);
     // Chunk side 2 (m = 12 holds μ² + 4μ); side 4 (m = 32) on a job
     // twice as tall and wide; side 2 at twice the steps: the same 32
     // chunks each time.

@@ -141,26 +141,28 @@ pub fn lu_replay(
     for &t in order {
         match tasks[t] {
             LuTask::Factor { k } => {
-                let mut pivot = a.block(k, k).clone();
+                let mut pivot = a.block(k, k).to_block();
                 lu_factor_block(&mut pivot, k * q)?;
-                a.set_block(k, k, pivot);
+                a.set_block(k, k, &pivot);
             }
             LuTask::TrsmRow { k, j } => {
-                let pivot = a.block(k, k).clone();
-                let mut b = a.block(k, j).clone();
+                let pivot = a.block(k, k).to_block();
+                let mut b = a.block(k, j).to_block();
                 lu_trsm_lower(&pivot, &mut b);
-                a.set_block(k, j, b);
+                a.set_block(k, j, &b);
             }
             LuTask::TrsmCol { i, k } => {
-                let pivot = a.block(k, k).clone();
-                let mut b = a.block(i, k).clone();
+                let pivot = a.block(k, k).to_block();
+                let mut b = a.block(i, k).to_block();
                 lu_trsm_upper(&pivot, &mut b)?;
-                a.set_block(i, k, b);
+                a.set_block(i, k, &b);
             }
             LuTask::Update { i, j, k } => {
-                let l_ik = a.block(i, k).clone();
-                let u_kj = a.block(k, j).clone();
-                lu_update(a.block_mut(i, j), &l_ik, &u_kj);
+                let l_ik = a.block(i, k).to_block();
+                let u_kj = a.block(k, j).to_block();
+                let mut c = a.block(i, j).to_block();
+                lu_update(&mut c, &l_ik, &u_kj);
+                a.set_block(i, j, &c);
             }
         }
     }

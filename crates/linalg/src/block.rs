@@ -5,6 +5,8 @@ use std::fmt;
 use rand::distr::{Distribution, Uniform};
 use rand::Rng;
 
+use crate::verify::max_abs_diff;
+
 /// One square block of `q * q` double-precision coefficients, stored
 /// row-major.
 ///
@@ -94,17 +96,15 @@ impl Block {
         self.data.fill(0.0);
     }
 
-    /// Largest absolute difference against another block.
+    /// Largest absolute difference against another block, by
+    /// [`crate::verify::max_abs_diff`]: a NaN on one side only is an
+    /// infinite difference.
     ///
     /// # Panics
     /// Panics when block sides differ.
     pub fn max_abs_diff(&self, other: &Block) -> f64 {
         assert_eq!(self.q, other.q, "comparing blocks of different sides");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+        max_abs_diff(&self.data, &other.data)
     }
 
     /// Frobenius norm of the block.
@@ -116,6 +116,92 @@ impl Block {
 impl fmt::Debug for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Block(q={}, fro={:.3})", self.q, self.frobenius_norm())
+    }
+}
+
+/// A borrowed `q × q` block: the row-major tile a
+/// [`crate::BlockMatrix`] keeps at its block's place in the buffer.
+#[derive(Clone, Copy)]
+pub struct BlockRef<'a> {
+    q: usize,
+    data: &'a [f64],
+}
+
+impl<'a> BlockRef<'a> {
+    /// Views `data`, `q²` coefficients, as one block.
+    pub(crate) fn new(q: usize, data: &'a [f64]) -> Self {
+        debug_assert_eq!(data.len(), q * q);
+        BlockRef { q, data }
+    }
+
+    /// Side length `q` of the block.
+    #[inline]
+    pub fn q(&self) -> usize {
+        self.q
+    }
+
+    /// Row-major coefficient slice.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+
+    /// Coefficient at `(row, col)`.
+    #[inline]
+    pub fn get(&self, row: usize, col: usize) -> f64 {
+        debug_assert!(row < self.q && col < self.q);
+        self.data[row * self.q + col]
+    }
+
+    /// An owned copy of the block.
+    pub fn to_block(&self) -> Block {
+        Block::from_vec(self.q, self.data.to_vec())
+    }
+}
+
+/// A mutably borrowed `q × q` block of a [`crate::BlockMatrix`].
+pub struct BlockMut<'a> {
+    q: usize,
+    data: &'a mut [f64],
+}
+
+impl<'a> BlockMut<'a> {
+    /// Views `data`, `q²` coefficients, as one block.
+    pub(crate) fn new(q: usize, data: &'a mut [f64]) -> Self {
+        debug_assert_eq!(data.len(), q * q);
+        BlockMut { q, data }
+    }
+
+    /// Side length `q` of the block.
+    #[inline]
+    pub fn q(&self) -> usize {
+        self.q
+    }
+
+    /// Row-major coefficient slice.
+    #[inline]
+    pub fn as_slice(&self) -> &[f64] {
+        self.data
+    }
+
+    /// Mutable row-major coefficient slice.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        self.data
+    }
+
+    /// Coefficient at `(row, col)`.
+    #[inline]
+    pub fn get(&self, row: usize, col: usize) -> f64 {
+        debug_assert!(row < self.q && col < self.q);
+        self.data[row * self.q + col]
+    }
+
+    /// Sets the coefficient at `(row, col)`.
+    #[inline]
+    pub fn set(&mut self, row: usize, col: usize, value: f64) {
+        debug_assert!(row < self.q && col < self.q);
+        self.data[row * self.q + col] = value;
     }
 }
 
@@ -177,6 +263,16 @@ mod tests {
         b.set(4, 4, 1.25);
         assert_eq!(a.max_abs_diff(&b), 0.25);
         assert_eq!(a.max_abs_diff(&a), 0.0);
+    }
+
+    #[test]
+    fn a_nan_on_one_side_is_an_infinite_difference() {
+        let a = Block::filled(3, 1.0);
+        let mut b = a.clone();
+        b.set(1, 2, f64::NAN);
+        assert_eq!(a.max_abs_diff(&b), f64::INFINITY);
+        assert_eq!(b.max_abs_diff(&a), f64::INFINITY);
+        assert_eq!(b.max_abs_diff(&b), 0.0, "NaN against NaN agrees");
     }
 
     #[test]

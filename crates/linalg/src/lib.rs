@@ -8,10 +8,12 @@
 //! * [`Block`] — one owned `q × q` tile of `f64` coefficients,
 //! * [`gemm`] — the block-update kernel (one register-blocked microkernel
 //!   behind every block product in the repo) and its naive test oracle,
-//! * [`BlockMatrix`] — a row-major grid of blocks with stripe accessors
-//!   matching the paper's partitioning (Figure 1),
-//! * [`verify`] — reference products and tolerant comparison helpers used
-//!   by the integration tests.
+//! * [`BlockMatrix`] — a grid of blocks in one block-major buffer: each
+//!   block a row-major tile, lent out as a [`BlockRef`] / [`BlockMut`]
+//!   view, and each chunk row of the paper's partitioning (Figure 1) one
+//!   contiguous run,
+//! * [`verify`] — reference products and the NaN-aware comparison behind
+//!   every oracle check.
 //!
 //! Everything here is deliberately dependency-light: the scheduling layers
 //! only need the *timing model* of a block update, while the `stargemm-net`
@@ -27,5 +29,5 @@ pub mod lu;
 pub mod matrix;
 pub mod verify;
 
-pub use block::Block;
+pub use block::{Block, BlockMut, BlockRef};
 pub use matrix::BlockMatrix;

@@ -121,28 +121,30 @@ pub fn lu_factor(a: &mut BlockMatrix) -> Result<(), SingularPivot> {
     let q = a.q();
     for k in 0..n {
         // Factor the pivot block.
-        let mut pivot = a.block(k, k).clone();
+        let mut pivot = a.block(k, k).to_block();
         lu_factor_block(&mut pivot, k * q)?;
-        a.set_block(k, k, pivot.clone());
+        a.set_block(k, k, &pivot);
         // Row panel: U(k, j) = L(k,k)^-1 A(k, j).
         for j in k + 1..n {
-            let mut b = a.block(k, j).clone();
+            let mut b = a.block(k, j).to_block();
             lu_trsm_lower(&pivot, &mut b);
-            a.set_block(k, j, b);
+            a.set_block(k, j, &b);
         }
         // Column panel: L(i, k) = A(i, k) U(k,k)^-1.
         for i in k + 1..n {
-            let mut b = a.block(i, k).clone();
+            let mut b = a.block(i, k).to_block();
             lu_trsm_upper(&pivot, &mut b)?;
-            a.set_block(i, k, b);
+            a.set_block(i, k, &b);
         }
         // Trailing update: A(i, j) -= L(i, k) · U(k, j) — the block
         // outer product the distributed scheduler farms out.
         for i in k + 1..n {
-            let l_ik = a.block(i, k).clone();
+            let l_ik = a.block(i, k).to_block();
             for j in k + 1..n {
-                let u_kj = a.block(k, j).clone();
-                lu_update(a.block_mut(i, j), &l_ik, &u_kj);
+                let u_kj = a.block(k, j).to_block();
+                let mut c = a.block(i, j).to_block();
+                lu_update(&mut c, &l_ik, &u_kj);
+                a.set_block(i, j, &c);
             }
         }
     }

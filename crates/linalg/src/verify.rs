@@ -2,7 +2,6 @@
 //! runtime to check that a distributed execution produced the same `C` as
 //! the sequential oracle.
 
-use crate::block::Block;
 use crate::matrix::BlockMatrix;
 
 /// Outcome of a verification, carrying enough context to debug a failure.
@@ -23,12 +22,43 @@ impl VerifyReport {
     }
 }
 
+/// Largest absolute element-wise difference between two coefficient
+/// runs of equal length: the one comparison behind
+/// [`crate::Block::max_abs_diff`], [`BlockMatrix::max_abs_diff`] and
+/// [`verify_product`].
+///
+/// Two NaNs agree. Any other pair whose difference is NaN (a NaN on one
+/// side only, or two infinities) counts as an infinite difference, which
+/// no tolerance passes: `f64::max` alone drops a NaN, and an all-NaN
+/// product would compare equal to anything.
+///
+/// # Panics
+/// Panics when the lengths differ.
+pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len(), "comparing runs of different lengths");
+    x.iter()
+        .zip(y)
+        .map(|(a, b)| {
+            let d = (a - b).abs();
+            if !d.is_nan() {
+                d
+            } else if a.is_nan() && b.is_nan() {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
 /// Compares a computed `C` against the reference `C₀ + A·B`.
 ///
 /// `c0` is the initial content of `C` before the distributed run (the
 /// kernel is an *accumulation*, `C ← C + AB`). The reference is built
 /// one C block at a time in a single scratch block — the arithmetic of
 /// [`BlockMatrix::gemm_reference`], without a copy of the whole matrix.
+/// A NaN in the computed C where the reference has none is an infinite
+/// difference, and fails the report ([`max_abs_diff`]).
 ///
 /// # Panics
 /// Panics on shape mismatches.
@@ -40,29 +70,27 @@ pub fn verify_product(
     tolerance: f64,
 ) -> VerifyReport {
     BlockMatrix::assert_product_shapes(c0, a, b);
-    // With equal scalar shapes, a different `q` fails in `Block::max_abs_diff`.
+    // With equal scalar shapes, a different `q` fails in `max_abs_diff`.
     assert_eq!(
         computed_c.scalar_dims(),
         c0.scalar_dims(),
         "computed C shape"
     );
-    let mut reference = Block::zeros(c0.q());
-    let mut max_abs_diff = 0.0;
+    let mut reference = vec![0.0; c0.q() * c0.q()];
+    let mut diff = 0.0;
     for i in 0..c0.block_rows() {
         for j in 0..c0.block_cols() {
-            reference
-                .as_mut_slice()
-                .copy_from_slice(c0.block(i, j).as_slice());
+            reference.copy_from_slice(c0.block(i, j).as_slice());
             BlockMatrix::reference_block(&mut reference, a, b, i, j);
-            max_abs_diff = f64::max(
-                max_abs_diff,
-                computed_c.block(i, j).max_abs_diff(&reference),
+            diff = f64::max(
+                diff,
+                max_abs_diff(computed_c.block(i, j).as_slice(), &reference),
             );
         }
     }
     let (rows, cols) = c0.scalar_dims();
     VerifyReport {
-        max_abs_diff,
+        max_abs_diff: diff,
         tolerance,
         elements: rows * cols,
     }
@@ -105,10 +133,7 @@ mod tests {
         let mut c = c0.clone();
         BlockMatrix::gemm_reference(&mut c, &a, &b);
         // Sabotage one block: simulate a lost k-step.
-        let sab = c.block(1, 1).clone();
-        let mut sab2 = sab.clone();
-        sab2.set(0, 0, sab.get(0, 0) + 0.5);
-        c.set_block(1, 1, sab2);
+        c.set(4, 4, c.get(4, 4) + 0.5);
         let report = verify_product(&c, &c0, &a, &b, tolerance_for(8));
         assert!(!report.passed());
         assert!(report.max_abs_diff >= 0.5 - 1e-9);
@@ -130,7 +155,12 @@ mod tests {
         for i in 0..r {
             for j in 0..s {
                 for k in (0..t).rev() {
-                    crate::gemm::block_update(c.block_mut(i, j), a.block(i, k), b.block(k, j));
+                    crate::gemm::gemm_tiled(
+                        q,
+                        c.block_mut(i, j).as_mut_slice(),
+                        a.block(i, k).as_slice(),
+                        b.block(k, j).as_slice(),
+                    );
                 }
             }
         }
@@ -148,6 +178,45 @@ mod tests {
             );
             assert_eq!(report.elements, r * q * s * q);
         }
+    }
+
+    /// A poisoned product fails: every entry NaN, or a single one.
+    #[test]
+    fn a_nan_in_the_computed_product_fails() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let a = BlockMatrix::random(2, 3, 4, &mut rng);
+        let b = BlockMatrix::random(3, 2, 4, &mut rng);
+        let c0 = BlockMatrix::random(2, 2, 4, &mut rng);
+        let mut c = c0.clone();
+        BlockMatrix::gemm_reference(&mut c, &a, &b);
+        let mut one = c.clone();
+        one.set(5, 2, f64::NAN);
+        let mut all = c.clone();
+        for row in 0..8 {
+            for col in 0..8 {
+                all.set(row, col, f64::NAN);
+            }
+        }
+        for (what, poisoned) in [("one NaN", &one), ("all NaN", &all)] {
+            let report = verify_product(poisoned, &c0, &a, &b, tolerance_for(12));
+            assert!(!report.passed(), "{what}: {report:?}");
+            assert_eq!(report.max_abs_diff, f64::INFINITY, "{what}");
+            assert_eq!(poisoned.max_abs_diff(&c), f64::INFINITY, "{what}");
+            assert_eq!(c.max_abs_diff(poisoned), f64::INFINITY, "{what}");
+        }
+        assert!(verify_product(&c, &c0, &a, &b, tolerance_for(12)).passed());
+    }
+
+    /// NaN against NaN agrees; a NaN on either side alone, or two
+    /// infinities, is an infinite difference wherever it falls.
+    #[test]
+    fn a_nan_difference_is_infinite() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        assert_eq!(max_abs_diff(&[nan, 1.0], &[nan, 1.5]), 0.5);
+        assert_eq!(max_abs_diff(&[nan, 9.0], &[1.0, 0.0]), inf);
+        assert_eq!(max_abs_diff(&[9.0, nan], &[0.0, 1.0]), inf);
+        assert_eq!(max_abs_diff(&[inf], &[inf]), inf);
+        assert_eq!(max_abs_diff(&[], &[]), 0.0);
     }
 
     #[test]

@@ -189,13 +189,10 @@ impl FedNetRuntime {
             let rt = NetRuntime::new(self.fed.star(s).platform.base.clone())
                 .with_options(self.star_options(s));
             let stats = rt.run(policy, a, &b_shard, &mut c_shard)?;
-            c.store_chunk(
-                0,
-                j0,
-                c.block_rows(),
-                shard.s,
-                c_shard.chunk(0, 0, c_shard.block_rows(), shard.s),
-            );
+            for i in 0..c.block_rows() {
+                c.row_run_mut(i, j0, shard.s)
+                    .copy_from_slice(c_shard.row_run(i, 0, shard.s));
+            }
             stars.push(stats);
             j0 += shard.s;
         }
@@ -212,10 +209,14 @@ impl FedNetRuntime {
     }
 }
 
-/// A copy of block columns `[j0, j0 + w)` of `m` as its own matrix.
+/// A copy of block columns `[j0, j0 + w)` of `m` as its own matrix,
+/// one row run at a time.
 fn slice_cols(m: &BlockMatrix, j0: usize, w: usize) -> BlockMatrix {
     let mut out = BlockMatrix::zeros(m.block_rows(), w, m.q());
-    out.store_chunk(0, 0, m.block_rows(), w, m.chunk(0, j0, m.block_rows(), w));
+    for i in 0..m.block_rows() {
+        out.row_run_mut(i, 0, w)
+            .copy_from_slice(m.row_run(i, j0, w));
+    }
     out
 }
 

@@ -22,14 +22,15 @@
 //! only its [`MasterTransport`] verbs and pre-checks.
 //!
 //! A fragment crosses the reactor as one flat buffer: its tiles are
-//! encoded straight out of the borrowed matrices into the one byte
-//! buffer every message reuses, decoded into a vector from the reactor's
-//! [`TilePool`] that the worker computes on in place, and a retrieved
-//! result is copied into C's blocks where they are. Spent buffers go
-//! back to the pool — a fired step's A and B from the worker, a result
-//! once it is in C — so in steady state a transfer allocates nothing,
-//! whatever its block count (`stargemm-bench`'s `net_alloc` test holds
-//! a run to a fixed number per chunk).
+//! encoded straight out of the borrowed matrices — one contiguous run
+//! per chunk row, since a `BlockMatrix` is block-major — into the one
+//! byte buffer every message reuses, decoded into a vector from the
+//! reactor's [`TilePool`] that the worker computes on in place, and a
+//! retrieved result is copied into C one row run at a time. Spent
+//! buffers go back to the pool — a fired step's A and B from the worker,
+//! a result once it is in C — so in steady state a transfer allocates
+//! nothing, whatever its block count (`stargemm-bench`'s `net_alloc`
+//! test holds a run to a fixed number per chunk).
 //!
 //! Because nothing blocks per transfer, the reactor scales to thousands
 //! of workers per star, and a stalled schedule is detected analytically
@@ -385,12 +386,13 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                     .chunk_geom(chunk)
                     .ok_or(NetError::UnknownChunk(chunk))?;
                 // Row-major `h × w`, as `encode` sliced the load: each
-                // tile is copied into the C block it came from.
+                // row of `w` tiles is copied into the C run it came from.
                 assert_eq!(tiles.len(), geom.h * geom.w, "result payload mismatch");
-                let cells = (geom.i0..geom.i0 + geom.h)
-                    .flat_map(|i| (geom.j0..geom.j0 + geom.w).map(move |j| (i, j)));
-                for ((i, j), tile) in cells.zip(tiles.iter()) {
-                    self.c.block_mut(i, j).as_mut_slice().copy_from_slice(tile);
+                let rows = tiles
+                    .as_slice()
+                    .chunks_exact(geom.w * tiles.q() * tiles.q());
+                for (i, row) in (geom.i0..).zip(rows) {
+                    self.c.row_run_mut(i, geom.j0, geom.w).copy_from_slice(row);
                 }
                 self.pool.give(tiles);
                 self.tell(SimEvent::RetrieveDone { worker, chunk });
@@ -462,7 +464,8 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
     }
 
     /// Encodes the fragment's wire message into the reused `encoded`
-    /// buffer, its tiles sliced straight out of the real matrices.
+    /// buffer, its tiles sliced straight out of the real matrices: one
+    /// run of whole tiles per chunk row.
     fn encode(
         &mut self,
         fragment: &Fragment,
@@ -476,7 +479,6 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
             .ok_or(NetError::UnknownChunk(fragment.chunk))?;
         let (klo, khi) = geom.k_range(fragment.step, t);
         let rows = geom.i0..geom.i0 + geom.h;
-        let cols = geom.j0..geom.j0 + geom.w;
         let Fragment { chunk, step, .. } = *fragment;
         let depth = khi - klo;
         match fragment.kind {
@@ -484,19 +486,18 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                 let descr = new_chunk
                     .ok_or_else(|| NetError::Protocol("C load without chunk descriptor".into()))?;
                 let c = &*self.c;
-                let tiles = rows.flat_map(|i| cols.clone().map(move |j| c.block(i, j).as_slice()));
-                wire::encode_load_c(buf, &descr, geom.h as u32, geom.w as u32, c.q(), tiles);
+                let runs = rows.map(|i| c.row_run(i, geom.j0, geom.w));
+                wire::encode_load_c(buf, &descr, geom.h as u32, geom.w as u32, c.q(), runs);
             }
             MatKind::A => {
                 let a = self.a;
-                let tiles = rows.flat_map(|i| (klo..khi).map(move |kk| a.block(i, kk).as_slice()));
-                wire::encode_frag(buf, MatKind::A, chunk, step, geom.h * depth, a.q(), tiles);
+                let runs = rows.map(|i| a.row_run(i, klo, depth));
+                wire::encode_frag(buf, MatKind::A, chunk, step, geom.h * depth, a.q(), runs);
             }
             MatKind::B => {
                 let b = self.b;
-                let tiles =
-                    (klo..khi).flat_map(|kk| cols.clone().map(move |j| b.block(kk, j).as_slice()));
-                wire::encode_frag(buf, MatKind::B, chunk, step, depth * geom.w, b.q(), tiles);
+                let runs = (klo..khi).map(|kk| b.row_run(kk, geom.j0, geom.w));
+                wire::encode_frag(buf, MatKind::B, chunk, step, depth * geom.w, b.q(), runs);
             }
         }
         Ok(())

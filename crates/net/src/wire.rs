@@ -11,14 +11,16 @@
 //! A block payload is one [`Tiles`]: `n` square `q × q` tiles in a
 //! single contiguous buffer with the shape beside it, not one heap
 //! object per block. The sender writes header and tiles into a byte
-//! buffer it passes in and reuses — straight from borrowed block slices
-//! ([`encode_load_c`], [`encode_frag`]; [`ToWorker::encode`] goes through
-//! the same two functions, so there is one encoder) — and the decoder
-//! reads that buffer through a borrowed cursor, converting the
-//! coefficients in one bulk pass into one vector, which the worker keeps
-//! and computes on in place. The reactor decodes into vectors taken from
-//! a `TilePool` that spent payloads are handed back to, so in steady
-//! state a message allocates nothing at all.
+//! buffer it passes in and reuses — straight from borrowed runs of whole
+//! tiles, which is how a block-major `BlockMatrix` keeps a chunk row, so
+//! a row is one copy ([`encode_load_c`], [`encode_frag`];
+//! [`ToWorker::encode`] goes through the same two functions, so there is
+//! one encoder) — and the decoder reads that buffer through a borrowed
+//! cursor, converting the coefficients in one bulk pass into one
+//! vector, which the worker keeps and computes on in place. The reactor
+//! decodes into vectors taken from a `TilePool` that spent payloads are
+//! handed back to, so in steady state a message allocates nothing at
+//! all.
 
 use stargemm_sim::{ChunkDescr, ChunkId, MatKind, StepCosts, StepId};
 
@@ -71,6 +73,11 @@ impl Tiles {
     /// The tiles in order.
     pub fn iter(&self) -> std::slice::ChunksExact<'_, f64> {
         self.data.chunks_exact(self.q * self.q)
+    }
+
+    /// Every tile, end to end.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 }
 
@@ -199,20 +206,21 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends `n` tiles of side `q`: the count and side, then every
-/// coefficient converted in bulk into the (already reserved) tail.
-fn put_tiles<'a>(buf: &mut Vec<u8>, n: usize, q: usize, tiles: impl Iterator<Item = &'a [f64]>) {
+/// coefficient converted in bulk into the (already reserved) tail. The
+/// tiles come as `runs`, each of one or more whole tiles end to end — a
+/// chunk row of a block-major matrix is one run, and one copy.
+fn put_tiles<'a>(buf: &mut Vec<u8>, n: usize, q: usize, runs: impl Iterator<Item = &'a [f64]>) {
     put_u32(buf, n as u32);
     put_u32(buf, q as u32);
-    let tile_bytes = q * q * 8;
     let mut at = buf.len();
-    buf.resize(at + n * tile_bytes, 0);
-    for tile in tiles {
-        assert_eq!(tile.len(), q * q, "mixed tile sides in one message");
-        let raw = &mut buf[at..at + tile_bytes];
-        for (dst, x) in raw.chunks_exact_mut(8).zip(tile) {
+    buf.resize(at + n * q * q * 8, 0);
+    for run in runs {
+        assert_eq!(run.len() % (q * q), 0, "a run of other than whole tiles");
+        let raw = &mut buf[at..at + run.len() * 8];
+        for (dst, x) in raw.chunks_exact_mut(8).zip(run) {
             dst.copy_from_slice(&x.to_le_bytes());
         }
-        at += tile_bytes;
+        at += raw.len();
     }
     assert_eq!(at, buf.len(), "tile count disagrees with the header");
 }
@@ -293,14 +301,15 @@ fn start(buf: &mut Vec<u8>, len: usize) {
 }
 
 /// Encodes into `buf` (emptied first) a [`ToWorker::LoadC`] whose
-/// `n = h · w` tiles of side `q` are borrowed from wherever they live.
+/// `n = h · w` tiles of side `q` are borrowed from wherever they live,
+/// in runs of whole tiles.
 pub fn encode_load_c<'a>(
     buf: &mut Vec<u8>,
     descr: &ChunkDescr,
     h: u32,
     w: u32,
     q: usize,
-    tiles: impl Iterator<Item = &'a [f64]>,
+    runs: impl Iterator<Item = &'a [f64]>,
 ) {
     let n = h as usize * w as usize;
     start(buf, 1 + descr_len(descr) + 4 + 4 + tiles_len(n, q));
@@ -308,12 +317,13 @@ pub fn encode_load_c<'a>(
     put_descr(buf, descr);
     put_u32(buf, h);
     put_u32(buf, w);
-    put_tiles(buf, n, q, tiles);
+    put_tiles(buf, n, q, runs);
 }
 
 /// Encodes into `buf` (emptied first) the [`ToWorker::FragA`] (`kind` A)
 /// or [`ToWorker::FragB`] (`kind` B) of `(chunk, step)` whose `n` tiles
-/// of side `q` are borrowed from wherever they live.
+/// of side `q` are borrowed from wherever they live, in runs of whole
+/// tiles.
 ///
 /// # Panics
 /// Panics when `kind` is C (a C load is [`encode_load_c`]).
@@ -324,7 +334,7 @@ pub fn encode_frag<'a>(
     step: StepId,
     n: usize,
     q: usize,
-    tiles: impl Iterator<Item = &'a [f64]>,
+    runs: impl Iterator<Item = &'a [f64]>,
 ) {
     start(buf, 1 + 4 + 4 + tiles_len(n, q));
     buf.push(match kind {
@@ -334,7 +344,7 @@ pub fn encode_frag<'a>(
     });
     put_u32(buf, chunk);
     put_u32(buf, step);
-    put_tiles(buf, n, q, tiles);
+    put_tiles(buf, n, q, runs);
 }
 
 /// Encodes into `buf` (emptied first) a payload-free control message: a
@@ -353,15 +363,16 @@ impl ToWorker {
         let mut buf = Vec::new();
         match self {
             ToWorker::LoadC { descr, h, w, tiles } => {
-                encode_load_c(&mut buf, descr, *h, *w, tiles.q(), tiles.iter());
+                let all = std::iter::once(tiles.as_slice());
+                encode_load_c(&mut buf, descr, *h, *w, tiles.q(), all);
             }
             ToWorker::FragA { chunk, step, tiles } => {
-                let (n, q) = (tiles.len(), tiles.q());
-                encode_frag(&mut buf, MatKind::A, *chunk, *step, n, q, tiles.iter());
+                let (n, q, all) = (tiles.len(), tiles.q(), std::iter::once(tiles.as_slice()));
+                encode_frag(&mut buf, MatKind::A, *chunk, *step, n, q, all);
             }
             ToWorker::FragB { chunk, step, tiles } => {
-                let (n, q) = (tiles.len(), tiles.q());
-                encode_frag(&mut buf, MatKind::B, *chunk, *step, n, q, tiles.iter());
+                let (n, q, all) = (tiles.len(), tiles.q(), std::iter::once(tiles.as_slice()));
+                encode_frag(&mut buf, MatKind::B, *chunk, *step, n, q, all);
             }
             ToWorker::Retrieve { chunk } => control(&mut buf, TAG_RETRIEVE, &[*chunk]),
             ToWorker::Fail => control(&mut buf, TAG_FAIL, &[]),
@@ -510,6 +521,35 @@ mod tests {
         encode_frag(&mut buf, MatKind::B, 5, 1, 6, 3, borrowed());
         assert_eq!(buf, frag.encode());
         assert_eq!(buf.len(), 1 + 4 + 4 + 4 + 4 + 6 * 9 * 8);
+    }
+
+    /// Runs of several whole tiles — a block-major matrix's chunk rows —
+    /// encode the bytes the same tiles give one at a time.
+    #[test]
+    fn runs_of_tiles_encode_like_single_tiles() {
+        let t = tiles(6, 3, 7);
+        let mut by_tile = Vec::new();
+        encode_frag(&mut by_tile, MatKind::A, 2, 1, 6, 3, t.iter());
+        let mut by_row = Vec::new();
+        let rows = t.as_slice().chunks_exact(3 * 9);
+        encode_frag(&mut by_row, MatKind::A, 2, 1, 6, 3, rows);
+        assert_eq!(by_row, by_tile);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole tiles")]
+    fn a_run_of_partial_tiles_is_caught() {
+        let t = tiles(2, 3, 7);
+        let (head, tail) = t.as_slice().split_at(10);
+        encode_frag(
+            &mut Vec::new(),
+            MatKind::A,
+            2,
+            1,
+            2,
+            3,
+            [head, tail].into_iter(),
+        );
     }
 
     /// Decoding through a pool gives the message `decode` gives, in a
