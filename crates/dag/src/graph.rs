@@ -98,12 +98,13 @@ pub struct DagJob {
 
 impl DagJob {
     /// Validates `tasks` into a DAG job.
-    pub fn new(name: impl Into<String>, tasks: Vec<TaskSpec>) -> Result<Self, GraphError> {
+    pub fn new(name: impl Into<String>, mut tasks: Vec<TaskSpec>) -> Result<Self, GraphError> {
         if tasks.is_empty() {
             return Err(GraphError::Empty);
         }
         let n = tasks.len();
-        for t in &tasks {
+        let mut preds = Vec::with_capacity(n);
+        for t in &mut tasks {
             if t.width == 0 {
                 return Err(GraphError::ZeroWidth {
                     task: t.label.clone(),
@@ -115,11 +116,10 @@ impl DagJob {
                     dep,
                 });
             }
-        }
-        let mut preds: Vec<Vec<TaskId>> = tasks.iter().map(|t| t.deps.clone()).collect();
-        for p in &mut preds {
+            let mut p = std::mem::take(&mut t.deps);
             p.sort_unstable();
             p.dedup();
+            preds.push(p);
         }
         let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];
@@ -162,7 +162,11 @@ impl DagJob {
         }
         Ok(DagJob {
             name: name.into(),
-            labels: tasks.iter().map(|t| t.label.clone()).collect(),
+            // Not `into_iter()`: an in-place collect keeps `tasks`' buffer.
+            labels: tasks
+                .iter_mut()
+                .map(|t| std::mem::take(&mut t.label))
+                .collect(),
             widths: tasks.iter().map(|t| t.width).collect(),
             preds,
             succs,

@@ -13,10 +13,10 @@
 //! * [`parse`] — a text format for DAG specs with typed, line-numbered
 //!   [`ParseError`]s, the DAG analog of the `@`-directive platform
 //!   parser.
-//! * [`lu`] — the tiled right-looking LU task graph and a numeric
-//!   replay through the real `stargemm-linalg` task kernels: any
-//!   dependency-respecting completion order reproduces the sequential
-//!   factorization bitwise.
+//! * [`lu`] — the tiled right-looking LU task graph, built from
+//!   `stargemm-linalg`'s LU task table, and a numeric replay through its
+//!   in-place task kernel: any dependency-respecting completion order
+//!   reproduces the sequential factorization bitwise.
 //! * [`master`] — [`DagMaster`], critical-path-aware (HEFT bottom-level)
 //!   dispatch of the ready frontier onto `StreamingMaster` lanes, with
 //!   crash recovery by returning lost tasks to the frontier.

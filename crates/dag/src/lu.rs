@@ -1,8 +1,9 @@
 //! The tiled right-looking LU task graph, plus a numeric replay that
 //! executes a completion order through the real `stargemm-linalg` task
-//! kernels.
+//! kernel.
 //!
-//! For an `n × n` block grid, elimination step `k` contributes
+//! The tasks are [`stargemm_linalg::lu::lu_tasks`]: for an `n × n` block
+//! grid, elimination step `k` contributes
 //!
 //! - `Factor(k)` — scalar LU of the pivot block `A(k,k)`;
 //! - `TrsmRow { k, j }` — `U(k,j) = L(k,k)⁻¹ A(k,j)` for `j > k`;
@@ -10,58 +11,24 @@
 //! - `Update { i, j, k }` — `A(i,j) ← A(i,j) − L(i,k)·U(k,j)` for
 //!   `i, j > k`.
 //!
-//! with the dataflow dependencies of the algorithm (a task waits on the
-//! step-`k−1` update of every block it reads or writes). Task count is
+//! Task `t` of the graph is entry `t` of that table, and its
+//! predecessors are the last earlier writers of every block it reads or
+//! writes, looked up in a table with one entry per block. Task count is
 //! `Σ_{k<n} (n−k)² = n(n+1)(2n+1)/6` — 30 tasks for `n = 4`.
 //!
-//! Each task reads the *final* step-`k` values of its inputs and applies
-//! exactly the kernel [`stargemm_linalg::lu::lu_factor`] applies, so a
-//! replay in **any** dependency-respecting order reproduces the
-//! sequential factorization bitwise — that is the numerical oracle the
-//! DAG test pyramid pins the schedulers against.
-//!
-//! (`lu_factor` here always refers to
-//! [`stargemm_linalg::lu::lu_factor`].)
+//! Each task reads the *final* step-`k` values of its inputs and runs
+//! through [`stargemm_linalg::lu::lu_apply`], the kernel
+//! [`stargemm_linalg::lu::lu_factor`] runs, so a replay in **any**
+//! dependency-respecting order reproduces the sequential factorization
+//! bitwise — that is the numerical oracle the DAG test pyramid pins the
+//! schedulers against.
 
-use stargemm_linalg::lu::{
-    lu_factor_block, lu_trsm_lower, lu_trsm_upper, lu_update, SingularPivot,
-};
+use stargemm_linalg::lu::{lu_apply, lu_tasks, SingularPivot};
 use stargemm_linalg::BlockMatrix;
 
 use crate::graph::{DagJob, TaskId, TaskSpec};
 
-/// One task of the tiled-LU graph (block indices into the `n × n` grid).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LuTask {
-    /// Factor the pivot block `A(k,k)`.
-    Factor {
-        /// Elimination step.
-        k: usize,
-    },
-    /// Row-panel solve producing `U(k,j)`.
-    TrsmRow {
-        /// Elimination step.
-        k: usize,
-        /// Column of the solved block (`j > k`).
-        j: usize,
-    },
-    /// Column-panel solve producing `L(i,k)`.
-    TrsmCol {
-        /// Row of the solved block (`i > k`).
-        i: usize,
-        /// Elimination step.
-        k: usize,
-    },
-    /// Trailing update `A(i,j) ← A(i,j) − L(i,k)·U(k,j)`.
-    Update {
-        /// Row of the updated block (`i > k`).
-        i: usize,
-        /// Column of the updated block (`j > k`).
-        j: usize,
-        /// Elimination step.
-        k: usize,
-    },
-}
+pub use stargemm_linalg::lu::LuTask;
 
 /// The tiled-LU task graph for an `n × n` block grid, with the kernel of
 /// each task alongside (`tasks[t]` is what DAG task `t` computes).
@@ -72,57 +39,37 @@ pub enum LuTask {
 /// Panics when `n == 0`.
 pub fn lu_dag(n: usize) -> (DagJob, Vec<LuTask>) {
     assert!(n > 0, "LU needs at least one block");
-    let mut kinds: Vec<LuTask> = Vec::new();
-    let mut specs: Vec<TaskSpec> = Vec::new();
-    // id(kind) lookup for the steps emitted so far. Emission order per k:
-    // Factor, row panel (j ascending), column panel (i ascending),
-    // trailing updates (row-major) — every dependency is already emitted.
-    let find = |kinds: &[LuTask], want: LuTask| -> TaskId {
-        kinds
-            .iter()
-            .position(|&t| t == want)
-            .expect("dependency emitted before its dependent")
-    };
-    for k in 0..n {
-        let prev =
-            |kinds: &[LuTask], i: usize, j: usize| find(kinds, LuTask::Update { i, j, k: k - 1 });
-        let mut deps = Vec::new();
-        if k > 0 {
-            deps.push(prev(&kinds, k, k));
-        }
-        specs.push(TaskSpec::new(format!("f{k}"), 1, deps));
-        kinds.push(LuTask::Factor { k });
-        let factor = specs.len() - 1;
-        for j in k + 1..n {
-            let mut deps = vec![factor];
-            if k > 0 {
-                deps.push(prev(&kinds, k, j));
-            }
-            specs.push(TaskSpec::new(format!("r{k}.{j}"), 1, deps));
-            kinds.push(LuTask::TrsmRow { k, j });
-        }
-        for i in k + 1..n {
-            let mut deps = vec![factor];
-            if k > 0 {
-                deps.push(prev(&kinds, i, k));
-            }
-            specs.push(TaskSpec::new(format!("c{i}.{k}"), 1, deps));
-            kinds.push(LuTask::TrsmCol { i, k });
-        }
-        for i in k + 1..n {
-            let col = find(&kinds, LuTask::TrsmCol { i, k });
-            for j in k + 1..n {
-                let mut deps = vec![col, find(&kinds, LuTask::TrsmRow { k, j })];
-                if k > 0 {
-                    deps.push(prev(&kinds, i, j));
-                }
-                specs.push(TaskSpec::new(format!("u{i}.{j}.{k}"), 1, deps));
-                kinds.push(LuTask::Update { i, j, k });
-            }
-        }
-    }
+    let kinds = lu_tasks(n);
+    // The latest task to write each block, row-major. No block is
+    // written after a task reads it, so these are all the dependencies.
+    let mut last_writer: Vec<Option<TaskId>> = vec![None; n * n];
+    let specs = kinds
+        .iter()
+        .enumerate()
+        .map(|(t, &task)| {
+            let (i, j) = task.writes();
+            let deps = task
+                .reads()
+                .chain([(i, j)])
+                .filter_map(|(r, c)| last_writer[r * n + c])
+                .collect();
+            last_writer[i * n + j] = Some(t);
+            TaskSpec::new(label(task), 1, deps)
+        })
+        .collect();
     let dag = DagJob::new(format!("lu{n}"), specs).expect("tiled LU is a valid DAG");
     (dag, kinds)
+}
+
+/// A task's name in the graph: `f{k}`, `r{k}.{j}`, `c{i}.{k}` or
+/// `u{i}.{j}.{k}`.
+fn label(task: LuTask) -> String {
+    match task {
+        LuTask::Factor { k } => format!("f{k}"),
+        LuTask::TrsmRow { k, j } => format!("r{k}.{j}"),
+        LuTask::TrsmCol { i, k } => format!("c{i}.{k}"),
+        LuTask::Update { i, j, k } => format!("u{i}.{j}.{k}"),
+    }
 }
 
 /// Executes the task kernels on `a` in the given completion `order`
@@ -137,36 +84,7 @@ pub fn lu_replay(
     tasks: &[LuTask],
     order: &[TaskId],
 ) -> Result<(), SingularPivot> {
-    let q = a.q();
-    for &t in order {
-        match tasks[t] {
-            LuTask::Factor { k } => {
-                let mut pivot = a.block(k, k).to_block();
-                lu_factor_block(&mut pivot, k * q)?;
-                a.set_block(k, k, &pivot);
-            }
-            LuTask::TrsmRow { k, j } => {
-                let pivot = a.block(k, k).to_block();
-                let mut b = a.block(k, j).to_block();
-                lu_trsm_lower(&pivot, &mut b);
-                a.set_block(k, j, &b);
-            }
-            LuTask::TrsmCol { i, k } => {
-                let pivot = a.block(k, k).to_block();
-                let mut b = a.block(i, k).to_block();
-                lu_trsm_upper(&pivot, &mut b)?;
-                a.set_block(i, k, &b);
-            }
-            LuTask::Update { i, j, k } => {
-                let l_ik = a.block(i, k).to_block();
-                let u_kj = a.block(k, j).to_block();
-                let mut c = a.block(i, j).to_block();
-                lu_update(&mut c, &l_ik, &u_kj);
-                a.set_block(i, j, &c);
-            }
-        }
-    }
-    Ok(())
+    order.iter().try_for_each(|&t| lu_apply(a, tasks[t]))
 }
 
 #[cfg(test)]
@@ -218,6 +136,51 @@ mod tests {
             .filter(|&t| dag.preds(t).is_empty())
             .collect();
         assert_eq!(roots, vec![id(LuTask::Factor { k: 0 })]);
+    }
+
+    /// An oracle that shares nothing with the last-writer table: two
+    /// tasks conflict when they touch one block and one of them writes
+    /// it. Every conflicting pair must be ordered by the graph's
+    /// transitive closure in task-id (sequential) order, and every edge
+    /// must join a conflicting pair.
+    #[test]
+    fn the_graph_orders_exactly_the_conflicting_tasks() {
+        // (written block, read blocks), spelled out from the algorithm.
+        let footprint = |task: LuTask| match task {
+            LuTask::Factor { k } => ((k, k), vec![]),
+            LuTask::TrsmRow { k, j } => ((k, j), vec![(k, k)]),
+            LuTask::TrsmCol { i, k } => ((i, k), vec![(k, k)]),
+            LuTask::Update { i, j, k } => ((i, j), vec![(i, k), (k, j)]),
+        };
+        let conflict = |a: LuTask, b: LuTask| {
+            let ((wa, ra), (wb, rb)) = (footprint(a), footprint(b));
+            wa == wb || ra.contains(&wb) || rb.contains(&wa)
+        };
+        for n in 1..=6 {
+            let (dag, kinds) = lu_dag(n);
+            let len = dag.len();
+            // reach[a][b]: a path a → … → b, filled in reverse id order
+            // (every edge goes from a lower id to a higher one).
+            let mut reach = vec![vec![false; len]; len];
+            for a in (0..len).rev() {
+                for &b in dag.succs(a) {
+                    assert!(b > a, "n={n}: edge {a} → {b} runs backwards");
+                    assert!(conflict(kinds[a], kinds[b]), "n={n}: edge {a} → {b}");
+                    reach[a][b] = true;
+                    let via = reach[b].clone();
+                    for (r, v) in reach[a].iter_mut().zip(via) {
+                        *r |= v;
+                    }
+                }
+            }
+            for b in 0..len {
+                for a in 0..b {
+                    if conflict(kinds[a], kinds[b]) {
+                        assert!(reach[a][b], "n={n}: {:?} before {:?}", kinds[a], kinds[b]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,21 +123,13 @@ impl fmt::Debug for Block {
 /// [`crate::BlockMatrix`] keeps at its block's place in the buffer.
 #[derive(Clone, Copy)]
 pub struct BlockRef<'a> {
-    q: usize,
     data: &'a [f64],
 }
 
 impl<'a> BlockRef<'a> {
     /// Views `data`, `q²` coefficients, as one block.
-    pub(crate) fn new(q: usize, data: &'a [f64]) -> Self {
-        debug_assert_eq!(data.len(), q * q);
-        BlockRef { q, data }
-    }
-
-    /// Side length `q` of the block.
-    #[inline]
-    pub fn q(&self) -> usize {
-        self.q
+    pub(crate) fn new(data: &'a [f64]) -> Self {
+        BlockRef { data }
     }
 
     /// Row-major coefficient slice.
@@ -145,63 +137,23 @@ impl<'a> BlockRef<'a> {
     pub fn as_slice(&self) -> &'a [f64] {
         self.data
     }
-
-    /// Coefficient at `(row, col)`.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        debug_assert!(row < self.q && col < self.q);
-        self.data[row * self.q + col]
-    }
-
-    /// An owned copy of the block.
-    pub fn to_block(&self) -> Block {
-        Block::from_vec(self.q, self.data.to_vec())
-    }
 }
 
 /// A mutably borrowed `q × q` block of a [`crate::BlockMatrix`].
 pub struct BlockMut<'a> {
-    q: usize,
     data: &'a mut [f64],
 }
 
 impl<'a> BlockMut<'a> {
     /// Views `data`, `q²` coefficients, as one block.
-    pub(crate) fn new(q: usize, data: &'a mut [f64]) -> Self {
-        debug_assert_eq!(data.len(), q * q);
-        BlockMut { q, data }
-    }
-
-    /// Side length `q` of the block.
-    #[inline]
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// Row-major coefficient slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        self.data
+    pub(crate) fn new(data: &'a mut [f64]) -> Self {
+        BlockMut { data }
     }
 
     /// Mutable row-major coefficient slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         self.data
-    }
-
-    /// Coefficient at `(row, col)`.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        debug_assert!(row < self.q && col < self.q);
-        self.data[row * self.q + col]
-    }
-
-    /// Sets the coefficient at `(row, col)`.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        debug_assert!(row < self.q && col < self.q);
-        self.data[row * self.q + col] = value;
     }
 }
 

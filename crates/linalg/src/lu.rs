@@ -3,15 +3,21 @@
 //!
 //! Right-looking block algorithm on an `n × n` grid of `q × q` blocks:
 //! for each diagonal step `k` factor the pivot block, scale the panel
-//! column/row, and update the trailing submatrix with a rank-`q` block
+//! row/column, and update the trailing submatrix with a rank-`q` block
 //! outer product — exactly the communication pattern the master-worker
 //! scheduler in `stargemm-core::lu` distributes.
+//!
+//! The algorithm is one task table: [`lu_tasks`] lists the [`LuTask`]s
+//! in [`lu_factor`]'s order, each naming the block it writes and the
+//! blocks it reads, and [`lu_apply`] runs one in place, the written
+//! block borrowed beside read-only views of its inputs
+//! ([`BlockMatrix::split_blocks_mut`]). `stargemm-dag` builds its task
+//! graph from the same table and replays orders through [`lu_apply`].
 //!
 //! Pivoting is deliberately omitted (as in most out-of-core and
 //! distributed treatments the paper cites); callers must supply
 //! factorizable matrices — the tests use diagonally dominant ones.
 
-use crate::block::Block;
 use crate::gemm::gemm_tiled_sub;
 use crate::matrix::BlockMatrix;
 
@@ -34,26 +40,121 @@ impl std::error::Error for SingularPivot {}
 
 const PIVOT_TOL: f64 = 1e-12;
 
-/// The *trailing-update* task: `C ← C − L·U` for one block, with exactly
-/// the operation order [`lu_factor`] uses (the kernel accumulates the
-/// product, then subtracts it from C element-wise), so a DAG replay of
-/// the trailing updates is bitwise-identical to the sequential algorithm.
-pub fn lu_update(c: &mut Block, l: &Block, u: &Block) {
-    gemm_tiled_sub(c.q(), c.as_mut_slice(), l.as_slice(), u.as_slice());
+/// One task of the tiled right-looking LU (block indices into the
+/// `n × n` grid).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LuTask {
+    /// Factor the pivot block `A(k,k)`.
+    Factor {
+        /// Elimination step.
+        k: usize,
+    },
+    /// Row-panel solve producing `U(k,j)`.
+    TrsmRow {
+        /// Elimination step.
+        k: usize,
+        /// Column of the solved block (`j > k`).
+        j: usize,
+    },
+    /// Column-panel solve producing `L(i,k)`.
+    TrsmCol {
+        /// Row of the solved block (`i > k`).
+        i: usize,
+        /// Elimination step.
+        k: usize,
+    },
+    /// Trailing update `A(i,j) ← A(i,j) − L(i,k)·U(k,j)`.
+    Update {
+        /// Row of the updated block (`i > k`).
+        i: usize,
+        /// Column of the updated block (`j > k`).
+        j: usize,
+        /// Elimination step.
+        k: usize,
+    },
 }
 
-/// In-place scalar LU of one block: `A = L·U` with unit diagonal `L`
-/// stored in the strict lower triangle — the *panel factorization* task
-/// of the tiled-LU DAG (`stargemm-dag` replays completion orders through
-/// these task kernels; [`lu_factor`] calls the very same ones, so any
-/// dependency-respecting task order reproduces its result bitwise).
+impl LuTask {
+    /// The block the task overwrites.
+    pub fn writes(self) -> (usize, usize) {
+        match self {
+            LuTask::Factor { k } => (k, k),
+            LuTask::TrsmRow { k, j } => (k, j),
+            LuTask::TrsmCol { i, k } => (i, k),
+            LuTask::Update { i, j, .. } => (i, j),
+        }
+    }
+
+    /// The other blocks the task reads: the pivot `A(k,k)` for a panel
+    /// solve, `L(i,k)` and `U(k,j)` for an update, none for a factor.
+    pub fn reads(self) -> impl Iterator<Item = (usize, usize)> {
+        let (first, second) = match self {
+            LuTask::Factor { .. } => (None, None),
+            LuTask::TrsmRow { k, .. } | LuTask::TrsmCol { k, .. } => (Some((k, k)), None),
+            LuTask::Update { i, j, k } => (Some((i, k)), Some((k, j))),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
+/// The tasks of an `n × n` block LU in the order [`lu_factor`] runs
+/// them: per step `k`, the factor, the row panel (`j` ascending), the
+/// column panel (`i` ascending), then the trailing updates row-major.
+/// Every task comes after the tasks whose blocks it reads.
+pub fn lu_tasks(n: usize) -> Vec<LuTask> {
+    let mut tasks = Vec::with_capacity(n * (n + 1) * (2 * n + 1) / 6);
+    for k in 0..n {
+        tasks.push(LuTask::Factor { k });
+        tasks.extend((k + 1..n).map(|j| LuTask::TrsmRow { k, j }));
+        tasks.extend((k + 1..n).map(|i| LuTask::TrsmCol { i, k }));
+        for i in k + 1..n {
+            tasks.extend((k + 1..n).map(|j| LuTask::Update { i, j, k }));
+        }
+    }
+    tasks
+}
+
+/// Runs `task` in place on `a`: the block [`LuTask::writes`] names is
+/// overwritten from the blocks [`LuTask::reads`] names.
+///
+/// # Errors
+/// [`SingularPivot`] when the task meets a vanishing pivot; the written
+/// block is then partly updated.
+///
+/// # Panics
+/// Panics when a block of the task leaves `a`'s grid.
+pub fn lu_apply(a: &mut BlockMatrix, task: LuTask) -> Result<(), SingularPivot> {
+    let q = a.q();
+    let out = task.writes();
+    match task {
+        LuTask::Factor { k } => lu_factor_block(q, a.split_blocks_mut(out, []).0, k * q),
+        LuTask::TrsmRow { k, .. } => {
+            let (b, [l]) = a.split_blocks_mut(out, [(k, k)]);
+            lu_trsm_lower(q, b, l);
+            Ok(())
+        }
+        LuTask::TrsmCol { k, .. } => {
+            let (b, [u]) = a.split_blocks_mut(out, [(k, k)]);
+            lu_trsm_upper(q, b, u, k * q)
+        }
+        LuTask::Update { i, j, k } => {
+            let (c, [l, u]) = a.split_blocks_mut(out, [(i, k), (k, j)]);
+            gemm_tiled_sub(q, c, l, u);
+            Ok(())
+        }
+    }
+}
+
+/// In-place scalar LU of one row-major `q × q` block: `A = L·U` with
+/// unit diagonal `L` stored in the strict lower triangle — the *panel
+/// factorization* task.
 ///
 /// `block_offset` is the global scalar index of the block's first row,
 /// used only to report singular pivots.
-pub fn lu_factor_block(a: &mut Block, block_offset: usize) -> Result<(), SingularPivot> {
-    let q = a.q();
+pub fn lu_factor_block(q: usize, a: &mut [f64], block_offset: usize) -> Result<(), SingularPivot> {
+    assert_eq!(a.len(), q * q, "coefficient count must be q^2");
     for k in 0..q {
-        let piv = a.get(k, k);
+        let piv = a[k * q + k];
         if piv.abs() < PIVOT_TOL {
             return Err(SingularPivot {
                 index: block_offset + k,
@@ -61,10 +162,10 @@ pub fn lu_factor_block(a: &mut Block, block_offset: usize) -> Result<(), Singula
             });
         }
         for i in k + 1..q {
-            let l = a.get(i, k) / piv;
-            a.set(i, k, l);
+            let l = a[i * q + k] / piv;
+            a[i * q + k] = l;
             for j in k + 1..q {
-                a.set(i, j, a.get(i, j) - l * a.get(k, j));
+                a[i * q + j] -= l * a[k * q + j];
             }
         }
     }
@@ -73,37 +174,47 @@ pub fn lu_factor_block(a: &mut Block, block_offset: usize) -> Result<(), Singula
 
 /// Solves `L · X = B` in place (`L` unit lower triangular from a
 /// factored pivot block): the *row-panel triangular-solve* task.
-pub fn lu_trsm_lower(l: &Block, b: &mut Block) {
-    let q = l.q();
+pub fn lu_trsm_lower(q: usize, b: &mut [f64], l: &[f64]) {
+    assert_eq!(b.len(), q * q, "coefficient count must be q^2");
+    assert_eq!(l.len(), q * q, "coefficient count must be q^2");
     for j in 0..q {
         for i in 0..q {
-            let mut acc = b.get(i, j);
+            let mut acc = b[i * q + j];
             for k in 0..i {
-                acc -= l.get(i, k) * b.get(k, j);
+                acc -= l[i * q + k] * b[k * q + j];
             }
-            b.set(i, j, acc);
+            b[i * q + j] = acc;
         }
     }
 }
 
 /// Solves `X · U = B` in place (`U` upper triangular from a factored
 /// pivot block): the *column-panel triangular-solve* task.
-pub fn lu_trsm_upper(u: &Block, b: &mut Block) -> Result<(), SingularPivot> {
-    let q = u.q();
+///
+/// `block_offset` is the global scalar index of `U`'s first column,
+/// used only to report singular pivots.
+pub fn lu_trsm_upper(
+    q: usize,
+    b: &mut [f64],
+    u: &[f64],
+    block_offset: usize,
+) -> Result<(), SingularPivot> {
+    assert_eq!(b.len(), q * q, "coefficient count must be q^2");
+    assert_eq!(u.len(), q * q, "coefficient count must be q^2");
     for i in 0..q {
         for j in 0..q {
-            let mut acc = b.get(i, j);
+            let mut acc = b[i * q + j];
             for k in 0..j {
-                acc -= b.get(i, k) * u.get(k, j);
+                acc -= b[i * q + k] * u[k * q + j];
             }
-            let piv = u.get(j, j);
+            let piv = u[j * q + j];
             if piv.abs() < PIVOT_TOL {
                 return Err(SingularPivot {
-                    index: j,
+                    index: block_offset + j,
                     value: piv,
                 });
             }
-            b.set(i, j, acc / piv);
+            b[i * q + j] = acc / piv;
         }
     }
     Ok(())
@@ -111,44 +222,21 @@ pub fn lu_trsm_upper(u: &Block, b: &mut Block) -> Result<(), SingularPivot> {
 
 /// Factors `a` in place: on return the strict lower block triangle (and
 /// the strict lower triangles of the diagonal blocks) hold `L` (unit
-/// diagonal), the rest holds `U`.
+/// diagonal), the rest holds `U`. Runs [`lu_tasks`] through
+/// [`lu_apply`].
+///
+/// # Errors
+/// [`SingularPivot`] at the first vanishing pivot; `a` then holds the
+/// tasks run so far.
 ///
 /// # Panics
 /// Panics when `a` is not square in blocks.
 pub fn lu_factor(a: &mut BlockMatrix) -> Result<(), SingularPivot> {
     let n = a.block_rows();
     assert_eq!(n, a.block_cols(), "LU needs a square block grid");
-    let q = a.q();
-    for k in 0..n {
-        // Factor the pivot block.
-        let mut pivot = a.block(k, k).to_block();
-        lu_factor_block(&mut pivot, k * q)?;
-        a.set_block(k, k, &pivot);
-        // Row panel: U(k, j) = L(k,k)^-1 A(k, j).
-        for j in k + 1..n {
-            let mut b = a.block(k, j).to_block();
-            lu_trsm_lower(&pivot, &mut b);
-            a.set_block(k, j, &b);
-        }
-        // Column panel: L(i, k) = A(i, k) U(k,k)^-1.
-        for i in k + 1..n {
-            let mut b = a.block(i, k).to_block();
-            lu_trsm_upper(&pivot, &mut b)?;
-            a.set_block(i, k, &b);
-        }
-        // Trailing update: A(i, j) -= L(i, k) · U(k, j) — the block
-        // outer product the distributed scheduler farms out.
-        for i in k + 1..n {
-            let l_ik = a.block(i, k).to_block();
-            for j in k + 1..n {
-                let u_kj = a.block(k, j).to_block();
-                let mut c = a.block(i, j).to_block();
-                lu_update(&mut c, &l_ik, &u_kj);
-                a.set_block(i, j, &c);
-            }
-        }
-    }
-    Ok(())
+    lu_tasks(n)
+        .into_iter()
+        .try_for_each(|task| lu_apply(a, task))
 }
 
 /// Reconstructs `L · U` from a factored matrix (for verification).
@@ -207,19 +295,95 @@ mod tests {
     #[test]
     fn one_block_lu_matches_hand_example() {
         // A = [4 3; 6 3] → L = [1 0; 1.5 1], U = [4 3; 0 -1.5].
-        let mut a = Block::from_vec(2, vec![4.0, 3.0, 6.0, 3.0]);
-        lu_factor_block(&mut a, 0).unwrap();
-        assert!((a.get(1, 0) - 1.5).abs() < 1e-12);
-        assert!((a.get(1, 1) + 1.5).abs() < 1e-12);
-        assert_eq!(a.get(0, 0), 4.0);
-        assert_eq!(a.get(0, 1), 3.0);
+        let mut a = [4.0, 3.0, 6.0, 3.0];
+        lu_factor_block(2, &mut a, 0).unwrap();
+        assert!((a[2] - 1.5).abs() < 1e-12);
+        assert!((a[3] + 1.5).abs() < 1e-12);
+        assert_eq!(a[..2], [4.0, 3.0]);
     }
 
     #[test]
     fn singular_pivot_is_reported() {
-        let mut a = Block::from_vec(2, vec![0.0, 1.0, 1.0, 0.0]);
-        let err = lu_factor_block(&mut a, 6).unwrap_err();
+        let mut a = [0.0, 1.0, 1.0, 0.0];
+        let err = lu_factor_block(2, &mut a, 6).unwrap_err();
         assert_eq!(err.index, 6);
+    }
+
+    /// A panel solve against a `U` whose second pivot vanishes names
+    /// that pivot's global column: the block's offset plus one.
+    #[test]
+    fn singular_pivot_in_a_column_panel_is_reported_globally() {
+        let u = [2.0, 1.0, 0.0, 0.0];
+        let mut b = [1.0; 4];
+        let err = lu_trsm_upper(2, &mut b, &u, 6).unwrap_err();
+        assert_eq!((err.index, err.value), (7, 0.0));
+    }
+
+    #[test]
+    fn tasks_are_listed_step_by_step_in_factor_order() {
+        use LuTask::*;
+        assert_eq!(
+            lu_tasks(3)[..9],
+            [
+                Factor { k: 0 },
+                TrsmRow { k: 0, j: 1 },
+                TrsmRow { k: 0, j: 2 },
+                TrsmCol { i: 1, k: 0 },
+                TrsmCol { i: 2, k: 0 },
+                Update { i: 1, j: 1, k: 0 },
+                Update { i: 1, j: 2, k: 0 },
+                Update { i: 2, j: 1, k: 0 },
+                Update { i: 2, j: 2, k: 0 },
+            ]
+        );
+        for n in 0..6 {
+            assert_eq!(lu_tasks(n).len(), n * (n + 1) * (2 * n + 1) / 6);
+        }
+    }
+
+    /// `lu_apply` touches exactly the blocks the task names: with every
+    /// other block NaN, only the written block changes and it stays
+    /// finite; a NaN in any block it claims to read reaches the output.
+    #[test]
+    fn each_task_reads_and_writes_the_blocks_it_names() {
+        let (n, q) = (4, 2);
+        let a0 = random_diag_dominant(n, q, &mut StdRng::seed_from_u64(3));
+        let bits = |m: &BlockMatrix, b: (usize, usize)| -> Vec<u64> {
+            m.block(b.0, b.1)
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        for task in lu_tasks(n) {
+            let out = task.writes();
+            let footprint: Vec<_> = task.reads().chain([out]).collect();
+            let mut a = a0.clone();
+            for b in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                if !footprint.contains(&b) {
+                    a.block_mut(b.0, b.1).as_mut_slice().fill(f64::NAN);
+                }
+            }
+            let before = a.clone();
+            lu_apply(&mut a, task).unwrap();
+            for b in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                if b == out {
+                    assert!(a.block(b.0, b.1).as_slice().iter().all(|x| x.is_finite()));
+                } else {
+                    assert_eq!(bits(&a, b), bits(&before, b), "{task:?} wrote {b:?}");
+                }
+            }
+            for input in task.reads() {
+                let mut a = before.clone();
+                a.block_mut(input.0, input.1).as_mut_slice().fill(f64::NAN);
+                let _ = lu_apply(&mut a, task);
+                let written = a.block(out.0, out.1);
+                assert!(
+                    written.as_slice().iter().any(|x| x.is_nan()),
+                    "{task:?} ignores {input:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::fmt;
 use rand::distr::{Distribution, Uniform};
 use rand::Rng;
 
-use crate::block::{Block, BlockMut, BlockRef};
+use crate::block::{BlockMut, BlockRef};
 use crate::gemm::gemm_tiled;
 
 /// Coefficients in a 64-byte cache line.
@@ -52,7 +52,7 @@ impl BlockMatrix {
     }
 
     /// A matrix with uniformly random coefficients in `[-1, 1)`: the
-    /// coefficients [`Block::random`] would draw for each block in turn,
+    /// coefficients [`crate::Block::random`] would draw for each block in turn,
     /// row of blocks after row of blocks.
     pub fn random<R: Rng + ?Sized>(
         block_rows: usize,
@@ -163,23 +163,42 @@ impl BlockMatrix {
     /// Block `(i, j)` (block coordinates, 0-based), borrowed.
     #[inline]
     pub fn block(&self, i: usize, j: usize) -> BlockRef<'_> {
-        BlockRef::new(self.q, self.row_run(i, j, 1))
+        BlockRef::new(self.row_run(i, j, 1))
     }
 
     /// Block `(i, j)`, mutably borrowed.
     #[inline]
     pub fn block_mut(&mut self, i: usize, j: usize) -> BlockMut<'_> {
-        let q = self.q;
-        BlockMut::new(q, self.row_run_mut(i, j, 1))
+        BlockMut::new(self.row_run_mut(i, j, 1))
     }
 
-    /// Overwrites block `(i, j)` with `block`.
+    /// Block `(i, j)` mutably, beside the blocks `reads` read-only: each
+    /// a row-major `q²` slice of the one buffer, so a kernel updates a
+    /// block in place from its neighbours.
     ///
     /// # Panics
-    /// Panics on out-of-bounds coordinates or mismatched block side.
-    pub fn set_block(&mut self, i: usize, j: usize, block: &Block) {
-        assert_eq!(block.q(), self.q, "block side mismatch");
-        self.row_run_mut(i, j, 1).copy_from_slice(block.as_slice());
+    /// Panics when a block leaves the grid or `reads` names `(i, j)`.
+    pub fn split_blocks_mut<const N: usize>(
+        &mut self,
+        (i, j): (usize, usize),
+        reads: [(usize, usize); N],
+    ) -> (&mut [f64], [&[f64]; N]) {
+        let out = self.run_range(i, j, 1);
+        let reads = reads.map(|(r, c)| self.run_range(r, c, 1));
+        let (before, rest) = self.data_mut().split_at_mut(out.start);
+        let (block, after) = rest.split_at_mut(out.len());
+        let (before, after) = (&*before, &*after);
+        // Blocks are whole `q²` runs: one either ends by `out` or starts
+        // after it.
+        let views = reads.map(|r| {
+            if r.end <= out.start {
+                &before[r]
+            } else {
+                assert!(r.start >= out.end, "block ({i}, {j}) read while written");
+                &after[r.start - out.end..r.end - out.end]
+            }
+        });
+        (block, views)
     }
 
     /// Buffer index of scalar element `(row, col)` of the logical matrix.
@@ -293,6 +312,7 @@ impl fmt::Debug for BlockMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Block;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -300,7 +320,7 @@ mod tests {
     fn scalar_and_block_indexing_agree() {
         let mut m = BlockMatrix::zeros(2, 3, 4);
         m.set(5, 9, 2.5); // block (1, 2), offset (1, 1)
-        assert_eq!(m.block(1, 2).get(1, 1), 2.5);
+        assert_eq!(m.block(1, 2).as_slice()[5], 2.5);
         assert_eq!(m.get(5, 9), 2.5);
         assert_eq!(m.scalar_dims(), (8, 12));
     }
@@ -370,12 +390,14 @@ mod tests {
     #[test]
     fn views_write_through_to_the_buffer() {
         let mut m = BlockMatrix::zeros(2, 3, 2);
-        m.block_mut(1, 2).set(0, 1, 4.0);
+        m.block_mut(1, 2).as_mut_slice()[1] = 4.0;
         m.row_run_mut(0, 1, 2)[5] = -1.0; // block (0, 2), offset (0, 1)
         assert_eq!(m.get(2, 5), 4.0);
         assert_eq!(m.get(0, 5), -1.0);
-        m.set_block(0, 0, &Block::filled(2, 3.0));
-        assert_eq!(m.block(0, 0).to_block(), Block::filled(2, 3.0));
+        let (out, [left, below]) = m.split_blocks_mut((0, 1), [(0, 0), (1, 2)]);
+        out.copy_from_slice(below);
+        assert_eq!((left, out[1]), (&[0.0; 4][..], 4.0));
+        assert_eq!(m.get(0, 3), 4.0);
         assert_eq!(
             format!("{m:?}"),
             "BlockMatrix { block_rows: 2, block_cols: 3, q: 2, .. }"
@@ -430,6 +452,13 @@ mod tests {
         let b = BlockMatrix::zeros(2, 2, 2); // should be 3 block rows
         let mut c = BlockMatrix::zeros(2, 2, 2);
         BlockMatrix::gemm_reference(&mut c, &a, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "block (1, 1) read while written")]
+    fn a_block_cannot_be_read_while_written() {
+        let mut m = BlockMatrix::zeros(2, 3, 2);
+        let _ = m.split_blocks_mut((1, 1), [(0, 0), (1, 1)]);
     }
 
     #[test]

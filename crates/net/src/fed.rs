@@ -13,8 +13,11 @@
 //! form by [`stargemm_netmodel::drain_times`] — and each star then
 //! executes its shard job on its own [`NetRuntime`] (real data, its own
 //! `@netmodel` and dynamic profile, the reactor's single lane table
-//! driving all of that star's worker state machines). The federated
-//! makespan is `max_s(arrival_s + makespan_s)` in model seconds.
+//! driving all of that star's worker state machines). A shard is a
+//! window, not a copy: the star's reactor reads and writes the caller's
+//! `B` and `C` on the star's block columns, so nothing is sliced out or
+//! scattered back. The federated makespan is `max_s(arrival_s +
+//! makespan_s)` in model seconds.
 //!
 //! With `k = 1` the root and the regional master coincide: nothing
 //! crosses an uplink (`arrivals == [0.0]`), the shard *is* the whole
@@ -35,8 +38,9 @@ use stargemm_core::Job;
 use stargemm_linalg::BlockMatrix;
 use stargemm_netmodel::{drain_times, TransferLane};
 use stargemm_platform::{shard_widths, FedPlatform};
-use stargemm_sim::{MasterPolicy, RunStats};
+use stargemm_sim::{MasterPolicy, ObsSink, RunStats};
 
+use crate::reactor::run_reactor;
 use crate::runtime::{NetError, NetOptions, NetRuntime};
 
 /// Outcome of one federated net run.
@@ -160,15 +164,20 @@ impl FedNetRuntime {
         drain_times(&lanes, volumes, &self.fed.uplink)
     }
 
-    /// Executes the federated product `C ← C + A·B`: shards `B`/`C` by
-    /// columns, drains the shard feeds over the uplinks, runs each
-    /// star's policy on its own [`NetRuntime`] against its shard, and
-    /// scatters every shard's result back into `c`. `policies[s]` must
-    /// be built for `shard_jobs(job)[s]` on star `s`'s base platform.
+    /// Executes the federated product `C ← C + A·B`: drains the shard
+    /// feeds over the uplinks, then runs each star's policy on its own
+    /// [`NetRuntime`] against its window of the caller's matrices — all
+    /// of `a`, and star `s`'s block columns of `b` and `c`, read and
+    /// written in place. `policies[s]` must be built for
+    /// `shard_jobs(job)[s]` on star `s`'s base platform.
     ///
     /// # Errors
-    /// Any star failure aborts the federated run with that star's
-    /// [`NetError`]; shards already computed are still in `c`.
+    /// [`NetError::DimensionMismatch`], before any star runs, when `a`,
+    /// `b` or `c` is not an operand of `job`, or `policies` is not one
+    /// policy per star for its shard job. A failing star aborts the run
+    /// with its [`NetError`]: earlier stars' columns of `c` hold their
+    /// products, its own hold the chunks it had retrieved (as
+    /// [`NetRuntime::run`] leaves `c`), and later stars' are untouched.
     pub fn run<P: MasterPolicy + GeometryAccess>(
         &self,
         job: &Job,
@@ -177,23 +186,24 @@ impl FedNetRuntime {
         b: &BlockMatrix,
         c: &mut BlockMatrix,
     ) -> Result<FedNetRun, NetError> {
-        assert_eq!(policies.len(), self.fed.len(), "one policy per star");
         let shards = self.shard_jobs(job)?;
+        // The first star to start checks the shapes of A, B and C's rows;
+        // left to check here: the windows tile C, each policy its shard.
+        let jobs: Vec<Job> = policies.iter().map(|p| p.job_dims()).collect();
+        if c.block_cols() != job.s || jobs != shards {
+            return Err(NetError::DimensionMismatch(format!(
+                "job {job:?} on C of {} block columns, policies for {jobs:?}, shards {shards:?}",
+                c.block_cols()
+            )));
+        }
         let arrivals = self.uplink_arrivals(&self.shard_volumes(job)?);
         let mut stars = Vec::with_capacity(self.fed.len());
         let mut j0 = 0usize;
         for (s, (shard, policy)) in shards.iter().zip(policies.iter_mut()).enumerate() {
-            // Star s owns columns [j0, j0 + shard.s).
-            let b_shard = slice_cols(b, j0, shard.s);
-            let mut c_shard = slice_cols(c, j0, shard.s);
             let rt = NetRuntime::new(self.fed.star(s).platform.base.clone())
                 .with_options(self.star_options(s));
-            let stats = rt.run(policy, a, &b_shard, &mut c_shard)?;
-            for i in 0..c.block_rows() {
-                c.row_run_mut(i, j0, shard.s)
-                    .copy_from_slice(c_shard.row_run(i, 0, shard.s));
-            }
-            stars.push(stats);
+            let cols = j0..j0 + shard.s;
+            stars.push(run_reactor(&rt, policy, a, b, c, cols, &ObsSink::off())?);
             j0 += shard.s;
         }
         let makespan = arrivals
@@ -207,17 +217,6 @@ impl FedNetRuntime {
             makespan,
         })
     }
-}
-
-/// A copy of block columns `[j0, j0 + w)` of `m` as its own matrix,
-/// one row run at a time.
-fn slice_cols(m: &BlockMatrix, j0: usize, w: usize) -> BlockMatrix {
-    let mut out = BlockMatrix::zeros(m.block_rows(), w, m.q());
-    for i in 0..m.block_rows() {
-        out.row_run_mut(i, 0, w)
-            .copy_from_slice(m.row_run(i, j0, w));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -340,6 +339,81 @@ mod tests {
         assert_eq!(serial.uplink_arrivals(&[10.0, 10.0]), [10.0, 20.0]);
         let overlap = fed([1.0, 1.0], two_ports);
         assert_eq!(overlap.uplink_arrivals(&[10.0, 10.0]), [10.0, 10.0]);
+    }
+
+    fn two_stars() -> FedNetRuntime {
+        let star = || FedStar::new(DynPlatform::constant(star_platform()), 1.0);
+        let fed = FedPlatform::new("fed2", vec![star(), star()], NetModelSpec::OnePort);
+        FedNetRuntime::new(fed).with_options(fast_opts())
+    }
+
+    /// Operands of another shape, or policies that are not one per star
+    /// for its shard, are refused before any star touches `C`.
+    #[test]
+    fn misshapen_runs_are_refused_before_any_star_runs() {
+        let job = Job::new(6, 5, 8, 4);
+        let rt = two_stars();
+        let shards = rt.shard_jobs(&job).unwrap();
+        let mut rng = StdRng::seed_from_u64(19);
+        let a = BlockMatrix::random(job.r, job.t, job.q, &mut rng);
+        // (case, B's block columns, C's block columns, policy jobs)
+        let rows: [(&str, usize, usize, &[Job]); 6] = [
+            ("C with 4 block columns", 8, 4, &shards),
+            ("B with 6 block columns", 6, 8, &shards),
+            ("C with 10 block columns", 8, 10, &shards),
+            ("B with 10 block columns", 10, 8, &shards),
+            ("one policy for two stars", 8, 8, &shards[..1]),
+            ("policies built for the whole job", 8, 8, &[job, job]),
+        ];
+        for (case, b_cols, c_cols, jobs) in rows {
+            let b = BlockMatrix::random(job.t, b_cols, job.q, &mut rng);
+            let c0 = BlockMatrix::random(job.r, c_cols, job.q, &mut rng);
+            let mut c = c0.clone();
+            let mut policies: Vec<_> = jobs
+                .iter()
+                .map(|j| build_policy(&star_platform(), j, Algorithm::Het).unwrap())
+                .collect();
+            let err = rt.run(&job, &mut policies, &a, &b, &mut c).unwrap_err();
+            assert!(
+                matches!(err, NetError::DimensionMismatch(_)),
+                "{case}: {err}"
+            );
+            assert_eq!(c, c0, "{case}: a star ran");
+        }
+    }
+
+    /// A failing star ends the run with its own error; the next star's
+    /// columns of `C` are never touched.
+    #[test]
+    fn a_failing_star_leaves_the_later_stars_columns_alone() {
+        let job = Job::new(6, 5, 8, 4);
+        let rt = two_stars().with_options(NetOptions {
+            inject_fault: Some((0, 5)),
+            idle_timeout: Duration::from_secs(3),
+            ..fast_opts()
+        });
+        let shards = rt.shard_jobs(&job).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        let a = BlockMatrix::random(job.r, job.t, job.q, &mut rng);
+        let b = BlockMatrix::random(job.t, job.s, job.q, &mut rng);
+        let c0 = BlockMatrix::random(job.r, job.s, job.q, &mut rng);
+        let mut c = c0.clone();
+        let mut policies: Vec<_> = shards
+            .iter()
+            .map(|sj| build_policy(&star_platform(), sj, Algorithm::Het).unwrap())
+            .collect();
+        let err = rt.run(&job, &mut policies, &a, &b, &mut c).unwrap_err();
+        assert!(
+            matches!(err, NetError::WorkerFailure(_) | NetError::Timeout),
+            "{err}"
+        );
+        let (j0, w) = (shards[0].s, shards[1].s);
+        for i in 0..job.r {
+            let bits = |m: &BlockMatrix| -> Vec<u64> {
+                m.row_run(i, j0, w).iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&c), bits(&c0), "row {i}");
+        }
     }
 
     #[test]

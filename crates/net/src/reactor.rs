@@ -37,19 +37,20 @@
 //! (no event can ever arrive) instead of by burning the idle timeout.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
+use stargemm_core::geometry::ChunkGeom;
 use stargemm_core::stream::GeometryAccess;
 use stargemm_linalg::BlockMatrix;
 use stargemm_obs::Dir;
 use stargemm_platform::dynamic::LifecycleEvent;
-use stargemm_platform::Platform;
 use stargemm_sim::{
     Action, ChunkDescr, ChunkId, Delivery, Fragment, JobId, LaneTable, MasterPolicy, MasterSm,
     MasterTransport, MatKind, ObsEvent, ObsSink, PortStats, RunStats, SimEvent, StarLedger,
 };
 
-use crate::runtime::{NetError, NetOptions};
+use crate::runtime::{NetError, NetOptions, NetRuntime};
 use crate::wire::{self, TilePool, Tiles, ToMaster, ToWorker};
 use crate::worker::WorkerCore;
 
@@ -106,19 +107,53 @@ fn protocol<T>(message: String) -> Result<T, NetError> {
     Err(NetError::Protocol(message))
 }
 
-/// Runs one GEMM through the reactor: the engine behind
-/// [`crate::runtime::NetRuntime::run_observed`], which has validated
-/// dimensions, profile and netmodel.
+/// Runs one GEMM through the reactor on the block columns `cols` of `b`
+/// and `c`, read and written in place: the engine behind
+/// [`NetRuntime::run_observed`] (all columns) and a federated star (its
+/// shard's). The operands, the profile and the net model are checked
+/// against the policy's job and the platform first.
 pub(crate) fn run_reactor<P: MasterPolicy + GeometryAccess>(
-    platform: &Platform,
-    opts: &NetOptions,
+    rt: &NetRuntime,
     policy: &mut P,
     a: &BlockMatrix,
     b: &BlockMatrix,
     c: &mut BlockMatrix,
+    cols: Range<usize>,
     obs: &ObsSink,
 ) -> Result<RunStats, NetError> {
+    let (platform, opts) = (&rt.platform, &rt.opts);
+    let job = policy.job_dims();
+    if a.block_rows() != job.r
+        || a.block_cols() != job.t
+        || b.block_rows() != job.t
+        || b.block_cols() != c.block_cols()
+        || c.block_rows() != job.r
+        || cols.len() != job.s
+        || cols.end > c.block_cols()
+    {
+        return Err(NetError::DimensionMismatch(format!(
+            "job {job:?} on block columns {cols:?} vs A {}×{}, B {}×{}, C {}×{}",
+            a.block_rows(),
+            a.block_cols(),
+            b.block_rows(),
+            b.block_cols(),
+            c.block_rows(),
+            c.block_cols()
+        )));
+    }
     let profile = opts.profile.as_ref();
+    if let Some(p) = profile {
+        if p.len() != platform.len() {
+            return Err(NetError::DimensionMismatch(format!(
+                "profile describes {} workers, platform has {}",
+                p.len(),
+                platform.len()
+            )));
+        }
+    }
+    if let Err(e) = opts.netmodel.validate() {
+        return protocol(format!("invalid net model: {e}"));
+    }
     let workers = (0..platform.len())
         .map(|w| {
             WorkerSm::new(match opts.inject_fault {
@@ -133,6 +168,7 @@ pub(crate) fn run_reactor<P: MasterPolicy + GeometryAccess>(
         a,
         b,
         c,
+        cols,
         obs,
         epoch: Instant::now(),
         wall_seen: 0.0,
@@ -164,6 +200,8 @@ struct Reactor<'r, P: MasterPolicy + GeometryAccess> {
     a: &'r BlockMatrix,
     b: &'r BlockMatrix,
     c: &'r mut BlockMatrix,
+    /// The block columns of `b` and `c` the policy's job covers.
+    cols: Range<usize>,
     obs: &'r ObsSink,
     epoch: Instant,
     /// Wall seconds since `epoch` known to have passed: the latest clock
@@ -381,10 +419,7 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
                     self.pool.give(tiles);
                     return Ok(()); // stale result of a dead chunk
                 }
-                let geom = self
-                    .policy
-                    .chunk_geom(chunk)
-                    .ok_or(NetError::UnknownChunk(chunk))?;
+                let geom = self.geom(chunk)?;
                 // Row-major `h × w`, as `encode` sliced the load: each
                 // row of `w` tiles is copied into the C run it came from.
                 assert_eq!(tiles.len(), geom.h * geom.w, "result payload mismatch");
@@ -463,6 +498,24 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         }
     }
 
+    /// Where `chunk` lies in the caller's matrices: its geometry, with
+    /// its columns moved into the window `cols`. A chunk reaching past
+    /// the window would touch another star's columns, so it is refused.
+    fn geom(&self, chunk: ChunkId) -> Result<ChunkGeom, NetError> {
+        let mut geom = self
+            .policy
+            .chunk_geom(chunk)
+            .ok_or(NetError::UnknownChunk(chunk))?;
+        if geom.j0 + geom.w > self.cols.len() {
+            return protocol(format!(
+                "chunk {chunk} reaches past the job's {} block columns",
+                self.cols.len()
+            ));
+        }
+        geom.j0 += self.cols.start;
+        Ok(geom)
+    }
+
     /// Encodes the fragment's wire message into the reused `encoded`
     /// buffer, its tiles sliced straight out of the real matrices: one
     /// run of whole tiles per chunk row.
@@ -471,12 +524,9 @@ impl<P: MasterPolicy + GeometryAccess> Reactor<'_, P> {
         fragment: &Fragment,
         new_chunk: Option<ChunkDescr>,
     ) -> Result<(), NetError> {
-        let buf = &mut self.encoded;
         let t = self.policy.job_dims().t;
-        let geom = self
-            .policy
-            .chunk_geom(fragment.chunk)
-            .ok_or(NetError::UnknownChunk(fragment.chunk))?;
+        let geom = self.geom(fragment.chunk)?;
+        let buf = &mut self.encoded;
         let (klo, khi) = geom.k_range(fragment.step, t);
         let rows = geom.i0..geom.i0 + geom.h;
         let Fragment { chunk, step, .. } = *fragment;

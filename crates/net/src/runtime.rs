@@ -4,8 +4,8 @@
 //! A run is the same control loop as the discrete-event engine — any
 //! `stargemm-core` policy runs unchanged — but the data is real:
 //! fragments are sliced out of actual matrices, cross the wire format,
-//! and are multiplied by the GEMM kernel. `run_observed` validates its
-//! inputs and hands the star to the one engine, `crate::reactor`.
+//! and are multiplied by the GEMM kernel. `run_observed` hands the star
+//! to the one engine, `crate::reactor`, which validates its inputs.
 
 use std::fmt;
 use std::time::Duration;
@@ -132,8 +132,8 @@ impl From<SimError> for NetError {
 
 /// The net runtime for one platform.
 pub struct NetRuntime {
-    platform: Platform,
-    opts: NetOptions,
+    pub(crate) platform: Platform,
+    pub(crate) opts: NetOptions,
 }
 
 impl NetRuntime {
@@ -178,40 +178,7 @@ impl NetRuntime {
         c: &mut BlockMatrix,
         obs: ObsSink,
     ) -> Result<RunStats, NetError> {
-        let job = policy.job_dims();
-        if a.block_rows() != job.r
-            || a.block_cols() != job.t
-            || b.block_rows() != job.t
-            || b.block_cols() != job.s
-            || c.block_rows() != job.r
-            || c.block_cols() != job.s
-        {
-            return Err(NetError::DimensionMismatch(format!(
-                "job {job:?} vs A {}×{}, B {}×{}, C {}×{}",
-                a.block_rows(),
-                a.block_cols(),
-                b.block_rows(),
-                b.block_cols(),
-                c.block_rows(),
-                c.block_cols()
-            )));
-        }
-
-        if let Some(p) = &self.opts.profile {
-            if p.len() != self.platform.len() {
-                return Err(NetError::DimensionMismatch(format!(
-                    "profile describes {} workers, platform has {}",
-                    p.len(),
-                    self.platform.len()
-                )));
-            }
-        }
-
-        if let Err(e) = self.opts.netmodel.validate() {
-            return Err(NetError::Protocol(format!("invalid net model: {e}")));
-        }
-
-        crate::reactor::run_reactor(&self.platform, &self.opts, policy, a, b, c, &obs)
+        crate::reactor::run_reactor(self, policy, a, b, c, 0..c.block_cols(), &obs)
     }
 }
 
@@ -778,6 +745,50 @@ mod tests {
         let want: Vec<(u64, u64, bool)> = (0..6).map(|n| (60 - n, n, n > 0)).collect();
         assert_eq!(in_sim.seen[..6], want[..]);
         assert_eq!(in_net.seen[..6], want[..]);
+    }
+
+    /// Shifts the scripted chunk one block column right, past the
+    /// scripted job's only column.
+    struct OffGrid(Script);
+
+    impl MasterPolicy for OffGrid {
+        fn next_action(&mut self, ctx: &SimCtx) -> Action {
+            self.0.next_action(ctx)
+        }
+    }
+
+    impl GeometryAccess for OffGrid {
+        fn chunk_geom(&self, id: ChunkId) -> Option<ChunkGeom> {
+            let geom = self.0.chunk_geom(id)?;
+            Some(ChunkGeom { j0: 1, ..geom })
+        }
+
+        fn job_dims(&self) -> Job {
+            self.0.job_dims()
+        }
+    }
+
+    /// A chunk reaching past the job's columns is refused, not sliced:
+    /// in a federated star those columns are another star's.
+    #[test]
+    fn a_chunk_past_the_jobs_columns_is_a_protocol_error() {
+        let d = demo_descr();
+        let mut policy = OffGrid(Script(
+            vec![send(0, Fragment::c_load(&d), Some(d))].into_iter(),
+        ));
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = BlockMatrix::random(1, 2, 2, &mut rng);
+        let b = BlockMatrix::random(2, 2, 2, &mut rng);
+        let mut c = BlockMatrix::zeros(1, 2, 2);
+        let rt = NetRuntime::new(small_platform()).with_options(fast_opts());
+        let err =
+            crate::reactor::run_reactor(&rt, &mut policy, &a, &b, &mut c, 0..1, &ObsSink::off())
+                .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("chunk 0 reaches past the job's 1 block columns"),
+            "{err}"
+        );
     }
 
     #[test]
