@@ -15,18 +15,24 @@
 //!     --smoke --threads 1 --json crates/bench/tests/golden/exp_fig7.json
 //! ```
 //!
-//! and explain the change in the commit message.
+//! and explain the change in the commit message. The folded
+//! flamegraph stacks a row writes with `--attr-out` are pinned the same
+//! way for the `dag` and `stream` rows (`exp_<id>.folded`).
 
 use std::process::Command;
 
-/// Runs `exp <id> --smoke --threads 2 --json out.json` in a scratch
-/// directory (rows also write `results/*` into their cwd) and returns
-/// the bytes of `artifact`, a path relative to that directory.
-fn run_smoke(id: &str, artifact: &str) -> Vec<u8> {
-    let scratch = std::env::temp_dir().join(format!("stargemm-golden-{}-{id}", std::process::id()));
+/// Runs `exp <id> --smoke --threads 2 --json out.json <flags>` in a
+/// scratch directory (rows also write `results/*` into their cwd) and
+/// returns the bytes of `artifact`, a path relative to that directory.
+fn run_smoke(id: &str, flags: &[&str], artifact: &str) -> Vec<u8> {
+    // One directory per pinned artifact: the tests of one row run at once.
+    let tag = artifact.replace('/', "-");
+    let scratch =
+        std::env::temp_dir().join(format!("stargemm-golden-{}-{id}-{tag}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     let status = Command::new(env!("CARGO_BIN_EXE_exp"))
         .args([id, "--smoke", "--threads", "2", "--json", "out.json"])
+        .args(flags)
         .current_dir(&scratch)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -38,8 +44,8 @@ fn run_smoke(id: &str, artifact: &str) -> Vec<u8> {
     bytes
 }
 
-fn assert_matches_golden(id: &str, artifact: &str, golden: &str) {
-    let got = run_smoke(id, artifact);
+fn assert_matches_golden(id: &str, flags: &[&str], artifact: &str, golden: &str) {
+    let got = run_smoke(id, flags, artifact);
     let want = golden.as_bytes();
     if got != want {
         let got_s = String::from_utf8_lossy(&got);
@@ -59,12 +65,13 @@ fn assert_matches_golden(id: &str, artifact: &str, golden: &str) {
 }
 
 /// One `#[test]` per pinned artifact: `name => row id, snapshot file,
-/// the file the row writes`.
+/// the file the row writes[, extra flags]`.
 macro_rules! golden {
-    ($($name:ident => $id:literal, $snapshot:literal, $artifact:literal;)*) => {$(
+    ($($name:ident => $id:literal, $snapshot:literal, $artifact:literal $(, $flag:literal)*;)*) => {$(
         #[test]
         fn $name() {
-            assert_matches_golden($id, $artifact, include_str!(concat!("golden/", $snapshot)));
+            let golden = include_str!(concat!("golden/", $snapshot));
+            assert_matches_golden($id, &[$($flag),*], $artifact, golden);
         }
     )*};
 }
@@ -100,4 +107,10 @@ golden! {
     exp_fed_smoke_json_is_pinned => "fed", "exp_fed.json", "out.json";
     // The attribution battery: one conserved breakdown per engine class.
     exp_attr_smoke_json_is_pinned => "attr", "exp_attr.json", "out.json";
+    // The flamegraph export of the traced cell: one frame per interval
+    // and per gap category, summed per stack in integer microseconds.
+    exp_dag_smoke_folded_stacks_are_pinned =>
+        "dag", "exp_dag.folded", "out.folded", "--attr-out", "out.folded";
+    exp_stream_smoke_folded_stacks_are_pinned =>
+        "stream", "exp_stream.folded", "out.folded", "--attr-out", "out.folded";
 }
