@@ -299,17 +299,41 @@ fn load_doc(path: &str) -> Result<Value, String> {
     json::from_str(&text).map_err(|e| format!("{path} is not valid JSON: {e:?}"))
 }
 
-/// Pulls (makespan, per-category seconds) out of one attribution block;
-/// absent categories read as 0 so old artifacts still diff.
-fn block_numbers(block: &Value) -> (f64, [f64; CATEGORY_NAMES.len()]) {
-    let makespan = block.get("makespan").and_then(Value::as_f64).unwrap_or(0.0);
+/// Makespan and per-category seconds of one attribution block.
+type BlockNumbers = (f64, [f64; CATEGORY_NAMES.len()]);
+
+/// Pulls the numbers out of the attribution block at JSON path `path`
+/// of `file`. Absent categories read as 0, so older artifacts still
+/// diff; a makespan that is missing or not a number, a `categories`
+/// that is not an object, or a category present but not a number is an
+/// error naming the file and the field's JSON path.
+fn block_numbers(block: &Value, file: &str, path: &str) -> Result<BlockNumbers, String> {
+    let field = |name: &str, found: &str| format!("{file}: {path}.attribution.{name} is {found}");
+    let number = |name: &str, v: &Value| v.as_f64().ok_or_else(|| field(name, "not a number"));
+    let makespan = match block.get("makespan") {
+        Some(v) => number("makespan", v)?,
+        None => return Err(field("makespan", "missing")),
+    };
     let mut cats = [0.0; CATEGORY_NAMES.len()];
-    if let Some(obj) = block.get("categories") {
-        for (i, name) in CATEGORY_NAMES.iter().enumerate() {
-            cats[i] = obj.get(name).and_then(Value::as_f64).unwrap_or(0.0);
+    match block.get("categories") {
+        None => {}
+        Some(obj @ Value::Object(_)) => {
+            for (i, name) in CATEGORY_NAMES.iter().enumerate() {
+                if let Some(v) = obj.get(name) {
+                    cats[i] = number(&format!("categories.{name}"), v)?;
+                }
+            }
         }
+        Some(_) => return Err(field("categories", "not an object")),
     }
-    (makespan, cats)
+    Ok((makespan, cats))
+}
+
+/// [`block_numbers`] of every block of `file`, or the first error.
+fn numbers_of(file: &str, blocks: &[(String, Value)]) -> Result<Vec<BlockNumbers>, String> {
+    (blocks.iter())
+        .map(|(path, block)| block_numbers(block, file, path))
+        .collect()
 }
 
 /// `exp attr --diff a.json b.json`: pair the attribution blocks of two
@@ -343,12 +367,20 @@ pub fn diff(a_path: &str, b_path: &str) -> ExitCode {
         );
     }
 
+    let (a_numbers, b_numbers) =
+        match (numbers_of(a_path, &a_blocks), numbers_of(b_path, &b_blocks)) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+
     println!("attribution diff: {a_path} -> {b_path}");
     let mut total = [0.0; CATEGORY_NAMES.len()];
     let mut total_ms = 0.0;
-    for ((path, a), (_, b)) in a_blocks.iter().zip(&b_blocks) {
-        let (ms_a, cat_a) = block_numbers(a);
-        let (ms_b, cat_b) = block_numbers(b);
+    let pairs = a_blocks.iter().zip(a_numbers).zip(b_numbers);
+    for (((path, _), (ms_a, cat_a)), (ms_b, cat_b)) in pairs {
         let d_ms = ms_b - ms_a;
         total_ms += d_ms;
         println!("{path}: makespan {ms_a:.3} -> {ms_b:.3} ({d_ms:+.3})");
@@ -394,4 +426,56 @@ pub fn attr(cli: &Cli, sweep: &mut Sweep) -> Report {
         );
     }
     Report::table("attr.txt", render(&rows), rows_json("attr", &rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one attribution block of `doc`, read as `exp attr --diff`
+    /// reads it.
+    fn numbers(doc: &str) -> Result<BlockNumbers, String> {
+        let mut blocks = Vec::new();
+        collect_attrs(&json::from_str(doc).expect("valid JSON"), "$", &mut blocks);
+        assert_eq!(blocks.len(), 1, "{doc}");
+        block_numbers(&blocks[0].1, "a.json", &blocks[0].0)
+    }
+
+    #[test]
+    fn a_missing_makespan_is_an_error_naming_the_file_and_path() {
+        let err = numbers(r#"{"cells":[{"attribution":{"categories":{}}}]}"#).unwrap_err();
+        assert_eq!(err, "a.json: $.cells[0].attribution.makespan is missing");
+    }
+
+    #[test]
+    fn a_non_numeric_makespan_is_an_error() {
+        let err = numbers(r#"{"cells":[{"attribution":{"makespan":"NaN"}}]}"#).unwrap_err();
+        assert_eq!(
+            err,
+            "a.json: $.cells[0].attribution.makespan is not a number"
+        );
+    }
+
+    #[test]
+    fn a_non_numeric_category_is_an_error() {
+        let doc = r#"{"attribution":{"makespan":2,"categories":{"compute":null}}}"#;
+        let err = numbers(doc).unwrap_err();
+        assert_eq!(
+            err,
+            "a.json: $.attribution.categories.compute is not a number"
+        );
+        let doc = r#"{"attribution":{"makespan":2,"categories":[1]}}"#;
+        let err = numbers(doc).unwrap_err();
+        assert_eq!(err, "a.json: $.attribution.categories is not an object");
+    }
+
+    #[test]
+    fn absent_categories_read_as_zero() {
+        let (makespan, cats) = numbers(r#"{"attribution":{"makespan":3}}"#).unwrap();
+        assert_eq!((makespan, cats), (3.0, [0.0; CATEGORY_NAMES.len()]));
+        let doc = r#"{"attribution":{"makespan":3,"categories":{"port_busy":1.5}}}"#;
+        let (_, cats) = numbers(doc).unwrap();
+        assert_eq!(cats[0], 1.5);
+        assert_eq!(cats[1..], [0.0; CATEGORY_NAMES.len() - 1]);
+    }
 }

@@ -90,6 +90,24 @@ fn diff_parses_only_on_attr() {
 }
 
 #[test]
+fn diff_refuses_an_attribution_block_it_cannot_read() {
+    let dir = std::env::temp_dir().join(format!("stargemm-cli-{}-garbage", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+    std::fs::write(&a, r#"{"cells":[{"attribution":{"makespan":"NaN"}}]}"#).expect("a.json");
+    std::fs::write(&b, r#"{"cells":[{"attribution":{"makespan":1179.648}}]}"#).expect("b.json");
+    let (a, b) = (a.to_string_lossy(), b.to_string_lossy());
+    let needle = format!("{a}: $.cells[0].attribution.makespan is not a number");
+    assert_fails(
+        env!("CARGO_BIN_EXE_exp"),
+        &["attr", "--diff", &a, &b],
+        1,
+        &needle,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn an_unknown_or_missing_experiment_is_a_usage_error() {
     let exp = env!("CARGO_BIN_EXE_exp");
     assert_fails(exp, &["exp_fig7", "--smoke"], 2, "exp_fig7");

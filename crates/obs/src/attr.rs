@@ -5,14 +5,20 @@
 //! sits from its steady-state LP bound; this module *explains* the gap.
 //! From a recorded [`ObsEvent`] log it
 //!
-//! 1. takes the run's resource intervals from [`spans`] (port
-//!    transfers, compute steps, federated uplink shipments, memory
-//!    stalls, worker downtime, job presence) and clamps them into
+//! 1. reads the run's resource intervals (port transfers, compute
+//!    steps, federated uplink shipments, memory stalls, worker
+//!    downtime, job presence) and its crash facts in one pairing pass
+//!    over the log ([`pair`], the pass behind [`spans`](crate::spans)),
+//!    with no span list in between, and clamps them into
 //!    `[0, makespan]`,
 //! 2. sweeps the model-time axis once — one merge over the interval
 //!    begins, the interval ends and the markers, each in time order —
 //!    classifying every instant into exactly one of eight categories by
-//!    resource priority, and
+//!    resource priority. The log already orders most of this: the
+//!    intervals close in time order, and each track's (a lane's, a
+//!    worker's steps', a star's uplinks') begin in closing order, so the
+//!    begins are a k-way merge of those runs and only ties are sorted; a
+//!    full sort is the fallback for a track out of order, and
 //! 3. walks the wait-for chain backwards from the last-finishing
 //!    interval to extract the run's *actual* critical path.
 //!
@@ -49,15 +55,18 @@
 //! flamegraph view (`category;worker:w;chunk:c <µs>`): activity
 //! categories are broken down per interval (parallel work double-counts
 //! there, as in any multi-thread flamegraph), gap categories carry the
-//! conserved timeline seconds. The profile keeps one small `Copy` frame
-//! per interval; the stacks are rendered to text only when the export
+//! conserved timeline seconds. The profile keeps the intervals and the
+//! gap seconds; frames and their text are built only when the export
 //! is asked for.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use serde::json::Value;
 use serde::Serialize;
 
 use crate::event::ObsEvent;
-use crate::span::{spans, Span, Track};
+use crate::span::{pair, Span, Track};
 
 /// Number of attribution categories.
 pub const CATEGORY_COUNT: usize = 8;
@@ -192,10 +201,11 @@ pub struct Attribution {
     pub categories: Categories,
     /// Critical-path summary.
     pub critical_path: CriticalPath,
-    /// Flamegraph frames (stack, seconds), one per interval plus one per
-    /// gap category. Not serialized into the JSON `attribution` block;
-    /// rendered by [`Attribution::folded_stacks`].
-    frames: Vec<(Stack, f64)>,
+    /// The flamegraph's sources: one frame per interval plus one per gap
+    /// category's seconds. Not serialized into the JSON `attribution`
+    /// block; rendered by [`Attribution::folded_stacks`].
+    intervals: Vec<Interval>,
+    gap_secs: [f64; CATEGORY_COUNT],
 }
 
 /// The identity of one folded stack. Distinct values render to distinct
@@ -239,8 +249,9 @@ impl Serialize for Attribution {
     }
 }
 
-/// Interval kinds carried through the sweep and the path walk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Interval kinds carried through the sweep and the path walk, in the
+/// walk's rank order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {
     Port,
     Compute,
@@ -248,7 +259,7 @@ enum Kind {
 }
 
 /// One reconstructed resource interval.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Interval {
     start: f64,
     end: f64,
@@ -274,19 +285,23 @@ impl Attribution {
                 makespan: 0.0,
                 categories: Categories::default(),
                 critical_path: CriticalPath::default(),
-                frames: Vec::new(),
+                intervals: Vec::new(),
+                gap_secs: [0.0; CATEGORY_COUNT],
             };
         }
 
-        let tracks = classify(&spans(events), events, makespan);
-        let (categories, frames) = sweep_timeline(&tracks, makespan);
+        let mut tracks = Tracks::read(events, makespan);
+        let begins = tracks.begins();
+        walk_order(&mut tracks.intervals);
+        let (categories, gap_secs) = sweep_timeline(&tracks, &begins, makespan);
         let critical_path = walk_critical_path(&tracks.intervals, makespan);
 
         let mut attr = Attribution {
             makespan,
             categories,
             critical_path,
-            frames,
+            intervals: tracks.intervals,
+            gap_secs,
         };
         attr.close_conservation();
         debug_assert!(attr.is_conserved());
@@ -316,10 +331,10 @@ impl Attribution {
     /// integers are summed per stack, so the counts do not depend on the
     /// order the frames are visited in.
     pub fn folded_stacks(&self) -> String {
-        let mut agg: Vec<(Stack, u64)> = self
-            .frames
-            .iter()
-            .map(|&(stack, secs)| (stack, (secs * 1e6).round() as u64))
+        let gaps = self.gap_secs.iter().enumerate();
+        let mut agg: Vec<(Stack, u64)> = (self.intervals.iter().map(Interval::frame))
+            .chain(gaps.map(|(cat, &secs)| (Stack::Gap(cat), secs)))
+            .map(|(stack, secs)| (stack, (secs * 1e6).round() as u64))
             .filter(|&(_, us)| us > 0)
             .collect();
         agg.sort_unstable_by_key(|&(stack, _)| stack);
@@ -382,9 +397,9 @@ impl Attribution {
                 last_side = side;
                 let cur = self.categories.get(slot);
                 let next = if side > 0 {
-                    next_up(cur)
+                    cur.next_up()
                 } else {
-                    next_down(cur).max(0.0)
+                    cur.next_down().max(0.0)
                 };
                 if next == cur {
                     break;
@@ -404,38 +419,32 @@ impl Attribution {
     }
 }
 
-/// The next representable f64 above `x` (finite, non-negative inputs).
-fn next_up(x: f64) -> f64 {
-    if x == 0.0 {
-        f64::from_bits(1)
-    } else if x > 0.0 {
-        f64::from_bits(x.to_bits() + 1)
-    } else {
-        -next_down(-x)
-    }
-}
+/// No interval: the end of a track's run.
+const NONE: u32 = u32::MAX;
 
-/// The next representable f64 below `x` (finite inputs).
-fn next_down(x: f64) -> f64 {
-    if x == 0.0 {
-        -f64::from_bits(1)
-    } else if x > 0.0 {
-        f64::from_bits(x.to_bits() - 1)
-    } else {
-        -next_up(-x)
-    }
-}
+/// An interval's work before it is clamped: its kind, its id and place
+/// (as in [`Interval`]), and its track's lane, worker or star.
+type Work = (Kind, u32, usize, usize);
 
-/// The spans of a run as the sweep and the path walk consume them.
+/// A run's intervals and markers, read from its log in one pass.
+#[derive(Default)]
 struct Tracks {
+    /// Port, compute and uplink intervals, each with something left
+    /// after clamping: the closed ones in closing order, then the
+    /// unclosed ones a crash bounds.
     intervals: Vec<Interval>,
+    /// The first interval of each track — a lane, a worker's steps, a
+    /// star's uplinks — with `next` linking each interval to the next
+    /// of its track.
+    heads: Vec<u32>,
+    next: Vec<u32>,
     stalls: Vec<(f64, f64)>,
     downs: Vec<(f64, f64)>,
     jobs: Vec<(f64, f64)>,
 }
 
 /// What the crashes of a run took with them, indexed for the two
-/// questions [`classify`] asks once per interval.
+/// questions [`Tracks::read`] asks once per interval.
 struct CrashIndex {
     /// `(chunk, loss time)`, sorted: the last entry of a chunk's run is
     /// its latest loss.
@@ -445,16 +454,7 @@ struct CrashIndex {
 }
 
 impl CrashIndex {
-    fn from_events(events: &[ObsEvent]) -> CrashIndex {
-        let mut losses = Vec::new();
-        let mut crashes = Vec::new();
-        for ev in events {
-            match ev {
-                ObsEvent::WorkerDown { time, worker } => crashes.push((*worker as usize, *time)),
-                ObsEvent::ChunkLost { time, chunk, .. } => losses.push((*chunk, *time)),
-                _ => {}
-            }
-        }
+    fn new(mut losses: Vec<(u32, f64)>, mut crashes: Vec<(usize, f64)>) -> CrashIndex {
         losses.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
         crashes.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
         CrashIndex { losses, crashes }
@@ -479,94 +479,180 @@ impl CrashIndex {
     }
 }
 
-/// Clamps every span into `[0, makespan]` and sorts it into its role:
-/// port / compute / uplink intervals with crash-rework marking, and
-/// stall / downtime / job-presence markers. Every interval and marker
-/// kept has positive length.
-fn classify(spans: &[Span], events: &[ObsEvent], makespan: f64) -> Tracks {
-    let crashed = CrashIndex::from_events(events);
-    let mut out = Tracks {
-        intervals: Vec::new(),
-        stalls: Vec::new(),
-        downs: Vec::new(),
-        jobs: Vec::new(),
-    };
-    // The log carries job arrivals (a stream run).
-    let mut saw_job = false;
-    // Stall / downtime / presence markers; unclosed ones extend to the
-    // makespan.
-    let mark = |marks: &mut Vec<(f64, f64)>, span: &Span| {
-        let s = span.start.clamp(0.0, makespan);
-        let e = span.end.map_or(makespan, |e| e.clamp(0.0, makespan));
-        if e > s {
-            marks.push((s, e));
-        }
-    };
-    for span in spans {
-        let (kind, id, place) = match span.track {
-            Track::Port { worker, chunk, .. } => (Kind::Port, chunk, worker),
-            Track::Compute { worker, chunk, .. } => (Kind::Compute, chunk, worker),
-            Track::Uplink { star, job, .. } => (Kind::Uplink, job, star),
-            Track::MemoryStall { .. } => {
-                mark(&mut out.stalls, span);
-                continue;
-            }
-            Track::Down { .. } => {
-                mark(&mut out.downs, span);
-                continue;
-            }
-            Track::Job { .. } => {
-                saw_job = true;
-                mark(&mut out.jobs, span);
-                continue;
+impl Tracks {
+    /// Pairs the log, clamps every span into `[0, makespan]` and sorts
+    /// it into its role: port / compute / uplink intervals with
+    /// crash-rework marking, and stall / downtime / job-presence
+    /// markers. Every interval and marker kept has positive length.
+    fn read(events: &[ObsEvent], makespan: f64) -> Tracks {
+        let mut out = Tracks {
+            intervals: Vec::with_capacity(events.len() / 2),
+            next: Vec::with_capacity(events.len() / 2),
+            ..Tracks::default()
+        };
+        // The last interval of each track, by kind and lane / worker / star.
+        let mut tails = [Vec::new(), Vec::new(), Vec::new()];
+        let mut unclosed = Vec::new();
+        // The log carries job arrivals (a stream run).
+        let mut saw_job = false;
+        // Stall / downtime / presence markers; unclosed ones extend to the
+        // makespan.
+        let mark = |marks: &mut Vec<(f64, f64)>, span: &Span| {
+            let s = span.start.clamp(0.0, makespan);
+            let e = span.end.map_or(makespan, |e| e.clamp(0.0, makespan));
+            if e > s {
+                marks.push((s, e));
             }
         };
-        let start = span.start.clamp(0.0, makespan);
-        let (end, rework) = match span.end {
-            Some(end) => {
-                let e = end.clamp(0.0, makespan);
-                (e, kind != Kind::Uplink && crashed.lost(id, e))
-            }
-            None if kind == Kind::Uplink => continue,
-            // A step (or transfer) left open was cancelled in flight:
-            // the crash that cancelled it bounds the time it really
-            // occupied the resource, and everything spent on it is
-            // rework. A step no crash explains ran to the end of the
-            // run; a transfer no crash explains is dropped.
-            None => {
-                let crash = crashed.crash_after(place, span.start);
-                let bound = if kind == Kind::Compute {
-                    crash.min(makespan)
-                } else {
-                    crash
+        // Inlined into every end of the pass (see `span::Open::end`).
+        let (losses, crashes) = pair(
+            events,
+            #[inline(always)]
+            |span| {
+                // The work: its kind, id and place, and the track it runs on.
+                let work = match span.track {
+                    Track::Port {
+                        lane,
+                        worker,
+                        chunk,
+                        ..
+                    } => (Kind::Port, chunk, worker, lane),
+                    Track::Compute { worker, chunk, .. } => (Kind::Compute, chunk, worker, worker),
+                    Track::Uplink { star, job, .. } => (Kind::Uplink, job, star, star),
+                    Track::MemoryStall { .. } => return mark(&mut out.stalls, &span),
+                    Track::Down { .. } => return mark(&mut out.downs, &span),
+                    Track::Job { .. } => {
+                        saw_job = true;
+                        return mark(&mut out.jobs, &span);
+                    }
                 };
-                if !(bound.is_finite() && bound > span.start) {
-                    continue;
+                let start = span.start.clamp(0.0, makespan);
+                match span.end {
+                    Some(end) => out.push(&mut tails, work, start, end.clamp(0.0, makespan), false),
+                    None if work.0 == Kind::Uplink => {}
+                    None => unclosed.push((span.start, work)),
                 }
-                (bound.min(makespan), true)
-            }
-        };
-        // Nothing left after clamping (an open step that began at the
-        // makespan included): the sweep would see no segment of it and
-        // the path walk needs every interval to start before it ends.
-        if end <= start {
-            continue;
+            },
+        );
+        // Whether a closed interval's work was later lost needs every
+        // loss, so it is settled after the pass.
+        let crashed = CrashIndex::new(losses, crashes);
+        for iv in &mut out.intervals {
+            iv.rework = iv.kind != Kind::Uplink && crashed.lost(iv.id, iv.end);
         }
-        out.intervals.push(Interval {
+        // A step (or transfer) left open was cancelled in flight: the
+        // crash that cancelled it bounds the time it really occupied the
+        // resource, and everything spent on it is rework. A step no crash
+        // explains ran to the end of the run; a transfer no crash
+        // explains is dropped.
+        for (start, work) in unclosed {
+            let crash = crashed.crash_after(work.2, start);
+            let bound = if work.0 == Kind::Compute {
+                crash.min(makespan)
+            } else {
+                crash
+            };
+            if bound.is_finite() && bound > start {
+                let (start, end) = (start.clamp(0.0, makespan), bound.min(makespan));
+                out.push(&mut tails, work, start, end, true);
+            }
+        }
+        if !saw_job {
+            // Static (non-stream) runs carry no arrival events: the one
+            // job occupies the whole run.
+            out.jobs = vec![(0.0, makespan)];
+        }
+        out
+    }
+
+    /// Keeps `work` over `[start, end)` as the last interval of its
+    /// track so far, if clamping left something of it: the sweep would
+    /// see no segment of an empty interval (an open step that began at
+    /// the makespan included), and the path walk needs every interval to
+    /// start before it ends.
+    fn push(&mut self, tails: &mut [Vec<u32>; 3], work: Work, start: f64, end: f64, rework: bool) {
+        let (kind, id, place, track) = work;
+        if end <= start {
+            return;
+        }
+        let (i, tails) = (self.intervals.len() as u32, &mut tails[kind as usize]);
+        if track >= tails.len() {
+            tails.resize(track + 1, NONE);
+        }
+        match std::mem::replace(&mut tails[track], i) {
+            NONE => self.heads.push(i),
+            last => self.next[last as usize] = i,
+        }
+        self.next.push(NONE);
+        let iv = Interval {
             start,
             end,
             kind,
             id,
             place,
             rework,
-        });
+        };
+        self.intervals.push(iv);
     }
-    if !saw_job {
-        // Static (non-stream) runs carry no arrival events: the one
-        // job occupies the whole run.
-        out.jobs = vec![(0.0, makespan)];
+
+    /// The interval begins in `(time, slot)` order. Each track's run
+    /// begins in closing order, so the list is a k-way merge of the runs;
+    /// a run out of order (a crash-bounded interval) sends it through a
+    /// full sort instead. Equal `(time, slot)` entries are bitwise equal,
+    /// so both give the same list.
+    fn begins(&self) -> Vec<(f64, usize)> {
+        let ivs = &self.intervals;
+        self.merged_begins().unwrap_or_else(|| {
+            let mut begins: Vec<_> = ivs.iter().map(|iv| (iv.start, iv.slot())).collect();
+            begins.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            begins
+        })
     }
-    out
+
+    /// The k-way merge of [`Tracks::begins`], or `None` for a track out
+    /// of order.
+    fn merged_begins(&self) -> Option<Vec<(f64, usize)>> {
+        // `(start in total_cmp order, slot, interval)`, packed to compare
+        // in one go.
+        let key = |i: u32| {
+            let iv = &self.intervals[i as usize];
+            let bits = iv.start.to_bits();
+            let start = bits ^ ((bits as i64 >> 63) as u64 | 1 << 63);
+            Reverse(u128::from(start) << 64 | (iv.slot() as u128) << 32 | u128::from(i))
+        };
+        let mut heads: BinaryHeap<_> = self.heads.iter().map(|&i| key(i)).collect();
+        let mut begins = Vec::with_capacity(self.intervals.len());
+        while let Some(mut head) = heads.peek_mut() {
+            let (at, i) = (head.0 >> 32, head.0 as u32);
+            begins.push((self.intervals[i as usize].start, at as u32 as usize));
+            match self.next[i as usize] {
+                NONE => drop(PeekMut::pop(head)),
+                next if key(next).0 >> 32 < at => return None,
+                next => *head = key(next),
+            }
+        }
+        Some(begins)
+    }
+}
+
+/// Orders the intervals for the path walk: by end, then kind rank, then
+/// start and ids. They arrive in closing order, so unless a crash bound
+/// reordered them only the tie groups of equal ends need sorting.
+fn walk_order(intervals: &mut [Interval]) {
+    let rank = |a: &Interval, b: &Interval| {
+        (a.end.total_cmp(&b.end))
+            .then(a.kind.cmp(&b.kind))
+            .then(a.start.total_cmp(&b.start))
+            .then(a.id.cmp(&b.id))
+            .then(a.place.cmp(&b.place))
+    };
+    if intervals.is_sorted_by(|a, b| a.end.total_cmp(&b.end).is_le()) {
+        for ties in intervals.chunk_by_mut(|a, b| a.end.total_cmp(&b.end).is_eq()) {
+            ties.sort_by(rank);
+        }
+    } else {
+        intervals.sort_by(rank);
+    }
 }
 
 /// Category indices into [`CATEGORY_NAMES`].
@@ -626,11 +712,11 @@ impl Interval {
 
 /// Sweeps `[0, makespan]` left to right, classifying each elementary
 /// segment by resource priority. Returns the (unclosed) category sums
-/// and the flamegraph frames.
+/// and the seconds of each category's pure-gap segments.
 ///
 /// One merge over three time-ordered boundary lists: interval begins
-/// (ties broken Port < Compute < Uplink), interval ends and marker
-/// edges. Conservation is stated against a fixed summation order, so
+/// (ties broken Port < Compute < Uplink), interval ends (the intervals
+/// in [`walk_order`]) and marker edges. Conservation is stated against a fixed summation order, so
 /// what matters is the *segment sequence*, not merely the totals:
 ///
 /// * the breakpoints are `0`, the makespan and every boundary,
@@ -644,22 +730,18 @@ impl Interval {
 /// * "the next activity" is the first begin not yet folded in, and "a
 ///   shipment is still queued" is a count of uplink begins not yet
 ///   folded in.
-fn sweep_timeline(tracks: &Tracks, makespan: f64) -> (Categories, Vec<(Stack, f64)>) {
+fn sweep_timeline(
+    tracks: &Tracks,
+    begins: &[(f64, usize)],
+    makespan: f64,
+) -> (Categories, [f64; CATEGORY_COUNT]) {
     let Tracks {
         intervals,
         stalls,
         downs,
         jobs,
+        ..
     } = tracks;
-    let by_time = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-    let mut begins: Vec<(f64, usize)> = intervals.iter().map(|iv| (iv.start, iv.slot())).collect();
-    begins.sort_by(by_time);
-    // Spans arrive in closing order, so the ends of a crash-free run
-    // are sorted already.
-    let mut ends: Vec<(f64, usize)> = intervals.iter().map(|iv| (iv.end, iv.slot())).collect();
-    if !ends.is_sorted_by(|a, b| a.0 <= b.0) {
-        ends.sort_by(by_time);
-    }
     // Marker edges: (time, live slot, opens).
     let mut edges: Vec<(f64, usize, bool)> = Vec::new();
     for (marks, slot) in [(stalls, LIVE_STALL), (downs, LIVE_DOWN), (jobs, LIVE_JOB)] {
@@ -692,12 +774,12 @@ fn sweep_timeline(tracks: &Tracks, makespan: f64) -> (Categories, Vec<(Stack, f6
             queued_uplinks -= usize::from(slot == LIVE_UPLINK);
             bi += 1;
         }
-        while let Some(&(t, slot)) = ends.get(ei) {
-            if t > a {
-                b = b.min(t);
+        while let Some(iv) = intervals.get(ei) {
+            if iv.end > a {
+                b = b.min(iv.end);
                 break;
             }
-            live[slot] -= 1;
+            live[iv.slot()] -= 1;
             ei += 1;
         }
         while let Some(&(t, slot, opens)) = edges.get(mi) {
@@ -755,14 +837,7 @@ fn sweep_timeline(tracks: &Tracks, makespan: f64) -> (Categories, Vec<(Stack, f6
         }
         a = b;
     }
-
-    let mut frames: Vec<(Stack, f64)> = intervals.iter().map(Interval::frame).collect();
-    for (cat, &secs) in gap_secs.iter().enumerate() {
-        if secs > 0.0 {
-            frames.push((Stack::Gap(cat), secs));
-        }
-    }
-    (cats, frames)
+    (cats, gap_secs)
 }
 
 /// Walks the wait-for chain backwards from the last-finishing interval:
@@ -770,7 +845,8 @@ fn sweep_timeline(tracks: &Tracks, makespan: f64) -> (Categories, Vec<(Stack, f6
 /// waited on — a same-chunk interval finishing exactly at our start if
 /// one exists (the transfer that fed the step, the step that fed the
 /// retrieval), else the latest-finishing port interval not after our
-/// start, else the latest-finishing interval of any kind.
+/// start, else the latest-finishing interval of any kind. `intervals`
+/// are in [`walk_order`].
 fn walk_critical_path(intervals: &[Interval], makespan: f64) -> CriticalPath {
     if intervals.is_empty() {
         return CriticalPath {
@@ -781,31 +857,15 @@ fn walk_critical_path(intervals: &[Interval], makespan: f64) -> CriticalPath {
             wait: makespan,
         };
     }
-    // Deterministic ordering: by end, then kind rank, then start/ids.
-    let rank = |k: Kind| match k {
-        Kind::Port => 0usize,
-        Kind::Compute => 1,
-        Kind::Uplink => 2,
-    };
-    let mut order: Vec<usize> = (0..intervals.len()).collect();
-    order.sort_by(|&x, &y| {
-        let (a, b) = (&intervals[x], &intervals[y]);
-        a.end
-            .total_cmp(&b.end)
-            .then_with(|| rank(a.kind).cmp(&rank(b.kind)))
-            .then_with(|| a.start.total_cmp(&b.start))
-            .then_with(|| a.id.cmp(&b.id))
-            .then_with(|| a.place.cmp(&b.place))
-    });
-    let end_at = |pos: usize| intervals[order[pos]].end;
+    let end_at = |pos: usize| intervals[pos].end;
 
-    let mut cur = *order.last().expect("non-empty");
+    let mut cur = intervals.len() - 1;
     let mut path = CriticalPath::default();
     let mut prev_start = makespan.max(intervals[cur].end);
-    // Intervals (in `order`) finishing at or before the current start.
-    // Every predecessor starts strictly before its successor, so the
-    // count only ever falls: a cursor, not a search per step.
-    let mut hi = order.len();
+    // Intervals finishing at or before the current start. Every
+    // predecessor starts strictly before its successor, so the count
+    // only ever falls: a cursor, not a search per step.
+    let mut hi = intervals.len();
 
     loop {
         let iv = &intervals[cur];
@@ -830,7 +890,7 @@ fn walk_critical_path(intervals: &[Interval], makespan: f64) -> CriticalPath {
         while hi > 0 && end_at(hi - 1) > iv.start {
             hi -= 1;
         }
-        debug_assert_eq!(hi, order.partition_point(|&i| intervals[i].end <= iv.start));
+        debug_assert_eq!(hi, intervals.partition_point(|c| c.end <= iv.start));
         if hi == 0 {
             break;
         }
@@ -839,14 +899,11 @@ fn walk_critical_path(intervals: &[Interval], makespan: f64) -> CriticalPath {
         while lo > 0 && end_at(lo - 1) == top_end {
             lo -= 1;
         }
-        let mut next = order[lo];
+        let mut next = lo;
         if top_end == iv.start && iv.kind != Kind::Uplink {
-            for &i in &order[lo..hi] {
-                let c = &intervals[i];
-                if c.kind != Kind::Uplink && c.id == iv.id {
-                    next = i;
-                    break;
-                }
+            let fed = |c: &Interval| c.kind != Kind::Uplink && c.id == iv.id;
+            if let Some(i) = intervals[lo..hi].iter().position(fed) {
+                next = lo + i;
             }
         }
         cur = next;
@@ -860,11 +917,122 @@ fn walk_critical_path(intervals: &[Interval], makespan: f64) -> CriticalPath {
 mod tests {
     use super::*;
     use crate::span::testlog::{compute, port};
+    use crate::span::{reference, spans};
+    use std::cell::Cell;
 
-    // ----- The oracle: the attribution as it was before the one-merge
-    // sweep, kept unchanged. It builds and sorts a delta list, a
-    // breakpoint list and a start list per run, formats one string per
-    // interval, and searches the end list once per path step. -----
+    // ----- The oracle: the attribution as it was before the one-pass
+    // read and the one-merge sweep, kept unchanged. It reads a span
+    // list, scans the log again for crashes, builds and sorts a delta
+    // list, a breakpoint list and a start list per run, formats one
+    // string per interval, and searches the end list once per path
+    // step. -----
+
+    /// The two-step read the one pass replaced: clamps every span of
+    /// [`spans`] into `[0, makespan]` and sorts it into its role:
+    /// port / compute / uplink intervals with crash-rework marking, and
+    /// stall / downtime / job-presence markers. Every interval and marker
+    /// kept has positive length.
+    fn reference_classify(spans: &[Span], events: &[ObsEvent], makespan: f64) -> Tracks {
+        let crashed = reference_crash_index(events);
+        let mut out = Tracks {
+            intervals: Vec::new(),
+            heads: Vec::new(),
+            next: Vec::new(),
+            stalls: Vec::new(),
+            downs: Vec::new(),
+            jobs: Vec::new(),
+        };
+        // The log carries job arrivals (a stream run).
+        let mut saw_job = false;
+        // Stall / downtime / presence markers; unclosed ones extend to the
+        // makespan.
+        let mark = |marks: &mut Vec<(f64, f64)>, span: &Span| {
+            let s = span.start.clamp(0.0, makespan);
+            let e = span.end.map_or(makespan, |e| e.clamp(0.0, makespan));
+            if e > s {
+                marks.push((s, e));
+            }
+        };
+        for span in spans {
+            let (kind, id, place) = match span.track {
+                Track::Port { worker, chunk, .. } => (Kind::Port, chunk, worker),
+                Track::Compute { worker, chunk, .. } => (Kind::Compute, chunk, worker),
+                Track::Uplink { star, job, .. } => (Kind::Uplink, job, star),
+                Track::MemoryStall { .. } => {
+                    mark(&mut out.stalls, span);
+                    continue;
+                }
+                Track::Down { .. } => {
+                    mark(&mut out.downs, span);
+                    continue;
+                }
+                Track::Job { .. } => {
+                    saw_job = true;
+                    mark(&mut out.jobs, span);
+                    continue;
+                }
+            };
+            let start = span.start.clamp(0.0, makespan);
+            let (end, rework) = match span.end {
+                Some(end) => {
+                    let e = end.clamp(0.0, makespan);
+                    (e, kind != Kind::Uplink && crashed.lost(id, e))
+                }
+                None if kind == Kind::Uplink => continue,
+                // A step (or transfer) left open was cancelled in flight:
+                // the crash that cancelled it bounds the time it really
+                // occupied the resource, and everything spent on it is
+                // rework. A step no crash explains ran to the end of the
+                // run; a transfer no crash explains is dropped.
+                None => {
+                    let crash = crashed.crash_after(place, span.start);
+                    let bound = if kind == Kind::Compute {
+                        crash.min(makespan)
+                    } else {
+                        crash
+                    };
+                    if !(bound.is_finite() && bound > span.start) {
+                        continue;
+                    }
+                    (bound.min(makespan), true)
+                }
+            };
+            // Nothing left after clamping (an open step that began at the
+            // makespan included): the sweep would see no segment of it and
+            // the path walk needs every interval to start before it ends.
+            if end <= start {
+                continue;
+            }
+            out.intervals.push(Interval {
+                start,
+                end,
+                kind,
+                id,
+                place,
+                rework,
+            });
+        }
+        if !saw_job {
+            // Static (non-stream) runs carry no arrival events: the one
+            // job occupies the whole run.
+            out.jobs = vec![(0.0, makespan)];
+        }
+        out
+    }
+
+    /// The crash index as a second scan of the log collected it.
+    fn reference_crash_index(events: &[ObsEvent]) -> CrashIndex {
+        let mut losses = Vec::new();
+        let mut crashes = Vec::new();
+        for ev in events {
+            match ev {
+                ObsEvent::WorkerDown { time, worker } => crashes.push((*worker as usize, *time)),
+                ObsEvent::ChunkLost { time, chunk, .. } => losses.push((*chunk, *time)),
+                _ => {}
+            }
+        }
+        CrashIndex::new(losses, crashes)
+    }
 
     /// Sweeps `[0, makespan]` left to right, classifying each elementary
     /// segment by resource priority. Returns the (unclosed) category sums
@@ -878,6 +1046,7 @@ mod tests {
             stalls,
             downs,
             jobs,
+            ..
         } = tracks;
         // Delta events: (time, counter index, +1/-1). Counter layout:
         // 0 port total, 1 port rework, 2 compute total, 3 compute rework,
@@ -1129,13 +1298,48 @@ mod tests {
         path
     }
 
+    thread_local! {
+        /// How many logs took the begins' full sort and how many the
+        /// per-track merge, on this test's thread.
+        static BEGIN_PATHS: Cell<[usize; 2]> = const { Cell::new([0, 0]) };
+    }
+
     /// Runs the log through the attribution and through the oracle:
-    /// un-closed categories equal to the bit, closed profile conserved,
-    /// critical path equal field by field, folded stacks byte-equal.
+    /// spans equal to the linear pairing's, the same intervals and
+    /// markers as the two-step read, the merged begins equal to the
+    /// sorted ones, un-closed categories equal to the bit, closed
+    /// profile conserved, critical path equal field by field, folded
+    /// stacks byte-equal.
     fn agrees_with_reference(events: &[ObsEvent], makespan: f64) -> Result<(), String> {
-        let tracks = classify(&spans(events), events, makespan);
-        let (cats, _) = sweep_timeline(&tracks, makespan);
-        let (want_cats, want_stacks) = reference_sweep_timeline(&tracks, makespan);
+        let want_spans = reference::spans(events);
+        if spans(events) != want_spans {
+            return Err("spans differ from the linear pairing's".into());
+        }
+        let mut tracks = Tracks::read(events, makespan);
+        let want = reference_classify(&want_spans, events, makespan);
+        let markers = |t: &Tracks| (t.stalls.clone(), t.downs.clone(), t.jobs.clone());
+        if tracks.intervals != want.intervals || markers(&tracks) != markers(&want) {
+            return Err("the one-pass read differs from the two-step read".into());
+        }
+        let merged = tracks.merged_begins();
+        BEGIN_PATHS.with(|n| {
+            let mut paths = n.get();
+            paths[usize::from(merged.is_some())] += 1;
+            n.set(paths);
+        });
+        let begins = tracks.begins();
+        let mut sorted: Vec<(f64, usize)> = (want.intervals.iter())
+            .map(|iv| (iv.start, iv.slot()))
+            .collect();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let bits =
+            |v: &[(f64, usize)]| v.iter().map(|&(t, s)| (t.to_bits(), s)).collect::<Vec<_>>();
+        if bits(&begins) != bits(&sorted) {
+            return Err(format!("begins {begins:?}, sorted {sorted:?}"));
+        }
+        walk_order(&mut tracks.intervals);
+        let (cats, _) = sweep_timeline(&tracks, &begins, makespan);
+        let (want_cats, want_stacks) = reference_sweep_timeline(&want, makespan);
         let bits = |c: &Categories| c.as_array().map(f64::to_bits);
         if bits(&cats) != bits(&want_cats) {
             return Err(format!("categories {cats:?}, reference {want_cats:?}"));
@@ -1146,7 +1350,7 @@ mod tests {
         }
         let (got, want) = (
             attr.critical_path,
-            reference_walk_critical_path(&tracks.intervals, makespan),
+            reference_walk_critical_path(&want.intervals, makespan),
         );
         let path_bits = |p: &CriticalPath| [p.port, p.compute, p.uplink, p.wait].map(f64::to_bits);
         if got.steps != want.steps || path_bits(&got) != path_bits(&want) {
@@ -1255,9 +1459,9 @@ mod tests {
         /// shared endpoints, empty ones, ones reaching past the makespan
         /// (or lying wholly beyond it: zero length after clamping), lost
         /// chunks, unclosed intervals and markers, logs with and without
-        /// job arrivals.
-        #[test]
-        fn one_merge_sweep_agrees_with_the_reference(
+        /// job arrivals. A worker's soup steps overlap, so its track is
+        /// often out of closing order.
+        fn interval_soups_agree_with_the_reference(
             items in proptest::collection::vec(
                 (0usize..11, 0usize..TICKS, 0usize..TICKS + 6, 0u32..5, 0u32..3), 0..40),
             losses in proptest::collection::vec((0usize..TICKS, 0u32..5), 0..4),
@@ -1279,14 +1483,10 @@ mod tests {
             crashes in proptest::collection::vec((0u32..3, 0usize..TICKS), 0..8),
         ) {
             let at = |tick: usize| tick as f64 * 0.1;
-            let mut events = Vec::new();
-            for &(chunk, tick) in &losses {
-                events.push(ObsEvent::ChunkLost { time: at(tick), worker: 0, chunk });
-            }
-            for &(worker, tick) in &crashes {
-                events.push(ObsEvent::WorkerDown { time: at(tick), worker });
-            }
-            let index = CrashIndex::from_events(&events);
+            let index = CrashIndex::new(
+                losses.iter().map(|&(chunk, tick)| (chunk, at(tick))).collect(),
+                crashes.iter().map(|&(worker, tick)| (worker as usize, at(tick))).collect(),
+            );
             for tick in 0..TICKS {
                 for id in 0..4 {
                     let lost = losses.iter().any(|&(c, t)| c == id && at(tick) <= at(t));
@@ -1300,6 +1500,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The soups reach both ways of ordering the begins: the per-track
+    /// merge and, for a track out of closing order, the full sort.
+    #[test]
+    fn one_merge_sweep_agrees_with_the_reference() {
+        BEGIN_PATHS.with(|n| n.set([0, 0]));
+        interval_soups_agree_with_the_reference();
+        let [sorted, merged] = BEGIN_PATHS.with(Cell::get);
+        assert!(sorted > 0, "no soup had a track out of order");
+        assert!(merged > 0, "no soup took the per-track merge");
     }
 
     /// Real logs, one per engine class of `tests/obs_props.rs`. The

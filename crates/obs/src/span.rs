@@ -15,9 +15,13 @@
 //!   `end: None`, so each reader states its own policy for it (the
 //!   exporters drop it, the attribution bounds it by the crash).
 //!
-//! Closed spans come out in closing order, open ones after them. The
-//! event schema stores indices as `u32`; a [`Track`] widens them back to
-//! the `usize` the views index with.
+//! Closed spans come out in closing order, open ones after them, kind
+//! by kind, each in the order of a list that appends a begin, takes a
+//! replaced one out in place and fills a closed one's hole with its last
+//! entry. The open tables are keyed, so a begin or an end costs O(1)
+//! however many lanes are open. The attribution reads the same pass
+//! ([`pair`]) without building the span list. The event schema stores
+//! indices as `u32`; a [`Track`] widens them back to `usize`.
 
 use crate::event::{Dir, MatTag, ObsEvent};
 
@@ -62,30 +66,102 @@ pub struct Span {
     pub track: Track,
 }
 
-/// The open intervals of one track kind, keyed by track identity.
-struct Open<K>(Vec<(K, Span)>);
+/// No node: the end of a list, or an index with nothing open.
+const NONE: u32 = u32::MAX;
 
-impl<K: PartialEq> Open<K> {
-    fn begin(&mut self, key: K, start: f64, track: Track) {
-        self.0.retain(|(k, _)| *k != key);
-        let span = Span {
-            start,
-            end: None,
-            track,
-        };
-        self.0.push((key, span));
+/// An open entry: its key — a dense engine index (a lane, worker, star
+/// or job id) and the rest `S` — the position of the next entry of its
+/// index, and its span's start and track.
+#[derive(Clone, Copy)]
+struct Node<S> {
+    index: u32,
+    sub: S,
+    next: u32,
+    start: f64,
+    track: Track,
+}
+
+/// The open intervals of one track kind, in unclosed-span order. Each
+/// index heads a list of its entries, so a begin or an end walks one
+/// index's list (one entry, or a worker's few steps in flight) however
+/// many are open elsewhere.
+#[derive(Default)]
+struct Open<S> {
+    heads: Vec<u32>,
+    live: Vec<Node<S>>,
+}
+
+impl<S: Copy + PartialEq> Open<S> {
+    /// The position of the entry `(index, sub)` (or `NONE`) and of the
+    /// one before it in its list (`NONE` at the head).
+    fn find(&self, index: u32, sub: S) -> (u32, u32) {
+        let mut at = (NONE, *self.heads.get(index as usize).unwrap_or(&NONE));
+        while at.1 != NONE && self.live[at.1 as usize].sub != sub {
+            at = (at.1, self.live[at.1 as usize].next);
+        }
+        at
     }
 
-    fn end(&mut self, key: K, time: f64, out: &mut Vec<Span>) {
-        if let Some(pos) = self.0.iter().position(|(k, _)| *k == key) {
-            let (_, mut span) = self.0.swap_remove(pos);
-            span.end = Some(time);
-            out.push(span);
+    /// Points the link after `prev` (the head of `index` for `NONE`) at `to`.
+    fn link(&mut self, index: u32, prev: u32, to: u32) {
+        match prev {
+            NONE => self.heads[index as usize] = to,
+            prev => self.live[prev as usize].next = to,
         }
     }
 
-    fn drain_into(self, out: &mut Vec<Span>) {
-        out.extend(self.0.into_iter().map(|(_, span)| span));
+    // Inlined, so the caller's track is built in place, not stored and
+    // reloaded wider (a store-forwarding stall per begin).
+    #[inline(always)]
+    fn begin(&mut self, index: u32, sub: S, start: f64, track: Track) {
+        let (prev, at) = self.find(index, sub);
+        if at != NONE {
+            // A replaced begin leaves the order in place: the entries
+            // after it move up.
+            self.link(index, prev, self.live[at as usize].next);
+            self.live.remove(at as usize);
+            let links = (self.heads.iter_mut()).chain(self.live.iter_mut().map(|n| &mut n.next));
+            links
+                .filter(|l| **l != NONE && **l > at)
+                .for_each(|l| *l -= 1);
+        }
+        if index as usize >= self.heads.len() {
+            self.heads.resize(index as usize + 1, NONE);
+        }
+        let next = std::mem::replace(&mut self.heads[index as usize], self.live.len() as u32);
+        self.live.push(Node {
+            index,
+            sub,
+            next,
+            start,
+            track,
+        });
+    }
+
+    /// Hands `out` the span of `(index, sub)` closed at `time`; a stray
+    /// end hands nothing. The last entry fills its place. Inlined, so
+    /// each kind's reader sees its own, predictable, branch on the track.
+    #[inline(always)]
+    fn end(&mut self, index: u32, sub: S, time: f64, out: &mut impl FnMut(Span)) {
+        let (prev, at) = self.find(index, sub);
+        if at == NONE {
+            return;
+        }
+        self.link(index, prev, self.live[at as usize].next);
+        let last = &self.live[self.live.len() - 1];
+        if at as usize != self.live.len() - 1 {
+            let (last_index, last_sub) = (last.index, last.sub);
+            let (last_prev, _) = self.find(last_index, last_sub);
+            self.link(last_index, last_prev, at);
+        }
+        let Node { start, track, .. } = self.live.swap_remove(at as usize);
+        let end = Some(time);
+        out(Span { start, end, track });
+    }
+
+    fn unclosed(&self) -> impl Iterator<Item = Span> + '_ {
+        let (end, live) = (None, self.live.iter());
+        live.map(move |&Node { start, track, .. }| Span { start, end, track })
     }
 }
 
@@ -94,12 +170,20 @@ impl<K: PartialEq> Open<K> {
 /// order, as a recorder keeps them.
 pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
     let mut out = Vec::with_capacity(events.len() / 2);
-    let mut lanes = Open(Vec::new());
-    let mut steps = Open(Vec::new());
-    let mut uplinks = Open(Vec::new());
-    let mut stalls = Open(Vec::new());
-    let mut downs = Open(Vec::new());
-    let mut jobs = Open(Vec::new());
+    pair(events, |span| out.push(span));
+    out
+}
+
+/// A log's crash facts in log order: the `(chunk, time)` of each
+/// `ChunkLost` and the `(worker, time)` of each `WorkerDown`.
+pub(crate) type CrashFacts = (Vec<(u32, f64)>, Vec<(usize, f64)>);
+
+/// The pairing pass behind [`spans`]: hands `out` every span in the
+/// order `spans` returns them, and returns the crash facts.
+pub(crate) fn pair(events: &[ObsEvent], mut out: impl FnMut(Span)) -> CrashFacts {
+    let (mut lanes, mut steps, mut uplinks) = (Open::default(), Open::default(), Open::default());
+    let (mut stalls, mut downs, mut jobs) = (Open::default(), Open::default(), Open::default());
+    let (mut losses, mut crashes) = (Vec::new(), Vec::new());
     // The dispatch decision still waiting for its transfer's admission.
     let mut dispatched: Option<(f64, u32, u32, MatTag, u32)> = None;
 
@@ -138,9 +222,9 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
                     blocks,
                     dispatch,
                 };
-                lanes.begin(lane, time, track);
+                lanes.begin(lane, (), time, track);
             }
-            ObsEvent::PortRelease { time, lane, .. } => lanes.end(lane, time, &mut out),
+            ObsEvent::PortRelease { time, lane, .. } => lanes.end(lane, (), time, &mut out),
             ObsEvent::ComputeStart {
                 time,
                 worker,
@@ -154,14 +238,14 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
                     step,
                     updates,
                 };
-                steps.begin((worker, chunk, step), time, track);
+                steps.begin(worker, (chunk, step), time, track);
             }
             ObsEvent::ComputeEnd {
                 time,
                 worker,
                 chunk,
                 step,
-            } => steps.end((worker, chunk, step), time, &mut out),
+            } => steps.end(worker, (chunk, step), time, &mut out),
             ObsEvent::UplinkAcquire {
                 time,
                 star,
@@ -173,39 +257,41 @@ pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
                     job,
                     blocks,
                 };
-                uplinks.begin((star, job), time, track);
+                uplinks.begin(star, job, time, track);
             }
             ObsEvent::UplinkRelease {
                 time, star, job, ..
-            } => uplinks.end((star, job), time, &mut out),
+            } => uplinks.end(star, job, time, &mut out),
             ObsEvent::MemoryStallBegin { time, job } => {
-                stalls.begin(job, time, Track::MemoryStall { job });
+                stalls.begin(job, (), time, Track::MemoryStall { job });
             }
-            ObsEvent::MemoryStallEnd { time, job } => stalls.end(job, time, &mut out),
+            ObsEvent::MemoryStallEnd { time, job } => stalls.end(job, (), time, &mut out),
             ObsEvent::WorkerDown { time, worker } => {
+                crashes.push((worker as usize, time));
                 let track = Track::Down {
                     worker: worker as usize,
                 };
-                downs.begin(worker, time, track);
+                downs.begin(worker, (), time, track);
             }
-            ObsEvent::WorkerUp { time, worker } => downs.end(worker, time, &mut out),
-            ObsEvent::JobArrived { time, job } => jobs.begin(job, time, Track::Job { job }),
-            ObsEvent::JobCompleted { time, job } => jobs.end(job, time, &mut out),
+            ObsEvent::WorkerUp { time, worker } => downs.end(worker, (), time, &mut out),
+            ObsEvent::JobArrived { time, job } => jobs.begin(job, (), time, Track::Job { job }),
+            ObsEvent::JobCompleted { time, job } => jobs.end(job, (), time, &mut out),
+            ObsEvent::ChunkLost { time, chunk, .. } => losses.push((chunk, time)),
             ObsEvent::LpResolve { .. }
             | ObsEvent::DeficitCredit { .. }
             | ObsEvent::FrontierPromote { .. }
-            | ObsEvent::ChunkLost { .. }
             | ObsEvent::JobAdmitted { .. } => {}
         }
     }
 
-    lanes.drain_into(&mut out);
-    steps.drain_into(&mut out);
-    uplinks.drain_into(&mut out);
-    stalls.drain_into(&mut out);
-    downs.drain_into(&mut out);
-    jobs.drain_into(&mut out);
-    out
+    let unclosed = (lanes.unclosed())
+        .chain(steps.unclosed())
+        .chain(uplinks.unclosed())
+        .chain(stalls.unclosed())
+        .chain(downs.unclosed())
+        .chain(jobs.unclosed());
+    unclosed.for_each(out);
+    (losses, crashes)
 }
 
 #[cfg(test)]
@@ -265,6 +351,159 @@ pub(crate) mod testlog {
     /// Step 0 of `chunk` computing over `[t0, t1)`.
     pub fn compute(t0: f64, t1: f64, worker: u32, chunk: u32) -> [ObsEvent; 2] {
         [start(t0, worker, chunk, 0), finish(t1, worker, chunk, 0)]
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! The oracle for [`spans`](super::spans): the pairing through
+    //! linear open tables (a scan per begin and per end, the span moved
+    //! out on close) that the keyed tables replaced.
+    use super::{Span, Track};
+    use crate::event::{Dir, MatTag, ObsEvent};
+
+    /// The open intervals of one track kind, keyed by track identity.
+    struct Open<K>(Vec<(K, Span)>);
+
+    impl<K: PartialEq> Open<K> {
+        fn begin(&mut self, key: K, start: f64, track: Track) {
+            self.0.retain(|(k, _)| *k != key);
+            let span = Span {
+                start,
+                end: None,
+                track,
+            };
+            self.0.push((key, span));
+        }
+
+        fn end(&mut self, key: K, time: f64, out: &mut Vec<Span>) {
+            if let Some(pos) = self.0.iter().position(|(k, _)| *k == key) {
+                let (_, mut span) = self.0.swap_remove(pos);
+                span.end = Some(time);
+                out.push(span);
+            }
+        }
+
+        fn drain_into(self, out: &mut Vec<Span>) {
+            out.extend(self.0.into_iter().map(|(_, span)| span));
+        }
+    }
+
+    /// The pairing as it was before the keyed tables, kept unchanged.
+    pub fn spans(events: &[ObsEvent]) -> Vec<Span> {
+        let mut out = Vec::with_capacity(events.len() / 2);
+        let mut lanes = Open(Vec::new());
+        let mut steps = Open(Vec::new());
+        let mut uplinks = Open(Vec::new());
+        let mut stalls = Open(Vec::new());
+        let mut downs = Open(Vec::new());
+        let mut jobs = Open(Vec::new());
+        // The dispatch decision still waiting for its transfer's admission.
+        let mut dispatched: Option<(f64, u32, u32, MatTag, u32)> = None;
+
+        for ev in events {
+            match *ev {
+                ObsEvent::Dispatch {
+                    time,
+                    worker,
+                    chunk,
+                    step,
+                    mat,
+                    ..
+                } => dispatched = Some((time, worker, chunk, mat, step)),
+                ObsEvent::PortAcquire {
+                    time,
+                    lane,
+                    worker,
+                    dir,
+                    chunk,
+                    blocks,
+                } => {
+                    let dispatch = match (dir, dispatched) {
+                        (Dir::ToWorker, Some((t, w, c, mat, step)))
+                            if (t, w, c) == (time, worker, chunk) =>
+                        {
+                            dispatched = None;
+                            Some((mat, step))
+                        }
+                        _ => None,
+                    };
+                    let track = Track::Port {
+                        lane: lane as usize,
+                        worker: worker as usize,
+                        dir,
+                        chunk,
+                        blocks,
+                        dispatch,
+                    };
+                    lanes.begin(lane, time, track);
+                }
+                ObsEvent::PortRelease { time, lane, .. } => lanes.end(lane, time, &mut out),
+                ObsEvent::ComputeStart {
+                    time,
+                    worker,
+                    chunk,
+                    step,
+                    updates,
+                } => {
+                    let track = Track::Compute {
+                        worker: worker as usize,
+                        chunk,
+                        step,
+                        updates,
+                    };
+                    steps.begin((worker, chunk, step), time, track);
+                }
+                ObsEvent::ComputeEnd {
+                    time,
+                    worker,
+                    chunk,
+                    step,
+                } => steps.end((worker, chunk, step), time, &mut out),
+                ObsEvent::UplinkAcquire {
+                    time,
+                    star,
+                    job,
+                    blocks,
+                } => {
+                    let track = Track::Uplink {
+                        star: star as usize,
+                        job,
+                        blocks,
+                    };
+                    uplinks.begin((star, job), time, track);
+                }
+                ObsEvent::UplinkRelease {
+                    time, star, job, ..
+                } => uplinks.end((star, job), time, &mut out),
+                ObsEvent::MemoryStallBegin { time, job } => {
+                    stalls.begin(job, time, Track::MemoryStall { job });
+                }
+                ObsEvent::MemoryStallEnd { time, job } => stalls.end(job, time, &mut out),
+                ObsEvent::WorkerDown { time, worker } => {
+                    let track = Track::Down {
+                        worker: worker as usize,
+                    };
+                    downs.begin(worker, time, track);
+                }
+                ObsEvent::WorkerUp { time, worker } => downs.end(worker, time, &mut out),
+                ObsEvent::JobArrived { time, job } => jobs.begin(job, time, Track::Job { job }),
+                ObsEvent::JobCompleted { time, job } => jobs.end(job, time, &mut out),
+                ObsEvent::LpResolve { .. }
+                | ObsEvent::DeficitCredit { .. }
+                | ObsEvent::FrontierPromote { .. }
+                | ObsEvent::ChunkLost { .. }
+                | ObsEvent::JobAdmitted { .. } => {}
+            }
+        }
+
+        lanes.drain_into(&mut out);
+        steps.drain_into(&mut out);
+        uplinks.drain_into(&mut out);
+        stalls.drain_into(&mut out);
+        downs.drain_into(&mut out);
+        jobs.drain_into(&mut out);
+        out
     }
 }
 
@@ -441,6 +680,86 @@ mod tests {
         ];
         for (name, events, want) in cases {
             assert_eq!(spans(&events), want, "{name}");
+            assert_eq!(reference::spans(&events), want, "{name}: the oracle");
+        }
+    }
+
+    /// One event of the soup alphabet: every kind the pairing reads or
+    /// skips, keyed from three small draws so that re-begins on an open
+    /// key, stray ends and dispatches meeting their acquire are common.
+    fn soup_event(op: usize, tick: usize, a: u32, b: u32, c: u32) -> ObsEvent {
+        let time = tick as f64 * 0.5;
+        let (job, worker, star) = (a, a, a);
+        match op {
+            0 => ObsEvent::Dispatch {
+                time,
+                worker: b,
+                chunk: c,
+                step: a,
+                mat: [MatTag::A, MatTag::B, MatTag::C][a as usize % 3],
+                blocks: 1,
+            },
+            1 => acquire(time, a, b, ToWorker, c),
+            2 => acquire(time, a, b, ToMaster, c),
+            3 => release(time, a, b, ToWorker, c),
+            4 => start(time, a, b, c),
+            5 => finish(time, a, b, c),
+            6 => uplink(time, star, b, true),
+            7 => uplink(time, star, b, false),
+            8 => ObsEvent::MemoryStallBegin { time, job },
+            9 => ObsEvent::MemoryStallEnd { time, job },
+            10 => ObsEvent::WorkerDown { time, worker },
+            11 => ObsEvent::WorkerUp { time, worker },
+            12 => ObsEvent::JobArrived { time, job },
+            13 => ObsEvent::JobCompleted { time, job },
+            14 => ObsEvent::ChunkLost {
+                time,
+                worker,
+                chunk: b,
+            },
+            _ => ObsEvent::JobAdmitted { time, job },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random logs over a few keys per kind: the keyed tables give
+        /// the linear tables' spans, element for element and in order —
+        /// the unclosed ones included.
+        #[test]
+        fn keyed_tables_pair_like_the_linear_ones(
+            ops in proptest::collection::vec(
+                (0usize..16, 0usize..3, 0u32..3, 0u32..3, 0u32..2), 0..80),
+        ) {
+            let events: Vec<ObsEvent> = ops
+                .iter()
+                .map(|&(op, tick, a, b, c)| soup_event(op, tick, a, b, c))
+                .collect();
+            proptest::prop_assert_eq!(spans(&events), reference::spans(&events));
+        }
+
+        /// A wide star: every lane of hundreds acquired at once, then
+        /// releases, re-acquires and steps across them — the case the
+        /// linear tables scanned quadratically.
+        #[test]
+        fn hundreds_of_open_lanes_pair_like_the_linear_ones(
+            lanes in 256u32..400,
+            ops in proptest::collection::vec((0usize..4, 0u32..400, 0u32..3), 0..600),
+        ) {
+            let mut events: Vec<ObsEvent> = (0..lanes)
+                .map(|lane| acquire(0.0, lane, lane % 17, ToWorker, lane))
+                .collect();
+            for (n, &(op, key, step)) in ops.iter().enumerate() {
+                let (time, lane) = (1.0 + n as f64, key % lanes);
+                events.push(match op {
+                    0 | 1 => release(time, lane, lane % 17, ToWorker, lane),
+                    2 => acquire(time, lane, lane % 17, ToMaster, lane),
+                    _ if step == 0 => start(time, key % 17, key % 5, 0),
+                    _ => finish(time, key % 17, key % 5, 0),
+                });
+            }
+            proptest::prop_assert_eq!(spans(&events), reference::spans(&events));
         }
     }
 }
