@@ -545,9 +545,9 @@ impl Tracks {
         // resource, and everything spent on it is rework. A step no crash
         // explains ran to the end of the run; a transfer no crash
         // explains is dropped.
-        for (start, work) in unclosed {
-            let crash = crashed.crash_after(work.2, start);
-            let bound = if work.0 == Kind::Compute {
+        for (start, work @ (kind, _, place, _)) in unclosed {
+            let crash = crashed.crash_after(place, start);
+            let bound = if kind == Kind::Compute {
                 crash.min(makespan)
             } else {
                 crash
@@ -716,8 +716,9 @@ impl Interval {
 ///
 /// One merge over three time-ordered boundary lists: interval begins
 /// (ties broken Port < Compute < Uplink), interval ends (the intervals
-/// in [`walk_order`]) and marker edges. Conservation is stated against a fixed summation order, so
-/// what matters is the *segment sequence*, not merely the totals:
+/// in [`walk_order`]) and marker edges. Conservation is stated against
+/// a fixed summation order, so what matters is the *segment sequence*,
+/// not merely the totals:
 ///
 /// * the breakpoints are `0`, the makespan and every boundary,
 ///   de-duplicated by `==` — each step of the merge moves to the
