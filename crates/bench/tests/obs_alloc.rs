@@ -23,13 +23,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations of one read-back view, whatever the length of the log:
 /// the interval list, its track links and the begin list (sized once),
-/// the open-interval tables, the markers and the crash facts (grown by
-/// doubling). Measured: 58 at 200 jobs, 70 at 800.
+/// the open-interval tables, the job numbers, the markers and the crash
+/// facts (grown by doubling). Measured: 65 at 200 jobs, 79 at 800.
 const PER_READ: u64 = 96;
 
 /// Bytes `Attribution::from_events` allocates per event of the log: 32
 /// per interval and 4 per track link, sized for one interval per two
-/// events, plus 16 per begin. Measured: 25.5 at 200 and at 800 jobs.
+/// events, plus 16 per begin. Measured: 25.6 at 200 and at 800 jobs.
 const BYTES_PER_EVENT: u64 = 48;
 
 #[test]

@@ -17,8 +17,7 @@
 //!    resource priority. The log already orders most of this: the
 //!    intervals close in time order, and each track's (a lane's, a
 //!    worker's steps', a star's uplinks') begin in closing order, so the
-//!    begins are a k-way merge of those runs and only ties are sorted; a
-//!    full sort is the fallback for a track out of order, and
+//!    begins are a k-way merge of those runs and only ties are sorted, and
 //! 3. walks the wait-for chain backwards from the last-finishing
 //!    interval to extract the run's *actual* critical path.
 //!
@@ -433,9 +432,9 @@ struct Tracks {
     /// after clamping: the closed ones in closing order, then the
     /// unclosed ones a crash bounds.
     intervals: Vec<Interval>,
-    /// The first interval of each track — a lane, a worker's steps, a
-    /// star's uplinks — with `next` linking each interval to the next
-    /// of its track.
+    /// The first interval of each run of a track — a lane, a worker's
+    /// steps, a star's uplinks — with `next` linking each interval to the
+    /// next of its run.
     heads: Vec<u32>,
     next: Vec<u32>,
     stalls: Vec<(f64, f64)>,
@@ -579,9 +578,13 @@ impl Tracks {
         if track >= tails.len() {
             tails.resize(track + 1, NONE);
         }
+        // A run's starts strictly increase; one no later than its
+        // track's last (a crash-bounded interval) opens a new run.
         match std::mem::replace(&mut tails[track], i) {
-            NONE => self.heads.push(i),
-            last => self.next[last as usize] = i,
+            last if last != NONE && self.intervals[last as usize].start < start => {
+                self.next[last as usize] = i;
+            }
+            _ => self.heads.push(i),
         }
         self.next.push(NONE);
         let iv = Interval {
@@ -595,23 +598,10 @@ impl Tracks {
         self.intervals.push(iv);
     }
 
-    /// The interval begins in `(time, slot)` order. Each track's run
-    /// begins in closing order, so the list is a k-way merge of the runs;
-    /// a run out of order (a crash-bounded interval) sends it through a
-    /// full sort instead. Equal `(time, slot)` entries are bitwise equal,
-    /// so both give the same list.
+    /// The interval begins in `(time, slot)` order: a k-way merge of the
+    /// runs, whose starts strictly increase. Equal `(time, slot)` entries
+    /// are bitwise equal, so the merge is the sorted list exactly.
     fn begins(&self) -> Vec<(f64, usize)> {
-        let ivs = &self.intervals;
-        self.merged_begins().unwrap_or_else(|| {
-            let mut begins: Vec<_> = ivs.iter().map(|iv| (iv.start, iv.slot())).collect();
-            begins.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            begins
-        })
-    }
-
-    /// The k-way merge of [`Tracks::begins`], or `None` for a track out
-    /// of order.
-    fn merged_begins(&self) -> Option<Vec<(f64, usize)>> {
         // `(start in total_cmp order, slot, interval)`, packed to compare
         // in one go.
         let key = |i: u32| {
@@ -627,11 +617,10 @@ impl Tracks {
             begins.push((self.intervals[i as usize].start, at as u32 as usize));
             match self.next[i as usize] {
                 NONE => drop(PeekMut::pop(head)),
-                next if key(next).0 >> 32 < at => return None,
                 next => *head = key(next),
             }
         }
-        Some(begins)
+        begins
     }
 }
 
@@ -919,7 +908,6 @@ mod tests {
     use super::*;
     use crate::span::testlog::{compute, port};
     use crate::span::{reference, spans};
-    use std::cell::Cell;
 
     // ----- The oracle: the attribution as it was before the one-pass
     // read and the one-merge sweep, kept unchanged. It reads a span
@@ -1299,12 +1287,6 @@ mod tests {
         path
     }
 
-    thread_local! {
-        /// How many logs took the begins' full sort and how many the
-        /// per-track merge, on this test's thread.
-        static BEGIN_PATHS: Cell<[usize; 2]> = const { Cell::new([0, 0]) };
-    }
-
     /// Runs the log through the attribution and through the oracle:
     /// spans equal to the linear pairing's, the same intervals and
     /// markers as the two-step read, the merged begins equal to the
@@ -1312,7 +1294,7 @@ mod tests {
     /// profile conserved, critical path equal field by field, folded
     /// stacks byte-equal.
     fn agrees_with_reference(events: &[ObsEvent], makespan: f64) -> Result<(), String> {
-        let want_spans = reference::spans(events);
+        let want_spans = reference::spans_in_key_order(events);
         if spans(events) != want_spans {
             return Err("spans differ from the linear pairing's".into());
         }
@@ -1322,12 +1304,6 @@ mod tests {
         if tracks.intervals != want.intervals || markers(&tracks) != markers(&want) {
             return Err("the one-pass read differs from the two-step read".into());
         }
-        let merged = tracks.merged_begins();
-        BEGIN_PATHS.with(|n| {
-            let mut paths = n.get();
-            paths[usize::from(merged.is_some())] += 1;
-            n.set(paths);
-        });
         let begins = tracks.begins();
         let mut sorted: Vec<(f64, usize)> = (want.intervals.iter())
             .map(|iv| (iv.start, iv.slot()))
@@ -1462,7 +1438,8 @@ mod tests {
         /// chunks, unclosed intervals and markers, logs with and without
         /// job arrivals. A worker's soup steps overlap, so its track is
         /// often out of closing order.
-        fn interval_soups_agree_with_the_reference(
+        #[test]
+        fn one_merge_sweep_agrees_with_the_reference(
             items in proptest::collection::vec(
                 (0usize..11, 0usize..TICKS, 0usize..TICKS + 6, 0u32..5, 0u32..3), 0..40),
             losses in proptest::collection::vec((0usize..TICKS, 0u32..5), 0..4),
@@ -1501,17 +1478,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The soups reach both ways of ordering the begins: the per-track
-    /// merge and, for a track out of closing order, the full sort.
-    #[test]
-    fn one_merge_sweep_agrees_with_the_reference() {
-        BEGIN_PATHS.with(|n| n.set([0, 0]));
-        interval_soups_agree_with_the_reference();
-        let [sorted, merged] = BEGIN_PATHS.with(Cell::get);
-        assert!(sorted > 0, "no soup had a track out of order");
-        assert!(merged > 0, "no soup took the per-track merge");
     }
 
     /// Real logs, one per engine class of `tests/obs_props.rs`. The
@@ -1758,6 +1724,18 @@ mod tests {
                 check(log, run.makespan);
             }
         }
+    }
+
+    #[test]
+    fn sparse_job_ids_attribute_like_the_reference() {
+        let job = u32::MAX - 1;
+        let mut events = vec![ObsEvent::JobArrived { time: 0.0, job }];
+        events.extend(port(0.5, 1.0, 0, 0, 0));
+        events.extend(compute(1.0, 2.0, 0, 0));
+        events.push(ObsEvent::MemoryStallBegin { time: 2.0, job });
+        events.push(ObsEvent::MemoryStallEnd { time: 2.5, job });
+        events.push(ObsEvent::JobCompleted { time: 3.0, job });
+        agrees_with_reference(&events, 3.0).unwrap();
     }
 
     #[test]

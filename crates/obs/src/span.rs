@@ -16,12 +16,15 @@
 //!   exporters drop it, the attribution bounds it by the crash).
 //!
 //! Closed spans come out in closing order, open ones after them, kind
-//! by kind, each in the order of a list that appends a begin, takes a
-//! replaced one out in place and fills a closed one's hole with its last
-//! entry. The open tables are keyed, so a begin or an end costs O(1)
-//! however many lanes are open. The attribution reads the same pass
+//! by kind, each by key: port by lane; compute by worker, chunk, step;
+//! uplink by star, job; stall by job; downtime by worker; job by job,
+//! where a job ranks by its first stall or presence event in the log.
+//! The open tables are keyed, so a begin or an end costs O(1) however
+//! many lanes or jobs are open. The attribution reads the same pass
 //! ([`pair`]) without building the span list. The event schema stores
 //! indices as `u32`; a [`Track`] widens them back to `usize`.
+
+use std::collections::HashMap;
 
 use crate::event::{Dir, MatTag, ObsEvent};
 
@@ -69,9 +72,9 @@ pub struct Span {
 /// No node: the end of a list, or an index with nothing open.
 const NONE: u32 = u32::MAX;
 
-/// An open entry: its key — a dense engine index (a lane, worker, star
-/// or job id) and the rest `S` — the position of the next entry of its
-/// index, and its span's start and track.
+/// An open entry: its key — a dense index (a lane, worker or star, or a
+/// job's number) and the rest `S` — the position of the next entry of
+/// its index, and its span's start and track.
 #[derive(Clone, Copy)]
 struct Node<S> {
     index: u32,
@@ -81,17 +84,16 @@ struct Node<S> {
     track: Track,
 }
 
-/// The open intervals of one track kind, in unclosed-span order. Each
-/// index heads a list of its entries, so a begin or an end walks one
-/// index's list (one entry, or a worker's few steps in flight) however
-/// many are open elsewhere.
+/// The open intervals of one track kind. Each index heads a list of its
+/// entries, so a begin or an end walks one index's list (one entry, or a
+/// worker's few steps in flight) however many are open elsewhere.
 #[derive(Default)]
 struct Open<S> {
     heads: Vec<u32>,
     live: Vec<Node<S>>,
 }
 
-impl<S: Copy + PartialEq> Open<S> {
+impl<S: Copy + Ord> Open<S> {
     /// The position of the entry `(index, sub)` (or `NONE`) and of the
     /// one before it in its list (`NONE` at the head).
     fn find(&self, index: u32, sub: S) -> (u32, u32) {
@@ -114,28 +116,26 @@ impl<S: Copy + PartialEq> Open<S> {
     // reloaded wider (a store-forwarding stall per begin).
     #[inline(always)]
     fn begin(&mut self, index: u32, sub: S, start: f64, track: Track) {
-        let (prev, at) = self.find(index, sub);
-        if at != NONE {
-            // A replaced begin leaves the order in place: the entries
-            // after it move up.
-            self.link(index, prev, self.live[at as usize].next);
-            self.live.remove(at as usize);
-            let links = (self.heads.iter_mut()).chain(self.live.iter_mut().map(|n| &mut n.next));
-            links
-                .filter(|l| **l != NONE && **l > at)
-                .for_each(|l| *l -= 1);
-        }
         if index as usize >= self.heads.len() {
             self.heads.resize(index as usize + 1, NONE);
         }
-        let next = std::mem::replace(&mut self.heads[index as usize], self.live.len() as u32);
-        self.live.push(Node {
-            index,
-            sub,
-            next,
-            start,
-            track,
-        });
+        match self.find(index, sub) {
+            (_, NONE) => {
+                let next =
+                    std::mem::replace(&mut self.heads[index as usize], self.live.len() as u32);
+                self.live.push(Node {
+                    index,
+                    sub,
+                    next,
+                    start,
+                    track,
+                });
+            }
+            (_, at) => {
+                let open = &mut self.live[at as usize];
+                (open.start, open.track) = (start, track);
+            }
+        }
     }
 
     /// Hands `out` the span of `(index, sub)` closed at `time`; a stray
@@ -159,7 +159,10 @@ impl<S: Copy + PartialEq> Open<S> {
         out(Span { start, end, track });
     }
 
-    fn unclosed(&self) -> impl Iterator<Item = Span> + '_ {
+    /// The entries still open, by key.
+    fn unclosed(&mut self) -> impl Iterator<Item = Span> + '_ {
+        self.live
+            .sort_unstable_by_key(|node| (node.index, node.sub));
         let (end, live) = (None, self.live.iter());
         live.map(move |&Node { start, track, .. }| Span { start, end, track })
     }
@@ -184,6 +187,13 @@ pub(crate) fn pair(events: &[ObsEvent], mut out: impl FnMut(Span)) -> CrashFacts
     let (mut lanes, mut steps, mut uplinks) = (Open::default(), Open::default(), Open::default());
     let (mut stalls, mut downs, mut jobs) = (Open::default(), Open::default(), Open::default());
     let (mut losses, mut crashes) = (Vec::new(), Vec::new());
+    // Engines number jobs freely; the stall and job tables index them by
+    // their first stall or presence event.
+    let mut numbers = HashMap::new();
+    let mut number = |job: u32| {
+        let next = numbers.len() as u32;
+        *numbers.entry(job).or_insert(next)
+    };
     // The dispatch decision still waiting for its transfer's admission.
     let mut dispatched: Option<(f64, u32, u32, MatTag, u32)> = None;
 
@@ -263,9 +273,9 @@ pub(crate) fn pair(events: &[ObsEvent], mut out: impl FnMut(Span)) -> CrashFacts
                 time, star, job, ..
             } => uplinks.end(star, job, time, &mut out),
             ObsEvent::MemoryStallBegin { time, job } => {
-                stalls.begin(job, (), time, Track::MemoryStall { job });
+                stalls.begin(number(job), (), time, Track::MemoryStall { job });
             }
-            ObsEvent::MemoryStallEnd { time, job } => stalls.end(job, (), time, &mut out),
+            ObsEvent::MemoryStallEnd { time, job } => stalls.end(number(job), (), time, &mut out),
             ObsEvent::WorkerDown { time, worker } => {
                 crashes.push((worker as usize, time));
                 let track = Track::Down {
@@ -274,8 +284,10 @@ pub(crate) fn pair(events: &[ObsEvent], mut out: impl FnMut(Span)) -> CrashFacts
                 downs.begin(worker, (), time, track);
             }
             ObsEvent::WorkerUp { time, worker } => downs.end(worker, (), time, &mut out),
-            ObsEvent::JobArrived { time, job } => jobs.begin(job, (), time, Track::Job { job }),
-            ObsEvent::JobCompleted { time, job } => jobs.end(job, (), time, &mut out),
+            ObsEvent::JobArrived { time, job } => {
+                jobs.begin(number(job), (), time, Track::Job { job });
+            }
+            ObsEvent::JobCompleted { time, job } => jobs.end(number(job), (), time, &mut out),
             ObsEvent::ChunkLost { time, chunk, .. } => losses.push((chunk, time)),
             ObsEvent::LpResolve { .. }
             | ObsEvent::DeficitCredit { .. }
@@ -505,6 +517,42 @@ pub(crate) mod reference {
         jobs.drain_into(&mut out);
         out
     }
+
+    /// [`spans`] with its open tail in the keyed tables' order: kind by
+    /// kind, each by key, a job ranked by its first stall or presence
+    /// event.
+    pub fn spans_in_key_order(events: &[ObsEvent]) -> Vec<Span> {
+        let mut jobs = Vec::new();
+        for ev in events {
+            if let ObsEvent::MemoryStallBegin { job, .. }
+            | ObsEvent::MemoryStallEnd { job, .. }
+            | ObsEvent::JobArrived { job, .. }
+            | ObsEvent::JobCompleted { job, .. } = *ev
+            {
+                if !jobs.contains(&job) {
+                    jobs.push(job);
+                }
+            }
+        }
+        let rank = |job| jobs.iter().position(|&j| j == job).unwrap();
+        let key = |span: &Span| match span.track {
+            Track::Port { lane, .. } => (0, lane, 0, 0),
+            Track::Compute {
+                worker,
+                chunk,
+                step,
+                ..
+            } => (1, worker, chunk, step),
+            Track::Uplink { star, job, .. } => (2, star, job, 0),
+            Track::MemoryStall { job } => (3, rank(job), 0, 0),
+            Track::Down { worker } => (4, worker, 0, 0),
+            Track::Job { job } => (5, rank(job), 0, 0),
+        };
+        let mut out = spans(events);
+        let closed = out.iter().take_while(|span| span.end.is_some()).count();
+        out[closed..].sort_by_key(key);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -684,6 +732,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sparse_job_ids_pair_like_the_linear_tables() {
+        let (top, next) = (u32::MAX, u32::MAX - 1);
+        let events = [
+            ObsEvent::JobArrived {
+                time: 0.0,
+                job: top,
+            },
+            ObsEvent::JobArrived {
+                time: 0.5,
+                job: next,
+            },
+            ObsEvent::MemoryStallBegin {
+                time: 1.0,
+                job: next,
+            },
+            ObsEvent::MemoryStallEnd {
+                time: 2.0,
+                job: next,
+            },
+            ObsEvent::MemoryStallBegin {
+                time: 2.0,
+                job: top,
+            },
+            ObsEvent::JobCompleted {
+                time: 3.0,
+                job: next,
+            },
+            ObsEvent::JobArrived { time: 2.5, job: 3 },
+            ObsEvent::JobCompleted { time: 4.0, job: 7 },
+        ];
+        let got = spans(&events);
+        assert_eq!(got, reference::spans_in_key_order(&events));
+        assert_eq!(got.len(), 5, "{got:?}");
+    }
+
     /// One event of the soup alphabet: every kind the pairing reads or
     /// skips, keyed from three small draws so that re-begins on an open
     /// key, stray ends and dispatches meeting their acquire are common.
@@ -725,8 +809,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         /// Random logs over a few keys per kind: the keyed tables give
-        /// the linear tables' spans, element for element and in order —
-        /// the unclosed ones included.
+        /// the linear tables' spans element for element, the closed ones
+        /// in order and the unclosed ones in key order.
         #[test]
         fn keyed_tables_pair_like_the_linear_ones(
             ops in proptest::collection::vec(
@@ -736,7 +820,7 @@ mod tests {
                 .iter()
                 .map(|&(op, tick, a, b, c)| soup_event(op, tick, a, b, c))
                 .collect();
-            proptest::prop_assert_eq!(spans(&events), reference::spans(&events));
+            proptest::prop_assert_eq!(spans(&events), reference::spans_in_key_order(&events));
         }
 
         /// A wide star: every lane of hundreds acquired at once, then
@@ -759,7 +843,7 @@ mod tests {
                     _ => finish(time, key % 17, key % 5, 0),
                 });
             }
-            proptest::prop_assert_eq!(spans(&events), reference::spans(&events));
+            proptest::prop_assert_eq!(spans(&events), reference::spans_in_key_order(&events));
         }
     }
 }
