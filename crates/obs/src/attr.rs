@@ -1368,7 +1368,8 @@ mod tests {
         for (n, &(draw, t0, t1, id, place)) in items.iter().enumerate() {
             let n = n as u32;
             let (t0, t1) = (t0.min(t1), t0.max(t1));
-            let (time, end, job, blocks) = (at(t0), at(t1), id, 1);
+            // Engines number jobs freely: soup jobs sit at the top of `u32`.
+            let (time, end, job, blocks) = (at(t0), at(t1), u32::MAX - id, 1);
             let (begin, end) = match MIXES[mix][draw] {
                 0 => (
                     acquire(time, n, place, ToWorker, id),
@@ -1724,18 +1725,6 @@ mod tests {
                 check(log, run.makespan);
             }
         }
-    }
-
-    #[test]
-    fn sparse_job_ids_attribute_like_the_reference() {
-        let job = u32::MAX - 1;
-        let mut events = vec![ObsEvent::JobArrived { time: 0.0, job }];
-        events.extend(port(0.5, 1.0, 0, 0, 0));
-        events.extend(compute(1.0, 2.0, 0, 0));
-        events.push(ObsEvent::MemoryStallBegin { time: 2.0, job });
-        events.push(ObsEvent::MemoryStallEnd { time: 2.5, job });
-        events.push(ObsEvent::JobCompleted { time: 3.0, job });
-        agrees_with_reference(&events, 3.0).unwrap();
     }
 
     #[test]

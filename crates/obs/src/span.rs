@@ -16,13 +16,12 @@
 //!   exporters drop it, the attribution bounds it by the crash).
 //!
 //! Closed spans come out in closing order, open ones after them, kind
-//! by kind, each by key: port by lane; compute by worker, chunk, step;
-//! uplink by star, job; stall by job; downtime by worker; job by job,
-//! where a job ranks by its first stall or presence event in the log.
-//! The open tables are keyed, so a begin or an end costs O(1) however
-//! many lanes or jobs are open. The attribution reads the same pass
-//! ([`pair`]) without building the span list. The event schema stores
-//! indices as `u32`; a [`Track`] widens them back to `usize`.
+//! by kind, each kind in key order (jobs in the order of their first
+//! stall or presence event). The open tables are keyed, so a begin or
+//! an end costs O(1) however many lanes or jobs are open. The
+//! attribution reads the same pass ([`pair`]) without building the span
+//! list. The event schema stores indices as `u32`; a [`Track`] widens
+//! them back to `usize`.
 
 use std::collections::HashMap;
 
@@ -116,26 +115,19 @@ impl<S: Copy + Ord> Open<S> {
     // reloaded wider (a store-forwarding stall per begin).
     #[inline(always)]
     fn begin(&mut self, index: u32, sub: S, start: f64, track: Track) {
+        // A begin on an open key replaces its entry.
+        self.end(index, sub, start, &mut |_| {});
         if index as usize >= self.heads.len() {
             self.heads.resize(index as usize + 1, NONE);
         }
-        match self.find(index, sub) {
-            (_, NONE) => {
-                let next =
-                    std::mem::replace(&mut self.heads[index as usize], self.live.len() as u32);
-                self.live.push(Node {
-                    index,
-                    sub,
-                    next,
-                    start,
-                    track,
-                });
-            }
-            (_, at) => {
-                let open = &mut self.live[at as usize];
-                (open.start, open.track) = (start, track);
-            }
-        }
+        let next = std::mem::replace(&mut self.heads[index as usize], self.live.len() as u32);
+        self.live.push(Node {
+            index,
+            sub,
+            next,
+            start,
+            track,
+        });
     }
 
     /// Hands `out` the span of `(index, sub)` closed at `time`; a stray
@@ -732,48 +724,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sparse_job_ids_pair_like_the_linear_tables() {
-        let (top, next) = (u32::MAX, u32::MAX - 1);
-        let events = [
-            ObsEvent::JobArrived {
-                time: 0.0,
-                job: top,
-            },
-            ObsEvent::JobArrived {
-                time: 0.5,
-                job: next,
-            },
-            ObsEvent::MemoryStallBegin {
-                time: 1.0,
-                job: next,
-            },
-            ObsEvent::MemoryStallEnd {
-                time: 2.0,
-                job: next,
-            },
-            ObsEvent::MemoryStallBegin {
-                time: 2.0,
-                job: top,
-            },
-            ObsEvent::JobCompleted {
-                time: 3.0,
-                job: next,
-            },
-            ObsEvent::JobArrived { time: 2.5, job: 3 },
-            ObsEvent::JobCompleted { time: 4.0, job: 7 },
-        ];
-        let got = spans(&events);
-        assert_eq!(got, reference::spans_in_key_order(&events));
-        assert_eq!(got.len(), 5, "{got:?}");
-    }
-
     /// One event of the soup alphabet: every kind the pairing reads or
     /// skips, keyed from three small draws so that re-begins on an open
     /// key, stray ends and dispatches meeting their acquire are common.
+    /// Job ids sit at the top of the `u32` range: engines number jobs
+    /// freely.
     fn soup_event(op: usize, tick: usize, a: u32, b: u32, c: u32) -> ObsEvent {
         let time = tick as f64 * 0.5;
-        let (job, worker, star) = (a, a, a);
+        let (job, worker, star) = (u32::MAX - a, a, a);
         match op {
             0 => ObsEvent::Dispatch {
                 time,
