@@ -9,19 +9,25 @@
 //! whatever the size of its task table: its decisions walk a kept
 //! frontier and collect nothing. A `MultiJobMaster` stream adds a term
 //! per job and nothing per decision: its deficit order is rebuilt in one
-//! kept buffer.
+//! kept buffer. The steady-state LP behind a bound allocates by its
+//! stored entries, not by its dense tableau.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would allocate into the reading.
 
-use stargemm_bench::netperf::{total_allocations, CountingAlloc};
+use stargemm_bench::netperf::{total_allocated, total_allocations, CountingAlloc};
 use stargemm_core::algorithms::{build_policy, Algorithm};
 use stargemm_core::select_het::{het_policy, SelectionVariant};
+use stargemm_core::steady::generalized_lp;
 use stargemm_core::Job;
 use stargemm_dag::{lu_dag, DagMaster};
+use stargemm_netmodel::NetModelSpec;
 use stargemm_platform::{presets, Platform, WorkerSpec};
 use stargemm_sim::{MasterPolicy, RunStats, Simulator};
-use stargemm_stream::{ArrivalProcess, MultiJobMaster, StreamConfig, TenantSpec, WorkloadSpec};
+use stargemm_stream::{
+    weighted_maxmin, ArrivalProcess, JobDemand, MultiJobMaster, StreamConfig, TenantSpec,
+    WorkloadSpec,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -37,6 +43,15 @@ const PER_CHUNK: u64 = 4;
 /// master) and the share re-solves at its admission and completion.
 /// Measured: 54.
 const PER_JOB: u64 = 64;
+/// Bytes and allocations of one solve of the 512-worker multi-port
+/// star's steady-state LP (1 538 rows, 1 024 variables). Measured:
+/// 0.80 MB in 26; a dense tableau is 31.6 MB on its own.
+const WIDE_LP_BYTES: u64 = 2 << 20;
+const WIDE_LP_ALLOCATIONS: u64 = 64;
+/// Allocations of one two-demand `weighted_maxmin` call, the LP built
+/// and solved. Measured: 10; one `Vec` per row and a pivot row cloned
+/// per pivot made it 25.
+const MAXMIN_ALLOCATIONS: u64 = 12;
 
 /// Allocator calls made inside `Simulator::run` (the policy is built
 /// before the reading starts).
@@ -130,4 +145,41 @@ fn a_simulated_run_allocates_per_chunk_not_per_event() {
             stats.chunks,
         );
     }
+
+    let wide = Platform::homogeneous("wide-multiport", 512, WorkerSpec::new(1e-5, 1e-6, 64));
+    let model = NetModelSpec::BoundedMultiPort {
+        k: 16,
+        backbone: Some(8e5),
+    };
+    let lp = generalized_lp(&wide, 4, &model);
+    let (bytes, allocations) = (total_allocated(), total_allocations());
+    lp.solve().expect("the star's LP is feasible and bounded");
+    let (bytes, allocations) = (total_allocated() - bytes, total_allocations() - allocations);
+    assert!(
+        bytes <= WIDE_LP_BYTES && allocations <= WIDE_LP_ALLOCATIONS,
+        "512-worker LP solve: {bytes} B in {allocations} allocations, \
+         over {WIDE_LP_BYTES} B or {WIDE_LP_ALLOCATIONS}"
+    );
+
+    let demands = [
+        JobDemand {
+            sides: vec![4, 3],
+            weight: 1.0,
+        },
+        JobDemand {
+            sides: vec![0, 5],
+            weight: 3.0,
+        },
+    ];
+    let pair = Platform::new(
+        "maxmin-pair",
+        vec![WorkerSpec::new(0.2, 0.1, 60), WorkerSpec::new(0.4, 0.2, 40)],
+    );
+    let before = total_allocations();
+    weighted_maxmin(&pair, &demands).expect("both demands are usable");
+    let allocations = total_allocations() - before;
+    assert!(
+        allocations <= MAXMIN_ALLOCATIONS,
+        "two-demand weighted_maxmin: {allocations} allocations, over {MAXMIN_ALLOCATIONS}"
+    );
 }

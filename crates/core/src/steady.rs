@@ -518,13 +518,23 @@ mod tests {
         )
     }
 
+    /// A formulation as the pins compare it: the objective, every row
+    /// over every variable, the right-hand sides.
+    type Dense = (Vec<f64>, Vec<Vec<f64>>, Vec<f64>);
+
     /// A formulation written out: the objective, then `(row, rhs)` pairs.
-    fn literal(objective: &[f64], rows: &[(&[f64], f64)]) -> LpProblem {
-        LpProblem {
-            objective: objective.to_vec(),
-            constraints: rows.iter().map(|(row, _)| row.to_vec()).collect(),
-            rhs: rows.iter().map(|&(_, rhs)| rhs).collect(),
-        }
+    fn literal(objective: &[f64], rows: &[(&[f64], f64)]) -> Dense {
+        (
+            objective.to_vec(),
+            rows.iter().map(|(row, _)| row.to_vec()).collect(),
+            rows.iter().map(|&(_, rhs)| rhs).collect(),
+        )
+    }
+
+    /// `lp` laid out dense, one [`LpProblem::dense_row`] per row.
+    fn dense(lp: &LpProblem) -> Dense {
+        let rows = (0..lp.rhs().len()).map(|i| lp.dense_row(i)).collect();
+        (lp.objective().to_vec(), rows, lp.rhs().to_vec())
     }
 
     // The pins below are literal matrices, not a second generator: a
@@ -547,7 +557,7 @@ mod tests {
         // One-port: three row kinds, the aggregate row at capacity 1.
         let mut rows = vec![(&[0.0, 0.0, 0.5, 1.0][..], 1.0)];
         rows.extend(compute_and_coupling);
-        assert_eq!(table1_lp(&p, 8), literal(&obj, &rows));
+        assert_eq!(dense(&table1_lp(&p, 8)), literal(&obj, &rows));
 
         // Bounded multi-port: all five, the aggregate row at capacity k.
         let multiport = NetModelSpec::BoundedMultiPort {
@@ -558,14 +568,21 @@ mod tests {
         rows.extend(compute_and_coupling);
         rows.extend(per_port);
         rows.push((&[0.0, 0.0, 1.0, 1.0], 3.0));
-        assert_eq!(generalized_lp(&p, 8, &multiport), literal(&obj, &rows));
+        assert_eq!(
+            dense(&generalized_lp(&p, 8, &multiport)),
+            literal(&obj, &rows)
+        );
 
         // Fair share: no aggregate row.
         let mut rows = compute_and_coupling.to_vec();
         rows.extend(per_port);
         rows.push((&[0.0, 0.0, 1.0, 1.0], 2.5));
         assert_eq!(
-            generalized_lp(&p, 8, &NetModelSpec::FairShare { backbone: 2.5 }),
+            dense(&generalized_lp(
+                &p,
+                8,
+                &NetModelSpec::FairShare { backbone: 2.5 }
+            )),
             literal(&obj, &rows)
         );
     }
@@ -625,14 +642,14 @@ mod tests {
                 (&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 1.5),
             ],
         );
-        assert_eq!(federated_lp(&fed, &Job::new(8, 4, 1, 2)), expected);
+        assert_eq!(dense(&federated_lp(&fed, &Job::new(8, 4, 1, 2))), expected);
 
         // Five columns split 3 + 2: only the two tie rows change.
         let mut wide = expected;
-        wide.constraints[8] = vec![1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0];
-        wide.constraints[13] = vec![0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -1.0];
+        wide.1[8] = vec![1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0];
+        wide.1[13] = vec![0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -1.0];
         let job = Job::new(8, 4, 5, 2);
-        assert_eq!(federated_lp(&fed, &job), wide);
+        assert_eq!(dense(&federated_lp(&fed, &job)), wide);
         assert_eq!(federated_throughput(&fed, &job), 4.5);
     }
 

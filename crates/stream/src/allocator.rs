@@ -60,7 +60,7 @@ fn port_cost(platform: &Platform, d: &JobDemand, i: usize) -> f64 {
 /// `(job, worker)` pair with a positive side, in job-major order, then
 /// `z` last. `None` when a demand has a non-positive weight or no
 /// usable worker.
-fn maxmin_lp(
+pub fn maxmin_lp(
     platform: &Platform,
     demands: &[JobDemand],
 ) -> Option<(Vec<(usize, usize)>, LpProblem)> {
@@ -214,18 +214,19 @@ mod tests {
         ];
         let (pairs, lp) = maxmin_lp(&platform(), &demands).unwrap();
         assert_eq!(pairs, [(0, 0), (0, 1), (1, 1)]);
-        let expected = LpProblem {
-            objective: vec![1e-6, 1e-6, 1e-6, 1.0],
-            constraints: vec![
-                vec![0.1, 0.8 / 3.0, 0.16, 0.0],
-                vec![0.1, 0.0, 0.0, 0.0],
-                vec![0.0, 0.2, 0.2, 0.0],
-                vec![-1.0, -1.0, 0.0, 1.0],
-                vec![0.0, 0.0, -1.0, 3.0],
-            ],
-            rhs: vec![1.0, 1.0, 1.0, 0.0, 0.0],
-        };
-        assert_eq!(lp, expected);
+        assert_eq!(lp.objective(), [1e-6, 1e-6, 1e-6, 1.0]);
+        let rows: Vec<Vec<f64>> = (0..lp.rhs().len()).map(|i| lp.dense_row(i)).collect();
+        assert_eq!(
+            rows,
+            [
+                [0.1, 0.8 / 3.0, 0.16, 0.0],
+                [0.1, 0.0, 0.0, 0.0],
+                [0.0, 0.2, 0.2, 0.0],
+                [-1.0, -1.0, 0.0, 1.0],
+                [0.0, 0.0, -1.0, 3.0],
+            ]
+        );
+        assert_eq!(lp.rhs(), [1.0, 1.0, 1.0, 0.0, 0.0]);
         let alloc = weighted_maxmin(&platform(), &demands).unwrap();
         assert_eq!(alloc.rates, [2.000000000000001, 5.0]);
         assert_eq!(alloc.port_shares, [0.2000000000000001, 0.8]);

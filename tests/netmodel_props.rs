@@ -239,12 +239,12 @@ proptest! {
         let (mut row, mut off) = (0, 0);
         for star in &fed.stars {
             let block = generalized_lp(&star.platform.base, job.r, &star.platform.netmodel);
-            let width = block.objective.len();
-            prop_assert_eq!(bits(&lp.objective[off..off + width]), bits(&block.objective));
-            for (b_row, b_rhs) in block.constraints.iter().zip(&block.rhs) {
-                let f_row = &lp.constraints[row];
-                prop_assert_eq!(bits(&f_row[off..off + width]), bits(b_row), "row {}", row);
-                prop_assert_eq!(lp.rhs[row].to_bits(), b_rhs.to_bits(), "rhs {}", row);
+            let width = block.objective().len();
+            prop_assert_eq!(bits(&lp.objective()[off..off + width]), bits(block.objective()));
+            for (b, b_rhs) in block.rhs().iter().enumerate() {
+                let (f_row, b_row) = (lp.dense_row(row), block.dense_row(b));
+                prop_assert_eq!(bits(&f_row[off..off + width]), bits(&b_row), "row {}", row);
+                prop_assert_eq!(lp.rhs()[row].to_bits(), b_rhs.to_bits(), "rhs {}", row);
                 let outside = f_row[..off].iter().chain(&f_row[off + width..]);
                 prop_assert!(outside.copied().all(|a| a == 0.0), "row {} leaks: {:?}", row, f_row);
                 row += 1;
@@ -254,8 +254,8 @@ proptest! {
         }
         let root_rows = usize::from(fed.uplink.capacity() != usize::MAX)
             + usize::from(fed.uplink.backbone().is_some());
-        prop_assert_eq!(lp.constraints.len(), row + root_rows);
-        prop_assert_eq!(lp.objective.len(), off + fed.len());
+        prop_assert_eq!(lp.rhs().len(), row + root_rows);
+        prop_assert_eq!(lp.objective().len(), off + fed.len());
 
         let (star, spec) = (&stars[0].0, model_specs(&stars[0].0)[stars[0].1]);
         let k = stars.len();
