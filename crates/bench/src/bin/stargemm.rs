@@ -246,10 +246,13 @@ fn main() -> ExitCode {
                 Ok(n) => n,
                 Err(e) => return bad_option(e),
             };
-            let alg = opts
-                .get("--alg")
-                .and_then(parse_alg)
-                .unwrap_or(Algorithm::Het);
+            let alg = match opts.get("--alg") {
+                None => Algorithm::Het,
+                Some(name) => match parse_alg(name) {
+                    Some(alg) => alg,
+                    None => return bad_option(format!("--alg names no algorithm: {name:?}")),
+                },
+            };
             match schedule_lu(&platform, n, job.q, alg) {
                 Ok(plan) => {
                     println!(

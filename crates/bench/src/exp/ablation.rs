@@ -21,12 +21,12 @@ use stargemm_core::layout::{mu_with_window, rect_sides};
 use stargemm_core::select_het::{het_policy, SelectionVariant};
 use stargemm_core::stream::{Serving, StreamingMaster};
 use stargemm_core::Job;
-use stargemm_obs::analyze;
+use stargemm_obs::Attribution;
 use stargemm_platform::{presets, Platform};
 use stargemm_sim::{RunStats, Simulator};
 
 use super::{Report, Sweep};
-use crate::obs::record_with;
+use crate::obs::record_if;
 use crate::Cli;
 
 const WINDOWS: [u32; 3] = [1, 2, 4];
@@ -72,9 +72,15 @@ fn rect_queues(
     queues
 }
 
-/// Runs one probe: its stats and its compute/communication overlap
-/// fraction.
-fn run_probe(probe: &Probe, job: Job, het_memory: &Platform, ratio4: &Platform) -> (RunStats, f64) {
+/// Runs one probe: its stats and, for the window and serving probes
+/// (the ones whose overlap is reported), the fraction of port-busy time
+/// overlapped by compute, attributed from the run's recorded log.
+fn run_probe(
+    probe: &Probe,
+    job: Job,
+    het_memory: &Platform,
+    ratio4: &Platform,
+) -> (RunStats, Option<f64>) {
     let square = |window: usize| {
         move |w: usize| {
             let mu = mu_with_window(het_memory.worker(w).m, window).min(job.r);
@@ -108,10 +114,12 @@ fn run_probe(probe: &Probe, job: Job, het_memory: &Platform, ratio4: &Platform) 
         }
         Probe::Variant(v) => (ratio4, het_policy(ratio4, &job, v)),
     };
-    let (stats, events) =
-        record_with(|obs| Simulator::new(platform.clone()).run_observed(&mut policy, obs));
+    let log = matches!(probe, Probe::Window(_) | Probe::Serving(_));
+    let (stats, events) = record_if(log, |obs| {
+        Simulator::new(platform.clone()).run_observed(&mut policy, obs)
+    });
     let stats = stats.expect("every ablation probe runs");
-    let overlap = analyze(&events, platform.len()).overlap_fraction;
+    let overlap = events.map(|ev| Attribution::from_events(&ev, stats.makespan).overlap_fraction());
     (stats, overlap)
 }
 
@@ -142,7 +150,7 @@ pub fn ablation(cli: &Cli, sweep: &mut Sweep) -> Report {
             window,
             stats.makespan,
             stats.ccr(),
-            ov
+            ov.expect("a window probe records its log")
         ));
     }
 
@@ -164,7 +172,9 @@ pub fn ablation(cli: &Cli, sweep: &mut Sweep) -> Report {
     for (serving, (stats, ov)) in SERVINGS.iter().zip(&mut runs) {
         out.push_str(&format!(
             "  {:?}: makespan {:.1}s, overlap fraction {:.3}\n",
-            serving, stats.makespan, ov
+            serving,
+            stats.makespan,
+            ov.expect("a serving probe records its log")
         ));
     }
 

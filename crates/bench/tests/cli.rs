@@ -1,9 +1,10 @@
 //! Negative paths of the command lines. The `stargemm` front end: a bad
-//! number is a usage error (exit code 2, a message naming the flag and
-//! the value), never a panic and never a silent fall-back to the
-//! default. The experiments (`exp <id>`, `sanity`, `exp_perf`): a flag
-//! that would do nothing is a usage error naming it, and an output path
-//! that cannot be written exits 1 naming the path, never with a panic.
+//! number or algorithm name is a usage error (exit code 2, a message
+//! naming the flag and the value), never a panic and never a silent
+//! fall-back to the default. The experiments (`exp <id>`, `sanity`,
+//! `exp_perf`): a flag that would do nothing is a usage error naming it,
+//! and an output path that cannot be written exits 1 naming the path,
+//! never with a panic.
 
 use std::process::{Command, Output};
 
@@ -116,7 +117,7 @@ fn an_unknown_or_missing_experiment_is_a_usage_error() {
 
 #[test]
 fn bad_numbers_exit_2_naming_the_flag_and_the_value() {
-    let cases: [(&[&str], &str, &str); 6] = [
+    let cases: [(&[&str], &str, &str); 7] = [
         // Not a multiple of q = 80: used to trip `Job::from_scalar_dims`' assert.
         (
             &[
@@ -138,6 +139,8 @@ fn bad_numbers_exit_2_naming_the_flag_and_the_value() {
         // Empty matrices: used to trip asserts in `core::bounds` / `core::lu`.
         (&["bounds", "--t", "0"], "--t", "0"),
         (&["lu", "--n", "0"], "--n", "0"),
+        // Not an algorithm: used to run `Het` silently.
+        (&["lu", "--alg", "bogus"], "--alg", "bogus"),
     ];
     for (args, flag, value) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_stargemm"))

@@ -115,7 +115,7 @@ pub fn build_policy(
                 return Err(BuildError("no worker fits the layout".into()));
             }
             let order: Vec<usize> = (0..p).collect();
-            let queues = round_robin_queues(job, p, &order, &sides, |_| 1);
+            let queues = round_robin_queues(job, p, &order, &sides, &mut 0);
             Ok(StreamingMaster::new_static(
                 "ORROML",
                 *job,

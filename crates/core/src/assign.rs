@@ -2,6 +2,7 @@
 //! strip carving (ORROML, Hom) and the min-min heuristic (OMMOML).
 
 use stargemm_platform::{Platform, WorkerId};
+use stargemm_sim::ChunkId;
 
 use crate::geometry::{carve_strip, PlannedChunk};
 use crate::job::Job;
@@ -29,7 +30,8 @@ pub fn bmm_sides(platform: &Platform, job: &Job) -> Vec<usize> {
 /// Statically carves C into strips assigned round-robin over `order`
 /// (a worker appearing in `order` gets strips of its own side). Workers
 /// with side 0 are skipped. Returns per-worker queues indexed by
-/// `WorkerId` over the *whole* platform (`num_workers` long).
+/// `WorkerId` over the *whole* platform (`num_workers` long); chunk ids
+/// continue from `*next_id`.
 ///
 /// # Panics
 /// Panics if every worker in `order` has side 0 (nothing could ever be
@@ -39,17 +41,16 @@ pub fn round_robin_queues(
     num_workers: usize,
     order: &[WorkerId],
     sides: &[usize],
-    k_depth_of: impl Fn(WorkerId) -> usize,
+    next_id: &mut ChunkId,
 ) -> Vec<Vec<PlannedChunk>> {
     let usable: Vec<WorkerId> = order.iter().copied().filter(|&w| sides[w] > 0).collect();
     assert!(!usable.is_empty(), "no worker fits the memory layout");
     let mut queues = vec![Vec::new(); num_workers];
     let mut col = 0;
-    let mut id = 0;
     let mut idx = 0;
     loop {
         let w = usable[idx % usable.len()];
-        match carve_strip(job, w, sides[w], k_depth_of(w), &mut col, &mut id) {
+        match carve_strip(job, w, sides[w], 1, &mut col, next_id) {
             Some(strip) => queues[w].extend(strip),
             None => break,
         }
@@ -156,7 +157,7 @@ mod tests {
     fn round_robin_covers_and_alternates() {
         let j = job();
         let sides = vec![3, 2];
-        let q = round_robin_queues(&j, 2, &[0, 1], &sides, |_| 1);
+        let q = round_robin_queues(&j, 2, &[0, 1], &sides, &mut 0);
         let geoms: Vec<_> = q.iter().flatten().map(|c| c.geom).collect();
         validate_coverage(&j, &geoms).unwrap();
         // Strip widths alternate 3, 2, 3, 2, 1(ragged).
@@ -167,7 +168,7 @@ mod tests {
     fn round_robin_skips_zero_side_workers() {
         let j = job();
         let sides = vec![0, 2, 3];
-        let q = round_robin_queues(&j, 3, &[0, 1, 2], &sides, |_| 1);
+        let q = round_robin_queues(&j, 3, &[0, 1, 2], &sides, &mut 0);
         assert!(q[0].is_empty());
         let geoms: Vec<_> = q.iter().flatten().map(|c| c.geom).collect();
         validate_coverage(&j, &geoms).unwrap();
@@ -176,7 +177,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no worker fits")]
     fn all_zero_sides_panics() {
-        round_robin_queues(&job(), 2, &[0, 1], &[0, 0], |_| 1);
+        round_robin_queues(&job(), 2, &[0, 1], &[0, 0], &mut 0);
     }
 
     #[test]

@@ -147,6 +147,21 @@ pub fn carve_strip_rect(
     Some(chunks)
 }
 
+/// Splits `region`'s rectangle of C into `side × side` tiles in
+/// row-major order, the last row and column clipped to the region:
+/// `(i0, j0, h, w)` per tile.
+///
+/// # Panics
+/// Panics if `side` is 0.
+pub fn tiles(region: ChunkGeom, side: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let ChunkGeom { i0, j0, h, w, .. } = region;
+    (i0..i0 + h).step_by(side).flat_map(move |ti| {
+        (j0..j0 + w)
+            .step_by(side)
+            .map(move |tj| (ti, tj, side.min(i0 + h - ti), side.min(j0 + w - tj)))
+    })
+}
+
 /// Verifies that a chunk set tiles C exactly: every block of the `r × s`
 /// grid covered exactly once.
 pub fn validate_coverage(job: &Job, geoms: &[ChunkGeom]) -> Result<(), String> {
@@ -181,6 +196,19 @@ mod tests {
 
     fn job() -> Job {
         Job::new(10, 7, 13, 4)
+    }
+
+    #[test]
+    fn tiles_run_row_major_and_clip_the_last_row_and_column() {
+        let region = plan_chunk(&job(), 0, 0, 1, 2, 3, 5, 1).geom;
+        let first_row = [(1, 2, 2, 2), (1, 4, 2, 2), (1, 6, 2, 1)];
+        let last_row = [(3, 2, 1, 2), (3, 4, 1, 2), (3, 6, 1, 1)];
+        assert_eq!(
+            tiles(region, 2).collect::<Vec<_>>(),
+            [first_row, last_row].concat()
+        );
+        // A side covering the region gives the region whole.
+        assert_eq!(tiles(region, 5).collect::<Vec<_>>(), [(1, 2, 3, 5)]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::collections::{HashMap, HashSet};
 
 use stargemm_core::algorithms::{build_policy, Algorithm, BuildError};
-use stargemm_core::geometry::{plan_chunk, ChunkGeom, PlannedChunk};
+use stargemm_core::geometry::{plan_chunk, tiles, ChunkGeom, PlannedChunk};
 use stargemm_core::stream::{GeometryAccess, QueueSurgery, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_platform::Platform;
@@ -200,25 +200,14 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
             self.stranded.push(geom);
             return;
         };
-        if self.fits(target, &geom) {
-            self.replan_tile(target, geom.i0, geom.j0, geom.h, geom.w, geom.k_depth);
-            return;
-        }
-        let side = Self::max_side(
-            self.platform.worker(target).m,
-            geom.k_depth,
-            geom.h.max(geom.w),
-        );
-        let mut i0 = geom.i0;
-        while i0 < geom.i0 + geom.h {
-            let h = side.min(geom.i0 + geom.h - i0);
-            let mut j0 = geom.j0;
-            while j0 < geom.j0 + geom.w {
-                let w = side.min(geom.j0 + geom.w - j0);
-                self.replan_tile(target, i0, j0, h, w, geom.k_depth);
-                j0 += w;
-            }
-            i0 += h;
+        let cap = geom.h.max(geom.w);
+        let side = if self.fits(target, &geom) {
+            cap
+        } else {
+            Self::max_side(self.platform.worker(target).m, geom.k_depth, cap)
+        };
+        for (i0, j0, h, w) in tiles(geom, side) {
+            self.replan_tile(target, i0, j0, h, w, geom.k_depth);
         }
     }
 

@@ -21,6 +21,9 @@
 //! 3. walks the wait-for chain backwards from the last-finishing
 //!    interval to extract the run's *actual* critical path.
 //!
+//! The sweep also measures the communication/computation overlap the
+//! double-buffered layout buys ([`Attribution::overlap_fraction`]).
+//!
 //! The category breakdown is **conserved**: the eight categories sum
 //! *bit-exactly* to the makespan ([`Attribution::is_conserved`] is a
 //! hard invariant, enforced by construction and pinned by proptests).
@@ -205,6 +208,9 @@ pub struct Attribution {
     /// block; rendered by [`Attribution::folded_stacks`].
     intervals: Vec<Interval>,
     gap_secs: [f64; CATEGORY_COUNT],
+    /// Seconds a kept transfer and a kept compute step were both live.
+    /// Not serialized either.
+    overlap: f64,
 }
 
 /// The identity of one folded stack. Distinct values render to distinct
@@ -286,13 +292,14 @@ impl Attribution {
                 critical_path: CriticalPath::default(),
                 intervals: Vec::new(),
                 gap_secs: [0.0; CATEGORY_COUNT],
+                overlap: 0.0,
             };
         }
 
         let mut tracks = Tracks::read(events, makespan);
         let begins = tracks.begins();
         walk_order(&mut tracks.intervals);
-        let (categories, gap_secs) = sweep_timeline(&tracks, &begins, makespan);
+        let (categories, gap_secs, overlap) = sweep_timeline(&tracks, &begins, makespan);
         let critical_path = walk_critical_path(&tracks.intervals, makespan);
 
         let mut attr = Attribution {
@@ -301,6 +308,7 @@ impl Attribution {
             critical_path,
             intervals: tracks.intervals,
             gap_secs,
+            overlap,
         };
         attr.close_conservation();
         debug_assert!(attr.is_conserved());
@@ -311,6 +319,17 @@ impl Attribution {
     /// bit-exactly.
     pub fn is_conserved(&self) -> bool {
         self.categories.total() == self.makespan
+    }
+
+    /// The fraction of port-busy seconds during which some worker was
+    /// computing (0 when the port never was busy): how much of the
+    /// one-port master's communication the layout hid behind compute.
+    pub fn overlap_fraction(&self) -> f64 {
+        if self.categories.port_busy > 0.0 {
+            self.overlap / self.categories.port_busy
+        } else {
+            0.0
+        }
     }
 
     /// Per-category deltas `other - self`, in [`CATEGORY_NAMES`] order.
@@ -700,8 +719,9 @@ impl Interval {
 }
 
 /// Sweeps `[0, makespan]` left to right, classifying each elementary
-/// segment by resource priority. Returns the (unclosed) category sums
-/// and the seconds of each category's pure-gap segments.
+/// segment by resource priority. Returns the (unclosed) category sums,
+/// the seconds of each category's pure-gap segments, and the seconds a
+/// kept transfer and a kept compute step overlap.
 ///
 /// One merge over three time-ordered boundary lists: interval begins
 /// (ties broken Port < Compute < Uplink), interval ends (the intervals
@@ -724,7 +744,7 @@ fn sweep_timeline(
     tracks: &Tracks,
     begins: &[(f64, usize)],
     makespan: f64,
-) -> (Categories, [f64; CATEGORY_COUNT]) {
+) -> (Categories, [f64; CATEGORY_COUNT], f64) {
     let Tracks {
         intervals,
         stalls,
@@ -750,6 +770,7 @@ fn sweep_timeline(
     let (mut bi, mut ei, mut mi) = (0, 0, 0);
     let mut cats = Categories::default();
     let mut gap_secs = [0.0f64; CATEGORY_COUNT];
+    let mut overlap = 0.0f64;
     let mut a = 0.0f64;
     loop {
         // Fold in every boundary at or before the segment's left end,
@@ -820,6 +841,9 @@ fn sweep_timeline(
             IDLE_NO_WORK
         };
         cats.add(cat, b - a);
+        if live[LIVE_PORT] > 0 && live[LIVE_COMPUTE] > 0 {
+            overlap += b - a;
+        }
         // Segments driven by an active interval get per-interval frames
         // below; pure gap segments own their timeline seconds outright.
         if port == 0 && compute == 0 && live[LIVE_UPLINK] == 0 {
@@ -827,7 +851,7 @@ fn sweep_timeline(
         }
         a = b;
     }
-    (cats, gap_secs)
+    (cats, gap_secs, overlap)
 }
 
 /// Walks the wait-for chain backwards from the last-finishing interval:
@@ -1315,7 +1339,7 @@ mod tests {
             return Err(format!("begins {begins:?}, sorted {sorted:?}"));
         }
         walk_order(&mut tracks.intervals);
-        let (cats, _) = sweep_timeline(&tracks, &begins, makespan);
+        let (cats, ..) = sweep_timeline(&tracks, &begins, makespan);
         let (want_cats, want_stacks) = reference_sweep_timeline(&want, makespan);
         let bits = |c: &Categories| c.as_array().map(f64::to_bits);
         if bits(&cats) != bits(&want_cats) {
@@ -1430,6 +1454,61 @@ mod tests {
         timed.into_iter().map(|(_, ev)| ev).collect()
     }
 
+    // ----- The overlap oracle: the measure the sweep's overlap figure
+    // replaced. It merges the closed port intervals and the closed
+    // compute intervals apart — concurrent lanes, and parallel steps,
+    // count once — then intersects the two disjoint sets. -----
+
+    /// Merges overlapping intervals into a sorted disjoint set.
+    fn merge(mut intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut out: Vec<(f64, f64)> = Vec::with_capacity(intervals.len());
+        for (s, e) in intervals {
+            match out.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => out.push((s, e)),
+            }
+        }
+        out
+    }
+
+    /// Measure of the intersection of two sorted disjoint interval sets:
+    /// one sweep, always advancing whichever interval ends first.
+    fn intersection_measure(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
+        let (mut i, mut j, mut total) = (0, 0, 0.0);
+        while i < a.len() && j < b.len() {
+            let (lo, hi) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+            if hi > lo {
+                total += hi - lo;
+            }
+            if a[i].1 <= b[j].1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        total
+    }
+
+    /// Overlapped seconds over port-busy seconds, by the oracle.
+    fn reference_overlap_fraction(events: &[ObsEvent]) -> f64 {
+        let (mut port, mut computes) = (Vec::new(), Vec::new());
+        for s in spans(events) {
+            match (s.track, s.end) {
+                (Track::Port { .. }, Some(end)) => port.push((s.start, end)),
+                (Track::Compute { .. }, Some(end)) => computes.push((s.start, end)),
+                _ => {}
+            }
+        }
+        let port = merge(port);
+        let port_busy: f64 = port.iter().map(|(s, e)| e - s).sum();
+        if port_busy > 0.0 {
+            intersection_measure(&port, &merge(computes)) / port_busy
+        } else {
+            0.0
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
@@ -1453,6 +1532,27 @@ mod tests {
             let events = soup(&items, &losses, mix, with_jobs == 1);
             let verdict = agrees_with_reference(&events, makespan);
             proptest::prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+
+        /// Crash-free soups — no losses, no downtime, every interval
+        /// closed — attributed up to their last end: the sweep's overlap
+        /// fraction is the oracle's.
+        #[test]
+        fn sweep_overlap_agrees_with_the_interval_oracle(
+            items in proptest::collection::vec(
+                (0usize..11, 0usize..TICKS, 0usize..TICKS, 0u32..5, 0u32..3), 0..40),
+            mix in 0usize..2,
+            with_jobs in 0u8..2,
+        ) {
+            let items: Vec<Item> = items.into_iter().filter(|it| MIXES[mix][it.0] != 4).collect();
+            let events = soup(&items, &[], mix, with_jobs == 1);
+            let horizon = spans(&events).iter().filter_map(|s| s.end).fold(0.0, f64::max);
+            let got = Attribution::from_events(&events, horizon).overlap_fraction();
+            let want = reference_overlap_fraction(&events);
+            proptest::prop_assert!(
+                (got - want).abs() <= 1e-12 * want.abs().max(got.abs()),
+                "sweep {got}, oracle {want}"
+            );
         }
 
         /// The sorted crash index answers as the linear scans it replaced.
@@ -1733,6 +1833,50 @@ mod tests {
         assert_eq!(attr.makespan, 0.0);
         assert!(attr.is_conserved());
         assert_eq!(attr.categories.total(), 0.0);
+    }
+
+    #[test]
+    fn overlap_is_the_share_of_port_time_under_compute() {
+        // Port busy [0,4] (two sends); worker 0 computes [2,6].
+        let mut log = Vec::new();
+        log.extend(port(0.0, 2.0, 0, 0, 0));
+        log.extend(port(2.0, 4.0, 0, 0, 0));
+        log.extend(compute(2.0, 6.0, 0, 0));
+        let attr = Attribution::from_events(&log, 6.0);
+        assert_eq!(attr.categories.port_busy, 4.0);
+        // Overlap: [2,4] of the 4 port seconds.
+        assert!((attr.overlap_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn parallel_computes_overlap_the_port_once() {
+        // Two workers computing in parallel must not double-count.
+        let mut log = Vec::new();
+        log.extend(port(0.0, 2.0, 0, 0, 0));
+        log.extend(compute(0.0, 2.0, 0, 0));
+        log.extend(compute(0.0, 2.0, 1, 1));
+        let attr = Attribution::from_events(&log, 2.0);
+        assert!((attr.overlap_fraction() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn concurrent_lanes_fully_covered_by_compute_overlap_exactly_once() {
+        // Two lanes of a multi-port model busy over the same [0, 2], a
+        // third worker computing throughout: every port-busy second
+        // overlaps compute, once.
+        let mut log = Vec::new();
+        log.extend(port(0.0, 2.0, 0, 0, 0));
+        log.extend(port(0.0, 2.0, 1, 1, 1));
+        log.extend(compute(0.0, 2.0, 2, 2));
+        let attr = Attribution::from_events(&log, 2.0);
+        assert_eq!(attr.categories.port_busy, 2.0);
+        assert_eq!(attr.overlap_fraction(), 1.0);
+    }
+
+    #[test]
+    fn an_empty_log_overlaps_nothing() {
+        assert_eq!(Attribution::from_events(&[], 0.0).overlap_fraction(), 0.0);
+        assert_eq!(Attribution::from_events(&[], 2.0).overlap_fraction(), 0.0);
     }
 
     #[test]

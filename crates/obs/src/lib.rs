@@ -39,14 +39,13 @@
 //!   (written by `exp <id> --trace-out` for a row's traced cell);
 //! * [`render_gantt`] — the ASCII Gantt chart of the schedule, one row
 //!   per port lane and two per worker;
-//! * [`analyze`] — port utilization, per-worker busy time and the
-//!   communication/computation overlap fraction;
 //! * [`Attribution`] — post-run critical-path attribution: a conserved
 //!   decomposition of the makespan into eight wait/work categories
 //!   (summing *bit-exactly* to the makespan), a critical-path summary,
 //!   and folded flamegraph stacks (written by `--attr-out`, embedded as
 //!   the `attribution` block in `--json` artifacts, and diffed by
-//!   `exp attr --diff`).
+//!   `exp attr --diff`), plus the communication/computation overlap
+//!   fraction its sweep measures.
 //!
 //! Dependency-graph position: `obs` is a leaf above `serde` only, so
 //! every engine and policy crate can depend on it without cycles; LP
@@ -55,7 +54,6 @@
 //!
 //! [`RunStats`]: ../stargemm_sim/stats/struct.RunStats.html
 
-mod analysis;
 mod attr;
 mod event;
 mod gantt;
@@ -64,7 +62,6 @@ mod recorder;
 mod runmetrics;
 mod span;
 
-pub use analysis::{analyze, TraceAnalysis, WorkerBreakdown};
 pub use attr::{Attribution, Categories, CriticalPath, CATEGORY_COUNT, CATEGORY_NAMES};
 pub use event::{Dir, MatTag, ObsEvent};
 pub use gantt::render_gantt;

@@ -1,7 +1,7 @@
 //! The one pairing pass: an event log in, intervals out.
 //!
 //! Every downstream view of a recorded run — the Perfetto export, the
-//! makespan attribution, the ASCII Gantt and the overlap analysis — is
+//! makespan attribution and its overlap figure, the ASCII Gantt — is
 //! a function of the *intervals* the begin/end events delimit. [`spans`]
 //! pairs the log once, and decides in one place what an interval is:
 //!

@@ -213,7 +213,7 @@ mod tests {
     use super::*;
     use crate::msg::{ChunkDescr, ChunkId, Fragment};
     use crate::policy::{Action, SimCtx, SimEvent};
-    use stargemm_obs::{analyze, spans, MatTag, ObsEvent, RunRecorder, Track};
+    use stargemm_obs::{spans, Attribution, MatTag, ObsEvent, RunRecorder, Track};
     use stargemm_platform::{WorkerId, WorkerSpec};
 
     /// Replays a fixed list of actions in order, emitting `Wait` when the
@@ -379,14 +379,14 @@ mod tests {
         ];
         assert_eq!(got, want.map(|(s, e, what)| (s, e, what.to_string())));
 
-        // The analysis of the same log agrees with the engine's stats.
-        let a = analyze(&events, 1);
-        assert_eq!(a.horizon, stats.makespan);
-        assert!((a.port_busy - stats.port_busy).abs() < 1e-9);
-        assert!((a.workers[0].compute - stats.per_worker[0].busy_time).abs() < 1e-9);
+        // The engine's stats and the log's attribution agree with them.
+        assert_eq!(stats.makespan, 20.0);
+        assert!((stats.per_worker[0].busy_time - 8.0).abs() < 1e-9);
+        let attr = Attribution::from_events(&events, stats.makespan);
+        assert!((attr.categories.port_busy - stats.port_busy).abs() < 1e-9);
         // B1/A1 land on [8, 12] while step 0 computes: 4 of the 16
         // port-busy seconds overlap computation.
-        assert!((a.overlap_fraction - 0.25).abs() < 1e-12);
+        assert!((attr.overlap_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -38,7 +38,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use stargemm_core::geometry::{carve_strip, plan_chunk, ChunkGeom, PlannedChunk};
+use stargemm_core::assign::round_robin_queues;
+use stargemm_core::geometry::{plan_chunk, tiles, ChunkGeom, PlannedChunk};
 use stargemm_core::layout::mu_with_window;
 use stargemm_core::stream::{GeometryAccess, QueueSurgery, Serving, StreamingMaster};
 use stargemm_core::Job;
@@ -527,7 +528,15 @@ impl MultiJobMaster {
                     ))
                 }
                 None => {
-                    let queues = carve_queues(&req.job, &sides, &self.up, &mut self.next_chunk_id);
+                    let n = self.platform.len();
+                    let live_workers: Vec<usize> = (0..n).filter(|&w| self.up[w]).collect();
+                    let queues = round_robin_queues(
+                        &req.job,
+                        n,
+                        &live_workers,
+                        &sides,
+                        &mut self.next_chunk_id,
+                    );
                     debug_assert!(
                         self.next_chunk_id < DAG_ID_BASE,
                         "GEMM chunk ids ran into the DAG namespace"
@@ -678,21 +687,13 @@ impl MultiJobMaster {
         let side = self.active[j].sides[target];
         let job = self.active[j].job;
         let owner_id = self.active[j].id;
-        let mut i0 = geom.i0;
-        while i0 < geom.i0 + geom.h {
-            let h = side.min(geom.i0 + geom.h - i0);
-            let mut j0 = geom.j0;
-            while j0 < geom.j0 + geom.w {
-                let w = side.min(geom.j0 + geom.w - j0);
-                let id = self.next_chunk_id;
-                self.next_chunk_id += 1;
-                let pc = plan_chunk(&job, id, target, i0, j0, h, w, geom.k_depth);
-                self.owner.insert(id, owner_id);
-                self.active[j].member.as_gemm_mut().enqueue_chunk(pc);
-                self.stats.reassigned_chunks += 1;
-                j0 += w;
-            }
-            i0 += h;
+        for (i0, j0, h, w) in tiles(geom, side) {
+            let id = self.next_chunk_id;
+            self.next_chunk_id += 1;
+            let pc = plan_chunk(&job, id, target, i0, j0, h, w, geom.k_depth);
+            self.owner.insert(id, owner_id);
+            self.active[j].member.as_gemm_mut().enqueue_chunk(pc);
+            self.stats.reassigned_chunks += 1;
         }
     }
 
@@ -718,32 +719,6 @@ impl MultiJobMaster {
         };
         self.active.iter().position(|a| a.id == job)
     }
-}
-
-/// Carves `job` into round-robin column strips over the live workers
-/// that fit it, with globally unique chunk ids.
-fn carve_queues(
-    job: &Job,
-    sides: &[usize],
-    up: &[bool],
-    next_id: &mut ChunkId,
-) -> Vec<Vec<PlannedChunk>> {
-    let eligible: Vec<usize> = (0..sides.len())
-        .filter(|&w| sides[w] > 0 && up[w])
-        .collect();
-    debug_assert!(!eligible.is_empty(), "admission checked a live host");
-    let mut queues = vec![Vec::new(); sides.len()];
-    let mut col = 0;
-    let mut idx = 0;
-    loop {
-        let w = eligible[idx % eligible.len()];
-        match carve_strip(job, w, sides[w], 1, &mut col, next_id) {
-            Some(strip) => queues[w].extend(strip),
-            None => break,
-        }
-        idx += 1;
-    }
-    queues
 }
 
 impl MasterPolicy for MultiJobMaster {

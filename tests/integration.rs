@@ -13,7 +13,7 @@ use stargemm::core::Job;
 use stargemm::linalg::verify::{tolerance_for, verify_product};
 use stargemm::linalg::BlockMatrix;
 use stargemm::net::{NetOptions, NetRuntime};
-use stargemm::obs::{analyze, render_gantt, spans, ObsEvent, Track};
+use stargemm::obs::{render_gantt, spans, Attribution, ObsEvent, Track};
 use stargemm::platform::{presets, Platform, WorkerSpec};
 use stargemm::sim::{MasterPolicy, RunStats, Simulator};
 use stargemm_bench::obs::record_with;
@@ -34,6 +34,41 @@ fn intervals(events: &[ObsEvent], pick: impl Fn(&Track) -> bool) -> Vec<(f64, f6
         .collect();
     out.sort_by(|a, b| a.0.total_cmp(&b.0));
     out
+}
+
+/// Seconds of a log's closed port and compute spans, each sum taken in
+/// closing order (the order the engines charge them in).
+struct Busy {
+    /// Per-worker compute seconds.
+    compute: Vec<f64>,
+    /// Per-worker seconds on the wire.
+    wire: Vec<f64>,
+    /// Port-busy seconds.
+    port: f64,
+    /// The last span end.
+    horizon: f64,
+}
+
+fn busy(events: &[ObsEvent], workers: usize) -> Busy {
+    let mut b = Busy {
+        compute: vec![0.0; workers],
+        wire: vec![0.0; workers],
+        port: 0.0,
+        horizon: 0.0,
+    };
+    for s in spans(events) {
+        let Some(end) = s.end else { continue };
+        match s.track {
+            Track::Port { worker, .. } => {
+                b.wire[worker] += end - s.start;
+                b.port += end - s.start;
+            }
+            Track::Compute { worker, .. } => b.compute[worker] += end - s.start,
+            _ => continue,
+        }
+        b.horizon = b.horizon.max(end);
+    }
+    b
 }
 
 /// A scaled-down cousin of every paper platform (memory shrunk so small
@@ -258,18 +293,18 @@ fn double_buffered_algorithms_overlap_comm_and_compute() {
     for alg in [Algorithm::Het, Algorithm::Oddoml, Algorithm::Orroml] {
         let mut policy = build_policy(&platform, &job, alg).unwrap();
         let (stats, events) = recorded(&Simulator::new(platform.clone()), &mut policy);
-        let a = analyze(&events, platform.len());
-        assert!((a.horizon - stats.makespan).abs() < 1e-9);
+        let busy = busy(&events, platform.len());
+        assert!((busy.horizon - stats.makespan).abs() < 1e-9);
+        let overlap = Attribution::from_events(&events, stats.makespan).overlap_fraction();
         assert!(
-            a.overlap_fraction > 0.2,
-            "{}: overlap {:.3} — the window-2 layout must hide communication",
+            overlap > 0.2,
+            "{}: overlap {overlap:.3} — the window-2 layout must hide communication",
             alg.name(),
-            a.overlap_fraction
         );
-        // Conservation: per-worker compute time in the analysis equals
-        // the engine's accounting.
+        // Conservation: per-worker compute time in the log equals the
+        // engine's accounting.
         for (w, ws) in stats.per_worker.iter().enumerate() {
-            assert!((a.workers[w].compute - ws.busy_time).abs() < 1e-9);
+            assert!((busy.compute[w] - ws.busy_time).abs() < 1e-9);
         }
     }
 }
@@ -304,8 +339,8 @@ fn makespan_scales_with_matrix_size() {
     }
 }
 
-/// A reactor run gets the Gantt and the analysis from the same recorded
-/// log a simulator run does. On the cross-validated static Het scenario
+/// A reactor run gets the Gantt and the attribution from the same
+/// recorded log a simulator run does. On the cross-validated static Het scenario
 /// the two engines move the same blocks over the same links, so their
 /// per-worker wire seconds agree; the reactor computes inline, in zero
 /// model time, so its log carries no compute intervals to compare.
@@ -343,29 +378,32 @@ fn reactor_run_renders_and_analyzes_like_a_simulator_run() {
     }
     assert!(gantt.contains('C') && gantt.contains('b') && gantt.contains('a'));
 
-    let sim_a = analyze(&sim_events, platform.len());
-    let net_a = analyze(&net_events, platform.len());
+    let sim = busy(&sim_events, platform.len());
+    let net = busy(&net_events, platform.len());
     // Within one engine the log and the `sim::LaneTable` sum the same
     // intervals in the same order: exact. The reactor's own `port_busy`
     // is wall seconds, model × time_scale.
-    assert_eq!(sim_a.port_busy, sim_stats.port_busy);
-    assert_eq!(net_a.port_busy * 1e-6, net_stats.port_busy);
+    assert_eq!(sim.port, sim_stats.port_busy);
+    assert_eq!(net.port * 1e-6, net_stats.port_busy);
     // Across engines the one table times the same transfers, but not at
     // the same instants: the reactor models no compute time, so its
     // retrievals start earlier and every later interval sits at another
     // offset. Same durations, other roundings — hence `close`.
     let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs());
-    assert!(close(net_a.port_busy, sim_a.port_busy));
-    for (w, (n, s)) in net_a.workers.iter().zip(&sim_a.workers).enumerate() {
+    assert!(close(net.port, sim.port));
+    for w in 0..platform.len() {
         assert!(
-            close(n.transfer, s.transfer),
+            close(net.wire[w], sim.wire[w]),
             "worker {w}: reactor {} vs simulator {} wire seconds",
-            n.transfer,
-            s.transfer
+            net.wire[w],
+            sim.wire[w]
         );
-        assert!(close(s.compute, sim_stats.per_worker[w].busy_time));
-        assert_eq!(n.compute, 0.0, "the reactor models no compute time");
+        assert!(close(sim.compute[w], sim_stats.per_worker[w].busy_time));
+        assert_eq!(net.compute[w], 0.0, "the reactor models no compute time");
     }
-    assert_eq!(net_a.overlap_fraction, 0.0);
-    assert!(sim_a.overlap_fraction > 0.5);
+    // The reactor's log is in model seconds but its makespan is
+    // wall-scaled: attribute its log against the log's own horizon.
+    let overlap = |events, makespan| Attribution::from_events(events, makespan).overlap_fraction();
+    assert_eq!(overlap(&net_events, net.horizon), 0.0);
+    assert!(overlap(&sim_events, sim_stats.makespan) > 0.5);
 }
