@@ -390,7 +390,7 @@ pub fn table2(cli: &Cli, sweep: &mut Sweep) -> Report {
     );
     let p = table2_platform(8.0);
     let sides = layout_sides(&p, &job);
-    let queues = round_robin_queues(&job, 2, &[0, 1], &sides, &mut 0);
+    let queues = round_robin_queues(&job, 2, [0, 1], &sides, &mut 0);
     // Window 5 → up to 5 steps of A/B double buffers: 2·5·2 + μ² = 24 > 12.
     let mut aggressive =
         StreamingMaster::new_static("deep-window", job, queues, Serving::DemandDriven, 5);

@@ -114,8 +114,7 @@ pub fn build_policy(
             if sides.iter().all(|&s| s == 0) {
                 return Err(BuildError("no worker fits the layout".into()));
             }
-            let order: Vec<usize> = (0..p).collect();
-            let queues = round_robin_queues(job, p, &order, &sides, &mut 0);
+            let queues = round_robin_queues(job, p, 0..p, &sides, &mut 0);
             Ok(StreamingMaster::new_static(
                 "ORROML",
                 *job,

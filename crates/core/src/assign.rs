@@ -39,11 +39,11 @@ pub fn bmm_sides(platform: &Platform, job: &Job) -> Vec<usize> {
 pub fn round_robin_queues(
     job: &Job,
     num_workers: usize,
-    order: &[WorkerId],
+    order: impl IntoIterator<Item = WorkerId>,
     sides: &[usize],
     next_id: &mut ChunkId,
 ) -> Vec<Vec<PlannedChunk>> {
-    let usable: Vec<WorkerId> = order.iter().copied().filter(|&w| sides[w] > 0).collect();
+    let usable: Vec<WorkerId> = order.into_iter().filter(|&w| sides[w] > 0).collect();
     assert!(!usable.is_empty(), "no worker fits the memory layout");
     let mut queues = vec![Vec::new(); num_workers];
     let mut col = 0;
@@ -157,7 +157,7 @@ mod tests {
     fn round_robin_covers_and_alternates() {
         let j = job();
         let sides = vec![3, 2];
-        let q = round_robin_queues(&j, 2, &[0, 1], &sides, &mut 0);
+        let q = round_robin_queues(&j, 2, [0, 1], &sides, &mut 0);
         let geoms: Vec<_> = q.iter().flatten().map(|c| c.geom).collect();
         validate_coverage(&j, &geoms).unwrap();
         // Strip widths alternate 3, 2, 3, 2, 1(ragged).
@@ -168,7 +168,7 @@ mod tests {
     fn round_robin_skips_zero_side_workers() {
         let j = job();
         let sides = vec![0, 2, 3];
-        let q = round_robin_queues(&j, 3, &[0, 1, 2], &sides, &mut 0);
+        let q = round_robin_queues(&j, 3, [0, 1, 2], &sides, &mut 0);
         assert!(q[0].is_empty());
         let geoms: Vec<_> = q.iter().flatten().map(|c| c.geom).collect();
         validate_coverage(&j, &geoms).unwrap();
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no worker fits")]
     fn all_zero_sides_panics() {
-        round_robin_queues(&job(), 2, &[0, 1], &[0, 0], &mut 0);
+        round_robin_queues(&job(), 2, [0, 1], &[0, 0], &mut 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::stream::{Serving, StreamingMaster};
 pub fn max_reuse_policy(job: &Job, m: usize) -> StreamingMaster {
     let mu = mu_no_overlap(m).min(job.r);
     assert!(mu > 0, "m = {m} cannot hold the max re-use layout");
-    let queues = round_robin_queues(job, 1, &[0], &[mu], &mut 0);
+    let queues = round_robin_queues(job, 1, [0], &[mu], &mut 0);
     // Window 1: no double buffering — the layout reserves a single A
     // column and B row besides the C square.
     StreamingMaster::new_static("MaxReuse", *job, queues, Serving::RoundRobin, 1)

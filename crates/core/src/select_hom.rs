@@ -145,7 +145,13 @@ pub fn hom_policy_from_choice(
             }
         })
         .collect();
-    let queues = round_robin_queues(job, platform.len(), &choice.enrolled, &sides, &mut 0);
+    let queues = round_robin_queues(
+        job,
+        platform.len(),
+        choice.enrolled.iter().copied(),
+        &sides,
+        &mut 0,
+    );
     StreamingMaster::new_static(name, *job, queues, Serving::RoundRobin, 2)
 }
 

@@ -529,11 +529,11 @@ impl MultiJobMaster {
                 }
                 None => {
                     let n = self.platform.len();
-                    let live_workers: Vec<usize> = (0..n).filter(|&w| self.up[w]).collect();
+                    let live_workers = (0..n).filter(|&w| self.up[w]);
                     let queues = round_robin_queues(
                         &req.job,
                         n,
-                        &live_workers,
+                        live_workers,
                         &sides,
                         &mut self.next_chunk_id,
                     );
