@@ -42,12 +42,6 @@ fn parse_platform(name: &str) -> Option<Platform> {
     })
 }
 
-fn parse_alg(name: &str) -> Option<Algorithm> {
-    Algorithm::all()
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-}
-
 /// Minimal `--key value` option scanner.
 struct Opts(Vec<String>);
 
@@ -58,6 +52,19 @@ impl Opts {
             .position(|a| a == key)
             .and_then(|i| self.0.get(i + 1))
             .map(String::as_str)
+    }
+
+    /// The `--alg` option: `None` when absent, an error naming the value
+    /// when it names no algorithm.
+    fn alg(&self) -> Result<Option<Algorithm>, String> {
+        let Some(name) = self.get("--alg") else {
+            return Ok(None);
+        };
+        Algorithm::all()
+            .into_iter()
+            .find(|a| a.name().eq_ignore_ascii_case(name))
+            .map(Some)
+            .ok_or(format!("--alg names no algorithm: {name:?}"))
     }
 
     /// A count option: `default` when absent, an error naming the flag
@@ -161,9 +168,13 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            let Some(alg) = opts.get("--alg").and_then(parse_alg) else {
-                eprintln!("run needs --alg");
-                return usage();
+            let alg = match opts.alg() {
+                Ok(Some(alg)) => alg,
+                Ok(None) => {
+                    eprintln!("run needs --alg");
+                    return usage();
+                }
+                Err(e) => return bad_option(e),
             };
             match run_algorithm(&platform, &job, alg) {
                 Ok(s) => {
@@ -246,12 +257,9 @@ fn main() -> ExitCode {
                 Ok(n) => n,
                 Err(e) => return bad_option(e),
             };
-            let alg = match opts.get("--alg") {
-                None => Algorithm::Het,
-                Some(name) => match parse_alg(name) {
-                    Some(alg) => alg,
-                    None => return bad_option(format!("--alg names no algorithm: {name:?}")),
-                },
+            let alg = match opts.alg() {
+                Ok(alg) => alg.unwrap_or(Algorithm::Het),
+                Err(e) => return bad_option(e),
             };
             match schedule_lu(&platform, n, job.q, alg) {
                 Ok(plan) => {

@@ -16,7 +16,7 @@
 
 use serde::json::Value;
 use serde::Serialize;
-use stargemm_core::geometry::{carve_strip_rect, PlannedChunk};
+use stargemm_core::assign::round_robin_queues;
 use stargemm_core::layout::{mu_with_window, rect_sides};
 use stargemm_core::select_het::{het_policy, SelectionVariant};
 use stargemm_core::stream::{Serving, StreamingMaster};
@@ -43,35 +43,6 @@ enum Probe {
     Variant(SelectionVariant),
 }
 
-/// Round-robin rectangular static queues over all fitting workers.
-fn rect_queues(
-    job: &Job,
-    platform: &Platform,
-    sides: impl Fn(usize) -> (usize, usize),
-) -> Vec<Vec<PlannedChunk>> {
-    let p = platform.len();
-    let mut queues = vec![Vec::new(); p];
-    let mut col = 0;
-    let mut id = 0;
-    let mut turn = 0usize;
-    loop {
-        let w = turn % p;
-        turn += 1;
-        let (h, ww) = sides(w);
-        if h == 0 || ww == 0 {
-            if turn > p && col == 0 {
-                panic!("no worker fits");
-            }
-            continue;
-        }
-        match carve_strip_rect(job, w, h, ww, 1, &mut col, &mut id) {
-            Some(strip) => queues[w].extend(strip),
-            None => break,
-        }
-    }
-    queues
-}
-
 /// Runs one probe: its stats and, for the window and serving probes
 /// (the ones whose overlap is reported), the fraction of port-busy time
 /// overlapped by compute, attributed from the run's recorded log.
@@ -81,32 +52,37 @@ fn run_probe(
     het_memory: &Platform,
     ratio4: &Platform,
 ) -> (RunStats, Option<f64>) {
-    let square = |window: usize| {
-        move |w: usize| {
-            let mu = mu_with_window(het_memory.worker(w).m, window).min(job.r);
-            (mu, mu)
-        }
+    let p = het_memory.len();
+    let square = |window: usize| -> Vec<usize> {
+        let workers = het_memory.workers().iter();
+        workers
+            .map(|s| mu_with_window(s.m, window).min(job.r))
+            .collect()
     };
     let static_master = |name, queues, serving, window| {
         StreamingMaster::new_static(name, job, queues, serving, window)
     };
     let (platform, mut policy) = match *probe {
         Probe::Window(window) => {
-            let queues = rect_queues(&job, het_memory, square(window as usize));
+            let queues = round_robin_queues(&job, p, 0..p, &square(window as usize), &mut 0);
             let policy = static_master("ablate-window", queues, Serving::DemandDriven, window);
             (het_memory, policy)
         }
         Probe::Shape(ah, aw) => {
-            let sides = |w: usize| {
-                let (h, ww) = rect_sides(het_memory.worker(w).m, ah, aw);
-                (h.min(job.r), ww)
-            };
-            let queues = rect_queues(&job, het_memory, sides);
+            let sides: Vec<_> = het_memory
+                .workers()
+                .iter()
+                .map(|s| {
+                    let (h, w) = rect_sides(s.m, ah, aw);
+                    (h.min(job.r), w)
+                })
+                .collect();
+            let queues = round_robin_queues(&job, p, 0..p, &sides, &mut 0);
             let policy = static_master("ablate-shape", queues, Serving::DemandDriven, 2);
             (het_memory, policy)
         }
         Probe::Serving(serving) => {
-            let queues = rect_queues(&job, het_memory, square(2));
+            let queues = round_robin_queues(&job, p, 0..p, &square(2), &mut 0);
             (
                 het_memory,
                 static_master("ablate-serving", queues, serving, 2),

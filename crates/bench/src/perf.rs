@@ -18,7 +18,8 @@
 //! `Simulator::run`s (model, ledger, lane table and the streaming
 //! master's callbacks, in policy-visible events/sec) and whole
 //! `build_policy(.., Het)` calls (phase 1 for the eight variants plus
-//! one scoring run per distinct allocation, in plans/sec), both on one
+//! the scoring runs of the distinct allocations that can still win, in
+//! plans/sec), both on one
 //! cell of the paper's grid. The **sim_multiport** row is the same
 //! measure where the lane table is busy: whole `Simulator::run`s of
 //! ODDOML under `BoundedMultiPort { k = 16 }` with a binding backbone on

@@ -117,7 +117,7 @@ fn an_unknown_or_missing_experiment_is_a_usage_error() {
 
 #[test]
 fn bad_numbers_exit_2_naming_the_flag_and_the_value() {
-    let cases: [(&[&str], &str, &str); 7] = [
+    let cases: [(&[&str], &str, &str); 8] = [
         // Not a multiple of q = 80: used to trip `Job::from_scalar_dims`' assert.
         (
             &[
@@ -141,6 +141,8 @@ fn bad_numbers_exit_2_naming_the_flag_and_the_value() {
         (&["lu", "--n", "0"], "--n", "0"),
         // Not an algorithm: used to run `Het` silently.
         (&["lu", "--alg", "bogus"], "--alg", "bogus"),
+        // Not an algorithm: used to say only that `run` needs one.
+        (&["run", "--alg", "bogus"], "--alg", "bogus"),
     ];
     for (args, flag, value) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_stargemm"))

@@ -4,7 +4,7 @@
 use stargemm_platform::{Platform, WorkerId};
 use stargemm_sim::ChunkId;
 
-use crate::geometry::{carve_strip, PlannedChunk};
+use crate::geometry::{carve_strip, carve_strip_rect, PlannedChunk};
 use crate::job::Job;
 use crate::layout::{effective_g, effective_mu};
 
@@ -27,34 +27,56 @@ pub fn bmm_sides(platform: &Platform, job: &Job) -> Vec<usize> {
         .collect()
 }
 
+/// The chunk sides a worker carves its strips with: one side for square
+/// `side × side` chunks, or `(h, w)` for rectangular ones.
+pub trait ChunkSides: Copy {
+    /// `(h, w)` in blocks; 0 on either side means the worker does not
+    /// fit.
+    fn hw(self) -> (usize, usize);
+}
+
+impl ChunkSides for usize {
+    fn hw(self) -> (usize, usize) {
+        (self, self)
+    }
+}
+
+impl ChunkSides for (usize, usize) {
+    fn hw(self) -> (usize, usize) {
+        self
+    }
+}
+
 /// Statically carves C into strips assigned round-robin over `order`
-/// (a worker appearing in `order` gets strips of its own side). Workers
-/// with side 0 are skipped. Returns per-worker queues indexed by
-/// `WorkerId` over the *whole* platform (`num_workers` long); chunk ids
-/// continue from `*next_id`.
+/// (a worker appearing in `order` gets strips of its own
+/// [`ChunkSides`]). Workers that do not fit are skipped. Returns
+/// per-worker queues indexed by `WorkerId` over the *whole* platform
+/// (`num_workers` long); chunk ids continue from `*next_id`.
 ///
 /// # Panics
-/// Panics if every worker in `order` has side 0 (nothing could ever be
+/// Panics if no worker in `order` fits (nothing could ever be
 /// assigned).
 pub fn round_robin_queues(
     job: &Job,
     num_workers: usize,
     order: impl IntoIterator<Item = WorkerId>,
-    sides: &[usize],
+    sides: &[impl ChunkSides],
     next_id: &mut ChunkId,
 ) -> Vec<Vec<PlannedChunk>> {
-    let usable: Vec<WorkerId> = order.into_iter().filter(|&w| sides[w] > 0).collect();
+    let fits = |w: WorkerId| {
+        let (h, width) = sides[w].hw();
+        h > 0 && width > 0
+    };
+    let usable: Vec<WorkerId> = order.into_iter().filter(|&w| fits(w)).collect();
     assert!(!usable.is_empty(), "no worker fits the memory layout");
     let mut queues = vec![Vec::new(); num_workers];
     let mut col = 0;
-    let mut idx = 0;
-    loop {
-        let w = usable[idx % usable.len()];
-        match carve_strip(job, w, sides[w], 1, &mut col, next_id) {
+    for &w in usable.iter().cycle() {
+        let (h, width) = sides[w].hw();
+        match carve_strip_rect(job, w, h, width, 1, &mut col, next_id) {
             Some(strip) => queues[w].extend(strip),
             None => break,
         }
-        idx += 1;
     }
     queues
 }
@@ -172,12 +194,22 @@ mod tests {
         assert!(q[0].is_empty());
         let geoms: Vec<_> = q.iter().flatten().map(|c| c.geom).collect();
         validate_coverage(&j, &geoms).unwrap();
+        // Rectangular sides: a zero on either side skips the worker.
+        let sides = vec![(3, 0), (2, 1), (1, 3)];
+        let q = round_robin_queues(&j, 3, [0, 1, 2], &sides, &mut 0);
+        assert!(q[0].is_empty());
+        assert!(q[1].iter().chain(&q[2]).all(|c| {
+            let (g, (h, w)) = (c.geom, sides[c.geom.worker]);
+            g.h <= h && g.w <= w
+        }));
+        let geoms: Vec<_> = q.iter().flatten().map(|c| c.geom).collect();
+        validate_coverage(&j, &geoms).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "no worker fits")]
     fn all_zero_sides_panics() {
-        round_robin_queues(&job(), 2, [0, 1], &[0, 0], &mut 0);
+        round_robin_queues(&job(), 2, [0, 1], &[0usize, 0], &mut 0);
     }
 
     #[test]
