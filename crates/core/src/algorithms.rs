@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use stargemm_platform::Platform;
-use stargemm_sim::{ObsSink, RunStats, SimError, Simulator};
+use stargemm_sim::{MasterPolicy, ObsSink, RunStats, SimError, Simulator};
 
 use crate::assign::{bmm_sides, layout_sides, min_min_queues, round_robin_queues};
 use crate::job::Job;
@@ -184,13 +184,31 @@ pub fn run_algorithm_observed(
 ) -> Result<RunStats, SimError> {
     let mut policy =
         build_policy(platform, job, alg).map_err(|e| SimError::protocol(e.to_string()))?;
-    Simulator::new(platform.clone()).run_observed(&mut policy, obs)
+    run_product(platform, job, &mut policy, obs)
+}
+
+/// Simulates `policy` and checks that the run computed all of `job`'s
+/// product: the engine only checks that nothing is left outstanding, and
+/// a static plan never redoes work, so its update count must be exact.
+fn run_product(
+    platform: &Platform,
+    job: &Job,
+    policy: &mut dyn MasterPolicy,
+    obs: ObsSink,
+) -> Result<RunStats, SimError> {
+    let stats = Simulator::new(platform.clone()).run_observed(policy, obs)?;
+    let (updates, expected) = (stats.total_updates, job.total_updates());
+    if updates != expected {
+        return Err(SimError::IncompleteProduct { updates, expected });
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stargemm_platform::WorkerSpec;
+    use stargemm_sim::{Action, SimCtx, SimEvent};
 
     fn het_platform() -> Platform {
         Platform::new(
@@ -218,6 +236,50 @@ mod tests {
             assert!(stats.makespan > 0.0);
             assert_eq!(stats.policy, alg.name());
         }
+    }
+
+    /// A policy that declares `Finished` at its first decision after its
+    /// first retrieval.
+    struct QuitAfterFirstRetrieval(StreamingMaster, bool);
+
+    impl MasterPolicy for QuitAfterFirstRetrieval {
+        fn next_action(&mut self, ctx: &SimCtx) -> Action {
+            if self.1 {
+                Action::Finished
+            } else {
+                self.0.next_action(ctx)
+            }
+        }
+
+        fn on_event(&mut self, ev: &SimEvent, ctx: &SimCtx) {
+            self.1 |= matches!(ev, SimEvent::RetrieveDone { .. });
+            self.0.on_event(ev, ctx);
+        }
+    }
+
+    #[test]
+    fn a_run_that_finishes_early_is_an_incomplete_product() {
+        // One worker streams one chunk at a time, so nothing is left
+        // outstanding when the policy quits: the engine accepts the run.
+        let platform = Platform::homogeneous("one", 1, WorkerSpec::new(1.0, 1.0, 40));
+        let job = job();
+        let quit = || {
+            QuitAfterFirstRetrieval(
+                build_policy(&platform, &job, Algorithm::Hom).unwrap(),
+                false,
+            )
+        };
+        let stats = Simulator::new(platform.clone()).run(&mut quit()).unwrap();
+        assert!(stats.total_updates < job.total_updates());
+
+        let err = run_product(&platform, &job, &mut quit(), ObsSink::off()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::IncompleteProduct {
+                updates: stats.total_updates,
+                expected: job.total_updates(),
+            }
+        );
     }
 
     #[test]

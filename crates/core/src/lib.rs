@@ -17,7 +17,8 @@
 //! All algorithms are expressed as [`stream::StreamingMaster`] policies —
 //! per-worker chunk queues plus a fragment-serving discipline — executed
 //! by either the `stargemm-sim` discrete-event engine or the
-//! `stargemm-net` runtime.
+//! `stargemm-net` runtime; on platforms whose workers crash, the wrappers
+//! that run them re-plan lost work through one [`heal::Healer`].
 
 pub mod algorithms;
 pub mod assign;
@@ -25,6 +26,7 @@ pub mod bounds;
 pub mod cpath;
 pub mod estimate;
 pub mod geometry;
+pub mod heal;
 pub mod job;
 pub mod layout;
 pub mod lu;

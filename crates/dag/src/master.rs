@@ -465,27 +465,14 @@ impl MasterPolicy for DagMaster {
             }
             SimEvent::ChunkLost { worker, chunk } => {
                 // Usually already handled by WorkerDown; clean up both
-                // the lane and the task state if this arrives alone.
+                // the lane and the task state if this arrives alone. Only
+                // an opened chunk can be lost: a queued one was never sent.
                 if self
                     .inner
                     .active_chunk_on(worker)
                     .is_some_and(|pc| pc.descr.id == chunk)
                 {
                     self.inner.clear_active(worker);
-                } else if self
-                    .inner
-                    .queued_chunks(worker)
-                    .any(|pc| pc.descr.id == chunk)
-                {
-                    let keep: Vec<_> = self
-                        .inner
-                        .drain_lane(worker)
-                        .into_iter()
-                        .filter(|pc| pc.descr.id != chunk)
-                        .collect();
-                    for pc in keep {
-                        self.inner.enqueue_chunk(pc);
-                    }
                 }
                 self.revert(chunk);
             }

@@ -5,11 +5,12 @@
 //! streaming policy — any lane master with [`QueueSurgery`]) and adds
 //! the three behaviours a *dynamic* platform demands:
 //!
-//! 1. **Crash recovery** — when the engine reports a worker down, the
-//!    wrapper drains the dead lane's queue and re-plans every chunk the
-//!    crash orphaned (queued or destroyed mid-flight) onto surviving
-//!    workers, with fresh chunk ids covering the same C regions. This
-//!    alone makes the *static* plan terminate correctly under churn
+//! 1. **Crash recovery** — the wrapped lanes are healed by a
+//!    [`Healer`] (`stargemm_core::heal`): a crash's orphans (queued or
+//!    destroyed mid-flight) are re-planned onto surviving workers, split
+//!    to the largest tile the target's memory holds, with fresh chunk
+//!    ids covering the same C regions. This alone makes the *static*
+//!    plan terminate correctly under churn
 //!    ([`AdaptiveMaster::guarded_het`]).
 //! 2. **Online estimation** — it maintains EWMA estimates of the
 //!    observed `ĉ_i`/`ŵ_i` from transfer and compute durations
@@ -24,16 +25,16 @@
 //!    no surgery happens, and the wrapper is observationally identical
 //!    to the wrapped plan.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use stargemm_core::algorithms::{build_policy, Algorithm, BuildError};
-use stargemm_core::geometry::{plan_chunk, tiles, ChunkGeom, PlannedChunk};
+use stargemm_core::geometry::{plan_chunk, ChunkGeom, PlannedChunk};
+use stargemm_core::heal::Healer;
+use stargemm_core::layout::mu_with_window;
 use stargemm_core::stream::{GeometryAccess, QueueSurgery, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_platform::Platform;
-use stargemm_sim::{
-    Action, ChunkDescr, ChunkId, ChunkMap, MasterPolicy, MatKind, SimCtx, SimEvent, StepId,
-};
+use stargemm_sim::{Action, ChunkDescr, ChunkId, MasterPolicy, MatKind, SimCtx, SimEvent, StepId};
 
 use crate::estimate::CostEstimator;
 
@@ -68,81 +69,31 @@ pub struct AdaptiveMaster<M = StreamingMaster> {
     /// Estimation-driven re-balancing on (`false` = crash recovery only;
     /// the static plan is never second-guessed).
     adapt: bool,
-    platform: Platform,
-    job: Job,
-    est: CostEstimator,
-    up: Vec<bool>,
+    costs: Costs,
     /// In-flight transfers being timed: `(blocks, issued_at)` by key.
     pending_sends: HashMap<PendingSendKey, (u64, f64)>,
-    /// Engine descriptors of every chunk ever issued or queued.
-    descrs: ChunkMap<ChunkDescr>,
     /// Arrival time of the A fragment completing a step's operands.
     step_ready: HashMap<(ChunkId, StepId), f64>,
     /// Time each worker's last compute step finished.
     last_step_done: Vec<f64>,
-    /// Chunks destroyed by crashes.
-    lost: HashSet<ChunkId>,
     /// Chunk ids successfully retrieved.
     retrieved: Vec<ChunkId>,
-    /// Orphans no surviving worker can currently hold (memory): parked
-    /// until a worker rejoins.
-    stranded: Vec<ChunkGeom>,
+    heal: Healer,
     next_id: ChunkId,
     rebalance_due: bool,
     stats: AdaptiveStats,
 }
 
-impl<M: QueueSurgery> AdaptiveMaster<M> {
-    /// Wraps an existing statically planned lane master; `adapt` turns
-    /// estimation-driven re-balancing on (`false` = crash recovery only).
-    pub fn wrap(name: &'static str, platform: &Platform, job: Job, inner: M, adapt: bool) -> Self {
-        let p = platform.len();
-        let next_id = inner.max_planned_id().map_or(0, |id| id + 1);
-        let mut descrs = ChunkMap::default();
-        for w in 0..p {
-            for pc in inner.queued_chunks(w) {
-                descrs.insert(pc.descr.id, pc.descr);
-            }
-        }
-        let est = CostEstimator::new(
-            platform.workers().iter().map(|s| s.c).collect(),
-            platform.workers().iter().map(|s| s.w).collect(),
-        );
-        AdaptiveMaster {
-            name,
-            inner,
-            adapt,
-            platform: platform.clone(),
-            job,
-            est,
-            up: vec![true; p],
-            pending_sends: HashMap::new(),
-            descrs,
-            step_ready: HashMap::new(),
-            last_step_done: vec![0.0; p],
-            lost: HashSet::new(),
-            retrieved: Vec::new(),
-            stranded: Vec::new(),
-            next_id,
-            rebalance_due: false,
-            stats: AdaptiveStats::default(),
-        }
-    }
+/// What placement reads: the platform, the job, which workers are up,
+/// and the estimated costs.
+struct Costs {
+    platform: Platform,
+    job: Job,
+    est: CostEstimator,
+    up: Vec<bool>,
+}
 
-    /// Adaptive-layer counters.
-    pub fn stats(&self) -> AdaptiveStats {
-        self.stats
-    }
-
-    /// Geometries of the chunks actually retrieved — on a completed run
-    /// these tile C exactly, whatever was lost and re-planned on the way.
-    pub fn retrieved_geoms(&self) -> Vec<ChunkGeom> {
-        self.retrieved
-            .iter()
-            .filter_map(|id| self.inner.chunk_geom(*id))
-            .collect()
-    }
-
+impl Costs {
     /// Estimated cost of fully processing `descr` on worker `w`.
     fn chunk_cost(&self, w: usize, descr: &ChunkDescr) -> f64 {
         let io_blocks = (descr.total_blocks_in() + descr.c_blocks) as f64;
@@ -150,12 +101,12 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
     }
 
     /// Estimated backlog (active + queued) of worker `w`.
-    fn backlog(&self, w: usize) -> f64 {
+    fn backlog(&self, inner: &impl QueueSurgery, w: usize) -> f64 {
         let mut load = 0.0;
-        if let Some(active) = self.inner.active_chunk_on(w) {
+        if let Some(active) = inner.active_chunk_on(w) {
             load += self.chunk_cost(w, &active.descr);
         }
-        for pc in self.inner.queued_chunks(w) {
+        for pc in inner.queued_chunks(w) {
             load += self.chunk_cost(w, &pc.descr);
         }
         load
@@ -169,55 +120,11 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
         c_blocks + 2 * per_step <= self.platform.worker(w).m as u64
     }
 
-    /// Largest square tile side a worker with `m` buffers can stream
-    /// with double-buffered step fragments of depth `d`
-    /// (`s² + 4·s·d ≤ m`), capped by the region.
-    fn max_side(m: usize, d: usize, cap: usize) -> usize {
-        (1..=cap)
-            .rev()
-            .find(|&s| s * s + 4 * s * d <= m)
-            .unwrap_or(0)
-    }
-
-    /// Re-plans a lost region on the best surviving worker, splitting it
-    /// into tiles the target's memory can hold (an orphan from a
-    /// big-memory worker rarely fits a small survivor whole).
-    fn replan(&mut self, geom: ChunkGeom) {
-        let target = (0..self.platform.len())
-            .filter(|&w| {
-                self.up[w]
-                    && Self::max_side(self.platform.worker(w).m, geom.k_depth, geom.h.max(geom.w))
-                        > 0
-            })
-            .min_by(|&a, &b| {
-                let ca = self.backlog(a) + self.chunk_cost_region(a, &geom);
-                let cb = self.backlog(b) + self.chunk_cost_region(b, &geom);
-                ca.total_cmp(&cb).then(a.cmp(&b))
-            });
-        let Some(target) = target else {
-            // Nobody alive can hold the region right now; park it until
-            // a worker rejoins.
-            self.stranded.push(geom);
-            return;
-        };
-        let cap = geom.h.max(geom.w);
-        let side = if self.fits(target, &geom) {
-            cap
-        } else {
-            Self::max_side(self.platform.worker(target).m, geom.k_depth, cap)
-        };
-        for (i0, j0, h, w) in tiles(geom, side) {
-            self.replan_tile(target, i0, j0, h, w, geom.k_depth);
-        }
-    }
-
-    fn replan_tile(&mut self, target: usize, i0: usize, j0: usize, h: usize, w: usize, d: usize) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let pc = plan_chunk(&self.job, id, target, i0, j0, h, w, d);
-        self.descrs.insert(id, pc.descr);
-        self.inner.enqueue_chunk(pc);
-        self.stats.reassigned_chunks += 1;
+    /// Largest square tile side worker `w` can stream with
+    /// double-buffered step fragments of depth `d` (`s² + 4·s·d ≤ m`),
+    /// capped by the region.
+    fn max_side(&self, w: usize, d: usize, cap: usize) -> usize {
+        mu_with_window(self.platform.worker(w).m, 2 * d).min(cap)
     }
 
     /// Cost of a region without materializing its descriptor: C in+out
@@ -228,64 +135,116 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
             + (geom.h * geom.w * self.job.t) as f64 * self.est.effective_w(w)
     }
 
-    /// Syncs liveness from the engine and evacuates lanes of workers
-    /// that are down *now* — including workers down from `t = 0`, for
-    /// which no lifecycle event ever fires.
-    fn quarantine_down_lanes(&mut self, ctx: &SimCtx) {
-        for w in 0..self.platform.len() {
-            self.up[w] = ctx.is_up(w);
+    /// The adaptive placement rule: a lost region goes to the live
+    /// worker with the least estimated backlog plus region cost, whole if
+    /// it fits there and otherwise as the largest tiles the target's
+    /// memory holds (an orphan from a big-memory worker rarely fits a
+    /// small survivor whole).
+    fn place(&self, inner: &impl QueueSurgery, geom: &ChunkGeom) -> Option<(usize, usize)> {
+        let cap = geom.h.max(geom.w);
+        let target = (0..self.platform.len())
+            .filter(|&w| self.up[w] && self.max_side(w, geom.k_depth, cap) > 0)
+            .min_by(|&a, &b| {
+                let ca = self.backlog(inner, a) + self.chunk_cost_region(a, geom);
+                let cb = self.backlog(inner, b) + self.chunk_cost_region(b, geom);
+                ca.total_cmp(&cb).then(a.cmp(&b))
+            })?;
+        let side = if self.fits(target, geom) {
+            cap
+        } else {
+            self.max_side(target, geom.k_depth, cap)
+        };
+        Some((target, side))
+    }
+}
+
+impl<M: QueueSurgery> AdaptiveMaster<M> {
+    /// Wraps an existing statically planned lane master; `adapt` turns
+    /// estimation-driven re-balancing on (`false` = crash recovery only).
+    pub fn wrap(name: &'static str, platform: &Platform, job: Job, inner: M, adapt: bool) -> Self {
+        let p = platform.len();
+        let next_id = inner.max_planned_id().map_or(0, |id| id + 1);
+        let est = CostEstimator::new(
+            platform.workers().iter().map(|s| s.c).collect(),
+            platform.workers().iter().map(|s| s.w).collect(),
+        );
+        AdaptiveMaster {
+            name,
+            inner,
+            adapt,
+            costs: Costs {
+                platform: platform.clone(),
+                job,
+                est,
+                up: vec![true; p],
+            },
+            pending_sends: HashMap::new(),
+            step_ready: HashMap::new(),
+            last_step_done: vec![0.0; p],
+            retrieved: Vec::new(),
+            heal: Healer::default(),
+            next_id,
+            rebalance_due: false,
+            stats: AdaptiveStats::default(),
         }
-        for w in 0..self.platform.len() {
-            if self.up[w] {
-                continue;
-            }
-            let orphans = self.inner.drain_lane(w);
-            for pc in orphans {
-                self.replan(pc.geom);
-            }
+    }
+
+    /// Adaptive-layer counters.
+    pub fn stats(&self) -> AdaptiveStats {
+        AdaptiveStats {
+            reassigned_chunks: self.heal.replanned(),
+            ..self.stats
         }
+    }
+
+    /// Geometries of the chunks actually retrieved — on a completed run
+    /// these tile C exactly, whatever was lost and re-planned on the way.
+    pub fn retrieved_geoms(&self) -> Vec<ChunkGeom> {
+        self.retrieved
+            .iter()
+            .filter_map(|id| self.inner.chunk_geom(*id))
+            .collect()
     }
 
     /// Redistributes every unsent chunk over the surviving workers by
     /// estimated completion time (min-min under `(ĉ, ŵ)`).
     fn rebalance(&mut self) {
         self.stats.rebalances += 1;
-        let p = self.platform.len();
+        let p = self.costs.platform.len();
         let mut pool: Vec<PlannedChunk> = Vec::new();
         for w in 0..p {
             pool.extend(self.inner.drain_lane(w));
         }
         pool.sort_by_key(|pc| pc.geom.id);
         // Stranded orphans get another chance on the current roster —
-        // placed exactly once (replan enqueues directly to a lane; lanes
-        // were already drained, so the min-min pass below won't touch
-        // them again).
-        let stranded = std::mem::take(&mut self.stranded);
-        for geom in stranded {
-            self.replan(geom);
-        }
+        // placed exactly once (the healer enqueues directly to a lane;
+        // lanes were already drained, so the min-min pass below won't
+        // touch them again).
+        let place = |m: &M, g: &ChunkGeom| self.costs.place(m, g);
+        self.heal.retry(&mut self.inner, place, &mut self.next_id);
         if pool.is_empty() {
-            self.est.rebase();
+            self.costs.est.rebase();
             return;
         }
 
         // Min-min over estimated completion times, sharing the one port.
+        let costs = &self.costs;
         let mut link = 0.0f64;
-        let mut ready: Vec<f64> = (0..p).map(|w| self.backlog(w)).collect();
+        let mut ready: Vec<f64> = (0..p).map(|w| costs.backlog(&self.inner, w)).collect();
         for pc in pool {
             let geom = pc.geom;
             let choice = (0..p)
-                .filter(|&w| self.up[w] && self.fits(w, &geom))
+                .filter(|&w| costs.up[w] && costs.fits(w, &geom))
                 .map(|w| {
                     let io = (pc.descr.total_blocks_in() + pc.descr.c_blocks) as f64;
-                    let t_comm = io * self.est.effective_c(w);
-                    let t_comp = pc.descr.total_updates() as f64 * self.est.effective_w(w);
+                    let t_comm = io * costs.est.effective_c(w);
+                    let t_comp = pc.descr.total_updates() as f64 * costs.est.effective_w(w);
                     let start = link.max(ready[w]);
                     (start + t_comm + t_comp, t_comm, w)
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
             let Some((completion, t_comm, w)) = choice else {
-                self.stranded.push(geom);
+                self.heal.strand(geom);
                 continue;
             };
             link = link.max(ready[w]) + t_comm;
@@ -296,7 +255,7 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
                 let id = self.next_id;
                 self.next_id += 1;
                 let repl = plan_chunk(
-                    &self.job,
+                    &costs.job,
                     id,
                     w,
                     geom.i0,
@@ -305,11 +264,10 @@ impl<M: QueueSurgery> AdaptiveMaster<M> {
                     geom.w,
                     geom.k_depth,
                 );
-                self.descrs.insert(id, repl.descr);
                 self.inner.enqueue_chunk(repl);
             }
         }
-        self.est.rebase();
+        self.costs.est.rebase();
     }
 }
 
@@ -349,7 +307,13 @@ impl<M: QueueSurgery> GeometryAccess for AdaptiveMaster<M> {
 
 impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
     fn next_action(&mut self, ctx: &SimCtx) -> Action {
-        self.quarantine_down_lanes(ctx);
+        for (w, up) in self.costs.up.iter_mut().enumerate() {
+            *up = ctx.is_up(w);
+        }
+        let place = |m: &M, g: &ChunkGeom| self.costs.place(m, g);
+        let up = &self.costs.up;
+        self.heal
+            .sweep(&mut self.inner, up, place, &mut self.next_id);
         if self.rebalance_due {
             self.rebalance_due = false;
             self.rebalance();
@@ -357,27 +321,16 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
         let action = self.inner.next_action(ctx);
         match action {
             Action::Send {
-                worker,
-                fragment,
-                new_chunk,
+                worker, fragment, ..
             } => {
-                debug_assert!(self.up[worker], "inner offered a downed lane");
-                if let Some(d) = new_chunk {
-                    self.descrs.insert(d.id, d);
-                }
+                debug_assert!(self.costs.up[worker], "inner offered a downed lane");
                 self.pending_sends.insert(
                     (worker, fragment.chunk, fragment.step, fragment.kind),
                     (fragment.blocks, ctx.now()),
                 );
                 action
             }
-            Action::Finished if !self.stranded.is_empty() => {
-                // Regions are parked with no surviving host: the run is
-                // not complete. Wait for a rejoin (or let the engine
-                // diagnose the deadlock — the honest outcome when the
-                // platform lost the capacity to finish the job).
-                Action::Wait
-            }
+            Action::Finished if !self.heal.may_finish() => Action::Wait,
             other => other,
         }
     }
@@ -390,18 +343,24 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
                     if self.adapt {
                         // A static plan does not calibrate online; only
                         // the adaptive master learns from observations.
-                        self.est
+                        self.costs
+                            .est
                             .observe_transfer(worker, blocks, ctx.now() - issued_at);
                     }
                 }
                 // The A fragment completes a step's operand pair (B is
-                // sent first): remember when compute *could* start.
-                if fragment.kind == MatKind::A && !self.lost.contains(&fragment.chunk) {
+                // sent first): remember when compute *could* start — for
+                // the chunk the lane still streams, not one a crash lost
+                // while the fragment was on the wire.
+                let streamed = self.inner.active_chunk_on(worker);
+                if fragment.kind == MatKind::A
+                    && streamed.is_some_and(|pc| pc.descr.id == fragment.chunk)
+                {
                     self.step_ready
                         .insert((fragment.chunk, fragment.step), ctx.now());
                 }
                 self.inner.on_event(ev, ctx);
-                if self.adapt && self.est.max_drift() > DRIFT_THRESHOLD {
+                if self.adapt && self.costs.est.max_drift() > DRIFT_THRESHOLD {
                     self.rebalance_due = true;
                 }
             }
@@ -410,9 +369,6 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
                 chunk,
                 step,
             } => {
-                if self.lost.contains(&chunk) {
-                    return;
-                }
                 let ready = self
                     .step_ready
                     .remove(&(chunk, step))
@@ -420,67 +376,51 @@ impl<M: QueueSurgery> MasterPolicy for AdaptiveMaster<M> {
                 let start = ready.max(self.last_step_done[worker]);
                 self.last_step_done[worker] = ctx.now();
                 if self.adapt {
-                    if let Some(d) = self.descrs.get(&chunk) {
-                        self.est
-                            .observe_compute(worker, d.updates_for(step), ctx.now() - start);
+                    // Steps only complete for the chunk the lane streams.
+                    if let Some(pc) = self.inner.active_chunk_on(worker) {
+                        let updates = pc.descr.updates_for(step);
+                        self.costs
+                            .est
+                            .observe_compute(worker, updates, ctx.now() - start);
                     }
                 }
                 self.inner.on_event(ev, ctx);
-                if self.adapt && self.est.max_drift() > DRIFT_THRESHOLD {
+                if self.adapt && self.costs.est.max_drift() > DRIFT_THRESHOLD {
                     self.rebalance_due = true;
                 }
             }
-            SimEvent::ChunkComputed { chunk, .. } => {
-                if self.lost.contains(&chunk) {
-                    return;
-                }
-                self.inner.on_event(ev, ctx);
-            }
+            SimEvent::ChunkComputed { .. } => self.inner.on_event(ev, ctx),
             SimEvent::RetrieveDone { chunk, .. } => {
                 self.retrieved.push(chunk);
                 self.inner.on_event(ev, ctx);
             }
             SimEvent::WorkerDown { worker } => {
                 self.stats.crashes += 1;
-                self.up[worker] = false;
+                self.costs.up[worker] = false;
                 self.last_step_done[worker] = ctx.now();
                 // Transfers to the dead lane never complete; stop
                 // timing them.
                 self.pending_sends.retain(|k, _| k.0 != worker);
-                // Unsent chunks of the dead lane survive on the master:
-                // re-plan them elsewhere right away. The active chunk's
-                // loss arrives as its own ChunkLost event.
-                let orphans = self.inner.drain_lane(worker);
-                self.inner.clear_active(worker);
-                for pc in orphans {
-                    self.replan(pc.geom);
-                }
             }
             SimEvent::WorkerUp { worker } => {
                 self.stats.joins += 1;
-                self.up[worker] = true;
+                self.costs.up[worker] = true;
                 self.last_step_done[worker] = ctx.now();
-                let stranded = std::mem::take(&mut self.stranded);
-                for geom in stranded {
-                    self.replan(geom);
-                }
                 if self.adapt {
                     // Fold the newcomer into the balance.
                     self.rebalance_due = true;
                 }
             }
             SimEvent::ChunkLost { chunk, .. } => {
-                if !self.lost.insert(chunk) {
-                    return;
-                }
                 self.step_ready.retain(|(c, _), _| *c != chunk);
-                if let Some(geom) = self.inner.chunk_geom(chunk) {
-                    self.replan(geom);
-                }
             }
             // Single-job policy: job streams are not its concern.
             SimEvent::JobArrived { .. } | SimEvent::JobCompleted { .. } => {}
         }
+        // Crashes, rejoins and losses heal the lanes.
+        let place = |m: &M, g: &ChunkGeom| self.costs.place(m, g);
+        self.heal
+            .on_event(&mut self.inner, ev, place, &mut self.next_id);
     }
 
     fn name(&self) -> &'static str {
@@ -614,5 +554,39 @@ mod tests {
         assert_eq!(adaptive.stats().joins, 1);
         stargemm_core::geometry::validate_coverage(&j, &adaptive.retrieved_geoms()).unwrap();
         let _ = stats;
+    }
+
+    #[test]
+    fn a_blackout_strands_the_work_until_a_worker_rejoins() {
+        // Every worker is down from t = 0 and worker 1 returns at t = 5.
+        // The static guard never re-balances: only the stranded retry on
+        // the rejoin puts the work back on a lane.
+        let (p, j) = (platform(), job());
+        let down = |back| WorkerDyn::new(Trace::default(), Trace::default(), vec![(0.0, back)]);
+        let profile = DynProfile::new(vec![down(f64::INFINITY), down(5.0), down(f64::INFINITY)]);
+        let mut guard = AdaptiveMaster::guarded_het(&p, &j).unwrap();
+        Simulator::new(p.clone())
+            .with_profile(profile)
+            .run(&mut guard)
+            .unwrap();
+        stargemm_core::geometry::validate_coverage(&j, &guard.retrieved_geoms()).unwrap();
+        assert_eq!(guard.stats().joins, 1);
+    }
+
+    #[test]
+    fn a_worker_down_empties_its_lane_before_any_loss_arrives() {
+        // The WorkerDown alone, ahead of its ChunkLost events, leaves the
+        // dead lane with nothing active and nothing queued.
+        let (p, j) = (platform(), job());
+        let mut ledger = stargemm_sim::StarLedger::new(&p, None);
+        let mut guard = AdaptiveMaster::guarded_het(&p, &j).unwrap();
+        let Action::Send { worker, .. } = guard.next_action(&ledger.ctx(0.0)) else {
+            panic!("the plan opens a chunk first");
+        };
+        assert!(guard.inner.active_chunk_on(worker).is_some());
+        ledger.crash(worker);
+        guard.on_event(&SimEvent::WorkerDown { worker }, &ledger.ctx(1.0));
+        assert!(guard.inner.active_chunk_on(worker).is_none());
+        assert_eq!(guard.inner.queued_chunks(worker).count(), 0);
     }
 }

@@ -29,6 +29,10 @@ pub enum SimError {
     },
     /// The policy declared completion while chunks were still outstanding.
     PrematureFinish { unretrieved_chunks: usize },
+    /// The run's block updates differ from its product's: a static plan
+    /// never redoes work, so its policy declared completion before
+    /// issuing all of it (or issued some twice).
+    IncompleteProduct { updates: u64, expected: u64 },
     /// Protocol misuse by the policy (duplicate chunk id, fragment for an
     /// unknown chunk, over-delivery of a step, retrieval of an unknown or
     /// already-retrieved chunk, …).
@@ -76,6 +80,10 @@ impl fmt::Display for SimError {
             SimError::PrematureFinish { unretrieved_chunks } => write!(
                 f,
                 "policy finished with {unretrieved_chunks} chunk(s) unretrieved"
+            ),
+            SimError::IncompleteProduct { updates, expected } => write!(
+                f,
+                "run made {updates} block updates, its product needs {expected}"
             ),
             SimError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             SimError::UnknownWorker(w) => write!(f, "unknown worker {w}"),

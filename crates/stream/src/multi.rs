@@ -23,10 +23,12 @@
 //!   issues [`Action::CompleteJob`], the engine timestamps it into
 //!   [`stargemm_sim::RunStats::jobs`], and the next backlog job is
 //!   admitted.
-//! * **Churn.** On dynamic platforms, lanes of downed workers are
-//!   drained and lost regions re-planned onto surviving workers (split
-//!   to fit their partitioned sides), mirroring `stargemm-dyn`'s
-//!   recovery; regions nobody can host are parked until a rejoin.
+//! * **Churn.** On dynamic platforms, each GEMM job's lanes are healed
+//!   by its own [`Healer`] (`stargemm_core::heal`, which also heals
+//!   `stargemm-dyn`'s adaptive master): lanes of downed workers are
+//!   drained and lost regions re-planned onto surviving workers, split
+//!   to fit the job's partitioned sides; regions nobody can host are
+//!   parked until a rejoin.
 //! * **DAG jobs.** A request registered with a [`DagJob`]
 //!   ([`MultiJobMaster::with_dags`]) is admitted as a
 //!   [`DagMaster`] member instead of a plain chunk-queue member: its
@@ -39,13 +41,14 @@
 use std::collections::{HashMap, VecDeque};
 
 use stargemm_core::assign::round_robin_queues;
-use stargemm_core::geometry::{plan_chunk, tiles, ChunkGeom, PlannedChunk};
+use stargemm_core::geometry::ChunkGeom;
+use stargemm_core::heal::Healer;
 use stargemm_core::layout::mu_with_window;
 use stargemm_core::stream::{GeometryAccess, QueueSurgery, Serving, StreamingMaster};
 use stargemm_core::Job;
 use stargemm_dag::{DagJob, DagMaster, TaskId};
 use stargemm_platform::Platform;
-use stargemm_sim::{Action, ChunkId, ChunkMap, JobId, MasterPolicy, SimCtx, SimEvent, StepId};
+use stargemm_sim::{Action, ChunkId, JobId, MasterPolicy, SimCtx, SimEvent, StepId};
 use stargemm_sim::{ObsEvent, ObsSink};
 
 use crate::allocator::{weighted_maxmin, JobDemand};
@@ -53,8 +56,7 @@ use crate::workload::JobRequest;
 
 /// First chunk id of the DAG namespace: DAG members draw their ids from
 /// `DAG_ID_BASE + job_id · DAG_ID_SPAN`, far above anything the GEMM
-/// carving counter reaches, so ownership of a chunk is decidable from
-/// its id alone.
+/// carving counter reaches, so chunk ids are unique across jobs.
 pub const DAG_ID_BASE: ChunkId = 0x4000_0000;
 
 /// Ids reserved per DAG job (bounds re-dispatches after crashes, not
@@ -171,33 +173,12 @@ impl Member {
             Member::Dag(m) => m.chunk_geom(id),
         }
     }
-
-    fn is_dag(&self) -> bool {
-        matches!(self, Member::Dag(_))
-    }
-
-    /// The GEMM master behind this member — queue-surgery recovery is
-    /// only ever invoked on GEMM members (DAG members self-heal).
-    fn as_gemm_mut(&mut self) -> &mut StreamingMaster {
-        match self {
-            Member::Gemm(m) => m,
-            Member::Dag(_) => unreachable!("queue surgery on a DAG member"),
-        }
-    }
-
-    fn as_gemm(&self) -> &StreamingMaster {
-        match self {
-            Member::Gemm(m) => m,
-            Member::Dag(_) => unreachable!("queue surgery on a DAG member"),
-        }
-    }
 }
 
 /// One admitted, in-flight job.
 struct ActiveJob {
     id: JobId,
     weight: f64,
-    job: Job,
     /// The memory slot this job occupies (its per-worker caps come from
     /// [`slot_cap`] at this index).
     slot: usize,
@@ -209,8 +190,8 @@ struct ActiveJob {
     port_used: f64,
     /// Port share from the allocator (fallback: the tenant weight).
     share: f64,
-    /// Lost regions currently without a host.
-    stranded: Vec<ChunkGeom>,
+    /// Crash healing of a GEMM member's lanes (DAG members self-heal).
+    heal: Healer,
 }
 
 /// Counters exposed for tests and experiment reports.
@@ -241,8 +222,6 @@ pub struct MultiJobMaster {
     /// Indices into `active` in deficit order, rebuilt in place at every
     /// decision.
     order: Vec<usize>,
-    /// Owner job of every planned chunk (ids are globally unique).
-    owner: ChunkMap<JobId>,
     next_chunk_id: ChunkId,
     up: Vec<bool>,
     shares_dirty: bool,
@@ -375,7 +354,6 @@ impl MultiJobMaster {
             backlog: VecDeque::new(),
             active: Vec::new(),
             order: Vec::new(),
-            owner: ChunkMap::default(),
             next_chunk_id: 0,
             up: vec![true; platform.len()],
             shares_dirty: false,
@@ -407,7 +385,11 @@ impl MultiJobMaster {
 
     /// Stream-level counters.
     pub fn stats(&self) -> StreamStats {
-        self.stats
+        let healing: u64 = self.active.iter().map(|a| a.heal.replanned()).sum();
+        StreamStats {
+            reassigned_chunks: self.stats.reassigned_chunks + healing,
+            ..self.stats
+        }
     }
 
     /// Retrieved chunk geometries of `job` (tile the job's C exactly on
@@ -541,9 +523,6 @@ impl MultiJobMaster {
                         self.next_chunk_id < DAG_ID_BASE,
                         "GEMM chunk ids ran into the DAG namespace"
                     );
-                    for pc in queues.iter().flatten() {
-                        self.owner.insert(pc.geom.id, id);
-                    }
                     Member::Gemm(Box::new(StreamingMaster::new_static(
                         "stream-member",
                         req.job,
@@ -569,13 +548,12 @@ impl MultiJobMaster {
             self.active.push(ActiveJob {
                 id,
                 weight: req.weight,
-                job: req.job,
                 slot,
                 sides,
                 member,
                 port_used,
                 share: req.weight,
-                stranded: Vec::new(),
+                heal: Healer::default(),
             });
             self.stats.admitted += 1;
             self.shares_dirty = true;
@@ -640,91 +618,53 @@ impl MultiJobMaster {
         });
     }
 
-    // ------------------------------------------------------------------
-    // Crash recovery.
-    // ------------------------------------------------------------------
-
-    /// Syncs liveness from the engine and evacuates every active job's
-    /// lane on workers that are down *now* (including workers down from
-    /// `t = 0`, for which no lifecycle event ever fires).
-    fn sync_liveness(&mut self, ctx: &SimCtx) {
-        for w in 0..self.platform.len() {
-            self.up[w] = ctx.is_up(w);
-        }
-        for w in 0..self.platform.len() {
-            if self.up[w] {
-                continue;
-            }
-            for j in 0..self.active.len() {
-                if self.active[j].member.is_dag() {
-                    // DAG members never dispatch to a downed worker and
-                    // heal their own lanes on WorkerDown.
-                    continue;
-                }
-                let orphans: Vec<PlannedChunk> = self.active[j].member.as_gemm_mut().drain_lane(w);
-                for pc in orphans {
-                    self.replan(j, pc.geom);
-                }
-            }
-        }
-    }
-
-    /// Re-plans a lost region of active job `j` onto the least-loaded
-    /// surviving worker that fits it, splitting it into tiles of the
-    /// target's partitioned side.
-    fn replan(&mut self, j: usize, geom: ChunkGeom) {
-        let target = (0..self.platform.len())
-            .filter(|&w| self.up[w] && self.active[j].sides[w] > 0)
-            .min_by(|&a, &b| {
-                let la = self.queued_updates(j, a);
-                let lb = self.queued_updates(j, b);
-                la.cmp(&lb).then(a.cmp(&b))
-            });
-        let Some(target) = target else {
-            self.active[j].stranded.push(geom);
-            return;
+    /// Heals active job `j`'s lanes after the lifecycle event `ev`, or
+    /// with `None` sweeps the lanes of workers down now. A DAG member
+    /// returns its lost tasks to its ready frontier itself. A GEMM
+    /// member's lost regions go to the live worker with the fewest
+    /// updates queued for the job, as tiles of that worker's partitioned
+    /// side.
+    fn heal(&mut self, j: usize, ev: Option<&SimEvent>, ctx: &SimCtx) {
+        let (up, next_id, a) = (&self.up, &mut self.next_chunk_id, &mut self.active[j]);
+        let m = match (&mut a.member, ev) {
+            (Member::Gemm(m), _) => m.as_mut(),
+            (Member::Dag(d), Some(ev)) => return d.on_event(ev, ctx),
+            // DAG members never dispatch to a downed worker.
+            (Member::Dag(_), None) => return,
         };
-        let side = self.active[j].sides[target];
-        let job = self.active[j].job;
-        let owner_id = self.active[j].id;
-        for (i0, j0, h, w) in tiles(geom, side) {
-            let id = self.next_chunk_id;
-            self.next_chunk_id += 1;
-            let pc = plan_chunk(&job, id, target, i0, j0, h, w, geom.k_depth);
-            self.owner.insert(id, owner_id);
-            self.active[j].member.as_gemm_mut().enqueue_chunk(pc);
-            self.stats.reassigned_chunks += 1;
+        let sides = &a.sides;
+        let place = |m: &StreamingMaster, _: &ChunkGeom| {
+            let queued =
+                |w: usize| -> u64 { m.queued_chunks(w).map(|pc| pc.descr.total_updates()).sum() };
+            let w = (0..up.len())
+                .filter(|&w| up[w] && sides[w] > 0)
+                .min_by_key(|&w| queued(w))?;
+            Some((w, sides[w]))
+        };
+        match ev {
+            Some(ev) => a.heal.on_event(m, ev, place, next_id),
+            None => a.heal.sweep(m, up, place, next_id),
         }
     }
 
-    /// Updates queued (not yet opened) on job `j`'s lane `w` — the
-    /// load proxy replanning balances against.
-    fn queued_updates(&self, j: usize, w: usize) -> u64 {
-        self.active[j]
-            .member
-            .as_gemm()
-            .queued_chunks(w)
-            .map(|pc| pc.descr.total_updates())
-            .sum()
-    }
-
-    /// Index of the active job owning `chunk`, if it is active. DAG
-    /// chunks carry their owner in the id itself (the namespace slot);
-    /// GEMM chunks are looked up in the owner map.
+    /// Index of the active job that planned `chunk`, if it is active
+    /// (chunk ids are unique across jobs).
     fn active_index_of(&self, chunk: ChunkId) -> Option<usize> {
-        let job = if chunk >= DAG_ID_BASE {
-            (chunk - DAG_ID_BASE) / DAG_ID_SPAN
-        } else {
-            *self.owner.get(&chunk)?
-        };
-        self.active.iter().position(|a| a.id == job)
+        self.active
+            .iter()
+            .position(|a| a.member.geom(chunk).is_some())
     }
 }
 
 impl MasterPolicy for MultiJobMaster {
     fn next_action(&mut self, ctx: &SimCtx) -> Action {
         self.now = ctx.now();
-        self.sync_liveness(ctx);
+        for (w, up) in self.up.iter_mut().enumerate() {
+            *up = ctx.is_up(w);
+        }
+        for j in 0..self.active.len() {
+            self.heal(j, None, ctx);
+        }
         self.admit_ready();
         if self.shares_dirty {
             self.refresh_shares();
@@ -751,11 +691,6 @@ impl MasterPolicy for MultiJobMaster {
                     new_chunk,
                 } => {
                     debug_assert!(self.up[worker], "member offered a downed lane");
-                    debug_assert!(
-                        new_chunk
-                            .is_none_or(|d| d.id >= DAG_ID_BASE || self.owner.contains_key(&d.id)),
-                        "chunk planned without an owner"
-                    );
                     let credit = fragment.blocks as f64 * self.platform.worker(worker).c;
                     self.active[i].port_used += credit;
                     self.obs.emit(|| ObsEvent::DeficitCredit {
@@ -783,7 +718,7 @@ impl MasterPolicy for MultiJobMaster {
                     });
                     return Action::Retrieve { worker, chunk };
                 }
-                Action::Finished if self.active[i].stranded.is_empty() => {
+                Action::Finished if self.active[i].heal.may_finish() => {
                     finished = Some(i);
                     break;
                 }
@@ -798,6 +733,7 @@ impl MasterPolicy for MultiJobMaster {
 
         if let Some(i) = finished {
             let done = self.active.remove(i);
+            self.stats.reassigned_chunks += done.heal.replanned();
             if let Member::Dag(d) = &done.member {
                 self.dag_completions
                     .insert(done.id, d.completion_order().to_vec());
@@ -845,61 +781,17 @@ impl MasterPolicy for MultiJobMaster {
                     self.active[i].member.on_event(ev, ctx);
                 }
             }
-            SimEvent::WorkerDown { worker } => {
-                self.up[worker] = false;
+            SimEvent::WorkerDown { worker } | SimEvent::WorkerUp { worker } => {
+                self.up[worker] = matches!(ev, SimEvent::WorkerUp { .. });
                 for j in 0..self.active.len() {
-                    if self.active[j].member.is_dag() {
-                        // The DAG member returns its lost tasks to the
-                        // ready frontier itself.
-                        self.active[j].member.on_event(ev, ctx);
-                        continue;
-                    }
-                    // Unsent chunks survive on the master: re-plan them
-                    // right away. The active chunk's loss arrives as its
-                    // own ChunkLost event.
-                    let gemm = self.active[j].member.as_gemm_mut();
-                    let orphans: Vec<PlannedChunk> = gemm.drain_lane(worker);
-                    gemm.clear_active(worker);
-                    for pc in orphans {
-                        self.replan(j, pc.geom);
-                    }
-                }
-                self.shares_dirty = true;
-            }
-            SimEvent::WorkerUp { worker } => {
-                self.up[worker] = true;
-                for j in 0..self.active.len() {
-                    if self.active[j].member.is_dag() {
-                        self.active[j].member.on_event(ev, ctx);
-                        continue;
-                    }
-                    let stranded = std::mem::take(&mut self.active[j].stranded);
-                    for geom in stranded {
-                        self.replan(j, geom);
-                    }
+                    self.heal(j, Some(ev), ctx);
                 }
                 self.shares_dirty = true;
             }
             SimEvent::ChunkLost { chunk, .. } => {
-                let Some(i) = self.active_index_of(chunk) else {
-                    return;
-                };
-                if self.active[i].member.is_dag() {
-                    self.active[i].member.on_event(ev, ctx);
-                    return;
+                if let Some(i) = self.active_index_of(chunk) {
+                    self.heal(i, Some(ev), ctx);
                 }
-                let Some(geom) = self.active[i].member.geom(chunk) else {
-                    return;
-                };
-                // If the lost chunk was being streamed, stop feeding it.
-                let gemm = self.active[i].member.as_gemm_mut();
-                if gemm
-                    .active_chunk_on(geom.worker)
-                    .is_some_and(|pc| pc.descr.id == chunk)
-                {
-                    gemm.clear_active(geom.worker);
-                }
-                self.replan(i, geom);
             }
         }
     }
@@ -969,6 +861,57 @@ mod tests {
         }
         assert_eq!(policy.stats().admitted, 6);
         assert_eq!(policy.stats().completed, 6);
+    }
+
+    #[test]
+    fn a_blackout_strands_the_work_until_a_worker_rejoins() {
+        use stargemm_platform::dynamic::{DynProfile, Trace, WorkerDyn};
+        // Every worker crashes at t = 2, with the job admitted and under
+        // way; only worker 1 returns, at t = 10. Nothing re-plans the
+        // stranded regions but the retry on the rejoin.
+        let reqs = [JobRequest {
+            id: 0,
+            tenant: 0,
+            weight: 1.0,
+            job: Job::new(6, 4, 8, 2),
+            arrival: 0.0,
+        }];
+        let down = |back| WorkerDyn::new(Trace::default(), Trace::default(), vec![(2.0, back)]);
+        let profile = DynProfile::new(vec![down(f64::INFINITY), down(10.0), down(f64::INFINITY)]);
+        let mut policy = MultiJobMaster::new(&platform(), &reqs, StreamConfig::default()).unwrap();
+        let stats = Simulator::new(platform())
+            .with_profile(profile)
+            .with_arrivals(MultiJobMaster::arrival_plan(&reqs))
+            .run(&mut policy)
+            .unwrap();
+        assert!(stats.jobs[0].completion.is_some());
+        validate_coverage(&reqs[0].job, policy.retrieved_geoms(reqs[0].id)).unwrap();
+        assert!(policy.stats().reassigned_chunks > 0);
+    }
+
+    #[test]
+    fn a_worker_down_empties_its_lanes_before_any_loss_arrives() {
+        // The WorkerDown alone, ahead of its ChunkLost events, leaves the
+        // dead lane of a GEMM member with nothing active and nothing
+        // queued.
+        let reqs = workload(1, 11, 20.0);
+        let mut ledger = stargemm_sim::StarLedger::new(&platform(), None);
+        let mut policy = MultiJobMaster::new(&platform(), &reqs, StreamConfig::default()).unwrap();
+        policy.on_event(&SimEvent::JobArrived { job: reqs[0].id }, &ledger.ctx(0.0));
+        let Action::Send { worker, .. } = policy.next_action(&ledger.ctx(0.0)) else {
+            panic!("the admitted job opens a chunk first");
+        };
+        let lane = |p: &MultiJobMaster| match &p.active[0].member {
+            Member::Gemm(m) => (
+                m.active_chunk_on(worker).is_some(),
+                m.queued_chunks(worker).count(),
+            ),
+            Member::Dag(_) => unreachable!("a plain GEMM job"),
+        };
+        assert!(lane(&policy).0);
+        ledger.crash(worker);
+        policy.on_event(&SimEvent::WorkerDown { worker }, &ledger.ctx(1.0));
+        assert_eq!(lane(&policy), (false, 0));
     }
 
     #[test]

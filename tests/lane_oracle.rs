@@ -350,8 +350,9 @@ impl QueueSurgery for ScanMaster {
 /// elsewhere. When a worker goes down it drains the lane and drops its
 /// active chunk, re-planning both on live lanes once, at the event, as
 /// `DagMaster` does: no per-decision sweep of the downed lanes (which
-/// `AdaptiveMaster` and `MultiJobMaster` also run) mends a lane left
-/// stale. Seeded, so both masters get the same surgery as long as they
+/// the crash healer, `stargemm_core::heal::Healer`, runs for
+/// `AdaptiveMaster` and `MultiJobMaster`) mends a lane left stale.
+/// Seeded, so both masters get the same surgery as long as they
 /// decide alike; fresh ids start far above any id a pool carves.
 struct Surgeon<M> {
     inner: M,
